@@ -16,6 +16,15 @@ induction over reachable states ``(window, accumulated sum)``.  Reachable
 sums are merged on a hashed grid (values rounded to 1e-12), which keeps the
 recursion exact on designed lattice inputs while tolerating generic ones.
 
+``eval_sum`` runs in two passes.  ``_compile`` walks forward once and
+records, per draw, the index of every state's child under each distinct
+support value.  ``_evaluate`` then sweeps that graph backwards with numpy
+gathers, upper and lower values together.  Its accumulation order is fixed:
+each law's expectation starts at 0.0 and adds ``p * value`` over the law's
+support in increasing order, and the best law replaces the running best
+only when strictly better.  That is the order of a per-state scalar
+recursion, so the vectorized values are the same floats bit for bit.
+
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
 full histories, with no state merging and payoffs recomputed from scratch;
 it is the independent cross-check for the layered DP.
@@ -26,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import GuardError, StateCapError, ValidationError
 from .laws import AmbiguitySet
@@ -47,7 +58,13 @@ _KEY_DECIMALS = 12
 
 
 def _canon(x: float) -> float:
-    """Round onto the 1e-12 merge grid and normalize -0.0."""
+    """Round onto the 1e-12 merge grid and normalize -0.0.
+
+    Integral floats are already on the grid (``round`` returns them
+    unchanged), so they skip the decimal conversion ``round`` costs.
+    """
+    if x.is_integer():
+        return x + 0.0
     return round(x, _KEY_DECIMALS) + 0.0
 
 
@@ -108,8 +125,7 @@ def scaled(f: Functional, multiplier: float) -> Functional:
 
 
 def negated(f: Functional) -> Functional:
-    growth = f.growth if f.growth != GROWTH_P else GROWTH_P
-    return Functional(f"-{f.name}", lambda s, _f=f.phi: -_f(s), growth, f.p)
+    return Functional(f"-{f.name}", lambda s, _f=f.phi: -_f(s), f.growth, f.p)
 
 
 def catalog() -> tuple[Functional, ...]:
@@ -272,90 +288,124 @@ def _term(model: SequenceModel, window: tuple[float, ...], v: float,
     return x
 
 
-def _transition(
-    model: SequenceModel,
-    state: tuple[float, ...],
-    step: int,
-    v: float,
-    mask: frozenset[int] | None,
-    x_clip: float | None,
-    track_max: bool,
-) -> tuple[float, ...]:
-    m = model.m
-    if track_max:
-        window, acc, mx = state[:-2], state[-2], state[-1]
-    else:
-        window, acc, mx = state[:-1], state[-1], 0.0
-    k = _completes(model, step)
-    if k is not None and (mask is None or k in mask):
-        acc = _canon(acc + _term(model, window, v, x_clip))
-        if track_max:
-            mx = max(mx, abs(acc))
-    if model.kind == KIND_MOVING_WINDOW and m > 0:
-        window = (window + (v,))[-m:]
-    else:
-        window = ()
-    return window + ((acc, mx) if track_max else (acc,))
+@dataclass(frozen=True)
+class _Step:
+    """One primitive draw of a compiled graph.
+
+    ``child[i, j]`` is the index, in the next layer, of the state reached from
+    state ``i`` when the draw takes the ``j``-th distinct support value.
+    ``laws`` holds, per law, its ``(column, p)`` pairs with ``p != 0`` in
+    support order: the order the backward pass accumulates them in.
+    """
+
+    child: np.ndarray
+    laws: tuple[tuple[tuple[int, float], ...], ...]
 
 
-def _forward_layers(
+@dataclass(frozen=True)
+class _Graph:
+    """The reachable-state graph of one ``(model, mask, x_clip, track_max)``."""
+
+    steps: tuple[_Step, ...]
+    #: payoff argument of every terminal state: acc, or maxabs when tracked
+    terminal: np.ndarray
+    layer_sizes: tuple[int, ...]
+
+
+def _compile(
     model: SequenceModel,
     mask: frozenset[int] | None,
     x_clip: float | None,
     track_max: bool,
     state_cap: int,
-) -> list[list[tuple[float, ...]]]:
-    init = (0.0, 0.0) if track_max else (0.0,)
-    layers: list[list[tuple[float, ...]]] = [[init]]
+) -> _Graph:
+    """Forward pass: enumerate the reachable states layer by layer.
+
+    Each state is expanded once per distinct support value with positive
+    probability in some law, and its children are recorded by index; only
+    the current layer's state tuples are kept.
+    """
+    m = model.m
+    slides = model.kind == KIND_MOVING_WINDOW and m > 0
+    # a state is window + (acc,), or window + (acc, maxabs) under track_max
+    split = -2 if track_max else -1
+    terms: dict[tuple[tuple[float, ...], float], float] = {}
+    layer: list[tuple[float, ...]] = [(0.0, 0.0) if track_max else (0.0,)]
+    sizes = [1]
     total = 1
+    steps: list[_Step] = []
     for step in range(1, model.steps + 1):
         set_ = model.set_at(step)
-        nxt: dict[tuple[float, ...], None] = {}
-        for state in layers[-1]:
-            for law in set_.laws:
-                for v, p in zip(law.values, law.probs):
-                    if p == 0.0:
-                        continue
-                    nxt[_transition(model, state, step, v, mask, x_clip, track_max)] = None
+        values = sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
+                         if p != 0.0})
+        column = {v: j for j, v in enumerate(values)}
+        laws = tuple(
+            tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
+            for law in set_.laws
+        )
+        k = _completes(model, step)
+        adds = k is not None and (mask is None or k in mask)
+        # per window: (next window, term added to acc) for each support value
+        moves: dict[tuple[float, ...], list[tuple[tuple[float, ...], float | None]]] = {}
+        nxt: dict[tuple[float, ...], int] = {}
+        child: list[int] = []
+        index, record = nxt.setdefault, child.append
+        for state in layer:
+            window, tail = state[:split], state[split:]
+            out = moves.get(window)
+            if out is None:
+                out = moves[window] = []
+                for v in values:
+                    term = None
+                    if adds:
+                        term = terms.get((window, v))
+                        if term is None:
+                            term = terms[(window, v)] = _term(model, window, v, x_clip)
+                    out.append(((window + (v,))[-m:] if slides else (), term))
+            acc, mx = tail[0], tail[-1]
+            for nwin, term in out:
+                if term is None:
+                    key = nwin + tail
+                else:
+                    a = _canon(acc + term)
+                    if track_max:
+                        b = abs(a)
+                        key = nwin + (a, b if b > mx else mx)  # max(mx, b)
+                    else:
+                        key = nwin + (a,)
+                record(index(key, len(nxt)))
         total += len(nxt)
+        sizes.append(len(nxt))
         if total > state_cap:
-            raise StateCapError(total, state_cap)
-        layers.append(list(nxt))
-    return layers
+            raise StateCapError(total, state_cap, step=step, steps=model.steps,
+                                layer_sizes=tuple(sizes))
+        steps.append(_Step(
+            np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
+        layer = list(nxt)
+    terminal = np.array([state[-1] for state in layer], dtype=float)
+    return _Graph(tuple(steps), terminal, tuple(sizes))
 
 
-def _backward_values(
-    model: SequenceModel,
-    layers: list[list[tuple[float, ...]]],
-    payoff: Callable[[tuple[float, ...]], float],
-    mask: frozenset[int] | None,
-    x_clip: float | None,
-    track_max: bool,
-) -> tuple[float, float]:
-    values: dict[tuple[float, ...], tuple[float, float]] = {
-        s: (payoff(s), payoff(s)) for s in layers[-1]
-    }
-    for step in range(model.steps, 0, -1):
-        set_ = model.set_at(step)
-        prev: dict[tuple[float, ...], tuple[float, float]] = {}
-        for state in layers[step - 1]:
-            up_best = -math.inf
-            lo_best = math.inf
-            for law in set_.laws:
-                up_acc = 0.0
-                lo_acc = 0.0
-                for v, p in zip(law.values, law.probs):
-                    if p == 0.0:
-                        continue
-                    nxt = _transition(model, state, step, v, mask, x_clip, track_max)
-                    u, l = values[nxt]
-                    up_acc += p * u
-                    lo_acc += p * l
-                up_best = max(up_best, up_acc)
-                lo_best = min(lo_best, lo_acc)
-            prev[state] = (up_best, lo_best)
-        values = prev
-    return values[layers[0][0]]
+def _evaluate(graph: _Graph, phi: Callable[[float], float]) -> tuple[float, float]:
+    """Backward pass: upper and lower value of the root, in one sweep.
+
+    Bit-identical to a per-state dict recursion: each law's expectation is
+    accumulated from 0.0 over its columns in support order, and the best law
+    is kept with ``where(acc > best)``, which is ``max(best, acc)`` exactly.
+    """
+    up = lo = np.array([phi(x) for x in graph.terminal.tolist()], dtype=float)
+    for st in reversed(graph.steps):
+        gu, gl = up[st.child], lo[st.child]
+        up = np.full(len(st.child), -math.inf)
+        lo = np.full(len(st.child), math.inf)
+        for law in st.laws:
+            acc_u = acc_l = 0.0
+            for j, p in law:
+                acc_u = acc_u + p * gu[:, j]
+                acc_l = acc_l + p * gl[:, j]
+            up = np.where(acc_u > up, acc_u, up)
+            lo = np.where(acc_l < lo, acc_l, lo)
+    return float(up[0]), float(lo[0])
 
 
 def eval_sum(
@@ -379,14 +429,9 @@ def eval_sum(
         raise ValidationError("indices outside 1..n")
     if x_clip is not None and not x_clip > 0.0:
         raise ValidationError("x_clip must be > 0")
-    layers = _forward_layers(model, mask, x_clip, track_max, state_cap)
-
-    # state layout puts the payoff argument last: acc, or maxabs when tracked
-    def payoff(state: tuple[float, ...]) -> float:
-        return f.phi(state[-1])
-
-    upper, lower = _backward_values(model, layers, payoff, mask, x_clip, track_max)
-    return EvalResult(upper, lower, sum(len(layer) for layer in layers))
+    graph = _compile(model, mask, x_clip, track_max, state_cap)
+    upper, lower = _evaluate(graph, f.phi)
+    return EvalResult(upper, lower, sum(graph.layer_sizes))
 
 
 def Bn(model: SequenceModel, *, state_cap: int = DEFAULT_STATE_CAP) -> tuple[float, float]:

@@ -20,12 +20,22 @@ class GuardError(ValidationError):
 
 
 class StateCapError(SublexpError):
-    """The dynamic program exceeded the configured reachable-state cap."""
+    """The dynamic program exceeded the configured reachable-state cap.
 
-    def __init__(self, count: int, cap: int) -> None:
-        super().__init__(f"reachable state count {count} exceeds cap {cap}")
+    ``step`` is the 1-based draw (of ``steps``) whose layer crossed the cap,
+    and ``layer_sizes`` the state count of every layer built up to and
+    including it, so ``sum(layer_sizes) == count``.
+    """
+
+    def __init__(self, count: int, cap: int, *, step: int | None = None,
+                 steps: int | None = None, layer_sizes: tuple[int, ...] = ()) -> None:
+        where = f" at draw {step} of {steps}" if step is not None else ""
+        super().__init__(f"reachable state count {count} exceeds cap {cap}{where}")
         self.count = count
         self.cap = cap
+        self.step = step
+        self.steps = steps
+        self.layer_sizes = layer_sizes
 
 
 class PDEStabilityError(SublexpError):

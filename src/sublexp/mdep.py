@@ -257,6 +257,12 @@ class ThreePartSplit:
     a2_m2_over_n: float
     a3_m2_over_n: float
 
+    def __post_init__(self) -> None:
+        parts = (self.blocks_mask, self.gaps_mask, self.tail_mask)
+        flat = sorted(i for mask in parts for i in mask)
+        if flat != list(range(1, self.n + 1)):
+            raise ValidationError("block, gap and tail masks must partition 1..n")
+
 
 def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     """Split ``S_n`` into q full blocks of length p_n, the m-gaps, and a tail.

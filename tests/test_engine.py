@@ -57,6 +57,11 @@ def test_state_cap_reports_count():
     with pytest.raises(StateCapError) as err:
         sl.eval_sum(model, eng.square(), state_cap=5)
     assert err.value.count > 5
+    # sums of +-1 draws: layers of 1, 2, 3 states reach 6 > 5 at draw 2
+    assert err.value.step == 2
+    assert err.value.layer_sizes == (1, 2, 3)
+    assert sum(err.value.layer_sizes) == err.value.count
+    assert "at draw 2 of 6" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -202,6 +203,13 @@ def test_split_masks_partition():
     sp = mdep.three_part_split(model, 48, 6)
     merged = sorted(sp.blocks_mask + sp.gaps_mask + sp.tail_mask)
     assert merged == list(range(1, 49))
+
+
+def test_split_rejects_masks_that_do_not_partition():
+    sp = mdep.three_part_split(stationary_1dep(20), 20, 4)
+    shifted = tuple(i + 1 for i in sp.gaps_mask)  # each gap overlaps the next block
+    with pytest.raises(ValidationError):
+        dataclasses.replace(sp, gaps_mask=shifted)
 
 
 def test_split_gap_second_moment_value():
