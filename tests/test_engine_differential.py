@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sublexp as sl
@@ -323,16 +324,12 @@ def test_state_cap_trips_at_the_reference_total():
     total = reference_eval_sum(model, eng.square()).state_count
     assert eng.eval_sum(model, eng.square(), state_cap=total).state_count == total
     for cap in (total - 1, 5, 1):
-        try:
+        with pytest.raises(StateCapError) as want:
             reference_eval_sum(model, eng.square(), state_cap=cap)
-        except StateCapError as ref_err:
-            want = ref_err.count
-        try:
+        with pytest.raises(StateCapError) as got:
             eng.eval_sum(model, eng.square(), state_cap=cap)
-        except StateCapError as err:
-            assert err.count == want and err.cap == cap
-        else:
-            raise AssertionError(f"cap {cap} did not trip")
+        assert (got.value.count, got.value.cap) == (want.value.count, cap)
+        assert sum(got.value.layer_sizes) == got.value.count
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
