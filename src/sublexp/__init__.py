@@ -42,11 +42,14 @@ from .engine import (
     bounded_lipschitz_catalog,
     catalog,
     catalog_by_name,
+    compile_sum,
     cross_moment_lower,
     cross_moment_upper,
     eval_index,
     eval_sum,
     eval_window,
+    evaluate,
+    marginals,
     oracle_policy_enum,
     scaled,
 )

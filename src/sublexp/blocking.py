@@ -25,24 +25,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import engine
+from .conditions import RowContext, context_for
 from .engine import SequenceModel
 from .errors import ValidationError
 
 _REL_SLACK = 1e-9
 
 
-def _index_m2(model: SequenceModel, k: int) -> float:
-    """Upper E[X_k^2] with zero extension outside 1..n."""
-    if k < 1 or k > model.n:
-        return 0.0
-    return engine.eval_index(model, k, lambda x: x * x)[0]
-
-
-def compute_beta(model: SequenceModel, n: int) -> tuple[float, ...]:
+def compute_beta(model: SequenceModel, n: int, *,
+                 ctx: RowContext | None = None) -> tuple[float, ...]:
     """Neighborhood second-moment weights ``beta_1..beta_{k_n}``."""
-    sub = model.prefix(n)
-    B2 = engine.eval_sum(sub, engine.square()).upper
-    m2 = [0.0] + [_index_m2(sub, k) for k in range(1, n + 1)] + [0.0]
+    ctx = context_for(model, n, ctx)
+    B2 = ctx.m2.upper
+    # upper E[X_k^2], zero-extended at k = 0 and k = n + 1
+    m2 = [0.0, *engine.marginals(ctx.model, lambda x: x * x), 0.0]
     return tuple((m2[k - 1] + m2[k] + m2[k + 1]) / B2 for k in range(1, n + 1))
 
 
@@ -51,6 +47,8 @@ def choose_pn(
     n: int,
     tol: float = 0.1,
     p_max: int | None = None,
+    *,
+    ctx: RowContext | None = None,
 ) -> int:
     """Largest even p with ``(p^4/B_n^2) sum_k E[(X_k^2 - B_n^2/p^4)^+] <= tol``.
 
@@ -59,17 +57,17 @@ def choose_pn(
     """
     if not tol > 0.0:
         raise ValidationError("tol must be > 0")
-    sub = model.prefix(n)
     if p_max is None:
         p_max = max(2, (math.isqrt(n) // 2) * 2)
     if p_max < 2 or p_max % 2 != 0:
         raise ValidationError("p_max must be an even integer >= 2")
-    B2 = engine.eval_sum(sub, engine.square()).upper
+    ctx = context_for(model, n, ctx)
+    B2 = ctx.m2.upper
     for p in range(p_max, 1, -2):
         cut = B2 / p**4
         total = 0.0
-        for k in range(1, n + 1):
-            total += engine.eval_index(sub, k, lambda x, _c=cut: max(x * x - _c, 0.0))[0]
+        for v in engine.marginals(ctx.model, lambda x, _c=cut: max(x * x - _c, 0.0)):
+            total += v
         if p**4 / B2 * total <= tol:
             return p
     return 2
@@ -117,11 +115,12 @@ class BlockingPlan:
         return self.k_n + 1
 
 
-def build_plan(model: SequenceModel, n: int, p_n: int) -> BlockingPlan:
+def build_plan(model: SequenceModel, n: int, p_n: int, *,
+               ctx: RowContext | None = None) -> BlockingPlan:
     """Run the cut recursion; degenerates to a single block when k_n < p_n."""
-    beta = compute_beta(model, n)
     if p_n < 2 or p_n % 2 != 0:
         raise ValidationError("p_n must be an even integer >= 2")
+    beta = compute_beta(model, n, ctx=ctx)
     g = [0]
     windows: list[tuple[int, ...]] = []
     while g[-1] + p_n <= n:
@@ -219,20 +218,22 @@ class BlockDiagnostics:
 def _delta(model: SequenceModel, k: int, B2: float, lower: bool) -> float:
     """One-sided covariance correction at index k, zero-extended neighbors."""
     cm = engine.cross_moment_lower if lower else engine.cross_moment_upper
-    ev = engine.eval_index(model, k, lambda x: x * x)
-    total = ev[1] if lower else ev[0]
+    total = engine.eval_window(model, (k,), lambda xs: xs[0] * xs[0], lower=lower)
     for nb in (k - 1, k + 1):
         if 1 <= nb <= model.n:
             total += 2.0 * cm(model, k, nb, lambda a, b: a * b)
     return total / B2
 
 
-def diagnostics(model: SequenceModel, plan: BlockingPlan) -> BlockDiagnostics:
-    sub = model.prefix(plan.k_n)
-    B2 = engine.eval_sum(sub, engine.square()).upper
-    seq = BlockSequence(sub, plan)
-    Bt2 = sum(seq.block_eval(i, lambda y: y * y) for i in range(1, plan.h + 1))
-    bt2 = sum(seq.block_eval(i, lambda y: y * y, lower=True) for i in range(1, plan.h + 1))
+def diagnostics(model: SequenceModel, plan: BlockingPlan, *,
+                ctx: RowContext | None = None) -> BlockDiagnostics:
+    ctx = context_for(model, plan.k_n, ctx)
+    sub, B2 = ctx.model, ctx.m2.upper
+    # one graph per block gives both of its second moments; empty blocks give 0
+    m2 = [engine.eval_sum(sub, engine.square(), indices=blk) if blk else None
+          for blk in plan.blocks]
+    Bt2 = sum(0.0 if res is None else res.upper for res in m2)
+    bt2 = sum(0.0 if res is None else res.lower for res in m2)
     if plan.cuts:
         removed = engine.eval_sum(sub, engine.square(), indices=plan.cuts).upper / B2
     else:

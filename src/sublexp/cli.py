@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -28,7 +29,6 @@ from typing import Sequence
 from . import blocking as blk
 from . import conditions as cond
 from . import engine, gnormal, mdep
-from .engine import SequenceModel
 from .errors import (
     PDENumericsError,
     PDEStabilityError,
@@ -71,29 +71,30 @@ def _grid(cfg: ExperimentConfig, gp: gnormal.GParams) -> gnormal.PDEGrid:
     return gnormal.default_grid(gp, half_width=cfg.gnormal.half_width, nx=cfg.gnormal.nx)
 
 
-def _sweep_r(cfg: ExperimentConfig) -> float:
-    """Variance-ratio plateau: full-prefix ratio at the largest n."""
+def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
+    """Variance-ratio plateau: full-prefix ratio at the largest n.
+
+    ``last`` is the row of the largest n; without truncation its second
+    moments are the ratio's, so no graph is compiled here.
+    """
     if cfg.gnormal.sigma_lo2 is not None:
         return cfg.gnormal.sigma_lo2
-    n_max = cfg.n_list[-1]
-    model = cfg.model_for(n_max)
-    res = engine.eval_sum(model, engine.square(), x_clip=cfg.conditions.tau,
-                          state_cap=cfg.state_cap)
+    res = last.m2
+    if cfg.conditions.tau is not None:
+        res = engine.eval_sum(last.model, engine.square(), x_clip=cfg.conditions.tau,
+                              state_cap=cfg.state_cap)
     if res.upper <= 0.0:
         raise ValidationError("degenerate model: zero upper second moment")
     return res.lower / res.upper
 
 
-def _normalizers(cfg: ExperimentConfig, model: SequenceModel, n: int) -> tuple[float, float]:
+def _normalizers(cfg: ExperimentConfig, ctx: cond.RowContext) -> tuple[float, float]:
     """(B_n, b_n) under the configured normalization convention."""
     tau = cfg.conditions.tau
     if tau is None:
-        return engine.Bn(model, state_cap=cfg.state_cap)
-    up = cond.truncated_B2(model, n, tau)
-    lo = sum(
-        engine.eval_index(model, k, lambda x: x * x, x_clip=tau)[1]
-        for k in range(1, n + 1)
-    )
+        return ctx.Bn
+    up = cond.truncated_B2(ctx.model, ctx.model.n, tau)
+    lo = sum(engine.marginals(ctx.model, lambda x: x * x, lower=True, x_clip=tau))
     return math.sqrt(up), math.sqrt(max(lo, 0.0))
 
 
@@ -107,11 +108,12 @@ EVAL_HEADER = ("n", "functional", "B_n", "b_n", "upper", "lower", "state_count")
 def run_eval(cfg: ExperimentConfig) -> dict[str, Table]:
     rows: list[Row] = []
     for n in cfg.n_list:
-        model = cfg.model_for(n)
-        B, b = engine.Bn(model, state_cap=cfg.state_cap)
+        ctx = cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap)
+        B, b = ctx.Bn
         for f in _functionals(cfg):
-            res = engine.eval_sum(model, f, state_cap=cfg.state_cap)
+            res = engine.evaluate(ctx.graph, f)
             rows.append([n, f.name, B, b, res.upper, res.lower, res.state_count])
+        del ctx  # one row's graph alive at a time
     return {"eval": (EVAL_HEADER, rows)}
 
 
@@ -126,31 +128,49 @@ SWEEP_HEADER = (
 SWEEP_SUMMARY_EPS = 0.25
 
 
+def _sweep_row(cfg: ExperimentConfig, fs: list[engine.Functional],
+               ctx: cond.RowContext) -> tuple:
+    """Everything of one n's sweep rows but the G-normal references."""
+    model, n = ctx.model, ctx.model.n
+    B, b = _normalizers(cfg, ctx)
+    mean_unc = cond.mean_uncertainty(model, n, ctx=ctx)
+    summary = (
+        cond.m2_ratio(model, n, ctx=ctx),
+        cond.variance_ratio(model, n, n, ctx=ctx),
+        cond.lindeberg(model, n, SWEEP_SUMMARY_EPS, ctx=ctx),
+        cond.capacity_tail(model, n, SWEEP_SUMMARY_EPS),
+    )
+    results = [engine.evaluate(ctx.graph, engine.scaled(f, 1.0 / B)) for f in fs]
+    return B, b, mean_unc, summary, results
+
+
 def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
-    r = _sweep_r(cfg)
+    """Sweep rows per n, each row's full-sum graph compiled once.
+
+    The largest n goes first: its second moments also give the plateau r,
+    which the G-normal references need before any other row is built.
+    """
+    fs = _functionals(cfg)
+    *smaller, n_max = cfg.n_list
+    last = cond.row_context(cfg.model_for(n_max), n_max, state_cap=cfg.state_cap)
+    r = _sweep_r(cfg, last)
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
     grid = _grid(cfg, gp)
-    fs = _functionals(cfg)
     refs = {}
     for f in fs:
         up = gnormal.solve_gheat(f, gp, grid, cfg.gnormal.time)
         lo = -gnormal.solve_gheat(engine.negated(f), gp, grid, cfg.gnormal.time)
         refs[f.name] = (up, lo)
+    found = {n_max: _sweep_row(cfg, fs, last)}
+    del last  # one row's graph alive at a time
+    for n in smaller:
+        found[n] = _sweep_row(
+            cfg, fs, cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap))
 
     rows: list[Row] = []
     for n in cfg.n_list:
-        model = cfg.model_for(n)
-        B, b = _normalizers(cfg, model, n)
-        mean_unc = cond.mean_uncertainty(model, n)
-        summary = (
-            cond.m2_ratio(model, n),
-            cond.variance_ratio(model, n, n),
-            cond.lindeberg(model, n, SWEEP_SUMMARY_EPS),
-            cond.capacity_tail(model, n, SWEEP_SUMMARY_EPS),
-        )
-        for f in fs:
-            res = engine.eval_sum(model, engine.scaled(f, 1.0 / B),
-                                  state_cap=cfg.state_cap)
+        B, b, mean_unc, summary, results = found[n]
+        for f, res in zip(fs, results):
             up_ref, lo_ref = refs[f.name]
             rows.append([
                 n, f.name, B, b, res.upper, res.lower,
@@ -161,6 +181,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
 
 
 def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
+    """PDE values per functional, then one ``peng_oracles`` graph per n for all."""
     if cfg.gnormal.sigma_lo2 is None:
         raise ValidationError("gnormal_eval needs an explicit gnormal.sigma_lo2")
     gp = gnormal.GParams(cfg.gnormal.sigma_lo2, cfg.gnormal.sigma_hi2)
@@ -169,18 +190,20 @@ def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
         "functional", "sigma_lo2", "sigma_hi2", "pde_upper", "pde_lower",
         "quad_ref", *[f"peng@{n}" for n in cfg.peng_n],
     )
+    fs = _functionals(cfg)
     rows: list[Row] = []
-    for f in _functionals(cfg):
+    for f in fs:
         up = gnormal.solve_gheat(f, gp, grid, cfg.gnormal.time)
         lo = -gnormal.solve_gheat(engine.negated(f), gp, grid, cfg.gnormal.time)
         try:
             quad = gnormal.gnormal_reference(f, gp, half_width=cfg.gnormal.half_width)
         except ValidationError:
             quad = math.nan
-        pengs = [
-            gnormal.peng_oracle(f, gp, n, state_cap=cfg.state_cap) for n in cfg.peng_n
-        ]
-        rows.append([f.name, gp.sigma_lo2, gp.sigma_hi2, up, lo, quad, *pengs])
+        rows.append([f.name, gp.sigma_lo2, gp.sigma_hi2, up, lo, quad])
+    for n in cfg.peng_n:
+        pengs = gnormal.peng_oracles(fs, gp, n, state_cap=cfg.state_cap)
+        for row, value in zip(rows, pengs):
+            row.append(value)
     return {"gnormal": (header, rows)}
 
 
@@ -191,13 +214,18 @@ ROSENTHAL_HEADER = (
 
 
 def run_rosenthal(cfg: ExperimentConfig) -> dict[str, Table]:
+    """One ``rosenthal_checks`` call per run of instances with equal (model, n)."""
     rows: list[Row] = []
-    for inst in mdep.rosenthal_battery(cfg.rosenthal_seed):
-        rep = mdep.rosenthal_check(inst.model, inst.p, inst.n, state_cap=cfg.state_cap)
-        rows.append([
-            inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
-            rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C,
-        ])
+    battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
+    for (model, n), group in itertools.groupby(battery, key=lambda i: (i.model, i.n)):
+        insts = list(group)
+        reports = mdep.rosenthal_checks(model, [inst.p for inst in insts], n,
+                                        state_cap=cfg.state_cap)
+        for inst, rep in zip(insts, reports):
+            rows.append([
+                inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
+                rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C,
+            ])
     return {"rosenthal": (ROSENTHAL_HEADER, rows)}
 
 
@@ -213,12 +241,14 @@ def run_blocking_inspect(cfg: ExperimentConfig) -> dict[str, Table]:
     plan_rows: list[Row] = []
     for i, n in enumerate(cfg.n_list):
         model = cfg.model_for(n)
+        ctx = cond.row_context(model, n)
         if cfg.blocking.pn_list is not None:
             p_n = cfg.blocking.pn_list[i]
         else:
-            p_n = blk.choose_pn(model, n, tol=cfg.blocking.tol)
-        plan = blk.build_plan(model, n, p_n)
-        diag = blk.diagnostics(model, plan)
+            p_n = blk.choose_pn(model, n, tol=cfg.blocking.tol, ctx=ctx)
+        plan = blk.build_plan(model, n, p_n, ctx=ctx)
+        diag = blk.diagnostics(model, plan, ctx=ctx)
+        del ctx  # one row's graph alive at a time
         diag_rows.append([
             n, p_n, plan.h, len(plan.cuts), diag.sum_beta_cuts,
             diag.sum_delta_lo, diag.sum_delta_hi,

@@ -61,64 +61,104 @@ class ConditionReport:
                 raise ValidationError("variance ratios must lie in [0, 1]")
 
 
-def _B2(model: SequenceModel, n: int) -> float:
-    return engine.eval_sum(model.prefix(n), engine.square()).upper
+@dataclass(frozen=True)
+class RowContext:
+    """Row n of the array: its length-n prefix and the full-sum graph.
+
+    The graph is compiled once and ``m2``, the upper and lower second moment
+    of ``S_n``, is evaluated on it once.  Every full-sum quantity of the row
+    reuses both: build one context per n and drop it before the next, so
+    only one row's graph is alive at a time.
+    """
+
+    model: SequenceModel
+    graph: engine.Graph
+    m2: engine.EvalResult
+
+    @property
+    def Bn(self) -> tuple[float, float]:
+        """``(B_n, b_n)``: square roots of the upper/lower second moment of S_n."""
+        return math.sqrt(self.m2.upper), math.sqrt(self.m2.lower)
 
 
-def lindeberg(model: SequenceModel, n: int, eps: float) -> float:
+def row_context(model: SequenceModel, n: int, *,
+                state_cap: int = engine.DEFAULT_STATE_CAP) -> RowContext:
+    """Row n of ``model``: its full sum compiled once, E[S_n^2] evaluated on it."""
+    sub = model.prefix(n)
+    graph = engine.compile_sum(sub, state_cap=state_cap)
+    return RowContext(sub, graph, engine.evaluate(graph, engine.square()))
+
+
+def context_for(model: SequenceModel, n: int, ctx: RowContext | None) -> RowContext:
+    """``ctx`` when the caller has one (checked against n), else a new one."""
+    if ctx is None:
+        return row_context(model, n)
+    if ctx.model.n != n:
+        raise ValidationError(f"row context is for n={ctx.model.n}, not {n}")
+    return ctx
+
+
+def lindeberg(model: SequenceModel, n: int, eps: float, *,
+              ctx: RowContext | None = None) -> float:
     """``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``."""
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
-    sub = model.prefix(n)
-    B2 = _B2(model, n)
+    ctx = context_for(model, n, ctx)
+    B2 = ctx.m2.upper
     cut = eps * B2
     total = 0.0
-    for k in range(1, n + 1):
-        total += engine.eval_index(sub, k, lambda x, _c=cut: max(x * x - _c, 0.0))[0]
+    for v in engine.marginals(ctx.model, lambda x: max(x * x - cut, 0.0)):
+        total += v
     return total / B2
 
 
-def mean_uncertainty(model: SequenceModel, n: int) -> float:
+def mean_uncertainty(model: SequenceModel, n: int, *,
+                     ctx: RowContext | None = None) -> float:
     """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    sub = model.prefix(n)
-    B = math.sqrt(_B2(model, n))
+    ctx = context_for(model, n, ctx)
+    B = math.sqrt(ctx.m2.upper)
     total = 0.0
-    for k in range(1, n + 1):
-        up, lo = engine.eval_index(sub, k, lambda x: x)
+    for up, lo in zip(engine.marginals(ctx.model, lambda x: x),
+                      engine.marginals(ctx.model, lambda x: x, lower=True)):
         total += abs(up) + abs(lo)
     return total / B
 
 
-def m2_ratio(model: SequenceModel, n: int) -> float:
+def m2_ratio(model: SequenceModel, n: int, *, ctx: RowContext | None = None) -> float:
     """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    sub = model.prefix(n)
-    B2 = _B2(model, n)
-    return sum(engine.eval_index(sub, k, lambda x: x * x)[0] for k in range(1, n + 1)) / B2
+    ctx = context_for(model, n, ctx)
+    return sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.m2.upper
 
 
-def variance_ratio(model: SequenceModel, n: int, M: int) -> float:
+def variance_ratio(model: SequenceModel, n: int, M: int, *,
+                   ctx: RowContext | None = None) -> float:
     """Lower-to-upper second-moment ratio of the M-prefix sum.
 
     A degenerate prefix (upper second moment zero) has no ratio; NaN marks
-    the condition-undefined outcome.
+    the condition-undefined outcome.  With ``ctx``, M = n reads the row's
+    second moments instead of compiling the full sum again.
     """
     if not 1 <= M <= n:
         raise ValidationError("need 1 <= M <= n")
-    res = engine.eval_sum(model.prefix(M), engine.square())
+    if M == n and ctx is not None:
+        res = context_for(model, n, ctx).m2
+    else:
+        res = engine.eval_sum(model.prefix(M), engine.square())
     if res.upper <= 0.0:
         return math.nan
     return res.lower / res.upper
 
 
-def pth_moment(model: SequenceModel, n: int, p: float) -> float:
+def pth_moment(model: SequenceModel, n: int, p: float, *,
+               ctx: RowContext | None = None) -> float:
     """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
     if p < 2.0:
         raise ValidationError("need p >= 2")
-    sub = model.prefix(n)
-    B = math.sqrt(_B2(model, n))
+    ctx = context_for(model, n, ctx)
+    B = math.sqrt(ctx.m2.upper)
     total = 0.0
-    for k in range(1, n + 1):
-        total += engine.eval_index(sub, k, lambda x, _p=p: abs(x) ** _p)[0]
+    for v in engine.marginals(ctx.model, lambda x: abs(x) ** p):
+        total += v
     return total / B**p
 
 
@@ -126,12 +166,9 @@ def capacity_tail(model: SequenceModel, n: int, eps: float) -> float:
     """``sum_k V(|X_k| > eps)`` via the exact policy supremum per index."""
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
-    sub = model.prefix(n)
     total = 0.0
-    for k in range(1, n + 1):
-        total += engine.eval_window(
-            sub, (k,), lambda xs, _e=eps: 1.0 if abs(xs[0]) > _e else 0.0
-        )
+    for v in engine.marginals(model.prefix(n), lambda x: 1.0 if abs(x) > eps else 0.0):
+        total += v
     return total
 
 
@@ -139,10 +176,7 @@ def truncated_B2(model: SequenceModel, n: int, tau: float) -> float:
     """``sum_k E[(X_k^(tau))^2]``, the truncated-theorem normalizer."""
     if tau <= 0.0:
         raise ValidationError("tau must be > 0")
-    sub = model.prefix(n)
-    return sum(
-        engine.eval_index(sub, k, lambda x: x * x, x_clip=tau)[0] for k in range(1, n + 1)
-    )
+    return sum(engine.marginals(model.prefix(n), lambda x: x * x, x_clip=tau))
 
 
 def truncated_profile(
@@ -153,11 +187,12 @@ def truncated_profile(
     B2 = truncated_B2(model, n, tau)
     B = math.sqrt(B2)
     mean_sum = 0.0
-    m2_sum = 0.0
-    for k in range(1, n + 1):
-        up, lo = engine.eval_index(sub, k, lambda x: x, x_clip=tau)
+    for up, lo in zip(engine.marginals(sub, lambda x: x, x_clip=tau),
+                      engine.marginals(sub, lambda x: x, lower=True, x_clip=tau)):
         mean_sum += abs(up) + abs(lo)
-        m2_sum += engine.eval_index(sub, k, lambda x: x * x, x_clip=tau)[0]
+    m2_sum = 0.0
+    for v in engine.marginals(sub, lambda x: x * x, x_clip=tau):
+        m2_sum += v
     ratios: dict[int, float] = {}
     for M in M_grid if M_grid is not None else default_M_grid(n):
         res = engine.eval_sum(model.prefix(M), engine.square(), x_clip=tau)
@@ -176,13 +211,14 @@ def build_report(
     tau: float | None = None,
 ) -> ConditionReport:
     Ms = tuple(M_grid) if M_grid is not None else default_M_grid(n)
+    ctx = row_context(model, n)
     return ConditionReport(
         n=n,
-        lindeberg={eps: lindeberg(model, n, eps) for eps in eps_grid},
-        mean_unc=mean_uncertainty(model, n),
-        m2_ratio=m2_ratio(model, n),
-        var_ratio={M: variance_ratio(model, n, M) for M in Ms},
-        pth={p: pth_moment(model, n, p) for p in p_grid},
+        lindeberg={eps: lindeberg(model, n, eps, ctx=ctx) for eps in eps_grid},
+        mean_unc=mean_uncertainty(model, n, ctx=ctx),
+        m2_ratio=m2_ratio(model, n, ctx=ctx),
+        var_ratio={M: variance_ratio(model, n, M, ctx=ctx) for M in Ms},
+        pth={p: pth_moment(model, n, p, ctx=ctx) for p in p_grid},
         cap_tail={eps: capacity_tail(model, n, eps) for eps in eps_grid},
         trunc=truncated_profile(model, n, tau, Ms) if tau is not None else None,
     )

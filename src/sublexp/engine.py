@@ -16,14 +16,21 @@ induction over reachable states ``(window, accumulated sum)``.  Reachable
 sums are merged on a hashed grid (values rounded to 1e-12), which keeps the
 recursion exact on designed lattice inputs while tolerating generic ones.
 
-``eval_sum`` runs in two passes.  ``_compile`` walks forward once and
+``eval_sum`` runs in two passes.  ``compile_sum`` walks forward once and
 records, per draw, the index of every state's child under each distinct
-support value.  ``_evaluate`` then sweeps that graph backwards with numpy
+support value.  ``evaluate`` then sweeps that graph backwards with numpy
 gathers, upper and lower values together.  Its accumulation order is fixed:
 each law's expectation starts at 0.0 and adds ``p * value`` over the law's
 support in increasing order, and the best law replaces the running best
 only when strictly better.  That is the order of a per-state scalar
 recursion, so the vectorized values are the same floats bit for bit.
+Compiling is nearly all of the cost, so a caller that needs several
+functionals of one sum compiles once and evaluates each on the same graph.
+Sharing is scoped by the caller: the graph is a local of the caller's frame,
+one row (one horizon n) at a time, and there is no process-wide cache.
+
+``marginals`` gives ``E[phi(X_k)]`` for every k; it evaluates one index
+when all coordinates share one sub-linear law.
 
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
 full histories, with no state merging and payoffs recomputed from scratch;
@@ -303,7 +310,7 @@ class _Step:
 
 
 @dataclass(frozen=True)
-class _Graph:
+class Graph:
     """The reachable-state graph of one ``(model, mask, x_clip, track_max)``."""
 
     steps: tuple[_Step, ...]
@@ -312,19 +319,27 @@ class _Graph:
     layer_sizes: tuple[int, ...]
 
 
-def _compile(
+def compile_sum(
     model: SequenceModel,
-    mask: frozenset[int] | None,
-    x_clip: float | None,
-    track_max: bool,
-    state_cap: int,
-) -> _Graph:
+    *,
+    indices: Iterable[int] | None = None,
+    x_clip: float | None = None,
+    track_max: bool = False,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> Graph:
     """Forward pass: enumerate the reachable states layer by layer.
 
-    Each state is expanded once per distinct support value with positive
-    probability in some law, and its children are recorded by index; only
-    the current layer's state tuples are kept.
+    The options mean what they mean for ``eval_sum``.  Each state is
+    expanded once per distinct support value with positive probability in
+    some law, and its children are recorded by index; only the current
+    layer's state tuples are kept.  The graph serves any number of
+    ``evaluate`` calls; callers keep it only as long as they need it.
     """
+    mask = None if indices is None else frozenset(indices)
+    if mask is not None and any(not 1 <= k <= model.n for k in mask):
+        raise ValidationError("indices outside 1..n")
+    if x_clip is not None and not x_clip > 0.0:
+        raise ValidationError("x_clip must be > 0")
     m = model.m
     slides = model.kind == KIND_MOVING_WINDOW and m > 0
     # a state is window + (acc,), or window + (acc, maxabs) under track_max
@@ -383,17 +398,18 @@ def _compile(
             np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
         layer = list(nxt)
     terminal = np.array([state[-1] for state in layer], dtype=float)
-    return _Graph(tuple(steps), terminal, tuple(sizes))
+    return Graph(tuple(steps), terminal, tuple(sizes))
 
 
-def _evaluate(graph: _Graph, phi: Callable[[float], float]) -> tuple[float, float]:
+def evaluate(graph: Graph, f: Functional) -> EvalResult:
     """Backward pass: upper and lower value of the root, in one sweep.
 
     Bit-identical to a per-state dict recursion: each law's expectation is
     accumulated from 0.0 over its columns in support order, and the best law
     is kept with ``where(acc > best)``, which is ``max(best, acc)`` exactly.
+    The graph is only read, so one graph serves many functionals.
     """
-    up = lo = np.array([phi(x) for x in graph.terminal.tolist()], dtype=float)
+    up = lo = np.array([f.phi(x) for x in graph.terminal.tolist()], dtype=float)
     for st in reversed(graph.steps):
         gu, gl = up[st.child], lo[st.child]
         up = np.full(len(st.child), -math.inf)
@@ -405,7 +421,7 @@ def _evaluate(graph: _Graph, phi: Callable[[float], float]) -> tuple[float, floa
                 acc_l = acc_l + p * gl[:, j]
             up = np.where(acc_u > up, acc_u, up)
             lo = np.where(acc_l < lo, acc_l, lo)
-    return float(up[0]), float(lo[0])
+    return EvalResult(float(up[0]), float(lo[0]), sum(graph.layer_sizes))
 
 
 def eval_sum(
@@ -422,16 +438,12 @@ def eval_sum(
     ``indices`` restricts the sum to a subset of coordinates (default: all),
     ``x_clip`` clamps each coordinate to ``[-x_clip, x_clip]`` before
     accumulation, and ``track_max`` applies ``phi`` to the running maximum of
-    ``|S_k|`` along completed prefixes instead of to the final sum.
+    ``|S_k|`` along completed prefixes instead of to the final sum.  A caller
+    that evaluates several functionals on one sum compiles the graph once
+    with ``compile_sum`` and calls ``evaluate`` on it for each.
     """
-    mask = None if indices is None else frozenset(indices)
-    if mask is not None and any(not 1 <= k <= model.n for k in mask):
-        raise ValidationError("indices outside 1..n")
-    if x_clip is not None and not x_clip > 0.0:
-        raise ValidationError("x_clip must be > 0")
-    graph = _compile(model, mask, x_clip, track_max, state_cap)
-    upper, lower = _evaluate(graph, f.phi)
-    return EvalResult(upper, lower, sum(graph.layer_sizes))
+    return evaluate(compile_sum(model, indices=indices, x_clip=x_clip,
+                                track_max=track_max, state_cap=state_cap), f)
 
 
 def Bn(model: SequenceModel, *, state_cap: int = DEFAULT_STATE_CAP) -> tuple[float, float]:
@@ -569,6 +581,29 @@ def eval_index(
     up = eval_window(model, (k,), lambda xs: phi(xs[0]), x_clip=x_clip)
     lo = eval_window(model, (k,), lambda xs: phi(xs[0]), x_clip=x_clip, lower=True)
     return up, lo
+
+
+def marginals(
+    model: SequenceModel,
+    phi: Callable[[float], float],
+    *,
+    lower: bool = False,
+    x_clip: float | None = None,
+) -> tuple[float, ...]:
+    """Upper (or, with ``lower``, lower) ``E[phi(X_k)]`` for k = 1..n.
+
+    Every X_k of a moving-window model, and of an independent model whose
+    sets are all equal, has the same sub-linear law, and ``eval_window``
+    computes the same floats for every k; one call then gives all n values.
+    Other models take one call per k.
+    """
+    def psi(xs: tuple[float, ...]) -> float:
+        return phi(xs[0])
+
+    if model.kind == KIND_MOVING_WINDOW or all(s == model.sets[0] for s in model.sets):
+        return (eval_window(model, (1,), psi, lower=lower, x_clip=x_clip),) * model.n
+    return tuple(eval_window(model, (k,), psi, lower=lower, x_clip=x_clip)
+                 for k in range(1, model.n + 1))
 
 
 def oracle_policy_enum(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -138,16 +139,25 @@ def solve_gheat(f: engine.Functional, p: GParams, grid: PDEGrid,
     return float(np.interp(0.0, x, u))
 
 
-def peng_oracle(f: engine.Functional, p: GParams, n: int,
-                *, state_cap: int = engine.DEFAULT_STATE_CAP) -> float:
-    """Upper expectation of ``f`` via the n-step two-point CLT recursion."""
+def peng_oracles(fs: Sequence[engine.Functional], p: GParams, n: int,
+                 *, state_cap: int = engine.DEFAULT_STATE_CAP) -> tuple[float, ...]:
+    """Upper expectation of each of ``fs`` via the n-step two-point CLT recursion.
+
+    The recursion's graph is compiled once and evaluated once per functional.
+    """
     if n < 1:
         raise ValidationError("peng_oracle needs n >= 1")
     sigmas = sorted({math.sqrt(p.sigma_lo2), math.sqrt(p.sigma_hi2)})
     set_ = ambiguity(two_point_law(s) for s in sigmas)
-    model = engine.SequenceModel.iid(set_, n)
-    f_scaled = engine.scaled(f, 1.0 / math.sqrt(n))
-    return engine.eval_sum(model, f_scaled, state_cap=state_cap).upper
+    graph = engine.compile_sum(engine.SequenceModel.iid(set_, n), state_cap=state_cap)
+    return tuple(engine.evaluate(graph, engine.scaled(f, 1.0 / math.sqrt(n))).upper
+                 for f in fs)
+
+
+def peng_oracle(f: engine.Functional, p: GParams, n: int,
+                *, state_cap: int = engine.DEFAULT_STATE_CAP) -> float:
+    """Upper expectation of ``f`` via the n-step two-point CLT recursion."""
+    return peng_oracles((f,), p, n, state_cap=state_cap)[0]
 
 
 def _shape_on_grid(f: engine.Functional, half_width: float,

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
+
 from . import engine
 from .engine import Functional, SequenceModel
 from .errors import ValidationError
@@ -89,6 +91,49 @@ class RosenthalReport:
         return self.term_moments + self.term_variance + self.term_means
 
 
+def rosenthal_checks(
+    model: SequenceModel,
+    ps: Sequence[float],
+    n: int,
+    *,
+    state_cap: int = engine.DEFAULT_STATE_CAP,
+) -> tuple[RosenthalReport, ...]:
+    """``rosenthal_check`` for several exponents p on one horizon n.
+
+    The running-maximum graph is compiled once and evaluated once per p, and
+    the p-free marginal sums are computed once.
+    """
+    if any(p < 2.0 for p in ps):
+        raise ValidationError("rosenthal_check needs p >= 2")
+    sub = model.prefix(n)
+    graph = engine.compile_sum(sub, track_max=True, state_cap=state_cap)
+    var_sum = 0.0
+    for v in engine.marginals(sub, lambda x: x * x):
+        var_sum += v
+    mean_sum = 0.0
+    for up, lo in zip(engine.marginals(sub, lambda x: x),
+                      engine.marginals(sub, lambda x: x, lower=True)):
+        mean_sum += abs(up) + abs(lo)
+    reports = []
+    for p in ps:
+        f_max = Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p)
+        lhs = engine.evaluate(graph, f_max).upper
+        abs_p = 0.0
+        for v in engine.marginals(sub, lambda x, _p=p: abs(x) ** _p):
+            abs_p += v
+        term_variance = var_sum ** (p / 2.0)
+        term_means = mean_sum**p
+        rhs = abs_p + term_variance + term_means
+        if rhs <= 0.0:
+            raise ValidationError("degenerate model: all right-side terms vanish")
+        reports.append(RosenthalReport(
+            p=p, n=n, m=sub.m, lhs=lhs,
+            term_moments=abs_p, term_variance=term_variance, term_means=term_means,
+            fitted_C=lhs / rhs,
+        ))
+    return tuple(reports)
+
+
 def rosenthal_check(
     model: SequenceModel,
     p: float,
@@ -97,30 +142,7 @@ def rosenthal_check(
     state_cap: int = engine.DEFAULT_STATE_CAP,
 ) -> RosenthalReport:
     """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms."""
-    if p < 2.0:
-        raise ValidationError("rosenthal_check needs p >= 2")
-    sub = model.prefix(n)
-    f_max = Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p)
-    lhs = engine.eval_sum(sub, f_max, track_max=True, state_cap=state_cap).upper
-
-    abs_p = 0.0
-    var_sum = 0.0
-    mean_sum = 0.0
-    for k in range(1, n + 1):
-        abs_p += engine.eval_index(sub, k, lambda x, _p=p: abs(x) ** _p)[0]
-        var_sum += engine.eval_index(sub, k, lambda x: x * x)[0]
-        up, lo = engine.eval_index(sub, k, lambda x: x)
-        mean_sum += abs(up) + abs(lo)
-    term_variance = var_sum ** (p / 2.0)
-    term_means = mean_sum**p
-    rhs = abs_p + term_variance + term_means
-    if rhs <= 0.0:
-        raise ValidationError("degenerate model: all right-side terms vanish")
-    return RosenthalReport(
-        p=p, n=n, m=sub.m, lhs=lhs,
-        term_moments=abs_p, term_variance=term_variance, term_means=term_means,
-        fitted_C=lhs / rhs,
-    )
+    return rosenthal_checks(model, (p,), n, state_cap=state_cap)[0]
 
 
 # Deterministic battery -----------------------------------------------------

@@ -105,6 +105,16 @@ def test_plan_rejects_odd_pn():
         blk.build_plan(certain_pm1_iid(8), 8, 3)
 
 
+def test_plan_rejects_odd_pn_before_any_evaluation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("build_plan evaluated the model before checking p_n")
+
+    for name in ("eval_sum", "compile_sum", "eval_window"):
+        monkeypatch.setattr(eng, name, forbidden)
+    with pytest.raises(ValidationError):
+        blk.build_plan(stationary_1dep(8), 8, 3)
+
+
 def test_plan_invariants_on_random_models():
     rng = random.Random(4242)
     for _ in range(25):

@@ -8,6 +8,11 @@ state count, on generated small models.  Where the policy-enumeration oracle
 applies, the engine must also agree with it to 1e-12, plus what the 1e-12
 merge grid can move when the scaled supports sit off it.  The four axioms of
 a sub-linear expectation are checked on sums as well.
+
+The shortcuts callers take are held to the same exactness: one compiled
+graph evaluated for several functionals, in either order, gives what
+separate ``eval_sum`` calls give, and ``marginals`` gives what the per-index
+``eval_index`` loop gives, on iid, moving-window and unequal-set models.
 """
 
 from __future__ import annotations
@@ -353,3 +358,68 @@ def test_sublinear_axioms_hold_on_sums(model, f, g, c, lam):
     assert le(upper(lambda s: f.phi(s) + g.phi(s)), up_f + up_g)      # sub-additivity
     assert eq(upper(lambda s: lam * f.phi(s)), lam * up_f)            # homogeneity
     assert res.lower == -eng.eval_sum(model, eng.negated(f)).upper   # conjugacy, exact
+
+
+# ---------------------------------------------------------------------------
+# Shared graphs and same-law marginals
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def marginal_models(draw) -> SequenceModel:
+    """``models()``, with half of the independent ones made iid (equal sets)."""
+    model = draw(models())
+    if model.kind == KIND_INDEPENDENT and draw(st.booleans()):
+        return SequenceModel.iid(model.sets[0], model.n, model.scale)
+    return model
+
+
+MARGINAL_PHIS = (
+    lambda x: x * x,
+    lambda x: x,
+    lambda x: max(x * x - 0.5, 0.0),
+    lambda x: abs(x) ** 3,
+    lambda x: 1.0 if abs(x) > 0.5 else 0.0,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(marginal_models(), st.sampled_from(MARGINAL_PHIS),
+       st.sampled_from((None, 0.25, 0.8, 1.5)), st.booleans())
+def test_marginals_equal_the_per_index_loop(model, phi, x_clip, lower):
+    got = eng.marginals(model, phi, lower=lower, x_clip=x_clip)
+    want = tuple(eng.eval_index(model, k, phi, x_clip=x_clip)[1 if lower else 0]
+                 for k in range(1, model.n + 1))
+    assert got == want
+
+
+def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
+    calls: list[tuple[int, ...]] = []
+    window = eng.eval_window
+
+    def counting(model, indices, psi, **kwargs):
+        calls.append(tuple(indices))
+        return window(model, indices, psi, **kwargs)
+
+    monkeypatch.setattr(eng, "eval_window", counting)
+    a = sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)])
+    b = sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)])
+    for model, expected in (
+        (SequenceModel.iid(a, 5), [(1,)]),
+        (SequenceModel.moving_window(a, (1.0, 0.5), 5), [(1,)]),
+        (SequenceModel.independent((a, b, a, b, a)), [(1,), (2,), (3,), (4,), (5,)]),
+    ):
+        calls.clear()
+        assert len(eng.marginals(model, lambda x: x * x, lower=True)) == 5
+        assert calls == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cases())
+def test_one_graph_serves_many_functionals_in_any_order(case):
+    model, _, opts = case
+    graph = eng.compile_sum(model, **opts)
+    want = [eng.eval_sum(model, f, **opts) for f in FUNCTIONALS]
+    # evaluate only reads the graph: reversing the order changes nothing
+    assert [eng.evaluate(graph, f) for f in FUNCTIONALS] == want
+    assert [eng.evaluate(graph, f) for f in reversed(FUNCTIONALS)] == want[::-1]
