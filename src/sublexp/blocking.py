@@ -229,11 +229,10 @@ def diagnostics(model: SequenceModel, plan: BlockingPlan, *,
                 ctx: RowContext | None = None) -> BlockDiagnostics:
     ctx = context_for(model, plan.k_n, ctx)
     sub, B2 = ctx.model, ctx.m2.upper
-    # one graph per block gives both of its second moments; empty blocks give 0
-    m2 = [engine.eval_sum(sub, engine.square(), indices=blk) if blk else None
-          for blk in plan.blocks]
-    Bt2 = sum(0.0 if res is None else res.upper for res in m2)
-    bt2 = sum(0.0 if res is None else res.lower for res in m2)
+    # one graph per block gives both of its second moments; empty blocks add 0
+    m2 = [engine.eval_sum(sub, engine.square(), indices=blk) for blk in plan.blocks if blk]
+    Bt2 = sum(res.upper for res in m2)
+    bt2 = sum(res.lower for res in m2)
     if plan.cuts:
         removed = engine.eval_sum(sub, engine.square(), indices=plan.cuts).upper / B2
     else:
