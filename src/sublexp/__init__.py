@@ -61,6 +61,7 @@ from .gnormal import (
     gnormal_reference,
     peng_oracle,
     solve_gheat,
+    solve_gheats,
 )
 from .experiments import (
     ExperimentConfig,

@@ -71,6 +71,21 @@ def _grid(cfg: ExperimentConfig, gp: gnormal.GParams) -> gnormal.PDEGrid:
     return gnormal.default_grid(gp, half_width=cfg.gnormal.half_width, nx=cfg.gnormal.nx)
 
 
+def _pde_bounds(cfg: ExperimentConfig, fs: list[engine.Functional],
+                gp: gnormal.GParams, grid: gnormal.PDEGrid) -> list[tuple[float, float]]:
+    """Upper and lower G-normal expectation of each of ``fs``, from one batched solve.
+
+    The rows are ``f1, -f1, f2, -f2, ...``; the lower value is minus the
+    upper value of the negated functional.  A config without functionals
+    still runs, with no rows.
+    """
+    if not fs:
+        return []
+    rows = [g for f in fs for g in (f, engine.negated(f))]
+    values = gnormal.solve_gheats(rows, gp, grid, cfg.gnormal.time)
+    return [(up, -neg_up) for up, neg_up in zip(values[::2], values[1::2])]
+
+
 def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
     """Variance-ratio plateau: full-prefix ratio at the largest n.
 
@@ -156,11 +171,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     r = _sweep_r(cfg, last)
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
     grid = _grid(cfg, gp)
-    refs = {}
-    for f in fs:
-        up = gnormal.solve_gheat(f, gp, grid, cfg.gnormal.time)
-        lo = -gnormal.solve_gheat(engine.negated(f), gp, grid, cfg.gnormal.time)
-        refs[f.name] = (up, lo)
+    refs = _pde_bounds(cfg, fs, gp, grid)
     found = {n_max: _sweep_row(cfg, fs, last)}
     del last  # one row's graph alive at a time
     for n in smaller:
@@ -170,8 +181,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     rows: list[Row] = []
     for n in cfg.n_list:
         B, b, mean_unc, summary, results = found[n]
-        for f, res in zip(fs, results):
-            up_ref, lo_ref = refs[f.name]
+        for f, res, (up_ref, lo_ref) in zip(fs, results, refs):
             rows.append([
                 n, f.name, B, b, res.upper, res.lower,
                 up_ref, lo_ref, abs(res.upper - up_ref), abs(res.lower - lo_ref),
@@ -181,7 +191,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
 
 
 def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
-    """PDE values per functional, then one ``peng_oracles`` graph per n for all."""
+    """One batched PDE solve for all functionals, then one ``peng_oracles`` graph per n."""
     if cfg.gnormal.sigma_lo2 is None:
         raise ValidationError("gnormal_eval needs an explicit gnormal.sigma_lo2")
     gp = gnormal.GParams(cfg.gnormal.sigma_lo2, cfg.gnormal.sigma_hi2)
@@ -192,9 +202,7 @@ def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
     )
     fs = _functionals(cfg)
     rows: list[Row] = []
-    for f in fs:
-        up = gnormal.solve_gheat(f, gp, grid, cfg.gnormal.time)
-        lo = -gnormal.solve_gheat(engine.negated(f), gp, grid, cfg.gnormal.time)
+    for f, (up, lo) in zip(fs, _pde_bounds(cfg, fs, gp, grid)):
         try:
             quad = gnormal.gnormal_reference(f, gp, half_width=cfg.gnormal.half_width)
         except ValidationError:

@@ -8,6 +8,13 @@
 
 with a monotone explicit finite-difference scheme and returns u(t, 0),
 which is the upper expectation of ``phi`` under the G-normal law.
+``solve_gheats`` does this for several functionals at once: their initial
+data are the rows of one array, stepped by one time loop that works in
+place on scratch arrays allocated once.  Every element goes through the
+one-row scheme's float operations in the same order (stencil, then the
+G coefficient, then ``dt*0.5``, then the add; no constant folded), so a
+row's value is bit-identical to a solve of that row alone.
+``solve_gheat`` is the one-row form.
 
 ``peng_oracle`` evaluates the same quantity through the central limit
 recursion: n i.i.d. coordinates with the two-point extremal ambiguity set
@@ -107,36 +114,72 @@ def default_grid(p: GParams, half_width: float = 8.0, nx: int = 801,
     return PDEGrid(half_width, nx, dt)
 
 
-def solve_gheat(f: engine.Functional, p: GParams, grid: PDEGrid,
-                t: float = 1.0) -> float:
-    """Upper G-normal expectation of ``f`` by explicit time stepping to ``t``.
+def _nonfinite(fs: Sequence[engine.Functional], u: np.ndarray) -> str:
+    """Names of the functionals whose row of ``u`` has a non-finite value."""
+    return ", ".join(f.name for f, ok in zip(fs, np.isfinite(u).all(axis=1)) if not ok)
 
-    Each update is ``u_i += dt * 0.5 * G(second difference / dx^2)``; the
-    stability bound makes the update monotone in every stencil value.  The
-    boundary nodes use a zero second difference (linear extrapolation), so
-    they stay at their initial values.  The step count is chosen so the
-    integration lands exactly on ``t``.
+
+def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
+                 t: float = 1.0) -> tuple[float, ...]:
+    """Upper G-normal expectation of each of ``fs`` by explicit time stepping to ``t``.
+
+    Row k of one (K, nx) array holds ``fs[k]`` on the grid, and one time loop
+    steps every row.  Each update is ``u_i += dt * 0.5 * G(second difference
+    / dx^2)``; the stability bound makes the update monotone in every stencil
+    value.  The boundary nodes use a zero second difference (linear
+    extrapolation), so they stay at their initial values.  The step count is
+    chosen so the integration lands exactly on ``t``.
+
+    Every step works in place on scratch arrays allocated once.  Each element
+    goes through the operations of the one-row scheme in the same order:
+    ``((u[i+1] - 2.0*u[i]) + u[i-1]) * inv_dx2``, times ``sigma_hi2`` where
+    that is ``>= 0`` and ``sigma_lo2`` otherwise (NaN included), times
+    ``(dt*0.5)``, added to ``u[i]``.  Folding the constants together or
+    reordering the stencil would change the rounding.  Rows never mix, so a
+    row's value does not depend on the other rows of its batch.
     """
+    if not fs:
+        raise ValidationError("solve_gheats needs at least one functional")
     if not (t > 0.0 and math.isfinite(t)):
         raise ValidationError("time horizon must be positive and finite")
     grid.check(p)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
-    u = np.array([f.phi(float(xi)) for xi in x], dtype=float)
+    u = np.array([[f.phi(float(xi)) for xi in x] for f in fs], dtype=float)
     if not np.isfinite(u).all():
-        raise PDENumericsError("initial data is not finite on the grid")
+        raise PDENumericsError(f"initial data of {_nonfinite(fs, u)} is not finite on the grid")
 
     n_steps = max(1, math.ceil(t / grid.dt - 1e-12))
     dt = t / n_steps
     inv_dx2 = 1.0 / grid.dx**2
+    half_dt = dt * 0.5
+    left, mid, right = u[:, :-2], u[:, 1:-1], u[:, 2:]
+    d2 = np.empty_like(mid)
+    tmp = np.empty_like(mid)
+    coef = np.empty_like(mid)
+    mask = np.empty(mid.shape, dtype=bool)
     for step in range(n_steps):
-        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-        flux = np.where(d2 >= 0.0, p.sigma_hi2 * d2, p.sigma_lo2 * d2)
-        u[1:-1] += dt * 0.5 * flux
+        np.multiply(mid, 2.0, out=tmp)
+        np.subtract(right, tmp, out=d2)
+        np.add(d2, left, out=d2)
+        np.multiply(d2, inv_dx2, out=d2)
+        np.greater_equal(d2, 0.0, out=mask)
+        coef.fill(p.sigma_lo2)
+        np.copyto(coef, p.sigma_hi2, where=mask)
+        np.multiply(d2, coef, out=d2)
+        np.multiply(d2, half_dt, out=d2)
+        np.add(mid, d2, out=mid)
         if step % _NAN_CHECK_EVERY == 0 and not np.isfinite(u).all():
-            raise PDENumericsError(f"non-finite values after step {step}")
+            raise PDENumericsError(
+                f"non-finite values in {_nonfinite(fs, u)} after step {step}")
     if not np.isfinite(u).all():
-        raise PDENumericsError("non-finite values at final time")
-    return float(np.interp(0.0, x, u))
+        raise PDENumericsError(f"non-finite values in {_nonfinite(fs, u)} at final time")
+    return tuple(float(np.interp(0.0, x, row)) for row in u)
+
+
+def solve_gheat(f: engine.Functional, p: GParams, grid: PDEGrid,
+                t: float = 1.0) -> float:
+    """Upper G-normal expectation of ``f``: ``solve_gheats`` on one row."""
+    return solve_gheats((f,), p, grid, t)[0]
 
 
 def peng_oracles(fs: Sequence[engine.Functional], p: GParams, n: int,

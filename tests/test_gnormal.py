@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import sublexp as sl
@@ -47,7 +48,7 @@ def test_gparams_validation():
 
 
 # ---------------------------------------------------------------------------
-# solve_gheat
+# solve_gheat and solve_gheats
 # ---------------------------------------------------------------------------
 
 
@@ -154,6 +155,31 @@ def test_nonfinite_initial_data_raises():
                             eng.GROWTH_QUADRATIC)
     with pytest.raises(PDENumericsError):
         sl.solve_gheat(blowup, GP, grid, 1.0)
+
+
+def test_nonfinite_initial_data_names_the_row():
+    grid = sl.default_grid(GP, nx=101)
+    blowup = eng.Functional("blowup", lambda x: math.nan if x < -7.9 else x,
+                            eng.GROWTH_QUADRATIC)
+    with pytest.raises(PDENumericsError, match="initial data of blowup is not finite") as err:
+        sl.solve_gheats([eng.cosine(), blowup, eng.ramp(0.0)], GP, grid)
+    assert "cos" not in str(err.value) and "ramp" not in str(err.value)
+
+
+def test_overflow_in_a_batch_names_the_row():
+    # 2.0 * 1e308 overflows in the first step; only that row goes non-finite
+    grid = sl.default_grid(GP, nx=101)
+    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0,
+                          eng.GROWTH_QUADRATIC)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PDENumericsError, match="in huge after step 0") as err:
+            sl.solve_gheats([eng.cosine(), huge, eng.ramp(0.0)], GP, grid)
+    assert "cos" not in str(err.value) and "ramp" not in str(err.value)
+
+
+def test_empty_batch_rejected():
+    with pytest.raises(ValidationError):
+        sl.solve_gheats((), GP, sl.default_grid(GP))
 
 
 # ---------------------------------------------------------------------------
