@@ -163,7 +163,9 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     """Sweep rows per n, each row's full-sum graph compiled once.
 
     The largest n goes first: its second moments also give the plateau r,
-    which the G-normal references need before any other row is built.
+    which the G-normal references need.  The references are solved once
+    that row's graph is freed, so the PDE arrays never add to a graph's
+    memory.
     """
     fs = _functionals(cfg)
     *smaller, n_max = cfg.n_list
@@ -171,9 +173,9 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     r = _sweep_r(cfg, last)
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
     grid = _grid(cfg, gp)
-    refs = _pde_bounds(cfg, fs, gp, grid)
     found = {n_max: _sweep_row(cfg, fs, last)}
     del last  # one row's graph alive at a time
+    refs = _pde_bounds(cfg, fs, gp, grid)
     for n in smaller:
         found[n] = _sweep_row(
             cfg, fs, cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap))

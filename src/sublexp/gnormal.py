@@ -135,8 +135,14 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     ``((u[i+1] - 2.0*u[i]) + u[i-1]) * inv_dx2``, times ``sigma_hi2`` where
     that is ``>= 0`` and ``sigma_lo2`` otherwise (NaN included), times
     ``(dt*0.5)``, added to ``u[i]``.  Folding the constants together or
-    reordering the stencil would change the rounding.  Rows never mix, so a
-    row's value does not depend on the other rows of its batch.
+    reordering the stencil would change the rounding.
+
+    The stencil runs over the rows laid end to end as one flat array, since
+    numpy copies strided 2-D operands into temporaries.  That also updates
+    the end nodes of the rows, from a stencil that spans two rows, so each
+    step writes them back from a saved copy.  An interior node's stencil
+    reads only its own row, so a row's value does not depend on the other
+    rows of its batch.
     """
     if not fs:
         raise ValidationError("solve_gheats needs at least one functional")
@@ -144,7 +150,9 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         raise ValidationError("time horizon must be positive and finite")
     grid.check(p)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
-    u = np.array([[f.phi(float(xi)) for xi in x] for f in fs], dtype=float)
+    u = np.empty((len(fs), grid.nx))
+    for row, f in zip(u, fs):
+        row[:] = np.fromiter((f.phi(float(xi)) for xi in x), float, grid.nx)
     if not np.isfinite(u).all():
         raise PDENumericsError(f"initial data of {_nonfinite(fs, u)} is not finite on the grid")
 
@@ -152,14 +160,16 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     dt = t / n_steps
     inv_dx2 = 1.0 / grid.dx**2
     half_dt = dt * 0.5
-    left, mid, right = u[:, :-2], u[:, 1:-1], u[:, 2:]
+    flat = u.reshape(-1)
+    left, mid, right = flat[:-2], flat[1:-1], flat[2:]
+    firsts, lasts = u[:, 0], u[:, -1]
+    first_values, last_values = firsts.copy(), lasts.copy()
     d2 = np.empty_like(mid)
-    tmp = np.empty_like(mid)
     coef = np.empty_like(mid)
     mask = np.empty(mid.shape, dtype=bool)
     for step in range(n_steps):
-        np.multiply(mid, 2.0, out=tmp)
-        np.subtract(right, tmp, out=d2)
+        np.multiply(mid, 2.0, out=d2)
+        np.subtract(right, d2, out=d2)
         np.add(d2, left, out=d2)
         np.multiply(d2, inv_dx2, out=d2)
         np.greater_equal(d2, 0.0, out=mask)
@@ -168,7 +178,9 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         np.multiply(d2, coef, out=d2)
         np.multiply(d2, half_dt, out=d2)
         np.add(mid, d2, out=mid)
-        if step % _NAN_CHECK_EVERY == 0 and not np.isfinite(u).all():
+        np.copyto(firsts, first_values)
+        np.copyto(lasts, last_values)
+        if step % _NAN_CHECK_EVERY == 0 and not np.isfinite(mid, out=mask).all():
             raise PDENumericsError(
                 f"non-finite values in {_nonfinite(fs, u)} after step {step}")
     if not np.isfinite(u).all():
