@@ -152,7 +152,7 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
     u = np.empty((len(fs), grid.nx))
     for row, f in zip(u, fs):
-        row[:] = np.fromiter((f.phi(float(xi)) for xi in x), float, grid.nx)
+        row[:] = [f.phi(float(xi)) for xi in x]
     if not np.isfinite(u).all():
         raise PDENumericsError(f"initial data of {_nonfinite(fs, u)} is not finite on the grid")
 
