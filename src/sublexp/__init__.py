@@ -35,7 +35,6 @@ from .laws import (
     upper_expect,
 )
 from .engine import (
-    Bn,
     EvalResult,
     Functional,
     SequenceModel,
@@ -43,9 +42,6 @@ from .engine import (
     catalog,
     catalog_by_name,
     compile_sum,
-    cross_moment_lower,
-    cross_moment_upper,
-    eval_index,
     eval_sum,
     eval_window,
     evaluate,

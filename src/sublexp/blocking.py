@@ -25,31 +25,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import engine
-from .conditions import RowContext, context_for
+from .conditions import RowContext
 from .engine import SequenceModel
 from .errors import ValidationError
 
 _REL_SLACK = 1e-9
 
 
-def compute_beta(model: SequenceModel, n: int, *,
-                 ctx: RowContext | None = None) -> tuple[float, ...]:
+def compute_beta(ctx: RowContext) -> tuple[float, ...]:
     """Neighborhood second-moment weights ``beta_1..beta_{k_n}``."""
-    ctx = context_for(model, n, ctx)
-    B2 = ctx.m2.upper
+    n, B2 = ctx.model.n, ctx.m2.upper
     # upper E[X_k^2], zero-extended at k = 0 and k = n + 1
     m2 = [0.0, *engine.marginals(ctx.model, lambda x: x * x), 0.0]
     return tuple((m2[k - 1] + m2[k] + m2[k + 1]) / B2 for k in range(1, n + 1))
 
 
-def choose_pn(
-    model: SequenceModel,
-    n: int,
-    tol: float = 0.1,
-    p_max: int | None = None,
-    *,
-    ctx: RowContext | None = None,
-) -> int:
+def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> int:
     """Largest even p with ``(p^4/B_n^2) sum_k E[(X_k^2 - B_n^2/p^4)^+] <= tol``.
 
     Searched over even p up to ``p_max`` (default: the even floor of
@@ -58,10 +49,9 @@ def choose_pn(
     if not tol > 0.0:
         raise ValidationError("tol must be > 0")
     if p_max is None:
-        p_max = max(2, (math.isqrt(n) // 2) * 2)
+        p_max = max(2, (math.isqrt(ctx.model.n) // 2) * 2)
     if p_max < 2 or p_max % 2 != 0:
         raise ValidationError("p_max must be an even integer >= 2")
-    ctx = context_for(model, n, ctx)
     B2 = ctx.m2.upper
     for p in range(p_max, 1, -2):
         cut = B2 / p**4
@@ -115,12 +105,12 @@ class BlockingPlan:
         return self.k_n + 1
 
 
-def build_plan(model: SequenceModel, n: int, p_n: int, *,
-               ctx: RowContext | None = None) -> BlockingPlan:
+def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
     """Run the cut recursion; degenerates to a single block when k_n < p_n."""
     if p_n < 2 or p_n % 2 != 0:
         raise ValidationError("p_n must be an even integer >= 2")
-    beta = compute_beta(model, n, ctx=ctx)
+    n = ctx.model.n
+    beta = compute_beta(ctx)
     g = [0]
     windows: list[tuple[int, ...]] = []
     while g[-1] + p_n <= n:
@@ -217,24 +207,26 @@ class BlockDiagnostics:
 
 def _delta(model: SequenceModel, k: int, B2: float, lower: bool) -> float:
     """One-sided covariance correction at index k, zero-extended neighbors."""
-    cm = engine.cross_moment_lower if lower else engine.cross_moment_upper
     total = engine.eval_window(model, (k,), lambda xs: xs[0] * xs[0], lower=lower)
     for nb in (k - 1, k + 1):
         if 1 <= nb <= model.n:
-            total += 2.0 * cm(model, k, nb, lambda a, b: a * b)
+            total += 2.0 * engine.eval_window(model, (k, nb), lambda xs: xs[0] * xs[1],
+                                              lower=lower)
     return total / B2
 
 
-def diagnostics(model: SequenceModel, plan: BlockingPlan, *,
-                ctx: RowContext | None = None) -> BlockDiagnostics:
-    ctx = context_for(model, plan.k_n, ctx)
-    sub, B2 = ctx.model, ctx.m2.upper
+def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
+    sub, B2, cap = ctx.model, ctx.m2.upper, ctx.state_cap
+    if plan.k_n != sub.n:
+        raise ValidationError(f"plan is for k_n={plan.k_n}, the row for n={sub.n}")
     # one graph per block gives both of its second moments; empty blocks add 0
-    m2 = [engine.eval_sum(sub, engine.square(), indices=blk) for blk in plan.blocks if blk]
+    m2 = [engine.eval_sum(sub, engine.square(), indices=blk, state_cap=cap)
+          for blk in plan.blocks if blk]
     Bt2 = sum(res.upper for res in m2)
     bt2 = sum(res.lower for res in m2)
     if plan.cuts:
-        removed = engine.eval_sum(sub, engine.square(), indices=plan.cuts).upper / B2
+        removed = engine.eval_sum(sub, engine.square(), indices=plan.cuts,
+                                  state_cap=cap).upper / B2
     else:
         removed = 0.0
     return BlockDiagnostics(

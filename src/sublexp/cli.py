@@ -108,7 +108,7 @@ def _normalizers(cfg: ExperimentConfig, ctx: cond.RowContext) -> tuple[float, fl
     tau = cfg.conditions.tau
     if tau is None:
         return ctx.Bn
-    up = cond.truncated_B2(ctx.model, ctx.model.n, tau)
+    up = cond.truncated_B2(ctx, tau)
     lo = sum(engine.marginals(ctx.model, lambda x: x * x, lower=True, x_clip=tau))
     return math.sqrt(up), math.sqrt(max(lo, 0.0))
 
@@ -146,14 +146,13 @@ SWEEP_SUMMARY_EPS = 0.25
 def _sweep_row(cfg: ExperimentConfig, fs: list[engine.Functional],
                ctx: cond.RowContext) -> tuple:
     """Everything of one n's sweep rows but the G-normal references."""
-    model, n = ctx.model, ctx.model.n
     B, b = _normalizers(cfg, ctx)
-    mean_unc = cond.mean_uncertainty(model, n, ctx=ctx)
+    mean_unc = cond.mean_uncertainty(ctx)
     summary = (
-        cond.m2_ratio(model, n, ctx=ctx),
-        cond.variance_ratio(model, n, n, ctx=ctx),
-        cond.lindeberg(model, n, SWEEP_SUMMARY_EPS, ctx=ctx),
-        cond.capacity_tail(model, n, SWEEP_SUMMARY_EPS),
+        cond.m2_ratio(ctx),
+        cond.variance_ratio(ctx, ctx.model.n),
+        cond.lindeberg(ctx, SWEEP_SUMMARY_EPS),
+        cond.capacity_tail(ctx, SWEEP_SUMMARY_EPS),
     )
     results = [engine.evaluate(ctx.graph, engine.scaled(f, 1.0 / B)) for f in fs]
     return B, b, mean_unc, summary, results
@@ -250,14 +249,13 @@ def run_blocking_inspect(cfg: ExperimentConfig) -> dict[str, Table]:
     diag_rows: list[Row] = []
     plan_rows: list[Row] = []
     for i, n in enumerate(cfg.n_list):
-        model = cfg.model_for(n)
-        ctx = cond.row_context(model, n)
+        ctx = cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap)
         if cfg.blocking.pn_list is not None:
             p_n = cfg.blocking.pn_list[i]
         else:
-            p_n = blk.choose_pn(model, n, tol=cfg.blocking.tol, ctx=ctx)
-        plan = blk.build_plan(model, n, p_n, ctx=ctx)
-        diag = blk.diagnostics(model, plan, ctx=ctx)
+            p_n = blk.choose_pn(ctx, tol=cfg.blocking.tol)
+        plan = blk.build_plan(ctx, p_n)
+        diag = blk.diagnostics(ctx, plan)
         del ctx  # one row's graph alive at a time
         diag_rows.append([
             n, p_n, plan.h, len(plan.cuts), diag.sum_beta_cuts,
@@ -291,10 +289,10 @@ def run_conditions(cfg: ExperimentConfig) -> dict[str, Table]:
             series.setdefault((quantity, key), []).append(value)
 
     for n in cfg.n_list:
-        model = cfg.model_for(n)
         M_grid = cfg.conditions.M if cfg.conditions.M is not None else cond.default_M_grid(n)
         rep = cond.build_report(
-            model, n, eps_grid=cfg.conditions.eps, M_grid=M_grid,
+            cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap),
+            eps_grid=cfg.conditions.eps, M_grid=M_grid,
             p_grid=cfg.conditions.p, tau=cfg.conditions.tau,
         )
         for eps, v in rep.lindeberg.items():

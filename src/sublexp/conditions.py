@@ -31,7 +31,12 @@ def default_M_grid(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TruncatedProfile:
-    """Hypotheses recomputed on clamped coordinates at level tau."""
+    """Hypotheses recomputed on clamped coordinates at level tau.
+
+    ``m2_ratio`` is 1 by construction: under the truncated normalizer
+    ``B_n^2 = sum_k E[(X_k^(tau))^2]`` the ratio's numerator and denominator
+    are the same sum.  It is kept so the report keeps its column.
+    """
 
     tau: float
     B_n2: float
@@ -63,22 +68,21 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class RowContext:
-    """Row n of the array: its length-n prefix and the full-sum graph.
+    """Row n of the array: its length-n prefix, the full-sum graph, the state cap.
 
     The graph is compiled once and ``m2``, the upper and lower second moment
-    of ``S_n``, is evaluated on it once.  Every full-sum quantity of the row
-    reuses both: build one context per n and drop it before the next, so
-    only one row's graph is alive at a time.
+    of ``S_n``, is evaluated on it once; ``Bn`` is ``(B_n, b_n)``, their
+    square roots.  Every quantity of the row reads these, and every further
+    compile for the row (prefix sums, clipped sums, block and cut sums) runs
+    under ``state_cap``.  Build one context per n and drop it before the
+    next, so only one row's graph is alive at a time.
     """
 
     model: SequenceModel
     graph: engine.Graph
     m2: engine.EvalResult
-
-    @property
-    def Bn(self) -> tuple[float, float]:
-        """``(B_n, b_n)``: square roots of the upper/lower second moment of S_n."""
-        return math.sqrt(self.m2.upper), math.sqrt(self.m2.lower)
+    Bn: tuple[float, float]
+    state_cap: int
 
 
 def row_context(model: SequenceModel, n: int, *,
@@ -86,24 +90,14 @@ def row_context(model: SequenceModel, n: int, *,
     """Row n of ``model``: its full sum compiled once, E[S_n^2] evaluated on it."""
     sub = model.prefix(n)
     graph = engine.compile_sum(sub, state_cap=state_cap)
-    return RowContext(sub, graph, engine.evaluate(graph, engine.square()))
+    m2 = engine.evaluate(graph, engine.square())
+    return RowContext(sub, graph, m2, (math.sqrt(m2.upper), math.sqrt(m2.lower)), state_cap)
 
 
-def context_for(model: SequenceModel, n: int, ctx: RowContext | None) -> RowContext:
-    """``ctx`` when the caller has one (checked against n), else a new one."""
-    if ctx is None:
-        return row_context(model, n)
-    if ctx.model.n != n:
-        raise ValidationError(f"row context is for n={ctx.model.n}, not {n}")
-    return ctx
-
-
-def lindeberg(model: SequenceModel, n: int, eps: float, *,
-              ctx: RowContext | None = None) -> float:
+def lindeberg(ctx: RowContext, eps: float) -> float:
     """``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``."""
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
-    ctx = context_for(model, n, ctx)
     B2 = ctx.m2.upper
     cut = eps * B2
     total = 0.0
@@ -112,11 +106,9 @@ def lindeberg(model: SequenceModel, n: int, eps: float, *,
     return total / B2
 
 
-def mean_uncertainty(model: SequenceModel, n: int, *,
-                     ctx: RowContext | None = None) -> float:
+def mean_uncertainty(ctx: RowContext) -> float:
     """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    ctx = context_for(model, n, ctx)
-    B = math.sqrt(ctx.m2.upper)
+    B = ctx.Bn[0]
     total = 0.0
     for up, lo in zip(engine.marginals(ctx.model, lambda x: x),
                       engine.marginals(ctx.model, lambda x: x, lower=True)):
@@ -124,103 +116,93 @@ def mean_uncertainty(model: SequenceModel, n: int, *,
     return total / B
 
 
-def m2_ratio(model: SequenceModel, n: int, *, ctx: RowContext | None = None) -> float:
+def m2_ratio(ctx: RowContext) -> float:
     """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    ctx = context_for(model, n, ctx)
     return sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.m2.upper
 
 
-def variance_ratio(model: SequenceModel, n: int, M: int, *,
-                   ctx: RowContext | None = None) -> float:
+def variance_ratio(ctx: RowContext, M: int) -> float:
     """Lower-to-upper second-moment ratio of the M-prefix sum.
 
     A degenerate prefix (upper second moment zero) has no ratio; NaN marks
-    the condition-undefined outcome.  With ``ctx``, M = n reads the row's
-    second moments instead of compiling the full sum again.
+    the condition-undefined outcome.  M = n reads the row's second moments;
+    a shorter prefix is compiled on its own.
     """
-    if not 1 <= M <= n:
+    if not 1 <= M <= ctx.model.n:
         raise ValidationError("need 1 <= M <= n")
-    if M == n and ctx is not None:
-        res = context_for(model, n, ctx).m2
+    if M == ctx.model.n:
+        res = ctx.m2
     else:
-        res = engine.eval_sum(model.prefix(M), engine.square())
+        res = engine.eval_sum(ctx.model.prefix(M), engine.square(), state_cap=ctx.state_cap)
     if res.upper <= 0.0:
         return math.nan
     return res.lower / res.upper
 
 
-def pth_moment(model: SequenceModel, n: int, p: float, *,
-               ctx: RowContext | None = None) -> float:
+def pth_moment(ctx: RowContext, p: float) -> float:
     """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
     if p < 2.0:
         raise ValidationError("need p >= 2")
-    ctx = context_for(model, n, ctx)
-    B = math.sqrt(ctx.m2.upper)
+    B = ctx.Bn[0]
     total = 0.0
     for v in engine.marginals(ctx.model, lambda x: abs(x) ** p):
         total += v
     return total / B**p
 
 
-def capacity_tail(model: SequenceModel, n: int, eps: float) -> float:
+def capacity_tail(ctx: RowContext, eps: float) -> float:
     """``sum_k V(|X_k| > eps)`` via the exact policy supremum per index."""
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
     total = 0.0
-    for v in engine.marginals(model.prefix(n), lambda x: 1.0 if abs(x) > eps else 0.0):
+    for v in engine.marginals(ctx.model, lambda x: 1.0 if abs(x) > eps else 0.0):
         total += v
     return total
 
 
-def truncated_B2(model: SequenceModel, n: int, tau: float) -> float:
+def truncated_B2(ctx: RowContext, tau: float) -> float:
     """``sum_k E[(X_k^(tau))^2]``, the truncated-theorem normalizer."""
     if tau <= 0.0:
         raise ValidationError("tau must be > 0")
-    return sum(engine.marginals(model.prefix(n), lambda x: x * x, x_clip=tau))
+    return sum(engine.marginals(ctx.model, lambda x: x * x, x_clip=tau))
 
 
-def truncated_profile(
-    model: SequenceModel, n: int, tau: float,
-    M_grid: Sequence[int] | None = None,
-) -> TruncatedProfile:
-    sub = model.prefix(n)
-    B2 = truncated_B2(model, n, tau)
+def truncated_profile(ctx: RowContext, tau: float,
+                      M_grid: Sequence[int] | None = None) -> TruncatedProfile:
+    sub = ctx.model
+    B2 = truncated_B2(ctx, tau)
     B = math.sqrt(B2)
     mean_sum = 0.0
     for up, lo in zip(engine.marginals(sub, lambda x: x, x_clip=tau),
                       engine.marginals(sub, lambda x: x, lower=True, x_clip=tau)):
         mean_sum += abs(up) + abs(lo)
-    m2_sum = 0.0
-    for v in engine.marginals(sub, lambda x: x * x, x_clip=tau):
-        m2_sum += v
     ratios: dict[int, float] = {}
-    for M in M_grid if M_grid is not None else default_M_grid(n):
-        res = engine.eval_sum(model.prefix(M), engine.square(), x_clip=tau)
+    for M in M_grid if M_grid is not None else default_M_grid(sub.n):
+        res = engine.eval_sum(sub.prefix(M), engine.square(), x_clip=tau,
+                              state_cap=ctx.state_cap)
         ratios[M] = res.lower / res.upper if res.upper > 0.0 else math.nan
     return TruncatedProfile(
-        tau=tau, B_n2=B2, mean_unc=mean_sum / B, m2_ratio=m2_sum / B2, var_ratio=ratios
+        tau=tau, B_n2=B2, mean_unc=mean_sum / B, m2_ratio=1.0, var_ratio=ratios
     )
 
 
 def build_report(
-    model: SequenceModel,
-    n: int,
+    ctx: RowContext,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     M_grid: Sequence[int] | None = None,
     p_grid: Sequence[float] = DEFAULT_P_GRID,
     tau: float | None = None,
 ) -> ConditionReport:
-    Ms = tuple(M_grid) if M_grid is not None else default_M_grid(n)
-    ctx = row_context(model, n)
+    Ms = tuple(M_grid) if M_grid is not None else default_M_grid(ctx.model.n)
     return ConditionReport(
-        n=n,
-        lindeberg={eps: lindeberg(model, n, eps, ctx=ctx) for eps in eps_grid},
-        mean_unc=mean_uncertainty(model, n, ctx=ctx),
-        m2_ratio=m2_ratio(model, n, ctx=ctx),
-        var_ratio={M: variance_ratio(model, n, M, ctx=ctx) for M in Ms},
-        pth={p: pth_moment(model, n, p, ctx=ctx) for p in p_grid},
-        cap_tail={eps: capacity_tail(model, n, eps) for eps in eps_grid},
-        trunc=truncated_profile(model, n, tau, Ms) if tau is not None else None,
+        n=ctx.model.n,
+        lindeberg={eps: lindeberg(ctx, eps) for eps in eps_grid},
+        mean_unc=mean_uncertainty(ctx),
+        m2_ratio=m2_ratio(ctx),
+        var_ratio={M: variance_ratio(ctx, M) for M in Ms},
+        pth={p: pth_moment(ctx, p) for p in p_grid},
+        cap_tail={eps: capacity_tail(ctx, eps) for eps in eps_grid},
+        trunc=truncated_profile(ctx, tau, Ms) if tau is not None else None,
     )
 
 

@@ -446,15 +446,6 @@ def eval_sum(
                                 track_max=track_max, state_cap=state_cap), f)
 
 
-def Bn(model: SequenceModel, *, state_cap: int = DEFAULT_STATE_CAP) -> tuple[float, float]:
-    """``(B_n, b_n)``: square roots of the upper/lower second moment of the sum."""
-    res = eval_sum(model, square(), state_cap=state_cap)
-    if res.lower < 0.0:
-        # min over policies of a non-negative payoff cannot be negative
-        raise AssertionError(f"negative lower second moment {res.lower!r}")
-    return math.sqrt(res.upper), math.sqrt(res.lower)
-
-
 # ---------------------------------------------------------------------------
 # Full-history recursion: window functionals and the policy-enumeration oracle
 # ---------------------------------------------------------------------------
@@ -547,40 +538,6 @@ def eval_window(
 
     _guard_paths(sets, path_cap)
     return _history_value(sets, payoff, maximize=not lower)
-
-
-def cross_moment_upper(
-    model: SequenceModel,
-    j: int,
-    k: int,
-    psi: Callable[[float, float], float],
-) -> float:
-    """``E[psi(X_j, X_k)]`` for nearby indices (``|j - k| <= m + 1``)."""
-    if abs(j - k) > model.m + 1:
-        raise ValidationError("cross moments are restricted to |j - k| <= m + 1")
-    return eval_window(model, (j, k), lambda xs: psi(xs[0], xs[1]))
-
-
-def cross_moment_lower(
-    model: SequenceModel,
-    j: int,
-    k: int,
-    psi: Callable[[float, float], float],
-) -> float:
-    return -cross_moment_upper(model, j, k, lambda a, b: -psi(a, b))
-
-
-def eval_index(
-    model: SequenceModel,
-    k: int,
-    phi: Callable[[float], float],
-    *,
-    x_clip: float | None = None,
-) -> tuple[float, float]:
-    """Upper and lower expectation of ``phi(X_k)`` (scaled, optionally clipped)."""
-    up = eval_window(model, (k,), lambda xs: phi(xs[0]), x_clip=x_clip)
-    lo = eval_window(model, (k,), lambda xs: phi(xs[0]), x_clip=x_clip, lower=True)
-    return up, lo
 
 
 def marginals(

@@ -252,8 +252,8 @@ def test_criterion_05_peng_convergence():
 def test_criterion_06_mdependent_clt():
     t0 = time.monotonic()
     n_max = STATIONARY_NS[-1]
-    largest = _stationary_model(n_max)
-    plateau = [cond.variance_ratio(largest, n_max, M)
+    largest = cond.row_context(_stationary_model(n_max), n_max)
+    plateau = [cond.variance_ratio(largest, M)
                for M in (n_max // 4, n_max // 2, n_max)]
     assert max(plateau) - min(plateau) <= 1e-2
     r = plateau[-1]
@@ -266,9 +266,9 @@ def test_criterion_06_mdependent_clt():
         ref_lo = -sl.solve_gheat(eng.negated(f), gp, grid)
         ups, los = [], []
         for n in STATIONARY_NS:
-            model = _stationary_model(n)
-            B, _ = sl.Bn(model)
-            res = sl.eval_sum(model, eng.scaled(f, 1.0 / B))
+            ctx = cond.row_context(_stationary_model(n), n)
+            B, _ = ctx.Bn
+            res = sl.evaluate(ctx.graph, eng.scaled(f, 1.0 / B))
             ups.append(abs(res.upper - ref_up))
             los.append(abs(res.lower - ref_lo))
         results.append((f.name, ups, los))
@@ -321,8 +321,8 @@ def test_criterion_08_blocking_invariants():
     t0 = time.monotonic()
     plans = []
     for n, p_n in zip(STATIONARY_NS, STATIONARY_PNS):
-        model = _stationary_model(n)
-        plans.append((model, blk.build_plan(model, n, p_n)))
+        ctx = cond.row_context(_stationary_model(n), n)
+        plans.append((ctx, blk.build_plan(ctx, p_n)))
     rng = random.Random(SEED + 3)
     for _ in range(10):
         n = rng.randint(4, 20)
@@ -331,10 +331,11 @@ def test_criterion_08_blocking_invariants():
                           sl.centered_three_point_law(1.0)]),
             (1.0, rng.choice((0.5, 1.0))), n,
         )
-        plans.append((model, blk.build_plan(model, n, rng.choice((2, 4)))))
+        ctx = cond.row_context(model, n)
+        plans.append((ctx, blk.build_plan(ctx, rng.choice((2, 4)))))
 
     gaps = []
-    for model, plan in plans:
+    for ctx, plan in plans:
         g = (0,) + plan.cuts
         for a, b in zip(g, g[1:]):
             assert a + plan.p_n // 2 < b <= a + plan.p_n
@@ -342,9 +343,9 @@ def test_criterion_08_blocking_invariants():
         assert flat == list(range(1, plan.k_n + 1))
         cut_mass = sum(plan.beta[c - 1] for c in plan.cuts)
         assert cut_mass <= (2.0 / plan.p_n) * sum(plan.beta) + 1e-12
-        diag = blk.diagnostics(model, plan)
+        diag = blk.diagnostics(ctx, plan)
         assert diag.removed_mass <= diag.sum_beta_cuts * (1 + 1e-9) + 1e-15
-        if plan.k_n in STATIONARY_NS and model.n == plan.k_n:
+        if plan.k_n in STATIONARY_NS and ctx.model.n == plan.k_n:
             gaps.append(abs(diag.Btilde2_over_B2 - 1.0))
     flagship_gaps = gaps[: len(STATIONARY_NS)]
     elapsed = time.monotonic() - t0
@@ -421,8 +422,7 @@ def test_criterion_09_three_part_split():
         tail_enveloped.append(sp.a3_m2_over_n <= envelope * (1.0 + 1e-12))
     b_ratios = {}
     for n in (24, 32, 40, 48):
-        model = _stationary_model(n)
-        B, _ = sl.Bn(model)
+        B, _ = cond.row_context(_stationary_model(n), n).Bn
         b_ratios[n] = B * B / n
     elapsed = time.monotonic() - t0
     print(f"\nCRITERION 9: E[A2^2]/n = {['%.4f' % v for v in a2s]}, "
@@ -461,7 +461,7 @@ def test_criterion_10_truncated_conditions():
     tau = cfg.conditions.tau
     assert tau == 1.0
 
-    tail_48 = cond.capacity_tail(cfg.model_for(48), 48, 0.25)
+    tail_48 = cond.capacity_tail(cond.row_context(cfg.model_for(48), 48), 0.25)
 
     n_max = 48
     largest = cfg.model_for(n_max)
@@ -476,9 +476,9 @@ def test_criterion_10_truncated_conditions():
         ref_lo = -sl.solve_gheat(eng.negated(f), gp, grid)
         ups, los = [], []
         for n in STATIONARY_NS:
-            model = cfg.model_for(n)
-            B = math.sqrt(cond.truncated_B2(model, n, tau))
-            out = sl.eval_sum(model, eng.scaled(f, 1.0 / B))
+            ctx = cond.row_context(cfg.model_for(n), n)
+            B = math.sqrt(cond.truncated_B2(ctx, tau))
+            out = sl.evaluate(ctx.graph, eng.scaled(f, 1.0 / B))
             ups.append(abs(out.upper - ref_up))
             los.append(abs(out.lower - ref_lo))
         results.append((f.name, ups, los))
@@ -504,7 +504,7 @@ def test_criterion_10_truncated_conditions():
 def test_criterion_11_negative_control(tmp_path):
     t0 = time.monotonic()
     cfg = reference_experiments()["mean-uncertain-fail"]
-    value = cond.mean_uncertainty(cfg.model_for(32), 32)
+    value = cond.mean_uncertainty(cond.row_context(cfg.model_for(32), 32))
     paths = cli.run(cfg, tmp_path)
     import csv as _csv
     with open(paths[0]) as fh:

@@ -9,6 +9,7 @@ import pytest
 
 import sublexp as sl
 import sublexp.blocking as blk
+import sublexp.conditions as cond
 import sublexp.engine as eng
 from sublexp.errors import ValidationError
 
@@ -23,12 +24,12 @@ TOL = 1e-10
 
 
 def test_choose_pn_floor_at_two():
-    assert blk.choose_pn(certain_pm1_iid(1), 1) == 2
+    assert blk.choose_pn(cond.row_context(certain_pm1_iid(1), 1)) == 2
 
 
 def test_choose_pn_infinite_tol_returns_pmax():
     model = certain_pm1_iid(16, scale=0.25)
-    assert blk.choose_pn(model, 16, tol=math.inf) == 4
+    assert blk.choose_pn(cond.row_context(model, 16), tol=math.inf) == 4
 
 
 def test_choose_pn_threshold_algebra():
@@ -36,14 +37,15 @@ def test_choose_pn_threshold_algebra():
     # B^2/p^4 >= c^2/n, so the search returns the even floor of n^(1/4)
     for n, expected in ((16, 2), (81, 2)):
         model = certain_pm1_iid(n, scale=1.0 / math.sqrt(n))
-        assert blk.choose_pn(model, n) == expected
+        assert blk.choose_pn(cond.row_context(model, n)) == expected
 
 
 def test_choose_pn_validation():
+    ctx = cond.row_context(certain_pm1_iid(4), 4)
     with pytest.raises(ValidationError):
-        blk.choose_pn(certain_pm1_iid(4), 4, tol=0.0)
+        blk.choose_pn(ctx, tol=0.0)
     with pytest.raises(ValidationError):
-        blk.choose_pn(certain_pm1_iid(4), 4, p_max=3)
+        blk.choose_pn(ctx, p_max=3)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,7 @@ def test_choose_pn_validation():
 def test_beta_interior_and_boundary():
     n = 8
     model = certain_pm1_iid(n, scale=1.0 / math.sqrt(n))
-    beta = blk.compute_beta(model, n)
+    beta = blk.compute_beta(cond.row_context(model, n))
     assert beta[0] == pytest.approx(2.0 / n, abs=TOL)
     assert beta[-1] == pytest.approx(2.0 / n, abs=TOL)
     for b in beta[1:-1]:
@@ -63,14 +65,14 @@ def test_beta_interior_and_boundary():
 
 def test_beta_single_index():
     model = certain_pm1_iid(1)
-    assert blk.compute_beta(model, 1) == (1.0,)
+    assert blk.compute_beta(cond.row_context(model, 1)) == (1.0,)
 
 
 def test_beta_total_bound():
     model = stationary_1dep(12)
-    beta = blk.compute_beta(model, 12)
+    beta = blk.compute_beta(cond.row_context(model, 12))
     B2 = sl.eval_sum(model, eng.square()).upper
-    m2_total = sum(sl.eval_index(model, k, lambda x: x * x)[0] for k in range(1, 13))
+    m2_total = sum(sl.eval_window(model, (k,), lambda xs: xs[0] * xs[0]) for k in range(1, 13))
     assert sum(beta) <= 3.0 * m2_total / B2 + TOL
 
 
@@ -82,7 +84,7 @@ def test_beta_total_bound():
 def test_plan_trace_equal_betas():
     # interior betas are all equal, so the min-index tie break fires
     model = certain_pm1_iid(20)
-    plan = blk.build_plan(model, 20, 4)
+    plan = blk.build_plan(cond.row_context(model, 20), 4)
     assert plan.cuts == (3, 6, 9, 12, 15, 18)
     assert plan.h == 7
     assert plan.blocks[0] == (1, 2)
@@ -94,7 +96,7 @@ def test_plan_trace_equal_betas():
 
 def test_plan_degenerate_single_block():
     model = certain_pm1_iid(3)
-    plan = blk.build_plan(model, 3, 4)
+    plan = blk.build_plan(cond.row_context(model, 3), 4)
     assert plan.cuts == ()
     assert plan.h == 1
     assert plan.blocks == ((1, 2, 3),)
@@ -102,17 +104,18 @@ def test_plan_degenerate_single_block():
 
 def test_plan_rejects_odd_pn():
     with pytest.raises(ValidationError):
-        blk.build_plan(certain_pm1_iid(8), 8, 3)
+        blk.build_plan(cond.row_context(certain_pm1_iid(8), 8), 3)
 
 
 def test_plan_rejects_odd_pn_before_any_evaluation(monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("build_plan evaluated the model before checking p_n")
 
+    ctx = cond.row_context(stationary_1dep(8), 8)
     for name in ("eval_sum", "compile_sum", "eval_window"):
         monkeypatch.setattr(eng, name, forbidden)
     with pytest.raises(ValidationError):
-        blk.build_plan(stationary_1dep(8), 8, 3)
+        blk.build_plan(ctx, 3)
 
 
 def test_plan_invariants_on_random_models():
@@ -131,7 +134,7 @@ def test_plan_invariants_on_random_models():
                 variance_uncertain(), (1.0, rng.choice((0.5, 1.0))), n, scale
             )
         p_n = rng.choice((2, 4, 6))
-        plan = blk.build_plan(model, n, p_n)  # __post_init__ re-validates
+        plan = blk.build_plan(cond.row_context(model, n), p_n)  # __post_init__ re-validates
         g = (0,) + plan.cuts
         for a, b in zip(g, g[1:]):
             assert a + p_n // 2 < b <= a + p_n
@@ -141,8 +144,7 @@ def test_plan_invariants_on_random_models():
 
 def test_cut_sparsity_bound():
     for n, p_n in ((16, 4), (32, 6), (48, 8)):
-        model = stationary_1dep(n)
-        plan = blk.build_plan(model, n, p_n)
+        plan = blk.build_plan(cond.row_context(stationary_1dep(n), n), p_n)
         cut_mass = sum(plan.beta[c - 1] for c in plan.cuts)
         assert cut_mass <= (2.0 / p_n) * sum(plan.beta) + TOL
 
@@ -154,24 +156,24 @@ def test_cut_sparsity_bound():
 
 def test_block_models_requires_low_dependence():
     model = sl.SequenceModel.moving_window(variance_uncertain(), (1.0, 1.0, 1.0), 8)
-    plan = blk.build_plan(model, 8, 2)
+    plan = blk.build_plan(cond.row_context(model, 8), 2)
     with pytest.raises(ValidationError):
         blk.block_models(model, plan)
 
 
 def test_linear_functional_decomposes_over_blocks_and_cuts():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 8)
-    plan = blk.build_plan(model, 8, 4)
+    plan = blk.build_plan(cond.row_context(model, 8), 4)
     seq, removed = blk.block_models(model, plan)
     total = sl.eval_sum(model, eng.identity()).upper
     parts = sum(seq.block_eval(i, lambda y: y) for i in range(1, plan.h + 1))
-    parts += sum(sl.eval_index(model, c, lambda x: x)[0] for c in removed)
+    parts += sum(sl.eval_window(model, (c,), lambda xs: xs[0]) for c in removed)
     assert total == pytest.approx(parts, abs=TOL)
 
 
 def test_block_sums_are_independent():
     model = stationary_1dep(8)
-    plan = blk.build_plan(model, 8, 4)
+    plan = blk.build_plan(cond.row_context(model, 8), 4)
     seq, _ = blk.block_models(model, plan)
     prod = seq.pair_eval(1, 2, lambda a, b: a * b)
     up2 = seq.block_eval(2, lambda y: y)
@@ -181,9 +183,9 @@ def test_block_sums_are_independent():
 
 
 def test_diagnostics_flagship_values():
-    model = stationary_1dep(8)
-    plan = blk.build_plan(model, 8, 2)
-    diag = blk.diagnostics(model, plan)
+    ctx = cond.row_context(stationary_1dep(8), 8)
+    plan = blk.build_plan(ctx, 2)
+    diag = blk.diagnostics(ctx, plan)
     # every other index is removed at p_n = 2
     assert plan.cuts == (2, 4, 6, 8)
     assert diag.removed_mass == pytest.approx(8.0 / 30.0, abs=TOL)
@@ -193,9 +195,8 @@ def test_diagnostics_flagship_values():
 
 def test_diagnostics_bounds():
     for n, p_n in ((16, 4), (32, 6)):
-        model = stationary_1dep(n)
-        plan = blk.build_plan(model, n, p_n)
-        diag = blk.diagnostics(model, plan)
+        ctx = cond.row_context(stationary_1dep(n), n)
+        diag = blk.diagnostics(ctx, blk.build_plan(ctx, p_n))
         assert diag.removed_mass <= diag.sum_beta_cuts + 1e-9
         assert diag.sum_delta_lo <= 3.0 * diag.sum_beta_cuts + 1e-9
         assert diag.sum_delta_hi <= 3.0 * diag.sum_beta_cuts + 1e-9
@@ -205,11 +206,17 @@ def test_diagnostics_bounds():
 def test_diagnostics_monotone_along_reference_schedule():
     rows = []
     for n, p_n in ((8, 2), (16, 4), (32, 6), (48, 8)):
-        model = stationary_1dep(n)
-        diag = blk.diagnostics(model, blk.build_plan(model, n, p_n))
-        rows.append(diag)
+        ctx = cond.row_context(stationary_1dep(n), n)
+        rows.append(blk.diagnostics(ctx, blk.build_plan(ctx, p_n)))
     for key in ("sum_beta_cuts", "removed_mass"):
         vals = [getattr(d, key) for d in rows]
         assert all(b < a for a, b in zip(vals, vals[1:])), key
     gaps = [abs(d.Btilde2_over_B2 - 1.0) for d in rows]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_diagnostics_rejects_a_plan_of_another_row():
+    ctx = cond.row_context(stationary_1dep(8), 8)
+    plan = blk.build_plan(cond.row_context(stationary_1dep(6), 6), 2)
+    with pytest.raises(ValidationError):
+        blk.diagnostics(ctx, plan)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import sublexp.cli as cli
+import sublexp.conditions as cond
 import sublexp.experiments as exp
 from sublexp.errors import ValidationError
 
@@ -91,8 +92,7 @@ def test_reference_experiments_ship_four():
 
 def test_builder_models_match_documented_moments():
     model = exp.reference_experiments()["stationary-1dep"].model_for(12)
-    import sublexp as sl
-    B, b = sl.Bn(model)
+    B, b = cond.row_context(model, 12).Bn
     assert B * B == pytest.approx(4 * 12 - 2, abs=1e-9)
     assert (b * b) / (B * B) == pytest.approx(0.49, abs=1e-9)
 
@@ -204,11 +204,19 @@ def test_main_validation_error_exit_1_no_files(tmp_path):
     assert not out.exists()
 
 
-def test_main_state_cap_exit_2(tmp_path):
-    cfg_path = write_config(tmp_path, {**SMALL_CONFIG, "mode": "eval"})
+@pytest.mark.parametrize("command", [
+    "eval", "clt-sweep", "rosenthal", "blocking-inspect", "conditions", "gnormal",
+])
+def test_main_state_cap_exit_2(tmp_path, command):
+    if command == "gnormal":
+        raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["cos"],
+               "gnormal": {"sigma_lo2": 0.5, "sigma_hi2": 1.0, "nx": 201},
+               "peng_n": [8]}
+        source = ["--config", str(write_config(tmp_path, raw))]
+    else:
+        source = ["--experiment", "stationary-1dep"]
     out = tmp_path / "out"
-    code = cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
-                     "--state-cap", "3"])
+    code = cli.main([command, *source, "--out", str(out), "--state-cap", "50"])
     assert code == 2
     assert not out.exists()
 

@@ -24,30 +24,30 @@ TOL = 1e-10
 def test_lindeberg_vanishes_for_bounded_small_supports():
     # |X| <= 1 and eps B^2 >= 1 kill every positive part
     model = certain_pm1_iid(4)
-    assert cond.lindeberg(model, 4, 0.5) == pytest.approx(0.0, abs=TOL)
+    assert cond.lindeberg(cond.row_context(model, 4), 0.5) == pytest.approx(0.0, abs=TOL)
 
 
 def test_lindeberg_scaled_array_vanishes_beyond_two():
     for n in (2, 5):
         model = certain_pm1_iid(n, scale=1.0 / math.sqrt(n))
-        assert cond.lindeberg(model, n, 0.5) == pytest.approx(0.0, abs=TOL)
+        assert cond.lindeberg(cond.row_context(model, n), 0.5) == pytest.approx(0.0, abs=TOL)
 
 
 def test_lindeberg_single_term_value():
     model = certain_pm1_iid(1)
-    assert cond.lindeberg(model, 1, 0.25) == pytest.approx(0.75, abs=TOL)
+    assert cond.lindeberg(cond.row_context(model, 1), 0.25) == pytest.approx(0.75, abs=TOL)
 
 
 def test_lindeberg_monotone_in_eps():
-    model = stationary_1dep(8)
-    vals = [cond.lindeberg(model, 8, e) for e in (0.01, 0.05, 0.25, 1.0)]
+    ctx = cond.row_context(stationary_1dep(8), 8)
+    vals = [cond.lindeberg(ctx, e) for e in (0.01, 0.05, 0.25, 1.0)]
     assert all(v >= 0 for v in vals)
     assert all(b <= a + TOL for a, b in zip(vals, vals[1:]))
 
 
 def test_lindeberg_rejects_bad_eps():
     with pytest.raises(ValidationError):
-        cond.lindeberg(certain_pm1_iid(2), 2, 0.0)
+        cond.lindeberg(cond.row_context(certain_pm1_iid(2), 2), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +56,14 @@ def test_lindeberg_rejects_bad_eps():
 
 
 def test_mean_uncertainty_zero_for_certain_models():
-    assert cond.mean_uncertainty(stationary_1dep(6), 6) == pytest.approx(0.0, abs=TOL)
+    assert cond.mean_uncertainty(cond.row_context(stationary_1dep(6), 6)) == pytest.approx(0.0, abs=TOL)
 
 
 def test_mean_uncertainty_grows_under_sqrt_scaling():
     vals = []
     for n in (8, 16, 32):
         model = sl.SequenceModel.iid(pm1_uncertain(), n, scale=1.0 / math.sqrt(n))
-        vals.append(cond.mean_uncertainty(model, n))
+        vals.append(cond.mean_uncertainty(cond.row_context(model, n)))
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 0.5  # the negative control is flagged by n = 32
 
@@ -76,16 +76,19 @@ def test_mean_uncertainty_scale_invariant_and_bounded():
     for n in (8, 16, 32):
         inv_n = sl.SequenceModel.iid(pm1_uncertain(), n, scale=1.0 / n)
         inv_sqrt = sl.SequenceModel.iid(pm1_uncertain(), n, scale=1.0 / math.sqrt(n))
-        v = cond.mean_uncertainty(inv_n, n)
-        assert v == pytest.approx(cond.mean_uncertainty(inv_sqrt, n), abs=1e-9)
+        v = cond.mean_uncertainty(cond.row_context(inv_n, n))
+        assert v == pytest.approx(cond.mean_uncertainty(cond.row_context(inv_sqrt, n)),
+                                  abs=1e-9)
         vals.append(v)
     assert vals[0] < vals[1] < vals[2] <= 2.0
 
 
 def test_mean_uncertainty_iff_certain_means():
-    assert cond.mean_uncertainty(sl.SequenceModel.iid(pm1_uncertain(), 3), 3) > 0.1
+    uncertain = sl.SequenceModel.iid(pm1_uncertain(), 3)
+    assert cond.mean_uncertainty(cond.row_context(uncertain, 3)) > 0.1
     shifted = sl.singleton(sl.DiscreteLaw((0.0, 2.0), (0.5, 0.5)))  # mean 1, certain
-    assert cond.mean_uncertainty(sl.SequenceModel.iid(shifted, 3), 3) > 0.1
+    certain = sl.SequenceModel.iid(shifted, 3)
+    assert cond.mean_uncertainty(cond.row_context(certain, 3)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -94,26 +97,27 @@ def test_mean_uncertainty_iff_certain_means():
 
 
 def test_variance_ratio_no_ambiguity_is_one():
-    model = certain_pm1_iid(6)
+    ctx = cond.row_context(certain_pm1_iid(6), 6)
     for M in (1, 3, 6):
-        assert cond.variance_ratio(model, 6, M) == pytest.approx(1.0, abs=TOL)
+        assert cond.variance_ratio(ctx, M) == pytest.approx(1.0, abs=TOL)
 
 
 def test_variance_ratio_stationary_plateau():
-    model = stationary_1dep(16)
+    ctx = cond.row_context(stationary_1dep(16), 16)
     for M in (4, 8, 16):
-        assert cond.variance_ratio(model, 16, M) == pytest.approx(0.49, abs=TOL)
+        assert cond.variance_ratio(ctx, M) == pytest.approx(0.49, abs=TOL)
 
 
 def test_variance_ratio_single_term():
     model = stationary_1dep(4)
-    up, lo = sl.eval_index(model, 1, lambda x: x * x)
-    assert cond.variance_ratio(model, 4, 1) == pytest.approx(lo / up, abs=TOL)
+    up = sl.eval_window(model, (1,), lambda xs: xs[0] * xs[0])
+    lo = sl.eval_window(model, (1,), lambda xs: xs[0] * xs[0], lower=True)
+    assert cond.variance_ratio(cond.row_context(model, 4), 1) == pytest.approx(lo / up, abs=TOL)
 
 
 def test_variance_ratio_degenerate_is_nan():
     model = sl.SequenceModel.iid(sl.singleton(sl.point_mass(0.0)), 3)
-    assert math.isnan(cond.variance_ratio(model, 3, 2))
+    assert math.isnan(cond.variance_ratio(cond.row_context(model, 3), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +127,13 @@ def test_variance_ratio_degenerate_is_nan():
 
 def test_capacity_tail_zero_inside_eps():
     model = certain_pm1_iid(5, scale=0.1)
-    assert cond.capacity_tail(model, 5, 0.25) == pytest.approx(0.0, abs=TOL)
+    assert cond.capacity_tail(cond.row_context(model, 5), 0.25) == pytest.approx(0.0, abs=TOL)
 
 
 def test_capacity_tail_direct_value():
     law = sl.DiscreteLaw((-3.0, 1.0), (0.5, 0.5))
     model = sl.SequenceModel.iid(sl.singleton(law), 4)
-    assert cond.capacity_tail(model, 4, 2.0) == pytest.approx(4 * 0.5, abs=TOL)
+    assert cond.capacity_tail(cond.row_context(model, 4), 2.0) == pytest.approx(4 * 0.5, abs=TOL)
 
 
 def test_capacity_tail_threshold_crossing():
@@ -137,7 +141,7 @@ def test_capacity_tail_threshold_crossing():
     vals = {}
     for n in (4, 16, 32):
         model = certain_pm1_iid(n, scale=1.0 / math.sqrt(n))
-        vals[n] = cond.capacity_tail(model, n, 0.25)
+        vals[n] = cond.capacity_tail(cond.row_context(model, n), 0.25)
     assert vals[4] > 0.0
     assert vals[32] == pytest.approx(0.0, abs=TOL)
 
@@ -145,12 +149,12 @@ def test_capacity_tail_threshold_crossing():
 def test_capacity_tail_classical_for_singletons():
     law = sl.DiscreteLaw((-2.0, 0.0, 2.0), (0.25, 0.5, 0.25))
     model = sl.SequenceModel.iid(sl.singleton(law), 3)
-    assert cond.capacity_tail(model, 3, 1.0) == pytest.approx(3 * 0.5, abs=TOL)
+    assert cond.capacity_tail(cond.row_context(model, 3), 1.0) == pytest.approx(3 * 0.5, abs=TOL)
 
 
 def test_capacity_tail_bounded_by_n():
     model = stationary_1dep(6)
-    assert cond.capacity_tail(model, 6, 0.01) <= 6.0 + TOL
+    assert cond.capacity_tail(cond.row_context(model, 6), 0.01) <= 6.0 + TOL
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +164,13 @@ def test_capacity_tail_bounded_by_n():
 
 def test_pth_moment_value():
     model = certain_pm1_iid(4)  # B^2 = 4, per-index E|X|^3 = 1
-    assert cond.pth_moment(model, 4, 3.0) == pytest.approx(4.0 / 8.0, abs=TOL)
+    assert cond.pth_moment(cond.row_context(model, 4), 3.0) == pytest.approx(4.0 / 8.0, abs=TOL)
 
 
 def test_report_fields_cover_grids():
     model = stationary_1dep(8)
-    rep = cond.build_report(model, 8, eps_grid=(0.1, 0.5), M_grid=(2, 8), p_grid=(2.0,))
+    rep = cond.build_report(cond.row_context(model, 8), eps_grid=(0.1, 0.5), M_grid=(2, 8),
+                            p_grid=(2.0,))
     assert set(rep.lindeberg) == {0.1, 0.5}
     assert set(rep.var_ratio) == {2, 8}
     assert set(rep.pth) == {2.0}
@@ -174,8 +179,8 @@ def test_report_fields_cover_grids():
 
 def test_wide_truncation_reproduces_untruncated_formulas():
     model = stationary_1dep(6)
-    prof = cond.truncated_profile(model, 6, tau=10.0, M_grid=(3, 6))
-    raw_B2 = sum(sl.eval_index(model, k, lambda x: x * x)[0] for k in range(1, 7))
+    prof = cond.truncated_profile(cond.row_context(model, 6), tau=10.0, M_grid=(3, 6))
+    raw_B2 = sum(sl.eval_window(model, (k,), lambda xs: xs[0] * xs[0]) for k in range(1, 7))
     assert prof.B_n2 == pytest.approx(raw_B2, abs=TOL)
     assert prof.mean_unc == pytest.approx(0.0, abs=TOL)
     for M in (3, 6):
@@ -186,7 +191,7 @@ def test_wide_truncation_reproduces_untruncated_formulas():
 def test_truncation_bites_heavy_support():
     law = sl.DiscreteLaw((-1.0, 5.0), (0.8, 0.2))
     model = sl.SequenceModel.iid(sl.singleton(law), 3)
-    prof = cond.truncated_profile(model, 3, tau=1.0)
+    prof = cond.truncated_profile(cond.row_context(model, 3), tau=1.0)
     # clamped second moment: 0.8 * 1 + 0.2 * 1 = 1 per index
     assert prof.B_n2 == pytest.approx(3.0, abs=TOL)
 

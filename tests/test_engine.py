@@ -7,6 +7,7 @@ import math
 import pytest
 
 import sublexp as sl
+import sublexp.conditions as cond
 import sublexp.engine as eng
 from sublexp.errors import GuardError, StateCapError, ValidationError
 
@@ -114,16 +115,17 @@ def test_engine_matches_oracle_randomized(rng):
 
 
 def test_Bn_examples():
-    assert sl.Bn(certain_pm1_iid(5))[0] == pytest.approx(math.sqrt(5.0), abs=TOL)
-    model = sl.SequenceModel.iid(pm1_uncertain(), 2)
-    assert sl.Bn(model)[0] == pytest.approx(math.sqrt(2.4), abs=TOL)
+    B, _ = cond.row_context(certain_pm1_iid(5), 5).Bn
+    assert B == pytest.approx(math.sqrt(5.0), abs=TOL)
+    B, _ = cond.row_context(sl.SequenceModel.iid(pm1_uncertain(), 2), 2).Bn
+    assert B == pytest.approx(math.sqrt(2.4), abs=TOL)
 
 
 def test_moving_window_Bn_closed_form():
     inn = sl.singleton(sl.two_point_law(1.0))
     for n in (2, 5, 9):
         model = sl.SequenceModel.moving_window(inn, (1.0, 1.0), n)
-        B, b = sl.Bn(model)
+        B, b = cond.row_context(model, n).Bn
         assert B * B == pytest.approx(4 * n - 2, abs=TOL)
         assert b * b == pytest.approx(4 * n - 2, abs=TOL)
 
@@ -152,26 +154,20 @@ def test_cross_moment_independent_zero_mean():
     model = sl.SequenceModel.independent(
         [sl.singleton(sl.two_point_law(1.0)), sl.singleton(sl.two_point_law(0.5))]
     )
-    assert sl.cross_moment_upper(model, 1, 2, lambda a, b: a * b) == pytest.approx(0.0, abs=TOL)
+    assert sl.eval_window(model, (1, 2), lambda xs: xs[0] * xs[1]) == pytest.approx(0.0, abs=TOL)
 
 
 def test_cross_moment_shared_innovation():
     inn = sl.singleton(sl.two_point_law(1.0))
     model = sl.SequenceModel.moving_window(inn, (1.0, 1.0), 5)
-    assert sl.cross_moment_upper(model, 2, 3, lambda a, b: a * b) == pytest.approx(1.0, abs=TOL)
+    assert sl.eval_window(model, (2, 3), lambda xs: xs[0] * xs[1]) == pytest.approx(1.0, abs=TOL)
 
 
 def test_cross_moment_marginal_consistency():
     model = stationary_1dep(5)
-    via_pair = sl.cross_moment_upper(model, 2, 3, lambda a, b: a * a)
-    via_index = sl.eval_index(model, 2, lambda x: x * x)[0]
+    via_pair = sl.eval_window(model, (2, 3), lambda xs: xs[0] * xs[0])
+    via_index = sl.eval_window(model, (2,), lambda xs: xs[0] * xs[0])
     assert via_pair == pytest.approx(via_index, abs=TOL)
-
-
-def test_cross_moment_range_guard():
-    model = stationary_1dep(6)
-    with pytest.raises(ValidationError):
-        sl.cross_moment_upper(model, 1, 4, lambda a, b: a * b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import pytest
 
 import sublexp as sl
+import sublexp.conditions as cond
 import sublexp.engine as eng
 import sublexp.mdep as mdep
 from sublexp.errors import ValidationError
@@ -232,7 +233,7 @@ def test_split_tail_second_moment_value():
 def test_split_triangle_inequality():
     model = stationary_1dep(20)
     sp = mdep.three_part_split(model, 20, 4)
-    B = sl.Bn(model)[0]
+    B, _ = cond.row_context(model, 20).Bn
     a1 = math.sqrt(sp.a1_m2_over_n * 20)
     a2 = math.sqrt(sp.a2_m2_over_n * 20)
     a3 = math.sqrt(sp.a3_m2_over_n * 20)
