@@ -55,9 +55,8 @@ def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> in
     B2 = ctx.m2.upper
     for p in range(p_max, 1, -2):
         cut = B2 / p**4
-        total = 0.0
-        for v in engine.marginals(ctx.model, lambda x, _c=cut: max(x * x - _c, 0.0)):
-            total += v
+        total = engine.ordered_sum(
+            engine.marginals(ctx.model, lambda x, _c=cut: max(x * x - _c, 0.0)))
         if p**4 / B2 * total <= tol:
             return p
     return 2
@@ -222,17 +221,17 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
     # one graph per block gives both of its second moments; empty blocks add 0
     m2 = [engine.eval_sum(sub, engine.square(), indices=blk, state_cap=cap)
           for blk in plan.blocks if blk]
-    Bt2 = sum(res.upper for res in m2)
-    bt2 = sum(res.lower for res in m2)
+    Bt2 = engine.ordered_sum(res.upper for res in m2)
+    bt2 = engine.ordered_sum(res.lower for res in m2)
     if plan.cuts:
         removed = engine.eval_sum(sub, engine.square(), indices=plan.cuts,
                                   state_cap=cap).upper / B2
     else:
         removed = 0.0
     return BlockDiagnostics(
-        sum_beta_cuts=sum(plan.beta[c - 1] for c in plan.cuts),
-        sum_delta_lo=abs(sum(_delta(sub, c, B2, lower=True) for c in plan.cuts)),
-        sum_delta_hi=abs(sum(_delta(sub, c, B2, lower=False) for c in plan.cuts)),
+        sum_beta_cuts=engine.ordered_sum(plan.beta[c - 1] for c in plan.cuts),
+        sum_delta_lo=abs(engine.ordered_sum(_delta(sub, c, B2, lower=True) for c in plan.cuts)),
+        sum_delta_hi=abs(engine.ordered_sum(_delta(sub, c, B2, lower=False) for c in plan.cuts)),
         Btilde2_over_B2=Bt2 / B2,
         btilde2_over_B2=bt2 / B2,
         removed_mass=removed,

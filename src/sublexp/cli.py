@@ -109,7 +109,7 @@ def _normalizers(cfg: ExperimentConfig, ctx: cond.RowContext) -> tuple[float, fl
     if tau is None:
         return ctx.Bn
     up = cond.truncated_B2(ctx, tau)
-    lo = sum(engine.marginals(ctx.model, lambda x: x * x, lower=True, x_clip=tau))
+    lo = engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x, lower=True, x_clip=tau))
     return math.sqrt(up), math.sqrt(max(lo, 0.0))
 
 

@@ -72,10 +72,11 @@ class RowContext:
 
     The graph is compiled once and ``m2``, the upper and lower second moment
     of ``S_n``, is evaluated on it once; ``Bn`` is ``(B_n, b_n)``, their
-    square roots.  Every quantity of the row reads these, and every further
-    compile for the row (prefix sums, clipped sums, block and cut sums) runs
-    under ``state_cap``.  Build one context per n and drop it before the
-    next, so only one row's graph is alive at a time.
+    square roots.  Every quantity of the row reads these, prefix sums are
+    read off the graph with ``Graph.prefix``, and every further compile for
+    the row (clipped sums, block and cut sums) runs under ``state_cap``.
+    Build one context per n and drop it before the next, so only one row's
+    graph is alive at a time.
     """
 
     model: SequenceModel
@@ -100,43 +101,28 @@ def lindeberg(ctx: RowContext, eps: float) -> float:
         raise ValidationError("eps must be > 0")
     B2 = ctx.m2.upper
     cut = eps * B2
-    total = 0.0
-    for v in engine.marginals(ctx.model, lambda x: max(x * x - cut, 0.0)):
-        total += v
-    return total / B2
+    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: max(x * x - cut, 0.0))) / B2
 
 
 def mean_uncertainty(ctx: RowContext) -> float:
     """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    B = ctx.Bn[0]
-    total = 0.0
-    for up, lo in zip(engine.marginals(ctx.model, lambda x: x),
-                      engine.marginals(ctx.model, lambda x: x, lower=True)):
-        total += abs(up) + abs(lo)
-    return total / B
+    return engine.mean_spread(ctx.model) / ctx.Bn[0]
 
 
 def m2_ratio(ctx: RowContext) -> float:
     """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    return sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.m2.upper
+    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.m2.upper
+
+
+def _prefix_ratio(graph: engine.Graph, M: int) -> float:
+    """Lower-to-upper E[S_M^2] on ``graph``; NaN when the upper one is zero (no ratio)."""
+    res = engine.evaluate(graph.prefix(M), engine.square())
+    return res.lower / res.upper if res.upper > 0.0 else math.nan
 
 
 def variance_ratio(ctx: RowContext, M: int) -> float:
-    """Lower-to-upper second-moment ratio of the M-prefix sum.
-
-    A degenerate prefix (upper second moment zero) has no ratio; NaN marks
-    the condition-undefined outcome.  M = n reads the row's second moments;
-    a shorter prefix is compiled on its own.
-    """
-    if not 1 <= M <= ctx.model.n:
-        raise ValidationError("need 1 <= M <= n")
-    if M == ctx.model.n:
-        res = ctx.m2
-    else:
-        res = engine.eval_sum(ctx.model.prefix(M), engine.square(), state_cap=ctx.state_cap)
-    if res.upper <= 0.0:
-        return math.nan
-    return res.lower / res.upper
+    """Lower-to-upper second-moment ratio of ``S_M``, read off the row graph."""
+    return _prefix_ratio(ctx.graph, M)
 
 
 def pth_moment(ctx: RowContext, p: float) -> float:
@@ -144,45 +130,33 @@ def pth_moment(ctx: RowContext, p: float) -> float:
     if p < 2.0:
         raise ValidationError("need p >= 2")
     B = ctx.Bn[0]
-    total = 0.0
-    for v in engine.marginals(ctx.model, lambda x: abs(x) ** p):
-        total += v
-    return total / B**p
+    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: abs(x) ** p)) / B**p
 
 
 def capacity_tail(ctx: RowContext, eps: float) -> float:
     """``sum_k V(|X_k| > eps)`` via the exact policy supremum per index."""
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
-    total = 0.0
-    for v in engine.marginals(ctx.model, lambda x: 1.0 if abs(x) > eps else 0.0):
-        total += v
-    return total
+    over = engine.marginals(ctx.model, lambda x: 1.0 if abs(x) > eps else 0.0)
+    return engine.ordered_sum(over)
 
 
 def truncated_B2(ctx: RowContext, tau: float) -> float:
     """``sum_k E[(X_k^(tau))^2]``, the truncated-theorem normalizer."""
     if tau <= 0.0:
         raise ValidationError("tau must be > 0")
-    return sum(engine.marginals(ctx.model, lambda x: x * x, x_clip=tau))
+    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x, x_clip=tau))
 
 
 def truncated_profile(ctx: RowContext, tau: float,
                       M_grid: Sequence[int] | None = None) -> TruncatedProfile:
-    sub = ctx.model
+    """The row's hypotheses at tau; every ``S_M`` is read off one clipped row graph."""
     B2 = truncated_B2(ctx, tau)
-    B = math.sqrt(B2)
-    mean_sum = 0.0
-    for up, lo in zip(engine.marginals(sub, lambda x: x, x_clip=tau),
-                      engine.marginals(sub, lambda x: x, lower=True, x_clip=tau)):
-        mean_sum += abs(up) + abs(lo)
-    ratios: dict[int, float] = {}
-    for M in M_grid if M_grid is not None else default_M_grid(sub.n):
-        res = engine.eval_sum(sub.prefix(M), engine.square(), x_clip=tau,
-                              state_cap=ctx.state_cap)
-        ratios[M] = res.lower / res.upper if res.upper > 0.0 else math.nan
+    graph = engine.compile_sum(ctx.model, x_clip=tau, state_cap=ctx.state_cap)
+    Ms = M_grid if M_grid is not None else default_M_grid(ctx.model.n)
     return TruncatedProfile(
-        tau=tau, B_n2=B2, mean_unc=mean_sum / B, m2_ratio=1.0, var_ratio=ratios
+        tau=tau, B_n2=B2, mean_unc=engine.mean_spread(ctx.model, x_clip=tau) / math.sqrt(B2),
+        m2_ratio=1.0, var_ratio={M: _prefix_ratio(graph, M) for M in Ms},
     )
 
 

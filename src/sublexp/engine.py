@@ -30,7 +30,8 @@ Sharing is scoped by the caller: the graph is a local of the caller's frame,
 one row (one horizon n) at a time, and there is no process-wide cache.
 
 ``marginals`` gives ``E[phi(X_k)]`` for every k; it evaluates one index
-when all coordinates share one sub-linear law.
+when all coordinates share one sub-linear law.  ``ordered_sum`` adds such
+values left to right, the same way on every Python version.
 
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
 full histories, with no state merging and payoffs recomputed from scratch;
@@ -314,9 +315,21 @@ class Graph:
     """The reachable-state graph of one ``(model, mask, x_clip, track_max)``."""
 
     steps: tuple[_Step, ...]
-    #: payoff argument of every terminal state: acc, or maxabs when tracked
-    terminal: np.ndarray
-    layer_sizes: tuple[int, ...]
+    #: per layer, the payoff argument of every state: acc, or maxabs when tracked
+    args: tuple[np.ndarray, ...]
+    #: draws before coordinate 1 completes: m for a moving window, else 0
+    lead: int
+
+    def prefix(self, M: int) -> "Graph":
+        """The graph of ``model.prefix(M)`` (mask cut to 1..M): the first M + lead draws.
+
+        Later draws complete only coordinates after M, so these layers are
+        the prefix compile's, with the same keys in the same order.
+        """
+        n = len(self.steps) - self.lead
+        if not 1 <= M <= n:
+            raise ValidationError(f"prefix length {M} outside 1..{n}")
+        return Graph(self.steps[:M + self.lead], self.args[:M + self.lead + 1], self.lead)
 
 
 def compile_sum(
@@ -346,7 +359,7 @@ def compile_sum(
     split = -2 if track_max else -1
     terms: dict[tuple[tuple[float, ...], float], float] = {}
     layer: list[tuple[float, ...]] = [(0.0, 0.0) if track_max else (0.0,)]
-    sizes = [1]
+    args = [np.zeros(1)]
     total = 1
     steps: list[_Step] = []
     for step in range(1, model.steps + 1):
@@ -390,15 +403,14 @@ def compile_sum(
                         key = nwin + (a,)
                 record(index(key, len(nxt)))
         total += len(nxt)
-        sizes.append(len(nxt))
         if total > state_cap:
             raise StateCapError(total, state_cap, step=step, steps=model.steps,
-                                layer_sizes=tuple(sizes))
+                                layer_sizes=(*map(len, args), len(nxt)))
         steps.append(_Step(
             np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
         layer = list(nxt)
-    terminal = np.array([state[-1] for state in layer], dtype=float)
-    return Graph(tuple(steps), terminal, tuple(sizes))
+        args.append(np.array([state[-1] for state in layer], dtype=float))
+    return Graph(tuple(steps), tuple(args), model.steps - model.n)
 
 
 def evaluate(graph: Graph, f: Functional) -> EvalResult:
@@ -409,7 +421,7 @@ def evaluate(graph: Graph, f: Functional) -> EvalResult:
     is kept with ``where(acc > best)``, which is ``max(best, acc)`` exactly.
     The graph is only read, so one graph serves many functionals.
     """
-    up = lo = np.array([f.phi(x) for x in graph.terminal.tolist()], dtype=float)
+    up = lo = np.array([f.phi(x) for x in graph.args[-1].tolist()], dtype=float)
     for st in reversed(graph.steps):
         gu, gl = up[st.child], lo[st.child]
         up = np.full(len(st.child), -math.inf)
@@ -421,7 +433,7 @@ def evaluate(graph: Graph, f: Functional) -> EvalResult:
                 acc_l = acc_l + p * gl[:, j]
             up = np.where(acc_u > up, acc_u, up)
             lo = np.where(acc_l < lo, acc_l, lo)
-    return EvalResult(float(up[0]), float(lo[0]), sum(graph.layer_sizes))
+    return EvalResult(float(up[0]), float(lo[0]), sum(map(len, graph.args)))
 
 
 def eval_sum(
@@ -561,6 +573,21 @@ def marginals(
         return (eval_window(model, (1,), psi, lower=lower, x_clip=x_clip),) * model.n
     return tuple(eval_window(model, (k,), psi, lower=lower, x_clip=x_clip)
                  for k in range(1, model.n + 1))
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0 (builtin ``sum`` compensates from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def mean_spread(model: SequenceModel, *, x_clip: float | None = None) -> float:
+    """``sum_k (|E[X_k]| + |e[X_k]|)``, added in k order."""
+    ups = marginals(model, lambda x: x, x_clip=x_clip)
+    los = marginals(model, lambda x: x, lower=True, x_clip=x_clip)
+    return ordered_sum(abs(up) + abs(lo) for up, lo in zip(ups, los))
 
 
 def oracle_policy_enum(

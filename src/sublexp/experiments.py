@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import yaml
 
 from . import conditions as cond
-from .engine import SequenceModel
+from .engine import DEFAULT_STATE_CAP, SequenceModel
 from .errors import ValidationError
 from .laws import (
     AmbiguitySet,
@@ -161,7 +161,7 @@ class ExperimentConfig:
     blocking: BlockingSettings = field(default_factory=BlockingSettings)
     rosenthal_seed: int = 20240901
     peng_n: tuple[int, ...] = (8, 16, 32, 64)
-    state_cap: int = 50_000_000
+    state_cap: int = DEFAULT_STATE_CAP
     mean_unc_flag: float = 0.5
 
     def __post_init__(self) -> None:
@@ -221,66 +221,70 @@ def _law_from_mapping(raw: object) -> DiscreteLaw:
     return DiscreteLaw(tuple(raw["values"]), tuple(raw["probs"]))
 
 
-def _model_spec(raw: object) -> ModelSpec:
+def _fields(raw: object, where: str, convert: Mapping[str, Callable]) -> dict[str, object]:
+    """The keys of section ``where`` that are present, converted; a null section has none."""
+    if raw is None:
+        return {}
     if not isinstance(raw, Mapping):
-        raise ValidationError("'model' must be a mapping")
-    if raw.get("builder") is not None:
-        return ModelSpec(builder=str(raw["builder"]))
-    laws_key = "innovation" if raw.get("kind") == "moving_window" else "laws"
-    raw_laws = raw.get(laws_key) or raw.get("laws") or ()
-    return ModelSpec(
-        builder=None,
-        kind=str(raw.get("kind", "independent")),
-        scaling=str(raw.get("scaling", "none")),
-        weights=tuple(float(w) for w in raw.get("weights", ())),
-        laws=tuple(_law_from_mapping(law) for law in raw_laws),
-    )
+        raise ValidationError(f"'{where}' must be a mapping")
+    unknown = set(raw) - set(convert)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(map(str, unknown))}")
+    fields = {}
+    for key, value in raw.items():
+        try:
+            fields[key] = convert[key](value)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed {where} key {key!r}: {exc}") from exc
+    return fields
+
+
+def _optional(convert: Callable) -> Callable:
+    return lambda v: None if v is None else convert(v)
+
+
+def _tuple_of(convert: Callable) -> Callable:
+    return lambda v: tuple(convert(x) for x in v)
+
+
+def _model_spec(raw: object) -> ModelSpec:
+    laws = _optional(_tuple_of(_law_from_mapping))
+    fields = _fields(raw, "model", {
+        "builder": _optional(str), "kind": str, "scaling": str,
+        "weights": _tuple_of(float), "laws": laws, "innovation": laws,
+    })
+    if fields.get("builder") is not None:
+        return ModelSpec(builder=fields["builder"])
+    innovation = fields.pop("innovation", None)
+    if fields.get("kind") == "moving_window" and innovation:
+        fields["laws"] = innovation
+    return ModelSpec(**fields)
 
 
 def config_from_mapping(raw: Mapping, *, default_name: str = "experiment") -> ExperimentConfig:
-    if not isinstance(raw, Mapping):
-        raise ValidationError("config root must be a mapping")
-    unknown = set(raw) - {
-        "name", "mode", "model", "n_list", "functionals", "gnormal",
-        "conditions", "blocking", "rosenthal_seed", "peng_n", "state_cap",
-        "mean_unc_flag",
-    }
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if "model" not in raw:
+    """The config from the keys present; each absent key keeps its dataclass default.
+
+    An unknown key or a malformed value, in any section, raises ``ValidationError``.
+    """
+    fields = _fields(raw, "config", {
+        "name": str, "mode": str, "model": _model_spec,
+        "n_list": _tuple_of(int), "functionals": _tuple_of(str),
+        "gnormal": lambda v: GnormalSettings(**_fields(v, "gnormal", {
+            "sigma_lo2": _optional(float), "sigma_hi2": float, "half_width": float,
+            "nx": int, "time": float})),
+        "conditions": lambda v: ConditionSettings(**_fields(v, "conditions", {
+            "eps": _tuple_of(float), "M": _optional(_tuple_of(int)),
+            "p": _tuple_of(float), "tau": _optional(float)})),
+        "blocking": lambda v: BlockingSettings(**_fields(v, "blocking", {
+            "pn_list": _optional(_tuple_of(int)), "tol": float})),
+        "rosenthal_seed": int, "peng_n": _tuple_of(int),
+        "state_cap": int, "mean_unc_flag": float,
+    })
+    if "model" not in fields:
         raise ValidationError("config needs a 'model' section")
-    gn = raw.get("gnormal", {}) or {}
-    cn = raw.get("conditions", {}) or {}
-    bl = raw.get("blocking", {}) or {}
-    cfg = ExperimentConfig(
-        name=str(raw.get("name", default_name)),
-        mode=str(raw.get("mode", "eval")),
-        model=_model_spec(raw["model"]),
-        n_list=tuple(int(n) for n in raw.get("n_list", DEFAULT_N_LIST)),
-        functionals=tuple(str(f) for f in raw.get("functionals", DEFAULT_FUNCTIONALS)),
-        gnormal=GnormalSettings(
-            sigma_lo2=None if gn.get("sigma_lo2") is None else float(gn["sigma_lo2"]),
-            sigma_hi2=float(gn.get("sigma_hi2", 1.0)),
-            half_width=float(gn.get("half_width", 8.0)),
-            nx=int(gn.get("nx", 801)),
-            time=float(gn.get("time", 1.0)),
-        ),
-        conditions=ConditionSettings(
-            eps=tuple(float(e) for e in cn.get("eps", cond.DEFAULT_EPS_GRID)),
-            M=None if cn.get("M") is None else tuple(int(m) for m in cn["M"]),
-            p=tuple(float(p) for p in cn.get("p", cond.DEFAULT_P_GRID)),
-            tau=None if cn.get("tau") is None else float(cn["tau"]),
-        ),
-        blocking=BlockingSettings(
-            pn_list=None if bl.get("pn_list") is None else tuple(int(p) for p in bl["pn_list"]),
-            tol=float(bl.get("tol", 0.1)),
-        ),
-        rosenthal_seed=int(raw.get("rosenthal_seed", 20240901)),
-        peng_n=tuple(int(n) for n in raw.get("peng_n", (8, 16, 32, 64))),
-        state_cap=int(raw.get("state_cap", 50_000_000)),
-        mean_unc_flag=float(raw.get("mean_unc_flag", 0.5)),
-    )
-    return cfg
+    return ExperimentConfig(**{"name": default_name, "mode": "eval", **fields})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

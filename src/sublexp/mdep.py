@@ -107,20 +107,13 @@ def rosenthal_checks(
         raise ValidationError("rosenthal_check needs p >= 2")
     sub = model.prefix(n)
     graph = engine.compile_sum(sub, track_max=True, state_cap=state_cap)
-    var_sum = 0.0
-    for v in engine.marginals(sub, lambda x: x * x):
-        var_sum += v
-    mean_sum = 0.0
-    for up, lo in zip(engine.marginals(sub, lambda x: x),
-                      engine.marginals(sub, lambda x: x, lower=True)):
-        mean_sum += abs(up) + abs(lo)
+    var_sum = engine.ordered_sum(engine.marginals(sub, lambda x: x * x))
+    mean_sum = engine.mean_spread(sub)
     reports = []
     for p in ps:
         f_max = Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p)
         lhs = engine.evaluate(graph, f_max).upper
-        abs_p = 0.0
-        for v in engine.marginals(sub, lambda x, _p=p: abs(x) ** _p):
-            abs_p += v
+        abs_p = engine.ordered_sum(engine.marginals(sub, lambda x, _p=p: abs(x) ** _p))
         term_variance = var_sum ** (p / 2.0)
         term_means = mean_sum**p
         rhs = abs_p + term_variance + term_means

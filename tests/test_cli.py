@@ -204,6 +204,28 @@ def test_main_validation_error_exit_1_no_files(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"gnormal": {"sigma_lo": 0.5}},
+    {"conditions": {"taus": 1}},
+    {"blocking": {"pn": [2]}},
+    {"model": {**SMALL_CONFIG["model"], "weight": [1.0, 1.0]}},
+    {"gnormal": 5},
+    {"conditions": [1.0]},
+    {"n_list": [8, "x"]},
+    {"n_list": 8},
+    {"gnormal": {"nx": "fine"}},
+    {"model": {**SMALL_CONFIG["model"], "weights": [1.0, None]}},
+], ids=["gnormal-typo", "conditions-typo", "blocking-typo", "model-typo", "gnormal-scalar",
+        "conditions-list", "n_list-entry", "n_list-scalar", "nx-string", "weights-null"])
+def test_main_bad_config_section_exit_1_no_files(tmp_path, capsys, override):
+    # unknown keys and malformed values are config errors, not silent defaults
+    cfg_path = write_config(tmp_path, {**SMALL_CONFIG, **override})
+    out = tmp_path / "out"
+    assert cli.main(["clt-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     "eval", "clt-sweep", "rosenthal", "blocking-inspect", "conditions", "gnormal",
 ])

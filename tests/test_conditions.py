@@ -9,6 +9,7 @@ import pytest
 import sublexp as sl
 import sublexp.conditions as cond
 import sublexp.engine as eng
+import sublexp.experiments as exp
 from sublexp.errors import ValidationError
 
 from conftest import certain_pm1_iid, pm1_uncertain, stationary_1dep
@@ -175,6 +176,24 @@ def test_report_fields_cover_grids():
     assert set(rep.var_ratio) == {2, 8}
     assert set(rep.pth) == {2.0}
     assert rep.trunc is None
+
+
+def test_report_reads_prefixes_off_one_graph_per_row(monkeypatch):
+    # every S_M is read off the row graph, or off one clipped row graph with tau
+    ctx = cond.row_context(exp.reference_experiments()["truncated-heavy"].model_for(8), 8)
+    compiles = []
+    compile_sum = eng.compile_sum
+
+    def counting(model, **kwargs):
+        compiles.append(kwargs.get("x_clip"))
+        return compile_sum(model, **kwargs)
+
+    monkeypatch.setattr(eng, "compile_sum", counting)
+    plain = cond.build_report(ctx)
+    assert compiles == []
+    clipped = cond.build_report(ctx, tau=1.0)
+    assert compiles == [1.0]
+    assert set(plain.var_ratio) == set(clipped.trunc.var_ratio) == {2, 4, 8}
 
 
 def test_wide_truncation_reproduces_untruncated_formulas():

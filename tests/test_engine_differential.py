@@ -11,8 +11,10 @@ a sub-linear expectation are checked on sums as well.
 
 The shortcuts callers take are held to the same exactness: one compiled
 graph evaluated for several functionals, in either order, gives what
-separate ``eval_sum`` calls give, and ``marginals`` gives what the per-index
-``eval_index`` loop gives, on iid, moving-window and unequal-set models.
+separate ``eval_sum`` calls give; a row graph's ``prefix(M)`` gives what a
+compile of ``model.prefix(M)`` gives; ``marginals`` gives what the per-index
+``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
+the summation helpers add those values left to right from 0.0.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import sublexp as sl
 import sublexp.engine as eng
 from sublexp.engine import KIND_INDEPENDENT, KIND_MOVING_WINDOW, SequenceModel
-from sublexp.errors import StateCapError
+from sublexp.errors import StateCapError, ValidationError
 
 # ---------------------------------------------------------------------------
 # Reference: the original dict DP
@@ -408,6 +410,21 @@ def test_marginals_equal_the_per_index_loop(model, phi, x_clip, lower):
     want = tuple(eval_index(model, k, phi, x_clip=x_clip)[1 if lower else 0]
                  for k in range(1, model.n + 1))
     assert got == want
+    total = 0.0
+    for v in want:
+        total += v
+    assert eng.ordered_sum(got) == total
+    spread = 0.0
+    for k in range(1, model.n + 1):
+        up, lo = eval_index(model, k, lambda x: x, x_clip=x_clip)
+        spread += abs(up) + abs(lo)
+    assert eng.mean_spread(model, x_clip=x_clip) == spread
+
+
+def test_ordered_sum_adds_left_to_right():
+    # compensated summation (builtin sum from Python 3.12 on) gives 1.0 here
+    assert eng.ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert eng.ordered_sum(x for x in ()) == 0.0
 
 
 def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
@@ -440,3 +457,21 @@ def test_one_graph_serves_many_functionals_in_any_order(case):
     # evaluate only reads the graph: reversing the order changes nothing
     assert [eng.evaluate(graph, f) for f in FUNCTIONALS] == want
     assert [eng.evaluate(graph, f) for f in reversed(FUNCTIONALS)] == want[::-1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cases())
+def test_prefix_graph_equals_the_prefix_compile(case):
+    model, f, opts = case
+    graph = eng.compile_sum(model, **opts)
+    mask = opts.get("indices")
+    for M in range(1, model.n + 1):
+        # the prefix model takes the part of the mask within 1..M
+        sub = opts if mask is None else {**opts, "indices": {k for k in mask if k <= M}}
+        got = eng.evaluate(graph.prefix(M), f)
+        want = eng.evaluate(eng.compile_sum(model.prefix(M), **sub), f)
+        assert (got.upper, got.lower, got.state_count) == (
+            want.upper, want.lower, want.state_count)
+    for M in (0, model.n + 1):
+        with pytest.raises(ValidationError):
+            graph.prefix(M)
