@@ -245,8 +245,21 @@ def _optional(convert: Callable) -> Callable:
     return lambda v: None if v is None else convert(v)
 
 
+def _integer(v: object) -> int:
+    """An int, or a float with an integral value; a bool, string or fraction is malformed."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{v!r} is not an integer")
+
+
 def _tuple_of(convert: Callable) -> Callable:
-    return lambda v: tuple(convert(x) for x in v)
+    def convert_all(v: object) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"{v!r} is not a list")
+        return tuple(convert(x) for x in v)
+    return convert_all
 
 
 def _model_spec(raw: object) -> ModelSpec:
@@ -270,17 +283,17 @@ def config_from_mapping(raw: Mapping, *, default_name: str = "experiment") -> Ex
     """
     fields = _fields(raw, "config", {
         "name": str, "mode": str, "model": _model_spec,
-        "n_list": _tuple_of(int), "functionals": _tuple_of(str),
+        "n_list": _tuple_of(_integer), "functionals": _tuple_of(str),
         "gnormal": lambda v: GnormalSettings(**_fields(v, "gnormal", {
             "sigma_lo2": _optional(float), "sigma_hi2": float, "half_width": float,
-            "nx": int, "time": float})),
+            "nx": _integer, "time": float})),
         "conditions": lambda v: ConditionSettings(**_fields(v, "conditions", {
-            "eps": _tuple_of(float), "M": _optional(_tuple_of(int)),
+            "eps": _tuple_of(float), "M": _optional(_tuple_of(_integer)),
             "p": _tuple_of(float), "tau": _optional(float)})),
         "blocking": lambda v: BlockingSettings(**_fields(v, "blocking", {
-            "pn_list": _optional(_tuple_of(int)), "tol": float})),
-        "rosenthal_seed": int, "peng_n": _tuple_of(int),
-        "state_cap": int, "mean_unc_flag": float,
+            "pn_list": _optional(_tuple_of(_integer)), "tol": float})),
+        "rosenthal_seed": _integer, "peng_n": _tuple_of(_integer),
+        "state_cap": _integer, "mean_unc_flag": float,
     })
     if "model" not in fields:
         raise ValidationError("config needs a 'model' section")

@@ -16,6 +16,19 @@ G coefficient, then ``dt*0.5``, then the add; no constant folded), so a
 row's value is bit-identical to a solve of that row alone.
 ``solve_gheat`` is the one-row form.
 
+The G coefficient is chosen by the max rule: ``G(d2)`` is computed as
+``max(sigma_hi2 * d2, sigma_lo2 * d2)``.  For finite ``d2`` this is the
+same float as ``sigma_hi2 * d2`` where ``d2 >= 0`` and ``sigma_lo2 * d2``
+otherwise: rounding is monotone and ``0 <= sigma_lo2 <= sigma_hi2``, so
+the product with ``sigma_hi2`` is the larger one exactly when ``d2 >= 0``
+(the two can only tie, never cross), and both products carry the sign
+of ``d2``, zeros included.  The one divergence is ``d2 = +inf`` with
+``sigma_lo2 = 0``: ``0 * inf`` is NaN and ``max`` propagates it, where
+the masked choice gave ``+inf``.  Both are non-finite, and no float
+operation turns inf or NaN back into a finite value, so the same nodes go
+non-finite at the same step and ``PDENumericsError`` names the same rows
+at the same step.
+
 ``peng_oracle`` evaluates the same quantity through the central limit
 recursion: n i.i.d. coordinates with the two-point extremal ambiguity set
 {+-sigma w.p. 1/2 : sigma in {sigma_lo, sigma_hi}} have certain mean zero and
@@ -132,17 +145,22 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
 
     Every step works in place on scratch arrays allocated once.  Each element
     goes through the operations of the one-row scheme in the same order:
-    ``((u[i+1] - 2.0*u[i]) + u[i-1]) * inv_dx2``, times ``sigma_hi2`` where
-    that is ``>= 0`` and ``sigma_lo2`` otherwise (NaN included), times
-    ``(dt*0.5)``, added to ``u[i]``.  Folding the constants together or
-    reordering the stencil would change the rounding.
+    ``d2 = ((u[i+1] - 2.0*u[i]) + u[i-1]) * inv_dx2``, then
+    ``max(sigma_hi2 * d2, sigma_lo2 * d2)``, times ``(dt*0.5)``, added to
+    ``u[i]``.  For finite ``d2`` the max is ``sigma_hi2 * d2`` where
+    ``d2 >= 0`` and ``sigma_lo2 * d2`` otherwise, bit for bit, because
+    rounding is monotone and ``0 <= sigma_lo2 <= sigma_hi2``.  Only at
+    ``d2 = +inf`` with ``sigma_lo2 = 0`` does it give NaN where that choice
+    gives inf; a non-finite value stays non-finite, so the same rows raise
+    ``PDENumericsError`` at the same step.  Folding the constants together
+    or reordering the stencil would change the rounding.
 
     The stencil runs over the rows laid end to end as one flat array, since
     numpy copies strided 2-D operands into temporaries.  That also updates
     the end nodes of the rows, from a stencil that spans two rows, so each
-    step writes them back from a saved copy.  An interior node's stencil
-    reads only its own row, so a row's value does not depend on the other
-    rows of its batch.
+    step writes columns 0 and ``nx - 1`` back from a saved copy, through
+    one strided view.  An interior node's stencil reads only its own row,
+    so a row's value does not depend on the other rows of its batch.
     """
     if not fs:
         raise ValidationError("solve_gheats needs at least one functional")
@@ -162,24 +180,22 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     half_dt = dt * 0.5
     flat = u.reshape(-1)
     left, mid, right = flat[:-2], flat[1:-1], flat[2:]
-    firsts, lasts = u[:, 0], u[:, -1]
-    first_values, last_values = firsts.copy(), lasts.copy()
+    ends = u[:, ::grid.nx - 1]  # columns 0 and nx - 1, as nx >= 3
+    end_values = ends.copy()
     d2 = np.empty_like(mid)
-    coef = np.empty_like(mid)
+    hi_d2 = np.empty_like(mid)
     mask = np.empty(mid.shape, dtype=bool)
     for step in range(n_steps):
         np.multiply(mid, 2.0, out=d2)
         np.subtract(right, d2, out=d2)
         np.add(d2, left, out=d2)
         np.multiply(d2, inv_dx2, out=d2)
-        np.greater_equal(d2, 0.0, out=mask)
-        coef.fill(p.sigma_lo2)
-        np.copyto(coef, p.sigma_hi2, where=mask)
-        np.multiply(d2, coef, out=d2)
+        np.multiply(d2, p.sigma_hi2, out=hi_d2)
+        np.multiply(d2, p.sigma_lo2, out=d2)
+        np.maximum(d2, hi_d2, out=d2)
         np.multiply(d2, half_dt, out=d2)
         np.add(mid, d2, out=mid)
-        np.copyto(firsts, first_values)
-        np.copyto(lasts, last_values)
+        np.copyto(ends, end_values)
         if step % _NAN_CHECK_EVERY == 0 and not np.isfinite(mid, out=mask).all():
             raise PDENumericsError(
                 f"non-finite values in {_nonfinite(fs, u)} after step {step}")

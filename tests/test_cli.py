@@ -74,6 +74,13 @@ def test_unsorted_n_list_rejected(tmp_path):
         exp.load_config(write_config(tmp_path, raw))
 
 
+def test_integral_float_keys_read_as_int():
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4.0, 8], "peng_n": [16.0],
+                                   "gnormal": {"nx": 201.0}})
+    assert cfg.n_list == (4, 8) and cfg.peng_n == (16,) and cfg.gnormal.nx == 201
+    assert all(type(v) is int for v in (*cfg.n_list, *cfg.peng_n, cfg.gnormal.nx))
+
+
 def test_not_yaml_rejected(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("mode: [unclosed")
@@ -215,8 +222,16 @@ def test_main_validation_error_exit_1_no_files(tmp_path):
     {"n_list": 8},
     {"gnormal": {"nx": "fine"}},
     {"model": {**SMALL_CONFIG["model"], "weights": [1.0, None]}},
+    {"n_list": [4.9, 8.2]},
+    {"n_list": "48"},
+    {"peng_n": [2.5]},
+    {"gnormal": {"nx": 801.7}},
+    {"n_list": [True, 8]},
+    {"functionals": "cos"},
 ], ids=["gnormal-typo", "conditions-typo", "blocking-typo", "model-typo", "gnormal-scalar",
-        "conditions-list", "n_list-entry", "n_list-scalar", "nx-string", "weights-null"])
+        "conditions-list", "n_list-entry", "n_list-scalar", "nx-string", "weights-null",
+        "n_list-fraction", "n_list-string", "peng_n-fraction", "nx-fraction", "n_list-bool",
+        "functionals-string"])
 def test_main_bad_config_section_exit_1_no_files(tmp_path, capsys, override):
     # unknown keys and malformed values are config errors, not silent defaults
     cfg_path = write_config(tmp_path, {**SMALL_CONFIG, **override})

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import sublexp as sl
 import sublexp.engine as eng
 from sublexp.errors import PDENumericsError, ValidationError
-from sublexp.gnormal import _NAN_CHECK_EVERY
+from sublexp.gnormal import _NAN_CHECK_EVERY, SUPPORT_MARGIN
 
 # ---------------------------------------------------------------------------
 # Reference: the original per-row loop
@@ -103,7 +103,7 @@ _SMALL_WANT = {
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     p=st.sampled_from(PARAMS),
     rows=st.lists(st.integers(0, len(FUNCTIONALS) - 1), min_size=1, max_size=8),
@@ -112,3 +112,46 @@ def test_row_value_does_not_depend_on_its_batch(p, rows):
     # any selection, order and repetition of rows: each row keeps its own value
     got = sl.solve_gheats([FUNCTIONALS[i] for i in rows], p, _SMALL[p])
     assert _exact(got) == _exact(_SMALL_WANT[p][i] for i in rows)
+
+
+# ---------------------------------------------------------------------------
+# The max rule: any variance interval, and the one non-finite divergence
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def gparams(draw):
+    """``0 <= sigma_lo2 <= sigma_hi2``: either end may be 0, and they may be equal."""
+    # subnormal sigma_hi2 would make default_grid's dt overflow
+    hi = draw(st.one_of(st.just(1.0), st.floats(0.0, 4.0, allow_subnormal=False)))
+    frac = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return sl.GParams(hi * frac, hi)  # monotone rounding keeps hi * frac <= hi
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=gparams())
+def test_any_variance_interval_equals_per_row_loop(p):
+    # the max rule against the reference's masked choice, for any coefficients
+    half_width = max(8.0, 6.0 * math.sqrt(p.sigma_hi2) + SUPPORT_MARGIN)
+    grid = sl.default_grid(p, half_width=half_width, nx=41)
+    want = [reference_solve_gheat(f, p, grid) for f in FUNCTIONALS]
+    assert _exact(sl.solve_gheats(FUNCTIONALS, p, grid)) == _exact(want)
+
+
+def test_overflow_to_plus_inf_with_zero_lower_variance_raises_like_the_loop():
+    # at the plateau's edge d2 = +inf: 0 * inf makes the max rule give NaN where
+    # the masked choice gave inf; both are non-finite, so the error is the same
+    p = sl.GParams(0.0, 1.0)
+    grid = sl.default_grid(p, nx=101)
+    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0,
+                          eng.GROWTH_QUADRATIC)
+    x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
+    u = np.array([huge.phi(float(xi)) for xi in x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = ((u[2:] - 2.0 * u[1:-1]) + u[:-2]) * (1.0 / grid.dx**2)
+        assert np.isposinf(d2).any()
+        with pytest.raises(PDENumericsError, match="after step 0"):
+            reference_solve_gheat(huge, p, grid)
+        with pytest.raises(PDENumericsError, match="in huge after step 0") as err:
+            sl.solve_gheats([eng.cosine(), huge, eng.ramp(0.0)], p, grid)
+    assert "cos" not in str(err.value) and "ramp" not in str(err.value)

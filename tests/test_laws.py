@@ -221,7 +221,7 @@ def set_with_tables(draw):
     return set_, phi_t, psi_t
 
 
-@settings(max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(set_with_tables())
 def test_axioms(data):
     set_, phi_t, psi_t = data
@@ -255,7 +255,7 @@ def test_axioms(data):
     assert lo_phi == pytest.approx(-sl.upper_expect(set_, lambda v: -phi(v)), abs=0.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(ambiguity_sets(), st.floats(-3.0, 3.0, allow_nan=False))
 def test_constant_preserving_property(set_, c):
     assert sl.upper_expect(set_, lambda v: c) == pytest.approx(c, abs=TOL)
