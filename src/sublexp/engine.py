@@ -13,19 +13,23 @@ The upper expectation of ``phi(sum_k X_k)`` is a supremum over *adaptive*
 policies: the law governing each draw may be chosen as a function of all
 previously realized values.  That supremum is computed exactly by backward
 induction over reachable states ``(window, accumulated sum)``.  Reachable
-sums are merged on a hashed grid (values rounded to 1e-12), which keeps the
-recursion exact on designed lattice inputs while tolerating generic ones.
+sums are merged on a grid: each is rounded to 12 decimals exactly as
+``round(x, 12)`` rounds it (``_canon_array`` computes that rounding in
+numpy), which keeps the recursion exact on designed lattice inputs while
+tolerating generic ones.
 
-``eval_sum`` runs in two passes.  ``compile_sum`` walks forward once and
-records, per draw, the index of every state's child under each distinct
-support value.  ``evaluate`` then sweeps that graph backwards with numpy
-gathers, upper and lower values together.  Its accumulation order is fixed:
-each law's expectation starts at 0.0 and adds ``p * value`` over the law's
-support in increasing order, and the best law replaces the running best
-only when strictly better.  That is the order of a per-state scalar
-recursion, so the vectorized values are the same floats bit for bit.
-Compiling is nearly all of the cost, so a caller that needs several
-functionals of one sum compiles once and evaluates each on the same graph.
+``eval_sum`` runs in two passes.  ``compile_sum`` walks forward once, one
+whole layer at a time as numpy arrays (window codes, sums, running
+maxima), and records, per draw, the index of every state's child under
+each distinct support value.  ``evaluate`` then sweeps that graph
+backwards with numpy gathers, upper and lower values together.  Its
+accumulation order is fixed: each law's expectation starts at 0.0 and
+adds ``p * value`` over the law's support in increasing order, and the
+best law replaces the running best only when strictly better.  That is
+the order of a per-state scalar recursion, so the vectorized values are
+the same floats bit for bit.  Compiling costs more than evaluating, so a
+caller that needs several functionals of one sum compiles once and
+evaluates each on the same graph.
 Sharing is scoped by the caller: the graph is a local of the caller's frame,
 one row (one horizon n) at a time, and there is no process-wide cache.
 
@@ -40,6 +44,7 @@ it is the independent cross-check for the layered DP.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -64,16 +69,8 @@ DEFAULT_PATH_CAP = 2_000_000
 
 _KEY_DECIMALS = 12
 
-
-def _canon(x: float) -> float:
-    """Round onto the 1e-12 merge grid and normalize -0.0.
-
-    Integral floats are already on the grid (``round`` returns them
-    unchanged), so they skip the decimal conversion ``round`` costs.
-    """
-    if x.is_integer():
-        return x + 0.0
-    return round(x, _KEY_DECIMALS) + 0.0
+#: Packed merge keys stay below this bound (int64).
+_PACK_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -269,11 +266,11 @@ class EvalResult:
 # Layered dynamic program
 # ---------------------------------------------------------------------------
 #
-# A state after t primitive draws is a flat tuple
-#     window (last m innovation values) + (acc,) [+ (maxabs,)]
-# where acc is the accumulated sum of completed, scaled (and optionally
-# clipped) coordinate values.  Coordinate k of a moving-window model
-# completes when innovation k+m has been drawn.
+# A state after t primitive draws is a window (the last min(t, m) innovation
+# values), acc and, under track_max, maxabs, where acc is the accumulated sum
+# of completed, scaled (and optionally clipped) coordinate values.  A layer
+# holds each of the three as one array.  Coordinate k of a moving-window
+# model completes when innovation k+m has been drawn.
 
 
 def _completes(model: SequenceModel, step: int) -> int | None:
@@ -332,6 +329,82 @@ class Graph:
         return Graph(self.steps[:M + self.lead], self.args[:M + self.lead + 1], self.lead)
 
 
+def _canon_array(x: np.ndarray) -> np.ndarray:
+    """``round(v, 12) + 0.0`` for every element ``v`` of ``x``, bit for bit.
+
+    ``round`` takes N, the integer nearest the exact product P = v·10¹²
+    (ties to even), and returns the double nearest N·10⁻¹².  Let
+    ``y = v*1e12`` (rounded once, so |P − y| ≤ ``spacing(|y|)``/2) and
+    ``r = rint(y)``.  ``y - r`` is exact, and ``0.5 - |y - r|``, y's distance
+    to the nearest half-integer, is rounded once; rounding is monotone, so
+    it exceeds the double ``spacing(|y|)`` only if the exact distance does.
+    Then P lies strictly inside the same unit interval around r as y, so
+    N = r, and the IEEE quotient ``r / 1e12`` is the double nearest
+    N·10⁻¹².  An integral ``v`` is its own rounding.  Every other element
+    (near a decimal half-tie, non-integral with |v| ≥ 2⁵²·10⁻¹², NaN) takes
+    ``round`` itself.  ``spacing`` is signed, hence the ``|y|``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e12
+        r = np.rint(y)
+        integral = np.rint(x) == x
+        out = np.where(integral, x, r / 1e12)
+        slow = ~(integral | (0.5 - np.abs(y - r) > np.spacing(np.abs(y))))
+    if slow.any():
+        out[slow] = [round(v, _KEY_DECIMALS) for v in x[slow].tolist()]
+    return out + 0.0
+
+
+def _term_table(model: SequenceModel, values: tuple[float, ...],
+                x_clip: float | None) -> np.ndarray:
+    """``table[code, j]``: the term added when a state with window ``code`` draws ``values[j]``.
+
+    A window's code is its base-V digits (V = len(values)), oldest draw
+    first, so row ``code`` of the table belongs to the ``code``-th window of
+    ``itertools.product(values, repeat=m)``; an independent model has the
+    one empty window.
+    """
+    windows = itertools.product(values, repeat=model.m)
+    return np.array([[_term(model, w, v, x_clip) for v in values] for w in windows],
+                    dtype=float)
+
+
+def _dense_ids(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids 0..d-1 with equal ids exactly for equal elements, and d."""
+    distinct, ids = np.unique(col, return_inverse=True)
+    return ids, len(distinct)
+
+
+def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge equal rows of ``columns`` in order of first occurrence.
+
+    Each column is ``(ids, bound)`` with ``0 <= ids < bound``, over ``size``
+    rows.  Returns the position of the first occurrence of every distinct
+    row, in order of position, and each row's rank in that order: the index
+    a dict would give it on first insertion, scanning the rows in order.
+    The ids are packed into one int64 with the row's position as the last
+    digit, so a plain sort orders equal rows by position; a pack that
+    would pass 2⁶³ first renumbers the key packed so far densely.
+    """
+    key, bound = np.zeros(size, dtype=np.int64), 1
+    for ids, n in (*columns, (np.arange(size, dtype=np.int64), size)):
+        if bound * n >= _PACK_LIMIT:
+            key, bound = _dense_ids(key)
+        key = key * n + ids
+        bound *= n
+    row, pos = np.divmod(np.sort(key), size)
+    new = np.empty(size, dtype=bool)
+    new[0] = True
+    np.not_equal(row[1:], row[:-1], out=new[1:])
+    first = pos[new]
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    child = np.empty(size, dtype=np.int32)
+    child[pos] = rank[np.cumsum(new) - 1]
+    return first[order], child
+
+
 def compile_sum(
     model: SequenceModel,
     *,
@@ -342,11 +415,21 @@ def compile_sum(
 ) -> Graph:
     """Forward pass: enumerate the reachable states layer by layer.
 
-    The options mean what they mean for ``eval_sum``.  Each state is
-    expanded once per distinct support value with positive probability in
-    some law, and its children are recorded by index; only the current
-    layer's state tuples are kept.  The graph serves any number of
-    ``evaluate`` calls; callers keep it only as long as they need it.
+    The options mean what they mean for ``eval_sum``.  A layer is three
+    arrays: each state's window code (the last m draws as base-V digits
+    over the support columns), its ``acc``, and, under ``track_max``, its
+    ``maxabs``.  Every state is expanded under each distinct support value
+    with positive probability in some law, all at once: the child's sum is
+    ``acc + term[window, j]`` (one IEEE add, as in scalar code), rounded by
+    ``_canon_array`` onto the 1e-12 merge grid, and its running max is
+    ``where(b > mx, b, mx)`` with ``b = |sum|``.  ``_term`` runs once per
+    distinct (window, value) pair.  Children with equal (window, acc,
+    maxabs) merge, numbered in order of first occurrence in row-major
+    (state, column) order: the order a per-state dict loop inserts them, so
+    the graph is the one that loop builds, array for array
+    (``tests/test_engine_differential.py`` keeps the loop as its reference).
+    The graph serves any number of ``evaluate`` calls; callers keep it only
+    as long as they need it.
     """
     mask = None if indices is None else frozenset(indices)
     if mask is not None and any(not 1 <= k <= model.n for k in mask):
@@ -355,61 +438,65 @@ def compile_sum(
         raise ValidationError("x_clip must be > 0")
     m = model.m
     slides = model.kind == KIND_MOVING_WINDOW and m > 0
-    # a state is window + (acc,), or window + (acc, maxabs) under track_max
-    split = -2 if track_max else -1
-    terms: dict[tuple[tuple[float, ...], float], float] = {}
-    layer: list[tuple[float, ...]] = [(0.0, 0.0) if track_max else (0.0,)]
-    args = [np.zeros(1)]
+    tables: dict[tuple[float, ...], np.ndarray] = {}
+    win = np.zeros(1, dtype=np.int64)  # read only when the window slides
+    acc = mx = np.zeros(1)
+    args = [acc]
     total = 1
     steps: list[_Step] = []
     for step in range(1, model.steps + 1):
         set_ = model.set_at(step)
-        values = sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
-                         if p != 0.0})
+        values = tuple(sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
+                               if p != 0.0}))
         column = {v: j for j, v in enumerate(values)}
         laws = tuple(
             tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
             for law in set_.laws
         )
+        n, V = len(acc), len(values)
         k = _completes(model, step)
         adds = k is not None and (mask is None or k in mask)
-        # per window: (next window, term added to acc) for each support value
-        moves: dict[tuple[float, ...], list[tuple[tuple[float, ...], float | None]]] = {}
-        nxt: dict[tuple[float, ...], int] = {}
-        child: list[int] = []
-        index, record = nxt.setdefault, child.append
-        for state in layer:
-            window, tail = state[:split], state[split:]
-            out = moves.get(window)
-            if out is None:
-                out = moves[window] = []
-                for v in values:
-                    term = None
-                    if adds:
-                        term = terms.get((window, v))
-                        if term is None:
-                            term = terms[(window, v)] = _term(model, window, v, x_clip)
-                    out.append(((window + (v,))[-m:] if slides else (), term))
-            acc, mx = tail[0], tail[-1]
-            for nwin, term in out:
-                if term is None:
-                    key = nwin + tail
-                else:
-                    a = _canon(acc + term)
-                    if track_max:
-                        b = abs(a)
-                        key = nwin + (a, b if b > mx else mx)  # max(mx, b)
-                    else:
-                        key = nwin + (a,)
-                record(index(key, len(nxt)))
-        total += len(nxt)
+        if adds:
+            table = tables.get(values)
+            if table is None:
+                table = tables[values] = _term_table(model, values, x_clip)
+            a = _canon_array(acc[:, None] + (table[win] if slides else table[0])).ravel()
+            if track_max:
+                b, x = np.abs(a), np.repeat(mx, V)
+                x = np.where(b > x, b, x)
+        else:
+            a = np.repeat(acc, V)
+            if track_max:
+                x = np.repeat(mx, V)
+        if adds or slides:
+            columns = [_dense_ids(a)]
+            if track_max:
+                columns.append(_dense_ids(x))
+            if slides:
+                w = (win[:, None] * V + np.arange(V)).ravel()
+                # window length min(step, m); a full window drops its oldest digit
+                span = V ** min(step, m)
+                if step > m:
+                    w %= span
+                columns.append((w, span))
+            first, child = _merge(columns, n * V)
+        else:
+            # no term and no window (an index masked out of an independent
+            # model): the states of a layer are distinct, and all children of
+            # a state are that state again, so there is nothing to merge
+            first = np.arange(0, n * V, V)
+            child = np.repeat(np.arange(n, dtype=np.int32), V)
+        total += len(first)
         if total > state_cap:
             raise StateCapError(total, state_cap, step=step, steps=model.steps,
-                                layer_sizes=(*map(len, args), len(nxt)))
-        steps.append(_Step(
-            np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
-        layer = list(nxt)
-        args.append(np.array([state[-1] for state in layer], dtype=float))
+                                layer_sizes=(*map(len, args), len(first)))
+        steps.append(_Step(child.reshape(n, V), laws))
+        if slides:
+            win = w[first]
+        acc = a[first]
+        if track_max:
+            mx = x[first]
+        args.append(mx if track_max else acc)
     return Graph(tuple(steps), tuple(args), model.steps - model.n)
 
 
@@ -419,9 +506,12 @@ def evaluate(graph: Graph, f: Functional) -> EvalResult:
     Bit-identical to a per-state dict recursion: each law's expectation is
     accumulated from 0.0 over its columns in support order, and the best law
     is kept with ``where(acc > best)``, which is ``max(best, acc)`` exactly.
-    The graph is only read, so one graph serves many functionals.
+    ``phi`` is called once per distinct terminal argument; the arguments
+    hold no -0.0, so equal floats are the same input.  The graph is only
+    read, so one graph serves many functionals.
     """
-    up = lo = np.array([f.phi(x) for x in graph.args[-1].tolist()], dtype=float)
+    distinct, at = np.unique(graph.args[-1], return_inverse=True)
+    up = lo = np.array([f.phi(x) for x in distinct.tolist()], dtype=float)[at]
     for st in reversed(graph.steps):
         gu, gl = up[st.child], lo[st.child]
         up = np.full(len(st.child), -math.inf)

@@ -218,7 +218,8 @@ def reference_experiments() -> dict[str, ExperimentConfig]:
 def _law_from_mapping(raw: object) -> DiscreteLaw:
     if not isinstance(raw, Mapping) or "values" not in raw or "probs" not in raw:
         raise ValidationError("a law needs 'values' and 'probs' lists")
-    return DiscreteLaw(tuple(raw["values"]), tuple(raw["probs"]))
+    reals = _tuple_of(_real)
+    return DiscreteLaw(reals(raw["values"]), reals(raw["probs"]))
 
 
 def _fields(raw: object, where: str, convert: Mapping[str, Callable]) -> dict[str, object]:
@@ -236,7 +237,7 @@ def _fields(raw: object, where: str, convert: Mapping[str, Callable]) -> dict[st
             fields[key] = convert[key](value)
         except ValidationError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed {where} key {key!r}: {exc}") from exc
     return fields
 
@@ -254,6 +255,29 @@ def _integer(v: object) -> int:
     raise ValueError(f"{v!r} is not an integer")
 
 
+def _real(v: object) -> float:
+    """An int or a float; a bool, string or list is malformed."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    if isinstance(v, str):
+        try:
+            float(v)
+        except ValueError:
+            pass
+        else:
+            # PyYAML reads 1e-3 and 1.0e3 as strings
+            raise ValueError(f"{v!r} is a string, not a number: write it unquoted, and give "
+                             f"an exponent a decimal point and a sign (1.0e-3, not 1e-3)")
+    raise ValueError(f"{v!r} is not a number")
+
+
+def _text(v: object) -> str:
+    """A string; a number, bool or list is malformed."""
+    if isinstance(v, str):
+        return v
+    raise ValueError(f"{v!r} is not a string")
+
+
 def _tuple_of(convert: Callable) -> Callable:
     def convert_all(v: object) -> tuple:
         if not isinstance(v, (list, tuple)):
@@ -265,8 +289,8 @@ def _tuple_of(convert: Callable) -> Callable:
 def _model_spec(raw: object) -> ModelSpec:
     laws = _optional(_tuple_of(_law_from_mapping))
     fields = _fields(raw, "model", {
-        "builder": _optional(str), "kind": str, "scaling": str,
-        "weights": _tuple_of(float), "laws": laws, "innovation": laws,
+        "builder": _optional(_text), "kind": _text, "scaling": _text,
+        "weights": _tuple_of(_real), "laws": laws, "innovation": laws,
     })
     if fields.get("builder") is not None:
         return ModelSpec(builder=fields["builder"])
@@ -282,18 +306,18 @@ def config_from_mapping(raw: Mapping, *, default_name: str = "experiment") -> Ex
     An unknown key or a malformed value, in any section, raises ``ValidationError``.
     """
     fields = _fields(raw, "config", {
-        "name": str, "mode": str, "model": _model_spec,
-        "n_list": _tuple_of(_integer), "functionals": _tuple_of(str),
+        "name": _text, "mode": _text, "model": _model_spec,
+        "n_list": _tuple_of(_integer), "functionals": _tuple_of(_text),
         "gnormal": lambda v: GnormalSettings(**_fields(v, "gnormal", {
-            "sigma_lo2": _optional(float), "sigma_hi2": float, "half_width": float,
-            "nx": _integer, "time": float})),
+            "sigma_lo2": _optional(_real), "sigma_hi2": _real, "half_width": _real,
+            "nx": _integer, "time": _real})),
         "conditions": lambda v: ConditionSettings(**_fields(v, "conditions", {
-            "eps": _tuple_of(float), "M": _optional(_tuple_of(_integer)),
-            "p": _tuple_of(float), "tau": _optional(float)})),
+            "eps": _tuple_of(_real), "M": _optional(_tuple_of(_integer)),
+            "p": _tuple_of(_real), "tau": _optional(_real)})),
         "blocking": lambda v: BlockingSettings(**_fields(v, "blocking", {
-            "pn_list": _optional(_tuple_of(_integer)), "tol": float})),
+            "pn_list": _optional(_tuple_of(_integer)), "tol": _real})),
         "rosenthal_seed": _integer, "peng_n": _tuple_of(_integer),
-        "state_cap": _integer, "mean_unc_flag": float,
+        "state_cap": _integer, "mean_unc_flag": _real,
     })
     if "model" not in fields:
         raise ValidationError("config needs a 'model' section")

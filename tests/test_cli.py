@@ -81,6 +81,16 @@ def test_integral_float_keys_read_as_int():
     assert all(type(v) is int for v in (*cfg.n_list, *cfg.peng_n, cfg.gnormal.nx))
 
 
+def test_exponent_without_decimal_point_error_says_how_to_write_it(tmp_path):
+    # PyYAML reads an unquoted 1e-3 as the string '1e-3'
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(SMALL_CONFIG) + "blocking: {tol: 1e-3}\n")
+    with pytest.raises(ValidationError, match=r"1\.0e-3, not 1e-3"):
+        exp.load_config(path)
+    path.write_text(yaml.safe_dump(SMALL_CONFIG) + "blocking: {tol: 1.0e-3}\n")
+    assert exp.load_config(path).blocking.tol == 0.001
+
+
 def test_not_yaml_rejected(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("mode: [unclosed")
@@ -228,10 +238,19 @@ def test_main_validation_error_exit_1_no_files(tmp_path):
     {"gnormal": {"nx": 801.7}},
     {"n_list": [True, 8]},
     {"functionals": "cos"},
+    {"gnormal": {"sigma_hi2": True}},
+    {"mean_unc_flag": False},
+    {"conditions": {"eps": ["0.1"]}},
+    {"name": 5},
+    {"model": {**SMALL_CONFIG["model"], "innovation": [
+        {"values": "101", "probs": [0.5, 0.0, 0.5]}]}},
+    {"gnormal": {"nx": 201, "time": 10**400}},
+    {"blocking": {"tol": "1e-3"}},
 ], ids=["gnormal-typo", "conditions-typo", "blocking-typo", "model-typo", "gnormal-scalar",
         "conditions-list", "n_list-entry", "n_list-scalar", "nx-string", "weights-null",
         "n_list-fraction", "n_list-string", "peng_n-fraction", "nx-fraction", "n_list-bool",
-        "functionals-string"])
+        "functionals-string", "sigma_hi2-bool", "mean_unc_flag-bool", "eps-string",
+        "name-int", "values-string", "time-overflow", "tol-exponent-string"])
 def test_main_bad_config_section_exit_1_no_files(tmp_path, capsys, override):
     # unknown keys and malformed values are config errors, not silent defaults
     cfg_path = write_config(tmp_path, {**SMALL_CONFIG, **override})

@@ -1,5 +1,10 @@
 """Differential test: ``eval_sum`` against the original dict DP, exactly.
 
+``reference_compile_sum`` is the per-state forward loop ``compile_sum`` ran
+before layers became arrays; ``compile_sum`` must build the same graph as
+it, array for array, and ``_canon_array`` must round every float the way
+the scalar ``round(x, 12) + 0.0`` does, bit for bit.
+
 ``reference_eval_sum`` is the layered dynamic program ``eval_sum`` used
 before the compiled graph: a forward pass that lists the reachable states of
 every layer and a backward pass over dicts that recomputes every transition.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,6 +171,80 @@ def reference_eval_sum(
 
     upper, lower = _backward_values(model, layers, payoff, mask, x_clip, track_max)
     return eng.EvalResult(upper, lower, sum(len(layer) for layer in layers))
+
+
+def reference_compile_sum(
+    model: SequenceModel,
+    *,
+    indices=None,
+    x_clip: float | None = None,
+    track_max: bool = False,
+    state_cap: int = eng.DEFAULT_STATE_CAP,
+) -> eng.Graph:
+    """The per-state forward loop: a dict per layer, keyed by state tuples."""
+    mask = None if indices is None else frozenset(indices)
+    if mask is not None and any(not 1 <= k <= model.n for k in mask):
+        raise ValidationError("indices outside 1..n")
+    if x_clip is not None and not x_clip > 0.0:
+        raise ValidationError("x_clip must be > 0")
+    m = model.m
+    slides = model.kind == KIND_MOVING_WINDOW and m > 0
+    # a state is window + (acc,), or window + (acc, maxabs) under track_max
+    split = -2 if track_max else -1
+    terms: dict[tuple[tuple[float, ...], float], float] = {}
+    layer: list[tuple[float, ...]] = [(0.0, 0.0) if track_max else (0.0,)]
+    args = [np.zeros(1)]
+    total = 1
+    steps: list[eng._Step] = []
+    for step in range(1, model.steps + 1):
+        set_ = model.set_at(step)
+        values = sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
+                         if p != 0.0})
+        column = {v: j for j, v in enumerate(values)}
+        laws = tuple(
+            tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
+            for law in set_.laws
+        )
+        k = _completes(model, step)
+        adds = k is not None and (mask is None or k in mask)
+        # per window: (next window, term added to acc) for each support value
+        moves: dict[tuple[float, ...], list[tuple[tuple[float, ...], float | None]]] = {}
+        nxt: dict[tuple[float, ...], int] = {}
+        child: list[int] = []
+        index, record = nxt.setdefault, child.append
+        for state in layer:
+            window, tail = state[:split], state[split:]
+            out = moves.get(window)
+            if out is None:
+                out = moves[window] = []
+                for v in values:
+                    term = None
+                    if adds:
+                        term = terms.get((window, v))
+                        if term is None:
+                            term = terms[(window, v)] = _term(model, window, v, x_clip)
+                    out.append(((window + (v,))[-m:] if slides else (), term))
+            acc, mx = tail[0], tail[-1]
+            for nwin, term in out:
+                if term is None:
+                    key = nwin + tail
+                else:
+                    a = _canon(acc + term)
+                    if track_max:
+                        b = abs(a)
+                        key = nwin + (a, b if b > mx else mx)  # max(mx, b)
+                    else:
+                        key = nwin + (a,)
+                record(index(key, len(nxt)))
+        total += len(nxt)
+        if total > state_cap:
+            raise StateCapError(total, state_cap, step=step, steps=model.steps,
+                                layer_sizes=(*map(len, args), len(nxt)))
+        steps.append(eng._Step(
+            np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
+        layer = list(nxt)
+        args.append(np.array([state[-1] for state in layer], dtype=float))
+    return eng.Graph(tuple(steps), tuple(args), model.steps - model.n)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +394,39 @@ def test_eval_sum_equals_the_dict_dp_and_the_oracle(model):
         assert _agrees_with_oracle(model, f, got)
 
 
+def assert_same_graph(got: eng.Graph, want: eng.Graph) -> None:
+    """Array-equal graphs: child indices, laws, payoff-argument bytes and lead."""
+    assert got.lead == want.lead
+    assert len(got.steps) == len(want.steps) and len(got.args) == len(want.args)
+    for g, w in zip(got.steps, want.steps):
+        assert g.child.dtype == w.child.dtype and g.child.shape == w.child.shape
+        assert np.array_equal(g.child, w.child)
+        assert g.laws == w.laws
+    for g, w in zip(got.args, want.args):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cases(), st.booleans())
+def test_compile_sum_builds_the_reference_graph(case, iid):
+    model, _, opts = case
+    if iid and model.kind == KIND_INDEPENDENT:
+        model = SequenceModel.iid(model.sets[0], model.n, model.scale)
+    want = reference_compile_sum(model, **opts)
+    assert_same_graph(eng.compile_sum(model, **opts), want)
+    # renumbering the packed key before every pack changes no state and no order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "_PACK_LIMIT", 2)
+        assert_same_graph(eng.compile_sum(model, **opts), want)
+
+
 def test_reference_and_engine_agree_on_the_flagship_model():
     model = SequenceModel.moving_window(
         sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
         (1.0, 1.0), 8, scale=1.0 / math.sqrt(8))
-    for f in FUNCTIONALS:
-        for opts in ({}, {"track_max": True}, {"x_clip": 0.5, "indices": (1, 2, 5, 8)}):
+    for opts in ({}, {"track_max": True}, {"x_clip": 0.5, "indices": (1, 2, 5, 8)}):
+        assert_same_graph(eng.compile_sum(model, **opts), reference_compile_sum(model, **opts))
+        for f in FUNCTIONALS:
             got = eng.eval_sum(model, f, **opts)
             want = reference_eval_sum(model, f, **opts)
             assert (got.upper, got.lower, got.state_count) == (
@@ -327,16 +434,65 @@ def test_reference_and_engine_agree_on_the_flagship_model():
 
 
 def test_state_cap_trips_at_the_reference_total():
-    model = SequenceModel.iid(sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)]), 6)
-    total = reference_eval_sum(model, eng.square()).state_count
-    assert eng.eval_sum(model, eng.square(), state_cap=total).state_count == total
-    for cap in (total - 1, 5, 1):
-        with pytest.raises(StateCapError) as want:
-            reference_eval_sum(model, eng.square(), state_cap=cap)
-        with pytest.raises(StateCapError) as got:
-            eng.eval_sum(model, eng.square(), state_cap=cap)
-        assert (got.value.count, got.value.cap) == (want.value.count, cap)
-        assert sum(got.value.layer_sizes) == got.value.count
+    iid = SequenceModel.iid(sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)]), 6)
+    window = SequenceModel.moving_window(
+        sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
+        (1.0, 0.5), 5)
+    for model, opts in ((iid, {}), (window, {"track_max": True})):
+        total = reference_eval_sum(model, eng.square(), **opts).state_count
+        assert eng.eval_sum(model, eng.square(), state_cap=total, **opts).state_count == total
+        for cap in (total - 1, 5, 1):
+            with pytest.raises(StateCapError) as want:
+                reference_eval_sum(model, eng.square(), state_cap=cap, **opts)
+            with pytest.raises(StateCapError) as want_graph:
+                reference_compile_sum(model, state_cap=cap, **opts)
+            with pytest.raises(StateCapError) as got:
+                eng.eval_sum(model, eng.square(), state_cap=cap, **opts)
+            g, w = got.value, want_graph.value
+            assert (g.count, g.cap) == (want.value.count, cap)
+            assert (g.count, g.step, g.steps, g.layer_sizes) == (
+                w.count, w.step, w.steps, w.layer_sizes)
+            assert sum(g.layer_sizes) == g.count
+
+
+def _rounding_inputs() -> np.ndarray:
+    """Generic values, decimal half-ties and their neighbours, lattice sums, edge values."""
+    rng = np.random.default_rng(20240901)
+    generic = 10.0 ** rng.uniform(-16.0, 4.0, 100_000) * rng.choice((-1.0, 1.0), 100_000)
+    k = np.concatenate([rng.integers(-10**6, 10**6, 20_000),
+                        rng.integers(-10**13, 10**13, 20_000)]).astype(float)
+    ties = (k + 0.5) * 1e-12
+    n = 48
+    lattice = rng.choice(LATTICE_POOL + OFF_LATTICE_POOL, size=(200, n)) / math.sqrt(n)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]
+    return np.concatenate([generic, ties, np.nextafter(ties, math.inf),
+                           np.nextafter(ties, -math.inf), np.cumsum(lattice, axis=1).ravel(),
+                           edges])
+
+
+def test_canon_array_rounds_like_round_bit_for_bit():
+    x = _rounding_inputs()
+    got = eng._canon_array(x)
+    want = np.array([round(v, 12) + 0.0 for v in x.tolist()])
+    assert np.count_nonzero(got.view(np.int64) != want.view(np.int64)) == 0
+
+
+def test_evaluate_calls_phi_once_per_distinct_terminal_argument():
+    model = SequenceModel.moving_window(
+        sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
+        (1.0, 1.0), 8)
+    graph = eng.compile_sum(model, track_max=True)
+    seen: list[float] = []
+
+    def phi(x: float) -> float:
+        seen.append(x)
+        return x * x
+
+    got = eng.evaluate(graph, eng.Functional("square", phi, eng.GROWTH_QUADRATIC))
+    assert sorted(seen) == sorted(set(graph.args[-1].tolist()))
+    assert len(seen) < len(graph.args[-1])
+    want = reference_eval_sum(model, eng.square(), track_max=True)
+    assert (got.upper, got.lower, got.state_count) == (want.upper, want.lower, want.state_count)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
