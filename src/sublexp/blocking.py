@@ -34,7 +34,7 @@ _REL_SLACK = 1e-9
 
 def compute_beta(ctx: RowContext) -> tuple[float, ...]:
     """Neighborhood second-moment weights ``beta_1..beta_{k_n}``."""
-    n, B2 = ctx.model.n, ctx.m2.upper
+    n, B2 = ctx.model.n, ctx.B2
     # upper E[X_k^2], zero-extended at k = 0 and k = n + 1
     m2 = [0.0, *engine.marginals(ctx.model, lambda x: x * x), 0.0]
     return tuple((m2[k - 1] + m2[k] + m2[k + 1]) / B2 for k in range(1, n + 1))
@@ -52,7 +52,7 @@ def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> in
         p_max = max(2, (math.isqrt(ctx.model.n) // 2) * 2)
     if p_max < 2 or p_max % 2 != 0:
         raise ValidationError("p_max must be an even integer >= 2")
-    B2 = ctx.m2.upper
+    B2 = ctx.B2
     for p in range(p_max, 1, -2):
         cut = B2 / p**4
         total = engine.ordered_sum(
@@ -215,7 +215,7 @@ def _delta(model: SequenceModel, k: int, B2: float, lower: bool) -> float:
 
 
 def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
-    sub, B2, cap = ctx.model, ctx.m2.upper, ctx.state_cap
+    sub, B2, cap = ctx.model, ctx.B2, ctx.state_cap
     if plan.k_n != sub.n:
         raise ValidationError(f"plan is for k_n={plan.k_n}, the row for n={sub.n}")
     # one graph per block gives both of its second moments; empty blocks add 0

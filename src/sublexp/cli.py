@@ -90,16 +90,16 @@ def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
     """Variance-ratio plateau: full-prefix ratio at the largest n.
 
     ``last`` is the row of the largest n; without truncation its second
-    moments are the ratio's, so no graph is compiled here.
+    moments are the ratio's, so no graph is compiled here.  ``last.B2``
+    rejects a degenerate model first, clipped or not.
     """
     if cfg.gnormal.sigma_lo2 is not None:
         return cfg.gnormal.sigma_lo2
-    res = last.m2
-    if cfg.conditions.tau is not None:
-        res = engine.eval_sum(last.model, engine.square(), x_clip=cfg.conditions.tau,
-                              state_cap=cfg.state_cap)
-    if res.upper <= 0.0:
-        raise ValidationError("degenerate model: zero upper second moment")
+    B2 = last.B2
+    if cfg.conditions.tau is None:
+        return last.m2.lower / B2
+    res = engine.eval_sum(last.model, engine.square(), x_clip=cfg.conditions.tau,
+                          state_cap=cfg.state_cap)
     return res.lower / res.upper
 
 
@@ -192,7 +192,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
 
 
 def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
-    """One batched PDE solve for all functionals, then one ``peng_oracles`` graph per n."""
+    """One batched PDE solve for all functionals, then one ``peng_oracles`` graph for every n."""
     if cfg.gnormal.sigma_lo2 is None:
         raise ValidationError("gnormal_eval needs an explicit gnormal.sigma_lo2")
     gp = gnormal.GParams(cfg.gnormal.sigma_lo2, cfg.gnormal.sigma_hi2)
@@ -209,8 +209,7 @@ def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
         except ValidationError:
             quad = math.nan
         rows.append([f.name, gp.sigma_lo2, gp.sigma_hi2, up, lo, quad])
-    for n in cfg.peng_n:
-        pengs = gnormal.peng_oracles(fs, gp, n, state_cap=cfg.state_cap)
+    for pengs in gnormal.peng_oracles(fs, gp, cfg.peng_n, state_cap=cfg.state_cap):
         for row, value in zip(rows, pengs):
             row.append(value)
     return {"gnormal": (header, rows)}
@@ -223,12 +222,12 @@ ROSENTHAL_HEADER = (
 
 
 def run_rosenthal(cfg: ExperimentConfig) -> dict[str, Table]:
-    """One ``rosenthal_checks`` call per run of instances with equal (model, n)."""
+    """One ``rosenthal_checks`` call per battery family (a run of instances with one model)."""
     rows: list[Row] = []
     battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
-    for (model, n), group in itertools.groupby(battery, key=lambda i: (i.model, i.n)):
+    for model, group in itertools.groupby(battery, key=lambda i: i.model):
         insts = list(group)
-        reports = mdep.rosenthal_checks(model, [inst.p for inst in insts], n,
+        reports = mdep.rosenthal_checks(model, [(inst.n, inst.p) for inst in insts],
                                         state_cap=cfg.state_cap)
         for inst, rep in zip(insts, reports):
             rows.append([

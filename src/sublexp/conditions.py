@@ -85,6 +85,13 @@ class RowContext:
     Bn: tuple[float, float]
     state_cap: int
 
+    @property
+    def B2(self) -> float:
+        """``B_n^2``, the divisor of every normalized hypothesis; raises when it is 0."""
+        if not self.m2.upper > 0.0:
+            raise ValidationError("degenerate model: zero upper second moment")
+        return self.m2.upper
+
 
 def row_context(model: SequenceModel, n: int, *,
                 state_cap: int = engine.DEFAULT_STATE_CAP) -> RowContext:
@@ -99,19 +106,19 @@ def lindeberg(ctx: RowContext, eps: float) -> float:
     """``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``."""
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
-    B2 = ctx.m2.upper
+    B2 = ctx.B2
     cut = eps * B2
     return engine.ordered_sum(engine.marginals(ctx.model, lambda x: max(x * x - cut, 0.0))) / B2
 
 
 def mean_uncertainty(ctx: RowContext) -> float:
     """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    return engine.mean_spread(ctx.model) / ctx.Bn[0]
+    return engine.mean_spread(ctx.model) / math.sqrt(ctx.B2)
 
 
 def m2_ratio(ctx: RowContext) -> float:
     """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.m2.upper
+    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.B2
 
 
 def _prefix_ratio(graph: engine.Graph, M: int) -> float:
@@ -129,7 +136,7 @@ def pth_moment(ctx: RowContext, p: float) -> float:
     """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
     if p < 2.0:
         raise ValidationError("need p >= 2")
-    B = ctx.Bn[0]
+    B = math.sqrt(ctx.B2)
     return engine.ordered_sum(engine.marginals(ctx.model, lambda x: abs(x) ** p)) / B**p
 
 

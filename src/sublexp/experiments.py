@@ -173,6 +173,12 @@ class ExperimentConfig:
             raise ValidationError("n_list entries must be >= 1")
         if self.blocking.pn_list is not None and len(self.blocking.pn_list) != len(self.n_list):
             raise ValidationError("pn_list must align with n_list")
+        if any(p < 2 or p % 2 for p in self.blocking.pn_list or ()):
+            raise ValidationError("pn_list entries must be even and >= 2")
+        if any(not 1 <= M <= self.n_list[0] for M in self.conditions.M or ()):
+            raise ValidationError(f"conditions.M entries must lie in 1..{self.n_list[0]}")
+        if any(n < 1 for n in self.peng_n):
+            raise ValidationError("peng_n entries must be >= 1")
 
     def model_for(self, n: int) -> SequenceModel:
         return self.model.build(n)

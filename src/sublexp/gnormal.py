@@ -210,25 +210,30 @@ def solve_gheat(f: engine.Functional, p: GParams, grid: PDEGrid,
     return solve_gheats((f,), p, grid, t)[0]
 
 
-def peng_oracles(fs: Sequence[engine.Functional], p: GParams, n: int,
-                 *, state_cap: int = engine.DEFAULT_STATE_CAP) -> tuple[float, ...]:
-    """Upper expectation of each of ``fs`` via the n-step two-point CLT recursion.
+def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
+                 *, state_cap: int = engine.DEFAULT_STATE_CAP) -> tuple[tuple[float, ...], ...]:
+    """Upper expectation of each of ``fs`` via the n-step two-point CLT recursion, per n of ``ns``.
 
-    The recursion's graph is compiled once and evaluated once per functional.
+    The recursion's graph is compiled once, at the largest n; each n is
+    evaluated on its prefix (``Graph.prefix``), once per functional.
     """
-    if n < 1:
+    if any(n < 1 for n in ns):
         raise ValidationError("peng_oracle needs n >= 1")
+    if not ns:
+        return ()
     sigmas = sorted({math.sqrt(p.sigma_lo2), math.sqrt(p.sigma_hi2)})
     set_ = ambiguity(two_point_law(s) for s in sigmas)
-    graph = engine.compile_sum(engine.SequenceModel.iid(set_, n), state_cap=state_cap)
-    return tuple(engine.evaluate(graph, engine.scaled(f, 1.0 / math.sqrt(n))).upper
-                 for f in fs)
+    graph = engine.compile_sum(engine.SequenceModel.iid(set_, max(ns)), state_cap=state_cap)
+    return tuple(
+        tuple(engine.evaluate(graph.prefix(n), engine.scaled(f, 1.0 / math.sqrt(n))).upper
+              for f in fs)
+        for n in ns)
 
 
 def peng_oracle(f: engine.Functional, p: GParams, n: int,
                 *, state_cap: int = engine.DEFAULT_STATE_CAP) -> float:
     """Upper expectation of ``f`` via the n-step two-point CLT recursion."""
-    return peng_oracles((f,), p, n, state_cap=state_cap)[0]
+    return peng_oracles((f,), p, (n,), state_cap=state_cap)[0][0]
 
 
 def _shape_on_grid(f: engine.Functional, half_width: float,

@@ -63,10 +63,6 @@ class DiscreteLaw:
     def prob(self, event: "Event") -> float:
         return math.fsum(p for v, p in zip(self.values, self.probs) if event.holds(v))
 
-    @property
-    def support_radius(self) -> float:
-        return max(abs(self.values[0]), abs(self.values[-1]))
-
 
 @dataclass(frozen=True)
 class AmbiguitySet:
@@ -86,10 +82,6 @@ class AmbiguitySet:
     def support(self) -> tuple[float, ...]:
         """Union of the member supports, sorted increasingly."""
         return tuple(sorted({v for law in self.laws for v in law.values}))
-
-    @property
-    def support_radius(self) -> float:
-        return max(law.support_radius for law in self.laws)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 * residue classes: indices with equal residue mod (m+1) form independent
   subsequences, the device behind the moment inequality for m-dependent
   sums;
-* the moment-inequality verifier itself (``rosenthal_check``), which
+* the moment-inequality verifier itself (``rosenthal_checks``), which
   evaluates the exact left side ``E[max_{k<=n} |S_k|^p]`` by a dynamic
   program whose state carries the running maximum, and reports the fitted
-  constant against the three right-side terms;
+  constant against the three right-side terms, for several horizons n and
+  exponents p of one model;
 * the reduction of an m-dependent sequence to a 1-dependent one by summing
   consecutive blocks of m coordinates;
 * the three-part split of a stationary sum into full blocks, the m-wide
@@ -93,49 +94,39 @@ class RosenthalReport:
 
 def rosenthal_checks(
     model: SequenceModel,
-    ps: Sequence[float],
-    n: int,
+    cases: Sequence[tuple[int, float]],
     *,
     state_cap: int = engine.DEFAULT_STATE_CAP,
 ) -> tuple[RosenthalReport, ...]:
-    """``rosenthal_check`` for several exponents p on one horizon n.
+    """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, per ``(n, p)``.
 
-    The running-maximum graph is compiled once and evaluated once per p, and
-    the p-free marginal sums are computed once.
+    Horizon n reads coordinates 1..n of ``model``.  One running-max graph is
+    compiled at the largest n and read at each n with ``Graph.prefix``; the
+    marginals (E[|X_k|^p] once per distinct p) are computed once, and each
+    horizon adds its first n values left to right.
     """
-    if any(p < 2.0 for p in ps):
-        raise ValidationError("rosenthal_check needs p >= 2")
-    sub = model.prefix(n)
-    graph = engine.compile_sum(sub, track_max=True, state_cap=state_cap)
-    var_sum = engine.ordered_sum(engine.marginals(sub, lambda x: x * x))
-    mean_sum = engine.mean_spread(sub)
+    if any(p < 2.0 for _, p in cases):
+        raise ValidationError("rosenthal_checks needs p >= 2")
+    top = model.prefix(max((n for n, _ in cases), default=0))
+    graph = engine.compile_sum(top, track_max=True, state_cap=state_cap)
+    squares = engine.marginals(top, lambda x: x * x)
+    spreads = [abs(up) + abs(lo) for up, lo in zip(
+        engine.marginals(top, lambda x: x), engine.marginals(top, lambda x: x, lower=True))]
+    abs_ps = {p: engine.marginals(top, lambda x, _p=p: abs(x) ** _p)
+              for p in dict.fromkeys(p for _, p in cases)}
     reports = []
-    for p in ps:
+    for n, p in cases:
         f_max = Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p)
-        lhs = engine.evaluate(graph, f_max).upper
-        abs_p = engine.ordered_sum(engine.marginals(sub, lambda x, _p=p: abs(x) ** _p))
-        term_variance = var_sum ** (p / 2.0)
-        term_means = mean_sum**p
+        lhs = engine.evaluate(graph.prefix(n), f_max).upper
+        abs_p = engine.ordered_sum(abs_ps[p][:n])
+        term_variance = engine.ordered_sum(squares[:n]) ** (p / 2.0)
+        term_means = engine.ordered_sum(spreads[:n]) ** p
         rhs = abs_p + term_variance + term_means
         if rhs <= 0.0:
             raise ValidationError("degenerate model: all right-side terms vanish")
-        reports.append(RosenthalReport(
-            p=p, n=n, m=sub.m, lhs=lhs,
-            term_moments=abs_p, term_variance=term_variance, term_means=term_means,
-            fitted_C=lhs / rhs,
-        ))
+        reports.append(RosenthalReport(p, n, top.m, lhs, abs_p, term_variance, term_means,
+                                       lhs / rhs))
     return tuple(reports)
-
-
-def rosenthal_check(
-    model: SequenceModel,
-    p: float,
-    n: int,
-    *,
-    state_cap: int = engine.DEFAULT_STATE_CAP,
-) -> RosenthalReport:
-    """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms."""
-    return rosenthal_checks(model, (p,), n, state_cap=state_cap)[0]
 
 
 # Deterministic battery -----------------------------------------------------
@@ -160,6 +151,11 @@ _WEIGHT_MENU = {
 
 @dataclass(frozen=True)
 class BatteryInstance:
+    """One (n, p) check of a battery family.
+
+    ``model`` is the family's model, built at its largest n; the check reads coordinates 1..n.
+    """
+
     ident: str
     model: SequenceModel
     m: int
@@ -178,7 +174,7 @@ def rosenthal_battery(seed: int = 20240901) -> tuple[BatteryInstance, ...]:
     rng = random.Random(seed)
     instances: list[BatteryInstance] = []
     n_by_m = {0: (4, 6, 8), 1: (4, 6, 8), 2: (4, 5, 6)}
-    for m in (0, 1, 2):
+    for m, ns in n_by_m.items():
         for variant in range(9):
             zero_mean = variant % 3 != 2
             if zero_mean:
@@ -186,20 +182,12 @@ def rosenthal_battery(seed: int = 20240901) -> tuple[BatteryInstance, ...]:
                 set_ = ambiguity(laws)
             else:
                 set_ = ambiguity(rng.choice(_LAW_MENU_UNCERTAIN))
-            if m == 0:
-                build = lambda n, s=set_: SequenceModel.iid(s, n)
-            else:
-                w = rng.choice(_WEIGHT_MENU[m])
-                build = lambda n, s=set_, w=w: SequenceModel.moving_window(s, w, n)
-            for n in n_by_m[m]:
-                for p in (2.0, 3.0, 4.0):
-                    instances.append(
-                        BatteryInstance(
-                            ident=f"m{m}-v{variant}-n{n}-p{p:g}",
-                            model=build(n),
-                            m=m, p=p, n=n, zero_mean=zero_mean,
-                        )
-                    )
+            model = (SequenceModel.iid(set_, ns[-1]) if m == 0 else
+                     SequenceModel.moving_window(set_, rng.choice(_WEIGHT_MENU[m]), ns[-1]))
+            instances += [
+                BatteryInstance(f"m{m}-v{variant}-n{n}-p{p:g}", model, m, p, n, zero_mean)
+                for n in ns for p in (2.0, 3.0, 4.0)
+            ]
     return tuple(instances)
 
 

@@ -10,6 +10,7 @@ import yaml
 
 import sublexp.cli as cli
 import sublexp.conditions as cond
+import sublexp.engine as eng
 import sublexp.experiments as exp
 from sublexp.errors import ValidationError
 
@@ -246,11 +247,15 @@ def test_main_validation_error_exit_1_no_files(tmp_path):
         {"values": "101", "probs": [0.5, 0.0, 0.5]}]}},
     {"gnormal": {"nx": 201, "time": 10**400}},
     {"blocking": {"tol": "1e-3"}},
+    {"peng_n": [0, 8]},
+    {"conditions": {"M": [2, 5]}},
+    {"blocking": {"pn_list": [2, 3]}},
 ], ids=["gnormal-typo", "conditions-typo", "blocking-typo", "model-typo", "gnormal-scalar",
         "conditions-list", "n_list-entry", "n_list-scalar", "nx-string", "weights-null",
         "n_list-fraction", "n_list-string", "peng_n-fraction", "nx-fraction", "n_list-bool",
         "functionals-string", "sigma_hi2-bool", "mean_unc_flag-bool", "eps-string",
-        "name-int", "values-string", "time-overflow", "tol-exponent-string"])
+        "name-int", "values-string", "time-overflow", "tol-exponent-string",
+        "peng_n-zero", "M-beyond-n", "pn_list-odd"])
 def test_main_bad_config_section_exit_1_no_files(tmp_path, capsys, override):
     # unknown keys and malformed values are config errors, not silent defaults
     cfg_path = write_config(tmp_path, {**SMALL_CONFIG, **override})
@@ -275,6 +280,49 @@ def test_main_state_cap_exit_2(tmp_path, command):
     code = cli.main([command, *source, "--out", str(out), "--state-cap", "50"])
     assert code == 2
     assert not out.exists()
+
+
+#: A point mass at 0: upper E[S_n^2] = 0, so no normalized hypothesis exists.
+DEGENERATE_MODEL = {"kind": "independent", "laws": [{"values": [0.0], "probs": [1.0]}]}
+
+
+@pytest.mark.parametrize("command, gnormal", [
+    ("conditions", {}),
+    ("blocking-inspect", {}),
+    ("clt-sweep", {"sigma_lo2": 0.5}),
+    ("clt-sweep", {}),
+], ids=["conditions", "blocking-inspect", "clt-sweep-sigma_lo2", "clt-sweep-plateau"])
+def test_main_degenerate_model_exit_1_no_files(tmp_path, capsys, command, gnormal):
+    raw = {**SMALL_CONFIG, "model": DEGENERATE_MODEL, "gnormal": {"nx": 201, **gnormal}}
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_eval_of_degenerate_model_reports_zero_Bn(tmp_path):
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "mode": "eval", "model": DEGENERATE_MODEL})
+    rows = _read(cli.run(cfg, tmp_path)[0])
+    assert rows
+    assert all(float(r["B_n"]) == float(r["b_n"]) == 0.0 for r in rows)
+
+
+def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
+    counts = {"compile_sum": 0, "eval_window": 0}
+    for name in counts:
+        def spy(*args, _name=name, _fn=getattr(eng, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(eng, name, spy)
+    cli.run_rosenthal(exp.reference_experiments()["stationary-1dep"])
+    # 27 families; per family E[X^2], E[X], e[X] and E[|X|^p] for p = 2, 3, 4
+    assert counts == {"compile_sum": 27, "eval_window": 27 * 6}
+    counts.update(compile_sum=0, eval_window=0)
+    raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
+           "gnormal": {"sigma_lo2": 0.5, "nx": 201}, "peng_n": [8, 16]}
+    cli.run_gnormal_eval(exp.config_from_mapping(raw))
+    assert counts["compile_sum"] == 1
 
 
 def test_main_requires_exactly_one_source(tmp_path):

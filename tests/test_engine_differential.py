@@ -20,6 +20,8 @@ separate ``eval_sum`` calls give; a row graph's ``prefix(M)`` gives what a
 compile of ``model.prefix(M)`` gives; ``marginals`` gives what the per-index
 ``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
 the summation helpers add those values left to right from 0.0.
+``rosenthal_checks``, which reads every horizon off one graph and one set of
+marginals, gives what a per-case compile of ``model.prefix(n)`` gives.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 import sublexp as sl
 import sublexp.engine as eng
+import sublexp.mdep as mdep
 from sublexp.engine import KIND_INDEPENDENT, KIND_MOVING_WINDOW, SequenceModel
 from sublexp.errors import StateCapError, ValidationError
 
@@ -631,3 +634,32 @@ def test_prefix_graph_equals_the_prefix_compile(case):
     for M in (0, model.n + 1):
         with pytest.raises(ValidationError):
             graph.prefix(M)
+
+
+def reference_rosenthal(model: SequenceModel, n: int, p: float) -> mdep.RosenthalReport:
+    """The ``(n, p)`` check from its own compile of ``model.prefix(n)`` and its marginals."""
+    sub = model.prefix(n)
+    f_max = eng.Functional("abs_max_p", lambda x: abs(x) ** p, eng.GROWTH_P, p=p)
+    lhs = eng.evaluate(eng.compile_sum(sub, track_max=True), f_max).upper
+    moments = eng.ordered_sum(eng.marginals(sub, lambda x: abs(x) ** p))
+    variance = eng.ordered_sum(eng.marginals(sub, lambda x: x * x)) ** (p / 2.0)
+    means = eng.mean_spread(sub) ** p
+    rhs = moments + variance + means
+    if rhs <= 0.0:
+        raise ValidationError("degenerate model: all right-side terms vanish")
+    return mdep.RosenthalReport(p, n, sub.m, lhs, moments, variance, means, lhs / rhs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(marginal_models(), st.data())
+def test_rosenthal_checks_equal_per_case_prefix_compiles(model, data):
+    cases = data.draw(st.lists(
+        st.tuples(st.integers(1, model.n), st.sampled_from((2.0, 2.5, 3.0, 4.0))),
+        min_size=1, max_size=6))
+    try:
+        want = tuple(reference_rosenthal(model, n, p) for n, p in cases)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            mdep.rosenthal_checks(model, cases)
+        return
+    assert mdep.rosenthal_checks(model, cases) == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -64,7 +65,7 @@ def test_residue_class_of_window_model_is_independent():
 
 
 def test_rosenthal_iid_certain_terms():
-    rep = mdep.rosenthal_check(certain_pm1_iid(3), 2.0, 3)
+    (rep,) = mdep.rosenthal_checks(certain_pm1_iid(3), [(3, 2.0)])
     assert rep.term_variance == pytest.approx(3.0, abs=TOL)
     assert rep.term_moments == pytest.approx(3.0, abs=TOL)
     assert rep.term_means == pytest.approx(0.0, abs=TOL)
@@ -74,19 +75,18 @@ def test_rosenthal_iid_certain_terms():
 
 
 def test_rosenthal_lhs_dominates_variance_term():
-    for n in (2, 4):
-        model = sl.SequenceModel.iid(variance_uncertain(), n)
-        rep = mdep.rosenthal_check(model, 2.0, n)
+    model = sl.SequenceModel.iid(variance_uncertain(), 4)
+    for rep in mdep.rosenthal_checks(model, [(2, 2.0), (4, 2.0)]):
         assert rep.lhs >= rep.term_variance - TOL
 
 
 def test_rosenthal_lhs_matches_history_recursion():
     # the path-max DP against the full-history route, on a mean-uncertain
     # 1-dependent model where the adaptive law choice matters
+    # (horizons below the model's n read its prefix off the one graph)
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 0.5), 3)
-    for p in (2.0, 3.0):
-        rep = mdep.rosenthal_check(model, p, 3)
-
+    cases = [(3, 2.0), (2, 3.0), (3, 3.0)]
+    for (n, p), rep in zip(cases, mdep.rosenthal_checks(model, cases)):
         def path_max(xs, _p=p):
             s, m = 0.0, 0.0
             for x in xs:
@@ -94,13 +94,13 @@ def test_rosenthal_lhs_matches_history_recursion():
                 m = max(m, abs(s))
             return m ** _p
 
-        brute = sl.eval_window(model, (1, 2, 3), path_max)
+        brute = sl.eval_window(model, range(1, n + 1), path_max)
         assert rep.lhs == pytest.approx(brute, abs=TOL)
 
 
 def test_rosenthal_rejects_small_p():
     with pytest.raises(ValidationError):
-        mdep.rosenthal_check(certain_pm1_iid(2), 1.0, 2)
+        mdep.rosenthal_checks(certain_pm1_iid(2), [(2, 2.0), (2, 1.0)])
 
 
 def test_rosenthal_battery_is_deterministic():
@@ -113,10 +113,23 @@ def test_rosenthal_battery_is_deterministic():
 def test_rosenthal_battery_slice_bounded():
     insts = [i for i in mdep.rosenthal_battery() if i.n <= 5][:20]
     assert insts
-    for inst in insts:
-        rep = mdep.rosenthal_check(inst.model, inst.p, inst.n)
-        assert math.isfinite(rep.lhs)
-        assert rep.lhs <= rep.fitted_C * rep.rhs_sum + 1e-9
+    for model, group in itertools.groupby(insts, key=lambda i: i.model):
+        group = list(group)
+        reports = mdep.rosenthal_checks(model, [(inst.n, inst.p) for inst in group])
+        for inst, rep in zip(group, reports):
+            assert (rep.n, rep.p, rep.m) == (inst.n, inst.p, inst.m)
+            assert math.isfinite(rep.lhs)
+            assert rep.lhs <= rep.fitted_C * rep.rhs_sum + 1e-9
+
+
+def test_rosenthal_battery_builds_one_model_per_family():
+    battery = mdep.rosenthal_battery()
+    families = [list(g) for _, g in itertools.groupby(battery, key=lambda i: i.model)]
+    assert len(families) == 27
+    for family in families:
+        assert all(inst.model is family[0].model for inst in family)
+        assert family[0].model.n == max(inst.n for inst in family)
+        assert len({(inst.n, inst.p) for inst in family}) == len(family) == 9
 
 
 # ---------------------------------------------------------------------------
