@@ -45,6 +45,7 @@ from .engine import (
     eval_sum,
     eval_window,
     evaluate,
+    evaluate_columns,
     marginals,
     oracle_policy_enum,
     scaled,

@@ -20,6 +20,7 @@ the removed singleton sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -204,14 +205,27 @@ class BlockDiagnostics:
             raise ValidationError("removed mass exceeds the beta bound on the cuts")
 
 
-def _delta(model: SequenceModel, k: int, B2: float, lower: bool) -> float:
-    """One-sided covariance correction at index k, zero-extended neighbors."""
-    total = engine.eval_window(model, (k,), lambda xs: xs[0] * xs[0], lower=lower)
-    for nb in (k - 1, k + 1):
-        if 1 <= nb <= model.n:
-            total += 2.0 * engine.eval_window(model, (k, nb), lambda xs: xs[0] * xs[1],
-                                              lower=lower)
-    return total / B2
+def _delta_sum(model: SequenceModel, cuts: tuple[int, ...], B2: float, lower: bool) -> float:
+    """``|sum_k (E[X_k^2] + 2 sum_nb E[X_k X_nb]) / B_n^2|`` over the cuts k and neighbors nb.
+
+    One ``eval_window`` call per moment; under ``engine.one_law`` a moment
+    does not depend on where its window starts, so one per offset nb - k.
+    """
+    @functools.cache
+    def moment(k: int, nb: int) -> float:
+        shift = min(k, nb) - 1
+        if shift and engine.one_law(model):
+            return moment(k - shift, nb - shift)
+        # xs[-1] is xs[0] in the one-index window of the square
+        return engine.eval_window(model, (k,) if nb == k else (k, nb),
+                                  lambda xs: xs[0] * xs[-1], lower=lower)
+
+    def delta(k: int) -> float:
+        # E[X_k^2] + 2 E[X_k X_{k-1}] + 2 E[X_k X_{k+1}], left to right, in 1..n
+        return engine.ordered_sum((1.0 if nb == k else 2.0) * moment(k, nb)
+                                  for nb in (k, k - 1, k + 1) if 1 <= nb <= model.n) / B2
+
+    return abs(engine.ordered_sum(delta(c) for c in cuts))
 
 
 def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
@@ -230,8 +244,8 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
         removed = 0.0
     return BlockDiagnostics(
         sum_beta_cuts=engine.ordered_sum(plan.beta[c - 1] for c in plan.cuts),
-        sum_delta_lo=abs(engine.ordered_sum(_delta(sub, c, B2, lower=True) for c in plan.cuts)),
-        sum_delta_hi=abs(engine.ordered_sum(_delta(sub, c, B2, lower=False) for c in plan.cuts)),
+        sum_delta_lo=_delta_sum(sub, plan.cuts, B2, lower=True),
+        sum_delta_hi=_delta_sum(sub, plan.cuts, B2, lower=False),
         Btilde2_over_B2=Bt2 / B2,
         btilde2_over_B2=bt2 / B2,
         removed_mass=removed,

@@ -125,8 +125,8 @@ def run_eval(cfg: ExperimentConfig) -> dict[str, Table]:
     for n in cfg.n_list:
         ctx = cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap)
         B, b = ctx.Bn
-        for f in _functionals(cfg):
-            res = engine.evaluate(ctx.graph, f)
+        fs = _functionals(cfg)
+        for f, res in zip(fs, engine.evaluate_columns(ctx.graph, [(f, n) for f in fs])):
             rows.append([n, f.name, B, b, res.upper, res.lower, res.state_count])
         del ctx  # one row's graph alive at a time
     return {"eval": (EVAL_HEADER, rows)}
@@ -146,15 +146,16 @@ SWEEP_SUMMARY_EPS = 0.25
 def _sweep_row(cfg: ExperimentConfig, fs: list[engine.Functional],
                ctx: cond.RowContext) -> tuple:
     """Everything of one n's sweep rows but the G-normal references."""
+    n = ctx.model.n
     B, b = _normalizers(cfg, ctx)
     mean_unc = cond.mean_uncertainty(ctx)
     summary = (
         cond.m2_ratio(ctx),
-        cond.variance_ratio(ctx, ctx.model.n),
+        cond.variance_ratio(ctx, n),
         cond.lindeberg(ctx, SWEEP_SUMMARY_EPS),
         cond.capacity_tail(ctx, SWEEP_SUMMARY_EPS),
     )
-    results = [engine.evaluate(ctx.graph, engine.scaled(f, 1.0 / B)) for f in fs]
+    results = engine.evaluate_columns(ctx.graph, [(engine.scaled(f, 1.0 / B), n) for f in fs])
     return B, b, mean_unc, summary, results
 
 

@@ -73,10 +73,10 @@ class RowContext:
     The graph is compiled once and ``m2``, the upper and lower second moment
     of ``S_n``, is evaluated on it once; ``Bn`` is ``(B_n, b_n)``, their
     square roots.  Every quantity of the row reads these, prefix sums are
-    read off the graph with ``Graph.prefix``, and every further compile for
-    the row (clipped sums, block and cut sums) runs under ``state_cap``.
-    Build one context per n and drop it before the next, so only one row's
-    graph is alive at a time.
+    read off the graph as columns of one sweep (``engine.evaluate_columns``),
+    and every further compile for the row (clipped sums, block and cut sums)
+    runs under ``state_cap``.  Build one context per n and drop it before
+    the next, so only one row's graph is alive at a time.
     """
 
     model: SequenceModel
@@ -121,15 +121,20 @@ def m2_ratio(ctx: RowContext) -> float:
     return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.B2
 
 
-def _prefix_ratio(graph: engine.Graph, M: int) -> float:
-    """Lower-to-upper E[S_M^2] on ``graph``; NaN when the upper one is zero (no ratio)."""
-    res = engine.evaluate(graph.prefix(M), engine.square())
+def _ratio(res: engine.EvalResult) -> float:
+    """Lower-to-upper value of ``res``; NaN when the upper one is zero (no ratio)."""
     return res.lower / res.upper if res.upper > 0.0 else math.nan
 
 
+def _prefix_ratios(graph: engine.Graph, Ms: Sequence[int]) -> dict[int, float]:
+    """``_ratio`` of E[S_M^2] for every M of ``Ms``, from one sweep over ``graph``."""
+    results = engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms])
+    return {M: _ratio(res) for M, res in zip(Ms, results)}
+
+
 def variance_ratio(ctx: RowContext, M: int) -> float:
-    """Lower-to-upper second-moment ratio of ``S_M``, read off the row graph."""
-    return _prefix_ratio(ctx.graph, M)
+    """Lower-to-upper second-moment ratio of ``S_M``; ``S_n``'s is the row's own ``m2``."""
+    return _ratio(ctx.m2) if M == ctx.model.n else _prefix_ratios(ctx.graph, (M,))[M]
 
 
 def pth_moment(ctx: RowContext, p: float) -> float:
@@ -157,13 +162,13 @@ def truncated_B2(ctx: RowContext, tau: float) -> float:
 
 def truncated_profile(ctx: RowContext, tau: float,
                       M_grid: Sequence[int] | None = None) -> TruncatedProfile:
-    """The row's hypotheses at tau; every ``S_M`` is read off one clipped row graph."""
+    """The row's hypotheses at tau; every ``S_M`` is read off one sweep of a clipped graph."""
     B2 = truncated_B2(ctx, tau)
     graph = engine.compile_sum(ctx.model, x_clip=tau, state_cap=ctx.state_cap)
     Ms = M_grid if M_grid is not None else default_M_grid(ctx.model.n)
     return TruncatedProfile(
         tau=tau, B_n2=B2, mean_unc=engine.mean_spread(ctx.model, x_clip=tau) / math.sqrt(B2),
-        m2_ratio=1.0, var_ratio={M: _prefix_ratio(graph, M) for M in Ms},
+        m2_ratio=1.0, var_ratio=_prefix_ratios(graph, Ms),
     )
 
 
@@ -180,7 +185,7 @@ def build_report(
         lindeberg={eps: lindeberg(ctx, eps) for eps in eps_grid},
         mean_unc=mean_uncertainty(ctx),
         m2_ratio=m2_ratio(ctx),
-        var_ratio={M: variance_ratio(ctx, M) for M in Ms},
+        var_ratio=_prefix_ratios(ctx.graph, Ms),
         pth={p: pth_moment(ctx, p) for p in p_grid},
         cap_tail={eps: capacity_tail(ctx, eps) for eps in eps_grid},
         trunc=truncated_profile(ctx, tau, Ms) if tau is not None else None,

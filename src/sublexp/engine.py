@@ -21,17 +21,18 @@ tolerating generic ones.
 ``eval_sum`` runs in two passes.  ``compile_sum`` walks forward once, one
 whole layer at a time as numpy arrays (window codes, sums, running
 maxima), and records, per draw, the index of every state's child under
-each distinct support value.  ``evaluate`` then sweeps that graph
-backwards with numpy gathers, upper and lower values together.  Its
+each distinct support value.  ``evaluate_columns`` then sweeps that graph
+backwards once with numpy gathers for every column ``(f, M)`` asked of
+it, ``f`` of the sum of coordinates 1..M, upper and lower values
+together; ``evaluate`` is its one-column, full-horizon form.  The
 accumulation order is fixed: each law's expectation starts at 0.0 and
 adds ``p * value`` over the law's support in increasing order, and the
 best law replaces the running best only when strictly better.  That is
 the order of a per-state scalar recursion, so the vectorized values are
-the same floats bit for bit.  Compiling costs more than evaluating, so a
-caller that needs several functionals of one sum compiles once and
-evaluates each on the same graph.
-Sharing is scoped by the caller: the graph is a local of the caller's frame,
-one row (one horizon n) at a time, and there is no process-wide cache.
+the same floats bit for bit.  A caller compiles a sum once and asks for
+all its functionals and horizons in one sweep.  The graph is a local of
+the caller's frame, one row (one horizon n) at a time, and there is no
+process-wide cache.
 
 ``marginals`` gives ``E[phi(X_k)]`` for every k; it evaluates one index
 when all coordinates share one sub-linear law.  ``ordered_sum`` adds such
@@ -317,17 +318,6 @@ class Graph:
     #: draws before coordinate 1 completes: m for a moving window, else 0
     lead: int
 
-    def prefix(self, M: int) -> "Graph":
-        """The graph of ``model.prefix(M)`` (mask cut to 1..M): the first M + lead draws.
-
-        Later draws complete only coordinates after M, so these layers are
-        the prefix compile's, with the same keys in the same order.
-        """
-        n = len(self.steps) - self.lead
-        if not 1 <= M <= n:
-            raise ValidationError(f"prefix length {M} outside 1..{n}")
-        return Graph(self.steps[:M + self.lead], self.args[:M + self.lead + 1], self.lead)
-
 
 def _canon_array(x: np.ndarray) -> np.ndarray:
     """``round(v, 12) + 0.0`` for every element ``v`` of ``x``, bit for bit.
@@ -428,8 +418,8 @@ def compile_sum(
     (state, column) order: the order a per-state dict loop inserts them, so
     the graph is the one that loop builds, array for array
     (``tests/test_engine_differential.py`` keeps the loop as its reference).
-    The graph serves any number of ``evaluate`` calls; callers keep it only
-    as long as they need it.
+    One ``evaluate_columns`` sweep reads every functional and horizon asked
+    of the graph; callers keep it only as long as they need it.
     """
     mask = None if indices is None else frozenset(indices)
     if mask is not None and any(not 1 <= k <= model.n for k in mask):
@@ -500,30 +490,52 @@ def compile_sum(
     return Graph(tuple(steps), tuple(args), model.steps - model.n)
 
 
-def evaluate(graph: Graph, f: Functional) -> EvalResult:
-    """Backward pass: upper and lower value of the root, in one sweep.
+def evaluate_columns(graph: Graph,
+                     columns: Sequence[tuple[Functional, int]]) -> tuple[EvalResult, ...]:
+    """Backward pass: upper and lower root value of every column ``(f, M)``, in one sweep.
 
-    Bit-identical to a per-state dict recursion: each law's expectation is
-    accumulated from 0.0 over its columns in support order, and the best law
-    is kept with ``where(acc > best)``, which is ``max(best, acc)`` exactly.
-    ``phi`` is called once per distinct terminal argument; the arguments
-    hold no -0.0, so equal floats are the same input.  The graph is only
-    read, so one graph serves many functionals.
+    ``(f, M)`` is ``f`` of the sum of coordinates 1..M.  It joins the sweep at
+    layer M + lead, the top of the compile of ``model.prefix(M)`` (later draws
+    complete only later coordinates), with ``phi`` called once per distinct
+    argument there (no argument is -0.0).  Upper and lower values of all
+    columns live in one ``(states, 2K)`` array, gathered one support column
+    at a time, and each column takes the float operations of a per-state
+    dict recursion on its prefix, so its values are those bit for bit.
     """
-    distinct, at = np.unique(graph.args[-1], return_inverse=True)
-    up = lo = np.array([f.phi(x) for x in distinct.tolist()], dtype=float)[at]
-    for st in reversed(graph.steps):
-        gu, gl = up[st.child], lo[st.child]
-        up = np.full(len(st.child), -math.inf)
-        lo = np.full(len(st.child), math.inf)
+    n, lead = len(graph.steps) - graph.lead, graph.lead
+    if any(not 1 <= M <= n for _, M in columns):
+        raise ValidationError(f"horizons must lie in 1..{n}")
+    order = sorted(range(len(columns)), key=lambda c: -columns[c][1])
+    top = columns[order[0]][1] + lead if columns else 0
+    vals, K = np.empty((len(graph.args[top]), 0)), 0
+    for t in range(top, 0, -1):
+        joining = [c for c in order if columns[c][1] + lead == t]
+        if joining:
+            distinct, at = np.unique(graph.args[t], return_inverse=True)
+            new = np.array([[columns[c][0].phi(x) for c in joining] for x in distinct.tolist()],
+                           dtype=float)[at]
+            vals, K = np.hstack((vals[:, :K], new, vals[:, K:], new)), K + len(joining)
+        st = graph.steps[t - 1]
+        best = np.full((len(st.child), 2 * K), math.inf)
+        best[:, :K] = -math.inf
+        better = np.empty(best.shape, dtype=bool)
         for law in st.laws:
-            acc_u = acc_l = 0.0
+            acc = 0.0
             for j, p in law:
-                acc_u = acc_u + p * gu[:, j]
-                acc_l = acc_l + p * gl[:, j]
-            up = np.where(acc_u > up, acc_u, up)
-            lo = np.where(acc_l < lo, acc_l, lo)
-    return EvalResult(float(up[0]), float(lo[0]), sum(map(len, graph.args)))
+                acc = acc + p * vals.take(st.child[:, j], axis=0)
+            np.greater(acc[:, :K], best[:, :K], out=better[:, :K])
+            np.less(acc[:, K:], best[:, K:], out=better[:, K:])
+            np.copyto(best, acc, where=better)
+        vals = best
+    states = np.cumsum([len(a) for a in graph.args]).tolist()
+    found = {c: EvalResult(float(vals[0, i]), float(vals[0, K + i]), states[columns[c][1] + lead])
+             for i, c in enumerate(order)}
+    return tuple(found[c] for c in range(len(columns)))
+
+
+def evaluate(graph: Graph, f: Functional) -> EvalResult:
+    """``f`` of the full sum: ``evaluate_columns`` with the one column ``(f, n)``."""
+    return evaluate_columns(graph, [(f, len(graph.steps) - graph.lead)])[0]
 
 
 def eval_sum(
@@ -541,8 +553,9 @@ def eval_sum(
     ``x_clip`` clamps each coordinate to ``[-x_clip, x_clip]`` before
     accumulation, and ``track_max`` applies ``phi`` to the running maximum of
     ``|S_k|`` along completed prefixes instead of to the final sum.  A caller
-    that evaluates several functionals on one sum compiles the graph once
-    with ``compile_sum`` and calls ``evaluate`` on it for each.
+    that evaluates several functionals or horizons of one sum compiles the
+    graph once with ``compile_sum`` and sweeps it once with
+    ``evaluate_columns``.
     """
     return evaluate(compile_sum(model, indices=indices, x_clip=x_clip,
                                 track_max=track_max, state_cap=state_cap), f)
@@ -642,6 +655,11 @@ def eval_window(
     return _history_value(sets, payoff, maximize=not lower)
 
 
+def one_law(model: SequenceModel) -> bool:
+    """Moving window or equal sets: ``eval_window`` then gives a window's value at any shift."""
+    return model.kind == KIND_MOVING_WINDOW or all(s == model.sets[0] for s in model.sets)
+
+
 def marginals(
     model: SequenceModel,
     phi: Callable[[float], float],
@@ -651,15 +669,13 @@ def marginals(
 ) -> tuple[float, ...]:
     """Upper (or, with ``lower``, lower) ``E[phi(X_k)]`` for k = 1..n.
 
-    Every X_k of a moving-window model, and of an independent model whose
-    sets are all equal, has the same sub-linear law, and ``eval_window``
-    computes the same floats for every k; one call then gives all n values.
-    Other models take one call per k.
+    Under ``one_law`` one ``eval_window`` call gives all n values; other
+    models take one call per k.
     """
     def psi(xs: tuple[float, ...]) -> float:
         return phi(xs[0])
 
-    if model.kind == KIND_MOVING_WINDOW or all(s == model.sets[0] for s in model.sets):
+    if one_law(model):
         return (eval_window(model, (1,), psi, lower=lower, x_clip=x_clip),) * model.n
     return tuple(eval_window(model, (k,), psi, lower=lower, x_clip=x_clip)
                  for k in range(1, model.n + 1))

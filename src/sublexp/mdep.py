@@ -101,9 +101,10 @@ def rosenthal_checks(
     """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, per ``(n, p)``.
 
     Horizon n reads coordinates 1..n of ``model``.  One running-max graph is
-    compiled at the largest n and read at each n with ``Graph.prefix``; the
-    marginals (E[|X_k|^p] once per distinct p) are computed once, and each
-    horizon adds its first n values left to right.
+    compiled at the largest n, and every case is a column of one backward
+    sweep over it (``engine.evaluate_columns``); the marginals (E[|X_k|^p]
+    once per distinct p) are computed once, and each horizon adds its first
+    n values left to right.
     """
     if any(p < 2.0 for _, p in cases):
         raise ValidationError("rosenthal_checks needs p >= 2")
@@ -114,18 +115,19 @@ def rosenthal_checks(
         engine.marginals(top, lambda x: x), engine.marginals(top, lambda x: x, lower=True))]
     abs_ps = {p: engine.marginals(top, lambda x, _p=p: abs(x) ** _p)
               for p in dict.fromkeys(p for _, p in cases)}
+    lhs = engine.evaluate_columns(graph, [
+        (Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p), n)
+        for n, p in cases])
     reports = []
-    for n, p in cases:
-        f_max = Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p)
-        lhs = engine.evaluate(graph.prefix(n), f_max).upper
+    for (n, p), res in zip(cases, lhs):
         abs_p = engine.ordered_sum(abs_ps[p][:n])
         term_variance = engine.ordered_sum(squares[:n]) ** (p / 2.0)
         term_means = engine.ordered_sum(spreads[:n]) ** p
         rhs = abs_p + term_variance + term_means
         if rhs <= 0.0:
             raise ValidationError("degenerate model: all right-side terms vanish")
-        reports.append(RosenthalReport(p, n, top.m, lhs, abs_p, term_variance, term_means,
-                                       lhs / rhs))
+        reports.append(RosenthalReport(p, n, top.m, res.upper, abs_p, term_variance,
+                                       term_means, res.upper / rhs))
     return tuple(reports)
 
 

@@ -220,3 +220,40 @@ def test_diagnostics_rejects_a_plan_of_another_row():
     plan = blk.build_plan(cond.row_context(stationary_1dep(6), 6), 2)
     with pytest.raises(ValidationError):
         blk.diagnostics(ctx, plan)
+
+
+def _per_cut_delta_sum(model, cuts, B2, lower):
+    """The correction sum with one ``eval_window`` call per cut and neighbor."""
+    total = 0.0
+    for k in cuts:
+        d = sl.eval_window(model, (k,), lambda xs: xs[0] * xs[0], lower=lower)
+        for nb in (k - 1, k + 1):
+            if 1 <= nb <= model.n:
+                d += 2.0 * sl.eval_window(model, (k, nb), lambda xs: xs[0] * xs[1], lower=lower)
+        total += d / B2
+    return abs(total)
+
+
+def test_delta_sums_take_one_window_call_per_offset_under_one_law(monkeypatch):
+    a, b = pm1_uncertain(), variance_uncertain()
+    calls = []
+    window = eng.eval_window
+
+    def counting(model, indices, psi, **kwargs):
+        calls.append(tuple(indices))
+        return window(model, indices, psi, **kwargs)
+
+    # the last cut is index n, which has no right neighbor
+    for model, one_law in ((stationary_1dep(9), True), (sl.SequenceModel.iid(a, 9), True),
+                           (sl.SequenceModel.independent((a, b) * 4 + (a,)), False)):
+        ctx = cond.row_context(model, 9)
+        cuts = (3, 5, 9)
+        for lower in (False, True):
+            want = _per_cut_delta_sum(model, cuts, ctx.B2, lower)
+            calls.clear()
+            monkeypatch.setattr(eng, "eval_window", counting)
+            got = blk._delta_sum(model, cuts, ctx.B2, lower)
+            monkeypatch.setattr(eng, "eval_window", window)
+            assert got.hex() == want.hex()
+            assert calls == ([(1,), (2, 1), (1, 2)] if one_law else
+                             [(3,), (3, 2), (3, 4), (5,), (5, 4), (5, 6), (9,), (9, 8)])

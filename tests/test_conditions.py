@@ -179,21 +179,34 @@ def test_report_fields_cover_grids():
 
 
 def test_report_reads_prefixes_off_one_graph_per_row(monkeypatch):
-    # every S_M is read off the row graph, or off one clipped row graph with tau
+    # every S_M is read off the row graph, or off one clipped row graph with
+    # tau, and each graph takes at most one backward sweep
     ctx = cond.row_context(exp.reference_experiments()["truncated-heavy"].model_for(8), 8)
-    compiles = []
-    compile_sum = eng.compile_sum
+    compiles, swept = [], []
+    compile_sum, evaluate_columns = eng.compile_sum, eng.evaluate_columns
 
     def counting(model, **kwargs):
         compiles.append(kwargs.get("x_clip"))
         return compile_sum(model, **kwargs)
 
+    def sweeping(graph, columns):
+        swept.append(graph)
+        return evaluate_columns(graph, columns)
+
     monkeypatch.setattr(eng, "compile_sum", counting)
+    monkeypatch.setattr(eng, "evaluate_columns", sweeping)
     plain = cond.build_report(ctx)
     assert compiles == []
+    assert [g is ctx.graph for g in swept] == [True]
+    swept.clear()
     clipped = cond.build_report(ctx, tau=1.0)
     assert compiles == [1.0]
+    assert len(swept) == 2 and swept[0] is not swept[1]
     assert set(plain.var_ratio) == set(clipped.trunc.var_ratio) == {2, 4, 8}
+    # S_n's ratio alone is the row's own second moment's: no sweep at all
+    swept.clear()
+    assert cond.variance_ratio(ctx, 8) == plain.var_ratio[8] == ctx.m2.lower / ctx.m2.upper
+    assert swept == []
 
 
 def test_wide_truncation_reproduces_untruncated_formulas():

@@ -14,10 +14,11 @@ applies, the engine must also agree with it to 1e-12, plus what the 1e-12
 merge grid can move when the scaled supports sit off it.  The four axioms of
 a sub-linear expectation are checked on sums as well.
 
-The shortcuts callers take are held to the same exactness: one compiled
-graph evaluated for several functionals, in either order, gives what
-separate ``eval_sum`` calls give; a row graph's ``prefix(M)`` gives what a
-compile of ``model.prefix(M)`` gives; ``marginals`` gives what the per-index
+The shortcuts callers take are held to the same exactness: one backward
+sweep over a compiled graph evaluates many columns ``(functional,
+horizon M)``, in any order, and each column gives, bit for bit, what a
+compile of ``model.prefix(M)`` and the dict DP on that prefix give;
+``marginals`` gives what the per-index
 ``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
 the summation helpers add those values left to right from 0.0.
 ``rosenthal_checks``, which reads every horizon off one graph and one set of
@@ -607,33 +608,82 @@ def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
         assert calls == expected
 
 
+#: Payoffs whose values stress the sweep's float handling: -0.0 (0.0 + p * -0.0
+#: is 0.0) and infinities of one sign each (never inf - inf, which is NaN).
+EDGE_FUNCTIONALS = (
+    eng.Functional("neg_zero", lambda x: -0.0 if x <= 0.0 else x, eng.GROWTH_QUADRATIC),
+    eng.Functional("plus_inf", lambda x: math.inf if x > 0.5 else -0.0, eng.GROWTH_QUADRATIC),
+    eng.Functional("minus_inf", lambda x: -math.inf if x < -0.5 else x * x,
+                   eng.GROWTH_QUADRATIC),
+)
+
+
+def bits(res: eng.EvalResult) -> tuple[str, str, int]:
+    """A result as exact hex floats and its state count."""
+    return res.upper.hex(), res.lower.hex(), res.state_count
+
+
+def _prefix_options(opts: dict, M: int) -> dict:
+    """The options of ``model.prefix(M)``: the part of the mask within 1..M."""
+    mask = opts.get("indices")
+    return opts if mask is None else {**opts, "indices": {k for k in mask if k <= M}}
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(cases())
-def test_one_graph_serves_many_functionals_in_any_order(case):
+def test_one_sweep_serves_many_functionals_in_any_order(case):
     model, _, opts = case
     graph = eng.compile_sum(model, **opts)
-    want = [eng.eval_sum(model, f, **opts) for f in FUNCTIONALS]
-    # evaluate only reads the graph: reversing the order changes nothing
-    assert [eng.evaluate(graph, f) for f in FUNCTIONALS] == want
-    assert [eng.evaluate(graph, f) for f in reversed(FUNCTIONALS)] == want[::-1]
+    fs = FUNCTIONALS + EDGE_FUNCTIONALS
+    want = [bits(reference_eval_sum(model, f, **opts)) for f in fs]
+    # the sweep only reads the graph: reversing the order changes nothing
+    assert [bits(r) for r in eng.evaluate_columns(graph, [(f, model.n) for f in fs])] == want
+    assert [bits(r) for r in eng.evaluate_columns(
+        graph, [(f, model.n) for f in reversed(fs)])] == want[::-1]
+    assert [bits(eng.evaluate(graph, f)) for f in fs] == want
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(cases())
-def test_prefix_graph_equals_the_prefix_compile(case):
-    model, f, opts = case
+@given(cases(), st.data())
+def test_columns_equal_the_prefix_compiles_and_the_dict_dp(case, data):
+    model, _, opts = case
     graph = eng.compile_sum(model, **opts)
-    mask = opts.get("indices")
-    for M in range(1, model.n + 1):
-        # the prefix model takes the part of the mask within 1..M
-        sub = opts if mask is None else {**opts, "indices": {k for k in mask if k <= M}}
-        got = eng.evaluate(graph.prefix(M), f)
-        want = eng.evaluate(eng.compile_sum(model.prefix(M), **sub), f)
-        assert (got.upper, got.lower, got.state_count) == (
-            want.upper, want.lower, want.state_count)
+    # mixed functionals at unsorted, repeated horizons
+    columns = data.draw(st.lists(
+        st.tuples(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS), st.integers(1, model.n)),
+        min_size=1, max_size=8))
+    got = eng.evaluate_columns(graph, columns)
+    assert len(got) == len(columns)
+    for (f, M), res in zip(columns, got):
+        sub = _prefix_options(opts, M)
+        prefix_graph = eng.compile_sum(model.prefix(M), **sub)
+        assert bits(res) == bits(eng.evaluate(prefix_graph, f))
+        assert bits(res) == bits(reference_eval_sum(model.prefix(M), f, **sub))
+    assert eng.evaluate_columns(graph, []) == ()
     for M in (0, model.n + 1):
         with pytest.raises(ValidationError):
-            graph.prefix(M)
+            eng.evaluate_columns(graph, [(eng.square(), 1), (eng.square(), M)])
+
+
+def test_columns_call_phi_once_per_distinct_argument_of_their_layer():
+    model = SequenceModel.moving_window(
+        sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
+        (1.0, 1.0), 8)
+    graph = eng.compile_sum(model, track_max=True)
+    seen: dict[int, list[float]] = {3: [], 5: [], 8: []}
+
+    def column(M: int) -> tuple[eng.Functional, int]:
+        def phi(x: float) -> float:
+            seen[M].append(x)
+            return x * x
+        return eng.Functional("square", phi, eng.GROWTH_QUADRATIC), M
+
+    got = eng.evaluate_columns(graph, [column(M) for M in (5, 3, 8)])
+    for M, calls in seen.items():
+        assert sorted(calls) == sorted(set(graph.args[M + graph.lead].tolist()))
+    for M, res in zip((5, 3, 8), got):
+        want = reference_eval_sum(model.prefix(M), eng.square(), track_max=True)
+        assert bits(res) == bits(want)
 
 
 def reference_rosenthal(model: SequenceModel, n: int, p: float) -> mdep.RosenthalReport:

@@ -9,6 +9,7 @@ import pytest
 
 import sublexp as sl
 import sublexp.engine as eng
+import sublexp.gnormal as gn
 from sublexp.errors import PDENumericsError, PDEStabilityError, ValidationError
 
 GP = sl.GParams(0.5, 1.0)
@@ -214,6 +215,24 @@ def test_peng_degenerate_lower_variance():
     gp = sl.GParams(0.0, 1.0)
     assert sl.peng_oracle(eng.square(), gp, 4) == pytest.approx(1.0, abs=1e-10)
     assert -sl.peng_oracle(eng.neg_square(), gp, 4) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_peng_oracles_sweep_one_graph_once_for_any_list_of_n(monkeypatch):
+    fs = (eng.square(), eng.cosine(), eng.ramp(0.0))
+    ns = (5, 2, 9, 5, 1)
+    want = tuple(tuple(sl.peng_oracle(f, GP, n) for f in fs) for n in ns)
+    sweeps = []
+    evaluate_columns = eng.evaluate_columns
+
+    def counting(graph, columns):
+        sweeps.append(len(columns))
+        return evaluate_columns(graph, columns)
+
+    monkeypatch.setattr(eng, "evaluate_columns", counting)
+    # the batch is bit-identical to one n and one functional at a time
+    assert [[v.hex() for v in row] for row in gn.peng_oracles(fs, GP, ns)] == [
+        [v.hex() for v in row] for row in want]
+    assert sweeps == [len(fs) * len(ns)]
 
 
 def test_peng_agreement_with_pde_improves():
