@@ -121,14 +121,16 @@ EVAL_HEADER = ("n", "functional", "B_n", "b_n", "upper", "lower", "state_count")
 
 
 def run_eval(cfg: ExperimentConfig) -> dict[str, Table]:
+    """Per n, E[S_n^2] (for B_n, b_n) and every functional off one sweep of the row's graph."""
     rows: list[Row] = []
+    fs = _functionals(cfg)
     for n in cfg.n_list:
-        ctx = cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap)
-        B, b = ctx.Bn
-        fs = _functionals(cfg)
-        for f, res in zip(fs, engine.evaluate_columns(ctx.graph, [(f, n) for f in fs])):
+        graph = engine.compile_sum(cfg.model_for(n).prefix(n), state_cap=cfg.state_cap)
+        m2, *results = engine.evaluate_columns(graph, [(f, n) for f in (engine.square(), *fs)])
+        B, b = math.sqrt(m2.upper), math.sqrt(m2.lower)
+        for f, res in zip(fs, results):
             rows.append([n, f.name, B, b, res.upper, res.lower, res.state_count])
-        del ctx  # one row's graph alive at a time
+        del graph  # one row's graph alive at a time
     return {"eval": (EVAL_HEADER, rows)}
 
 

@@ -16,15 +16,20 @@ induction over reachable states ``(window, accumulated sum)``.  Reachable
 sums are merged on a grid: each is rounded to 12 decimals exactly as
 ``round(x, 12)`` rounds it (``_canon_array`` computes that rounding in
 numpy), which keeps the recursion exact on designed lattice inputs while
-tolerating generic ones.
+tolerating generic ones.  When every term is a multiple of 2⁻¹² and the
+sums stay below 2⁴¹, every sum is an exact float that this rounding leaves
+unchanged, so the compile keeps the sums as int64 counts of 2⁻¹² and
+merges on those integers instead; the graph is the same, array for array.
 
 ``eval_sum`` runs in two passes.  ``compile_sum`` walks forward once, one
 whole layer at a time as numpy arrays (window codes, sums, running
 maxima), and records, per draw, the index of every state's child under
-each distinct support value.  ``evaluate_columns`` then sweeps that graph
+each distinct support value.  ``sweep_columns`` then sweeps that graph
 backwards once with numpy gathers for every column ``(f, M)`` asked of
-it, ``f`` of the sum of coordinates 1..M, upper and lower values
-together; ``evaluate`` is its one-column, full-horizon form.  The
+it, ``f`` of the sum of coordinates 1..M, taking upper columns and lower
+columns as separate lists, so a caller that reads one side does not carry
+the other.  ``evaluate_columns`` passes each column to both sides, and
+``evaluate`` is its one-column, full-horizon form.  The
 accumulation order is fixed: each law's expectation starts at 0.0 and
 adds ``p * value`` over the law's support in increasing order, and the
 best law replaces the running best only when strictly better.  That is
@@ -72,6 +77,10 @@ _KEY_DECIMALS = 12
 
 #: Packed merge keys stay below this bound (int64).
 _PACK_LIMIT = 2**63
+
+#: Lattice compiles count sums in units of 2⁻¹², and keep them below 2⁴¹.
+_QUANTUM = 2**12
+_LATTICE_LIMIT = 2**41
 
 
 @dataclass(frozen=True)
@@ -395,6 +404,67 @@ def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.nda
     return first[order], child
 
 
+def _draws(model: SequenceModel, mask: frozenset[int] | None,
+           x_clip: float | None) -> list[tuple[int, tuple, np.ndarray | None]]:
+    """Per draw: its number V of support columns, its laws, and its term table if it adds.
+
+    The support columns are the distinct values with positive probability in
+    some law, in increasing order; a law is its ``(column, p)`` pairs with
+    ``p != 0`` in support order.  Both, and the term table, are built once
+    per distinct ambiguity set.
+    """
+    prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
+    tables: dict[tuple[float, ...], np.ndarray] = {}
+    draws = []
+    for step in range(1, model.steps + 1):
+        set_ = model.set_at(step)
+        got = prepared.get(set_)
+        if got is None:
+            values = tuple(sorted({v for law in set_.laws
+                                   for v, p in zip(law.values, law.probs) if p != 0.0}))
+            column = {v: j for j, v in enumerate(values)}
+            got = prepared[set_] = values, tuple(
+                tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
+                for law in set_.laws
+            )
+        values, laws = got
+        k = _completes(model, step)
+        table = None
+        if k is not None and (mask is None or k in mask):
+            table = tables.get(values)
+            if table is None:
+                table = tables[values] = _term_table(model, values, x_clip)
+        draws.append((len(values), laws, table))
+    return draws
+
+
+def _on_lattice(tables: Iterable[np.ndarray]) -> bool:
+    """Whether sums of one entry of each table stay exact floats on the 2⁻¹² lattice.
+
+    A table may repeat (one entry per draw that adds); each distinct one is
+    inspected once.  True when every entry is a finite multiple of 2⁻¹² and
+    the maxima of |entry| over the tables add up to less than 2⁴¹.  Every
+    partial sum is then a multiple of 2⁻¹² below 2⁴¹ in magnitude: fewer
+    than 2⁵³ quanta, so each float add of such values is exact.
+    """
+    quanta, largest = 0, {}
+    for table in tables:
+        top = largest.get(id(table))
+        if top is None:
+            units = table * _QUANTUM
+            if not (np.isfinite(units).all() and (np.rint(units) == units).all()):
+                return False
+            top = largest[id(table)] = int(np.abs(units).max())
+        quanta += top
+    return quanta < _LATTICE_LIMIT * _QUANTUM
+
+
+def _offset_ids(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids ``col - min(col)`` of an integer column, and their bound."""
+    low = int(col.min())
+    return col - low, int(col.max()) - low + 1
+
+
 def compile_sum(
     model: SequenceModel,
     *,
@@ -418,8 +488,20 @@ def compile_sum(
     (state, column) order: the order a per-state dict loop inserts them, so
     the graph is the one that loop builds, array for array
     (``tests/test_engine_differential.py`` keeps the loop as its reference).
-    One ``evaluate_columns`` sweep reads every functional and horizon asked
-    of the graph; callers keep it only as long as they need it.
+
+    When every term is a multiple of 2⁻¹² and the terms' largest magnitudes
+    add up to less than 2⁴¹ (``_on_lattice``), every reachable sum is an
+    exact float on that lattice, and ``round(x, 12)`` returns it unchanged:
+    x·10¹² = k·244140625 for the integer k = x·2¹², so there is no tie and
+    the nearest double to k·2⁻¹² is x itself.  The merge-grid rounding is
+    then the identity (sums start at +0.0, so none is -0.0), and the compile
+    keeps ``acc`` and ``maxabs`` as exact int64 counts of 2⁻¹², with their
+    offsets from the layer minimum as merge ids; the payoff arguments are
+    those counts over 4096.0, the same floats.  Any other input (an
+    irrational scale such as 1/√n, an off-lattice ``x_clip``) takes the
+    float merge grid.  One ``evaluate_columns`` sweep reads every
+    functional and horizon asked of the graph; callers keep it only as long
+    as they need it.
     """
     mask = None if indices is None else frozenset(indices)
     if mask is not None and any(not 1 <= k <= model.n for k in mask):
@@ -428,29 +510,24 @@ def compile_sum(
         raise ValidationError("x_clip must be > 0")
     m = model.m
     slides = model.kind == KIND_MOVING_WINDOW and m > 0
-    tables: dict[tuple[float, ...], np.ndarray] = {}
+    draws = _draws(model, mask, x_clip)
+    lattice = _on_lattice(table for _, _, table in draws if table is not None)
+    if lattice:
+        distinct = {id(table): table for _, _, table in draws if table is not None}
+        counts = {key: (table * _QUANTUM).astype(np.int64) for key, table in distinct.items()}
+        draws = [(V, laws, None if table is None else counts[id(table)])
+                 for V, laws, table in draws]
+    ids = _offset_ids if lattice else _dense_ids
     win = np.zeros(1, dtype=np.int64)  # read only when the window slides
-    acc = mx = np.zeros(1)
-    args = [acc]
+    acc = mx = np.zeros(1, dtype=np.int64 if lattice else float)
+    args = [np.zeros(1)]
     total = 1
     steps: list[_Step] = []
-    for step in range(1, model.steps + 1):
-        set_ = model.set_at(step)
-        values = tuple(sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
-                               if p != 0.0}))
-        column = {v: j for j, v in enumerate(values)}
-        laws = tuple(
-            tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
-            for law in set_.laws
-        )
-        n, V = len(acc), len(values)
-        k = _completes(model, step)
-        adds = k is not None and (mask is None or k in mask)
-        if adds:
-            table = tables.get(values)
-            if table is None:
-                table = tables[values] = _term_table(model, values, x_clip)
-            a = _canon_array(acc[:, None] + (table[win] if slides else table[0])).ravel()
+    for step, (V, laws, table) in enumerate(draws, start=1):
+        n = len(acc)
+        if table is not None:
+            a = acc[:, None] + (table[win] if slides else table[0])
+            a = (a if lattice else _canon_array(a)).ravel()
             if track_max:
                 b, x = np.abs(a), np.repeat(mx, V)
                 x = np.where(b > x, b, x)
@@ -458,10 +535,10 @@ def compile_sum(
             a = np.repeat(acc, V)
             if track_max:
                 x = np.repeat(mx, V)
-        if adds or slides:
-            columns = [_dense_ids(a)]
+        if table is not None or slides:
+            columns = [ids(a)]
             if track_max:
-                columns.append(_dense_ids(x))
+                columns.append(ids(x))
             if slides:
                 w = (win[:, None] * V + np.arange(V)).ravel()
                 # window length min(step, m); a full window drops its oldest digit
@@ -487,36 +564,48 @@ def compile_sum(
         if track_max:
             mx = x[first]
         args.append(mx if track_max else acc)
+    if lattice:
+        # after the last layer, so no layer's counts and floats are alive at once
+        args = [arg / float(_QUANTUM) for arg in args]
     return Graph(tuple(steps), tuple(args), model.steps - model.n)
 
 
-def evaluate_columns(graph: Graph,
-                     columns: Sequence[tuple[Functional, int]]) -> tuple[EvalResult, ...]:
-    """Backward pass: upper and lower root value of every column ``(f, M)``, in one sweep.
+def sweep_columns(graph: Graph, upper: Sequence[tuple[Functional, int]],
+                  lower: Sequence[tuple[Functional, int]],
+                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Backward pass: the upper value of every column of ``upper`` and the lower of ``lower``.
 
-    ``(f, M)`` is ``f`` of the sum of coordinates 1..M.  It joins the sweep at
-    layer M + lead, the top of the compile of ``model.prefix(M)`` (later draws
-    complete only later coordinates), with ``phi`` called once per distinct
-    argument there (no argument is -0.0).  Upper and lower values of all
-    columns live in one ``(states, 2K)`` array, gathered one support column
-    at a time, and each column takes the float operations of a per-state
-    dict recursion on its prefix, so its values are those bit for bit.
+    A column ``(f, M)`` is ``f`` of the sum of coordinates 1..M.  It joins
+    the sweep at layer M + lead, the top of the compile of
+    ``model.prefix(M)`` (later draws complete only later coordinates), with
+    ``phi`` called once per distinct argument there (no argument is -0.0),
+    once for a functional asked on both sides.  The upper columns, then the
+    lower, live in one ``(states, columns)`` array, gathered one support
+    column at a time, and each column takes the float operations of a
+    per-state dict recursion on its prefix, so its values are those bit for
+    bit.  A side no caller reads is simply not carried.
     """
     n, lead = len(graph.steps) - graph.lead, graph.lead
-    if any(not 1 <= M <= n for _, M in columns):
+    sides = (upper, lower)
+    if any(not 1 <= M <= n for side in sides for _, M in side):
         raise ValidationError(f"horizons must lie in 1..{n}")
-    order = sorted(range(len(columns)), key=lambda c: -columns[c][1])
-    top = columns[order[0]][1] + lead if columns else 0
-    vals, K = np.empty((len(graph.args[top]), 0)), 0
+    orders = [sorted(range(len(side)), key=lambda c, _s=side: -_s[c][1]) for side in sides]
+    top = max((side[order[0]][1] + lead for side, order in zip(sides, orders) if side),
+              default=0)
+    vals, K = np.empty((len(graph.args[top]), 0)), 0  # K upper columns come first
     for t in range(top, 0, -1):
-        joining = [c for c in order if columns[c][1] + lead == t]
-        if joining:
+        joining = [[side[c][0] for c in order if side[c][1] + lead == t]
+                   for side, order in zip(sides, orders)]
+        if joining[0] or joining[1]:
+            fs = {id(f): f for f in joining[0] + joining[1]}
+            col = {key: i for i, key in enumerate(fs)}
             distinct, at = np.unique(graph.args[t], return_inverse=True)
-            new = np.array([[columns[c][0].phi(x) for c in joining] for x in distinct.tolist()],
-                           dtype=float)[at]
-            vals, K = np.hstack((vals[:, :K], new, vals[:, K:], new)), K + len(joining)
+            payoffs = np.array([[f.phi(x) for f in fs.values()] for x in distinct.tolist()],
+                             dtype=float)[at]
+            new_up, new_lo = (payoffs[:, [col[id(f)] for f in side]] for side in joining)
+            vals, K = np.hstack((vals[:, :K], new_up, vals[:, K:], new_lo)), K + len(joining[0])
         st = graph.steps[t - 1]
-        best = np.full((len(st.child), 2 * K), math.inf)
+        best = np.full((len(st.child), vals.shape[1]), math.inf)
         best[:, :K] = -math.inf
         better = np.empty(best.shape, dtype=bool)
         for law in st.laws:
@@ -527,10 +616,22 @@ def evaluate_columns(graph: Graph,
             np.less(acc[:, K:], best[:, K:], out=better[:, K:])
             np.copyto(best, acc, where=better)
         vals = best
+    values = vals[0].tolist()
+    ups, los = dict(zip(orders[0], values[:K])), dict(zip(orders[1], values[K:]))
+    return tuple(ups[c] for c in range(len(upper))), tuple(los[c] for c in range(len(lower)))
+
+
+def evaluate_columns(graph: Graph,
+                     columns: Sequence[tuple[Functional, int]]) -> tuple[EvalResult, ...]:
+    """Upper and lower root value of every column ``(f, M)``, in one sweep.
+
+    ``sweep_columns`` with every column on both sides; the state count of
+    ``(f, M)`` is that of the compile of ``model.prefix(M)``.
+    """
+    ups, los = sweep_columns(graph, columns, columns)
     states = np.cumsum([len(a) for a in graph.args]).tolist()
-    found = {c: EvalResult(float(vals[0, i]), float(vals[0, K + i]), states[columns[c][1] + lead])
-             for i, c in enumerate(order)}
-    return tuple(found[c] for c in range(len(columns)))
+    return tuple(EvalResult(up, lo, states[M + graph.lead])
+                 for up, lo, (_, M) in zip(ups, los, columns))
 
 
 def evaluate(graph: Graph, f: Functional) -> EvalResult:

@@ -215,7 +215,8 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
     """Upper expectation of each of ``fs`` via the n-step two-point CLT recursion, per n of ``ns``.
 
     The recursion's graph is compiled once, at the largest n, and every
-    (n, functional) pair is a column of one backward sweep over it.
+    (n, functional) pair is an upper column of one backward sweep over it,
+    which carries no lower column.
     """
     if any(n < 1 for n in ns):
         raise ValidationError("peng_oracle needs n >= 1")
@@ -224,9 +225,9 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
     sigmas = sorted({math.sqrt(p.sigma_lo2), math.sqrt(p.sigma_hi2)})
     set_ = ambiguity(two_point_law(s) for s in sigmas)
     graph = engine.compile_sum(engine.SequenceModel.iid(set_, max(ns)), state_cap=state_cap)
-    results = iter(engine.evaluate_columns(
-        graph, [(engine.scaled(f, 1.0 / math.sqrt(n)), n) for n in ns for f in fs]))
-    return tuple(tuple(next(results).upper for _ in fs) for _ in ns)
+    uppers = iter(engine.sweep_columns(
+        graph, [(engine.scaled(f, 1.0 / math.sqrt(n)), n) for n in ns for f in fs], ())[0])
+    return tuple(tuple(next(uppers) for _ in fs) for _ in ns)
 
 
 def peng_oracle(f: engine.Functional, p: GParams, n: int,

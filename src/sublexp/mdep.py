@@ -101,33 +101,35 @@ def rosenthal_checks(
     """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, per ``(n, p)``.
 
     Horizon n reads coordinates 1..n of ``model``.  One running-max graph is
-    compiled at the largest n, and every case is a column of one backward
-    sweep over it (``engine.evaluate_columns``); the marginals (E[|X_k|^p]
-    once per distinct p) are computed once, and each horizon adds its first
-    n values left to right.
+    compiled at the largest n, and every case is an upper column of one
+    backward sweep over it (``engine.sweep_columns``, with no lower column);
+    the marginals (E[|X_k|^p] once per distinct p) are computed once, and
+    each horizon adds its first n values left to right.  No case, no report.
     """
     if any(p < 2.0 for _, p in cases):
         raise ValidationError("rosenthal_checks needs p >= 2")
-    top = model.prefix(max((n for n, _ in cases), default=0))
+    if not cases:
+        return ()
+    top = model.prefix(max(n for n, _ in cases))
     graph = engine.compile_sum(top, track_max=True, state_cap=state_cap)
     squares = engine.marginals(top, lambda x: x * x)
     spreads = [abs(up) + abs(lo) for up, lo in zip(
         engine.marginals(top, lambda x: x), engine.marginals(top, lambda x: x, lower=True))]
     abs_ps = {p: engine.marginals(top, lambda x, _p=p: abs(x) ** _p)
               for p in dict.fromkeys(p for _, p in cases)}
-    lhs = engine.evaluate_columns(graph, [
+    lhs, _ = engine.sweep_columns(graph, [
         (Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p), n)
-        for n, p in cases])
+        for n, p in cases], ())
     reports = []
-    for (n, p), res in zip(cases, lhs):
+    for (n, p), upper in zip(cases, lhs):
         abs_p = engine.ordered_sum(abs_ps[p][:n])
         term_variance = engine.ordered_sum(squares[:n]) ** (p / 2.0)
         term_means = engine.ordered_sum(spreads[:n]) ** p
         rhs = abs_p + term_variance + term_means
         if rhs <= 0.0:
             raise ValidationError("degenerate model: all right-side terms vanish")
-        reports.append(RosenthalReport(p, n, top.m, res.upper, abs_p, term_variance,
-                                       term_means, res.upper / rhs))
+        reports.append(RosenthalReport(p, n, top.m, upper, abs_p, term_variance,
+                                       term_means, upper / rhs))
     return tuple(reports)
 
 

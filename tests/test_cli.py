@@ -309,7 +309,8 @@ def test_eval_of_degenerate_model_reports_zero_Bn(tmp_path):
 
 
 def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
-    counts = {"compile_sum": 0, "eval_window": 0, "evaluate_columns": 0}
+    # every backward sweep, one-sided or through evaluate_columns, is a sweep_columns call
+    counts = {"compile_sum": 0, "eval_window": 0, "sweep_columns": 0}
     for name in counts:
         def spy(*args, _name=name, _fn=getattr(eng, name), **kwargs):
             counts[_name] += 1
@@ -319,12 +320,28 @@ def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
     # 27 families, one graph and one backward sweep each for their 243 rows;
     # per family E[X^2], E[X], e[X] and E[|X|^p] for p = 2, 3, 4
     assert len(rows) == 243
-    assert counts == {"compile_sum": 27, "eval_window": 27 * 6, "evaluate_columns": 27}
-    counts.update(compile_sum=0, eval_window=0, evaluate_columns=0)
+    assert counts == {"compile_sum": 27, "eval_window": 27 * 6, "sweep_columns": 27}
+    counts.update(compile_sum=0, eval_window=0, sweep_columns=0)
     raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
            "gnormal": {"sigma_lo2": 0.5, "nx": 201}, "peng_n": [8, 16]}
     cli.run_gnormal_eval(exp.config_from_mapping(raw))
-    assert counts["compile_sum"] == counts["evaluate_columns"] == 1
+    assert counts["compile_sum"] == counts["sweep_columns"] == 1
+
+
+def test_eval_reads_the_second_moment_and_every_functional_off_one_sweep(monkeypatch):
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "mode": "eval"})
+    want = cli.run_eval(cfg)
+    sweeps = []
+    sweep_columns = eng.sweep_columns
+
+    def counting(graph, upper, lower):
+        sweeps.append((len(upper), len(lower)))
+        return sweep_columns(graph, upper, lower)
+
+    monkeypatch.setattr(eng, "sweep_columns", counting)
+    assert cli.run_eval(cfg) == want
+    k = 1 + len(cfg.functionals)
+    assert sweeps == [(k, k)] * len(cfg.n_list)
 
 
 def test_main_requires_exactly_one_source(tmp_path):

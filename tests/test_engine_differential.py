@@ -3,7 +3,9 @@
 ``reference_compile_sum`` is the per-state forward loop ``compile_sum`` ran
 before layers became arrays; ``compile_sum`` must build the same graph as
 it, array for array, and ``_canon_array`` must round every float the way
-the scalar ``round(x, 12) + 0.0`` does, bit for bit.
+the scalar ``round(x, 12) + 0.0`` does, bit for bit.  That holds on both
+compile paths: integer keys on the 2⁻¹² lattice and the float merge grid
+off it.
 
 ``reference_eval_sum`` is the layered dynamic program ``eval_sum`` used
 before the compiled graph: a forward pass that lists the reachable states of
@@ -17,7 +19,9 @@ a sub-linear expectation are checked on sums as well.
 The shortcuts callers take are held to the same exactness: one backward
 sweep over a compiled graph evaluates many columns ``(functional,
 horizon M)``, in any order, and each column gives, bit for bit, what a
-compile of ``model.prefix(M)`` and the dict DP on that prefix give;
+compile of ``model.prefix(M)`` and the dict DP on that prefix give, and a
+sweep of the upper (or lower) columns alone gives the same floats as the
+sweep of both sides;
 ``marginals`` gives what the per-index
 ``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
 the summation helpers add those values left to right from 0.0.
@@ -424,6 +428,56 @@ def test_compile_sum_builds_the_reference_graph(case, iid):
         assert_same_graph(eng.compile_sum(model, **opts), want)
 
 
+def _lattice(model: SequenceModel, **opts) -> bool:
+    """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``."""
+    mask = opts.get("indices")
+    draws = eng._draws(model, None if mask is None else frozenset(mask), opts.get("x_clip"))
+    return eng._on_lattice(table for _, _, table in draws if table is not None)
+
+
+def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
+    """Supports and weights on multiples of 0.25 (of ``top``), as in the Rosenthal battery."""
+    return sl.ambiguity([sl.DiscreteLaw((-top, 0.0, top), (0.25, 0.5, 0.25)),
+                         sl.DiscreteLaw((-top, top), (0.25, 0.75))])
+
+
+def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_41():
+    q = 2.0 ** -12
+    assert eng._on_lattice([np.array([[-3 * q, 0.0, 5 * q]])])
+    assert eng._on_lattice([np.array([[q]])] * 3)
+    assert not eng._on_lattice([np.array([[q / 2.0, q]])])
+    assert not eng._on_lattice([np.array([[math.inf]])])
+    # the terms' largest magnitudes add up below 2^41, counted once per draw
+    assert eng._on_lattice([np.array([[2.0 ** 41 - q]])])
+    assert not eng._on_lattice([np.array([[-2.0 ** 41]])])
+    big = np.array([[2.0 ** 39]])
+    assert eng._on_lattice([big] * 3) and not eng._on_lattice([big] * 4)
+
+    window = SequenceModel.moving_window(_quarter_set(), (1.0, 0.5), 5)
+    on = [
+        (window, {}),
+        (window, {"track_max": True, "x_clip": 0.75, "indices": (1, 3, 4)}),
+        (SequenceModel.iid(_quarter_set(q), 4), {"track_max": True}),
+        (SequenceModel.iid(_quarter_set(2.0 ** 39), 3), {}),
+        (SequenceModel.iid(_quarter_set(2.0 ** 39), 5), {"indices": (1, 2, 5)}),
+    ]
+    off = [
+        (SequenceModel.iid(_quarter_set(q / 2.0), 4), {}),
+        (window, {"x_clip": 0.3}),
+        (SequenceModel.moving_window(_quarter_set(), (1.0, 0.5), 5, scale=1 / math.sqrt(5)), {}),
+        (SequenceModel.iid(_quarter_set(2.0 ** 39), 4), {"track_max": True}),
+        (SequenceModel.iid(_quarter_set(2.0 ** 40), 2), {}),
+    ]
+    assert [_lattice(model, **opts) for model, opts in on] == [True] * len(on)
+    assert [_lattice(model, **opts) for model, opts in off] == [False] * len(off)
+    for model, opts in on + off:
+        want = reference_compile_sum(model, **opts)
+        assert_same_graph(eng.compile_sum(model, **opts), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_PACK_LIMIT", 2)
+            assert_same_graph(eng.compile_sum(model, **opts), want)
+
+
 def test_reference_and_engine_agree_on_the_flagship_model():
     model = SequenceModel.moving_window(
         sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
@@ -663,6 +717,28 @@ def test_columns_equal_the_prefix_compiles_and_the_dict_dp(case, data):
     for M in (0, model.n + 1):
         with pytest.raises(ValidationError):
             eng.evaluate_columns(graph, [(eng.square(), 1), (eng.square(), M)])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cases(), st.data())
+def test_one_sided_sweeps_equal_the_two_sided_sweep(case, data):
+    model, _, opts = case
+    graph = eng.compile_sum(model, **opts)
+    columns = data.draw(st.lists(
+        st.tuples(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS), st.integers(1, model.n)),
+        min_size=1, max_size=6))
+    both = eng.evaluate_columns(graph, columns)
+    uppers, none = eng.sweep_columns(graph, columns, [])
+    assert none == ()
+    assert [v.hex() for v in uppers] == [r.upper.hex() for r in both]
+    none, lowers = eng.sweep_columns(graph, (), columns[::-1])
+    assert none == ()
+    assert [v.hex() for v in lowers] == [r.lower.hex() for r in both[::-1]]
+    # different columns on the two sides, each side in its own order
+    uppers, lowers = eng.sweep_columns(graph, columns[1:], columns[:1])
+    assert [v.hex() for v in uppers] == [r.upper.hex() for r in both[1:]]
+    assert [v.hex() for v in lowers] == [both[0].lower.hex()]
+    assert eng.sweep_columns(graph, [], []) == ((), ())
 
 
 def test_columns_call_phi_once_per_distinct_argument_of_their_layer():

@@ -222,17 +222,18 @@ def test_peng_oracles_sweep_one_graph_once_for_any_list_of_n(monkeypatch):
     ns = (5, 2, 9, 5, 1)
     want = tuple(tuple(sl.peng_oracle(f, GP, n) for f in fs) for n in ns)
     sweeps = []
-    evaluate_columns = eng.evaluate_columns
+    sweep_columns = eng.sweep_columns
 
-    def counting(graph, columns):
-        sweeps.append(len(columns))
-        return evaluate_columns(graph, columns)
+    def counting(graph, upper, lower):
+        sweeps.append((len(upper), len(lower)))
+        return sweep_columns(graph, upper, lower)
 
-    monkeypatch.setattr(eng, "evaluate_columns", counting)
+    monkeypatch.setattr(eng, "sweep_columns", counting)
     # the batch is bit-identical to one n and one functional at a time
     assert [[v.hex() for v in row] for row in gn.peng_oracles(fs, GP, ns)] == [
         [v.hex() for v in row] for row in want]
-    assert sweeps == [len(fs) * len(ns)]
+    # upper values only: the sweep carries no lower column
+    assert sweeps == [(len(fs) * len(ns), 0)]
 
 
 def test_peng_agreement_with_pde_improves():

@@ -103,6 +103,23 @@ def test_rosenthal_rejects_small_p():
         mdep.rosenthal_checks(certain_pm1_iid(2), [(2, 2.0), (2, 1.0)])
 
 
+def test_rosenthal_checks_of_no_case_is_empty():
+    assert mdep.rosenthal_checks(certain_pm1_iid(3), []) == ()
+
+
+def test_rosenthal_checks_sweep_upper_values_only(monkeypatch):
+    sweeps = []
+    sweep_columns = eng.sweep_columns
+
+    def counting(graph, upper, lower):
+        sweeps.append((len(upper), len(lower)))
+        return sweep_columns(graph, upper, lower)
+
+    monkeypatch.setattr(eng, "sweep_columns", counting)
+    assert len(mdep.rosenthal_checks(certain_pm1_iid(4), [(2, 2.0), (4, 3.0), (4, 2.0)])) == 3
+    assert sweeps == [(3, 0)]
+
+
 def test_rosenthal_battery_is_deterministic():
     a = mdep.rosenthal_battery(7)
     b = mdep.rosenthal_battery(7)
