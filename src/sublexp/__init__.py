@@ -43,6 +43,7 @@ from .engine import (
     catalog_by_name,
     compile_sum,
     eval_sum,
+    eval_sums,
     eval_window,
     evaluate,
     evaluate_columns,

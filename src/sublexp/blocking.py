@@ -232,16 +232,15 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
     sub, B2, cap = ctx.model, ctx.B2, ctx.state_cap
     if plan.k_n != sub.n:
         raise ValidationError(f"plan is for k_n={plan.k_n}, the row for n={sub.n}")
-    # one graph per block gives both of its second moments; empty blocks add 0
-    m2 = [engine.eval_sum(sub, engine.square(), indices=blk, state_cap=cap)
-          for blk in plan.blocks if blk]
+    # one graph and one sweep: a root per non-empty block (empty blocks add
+    # 0), which gives both of its second moments, and one for the cuts
+    blocks = [blk for blk in plan.blocks if blk]
+    found = engine.eval_sums(sub, engine.square(), blocks + ([plan.cuts] if plan.cuts else []),
+                             state_cap=cap)
+    m2 = found[:len(blocks)]
+    removed = found[-1].upper / B2 if plan.cuts else 0.0
     Bt2 = engine.ordered_sum(res.upper for res in m2)
     bt2 = engine.ordered_sum(res.lower for res in m2)
-    if plan.cuts:
-        removed = engine.eval_sum(sub, engine.square(), indices=plan.cuts,
-                                  state_cap=cap).upper / B2
-    else:
-        removed = 0.0
     return BlockDiagnostics(
         sum_beta_cuts=engine.ordered_sum(plan.beta[c - 1] for c in plan.cuts),
         sum_delta_lo=_delta_sum(sub, plan.cuts, B2, lower=True),

@@ -39,6 +39,14 @@ all its functionals and horizons in one sweep.  The graph is a local of
 the caller's frame, one row (one horizon n) at a time, and there is no
 process-wide cache.
 
+Sums of several index sets (masks) of one model share one graph: layer 0
+holds one root per mask, every state carries the component id of its root,
+a component adds a draw's term only when its mask holds the coordinate the
+draw completes, and states merge only within a component.  The states
+reachable from root r are the graph of mask r alone, so one sweep reads
+every root; ``eval_sums`` returns one ``EvalResult`` per mask, and
+``eval_sum`` is its one-mask form.
+
 ``marginals`` gives ``E[phi(X_k)]`` for every k; it evaluates one index
 when all coordinates share one sub-linear law.  ``ordered_sum`` adds such
 values left to right, the same way on every Python version.
@@ -319,13 +327,20 @@ class _Step:
 
 @dataclass(frozen=True)
 class Graph:
-    """The reachable-state graph of one ``(model, mask, x_clip, track_max)``."""
+    """The reachable-state graph of one ``(model, masks, x_clip, track_max)``.
+
+    Layer 0 holds one root per mask, and the states reachable from root r
+    form the graph of mask r alone.
+    """
 
     steps: tuple[_Step, ...]
     #: per layer, the payoff argument of every state: acc, or maxabs when tracked
     args: tuple[np.ndarray, ...]
     #: draws before coordinate 1 completes: m for a moving window, else 0
     lead: int
+    #: ``sizes[t, r]``: the states of layer t reachable from root r; None for
+    #: one root, whose layer sizes are those of ``args``
+    sizes: np.ndarray | None = None
 
 
 def _canon_array(x: np.ndarray) -> np.ndarray:
@@ -404,14 +419,16 @@ def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.nda
     return first[order], child
 
 
-def _draws(model: SequenceModel, mask: frozenset[int] | None,
-           x_clip: float | None) -> list[tuple[int, tuple, np.ndarray | None]]:
-    """Per draw: its number V of support columns, its laws, and its term table if it adds.
+def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None], x_clip: float | None,
+           ) -> list[tuple[int, tuple, np.ndarray | None, tuple[bool, ...]]]:
+    """Per draw: its number V of support columns, its laws, term table and the masks it adds in.
 
     The support columns are the distinct values with positive probability in
     some law, in increasing order; a law is its ``(column, p)`` pairs with
     ``p != 0`` in support order.  Both, and the term table, are built once
-    per distinct ambiguity set.
+    per distinct ambiguity set.  A draw adds in mask r when it completes a
+    coordinate of that mask (every coordinate, for ``None``); the last entry
+    is one bool per mask, and the table is None when the draw adds in none.
     """
     prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
     tables: dict[tuple[float, ...], np.ndarray] = {}
@@ -429,12 +446,13 @@ def _draws(model: SequenceModel, mask: frozenset[int] | None,
             )
         values, laws = got
         k = _completes(model, step)
+        adds = tuple(k is not None and (mask is None or k in mask) for mask in masks)
         table = None
-        if k is not None and (mask is None or k in mask):
+        if any(adds):
             table = tables.get(values)
             if table is None:
                 table = tables[values] = _term_table(model, values, x_clip)
-        draws.append((len(values), laws, table))
+        draws.append((len(values), laws, table, adds))
     return draws
 
 
@@ -469,13 +487,16 @@ def compile_sum(
     model: SequenceModel,
     *,
     indices: Iterable[int] | None = None,
+    masks: Sequence[Iterable[int] | None] | None = None,
     x_clip: float | None = None,
     track_max: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Graph:
     """Forward pass: enumerate the reachable states layer by layer.
 
-    The options mean what they mean for ``eval_sum``.  A layer is three
+    The options mean what they mean for ``eval_sum``; ``masks`` compiles the
+    sum of each of several index sets (``None`` for all coordinates) into one
+    graph, and ``indices=I`` is ``masks=[I]``.  A layer is three
     arrays: each state's window code (the last m draws as base-V digits
     over the support columns), its ``acc``, and, under ``track_max``, its
     ``maxabs``.  Every state is expanded under each distinct support value
@@ -502,30 +523,56 @@ def compile_sum(
     float merge grid.  One ``evaluate_columns`` sweep reads every
     functional and horizon asked of the graph; callers keep it only as long
     as they need it.
+
+    Several masks share one graph.  Layer 0 holds one root per mask, and
+    every state carries the component id of its root: a state of component r
+    adds a draw's term only when mask r holds the coordinate that draw
+    completes, and the merge key includes the component id, so components
+    never merge.  The layers stay component-major (component r's states
+    before r + 1's), and within a component the order of first occurrence is
+    the one its mask's own compile sees, so the states reachable from root r
+    are that compile's graph, array for array, and one sweep reads every
+    root.  One mask adds no component column and keeps the no-merge step of
+    a masked-out independent draw.  The lattice test covers the draws that
+    add in any mask, and ``state_cap`` bounds the states of all components
+    together.  A state of a mask's compile in which a draw does not add
+    still takes ``0.0 + p * value`` per support column in the sweep, so
+    masks of equal length at different positions can differ in the last
+    bits; each mask keeps its own draws.
     """
-    mask = None if indices is None else frozenset(indices)
-    if mask is not None and any(not 1 <= k <= model.n for k in mask):
+    if masks is None:
+        masks = [indices]
+    elif indices is not None:
+        raise ValidationError("pass indices or masks, not both")
+    masks = [None if mask is None else frozenset(mask) for mask in masks]
+    if not masks:
+        raise ValidationError("compile_sum needs at least one mask")
+    if any(mask is not None and any(not 1 <= k <= model.n for k in mask) for mask in masks):
         raise ValidationError("indices outside 1..n")
     if x_clip is not None and not x_clip > 0.0:
         raise ValidationError("x_clip must be > 0")
-    m = model.m
+    m, R = model.m, len(masks)
     slides = model.kind == KIND_MOVING_WINDOW and m > 0
-    draws = _draws(model, mask, x_clip)
-    lattice = _on_lattice(table for _, _, table in draws if table is not None)
+    draws = _draws(model, masks, x_clip)
+    lattice = _on_lattice(table for _, _, table, _ in draws if table is not None)
     if lattice:
-        distinct = {id(table): table for _, _, table in draws if table is not None}
+        distinct = {id(table): table for _, _, table, _ in draws if table is not None}
         counts = {key: (table * _QUANTUM).astype(np.int64) for key, table in distinct.items()}
-        draws = [(V, laws, None if table is None else counts[id(table)])
-                 for V, laws, table in draws]
+        draws = [(V, laws, None if table is None else counts[id(table)], adds)
+                 for V, laws, table, adds in draws]
     ids = _offset_ids if lattice else _dense_ids
-    win = np.zeros(1, dtype=np.int64)  # read only when the window slides
-    acc = mx = np.zeros(1, dtype=np.int64 if lattice else float)
-    args = [np.zeros(1)]
-    total = 1
+    win = np.zeros(R, dtype=np.int64)  # read only when the window slides
+    acc = mx = np.zeros(R, dtype=np.int64 if lattice else float)
+    comp = np.arange(R)  # comp and sizes are read only when there are several roots
+    args = [np.zeros(R)]
+    sizes = [np.ones(R, dtype=np.int64)]
+    total = R
     steps: list[_Step] = []
-    for step, (V, laws, table) in enumerate(draws, start=1):
+    for step, (V, laws, table, adds) in enumerate(draws, start=1):
         n = len(acc)
-        if table is not None:
+        # the states that add: all of them, none (table is None), or rows of some roots
+        rows = None if table is None or all(adds) else np.array(adds)[comp]
+        if rows is None and table is not None:
             a = acc[:, None] + (table[win] if slides else table[0])
             a = (a if lattice else _canon_array(a)).ravel()
             if track_max:
@@ -535,6 +582,15 @@ def compile_sum(
             a = np.repeat(acc, V)
             if track_max:
                 x = np.repeat(mx, V)
+        if rows is not None:
+            # the children of the rows that add take the sum, the others copy
+            a, part = a.reshape(n, V), acc[rows, None] + (table[win[rows]] if slides else table[0])
+            a[rows] = part if lattice else _canon_array(part)
+            if track_max:
+                b, x = np.abs(a[rows]), x.reshape(n, V)
+                x[rows] = np.where(b > x[rows], b, x[rows])
+                x = x.ravel()
+            a = a.ravel()
         if table is not None or slides:
             columns = [ids(a)]
             if track_max:
@@ -546,7 +602,12 @@ def compile_sum(
                 if step > m:
                     w %= span
                 columns.append((w, span))
+            if R > 1:
+                c = np.repeat(comp, V)
+                columns.append((c, R))
             first, child = _merge(columns, n * V)
+            if R > 1:
+                comp = c[first]
         else:
             # no term and no window (an index masked out of an independent
             # model): the states of a layer are distinct, and all children of
@@ -564,10 +625,13 @@ def compile_sum(
         if track_max:
             mx = x[first]
         args.append(mx if track_max else acc)
+        if R > 1:
+            sizes.append(np.bincount(comp, minlength=R))
     if lattice:
         # after the last layer, so no layer's counts and floats are alive at once
         args = [arg / float(_QUANTUM) for arg in args]
-    return Graph(tuple(steps), tuple(args), model.steps - model.n)
+    return Graph(tuple(steps), tuple(args), model.steps - model.n,
+                 np.array(sizes) if R > 1 else None)
 
 
 def sweep_columns(graph: Graph, upper: Sequence[tuple[Functional, int]],
@@ -584,6 +648,10 @@ def sweep_columns(graph: Graph, upper: Sequence[tuple[Functional, int]],
     column at a time, and each column takes the float operations of a
     per-state dict recursion on its prefix, so its values are those bit for
     bit.  A side no caller reads is simply not carried.
+
+    Each side holds one value per column and root, column by column, roots
+    in order within a column: a graph of one mask gives one value per
+    column.
     """
     n, lead = len(graph.steps) - graph.lead, graph.lead
     sides = (upper, lower)
@@ -616,26 +684,29 @@ def sweep_columns(graph: Graph, upper: Sequence[tuple[Functional, int]],
             np.less(acc[:, K:], best[:, K:], out=better[:, K:])
             np.copyto(best, acc, where=better)
         vals = best
-    values = vals[0].tolist()
-    ups, los = dict(zip(orders[0], values[:K])), dict(zip(orders[1], values[K:]))
-    return tuple(ups[c] for c in range(len(upper))), tuple(los[c] for c in range(len(lower)))
+    per_column = vals.T.tolist()  # vals has one row per root after the last step
+    ups, los = dict(zip(orders[0], per_column[:K])), dict(zip(orders[1], per_column[K:]))
+    return (tuple(v for c in range(len(upper)) for v in ups[c]),
+            tuple(v for c in range(len(lower)) for v in los[c]))
 
 
 def evaluate_columns(graph: Graph,
                      columns: Sequence[tuple[Functional, int]]) -> tuple[EvalResult, ...]:
-    """Upper and lower root value of every column ``(f, M)``, in one sweep.
+    """Upper and lower value of every column ``(f, M)`` at every root, in one sweep.
 
-    ``sweep_columns`` with every column on both sides; the state count of
-    ``(f, M)`` is that of the compile of ``model.prefix(M)``.
+    ``sweep_columns`` with every column on both sides, in its order; the
+    state count of ``(f, M)`` at root r is that of the compile of
+    ``model.prefix(M)`` with mask r.
     """
     ups, los = sweep_columns(graph, columns, columns)
-    states = np.cumsum([len(a) for a in graph.args]).tolist()
-    return tuple(EvalResult(up, lo, states[M + graph.lead])
-                 for up, lo, (_, M) in zip(ups, los, columns))
+    sizes = [[len(a)] for a in graph.args] if graph.sizes is None else graph.sizes
+    states = np.cumsum(sizes, axis=0).tolist()  # states[t][r]: layers 0..t of root r
+    counts = [n for _, M in columns for n in states[M + graph.lead]]
+    return tuple(EvalResult(*found) for found in zip(ups, los, counts))
 
 
 def evaluate(graph: Graph, f: Functional) -> EvalResult:
-    """``f`` of the full sum: ``evaluate_columns`` with the one column ``(f, n)``."""
+    """``f`` of the full sum at the first root: ``evaluate_columns`` with one column ``(f, n)``."""
     return evaluate_columns(graph, [(f, len(graph.steps) - graph.lead)])[0]
 
 
@@ -656,10 +727,32 @@ def eval_sum(
     ``|S_k|`` along completed prefixes instead of to the final sum.  A caller
     that evaluates several functionals or horizons of one sum compiles the
     graph once with ``compile_sum`` and sweeps it once with
-    ``evaluate_columns``.
+    ``evaluate_columns``.  ``eval_sums`` with the one mask ``indices``.
     """
-    return evaluate(compile_sum(model, indices=indices, x_clip=x_clip,
-                                track_max=track_max, state_cap=state_cap), f)
+    return eval_sums(model, f, [indices], x_clip=x_clip, track_max=track_max,
+                     state_cap=state_cap)[0]
+
+
+def eval_sums(
+    model: SequenceModel,
+    f: Functional,
+    masks: Sequence[Iterable[int] | None],
+    *,
+    x_clip: float | None = None,
+    track_max: bool = False,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[EvalResult, ...]:
+    """``eval_sum`` with ``indices`` set to each of ``masks``, from one compile and one sweep.
+
+    Every mask is a root of one graph (``compile_sum``), and each result is,
+    bit for bit and in ``state_count``, what ``eval_sum`` gives for that mask
+    alone; ``state_cap`` bounds the states of all masks together.
+    """
+    if not masks:
+        return ()
+    graph = compile_sum(model, masks=masks, x_clip=x_clip, track_max=track_max,
+                        state_cap=state_cap)
+    return evaluate_columns(graph, [(f, model.n)])
 
 
 # ---------------------------------------------------------------------------

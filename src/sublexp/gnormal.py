@@ -17,10 +17,12 @@ row's value is bit-identical to a solve of that row alone.
 ``solve_gheat`` is the one-row form.
 
 The G coefficient is chosen by the max rule: ``G(d2)`` is computed as
-``max(sigma_hi2 * d2, sigma_lo2 * d2)``.  For finite ``d2`` this is the
-same float as ``sigma_hi2 * d2`` where ``d2 >= 0`` and ``sigma_lo2 * d2``
-otherwise: rounding is monotone and ``0 <= sigma_lo2 <= sigma_hi2``, so
-the product with ``sigma_hi2`` is the larger one exactly when ``d2 >= 0``
+``max(sigma_lo2 * d2, sigma_hi2 * d2)``, with ``sigma_hi2 * d2`` taken as
+``d2`` itself when ``sigma_hi2`` is 1.0 (the default), which is the same
+float for every ``d2``.  For finite ``d2`` the max is the same float as
+``sigma_hi2 * d2`` where ``d2 >= 0`` and ``sigma_lo2 * d2`` otherwise:
+rounding is monotone and ``0 <= sigma_lo2 <= sigma_hi2``, so the product
+with ``sigma_hi2`` is the larger one exactly when ``d2 >= 0``
 (the two can only tie, never cross), and both products carry the sign
 of ``d2``, zeros included.  The one divergence is ``d2 = +inf`` with
 ``sigma_lo2 = 0``: ``0 * inf`` is NaN and ``max`` propagates it, where
@@ -146,9 +148,12 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     Every step works in place on scratch arrays allocated once.  Each element
     goes through the operations of the one-row scheme in the same order:
     ``d2 = ((u[i+1] - 2.0*u[i]) + u[i-1]) * inv_dx2``, then
-    ``max(sigma_hi2 * d2, sigma_lo2 * d2)``, times ``(dt*0.5)``, added to
-    ``u[i]``.  For finite ``d2`` the max is ``sigma_hi2 * d2`` where
-    ``d2 >= 0`` and ``sigma_lo2 * d2`` otherwise, bit for bit, because
+    ``max(sigma_lo2 * d2, sigma_hi2 * d2)``, times ``(dt*0.5)``, added to
+    ``u[i]``.  When ``sigma_hi2`` is 1.0 (the default) the product
+    ``sigma_hi2 * d2`` is ``d2`` itself, bit for bit (-0.0, infinities and
+    NaN included), so that multiply is skipped.  For finite ``d2`` the max
+    is ``sigma_hi2 * d2`` where ``d2 >= 0`` and ``sigma_lo2 * d2``
+    otherwise, bit for bit, because
     rounding is monotone and ``0 <= sigma_lo2 <= sigma_hi2``.  Only at
     ``d2 = +inf`` with ``sigma_lo2 = 0`` does it give NaN where that choice
     gives inf; a non-finite value stays non-finite, so the same rows raise
@@ -183,16 +188,21 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     ends = u[:, ::grid.nx - 1]  # columns 0 and nx - 1, as nx >= 3
     end_values = ends.copy()
     d2 = np.empty_like(mid)
-    hi_d2 = np.empty_like(mid)
+    scratch = np.empty_like(mid)  # sigma_lo2 * d2 when sigma_hi2 is 1, else sigma_hi2 * d2
     mask = np.empty(mid.shape, dtype=bool)
+    unit_hi = p.sigma_hi2 == 1.0
     for step in range(n_steps):
         np.multiply(mid, 2.0, out=d2)
         np.subtract(right, d2, out=d2)
         np.add(d2, left, out=d2)
         np.multiply(d2, inv_dx2, out=d2)
-        np.multiply(d2, p.sigma_hi2, out=hi_d2)
-        np.multiply(d2, p.sigma_lo2, out=d2)
-        np.maximum(d2, hi_d2, out=d2)
+        if unit_hi:
+            np.multiply(d2, p.sigma_lo2, out=scratch)
+            np.maximum(scratch, d2, out=d2)
+        else:
+            np.multiply(d2, p.sigma_hi2, out=scratch)
+            np.multiply(d2, p.sigma_lo2, out=d2)
+            np.maximum(d2, scratch, out=d2)
         np.multiply(d2, half_dt, out=d2)
         np.add(mid, d2, out=mid)
         np.copyto(ends, end_values)

@@ -237,12 +237,9 @@ def z_reduce(model: SequenceModel, m: int) -> ZReduction:
 
 
 def z_block_second_moments(model: SequenceModel, red: ZReduction) -> list[tuple[float, float]]:
-    """Upper/lower second moment of every Z block sum."""
-    out = []
-    for a, b in red.blocks:
-        res = engine.eval_sum(model, engine.square(), indices=range(a, b + 1))
-        out.append((res.upper, res.lower))
-    return out
+    """Upper/lower second moment of every Z block sum, each a root of one graph."""
+    found = engine.eval_sums(model, engine.square(), [range(a, b + 1) for a, b in red.blocks])
+    return [(res.upper, res.lower) for res in found]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,8 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     """Split ``S_n`` into q full blocks of length p_n, the m-gaps, and a tail.
 
     The q-th block ends at ``q (p_n + m)``; the tail starts right after it,
-    which makes the three masks a partition of 1..n.
+    which makes the three masks a partition of 1..n.  The non-empty parts
+    are the roots of one graph, read by one sweep; an empty one gives 0.
     """
     if model.kind != engine.KIND_MOVING_WINDOW:
         raise ValidationError("three_part_split needs a stationary moving-window model")
@@ -292,17 +290,15 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     )
     tail = tuple(range(q * (p_n + m) + 1, n + 1))
 
-    def m2(mask: tuple[int, ...]) -> float:
-        if not mask:
-            return 0.0
-        return engine.eval_sum(sub, engine.square(), indices=mask).upper
-
+    parts = (blocks, gaps, tail)
+    found = iter(engine.eval_sums(sub, engine.square(), [mask for mask in parts if mask]))
+    a1, a2, a3 = (next(found).upper if mask else 0.0 for mask in parts)
     return ThreePartSplit(
         n=n, p_n=p_n, m=m,
         blocks_mask=blocks, gaps_mask=gaps, tail_mask=tail,
-        a1_m2_over_n=m2(blocks) / n,
-        a2_m2_over_n=m2(gaps) / n,
-        a3_m2_over_n=m2(tail) / n,
+        a1_m2_over_n=a1 / n,
+        a2_m2_over_n=a2 / n,
+        a3_m2_over_n=a3 / n,
     )
 
 

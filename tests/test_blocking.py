@@ -112,7 +112,7 @@ def test_plan_rejects_odd_pn_before_any_evaluation(monkeypatch):
         pytest.fail("build_plan evaluated the model before checking p_n")
 
     ctx = cond.row_context(stationary_1dep(8), 8)
-    for name in ("eval_sum", "compile_sum", "eval_window"):
+    for name in ("eval_sum", "eval_sums", "compile_sum", "eval_window"):
         monkeypatch.setattr(eng, name, forbidden)
     with pytest.raises(ValidationError):
         blk.build_plan(ctx, 3)

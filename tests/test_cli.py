@@ -328,6 +328,22 @@ def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
     assert counts["compile_sum"] == counts["sweep_columns"] == 1
 
 
+def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(monkeypatch):
+    # per n: the row context's graph, then one graph with a root per block and the cuts
+    cfg = exp.config_from_mapping({
+        "name": "heavy", "mode": "blocking_inspect", "model": {"builder": "truncated-heavy"},
+        "n_list": [8, 16, 32], "conditions": {"tau": 1.0}})
+    want = cli.run_blocking_inspect(cfg)
+    counts = {"compile_sum": 0, "sweep_columns": 0}
+    for name in counts:
+        def spy(*args, _name=name, _fn=getattr(eng, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(eng, name, spy)
+    assert cli.run_blocking_inspect(cfg) == want
+    assert counts == {"compile_sum": 6, "sweep_columns": 6}
+
+
 def test_eval_reads_the_second_moment_and_every_functional_off_one_sweep(monkeypatch):
     cfg = exp.config_from_mapping({**SMALL_CONFIG, "mode": "eval"})
     want = cli.run_eval(cfg)

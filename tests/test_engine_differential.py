@@ -27,11 +27,15 @@ sweep of both sides;
 the summation helpers add those values left to right from 0.0.
 ``rosenthal_checks``, which reads every horizon off one graph and one set of
 marginals, gives what a per-case compile of ``model.prefix(n)`` gives.
+``eval_sums``, which compiles several masks into one graph with a root
+each, gives for every mask what ``eval_sum`` and the dict DP give for that
+mask alone, bit for bit and in state count.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable
 
 import numpy as np
@@ -43,6 +47,8 @@ import sublexp.engine as eng
 import sublexp.mdep as mdep
 from sublexp.engine import KIND_INDEPENDENT, KIND_MOVING_WINDOW, SequenceModel
 from sublexp.errors import StateCapError, ValidationError
+
+from conftest import random_model
 
 # ---------------------------------------------------------------------------
 # Reference: the original dict DP
@@ -431,8 +437,8 @@ def test_compile_sum_builds_the_reference_graph(case, iid):
 def _lattice(model: SequenceModel, **opts) -> bool:
     """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``."""
     mask = opts.get("indices")
-    draws = eng._draws(model, None if mask is None else frozenset(mask), opts.get("x_clip"))
-    return eng._on_lattice(table for _, _, table in draws if table is not None)
+    draws = eng._draws(model, [None if mask is None else frozenset(mask)], opts.get("x_clip"))
+    return eng._on_lattice(table for _, _, table, _ in draws if table is not None)
 
 
 def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
@@ -789,3 +795,83 @@ def test_rosenthal_checks_equal_per_case_prefix_compiles(model, data):
             mdep.rosenthal_checks(model, cases)
         return
     assert mdep.rosenthal_checks(model, cases) == want
+
+
+# ---------------------------------------------------------------------------
+# Several masks of one model in one graph
+# ---------------------------------------------------------------------------
+
+
+def _mask_lists(rng: random.Random, n: int) -> list:
+    """Random masks of 1..n, with an empty mask, a repeated mask, an overlapping pair and None."""
+    some = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    more = tuple(sorted({*some, rng.randint(1, n)}))  # contains ``some``: they overlap
+    masks = [some, more, (), some, None]
+    masks += [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+              for _ in range(rng.randint(0, 2))]
+    rng.shuffle(masks)
+    return masks
+
+
+def test_eval_sums_equal_eval_sum_per_mask_and_the_dict_dp():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        model = random_model(rng, max_n=5)
+        masks = _mask_lists(rng, model.n)
+        opts = {"x_clip": rng.choice((None, 0.25, 0.8, 1.5)),
+                "track_max": rng.random() < 0.25}
+        f = rng.choice(FUNCTIONALS + EDGE_FUNCTIONALS)
+        got = eng.eval_sums(model, f, masks, **opts)
+        assert len(got) == len(masks)
+        for mask, res in zip(masks, got):
+            assert bits(res) == bits(eng.eval_sum(model, f, indices=mask, **opts))
+            assert bits(res) == bits(reference_eval_sum(model, f, indices=mask, **opts))
+            assert_same_graph(eng.compile_sum(model, indices=mask, **opts),
+                              reference_compile_sum(model, indices=mask, **opts))
+        union = eng.compile_sum(model, masks=masks, **opts)
+        assert len(union.args[0]) == len(masks)  # one root per mask
+        assert sum(map(len, union.args)) == sum(res.state_count for res in got)
+    assert eng.eval_sums(model, eng.square(), []) == ()
+
+
+def test_union_off_the_lattice_builds_each_masks_own_graph():
+    # each mask alone sums at most 3 terms of 2^39, on the lattice; together
+    # the masks add at all 5 draws, past 2^41, so the union takes the float grid
+    model = SequenceModel.iid(_quarter_set(2.0 ** 39), 5)
+    masks = [(1, 2, 5), (3, 4)]
+    assert all(_lattice(model, indices=mask) for mask in masks)
+    assert not _lattice(model)
+    for f in (eng.square(), eng.identity()):
+        for mask, res in zip(masks, eng.eval_sums(model, f, masks)):
+            assert bits(res) == bits(reference_eval_sum(model, f, indices=mask))
+
+
+def test_state_cap_bounds_the_union_of_masks():
+    model = SequenceModel.moving_window(
+        sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
+        (1.0, 0.5), 6)
+    masks = [(1, 2, 3), (4, 5, 6), (2, 5)]
+    counts = [eng.eval_sum(model, eng.square(), indices=mask).state_count for mask in masks]
+    total = sum(counts)
+    got = eng.eval_sums(model, eng.square(), masks, state_cap=total)
+    assert [res.state_count for res in got] == counts
+    for mask in masks:  # each mask alone fits under the largest count
+        eng.eval_sum(model, eng.square(), indices=mask, state_cap=max(counts))
+    for cap in (max(counts), total - 1):
+        with pytest.raises(StateCapError) as err:
+            eng.eval_sums(model, eng.square(), masks, state_cap=cap)
+        assert err.value.cap == cap and err.value.count > cap
+        assert sum(err.value.layer_sizes) == err.value.count
+    assert err.value.count == total  # the cap just below it trips at the last layer
+
+
+def test_compile_sum_takes_indices_or_masks():
+    model = SequenceModel.iid(_quarter_set(), 3)
+    with pytest.raises(ValidationError):
+        eng.compile_sum(model, masks=[])
+    with pytest.raises(ValidationError):
+        eng.compile_sum(model, indices=(1,), masks=[(2,)])
+    with pytest.raises(ValidationError):
+        eng.compile_sum(model, masks=[(1,), (4,)])
+    assert_same_graph(eng.compile_sum(model, masks=[(1, 3)]),
+                      eng.compile_sum(model, indices=(1, 3)))

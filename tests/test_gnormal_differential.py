@@ -65,7 +65,9 @@ FUNCTIONALS = (
     _CONST,
     _KINKED,
 )
-PARAMS = (sl.GParams(0.5, 1.0), sl.GParams(1.0, 1.0), sl.GParams(0.0, 1.0))
+#: sigma_hi2 = 1.0 skips a multiply in ``solve_gheats``; the last one does not
+PARAMS = (sl.GParams(0.5, 1.0), sl.GParams(1.0, 1.0), sl.GParams(0.0, 1.0),
+          sl.GParams(0.25, 0.81))
 NXS = (3, 4, 200, 401)  # 200 is even: 0 falls between two nodes
 TIMES = ("1", "0.37", "below one dt")
 
