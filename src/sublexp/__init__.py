@@ -47,9 +47,11 @@ from .engine import (
     eval_window,
     evaluate,
     evaluate_columns,
+    marginal_columns,
     marginals,
     oracle_policy_enum,
     scaled,
+    window_columns,
 )
 from .gnormal import (
     G,
@@ -57,6 +59,7 @@ from .gnormal import (
     PDEGrid,
     default_grid,
     gnormal_reference,
+    gnormal_references,
     peng_oracle,
     solve_gheat,
     solve_gheats,

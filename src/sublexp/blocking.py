@@ -205,27 +205,35 @@ class BlockDiagnostics:
             raise ValidationError("removed mass exceeds the beta bound on the cuts")
 
 
-def _delta_sum(model: SequenceModel, cuts: tuple[int, ...], B2: float, lower: bool) -> float:
-    """``|sum_k (E[X_k^2] + 2 sum_nb E[X_k X_nb]) / B_n^2|`` over the cuts k and neighbors nb.
+def _delta_sums(model: SequenceModel, cuts: tuple[int, ...], B2: float) -> tuple[float, float]:
+    """Lower and upper ``|sum_k (E[X_k^2] + 2 sum_nb E[X_k X_nb]) / B_n^2|``.
 
-    One ``eval_window`` call per moment; under ``engine.one_law`` a moment
-    does not depend on where its window starts, so one per offset nb - k.
+    The sum runs over the cuts k and their neighbors nb in 1..n.  One
+    ``window_columns`` call per moment gives its lower and upper value;
+    under ``engine.one_law`` a moment does not depend on where its window
+    starts, so one per offset nb - k.
     """
-    @functools.cache
-    def moment(k: int, nb: int) -> float:
-        shift = min(k, nb) - 1
-        if shift and engine.one_law(model):
-            return moment(k - shift, nb - shift)
-        # xs[-1] is xs[0] in the one-index window of the square
-        return engine.eval_window(model, (k,) if nb == k else (k, nb),
-                                  lambda xs: xs[0] * xs[-1], lower=lower)
+    same_law = engine.one_law(model)
 
-    def delta(k: int) -> float:
+    def product(xs: tuple[float, ...]) -> float:
+        return xs[0] * xs[-1]  # xs[-1] is xs[0] in the one-index window of the square
+
+    @functools.cache
+    def moment(k: int, nb: int) -> tuple[float, float]:
+        shift = min(k, nb) - 1
+        if shift and same_law:
+            return moment(k - shift, nb - shift)
+        (up,), (lo,) = engine.window_columns(model, (k,) if nb == k else (k, nb),
+                                             [product], [product])
+        return lo, up
+
+    def delta(k: int, side: int) -> float:
         # E[X_k^2] + 2 E[X_k X_{k-1}] + 2 E[X_k X_{k+1}], left to right, in 1..n
-        return engine.ordered_sum((1.0 if nb == k else 2.0) * moment(k, nb)
+        return engine.ordered_sum((1.0 if nb == k else 2.0) * moment(k, nb)[side]
                                   for nb in (k, k - 1, k + 1) if 1 <= nb <= model.n) / B2
 
-    return abs(engine.ordered_sum(delta(c) for c in cuts))
+    return (abs(engine.ordered_sum(delta(c, 0) for c in cuts)),
+            abs(engine.ordered_sum(delta(c, 1) for c in cuts)))
 
 
 def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
@@ -239,12 +247,13 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
                              state_cap=cap)
     m2 = found[:len(blocks)]
     removed = found[-1].upper / B2 if plan.cuts else 0.0
+    delta_lo, delta_hi = _delta_sums(sub, plan.cuts, B2)
     Bt2 = engine.ordered_sum(res.upper for res in m2)
     bt2 = engine.ordered_sum(res.lower for res in m2)
     return BlockDiagnostics(
         sum_beta_cuts=engine.ordered_sum(plan.beta[c - 1] for c in plan.cuts),
-        sum_delta_lo=_delta_sum(sub, plan.cuts, B2, lower=True),
-        sum_delta_hi=_delta_sum(sub, plan.cuts, B2, lower=False),
+        sum_delta_lo=delta_lo,
+        sum_delta_hi=delta_hi,
         Btilde2_over_B2=Bt2 / B2,
         btilde2_over_B2=bt2 / B2,
         removed_mass=removed,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -108,8 +107,7 @@ def _normalizers(cfg: ExperimentConfig, ctx: cond.RowContext) -> tuple[float, fl
     tau = cfg.conditions.tau
     if tau is None:
         return ctx.Bn
-    up = cond.truncated_B2(ctx, tau)
-    lo = engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x, lower=True, x_clip=tau))
+    up, lo = cond.truncated_bounds(ctx, tau)
     return math.sqrt(up), math.sqrt(max(lo, 0.0))
 
 
@@ -147,15 +145,21 @@ SWEEP_SUMMARY_EPS = 0.25
 
 def _sweep_row(cfg: ExperimentConfig, fs: list[engine.Functional],
                ctx: cond.RowContext) -> tuple:
-    """Everything of one n's sweep rows but the G-normal references."""
+    """Everything of one n's sweep rows but the G-normal references.
+
+    The marginal summaries come from one history recursion
+    (``cond.build_report`` with no M and no p), the truncated normalizers
+    from one more, clipped.
+    """
     n = ctx.model.n
     B, b = _normalizers(cfg, ctx)
-    mean_unc = cond.mean_uncertainty(ctx)
+    rep = cond.build_report(ctx, eps_grid=(SWEEP_SUMMARY_EPS,), M_grid=(), p_grid=())
+    mean_unc = rep.mean_unc
     summary = (
-        cond.m2_ratio(ctx),
+        rep.m2_ratio,
         cond.variance_ratio(ctx, n),
-        cond.lindeberg(ctx, SWEEP_SUMMARY_EPS),
-        cond.capacity_tail(ctx, SWEEP_SUMMARY_EPS),
+        rep.lindeberg[SWEEP_SUMMARY_EPS],
+        rep.cap_tail[SWEEP_SUMMARY_EPS],
     )
     results = engine.evaluate_columns(ctx.graph, [(engine.scaled(f, 1.0 / B), n) for f in fs])
     return B, b, mean_unc, summary, results
@@ -206,11 +210,9 @@ def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
     )
     fs = _functionals(cfg)
     rows: list[Row] = []
-    for f, (up, lo) in zip(fs, _pde_bounds(cfg, fs, gp, grid)):
-        try:
-            quad = gnormal.gnormal_reference(f, gp, half_width=cfg.gnormal.half_width)
-        except ValidationError:
-            quad = math.nan
+    bounds = _pde_bounds(cfg, fs, gp, grid)
+    quads = gnormal.gnormal_references(fs, gp, half_width=cfg.gnormal.half_width)
+    for f, (up, lo), quad in zip(fs, bounds, quads):
         rows.append([f.name, gp.sigma_lo2, gp.sigma_hi2, up, lo, quad])
     for pengs in gnormal.peng_oracles(fs, gp, cfg.peng_n, state_cap=cfg.state_cap):
         for row, value in zip(rows, pengs):
@@ -225,18 +227,25 @@ ROSENTHAL_HEADER = (
 
 
 def run_rosenthal(cfg: ExperimentConfig) -> dict[str, Table]:
-    """One ``rosenthal_checks`` call per battery family (a run of instances with one model)."""
-    rows: list[Row] = []
+    """One ``rosenthal_checks`` call per distinct model of the battery, rows in battery order.
+
+    Families with equal models (anywhere in the battery) share the call.
+    """
     battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
-    for model, group in itertools.groupby(battery, key=lambda i: i.model):
-        insts = list(group)
-        reports = mdep.rosenthal_checks(model, [(inst.n, inst.p) for inst in insts],
-                                        state_cap=cfg.state_cap)
-        for inst, rep in zip(insts, reports):
-            rows.append([
-                inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
-                rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C,
-            ])
+    families: dict[engine.SequenceModel, list[int]] = {}
+    for i, inst in enumerate(battery):
+        families.setdefault(inst.model, []).append(i)
+    reports: dict[int, mdep.RosenthalReport] = {}
+    for model, members in families.items():
+        reports.update(zip(members, mdep.rosenthal_checks(
+            model, [(battery[i].n, battery[i].p) for i in members], state_cap=cfg.state_cap)))
+    rows: list[Row] = []
+    for i, inst in enumerate(battery):
+        rep = reports[i]
+        rows.append([
+            inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
+            rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C,
+        ])
     return {"rosenthal": (ROSENTHAL_HEADER, rows)}
 
 

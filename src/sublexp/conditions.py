@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import engine
 from .engine import SequenceModel
@@ -102,23 +102,40 @@ def row_context(model: SequenceModel, n: int, *,
     return RowContext(sub, graph, m2, (math.sqrt(m2.upper), math.sqrt(m2.lower)), state_cap)
 
 
+def _square(x: float) -> float:
+    return x * x
+
+
+def _identity(x: float) -> float:
+    return x
+
+
+def _marginal_sums(model: SequenceModel, phis: Sequence[Callable[[float], float]], *,
+                   x_clip: float | None = None) -> tuple[list[float], float]:
+    """``sum_k E[phi(X_k)]`` for every ``phi`` of ``phis``, and ``engine.mean_spread``.
+
+    One ``engine.marginal_columns`` call: every ``phi`` and ``E[X_k]`` are
+    upper columns, ``e[X_k]`` the one lower column, and each value is what
+    a one-column call gives, bit for bit.
+    """
+    (*columns, means), (lows,) = engine.marginal_columns(
+        model, [*phis, _identity], [_identity], x_clip=x_clip)
+    return [engine.ordered_sum(col) for col in columns], engine.spread_sum(means, lows)
+
+
 def lindeberg(ctx: RowContext, eps: float) -> float:
     """``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``."""
-    if eps <= 0.0:
-        raise ValidationError("eps must be > 0")
-    B2 = ctx.B2
-    cut = eps * B2
-    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: max(x * x - cut, 0.0))) / B2
+    return build_report(ctx, eps_grid=(eps,), M_grid=(), p_grid=()).lindeberg[eps]
 
 
 def mean_uncertainty(ctx: RowContext) -> float:
     """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    return engine.mean_spread(ctx.model) / math.sqrt(ctx.B2)
+    return build_report(ctx, eps_grid=(), M_grid=(), p_grid=()).mean_unc
 
 
 def m2_ratio(ctx: RowContext) -> float:
     """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x)) / ctx.B2
+    return build_report(ctx, eps_grid=(), M_grid=(), p_grid=()).m2_ratio
 
 
 def _ratio(res: engine.EvalResult) -> float:
@@ -127,7 +144,9 @@ def _ratio(res: engine.EvalResult) -> float:
 
 
 def _prefix_ratios(graph: engine.Graph, Ms: Sequence[int]) -> dict[int, float]:
-    """``_ratio`` of E[S_M^2] for every M of ``Ms``, from one sweep over ``graph``."""
+    """``_ratio`` of E[S_M^2] for every M of ``Ms``, from one sweep over ``graph`` (if any M)."""
+    if not Ms:
+        return {}
     results = engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms])
     return {M: _ratio(res) for M, res in zip(Ms, results)}
 
@@ -139,35 +158,40 @@ def variance_ratio(ctx: RowContext, M: int) -> float:
 
 def pth_moment(ctx: RowContext, p: float) -> float:
     """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
-    if p < 2.0:
-        raise ValidationError("need p >= 2")
-    B = math.sqrt(ctx.B2)
-    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: abs(x) ** p)) / B**p
+    return build_report(ctx, eps_grid=(), M_grid=(), p_grid=(p,)).pth[p]
 
 
 def capacity_tail(ctx: RowContext, eps: float) -> float:
     """``sum_k V(|X_k| > eps)`` via the exact policy supremum per index."""
-    if eps <= 0.0:
-        raise ValidationError("eps must be > 0")
-    over = engine.marginals(ctx.model, lambda x: 1.0 if abs(x) > eps else 0.0)
-    return engine.ordered_sum(over)
+    return build_report(ctx, eps_grid=(eps,), M_grid=(), p_grid=()).cap_tail[eps]
+
+
+def truncated_bounds(ctx: RowContext, tau: float) -> tuple[float, float]:
+    """Upper and lower ``sum_k E[(X_k^(tau))^2]``, from one history recursion."""
+    if tau <= 0.0:
+        raise ValidationError("tau must be > 0")
+    (ups,), (los,) = engine.marginal_columns(ctx.model, [_square], [_square], x_clip=tau)
+    return engine.ordered_sum(ups), engine.ordered_sum(los)
 
 
 def truncated_B2(ctx: RowContext, tau: float) -> float:
-    """``sum_k E[(X_k^(tau))^2]``, the truncated-theorem normalizer."""
-    if tau <= 0.0:
-        raise ValidationError("tau must be > 0")
-    return engine.ordered_sum(engine.marginals(ctx.model, lambda x: x * x, x_clip=tau))
+    """``sum_k E[(X_k^(tau))^2]``, the truncated-theorem normalizer (upper ``truncated_bounds``)."""
+    return truncated_bounds(ctx, tau)[0]
 
 
 def truncated_profile(ctx: RowContext, tau: float,
                       M_grid: Sequence[int] | None = None) -> TruncatedProfile:
-    """The row's hypotheses at tau; every ``S_M`` is read off one sweep of a clipped graph."""
-    B2 = truncated_B2(ctx, tau)
+    """The row's hypotheses at tau, every marginal from one clipped history recursion.
+
+    Every ``S_M`` is read off one sweep of a clipped graph.
+    """
+    if tau <= 0.0:
+        raise ValidationError("tau must be > 0")
+    (B2,), spread = _marginal_sums(ctx.model, [_square], x_clip=tau)
     graph = engine.compile_sum(ctx.model, x_clip=tau, state_cap=ctx.state_cap)
     Ms = M_grid if M_grid is not None else default_M_grid(ctx.model.n)
     return TruncatedProfile(
-        tau=tau, B_n2=B2, mean_unc=engine.mean_spread(ctx.model, x_clip=tau) / math.sqrt(B2),
+        tau=tau, B_n2=B2, mean_unc=spread / math.sqrt(B2),
         m2_ratio=1.0, var_ratio=_prefix_ratios(graph, Ms),
     )
 
@@ -179,15 +203,40 @@ def build_report(
     p_grid: Sequence[float] = DEFAULT_P_GRID,
     tau: float | None = None,
 ) -> ConditionReport:
+    """Every hypothesis of row n: the functions above, each at every point of its grid.
+
+    The marginal quantities (E[X_k^2], the Lindeberg excesses and the
+    capacity tails per eps, E[|X_k|^p] per p, E[X_k] and e[X_k]) are the
+    columns of one history recursion, and those at ``tau`` of one more,
+    clipped; every ``S_M`` is read off one sweep of the row graph.  An empty
+    ``M_grid`` reports no variance ratio and sweeps nothing.  ``lindeberg``,
+    ``mean_uncertainty``, ``m2_ratio``, ``pth_moment`` and ``capacity_tail``
+    read a report with empty grids but their own point.
+    """
     Ms = tuple(M_grid) if M_grid is not None else default_M_grid(ctx.model.n)
+    if any(eps <= 0.0 for eps in eps_grid):
+        raise ValidationError("eps must be > 0")
+    B2 = ctx.B2
+    if any(p < 2.0 for p in p_grid):
+        raise ValidationError("need p >= 2")
+    sums, spread = _marginal_sums(ctx.model, [
+        _square,
+        *(lambda x, _c=eps * B2: max(x * x - _c, 0.0) for eps in eps_grid),
+        *(lambda x, _p=p: abs(x) ** _p for p in p_grid),
+        *(lambda x, _e=eps: 1.0 if abs(x) > _e else 0.0 for eps in eps_grid)])
+    totals, B = iter(sums), math.sqrt(B2)
+    m2 = next(totals)
+    lind = {eps: next(totals) / B2 for eps in eps_grid}
+    pth = {p: next(totals) / B**p for p in p_grid}
+    cap = {eps: next(totals) for eps in eps_grid}
     return ConditionReport(
         n=ctx.model.n,
-        lindeberg={eps: lindeberg(ctx, eps) for eps in eps_grid},
-        mean_unc=mean_uncertainty(ctx),
-        m2_ratio=m2_ratio(ctx),
+        lindeberg=lind,
+        mean_unc=spread / math.sqrt(B2),
+        m2_ratio=m2 / B2,
         var_ratio=_prefix_ratios(ctx.graph, Ms),
-        pth={p: pth_moment(ctx, p) for p in p_grid},
-        cap_tail={eps: capacity_tail(ctx, eps) for eps in eps_grid},
+        pth=pth,
+        cap_tail=cap,
         trunc=truncated_profile(ctx, tau, Ms) if tau is not None else None,
     )
 

@@ -47,13 +47,21 @@ reachable from root r are the graph of mask r alone, so one sweep reads
 every root; ``eval_sums`` returns one ``EvalResult`` per mask, and
 ``eval_sum`` is its one-mask form.
 
-``marginals`` gives ``E[phi(X_k)]`` for every k; it evaluates one index
-when all coordinates share one sub-linear law.  ``ordered_sum`` adds such
-values left to right, the same way on every Python version.
+Functionals of a few coordinates are evaluated by recursion over the full
+history of the draws they involve.  ``window_columns`` carries many payoff
+columns through one such recursion, upper and lower columns as separate
+lists, as ``sweep_columns`` takes them; each column keeps its own running
+value per law and its own best, so it is the same floats as a recursion
+that carries it alone.  ``marginal_columns`` gives ``E[phi(X_k)]`` for every
+k and every column; it evaluates one index when all coordinates share one
+sub-linear law, and one per k otherwise.  ``eval_window``, ``marginals``
+and ``mean_spread`` are their one-call forms.  ``ordered_sum`` adds
+per-index values left to right, the same way on every Python version.
 
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
-full histories, with no state merging and payoffs recomputed from scratch;
-it is the independent cross-check for the layered DP.
+full histories, with no state merging and payoffs recomputed from scratch,
+the upper and the lower value as two columns of one recursion; it is the
+independent cross-check for the layered DP.
 """
 
 from __future__ import annotations
@@ -760,30 +768,52 @@ def eval_sums(
 # ---------------------------------------------------------------------------
 
 
-def _history_value(
+def _history_values(
     sets: Sequence[AmbiguitySet],
-    payoff: Callable[[tuple[float, ...]], float],
-    maximize: bool,
-) -> float:
-    n_steps = len(sets)
+    payoff: Callable[[tuple[float, ...]], Sequence[float]],
+    upper: int,
+    lower: int,
+) -> list[float]:
+    """Every column of ``payoff`` by backward recursion over full histories.
 
-    def rec(t: int, hist: tuple[float, ...]) -> float:
+    ``payoff`` gives ``upper + lower`` values per history; the first
+    ``upper`` columns take the best law by ``max``, the others by ``min``.
+    Each column keeps its own running value per law, ``0.0`` plus ``p * V``
+    over the law's support in order (``p == 0.0`` skipped), and its own
+    best, so it is the same floats as a recursion that carries that column
+    alone.  A node evaluates each child once, however many laws reach it.
+    """
+    plans = {}
+    for s in sets:
+        if id(s) not in plans:
+            # one slot per distinct support point; -0.0 and 0.0 stay apart
+            slots: dict[tuple[float, float], int] = {}
+            laws = tuple(
+                tuple((slots.setdefault((v, math.copysign(1.0, v)), len(slots)), p)
+                      for v, p in zip(law.values, law.probs) if p != 0.0)
+                for law in s.laws)
+            plans[id(s)] = tuple(v for v, _ in slots), laws
+    steps = [plans[id(s)] for s in sets]
+    n_steps, start = len(steps), [-math.inf] * upper + [math.inf] * lower
+
+    def rec(t: int, hist: tuple[float, ...]) -> Sequence[float]:
         if t == n_steps:
             return payoff(hist)
-        best = -math.inf if maximize else math.inf
-        for law in sets[t].laws:
-            acc = 0.0
-            for v, p in zip(law.values, law.probs):
-                if p == 0.0:
-                    continue
-                acc += p * rec(t + 1, hist + (v,))
-            if maximize:
-                best = max(best, acc)
-            else:
-                best = min(best, acc)
+        values, laws = steps[t]
+        kids: list[Sequence[float] | None] = [None] * len(values)
+        best = start
+        for law in laws:
+            acc = [0.0] * len(start)
+            for slot, p in law:
+                kid = kids[slot]
+                if kid is None:
+                    kid = kids[slot] = rec(t + 1, hist + (values[slot],))
+                acc = [a + p * v for a, v in zip(acc, kid)]
+            best = ([max(b, a) for b, a in zip(best[:upper], acc)]
+                    + [min(b, a) for b, a in zip(best[upper:], acc[upper:])])
         return best
 
-    return rec(0, ())
+    return list(rec(0, ()))
 
 
 def _guard_paths(sets: Sequence[AmbiguitySet], path_cap: int) -> None:
@@ -794,64 +824,112 @@ def _guard_paths(sets: Sequence[AmbiguitySet], path_cap: int) -> None:
             raise GuardError(f"history recursion would exceed {path_cap} paths")
 
 
+Payoff = Callable[[tuple[float, ...]], float]
+
+
+def window_columns(
+    model: SequenceModel,
+    indices: Sequence[int],
+    upper: Sequence[Payoff],
+    lower: Sequence[Payoff],
+    *,
+    x_clip: float | None = None,
+    path_cap: int = DEFAULT_PATH_CAP,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Upper ``E[psi(X_{i1}, ..., X_{ij})]`` for every ``psi`` of ``upper``, lower for ``lower``.
+
+    Evaluated by one recursion over the full history of the involved
+    primitive draws (draws outside the span integrate out), carrying every
+    column; a payoff on both sides is called once per history.  Each value
+    is, bit for bit, that of a recursion carrying its column alone.
+    Intended for small index windows: marginals, cross moments,
+    stationarity and independence checks.
+    """
+    idx = tuple(indices)
+    if not idx or any(not 1 <= k <= model.n for k in idx):
+        raise ValidationError("window indices must lie in 1..n")
+    # each distinct payoff is called once per history, then copied to its columns
+    columns = [*upper, *lower]
+    distinct = {id(psi): psi for psi in columns}
+    position = {key: i for i, key in enumerate(distinct)}
+    psis, at = tuple(distinct.values()), [position[id(psi)] for psi in columns]
+    repeats = len(psis) < len(columns)
+    if model.kind == KIND_INDEPENDENT:
+        involved = tuple(sorted(set(idx)))
+        sets = [model.sets[k - 1] for k in involved]
+
+        def coordinates(hist: tuple[float, ...]) -> tuple[float, ...]:
+            by_index = dict(zip(involved, hist))
+            return tuple(model.scale * by_index[k] for k in idx)
+
+    else:
+        first, last = min(idx), max(idx) + model.m
+        assert model.innovation is not None
+        sets = [model.innovation] * (last - first + 1)
+        weights = model.weights
+
+        def coordinates(hist: tuple[float, ...]) -> tuple[float, ...]:
+            return tuple(model.scale * math.fsum(w * hist[k + j - first]
+                                                 for j, w in enumerate(weights))
+                         for k in idx)
+
+    def payoff(hist: tuple[float, ...]) -> list[float]:
+        xs = coordinates(hist)
+        if x_clip is not None:
+            xs = tuple(min(max(x, -x_clip), x_clip) for x in xs)
+        values = [psi(xs) for psi in psis]
+        return [values[i] for i in at] if repeats else values
+
+    _guard_paths(sets, path_cap)
+    found = _history_values(sets, payoff, len(upper), len(lower))
+    return tuple(found[:len(upper)]), tuple(found[len(upper):])
+
+
 def eval_window(
     model: SequenceModel,
     indices: Sequence[int],
-    psi: Callable[[tuple[float, ...]], float],
+    psi: Payoff,
     *,
     lower: bool = False,
     x_clip: float | None = None,
     path_cap: int = DEFAULT_PATH_CAP,
 ) -> float:
-    """Exact expectation of ``psi(X_{i1}, ..., X_{ij})`` for a few indices.
-
-    Evaluated by recursion over the full history of the involved primitive
-    draws (draws outside the span integrate out).  Intended for small index
-    windows: cross moments, stationarity and independence checks.
-    """
-    idx = tuple(indices)
-    if not idx or any(not 1 <= k <= model.n for k in idx):
-        raise ValidationError("window indices must lie in 1..n")
-    lo, hi = min(idx), max(idx)
-    if model.kind == KIND_INDEPENDENT:
-        involved = tuple(sorted(set(idx)))
-        sets = [model.sets[k - 1] for k in involved]
-
-        def payoff(hist: tuple[float, ...]) -> float:
-            by_index = dict(zip(involved, hist))
-            xs = []
-            for k in idx:
-                x = model.scale * by_index[k]
-                if x_clip is not None:
-                    x = min(max(x, -x_clip), x_clip)
-                xs.append(x)
-            return psi(tuple(xs))
-
-    else:
-        first, last = lo, hi + model.m
-        assert model.innovation is not None
-        sets = [model.innovation] * (last - first + 1)
-        weights = model.weights
-
-        def payoff(hist: tuple[float, ...]) -> float:
-            xs = []
-            for k in idx:
-                raw = math.fsum(
-                    w * hist[k + j - first] for j, w in enumerate(weights)
-                )
-                x = model.scale * raw
-                if x_clip is not None:
-                    x = min(max(x, -x_clip), x_clip)
-                xs.append(x)
-            return psi(tuple(xs))
-
-    _guard_paths(sets, path_cap)
-    return _history_value(sets, payoff, maximize=not lower)
+    """Exact expectation of ``psi(X_{i1}, ..., X_{ij})``: ``window_columns`` with one column."""
+    ups, los = window_columns(model, indices, () if lower else (psi,), (psi,) if lower else (),
+                              x_clip=x_clip, path_cap=path_cap)
+    return (los if lower else ups)[0]
 
 
 def one_law(model: SequenceModel) -> bool:
-    """Moving window or equal sets: ``eval_window`` then gives a window's value at any shift."""
+    """Moving window or equal sets: a window's value then does not depend on its shift."""
     return model.kind == KIND_MOVING_WINDOW or all(s == model.sets[0] for s in model.sets)
+
+
+def marginal_columns(
+    model: SequenceModel,
+    upper: Sequence[Callable[[float], float]],
+    lower: Sequence[Callable[[float], float]],
+    *,
+    x_clip: float | None = None,
+) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+    """Upper ``E[phi(X_k)]`` for every ``phi`` of ``upper``, lower for ``lower``, k = 1..n.
+
+    Each side holds one tuple of n values per column.  Under ``one_law``
+    one ``window_columns`` call at index 1 gives every value; other models
+    take one call per k.  Each value is, bit for bit, what ``eval_window``
+    gives for that index and column alone.
+    """
+    cols = {id(phi): (lambda xs, _phi=phi: _phi(xs[0])) for phi in [*upper, *lower]}
+    ks = (1,) if one_law(model) else range(1, model.n + 1)
+    found = [window_columns(model, (k,), [cols[id(phi)] for phi in upper],
+                            [cols[id(phi)] for phi in lower], x_clip=x_clip) for k in ks]
+    reps = model.n // len(found)  # n under one_law, else 1
+
+    def side(s: int, count: int) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(v for got in found for v in (got[s][c],) * reps)
+                     for c in range(count))
+
+    return side(0, len(upper)), side(1, len(lower))
 
 
 def marginals(
@@ -863,16 +941,11 @@ def marginals(
 ) -> tuple[float, ...]:
     """Upper (or, with ``lower``, lower) ``E[phi(X_k)]`` for k = 1..n.
 
-    Under ``one_law`` one ``eval_window`` call gives all n values; other
-    models take one call per k.
+    ``marginal_columns`` with the one column ``phi``.
     """
-    def psi(xs: tuple[float, ...]) -> float:
-        return phi(xs[0])
-
-    if one_law(model):
-        return (eval_window(model, (1,), psi, lower=lower, x_clip=x_clip),) * model.n
-    return tuple(eval_window(model, (k,), psi, lower=lower, x_clip=x_clip)
-                 for k in range(1, model.n + 1))
+    ups, los = marginal_columns(model, () if lower else (phi,), (phi,) if lower else (),
+                                x_clip=x_clip)
+    return (los if lower else ups)[0]
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -883,11 +956,19 @@ def ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-def mean_spread(model: SequenceModel, *, x_clip: float | None = None) -> float:
-    """``sum_k (|E[X_k]| + |e[X_k]|)``, added in k order."""
-    ups = marginals(model, lambda x: x, x_clip=x_clip)
-    los = marginals(model, lambda x: x, lower=True, x_clip=x_clip)
+def spread_sum(ups: Iterable[float], los: Iterable[float]) -> float:
+    """``sum_k (|up_k| + |lo_k|)``, added in k order."""
     return ordered_sum(abs(up) + abs(lo) for up, lo in zip(ups, los))
+
+
+def mean_spread(model: SequenceModel, *, x_clip: float | None = None) -> float:
+    """``sum_k (|E[X_k]| + |e[X_k]|)``, added in k order, from one ``marginal_columns`` call."""
+    (ups,), (los,) = marginal_columns(model, (_identity,), (_identity,), x_clip=x_clip)
+    return spread_sum(ups, los)
+
+
+def _identity(x: float) -> float:
+    return x
 
 
 def oracle_policy_enum(
@@ -900,9 +981,10 @@ def oracle_policy_enum(
     """Brute-force supremum over history-dependent law choices.
 
     Recurses over full histories of the primitive draws; at every history
-    node the value is maximized (minimized for the lower bound) over the
-    member laws, which enumerates all adaptive policies.  Payoffs are
-    recomputed from the raw history, independently of the layered DP.
+    node the value is maximized (and, in a second column of the same
+    recursion, minimized for the lower bound) over the member laws, which
+    enumerates all adaptive policies.  Payoffs are recomputed from the raw
+    history, independently of the layered DP.
     """
     if model.n > max_n:
         raise GuardError(f"oracle guard: n={model.n} exceeds {max_n}")
@@ -915,19 +997,20 @@ def oracle_policy_enum(
     _guard_paths(sets, path_cap)
 
     if model.kind == KIND_INDEPENDENT:
-        def payoff(hist: tuple[float, ...]) -> float:
-            return f.phi(model.scale * math.fsum(hist))
+        def total(hist: tuple[float, ...]) -> float:
+            return math.fsum(hist)
     else:
         weights = model.weights
 
-        def payoff(hist: tuple[float, ...]) -> float:
-            total = 0.0
+        def total(hist: tuple[float, ...]) -> float:
+            s = 0.0
             for k in range(1, model.n + 1):
-                total += math.fsum(
-                    w * hist[k + j - 1] for j, w in enumerate(weights)
-                )
-            return f.phi(model.scale * total)
+                s += math.fsum(w * hist[k + j - 1] for j, w in enumerate(weights))
+            return s
 
-    upper = _history_value(sets, payoff, maximize=True)
-    lower = _history_value(sets, payoff, maximize=False)
+    def payoff(hist: tuple[float, ...]) -> list[float]:
+        value = f.phi(model.scale * total(hist))
+        return [value, value]
+
+    upper, lower = _history_values(sets, payoff, 1, 1)
     return EvalResult(upper, lower, 0)

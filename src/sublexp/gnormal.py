@@ -40,7 +40,8 @@ second moment interval [sigma_lo2, sigma_hi2]; the exact dynamic program for
 ``gnormal_reference`` is a third, quadrature-based cross-check valid only
 for test functions that are convex or concave on the whole grid domain: the
 extremal law is then the classical Gaussian at the appropriate endpoint of
-the variance interval.
+the variance interval.  ``gnormal_references`` gives it for several
+functionals from one set of quadrature nodes.
 """
 
 from __future__ import annotations
@@ -262,6 +263,28 @@ def _shape_on_grid(f: engine.Functional, half_width: float,
     return "neither"
 
 
+def _hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights; fewer than 64 nodes are rejected."""
+    if nodes < 64:
+        raise ValidationError("use at least 64 quadrature nodes")
+    return np.polynomial.hermite.hermgauss(nodes)
+
+
+def _quadrature(f: engine.Functional, p: GParams, half_width: float,
+                hermite: tuple[np.ndarray, np.ndarray]) -> float | None:
+    """The Gauss-Hermite value of ``f`` at its extremal variance; None when ``f`` has no shape."""
+    shape = _shape_on_grid(f, half_width)
+    if shape == "neither":
+        return None
+    var = p.sigma_hi2 if shape == "convex" else p.sigma_lo2
+    if var == 0.0:
+        return f.phi(0.0)
+    ts, ws = hermite
+    scale = math.sqrt(2.0 * var)
+    vals = np.array([f.phi(float(scale * t)) for t in ts], dtype=float)
+    return float(np.dot(ws, vals) / math.sqrt(math.pi))
+
+
 def gnormal_reference(f: engine.Functional, p: GParams, *,
                       half_width: float = 8.0, nodes: int = 96) -> float:
     """Gauss-Hermite value of the extremal classical Gaussian.
@@ -272,17 +295,20 @@ def gnormal_reference(f: engine.Functional, p: GParams, *,
     as a hypothesis to validate against ``solve_gheat``, not as ground
     truth.
     """
-    if nodes < 64:
-        raise ValidationError("use at least 64 quadrature nodes")
-    shape = _shape_on_grid(f, half_width)
-    if shape == "neither":
+    value = _quadrature(f, p, half_width, _hermite(nodes))
+    if value is None:
         raise ValidationError(
             f"{f.name} is neither convex nor concave on [-{half_width}, {half_width}]"
         )
-    var = p.sigma_hi2 if shape == "convex" else p.sigma_lo2
-    if var == 0.0:
-        return f.phi(0.0)
-    ts, ws = np.polynomial.hermite.hermgauss(nodes)
-    scale = math.sqrt(2.0 * var)
-    vals = np.array([f.phi(float(scale * t)) for t in ts], dtype=float)
-    return float(np.dot(ws, vals) / math.sqrt(math.pi))
+    return value
+
+
+def gnormal_references(fs: Sequence[engine.Functional], p: GParams, *,
+                       half_width: float = 8.0, nodes: int = 96) -> tuple[float, ...]:
+    """``gnormal_reference`` of each of ``fs``, NaN where it rejects the functional.
+
+    The Gauss-Hermite nodes are computed once for all of ``fs``.
+    """
+    hermite = _hermite(nodes)
+    values = (_quadrature(f, p, half_width, hermite) for f in fs)
+    return tuple(math.nan if value is None else value for value in values)

@@ -102,9 +102,11 @@ def rosenthal_checks(
 
     Horizon n reads coordinates 1..n of ``model``.  One running-max graph is
     compiled at the largest n, and every case is an upper column of one
-    backward sweep over it (``engine.sweep_columns``, with no lower column);
-    the marginals (E[|X_k|^p] once per distinct p) are computed once, and
-    each horizon adds its first n values left to right.  No case, no report.
+    backward sweep over it (``engine.sweep_columns``, with no lower column).
+    The marginals E[X_k^2], E[X_k], e[X_k] and E[|X_k|^p] (once per
+    distinct p) are the columns of one history recursion
+    (``engine.marginal_columns``), and each horizon adds its first n values
+    left to right.  No case, no report.
     """
     if any(p < 2.0 for _, p in cases):
         raise ValidationError("rosenthal_checks needs p >= 2")
@@ -112,11 +114,16 @@ def rosenthal_checks(
         return ()
     top = model.prefix(max(n for n, _ in cases))
     graph = engine.compile_sum(top, track_max=True, state_cap=state_cap)
-    squares = engine.marginals(top, lambda x: x * x)
-    spreads = [abs(up) + abs(lo) for up, lo in zip(
-        engine.marginals(top, lambda x: x), engine.marginals(top, lambda x: x, lower=True))]
-    abs_ps = {p: engine.marginals(top, lambda x, _p=p: abs(x) ** _p)
-              for p in dict.fromkeys(p for _, p in cases)}
+    ps = tuple(dict.fromkeys(p for _, p in cases))
+
+    def identity(x: float) -> float:  # one payoff for both sides of E[X_k]
+        return x
+
+    (squares, means, *abs_p_columns), (lows,) = engine.marginal_columns(
+        top, [lambda x: x * x, identity, *(lambda x, _p=p: abs(x) ** _p for p in ps)],
+        [identity])
+    spreads = [abs(up) + abs(lo) for up, lo in zip(means, lows)]
+    abs_ps = dict(zip(ps, abs_p_columns))
     lhs, _ = engine.sweep_columns(graph, [
         (Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p), n)
         for n, p in cases], ())

@@ -235,25 +235,25 @@ def _per_cut_delta_sum(model, cuts, B2, lower):
 
 
 def test_delta_sums_take_one_window_call_per_offset_under_one_law(monkeypatch):
+    # one call per moment gives both sides: the lower and the upper correction sum
     a, b = pm1_uncertain(), variance_uncertain()
     calls = []
-    window = eng.eval_window
+    window = eng.window_columns
 
-    def counting(model, indices, psi, **kwargs):
+    def counting(model, indices, upper, lower, **kwargs):
         calls.append(tuple(indices))
-        return window(model, indices, psi, **kwargs)
+        return window(model, indices, upper, lower, **kwargs)
 
     # the last cut is index n, which has no right neighbor
     for model, one_law in ((stationary_1dep(9), True), (sl.SequenceModel.iid(a, 9), True),
                            (sl.SequenceModel.independent((a, b) * 4 + (a,)), False)):
         ctx = cond.row_context(model, 9)
         cuts = (3, 5, 9)
-        for lower in (False, True):
-            want = _per_cut_delta_sum(model, cuts, ctx.B2, lower)
-            calls.clear()
-            monkeypatch.setattr(eng, "eval_window", counting)
-            got = blk._delta_sum(model, cuts, ctx.B2, lower)
-            monkeypatch.setattr(eng, "eval_window", window)
-            assert got.hex() == want.hex()
-            assert calls == ([(1,), (2, 1), (1, 2)] if one_law else
-                             [(3,), (3, 2), (3, 4), (5,), (5, 4), (5, 6), (9,), (9, 8)])
+        want = tuple(_per_cut_delta_sum(model, cuts, ctx.B2, lower) for lower in (True, False))
+        calls.clear()
+        monkeypatch.setattr(eng, "window_columns", counting)
+        got = blk._delta_sums(model, cuts, ctx.B2)
+        monkeypatch.setattr(eng, "window_columns", window)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert calls == ([(1,), (2, 1), (1, 2)] if one_law else
+                         [(3,), (3, 2), (3, 4), (5,), (5, 4), (5, 6), (9,), (9, 8)])

@@ -12,6 +12,7 @@ import sublexp.cli as cli
 import sublexp.conditions as cond
 import sublexp.engine as eng
 import sublexp.experiments as exp
+import sublexp.mdep as mdep
 from sublexp.errors import ValidationError
 
 SMALL_CONFIG = {
@@ -310,22 +311,45 @@ def test_eval_of_degenerate_model_reports_zero_Bn(tmp_path):
 
 def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
     # every backward sweep, one-sided or through evaluate_columns, is a sweep_columns call
-    counts = {"compile_sum": 0, "eval_window": 0, "sweep_columns": 0}
+    # and every history recursion is a window_columns call
+    counts = {"compile_sum": 0, "window_columns": 0, "sweep_columns": 0}
     for name in counts:
         def spy(*args, _name=name, _fn=getattr(eng, name), **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(eng, name, spy)
-    rows = cli.run_rosenthal(exp.reference_experiments()["stationary-1dep"])["rosenthal"][1]
-    # 27 families, one graph and one backward sweep each for their 243 rows;
-    # per family E[X^2], E[X], e[X] and E[|X|^p] for p = 2, 3, 4
-    assert len(rows) == 243
-    assert counts == {"compile_sum": 27, "eval_window": 27 * 6, "sweep_columns": 27}
-    counts.update(compile_sum=0, eval_window=0, sweep_columns=0)
+    cfg = exp.reference_experiments()["stationary-1dep"]
+    battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
+    rows = cli.run_rosenthal(cfg)["rosenthal"][1]
+    # 27 families on 25 distinct models (m0-v3 and m0-v6, m1-v2 and m1-v5
+    # share one), one graph, one backward sweep and one history recursion
+    # (E[X^2], E[X], e[X] and E[|X|^p] for p = 2, 3, 4) per model, rows in
+    # battery order
+    assert len({inst.model for inst in battery}) == 25
+    assert [row[0] for row in rows] == [inst.ident for inst in battery]
+    assert counts == {"compile_sum": 25, "window_columns": 25, "sweep_columns": 25}
+    counts.update(compile_sum=0, window_columns=0, sweep_columns=0)
     raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
            "gnormal": {"sigma_lo2": 0.5, "nx": 201}, "peng_n": [8, 16]}
     cli.run_gnormal_eval(exp.config_from_mapping(raw))
     assert counts["compile_sum"] == counts["sweep_columns"] == 1
+
+
+def test_sweep_rows_take_one_history_recursion_per_clip(monkeypatch):
+    # per n: the marginal summaries from one recursion, the truncated
+    # normalizers (upper and lower) from one more at tau
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "conditions": {"tau": 1.0}})
+    want = cli.run_clt_sweep(cfg)
+    clips = []
+    window = eng.window_columns
+
+    def counting(model, indices, upper, lower, **kwargs):
+        clips.append(kwargs.get("x_clip"))
+        return window(model, indices, upper, lower, **kwargs)
+
+    monkeypatch.setattr(eng, "window_columns", counting)
+    assert cli.run_clt_sweep(cfg) == want
+    assert clips == [1.0, None] * len(cfg.n_list)
 
 
 def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(monkeypatch):

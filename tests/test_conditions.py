@@ -209,6 +209,63 @@ def test_report_reads_prefixes_off_one_graph_per_row(monkeypatch):
     assert swept == []
 
 
+@pytest.mark.parametrize("name", ["stationary-1dep", "truncated-heavy"])
+def test_report_equals_one_marginals_call_per_quantity(name):
+    ctx = cond.row_context(exp.reference_experiments()[name].model_for(8), 8)
+    rep = cond.build_report(ctx, eps_grid=(0.1, 0.5), M_grid=(4,), p_grid=(2.0, 3.0), tau=1.0)
+    B2, model = ctx.B2, ctx.model
+
+    def total(phi, **kwargs):
+        return eng.ordered_sum(eng.marginals(model, phi, **kwargs))
+
+    tB2 = total(lambda x: x * x, x_clip=1.0)
+    want = {
+        "lindeberg": [total(lambda x, c=eps * B2: max(x * x - c, 0.0)) / B2 for eps in (0.1, 0.5)],
+        "mean_unc": [eng.mean_spread(model) / math.sqrt(B2)],
+        "m2_ratio": [total(lambda x: x * x) / B2],
+        "pth": [total(lambda x, p=p: abs(x) ** p) / math.sqrt(B2) ** p for p in (2.0, 3.0)],
+        "cap_tail": [total(lambda x, e=eps: 1.0 if abs(x) > e else 0.0) for eps in (0.1, 0.5)],
+        "trunc_B2": [tB2] * 3,
+        "trunc_b2": [total(lambda x: x * x, lower=True, x_clip=1.0)],
+        "trunc_mean_unc": [eng.mean_spread(model, x_clip=1.0) / math.sqrt(tB2)],
+    }
+    bounds = cond.truncated_bounds(ctx, 1.0)
+    got = {
+        "lindeberg": list(rep.lindeberg.values()),
+        "mean_unc": [rep.mean_unc],
+        "m2_ratio": [rep.m2_ratio],
+        "pth": list(rep.pth.values()),
+        "cap_tail": list(rep.cap_tail.values()),
+        "trunc_B2": [rep.trunc.B_n2, cond.truncated_B2(ctx, 1.0), bounds[0]],
+        "trunc_b2": [bounds[1]],
+        "trunc_mean_unc": [rep.trunc.mean_unc],
+    }
+    assert {k: [v.hex() for v in vs] for k, vs in got.items()} == \
+        {k: [v.hex() for v in vs] for k, vs in want.items()}
+    # each single-quantity function reads the same value off its own report
+    assert [cond.lindeberg(ctx, eps) for eps in (0.1, 0.5)] == got["lindeberg"]
+    assert [cond.mean_uncertainty(ctx), cond.m2_ratio(ctx)] == [rep.mean_unc, rep.m2_ratio]
+    assert [cond.pth_moment(ctx, p) for p in (2.0, 3.0)] == got["pth"]
+    assert [cond.capacity_tail(ctx, eps) for eps in (0.1, 0.5)] == got["cap_tail"]
+
+
+def test_report_takes_one_history_recursion_per_clip(monkeypatch):
+    ctx = cond.row_context(exp.reference_experiments()["truncated-heavy"].model_for(8), 8)
+    clips = []
+    window = eng.window_columns
+
+    def counting(model, indices, upper, lower, **kwargs):
+        clips.append(kwargs.get("x_clip"))
+        return window(model, indices, upper, lower, **kwargs)
+
+    monkeypatch.setattr(eng, "window_columns", counting)
+    cond.build_report(ctx)
+    assert clips == [None]
+    clips.clear()
+    cond.build_report(ctx, tau=1.0)
+    assert clips == [None, 1.0]
+
+
 def test_wide_truncation_reproduces_untruncated_formulas():
     model = stationary_1dep(6)
     prof = cond.truncated_profile(cond.row_context(model, 6), tau=10.0, M_grid=(3, 6))

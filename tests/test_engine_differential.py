@@ -25,6 +25,11 @@ sweep of both sides;
 ``marginals`` gives what the per-index
 ``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
 the summation helpers add those values left to right from 0.0.
+``window_columns`` and ``marginal_columns``, one history recursion carrying
+many payoff columns, give for every column what the one-column recursion
+``reference_eval_window`` gives (which laws reach a node does not change its
+children's values), and ``oracle_policy_enum`` takes its upper and lower
+value from one recursion that equals two one-column ones.
 ``rosenthal_checks``, which reads every horizon off one graph and one set of
 marginals, gives what a per-case compile of ``model.prefix(n)`` gives.
 ``eval_sums``, which compiles several masks into one graph with a root
@@ -40,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sublexp as sl
 import sublexp.engine as eng
@@ -649,13 +654,13 @@ def test_ordered_sum_adds_left_to_right():
 
 def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
     calls: list[tuple[int, ...]] = []
-    window = eng.eval_window
+    window = eng.window_columns
 
-    def counting(model, indices, psi, **kwargs):
+    def counting(model, indices, upper, lower, **kwargs):
         calls.append(tuple(indices))
-        return window(model, indices, psi, **kwargs)
+        return window(model, indices, upper, lower, **kwargs)
 
-    monkeypatch.setattr(eng, "eval_window", counting)
+    monkeypatch.setattr(eng, "window_columns", counting)
     a = sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)])
     b = sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)])
     for model, expected in (
@@ -666,6 +671,152 @@ def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
         calls.clear()
         assert len(eng.marginals(model, lambda x: x * x, lower=True)) == 5
         assert calls == expected
+
+
+# ---------------------------------------------------------------------------
+# Many-column history recursions
+# ---------------------------------------------------------------------------
+
+
+def reference_history_value(sets, payoff, maximize: bool) -> float:
+    """The one-column full-history recursion ``eval_window`` ran before it carried columns.
+
+    Every law recurses into each of its support points afresh.
+    """
+    def rec(t: int, hist: tuple[float, ...]) -> float:
+        if t == len(sets):
+            return payoff(hist)
+        best = -math.inf if maximize else math.inf
+        for law in sets[t].laws:
+            acc = 0.0
+            for v, p in zip(law.values, law.probs):
+                if p == 0.0:
+                    continue
+                acc += p * rec(t + 1, hist + (v,))
+            best = max(best, acc) if maximize else min(best, acc)
+        return best
+
+    return rec(0, ())
+
+
+def reference_eval_window(model: SequenceModel, indices, psi, *, lower: bool = False,
+                          x_clip: float | None = None) -> float:
+    """``eval_window`` as it was: one column, payoffs built per history."""
+    idx = tuple(indices)
+    first = min(idx)
+    if model.kind == KIND_INDEPENDENT:
+        involved = tuple(sorted(set(idx)))
+        sets = [model.sets[k - 1] for k in involved]
+
+        def raw(hist, k):
+            return dict(zip(involved, hist))[k]
+    else:
+        sets = [model.innovation] * (max(idx) + model.m - first + 1)
+
+        def raw(hist, k):
+            return math.fsum(w * hist[k + j - first] for j, w in enumerate(model.weights))
+
+    def payoff(hist):
+        xs = []
+        for k in idx:
+            x = model.scale * raw(hist, k)
+            if x_clip is not None:
+                x = min(max(x, -x_clip), x_clip)
+            xs.append(x)
+        return psi(tuple(xs))
+
+    return reference_history_value(sets, payoff, not lower)
+
+
+#: Window payoffs, with the edge values -0.0 (0.0 + p * -0.0 is 0.0) and
+#: infinities of one sign each.
+WINDOW_PAYOFFS = (
+    lambda xs: xs[0] * xs[-1],
+    lambda xs: math.fsum(xs),
+    lambda xs: abs(math.fsum(xs)) ** 3,
+    lambda xs: -0.0 if xs[0] <= 0.0 else xs[0],
+    lambda xs: math.inf if xs[-1] > 0.5 else -0.0,
+    lambda xs: -math.inf if xs[0] < -0.5 else xs[0] * xs[-1],
+)
+
+#: ``MARGINAL_PHIS`` and the same edge values on one coordinate.
+EDGE_PHIS = MARGINAL_PHIS + (
+    lambda x: -0.0 if x <= 0.0 else x,
+    lambda x: math.inf if x > 0.5 else -0.0,
+    lambda x: -math.inf if x < -0.5 else x * x,
+)
+
+
+@st.composite
+def windows(draw, model: SequenceModel) -> tuple[int, ...]:
+    """1 to 3 indices, repeats allowed, spanning at most 3 - m coordinates."""
+    lo = draw(st.integers(1, model.n))
+    hi = min(model.n, lo + max(0, 2 - model.m))
+    return tuple(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3)))
+
+
+def side_lists(pool):
+    """Upper and lower columns: repeats within and across the sides, either side empty."""
+    return st.tuples(st.lists(st.sampled_from(pool), max_size=3),
+                     st.lists(st.sampled_from(pool), max_size=3))
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(marginal_models(), st.data(), st.sampled_from((None, 0.25, 1.5)))
+def test_window_columns_equal_one_column_recursions(model, data, x_clip):
+    idx = data.draw(windows(model))
+    upper, lower = data.draw(side_lists(WINDOW_PAYOFFS))
+    ups, los = eng.window_columns(model, idx, upper, lower, x_clip=x_clip)
+    assert hexes(ups) == hexes(reference_eval_window(model, idx, psi, x_clip=x_clip)
+                               for psi in upper)
+    assert hexes(los) == hexes(reference_eval_window(model, idx, psi, lower=True, x_clip=x_clip)
+                               for psi in lower)
+    assert hexes(ups) == hexes(eng.eval_window(model, idx, psi, x_clip=x_clip) for psi in upper)
+    assert hexes(los) == hexes(eng.eval_window(model, idx, psi, lower=True, x_clip=x_clip)
+                               for psi in lower)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(marginal_models(), side_lists(EDGE_PHIS), st.sampled_from((None, 0.25, 1.5)))
+def test_marginal_columns_equal_one_column_recursions(model, sides, x_clip):
+    upper, lower = sides
+    ups, los = eng.marginal_columns(model, upper, lower, x_clip=x_clip)
+    assert [len(col) for col in ups + los] == [model.n] * (len(upper) + len(lower))
+    for side, phis, is_lower in ((ups, upper, False), (los, lower, True)):
+        for col, phi in zip(side, phis):
+            assert hexes(col) == hexes(
+                reference_eval_window(model, (k,), lambda xs, _phi=phi: _phi(xs[0]),
+                                      lower=is_lower, x_clip=x_clip)
+                for k in range(1, model.n + 1))
+
+
+def reference_oracle(model: SequenceModel, f: eng.Functional) -> tuple[float, float]:
+    """``oracle_policy_enum`` as it was: one one-column recursion per side."""
+    sets = [model.set_at(t) for t in range(1, model.steps + 1)]
+
+    def payoff(hist):
+        if model.kind == KIND_INDEPENDENT:
+            return f.phi(model.scale * math.fsum(hist))
+        total = 0.0
+        for k in range(1, model.n + 1):
+            total += math.fsum(w * hist[k + j - 1] for j, w in enumerate(model.weights))
+        return f.phi(model.scale * total)
+
+    return (reference_history_value(sets, payoff, True),
+            reference_history_value(sets, payoff, False))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(models(), st.sampled_from(FUNCTIONALS))
+def test_oracle_sides_equal_two_one_column_recursions(model, f):
+    paths = math.prod(len(model.set_at(t).support) for t in range(1, model.steps + 1))
+    assume(paths <= 300)
+    got = eng.oracle_policy_enum(model, f)
+    assert hexes((got.upper, got.lower)) == hexes(reference_oracle(model, f))
 
 
 #: Payoffs whose values stress the sweep's float handling: -0.0 (0.0 + p * -0.0
