@@ -106,21 +106,20 @@ def _square(x: float) -> float:
     return x * x
 
 
-def _identity(x: float) -> float:
-    return x
+def _over(eps: float) -> Callable[[float], float]:
+    """The indicator of ``|x| > eps``, the payoff of ``capacity_tail``."""
+    return lambda x: 1.0 if abs(x) > eps else 0.0
 
 
 def _marginal_sums(model: SequenceModel, phis: Sequence[Callable[[float], float]], *,
                    x_clip: float | None = None) -> tuple[list[float], float]:
     """``sum_k E[phi(X_k)]`` for every ``phi`` of ``phis``, and ``engine.mean_spread``.
 
-    One ``engine.marginal_columns`` call: every ``phi`` and ``E[X_k]`` are
-    upper columns, ``e[X_k]`` the one lower column, and each value is what
-    a one-column call gives, bit for bit.
+    One ``engine.spread_columns`` call; each value is what a one-column
+    call gives, bit for bit.
     """
-    (*columns, means), (lows,) = engine.marginal_columns(
-        model, [*phis, _identity], [_identity], x_clip=x_clip)
-    return [engine.ordered_sum(col) for col in columns], engine.spread_sum(means, lows)
+    columns, spreads = engine.spread_columns(model, phis, x_clip=x_clip)
+    return [engine.ordered_sum(col) for col in columns], engine.ordered_sum(spreads)
 
 
 def lindeberg(ctx: RowContext, eps: float) -> float:
@@ -158,12 +157,20 @@ def variance_ratio(ctx: RowContext, M: int) -> float:
 
 def pth_moment(ctx: RowContext, p: float) -> float:
     """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
+    if p < 2.0:
+        raise ValidationError("need p >= 2")
     return build_report(ctx, eps_grid=(), M_grid=(), p_grid=(p,)).pth[p]
 
 
 def capacity_tail(ctx: RowContext, eps: float) -> float:
-    """``sum_k V(|X_k| > eps)`` via the exact policy supremum per index."""
-    return build_report(ctx, eps_grid=(eps,), M_grid=(), p_grid=()).cap_tail[eps]
+    """``sum_k V(|X_k| > eps)`` via the exact policy supremum per index.
+
+    Not normalized, so unlike the report it needs no ``B_n`` and takes a
+    zero-variance model.
+    """
+    if eps <= 0.0:
+        raise ValidationError("eps must be > 0")
+    return engine.ordered_sum(engine.marginals(ctx.model, _over(eps)))
 
 
 def truncated_bounds(ctx: RowContext, tau: float) -> tuple[float, float]:
@@ -210,8 +217,9 @@ def build_report(
     columns of one history recursion, and those at ``tau`` of one more,
     clipped; every ``S_M`` is read off one sweep of the row graph.  An empty
     ``M_grid`` reports no variance ratio and sweeps nothing.  ``lindeberg``,
-    ``mean_uncertainty``, ``m2_ratio``, ``pth_moment`` and ``capacity_tail``
-    read a report with empty grids but their own point.
+    ``mean_uncertainty``, ``m2_ratio`` and ``pth_moment`` read a report with
+    empty grids but their own point; ``capacity_tail``, which divides by no
+    ``B_n``, makes its own recursion.
     """
     Ms = tuple(M_grid) if M_grid is not None else default_M_grid(ctx.model.n)
     if any(eps <= 0.0 for eps in eps_grid):
@@ -223,7 +231,7 @@ def build_report(
         _square,
         *(lambda x, _c=eps * B2: max(x * x - _c, 0.0) for eps in eps_grid),
         *(lambda x, _p=p: abs(x) ** _p for p in p_grid),
-        *(lambda x, _e=eps: 1.0 if abs(x) > _e else 0.0 for eps in eps_grid)])
+        *(_over(eps) for eps in eps_grid)])
     totals, B = iter(sums), math.sqrt(B2)
     m2 = next(totals)
     lind = {eps: next(totals) / B2 for eps in eps_grid}

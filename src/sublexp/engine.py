@@ -54,8 +54,10 @@ lists, as ``sweep_columns`` takes them; each column keeps its own running
 value per law and its own best, so it is the same floats as a recursion
 that carries it alone.  ``marginal_columns`` gives ``E[phi(X_k)]`` for every
 k and every column; it evaluates one index when all coordinates share one
-sub-linear law, and one per k otherwise.  ``eval_window``, ``marginals``
-and ``mean_spread`` are their one-call forms.  ``ordered_sum`` adds
+sub-linear law, and one per k otherwise.  ``spread_columns`` adds the
+``E[X_k]`` and ``e[X_k]`` columns to a caller's own and returns
+``|E[X_k]| + |e[X_k]|`` per k.  ``eval_window``, ``marginals`` and
+``mean_spread`` are their one-call forms.  ``ordered_sum`` adds
 per-index values left to right, the same way on every Python version.
 
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
@@ -853,7 +855,6 @@ def window_columns(
     distinct = {id(psi): psi for psi in columns}
     position = {key: i for i, key in enumerate(distinct)}
     psis, at = tuple(distinct.values()), [position[id(psi)] for psi in columns]
-    repeats = len(psis) < len(columns)
     if model.kind == KIND_INDEPENDENT:
         involved = tuple(sorted(set(idx)))
         sets = [model.sets[k - 1] for k in involved]
@@ -878,7 +879,7 @@ def window_columns(
         if x_clip is not None:
             xs = tuple(min(max(x, -x_clip), x_clip) for x in xs)
         values = [psi(xs) for psi in psis]
-        return [values[i] for i in at] if repeats else values
+        return [values[i] for i in at]
 
     _guard_paths(sets, path_cap)
     found = _history_values(sets, payoff, len(upper), len(lower))
@@ -956,19 +957,29 @@ def ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-def spread_sum(ups: Iterable[float], los: Iterable[float]) -> float:
-    """``sum_k (|up_k| + |lo_k|)``, added in k order."""
-    return ordered_sum(abs(up) + abs(lo) for up, lo in zip(ups, los))
+def _identity(x: float) -> float:
+    return x
+
+
+def spread_columns(
+    model: SequenceModel,
+    upper: Sequence[Callable[[float], float]],
+    *,
+    x_clip: float | None = None,
+) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """Upper ``E[phi(X_k)]`` for every ``phi`` of ``upper``, and ``|E[X_k]| + |e[X_k]|``, k = 1..n.
+
+    One ``marginal_columns`` call: ``E[X_k]`` is one more upper column and
+    ``e[X_k]`` the one lower column, both of one identity payoff.
+    """
+    (*columns, means), (lows,) = marginal_columns(
+        model, [*upper, _identity], [_identity], x_clip=x_clip)
+    return tuple(columns), tuple(abs(up) + abs(lo) for up, lo in zip(means, lows))
 
 
 def mean_spread(model: SequenceModel, *, x_clip: float | None = None) -> float:
-    """``sum_k (|E[X_k]| + |e[X_k]|)``, added in k order, from one ``marginal_columns`` call."""
-    (ups,), (los,) = marginal_columns(model, (_identity,), (_identity,), x_clip=x_clip)
-    return spread_sum(ups, los)
-
-
-def _identity(x: float) -> float:
-    return x
+    """``sum_k (|E[X_k]| + |e[X_k]|)``, added in k order (``spread_columns`` with no column)."""
+    return ordered_sum(spread_columns(model, (), x_clip=x_clip)[1])
 
 
 def oracle_policy_enum(

@@ -263,6 +263,9 @@ def _shape_on_grid(f: engine.Functional, half_width: float,
     return "neither"
 
 
+HERMITE_NODES = 96  # Gauss-Hermite nodes of every quadrature reference
+
+
 def _hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights; fewer than 64 nodes are rejected."""
     if nodes < 64:
@@ -286,7 +289,7 @@ def _quadrature(f: engine.Functional, p: GParams, half_width: float,
 
 
 def gnormal_reference(f: engine.Functional, p: GParams, *,
-                      half_width: float = 8.0, nodes: int = 96) -> float:
+                      half_width: float = 8.0, nodes: int = HERMITE_NODES) -> float:
     """Gauss-Hermite value of the extremal classical Gaussian.
 
     For convex ``f`` the upper G-normal expectation is the classical
@@ -304,11 +307,11 @@ def gnormal_reference(f: engine.Functional, p: GParams, *,
 
 
 def gnormal_references(fs: Sequence[engine.Functional], p: GParams, *,
-                       half_width: float = 8.0, nodes: int = 96) -> tuple[float, ...]:
+                       half_width: float = 8.0) -> tuple[float, ...]:
     """``gnormal_reference`` of each of ``fs``, NaN where it rejects the functional.
 
-    The Gauss-Hermite nodes are computed once for all of ``fs``.
+    The ``HERMITE_NODES`` Gauss-Hermite nodes are computed once for all of ``fs``.
     """
-    hermite = _hermite(nodes)
+    hermite = _hermite(HERMITE_NODES)
     values = (_quadrature(f, p, half_width, hermite) for f in fs)
     return tuple(math.nan if value is None else value for value in values)

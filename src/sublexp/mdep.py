@@ -105,7 +105,7 @@ def rosenthal_checks(
     backward sweep over it (``engine.sweep_columns``, with no lower column).
     The marginals E[X_k^2], E[X_k], e[X_k] and E[|X_k|^p] (once per
     distinct p) are the columns of one history recursion
-    (``engine.marginal_columns``), and each horizon adds its first n values
+    (``engine.spread_columns``), and each horizon adds its first n values
     left to right.  No case, no report.
     """
     if any(p < 2.0 for _, p in cases):
@@ -115,14 +115,8 @@ def rosenthal_checks(
     top = model.prefix(max(n for n, _ in cases))
     graph = engine.compile_sum(top, track_max=True, state_cap=state_cap)
     ps = tuple(dict.fromkeys(p for _, p in cases))
-
-    def identity(x: float) -> float:  # one payoff for both sides of E[X_k]
-        return x
-
-    (squares, means, *abs_p_columns), (lows,) = engine.marginal_columns(
-        top, [lambda x: x * x, identity, *(lambda x, _p=p: abs(x) ** _p for p in ps)],
-        [identity])
-    spreads = [abs(up) + abs(lo) for up, lo in zip(means, lows)]
+    (squares, *abs_p_columns), spreads = engine.spread_columns(
+        top, [lambda x: x * x, *(lambda x, _p=p: abs(x) ** _p for p in ps)])
     abs_ps = dict(zip(ps, abs_p_columns))
     lhs, _ = engine.sweep_columns(graph, [
         (Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p), n)

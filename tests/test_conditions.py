@@ -158,6 +158,21 @@ def test_capacity_tail_bounded_by_n():
     assert cond.capacity_tail(cond.row_context(model, 6), 0.01) <= 6.0 + TOL
 
 
+def test_unnormalized_tail_takes_a_zero_variance_model():
+    # B_n = 0: the tail divides by nothing, every normalized quantity raises
+    ctx = cond.row_context(sl.SequenceModel.iid(sl.singleton(sl.point_mass(0.0)), 3), 3)
+    assert cond.capacity_tail(ctx, 0.25) == 0.0
+    with pytest.raises(ValidationError, match="eps must be > 0"):
+        cond.capacity_tail(ctx, 0.0)
+    with pytest.raises(ValidationError, match="need p >= 2"):
+        cond.pth_moment(ctx, 1.5)
+    for read in (lambda: cond.pth_moment(ctx, 2.0), lambda: cond.lindeberg(ctx, 0.25),
+                 lambda: cond.mean_uncertainty(ctx), lambda: cond.m2_ratio(ctx),
+                 lambda: cond.build_report(ctx)):
+        with pytest.raises(ValidationError, match="degenerate model"):
+            read()
+
+
 # ---------------------------------------------------------------------------
 # p-th moments and report assembly
 # ---------------------------------------------------------------------------

@@ -283,3 +283,16 @@ def test_quadrature_agrees_with_pde():
 def test_quadrature_zero_variance_point_mass():
     gp = sl.GParams(0.0, 1.0)
     assert sl.gnormal_reference(eng.neg_square(), gp) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_references_equal_one_reference_per_functional():
+    # cosine and ramp are neither convex nor concave: NaN where one reference raises
+    fs = (eng.square(), eng.neg_square(), eng.identity(), eng.cosine(), eng.ramp(0.0))
+    for gp in (GP, sl.GParams(0.0, 1.0)):
+        got = sl.gnormal_references(fs, gp)
+        for f, value in zip(fs[:3], got):
+            assert value.hex() == sl.gnormal_reference(f, gp).hex()
+        for f, value in zip(fs[3:], got[3:]):
+            assert math.isnan(value)
+            with pytest.raises(ValidationError):
+                sl.gnormal_reference(f, gp)
