@@ -45,7 +45,9 @@ def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> in
     """Largest even p with ``(p^4/B_n^2) sum_k E[(X_k^2 - B_n^2/p^4)^+] <= tol``.
 
     Searched over even p up to ``p_max`` (default: the even floor of
-    sqrt(k_n)); falls back to 2 when no candidate qualifies.
+    sqrt(k_n)); falls back to 2 when no candidate qualifies.  Every
+    candidate's excess is a column of one ``engine.marginal_columns`` call,
+    the same floats as a ``marginals`` call of its own.
     """
     if not tol > 0.0:
         raise ValidationError("tol must be > 0")
@@ -54,11 +56,11 @@ def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> in
     if p_max < 2 or p_max % 2 != 0:
         raise ValidationError("p_max must be an even integer >= 2")
     B2 = ctx.B2
-    for p in range(p_max, 1, -2):
-        cut = B2 / p**4
-        total = engine.ordered_sum(
-            engine.marginals(ctx.model, lambda x, _c=cut: max(x * x - _c, 0.0)))
-        if p**4 / B2 * total <= tol:
+    ps = range(p_max, 1, -2)
+    excess, _ = engine.marginal_columns(
+        ctx.model, [lambda x, _c=B2 / p**4: max(x * x - _c, 0.0) for p in ps], [])
+    for p, col in zip(ps, excess):
+        if p**4 / B2 * engine.ordered_sum(col) <= tol:
             return p
     return 2
 

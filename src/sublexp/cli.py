@@ -23,7 +23,7 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import blocking as blk
 from . import conditions as cond
@@ -66,8 +66,16 @@ def _functionals(cfg: ExperimentConfig) -> list[engine.Functional]:
     return [engine.catalog_by_name(name) for name in cfg.functionals]
 
 
-def _grid(cfg: ExperimentConfig, gp: gnormal.GParams) -> gnormal.PDEGrid:
-    return gnormal.default_grid(gp, half_width=cfg.gnormal.half_width, nx=cfg.gnormal.nx)
+def _grid(cfg: ExperimentConfig) -> gnormal.PDEGrid:
+    """The config's PDE grid, checked before any DP work.
+
+    The step, the CFL ratio and the half-width bound depend only on
+    ``sigma_hi2``, ``nx`` and ``half_width``, not on ``sigma_lo2``.
+    """
+    gp = gnormal.GParams(0.0, cfg.gnormal.sigma_hi2)
+    grid = gnormal.default_grid(gp, half_width=cfg.gnormal.half_width, nx=cfg.gnormal.nx)
+    grid.check(gp)
+    return grid
 
 
 def _pde_bounds(cfg: ExperimentConfig, fs: list[engine.Functional],
@@ -88,17 +96,16 @@ def _pde_bounds(cfg: ExperimentConfig, fs: list[engine.Functional],
 def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
     """Variance-ratio plateau: full-prefix ratio at the largest n.
 
-    ``last`` is the row of the largest n; without truncation its second
-    moments are the ratio's, so no graph is compiled here.  ``last.B2``
-    rejects a degenerate model first, clipped or not.
+    ``last`` is the row of the largest n, built with the config's tau: its
+    second moments, at the clipped root under truncation, are the ratio's.
+    ``last.B2`` rejects a degenerate model first, clipped or not.
     """
     if cfg.gnormal.sigma_lo2 is not None:
         return cfg.gnormal.sigma_lo2
     B2 = last.B2
     if cfg.conditions.tau is None:
         return last.m2.lower / B2
-    res = engine.eval_sum(last.model, engine.square(), x_clip=cfg.conditions.tau,
-                          state_cap=cfg.state_cap)
+    res = last.moments[last.model.n][1]
     return res.lower / res.upper
 
 
@@ -111,6 +118,26 @@ def _normalizers(cfg: ExperimentConfig, ctx: cond.RowContext) -> tuple[float, fl
     return math.sqrt(up), math.sqrt(max(lo, 0.0))
 
 
+def _M_grid(cfg: ExperimentConfig, n: int) -> tuple[int, ...]:
+    """The prefix horizons of row n's variance ratios."""
+    return cfg.conditions.M if cfg.conditions.M is not None else cond.default_M_grid(n)
+
+
+def _rows(cfg: ExperimentConfig, *, conditions: bool = False) -> Iterator[cond.RowContext]:
+    """The context of every row of the config, in order, one graph at a time.
+
+    Each graph of ``cond.row_graphs`` is compiled and swept once for its
+    rows; for ``conditions`` it also has the config's tau as a clipped root,
+    and the sweep reads every M of each row's ``_M_grid`` at both roots.  A
+    caller drops each context before taking the next, so a graph is freed
+    before the next one is compiled.
+    """
+    tau = cfg.conditions.tau if conditions else None
+    for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
+        grids = [_M_grid(cfg, n) for n in ns] if conditions else None
+        yield from cond.row_contexts(model, ns, tau=tau, M_grids=grids, state_cap=cfg.state_cap)
+
+
 # ---------------------------------------------------------------------------
 # Runners: each returns {file suffix: table}
 # ---------------------------------------------------------------------------
@@ -119,16 +146,21 @@ EVAL_HEADER = ("n", "functional", "B_n", "b_n", "upper", "lower", "state_count")
 
 
 def run_eval(cfg: ExperimentConfig) -> dict[str, Table]:
-    """Per n, E[S_n^2] (for B_n, b_n) and every functional off one sweep of the row's graph."""
+    """Per n, E[S_n^2] (for B_n, b_n) and every functional, off one sweep of each row graph.
+
+    Rows that share a graph (``cond.row_graphs``) share its one sweep.
+    """
     rows: list[Row] = []
-    fs = _functionals(cfg)
-    for n in cfg.n_list:
-        graph = engine.compile_sum(cfg.model_for(n).prefix(n), state_cap=cfg.state_cap)
-        m2, *results = engine.evaluate_columns(graph, [(f, n) for f in (engine.square(), *fs)])
-        B, b = math.sqrt(m2.upper), math.sqrt(m2.lower)
-        for f, res in zip(fs, results):
-            rows.append([n, f.name, B, b, res.upper, res.lower, res.state_count])
-        del graph  # one row's graph alive at a time
+    fs = (engine.square(), *_functionals(cfg))
+    for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
+        graph = engine.compile_sum(model, state_cap=cfg.state_cap)
+        found = iter(engine.evaluate_columns(graph, [(f, n) for n in ns for f in fs]))
+        del graph  # one graph alive at a time
+        for n in ns:
+            m2, *results = (next(found) for _ in fs)
+            B, b = math.sqrt(m2.upper), math.sqrt(m2.lower)
+            for f, res in zip(fs[1:], results):
+                rows.append([n, f.name, B, b, res.upper, res.lower, res.state_count])
     return {"eval": (EVAL_HEADER, rows)}
 
 
@@ -143,48 +175,54 @@ SWEEP_HEADER = (
 SWEEP_SUMMARY_EPS = 0.25
 
 
-def _sweep_row(cfg: ExperimentConfig, fs: list[engine.Functional],
-               ctx: cond.RowContext) -> tuple:
-    """Everything of one n's sweep rows but the G-normal references.
+def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
+                ctxs: list[cond.RowContext]) -> dict[int, tuple]:
+    """Everything of the sweep rows of every n of ``ctxs`` but the G-normal references.
 
-    The marginal summaries come from one history recursion
-    (``cond.build_report`` with no M and no p), the truncated normalizers
-    from one more, clipped.
+    ``ctxs`` share one graph.  Per n, the marginal summaries come from one
+    history recursion (``cond.build_report`` with no M and no p), the
+    truncated normalizers from one more, clipped; every functional of every
+    n, scaled by that n's 1/B_n, is a column of one sweep of the graph.
     """
-    n = ctx.model.n
-    B, b = _normalizers(cfg, ctx)
-    rep = cond.build_report(ctx, eps_grid=(SWEEP_SUMMARY_EPS,), M_grid=(), p_grid=())
-    mean_unc = rep.mean_unc
-    summary = (
-        rep.m2_ratio,
-        cond.variance_ratio(ctx, n),
-        rep.lindeberg[SWEEP_SUMMARY_EPS],
-        rep.cap_tail[SWEEP_SUMMARY_EPS],
-    )
-    results = engine.evaluate_columns(ctx.graph, [(engine.scaled(f, 1.0 / B), n) for f in fs])
-    return B, b, mean_unc, summary, results
+    found, columns = {}, []
+    for ctx in ctxs:
+        n = ctx.model.n
+        B, b = _normalizers(cfg, ctx)
+        rep = cond.build_report(ctx, eps_grid=(SWEEP_SUMMARY_EPS,), M_grid=(), p_grid=())
+        summary = (
+            rep.m2_ratio,
+            cond.variance_ratio(ctx, n),
+            rep.lindeberg[SWEEP_SUMMARY_EPS],
+            rep.cap_tail[SWEEP_SUMMARY_EPS],
+        )
+        found[n] = B, b, rep.mean_unc, summary
+        columns += [(engine.scaled(f, 1.0 / B), n) for f in fs]
+    graph = ctxs[0].graph
+    # one result per column and root; root 0 is the unclipped sum
+    results = iter(engine.evaluate_columns(graph, columns)[::graph.roots])
+    return {n: (*row, [next(results) for _ in fs]) for n, row in found.items()}
 
 
 def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
-    """Sweep rows per n, each row's full-sum graph compiled once.
+    """Sweep rows per n, off one graph per group of rows (``cond.row_graphs``).
 
-    The largest n goes first: its second moments also give the plateau r,
-    which the G-normal references need.  The references are solved once
-    that row's graph is freed, so the PDE arrays never add to a graph's
-    memory.
+    The PDE grid is built and checked before any compile.  The group of the
+    largest n goes first: that row's second moments also give the plateau
+    r, which the G-normal references need, so only it carries the clipped
+    root under truncation.  The references are solved once that graph is
+    freed, so the PDE arrays never add to a graph's memory.
     """
     fs = _functionals(cfg)
-    *smaller, n_max = cfg.n_list
-    last = cond.row_context(cfg.model_for(n_max), n_max, state_cap=cfg.state_cap)
-    r = _sweep_r(cfg, last)
+    grid = _grid(cfg)
+    *smaller, (model, ns) = cond.row_graphs(cfg.model_for, cfg.n_list)
+    ctxs = cond.row_contexts(model, ns, tau=cfg.conditions.tau, state_cap=cfg.state_cap)
+    r = _sweep_r(cfg, ctxs[-1])
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
-    grid = _grid(cfg, gp)
-    found = {n_max: _sweep_row(cfg, fs, last)}
-    del last  # one row's graph alive at a time
+    found = _sweep_rows(cfg, fs, ctxs)
+    del ctxs  # one graph alive at a time
     refs = _pde_bounds(cfg, fs, gp, grid)
-    for n in smaller:
-        found[n] = _sweep_row(
-            cfg, fs, cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap))
+    for model, ns in smaller:
+        found.update(_sweep_rows(cfg, fs, cond.row_contexts(model, ns, state_cap=cfg.state_cap)))
 
     rows: list[Row] = []
     for n in cfg.n_list:
@@ -203,7 +241,7 @@ def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
     if cfg.gnormal.sigma_lo2 is None:
         raise ValidationError("gnormal_eval needs an explicit gnormal.sigma_lo2")
     gp = gnormal.GParams(cfg.gnormal.sigma_lo2, cfg.gnormal.sigma_hi2)
-    grid = _grid(cfg, gp)
+    grid = _grid(cfg)
     header = (
         "functional", "sigma_lo2", "sigma_hi2", "pde_upper", "pde_lower",
         "quad_ref", *[f"peng@{n}" for n in cfg.peng_n],
@@ -257,17 +295,16 @@ PLAN_HEADER = ("n", "kind", "ordinal", "start", "end")
 
 
 def run_blocking_inspect(cfg: ExperimentConfig) -> dict[str, Table]:
+    """Per n, the plan and its diagnostics; rows that share a graph share its one sweep."""
     diag_rows: list[Row] = []
     plan_rows: list[Row] = []
-    for i, n in enumerate(cfg.n_list):
-        ctx = cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap)
-        if cfg.blocking.pn_list is not None:
-            p_n = cfg.blocking.pn_list[i]
-        else:
-            p_n = blk.choose_pn(ctx, tol=cfg.blocking.tol)
+    pn_list = dict(zip(cfg.n_list, cfg.blocking.pn_list or ()))
+    for ctx in _rows(cfg):
+        n = ctx.model.n
+        p_n = pn_list[n] if pn_list else blk.choose_pn(ctx, tol=cfg.blocking.tol)
         plan = blk.build_plan(ctx, p_n)
         diag = blk.diagnostics(ctx, plan)
-        del ctx  # one row's graph alive at a time
+        del ctx  # one graph alive at a time
         diag_rows.append([
             n, p_n, plan.h, len(plan.cuts), diag.sum_beta_cuts,
             diag.sum_delta_lo, diag.sum_delta_hi,
@@ -299,13 +336,11 @@ def run_conditions(cfg: ExperimentConfig) -> dict[str, Table]:
         if trend:
             series.setdefault((quantity, key), []).append(value)
 
-    for n in cfg.n_list:
-        M_grid = cfg.conditions.M if cfg.conditions.M is not None else cond.default_M_grid(n)
-        rep = cond.build_report(
-            cond.row_context(cfg.model_for(n), n, state_cap=cfg.state_cap),
-            eps_grid=cfg.conditions.eps, M_grid=M_grid,
-            p_grid=cfg.conditions.p, tau=cfg.conditions.tau,
-        )
+    for ctx in _rows(cfg, conditions=True):
+        n = ctx.model.n
+        rep = cond.build_report(ctx, eps_grid=cfg.conditions.eps, M_grid=_M_grid(cfg, n),
+                                p_grid=cfg.conditions.p, tau=cfg.conditions.tau)
+        del ctx  # one graph alive at a time
         for eps, v in rep.lindeberg.items():
             emit(n, "lindeberg", f"{eps:g}", v)
         emit(n, "mean_unc", "", rep.mean_unc)

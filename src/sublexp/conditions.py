@@ -68,22 +68,37 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class RowContext:
-    """Row n of the array: its length-n prefix, the full-sum graph, the state cap.
+    """Row n of the array: its length-n model, the graph of its sums, the state cap.
 
-    The graph is compiled once and ``m2``, the upper and lower second moment
-    of ``S_n``, is evaluated on it once; ``Bn`` is ``(B_n, b_n)``, their
-    square roots.  Every quantity of the row reads these, prefix sums are
-    read off the graph as columns of one sweep (``engine.evaluate_columns``),
-    and every further compile for the row (clipped sums, block and cut sums)
-    runs under ``state_cap``.  Build one context per n and drop it before
-    the next, so only one row's graph is alive at a time.
+    ``graph`` holds the row's full sum as root 0 and, when ``tau`` is set,
+    the full sum clipped at tau as root 1.  It may be compiled at a larger n
+    of the same array: when the rows' models are prefixes of one model, all
+    rows share that model's graph, and row n reads its first n + m layers,
+    which are the compile of row n's own model (``engine.sweep_columns``).
+    ``moments[M]`` holds E[S_M^2] per root, for n and every M swept when the
+    context was built; ``m2`` is root 0's E[S_n^2], and ``Bn`` is
+    ``(B_n, b_n)``, the square roots of its upper and lower value.  Every
+    quantity of the row reads these, another prefix sum is read off the graph
+    in one more sweep, and every further compile for the row (block and cut
+    sums, a clip level the graph lacks) runs under ``state_cap``.  Drop the
+    contexts of one graph before building the next, so only one graph is
+    alive at a time.
     """
 
     model: SequenceModel
     graph: engine.Graph
-    m2: engine.EvalResult
-    Bn: tuple[float, float]
+    moments: Mapping[int, tuple[engine.EvalResult, ...]]
     state_cap: int
+    tau: float | None = None
+
+    @property
+    def m2(self) -> engine.EvalResult:
+        """Upper and lower E[S_n^2] of the row's full sum."""
+        return self.moments[self.model.n][0]
+
+    @property
+    def Bn(self) -> tuple[float, float]:
+        return math.sqrt(self.m2.upper), math.sqrt(self.m2.lower)
 
     @property
     def B2(self) -> float:
@@ -93,13 +108,56 @@ class RowContext:
         return self.m2.upper
 
 
-def row_context(model: SequenceModel, n: int, *,
+def row_graphs(model_for: Callable[[int], SequenceModel],
+               ns: Sequence[int]) -> list[tuple[SequenceModel, tuple[int, ...]]]:
+    """The models to compile for rows ``ns``, each with the rows read off its graph.
+
+    When ``model_for(n).prefix(n) == model_for(n_max).prefix(n)`` for every n
+    (a scale-1 model, say), the largest row's model serves every row;
+    otherwise (a 1/sqrt(n) scale, laws that vary with n) each row's own model
+    serves it alone.  The rows keep the order of ``ns``.
+    """
+    top = model_for(max(ns))
+    if all(model_for(n).prefix(n) == top.prefix(n) for n in ns):
+        return [(top, tuple(ns))]
+    return [(model_for(n).prefix(n), (n,)) for n in ns]
+
+
+def row_contexts(model: SequenceModel, ns: Sequence[int], *, tau: float | None = None,
+                 M_grids: Sequence[Sequence[int]] | None = None,
+                 state_cap: int = engine.DEFAULT_STATE_CAP) -> list[RowContext]:
+    """Rows ``ns`` of ``model`` (each n at most ``model.n``), from one compile and one sweep.
+
+    The graph's roots are the full sum and, with ``tau``, the full sum
+    clipped at tau; the sweep reads E[S_M^2] at every root for each row's n
+    and every M of its grid (``M_grids``, one grid per row, none by
+    default).  ``state_cap`` bounds the states of both roots together.
+    """
+    if tau is not None and not tau > 0.0:
+        raise ValidationError("tau must be > 0")
+    grids = [tuple(grid) for grid in M_grids] if M_grids is not None else [()] * len(ns)
+    if len(grids) != len(ns):
+        raise ValidationError("M_grids must give one grid per row")
+    for n, grid in zip(ns, grids):
+        if any(not 1 <= M <= n for M in grid):
+            raise ValidationError(f"horizons must lie in 1..{n}")
+    clips = [None] if tau is None else [None, tau]
+    graph = engine.compile_sum(model, masks=[None] * len(clips), x_clip=clips,
+                               state_cap=state_cap)
+    Ms = sorted({M for n, grid in zip(ns, grids) for M in (n, *grid)})
+    found = iter(engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms]))
+    moments = {M: tuple(next(found) for _ in clips) for M in Ms}
+    return [RowContext(model.prefix(n), graph, {M: moments[M] for M in (n, *grid)},
+                       state_cap, tau)
+            for n, grid in zip(ns, grids)]
+
+
+def row_context(model: SequenceModel, n: int, *, tau: float | None = None,
+                M_grid: Sequence[int] = (),
                 state_cap: int = engine.DEFAULT_STATE_CAP) -> RowContext:
-    """Row n of ``model``: its full sum compiled once, E[S_n^2] evaluated on it."""
-    sub = model.prefix(n)
-    graph = engine.compile_sum(sub, state_cap=state_cap)
-    m2 = engine.evaluate(graph, engine.square())
-    return RowContext(sub, graph, m2, (math.sqrt(m2.upper), math.sqrt(m2.lower)), state_cap)
+    """Row n of ``model``: ``row_contexts`` of its own length-n model alone."""
+    return row_contexts(model.prefix(n), (n,), tau=tau, M_grids=(M_grid,),
+                        state_cap=state_cap)[0]
 
 
 def _square(x: float) -> float:
@@ -142,17 +200,25 @@ def _ratio(res: engine.EvalResult) -> float:
     return res.lower / res.upper if res.upper > 0.0 else math.nan
 
 
-def _prefix_ratios(graph: engine.Graph, Ms: Sequence[int]) -> dict[int, float]:
-    """``_ratio`` of E[S_M^2] for every M of ``Ms``, from one sweep over ``graph`` (if any M)."""
-    if not Ms:
-        return {}
-    results = engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms])
-    return {M: _ratio(res) for M, res in zip(Ms, results)}
+def _prefix_ratios(ctx: RowContext, Ms: Sequence[int], root: int = 0) -> dict[int, float]:
+    """``_ratio`` of E[S_M^2] at ``root`` of the row graph, for every M of ``Ms``.
+
+    Each M the context holds is read from ``ctx.moments``; the others are
+    read off one sweep of the row graph (if any).
+    """
+    missing = [M for M in Ms if M not in ctx.moments]
+    if any(not 1 <= M <= ctx.model.n for M in missing):
+        raise ValidationError(f"horizons must lie in 1..{ctx.model.n}")
+    found = iter(engine.evaluate_columns(ctx.graph, [(engine.square(), M) for M in missing])
+                 if missing else ())
+    moments = {**ctx.moments,
+               **{M: tuple(next(found) for _ in range(ctx.graph.roots)) for M in missing}}
+    return {M: _ratio(moments[M][root]) for M in Ms}
 
 
 def variance_ratio(ctx: RowContext, M: int) -> float:
     """Lower-to-upper second-moment ratio of ``S_M``; ``S_n``'s is the row's own ``m2``."""
-    return _ratio(ctx.m2) if M == ctx.model.n else _prefix_ratios(ctx.graph, (M,))[M]
+    return _prefix_ratios(ctx, (M,))[M]
 
 
 def pth_moment(ctx: RowContext, p: float) -> float:
@@ -190,16 +256,23 @@ def truncated_profile(ctx: RowContext, tau: float,
                       M_grid: Sequence[int] | None = None) -> TruncatedProfile:
     """The row's hypotheses at tau, every marginal from one clipped history recursion.
 
-    Every ``S_M`` is read off one sweep of a clipped graph.
+    Every ``S_M`` is read at the row graph's clipped root when the context
+    was built at this ``tau``, from its moments or one sweep; a context
+    built without it compiles the row's clipped sum and sweeps it once.
     """
     if tau <= 0.0:
         raise ValidationError("tau must be > 0")
     (B2,), spread = _marginal_sums(ctx.model, [_square], x_clip=tau)
-    graph = engine.compile_sum(ctx.model, x_clip=tau, state_cap=ctx.state_cap)
     Ms = M_grid if M_grid is not None else default_M_grid(ctx.model.n)
+    if tau == ctx.tau:
+        ratios = _prefix_ratios(ctx, Ms, root=1)
+    else:
+        graph = engine.compile_sum(ctx.model, x_clip=tau, state_cap=ctx.state_cap)
+        found = engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms]) if Ms else ()
+        ratios = {M: _ratio(res) for M, res in zip(Ms, found)}
     return TruncatedProfile(
         tau=tau, B_n2=B2, mean_unc=spread / math.sqrt(B2),
-        m2_ratio=1.0, var_ratio=_prefix_ratios(graph, Ms),
+        m2_ratio=1.0, var_ratio=ratios,
     )
 
 
@@ -215,8 +288,11 @@ def build_report(
     The marginal quantities (E[X_k^2], the Lindeberg excesses and the
     capacity tails per eps, E[|X_k|^p] per p, E[X_k] and e[X_k]) are the
     columns of one history recursion, and those at ``tau`` of one more,
-    clipped; every ``S_M`` is read off one sweep of the row graph.  An empty
-    ``M_grid`` reports no variance ratio and sweeps nothing.  ``lindeberg``,
+    clipped.  Every ``S_M``, and with ``tau`` every clipped one, is read at
+    a root of the row graph: from the moments the context was built with,
+    which for a context built with this grid and ``tau`` (as the CLI builds
+    them) means no compile and no sweep, and any other M off one sweep.  An
+    empty ``M_grid`` reports no variance ratio and sweeps nothing.  ``lindeberg``,
     ``mean_uncertainty``, ``m2_ratio`` and ``pth_moment`` read a report with
     empty grids but their own point; ``capacity_tail``, which divides by no
     ``B_n``, makes its own recursion.
@@ -242,7 +318,7 @@ def build_report(
         lindeberg=lind,
         mean_unc=spread / math.sqrt(B2),
         m2_ratio=m2 / B2,
-        var_ratio=_prefix_ratios(ctx.graph, Ms),
+        var_ratio=_prefix_ratios(ctx, Ms),
         pth=pth,
         cap_tail=cap,
         trunc=truncated_profile(ctx, tau, Ms) if tau is not None else None,

@@ -41,11 +41,11 @@ process-wide cache.
 
 Sums of several index sets (masks) of one model share one graph: layer 0
 holds one root per mask, every state carries the component id of its root,
-a component adds a draw's term only when its mask holds the coordinate the
-draw completes, and states merge only within a component.  The states
-reachable from root r are the graph of mask r alone, so one sweep reads
-every root; ``eval_sums`` returns one ``EvalResult`` per mask, and
-``eval_sum`` is its one-mask form.
+a component adds a draw's term (at its own clip level) only when its mask
+holds the coordinate the draw completes, and states merge only within a
+component.  The states reachable from root r are the graph of mask r
+alone, so one sweep reads every root; ``eval_sums`` returns one
+``EvalResult`` per mask, and ``eval_sum`` is its one-mask form.
 
 Functionals of a few coordinates are evaluated by recursion over the full
 history of the draws they involve.  ``window_columns`` carries many payoff
@@ -340,7 +340,7 @@ class Graph:
     """The reachable-state graph of one ``(model, masks, x_clip, track_max)``.
 
     Layer 0 holds one root per mask, and the states reachable from root r
-    form the graph of mask r alone.
+    form the graph of mask r alone, at root r's clip level.
     """
 
     steps: tuple[_Step, ...]
@@ -351,6 +351,11 @@ class Graph:
     #: ``sizes[t, r]``: the states of layer t reachable from root r; None for
     #: one root, whose layer sizes are those of ``args``
     sizes: np.ndarray | None = None
+
+    @property
+    def roots(self) -> int:
+        """The states of layer 0: one root per mask."""
+        return len(self.args[0])
 
 
 def _canon_array(x: np.ndarray) -> np.ndarray:
@@ -429,19 +434,23 @@ def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.nda
     return first[order], child
 
 
-def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None], x_clip: float | None,
-           ) -> list[tuple[int, tuple, np.ndarray | None, tuple[bool, ...]]]:
-    """Per draw: its number V of support columns, its laws, term table and the masks it adds in.
+def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
+           clips: Sequence[float | None]) -> list[tuple[int, tuple, tuple]]:
+    """Per draw: its number V of support columns, its laws, and the term tables it adds.
 
     The support columns are the distinct values with positive probability in
     some law, in increasing order; a law is its ``(column, p)`` pairs with
-    ``p != 0`` in support order.  Both, and the term table, are built once
-    per distinct ambiguity set.  A draw adds in mask r when it completes a
-    coordinate of that mask (every coordinate, for ``None``); the last entry
-    is one bool per mask, and the table is None when the draw adds in none.
+    ``p != 0`` in support order.  Both are built once per distinct ambiguity
+    set.  A draw adds in root r when it completes a coordinate of mask r
+    (every coordinate, for ``None``), and root r adds the term table of its
+    own clip level ``clips[r]``, built once per distinct support and level.
+    The last entry holds one ``(table, roots)`` pair per distinct table a
+    root adds, in root order, with ``roots`` a bool per root; it is empty
+    when the draw adds in no root.
     """
     prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
-    tables: dict[tuple[float, ...], np.ndarray] = {}
+    tables: dict[tuple[tuple[float, ...], float | None], np.ndarray] = {}
+    groups: dict[tuple[tuple[float, ...], tuple[bool, ...]], tuple] = {}
     draws = []
     for step in range(1, model.steps + 1):
         set_ = model.set_at(step)
@@ -457,23 +466,28 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None], x_clip:
         values, laws = got
         k = _completes(model, step)
         adds = tuple(k is not None and (mask is None or k in mask) for mask in masks)
-        table = None
-        if any(adds):
-            table = tables.get(values)
-            if table is None:
-                table = tables[values] = _term_table(model, values, x_clip)
-        draws.append((len(values), laws, table, adds))
+        found = groups.get((values, adds))
+        if found is None:
+            levels = dict.fromkeys(clip for clip, add in zip(clips, adds) if add)
+            for clip in levels:
+                if (values, clip) not in tables:
+                    tables[values, clip] = _term_table(model, values, clip)
+            found = groups[values, adds] = tuple(
+                (tables[values, clip], np.array([a and c == clip for c, a in zip(clips, adds)]))
+                for clip in levels)
+        draws.append((len(values), laws, found))
     return draws
 
 
 def _on_lattice(tables: Iterable[np.ndarray]) -> bool:
     """Whether sums of one entry of each table stay exact floats on the 2⁻¹² lattice.
 
-    A table may repeat (one entry per draw that adds); each distinct one is
-    inspected once.  True when every entry is a finite multiple of 2⁻¹² and
-    the maxima of |entry| over the tables add up to less than 2⁴¹.  Every
-    partial sum is then a multiple of 2⁻¹² below 2⁴¹ in magnitude: fewer
-    than 2⁵³ quanta, so each float add of such values is exact.
+    A table may repeat (one entry per draw and distinct table it adds); each
+    distinct one is inspected once.  True when every entry is a finite
+    multiple of 2⁻¹² and the maxima of |entry| over the tables add up to
+    less than 2⁴¹.  Every partial sum is then a multiple of 2⁻¹² below 2⁴¹
+    in magnitude: fewer than 2⁵³ quanta, so each float add of such values
+    is exact.
     """
     quanta, largest = 0, {}
     for table in tables:
@@ -498,7 +512,7 @@ def compile_sum(
     *,
     indices: Iterable[int] | None = None,
     masks: Sequence[Iterable[int] | None] | None = None,
-    x_clip: float | None = None,
+    x_clip: float | None | Sequence[float | None] = None,
     track_max: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Graph:
@@ -506,10 +520,12 @@ def compile_sum(
 
     The options mean what they mean for ``eval_sum``; ``masks`` compiles the
     sum of each of several index sets (``None`` for all coordinates) into one
-    graph, and ``indices=I`` is ``masks=[I]``.  A layer is three
-    arrays: each state's window code (the last m draws as base-V digits
-    over the support columns), its ``acc``, and, under ``track_max``, its
-    ``maxabs``.  Every state is expanded under each distinct support value
+    graph, and ``indices=I`` is ``masks=[I]``.  ``x_clip`` is one level for
+    every mask or a list or tuple of one level per mask (``None`` clips
+    nothing).
+    A layer is three arrays: each state's window code (the last m draws as
+    base-V digits over the support columns), its ``acc``, and, under
+    ``track_max``, its ``maxabs``.  Every state is expanded under each distinct support value
     with positive probability in some law, all at once: the child's sum is
     ``acc + term[window, j]`` (one IEEE add, as in scalar code), rounded by
     ``_canon_array`` onto the 1e-12 merge grid, and its running max is
@@ -537,18 +553,20 @@ def compile_sum(
     Several masks share one graph.  Layer 0 holds one root per mask, and
     every state carries the component id of its root: a state of component r
     adds a draw's term only when mask r holds the coordinate that draw
-    completes, and the merge key includes the component id, so components
+    completes, the term of its own clip level (each level has its own term
+    table), and the merge key includes the component id, so components
     never merge.  The layers stay component-major (component r's states
     before r + 1's), and within a component the order of first occurrence is
     the one its mask's own compile sees, so the states reachable from root r
     are that compile's graph, array for array, and one sweep reads every
     root.  One mask adds no component column and keeps the no-merge step of
-    a masked-out independent draw.  The lattice test covers the draws that
-    add in any mask, and ``state_cap`` bounds the states of all components
-    together.  A state of a mask's compile in which a draw does not add
-    still takes ``0.0 + p * value`` per support column in the sweep, so
-    masks of equal length at different positions can differ in the last
-    bits; each mask keeps its own draws.
+    a masked-out independent draw.  The lattice test covers every table a
+    draw adds in any root, so one off-lattice level puts the whole graph on
+    the float grid (which builds the same graph), and ``state_cap`` bounds
+    the states of all components together.  A state of a mask's compile in
+    which a draw does not add still takes ``0.0 + p * value`` per support
+    column in the sweep, so masks of equal length at different positions
+    can differ in the last bits; each mask keeps its own draws.
     """
     if masks is None:
         masks = [indices]
@@ -559,17 +577,20 @@ def compile_sum(
         raise ValidationError("compile_sum needs at least one mask")
     if any(mask is not None and any(not 1 <= k <= model.n for k in mask) for mask in masks):
         raise ValidationError("indices outside 1..n")
-    if x_clip is not None and not x_clip > 0.0:
-        raise ValidationError("x_clip must be > 0")
     m, R = model.m, len(masks)
+    clips = list(x_clip) if isinstance(x_clip, (list, tuple)) else [x_clip] * R
+    if len(clips) != R:
+        raise ValidationError(f"x_clip needs one level per mask: {len(clips)} for {R}")
+    if any(clip is not None and not clip > 0.0 for clip in clips):
+        raise ValidationError("x_clip must be > 0")
     slides = model.kind == KIND_MOVING_WINDOW and m > 0
-    draws = _draws(model, masks, x_clip)
-    lattice = _on_lattice(table for _, _, table, _ in draws if table is not None)
+    draws = _draws(model, masks, clips)
+    lattice = _on_lattice(table for _, _, groups in draws for table, _ in groups)
     if lattice:
-        distinct = {id(table): table for _, _, table, _ in draws if table is not None}
-        counts = {key: (table * _QUANTUM).astype(np.int64) for key, table in distinct.items()}
-        draws = [(V, laws, None if table is None else counts[id(table)], adds)
-                 for V, laws, table, adds in draws]
+        counts = {id(table): (table * _QUANTUM).astype(np.int64)
+                  for _, _, groups in draws for table, _ in groups}
+        draws = [(V, laws, tuple((counts[id(table)], roots) for table, roots in groups))
+                 for V, laws, groups in draws]
     ids = _offset_ids if lattice else _dense_ids
     win = np.zeros(R, dtype=np.int64)  # read only when the window slides
     acc = mx = np.zeros(R, dtype=np.int64 if lattice else float)
@@ -578,30 +599,32 @@ def compile_sum(
     sizes = [np.ones(R, dtype=np.int64)]
     total = R
     steps: list[_Step] = []
-    for step, (V, laws, table, adds) in enumerate(draws, start=1):
+    for step, (V, laws, groups) in enumerate(draws, start=1):
         n = len(acc)
-        # the states that add: all of them, none (table is None), or rows of some roots
-        rows = None if table is None or all(adds) else np.array(adds)[comp]
-        if rows is None and table is not None:
+        if len(groups) == 1 and groups[0][1].all():
+            # every state adds the same table
+            table = groups[0][0]
             a = acc[:, None] + (table[win] if slides else table[0])
             a = (a if lattice else _canon_array(a)).ravel()
             if track_max:
                 b, x = np.abs(a), np.repeat(mx, V)
                 x = np.where(b > x, b, x)
         else:
-            a = np.repeat(acc, V)
+            # the children of the rows of each table's roots take its sum, the others copy
+            a = np.repeat(acc, V).reshape(n, V)
             if track_max:
-                x = np.repeat(mx, V)
-        if rows is not None:
-            # the children of the rows that add take the sum, the others copy
-            a, part = a.reshape(n, V), acc[rows, None] + (table[win[rows]] if slides else table[0])
-            a[rows] = part if lattice else _canon_array(part)
-            if track_max:
-                b, x = np.abs(a[rows]), x.reshape(n, V)
-                x[rows] = np.where(b > x[rows], b, x[rows])
-                x = x.ravel()
+                x = np.repeat(mx, V).reshape(n, V)
+            for table, roots in groups:
+                rows = roots[comp]
+                part = acc[rows, None] + (table[win[rows]] if slides else table[0])
+                a[rows] = part if lattice else _canon_array(part)
+                if track_max:
+                    b = np.abs(a[rows])
+                    x[rows] = np.where(b > x[rows], b, x[rows])
             a = a.ravel()
-        if table is not None or slides:
+            if track_max:
+                x = x.ravel()
+        if groups or slides:
             columns = [ids(a)]
             if track_max:
                 columns.append(ids(x))
@@ -748,15 +771,16 @@ def eval_sums(
     f: Functional,
     masks: Sequence[Iterable[int] | None],
     *,
-    x_clip: float | None = None,
+    x_clip: float | None | Sequence[float | None] = None,
     track_max: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[EvalResult, ...]:
     """``eval_sum`` with ``indices`` set to each of ``masks``, from one compile and one sweep.
 
-    Every mask is a root of one graph (``compile_sum``), and each result is,
-    bit for bit and in ``state_count``, what ``eval_sum`` gives for that mask
-    alone; ``state_cap`` bounds the states of all masks together.
+    Every mask is a root of one graph (``compile_sum``), at its own clip
+    level when ``x_clip`` gives one per mask, and each result is, bit for
+    bit and in ``state_count``, what ``eval_sum`` gives for that mask and
+    level alone; ``state_cap`` bounds the states of all masks together.
     """
     if not masks:
         return ()

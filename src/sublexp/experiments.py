@@ -177,6 +177,12 @@ class ExperimentConfig:
             raise ValidationError("pn_list entries must be even and >= 2")
         if any(not 1 <= M <= self.n_list[0] for M in self.conditions.M or ()):
             raise ValidationError(f"conditions.M entries must lie in 1..{self.n_list[0]}")
+        if self.conditions.tau is not None and not self.conditions.tau > 0.0:
+            raise ValidationError("conditions.tau must be > 0")
+        if any(not eps > 0.0 for eps in self.conditions.eps):
+            raise ValidationError("conditions.eps entries must be > 0")
+        if any(not p >= 2.0 for p in self.conditions.p):
+            raise ValidationError("conditions.p entries must be >= 2")
         if any(n < 1 for n in self.peng_n):
             raise ValidationError("peng_n entries must be >= 1")
 

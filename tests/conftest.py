@@ -67,3 +67,24 @@ TEST_FUNCTIONALS = (
     eng.ramp(0.0),
     eng.ramp(0.5),
 )
+
+
+#: The engine entry points ``engine_calls`` spies on.
+SPIED = ("compile_sum", "sweep_columns", "window_columns")
+
+
+@pytest.fixture
+def engine_calls(monkeypatch) -> dict[str, list[dict]]:
+    """The keyword arguments of every call one test makes to each of ``SPIED``, in order.
+
+    ``len(engine_calls["compile_sum"])`` counts compiles.  Every call goes
+    through to the engine, and the functions are restored after the test.
+    """
+    calls: dict[str, list[dict]] = {name: [] for name in SPIED}
+    for name, seen in calls.items():
+        def spy(*args, _fn=getattr(eng, name), _seen=seen, **kwargs):
+            _seen.append(kwargs)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(eng, name, spy)
+    return calls
+

@@ -309,15 +309,22 @@ def test_eval_of_degenerate_model_reports_zero_Bn(tmp_path):
     assert all(float(r["B_n"]) == float(r["b_n"]) == 0.0 for r in rows)
 
 
-def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
+def _counts(engine_calls: dict[str, list[dict]]) -> dict[str, int]:
+    counts = {name: len(calls) for name, calls in engine_calls.items()}
+    for calls in engine_calls.values():
+        calls.clear()
+    return counts
+
+
+def _clips(call: dict) -> list:
+    """The clip level of every root of one ``compile_sum`` call."""
+    clip = call.get("x_clip")
+    return list(clip) if isinstance(clip, (list, tuple)) else [clip]
+
+
+def test_one_graph_per_rosenthal_family_and_per_peng_run(engine_calls):
     # every backward sweep, one-sided or through evaluate_columns, is a sweep_columns call
     # and every history recursion is a window_columns call
-    counts = {"compile_sum": 0, "window_columns": 0, "sweep_columns": 0}
-    for name in counts:
-        def spy(*args, _name=name, _fn=getattr(eng, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(eng, name, spy)
     cfg = exp.reference_experiments()["stationary-1dep"]
     battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
     rows = cli.run_rosenthal(cfg)["rosenthal"][1]
@@ -327,12 +334,62 @@ def test_one_graph_per_rosenthal_family_and_per_peng_run(monkeypatch):
     # battery order
     assert len({inst.model for inst in battery}) == 25
     assert [row[0] for row in rows] == [inst.ident for inst in battery]
-    assert counts == {"compile_sum": 25, "window_columns": 25, "sweep_columns": 25}
-    counts.update(compile_sum=0, window_columns=0, sweep_columns=0)
+    assert _counts(engine_calls) == {"compile_sum": 25, "window_columns": 25, "sweep_columns": 25}
     raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
            "gnormal": {"sigma_lo2": 0.5, "nx": 201}, "peng_n": [8, 16]}
     cli.run_gnormal_eval(exp.config_from_mapping(raw))
+    counts = _counts(engine_calls)
     assert counts["compile_sum"] == counts["sweep_columns"] == 1
+
+
+HEAVY_CONDITIONS = {"name": "heavy", "mode": "conditions", "model": {"builder": "truncated-heavy"},
+                    "n_list": [8, 16, 32], "conditions": {"tau": 1.0}}
+
+
+def test_conditions_read_both_roots_of_a_row_off_one_compile_and_one_sweep(engine_calls):
+    # truncated-heavy varies with n: one graph per row, with the full sum
+    # and the sum clipped at tau as its two roots, and one sweep for E[S_n^2]
+    # and every S_M of both; the reports read them without sweeping again
+    cfg = exp.config_from_mapping(HEAVY_CONDITIONS)
+    cli.run_conditions(cfg)
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None, 1.0]] * 3
+    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 3, "window_columns": 6}
+    # the rows of a scale-1 model share the largest row's graph and its one sweep
+    scale_1 = {**HEAVY_CONDITIONS, "model": SMALL_CONFIG["model"]}
+    cli.run_conditions(exp.config_from_mapping(scale_1))
+    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 1, "window_columns": 6}
+
+
+def test_clt_sweep_reads_every_row_of_a_scale_1_model_off_one_graph(engine_calls):
+    # one compile at the largest n; one sweep for every row's E[S_n^2], one
+    # for every row's functionals at its own 1/B_n
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16]})
+    shared = cli.run_clt_sweep(cfg)
+    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 2, "window_columns": 3}
+    # with tau the largest row's graph, here every row's, carries the clipped root for r
+    cli.run_clt_sweep(exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16],
+                                               "conditions": {"tau": 1.0}}))
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None, 1.0]]
+    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 2, "window_columns": 6}
+    # the same rows compiled one n at a time give the same table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cond, "row_graphs",
+                   lambda model_for, ns: [(model_for(n).prefix(n), (n,)) for n in ns])
+        assert cli.run_clt_sweep(cfg) == shared
+    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 6, "window_columns": 3}
+
+
+def test_a_1_over_sqrt_n_model_compiles_each_row(engine_calls):
+    model = {**SMALL_CONFIG["model"], "scaling": "inv_sqrt_n"}
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16], "model": model,
+                                   "conditions": {"tau": 1.0}})
+    assert len(cond.row_graphs(cfg.model_for, cfg.n_list)) == 3
+    cli.run_clt_sweep(cfg)
+    # only the largest row carries the clipped root, for r
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None, 1.0], [None], [None]]
+    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 6, "window_columns": 6}
+    cli.run_eval(cfg)
+    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 3, "window_columns": 0}
 
 
 def test_sweep_rows_take_one_history_recursion_per_clip(monkeypatch):
@@ -352,20 +409,17 @@ def test_sweep_rows_take_one_history_recursion_per_clip(monkeypatch):
     assert clips == [1.0, None] * len(cfg.n_list)
 
 
-def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(monkeypatch):
+def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(engine_calls):
     # per n: the row context's graph, then one graph with a root per block and the cuts
-    cfg = exp.config_from_mapping({
-        "name": "heavy", "mode": "blocking_inspect", "model": {"builder": "truncated-heavy"},
-        "n_list": [8, 16, 32], "conditions": {"tau": 1.0}})
+    cfg = exp.config_from_mapping({**HEAVY_CONDITIONS, "mode": "blocking_inspect"})
     want = cli.run_blocking_inspect(cfg)
-    counts = {"compile_sum": 0, "sweep_columns": 0}
-    for name in counts:
-        def spy(*args, _name=name, _fn=getattr(eng, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(eng, name, spy)
+    _counts(engine_calls)
     assert cli.run_blocking_inspect(cfg) == want
-    assert counts == {"compile_sum": 6, "sweep_columns": 6}
+    # no root is clipped, although the config sets tau
+    assert {clip for call in engine_calls["compile_sum"] for clip in _clips(call)} == {None}
+    # per n: E[X_k^2] for beta, every p_n candidate in one recursion, and
+    # the cut moments once per offset (0, -1, +1)
+    assert _counts(engine_calls) == {"compile_sum": 6, "sweep_columns": 6, "window_columns": 15}
 
 
 def test_eval_reads_the_second_moment_and_every_functional_off_one_sweep(monkeypatch):
@@ -381,7 +435,42 @@ def test_eval_reads_the_second_moment_and_every_functional_off_one_sweep(monkeyp
     monkeypatch.setattr(eng, "sweep_columns", counting)
     assert cli.run_eval(cfg) == want
     k = 1 + len(cfg.functionals)
+    # the rows of a scale-1 model are read off the largest row's graph in one sweep
+    assert sweeps == [(k * len(cfg.n_list), k * len(cfg.n_list))]
+    sweeps.clear()
+    # under a 1/sqrt(n) scale every row sweeps its own graph once
+    cfg = exp.config_from_mapping({**SMALL_CONFIG, "mode": "eval",
+                                   "model": {**SMALL_CONFIG["model"], "scaling": "inv_sqrt_n"}})
+    cli.run_eval(cfg)
     assert sweeps == [(k, k)] * len(cfg.n_list)
+
+
+@pytest.mark.parametrize("command", ["clt-sweep", "conditions"])
+@pytest.mark.parametrize("conditions, key", [
+    ({"tau": -1.0}, "conditions.tau"),
+    ({"tau": 0.0}, "conditions.tau"),
+    ({"eps": [0.1, 0.0]}, "conditions.eps"),
+    ({"eps": [-0.5]}, "conditions.eps"),
+    ({"p": [2.0, 1.5]}, "conditions.p"),
+], ids=["tau-negative", "tau-zero", "eps-zero", "eps-negative", "p-below-2"])
+def test_condition_levels_fail_before_any_compile(tmp_path, capsys, engine_calls,
+                                                  command, conditions, key):
+    cfg_path = write_config(tmp_path, {**SMALL_CONFIG, "conditions": conditions})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not engine_calls["compile_sum"]
+    assert not out.exists()
+
+
+def test_clt_sweep_checks_the_pde_grid_before_any_compile(tmp_path, capsys, engine_calls):
+    # the half-width bound depends only on sigma_hi2, not on the plateau r
+    out = tmp_path / "out"
+    assert cli.main(["clt-sweep", "--experiment", "stationary-1dep", "--out", str(out),
+                     "--grid-L", "3"]) == 1
+    assert "half_width 3.0 too small" in capsys.readouterr().err
+    assert not engine_calls["compile_sum"]
+    assert not out.exists()
 
 
 def test_main_requires_exactly_one_source(tmp_path):

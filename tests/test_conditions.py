@@ -10,7 +10,7 @@ import sublexp as sl
 import sublexp.conditions as cond
 import sublexp.engine as eng
 import sublexp.experiments as exp
-from sublexp.errors import ValidationError
+from sublexp.errors import StateCapError, ValidationError
 
 from conftest import certain_pm1_iid, pm1_uncertain, stationary_1dep
 
@@ -279,6 +279,57 @@ def test_report_takes_one_history_recursion_per_clip(monkeypatch):
     clips.clear()
     cond.build_report(ctx, tau=1.0)
     assert clips == [None, 1.0]
+
+
+def _bits(res: eng.EvalResult) -> tuple[str, str, int]:
+    return res.upper.hex(), res.lower.hex(), res.state_count
+
+
+def test_rows_read_off_the_largest_rows_graph_equal_their_own_contexts(engine_calls):
+    ns, grids = (4, 6, 8), [(2, 4), (3,), (5, 8)]
+    assert cond.row_graphs(stationary_1dep, ns) == [(stationary_1dep(8), ns)]
+    ctxs = cond.row_contexts(stationary_1dep(8), ns, tau=1.0, M_grids=grids)
+    assert len(engine_calls["compile_sum"]) == len(engine_calls["sweep_columns"]) == 1
+    for n, grid, ctx in zip(ns, grids, ctxs):
+        own = cond.row_context(stationary_1dep(n), n, tau=1.0, M_grid=grid)
+        assert ctx.graph is ctxs[0].graph and own.graph is not ctx.graph
+        assert ctx.model == own.model and sorted(ctx.moments) == sorted({n, *grid})
+        for M in (n, *grid):
+            # root 0 is the full sum, root 1 the sum clipped at tau, each its own compile
+            want = [eng.eval_sum(ctx.model.prefix(M), eng.square(), x_clip=clip)
+                    for clip in (None, 1.0)]
+            assert [_bits(res) for res in ctx.moments[M]] == [_bits(res) for res in want]
+            assert [_bits(res) for res in own.moments[M]] == [_bits(res) for res in want]
+        calls = len(engine_calls["compile_sum"]), len(engine_calls["sweep_columns"])
+        report = cond.build_report(ctx, M_grid=grid, tau=1.0)
+        # the context holds every S_M the report reads, at both roots
+        assert (len(engine_calls["compile_sum"]), len(engine_calls["sweep_columns"])) == calls
+        assert report == cond.build_report(own, M_grid=grid, tau=1.0)
+    # a family that varies with n compiles each row alone
+    heavy = exp.reference_experiments()["truncated-heavy"].model_for
+    assert cond.row_graphs(heavy, ns) == [(heavy(n), (n,)) for n in ns]
+
+
+def test_row_contexts_check_their_grids_and_tau():
+    with pytest.raises(ValidationError, match="horizons must lie in 1..4"):
+        cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(5,), (8,)])
+    with pytest.raises(ValidationError, match="one grid per row"):
+        cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(2,)])
+    with pytest.raises(ValidationError, match="tau must be > 0"):
+        cond.row_context(stationary_1dep(8), 8, tau=0.0)
+    ctx = cond.row_contexts(stationary_1dep(8), (4, 8))[0]
+    with pytest.raises(ValidationError, match="horizons must lie in 1..4"):
+        cond.variance_ratio(ctx, 6)
+
+
+def test_state_cap_bounds_both_roots_of_a_row_together():
+    model = stationary_1dep(8)
+    counts = [eng.eval_sum(model, eng.square(), x_clip=clip).state_count for clip in (None, 1.0)]
+    ctx = cond.row_context(model, 8, tau=1.0, state_cap=sum(counts))
+    assert [res.state_count for res in ctx.moments[8]] == counts
+    cond.row_context(model, 8, state_cap=counts[0])  # the full sum alone fits
+    with pytest.raises(StateCapError):
+        cond.row_context(model, 8, tau=1.0, state_cap=sum(counts) - 1)
 
 
 def test_wide_truncation_reproduces_untruncated_formulas():

@@ -34,7 +34,11 @@ value from one recursion that equals two one-column ones.
 marginals, gives what a per-case compile of ``model.prefix(n)`` gives.
 ``eval_sums``, which compiles several masks into one graph with a root
 each, gives for every mask what ``eval_sum`` and the dict DP give for that
-mask alone, bit for bit and in state count.
+mask alone, bit for bit and in state count.  With one clip level per root
+(mixed with masks), the states reachable from each root are, array for
+array, that root's own compile, on the lattice path, on the float path, and
+when one off-lattice level moves the whole graph onto the float path, and
+every prefix column of every root is that root's prefix compile.
 """
 
 from __future__ import annotations
@@ -442,8 +446,8 @@ def test_compile_sum_builds_the_reference_graph(case, iid):
 def _lattice(model: SequenceModel, **opts) -> bool:
     """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``."""
     mask = opts.get("indices")
-    draws = eng._draws(model, [None if mask is None else frozenset(mask)], opts.get("x_clip"))
-    return eng._on_lattice(table for _, _, table, _ in draws if table is not None)
+    draws = eng._draws(model, [None if mask is None else frozenset(mask)], [opts.get("x_clip")])
+    return eng._on_lattice(table for _, _, groups in draws for table, _ in groups)
 
 
 def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
@@ -1026,3 +1030,114 @@ def test_compile_sum_takes_indices_or_masks():
         eng.compile_sum(model, masks=[(1,), (4,)])
     assert_same_graph(eng.compile_sum(model, masks=[(1, 3)]),
                       eng.compile_sum(model, indices=(1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# One clip level per root
+# ---------------------------------------------------------------------------
+
+CLIP_LEVELS = (None, 0.25, 0.5, 0.8, 1.5)
+
+
+def _root_graph(union: eng.Graph, r: int) -> eng.Graph:
+    """The states of root r of ``union``, every layer renumbered from 0.
+
+    A layer holds root 0's states, then root 1's, and so on, so root r's
+    states of layer t start after the states of roots 0..r-1 there.
+    """
+    if union.sizes is None:
+        return union
+    starts = np.hstack([np.zeros((len(union.sizes), 1), dtype=np.int64),
+                        np.cumsum(union.sizes, axis=1)])
+    steps = tuple(
+        eng._Step((st.child[starts[t, r]:starts[t, r + 1]] - starts[t + 1, r]).astype(np.int32),
+                  st.laws)
+        for t, st in enumerate(union.steps))
+    args = tuple(arg[starts[t, r]:starts[t, r + 1]] for t, arg in enumerate(union.args))
+    return eng.Graph(steps, args, union.lead)
+
+
+def _union_on_lattice(model: SequenceModel, masks: list, clips: list) -> bool:
+    masks = [None if mask is None else frozenset(mask) for mask in masks]
+    draws = eng._draws(model, masks, clips)
+    return eng._on_lattice(table for _, _, groups in draws for table, _ in groups)
+
+
+def assert_roots_are_their_own_compiles(model: SequenceModel, masks: list, clips: list,
+                                        track_max: bool, fs) -> None:
+    union = eng.compile_sum(model, masks=masks, x_clip=clips, track_max=track_max)
+    assert union.roots == len(masks)
+    columns = [(f, M) for f in fs for M in range(1, model.n + 1)]
+    got = iter(eng.evaluate_columns(union, columns))
+    swept = {(f.name, M, r): next(got) for f, M in columns for r in range(len(masks))}
+    for r, (mask, clip) in enumerate(zip(masks, clips)):
+        opts = {"indices": mask, "x_clip": clip, "track_max": track_max}
+        want = reference_compile_sum(model, **opts)
+        assert_same_graph(_root_graph(union, r), want)
+        assert_same_graph(eng.compile_sum(model, **opts), want)
+        for f, M in columns:
+            sub = _prefix_options(opts, M)
+            assert bits(swept[f.name, M, r]) == bits(reference_eval_sum(model.prefix(M), f, **sub))
+    assert sum(map(len, union.args)) == sum(
+        res.state_count for res in eng.evaluate_columns(union, [(fs[0], model.n)]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(models(), st.data())
+def test_one_clip_level_per_root_builds_each_roots_own_graph(model, data):
+    R = data.draw(st.integers(1, 4))
+    masks = data.draw(st.lists(st.one_of(st.none(), st.sets(st.integers(1, model.n))),
+                               min_size=R, max_size=R))
+    clips = data.draw(st.lists(st.sampled_from(CLIP_LEVELS), min_size=R, max_size=R))
+    fs = data.draw(st.lists(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS),
+                            min_size=1, max_size=2, unique_by=lambda f: f.name))
+    assert_roots_are_their_own_compiles(model, masks, clips, data.draw(st.booleans()), fs)
+    # eval_sums gives each root what eval_sum gives it alone
+    for mask, clip, res in zip(masks, clips, eng.eval_sums(model, fs[0], masks, x_clip=clips)):
+        assert bits(res) == bits(eng.eval_sum(model, fs[0], indices=mask, x_clip=clip))
+
+
+def test_one_off_lattice_level_moves_the_whole_graph_onto_the_float_grid():
+    window = SequenceModel.moving_window(_quarter_set(), (1.0, 0.5), 5)
+    iid = SequenceModel.iid(_quarter_set(), 4)
+    fs = (eng.square(), eng.ramp(0.5))
+    for model in (window, iid):
+        masks = [None, None, (1, 3)]
+        on = [None, 0.25, 0.75]
+        off = [None, 0.3, 0.75]  # 0.3 is no multiple of 2^-12
+        assert _union_on_lattice(model, masks, on)
+        assert not _union_on_lattice(model, masks, off)
+        # the roots at lattice levels stay on the lattice in their own compiles
+        assert _lattice(model) and _lattice(model, indices=(1, 3), x_clip=0.75)
+        for clips in (on, off):
+            for track_max in (False, True):
+                assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
+
+
+def test_x_clip_takes_one_level_or_one_per_mask():
+    model = SequenceModel.iid(_quarter_set(), 3)
+    with pytest.raises(ValidationError, match="one level per mask"):
+        eng.compile_sum(model, masks=[None, None], x_clip=[0.5])
+    with pytest.raises(ValidationError, match="x_clip must be > 0"):
+        eng.compile_sum(model, masks=[None, None], x_clip=[None, 0.0])
+    assert_same_graph(eng.compile_sum(model, masks=[None, (1,)], x_clip=0.5),
+                      eng.compile_sum(model, masks=[None, (1,)], x_clip=(0.5, 0.5)))
+
+
+def test_state_cap_bounds_the_roots_of_every_level_together():
+    model = SequenceModel.moving_window(
+        sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
+        (1.0, 0.5), 6)
+    masks, clips = [None, None, (2, 5)], [None, 0.5, 1.0]
+    counts = [reference_eval_sum(model, eng.square(), indices=mask, x_clip=clip).state_count
+              for mask, clip in zip(masks, clips)]
+    total = sum(counts)
+    got = eng.eval_sums(model, eng.square(), masks, x_clip=clips, state_cap=total)
+    assert [res.state_count for res in got] == counts
+    for cap in (max(counts), total - 1):
+        with pytest.raises(StateCapError) as err:
+            eng.eval_sums(model, eng.square(), masks, x_clip=clips, state_cap=cap)
+        assert err.value.cap == cap and err.value.count > cap
+        assert sum(err.value.layer_sizes) == err.value.count
+    assert err.value.count == total  # the cap just below it trips at the last layer
+
