@@ -42,13 +42,9 @@ from .engine import (
     catalog,
     catalog_by_name,
     compile_sum,
-    eval_sum,
     eval_sums,
-    eval_window,
-    evaluate,
     evaluate_columns,
     marginal_columns,
-    marginals,
     oracle_policy_enum,
     scaled,
     window_columns,
@@ -58,10 +54,8 @@ from .gnormal import (
     GParams,
     PDEGrid,
     default_grid,
-    gnormal_reference,
     gnormal_references,
-    peng_oracle,
-    solve_gheat,
+    peng_oracles,
     solve_gheats,
 )
 from .experiments import (

@@ -37,7 +37,8 @@ def compute_beta(ctx: RowContext) -> tuple[float, ...]:
     """Neighborhood second-moment weights ``beta_1..beta_{k_n}``."""
     n, B2 = ctx.model.n, ctx.B2
     # upper E[X_k^2], zero-extended at k = 0 and k = n + 1
-    m2 = [0.0, *engine.marginals(ctx.model, lambda x: x * x), 0.0]
+    (squares,), _ = engine.marginal_columns(ctx.model, [lambda x: x * x], [])
+    m2 = [0.0, *squares, 0.0]
     return tuple((m2[k - 1] + m2[k] + m2[k + 1]) / B2 for k in range(1, n + 1))
 
 
@@ -47,7 +48,7 @@ def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> in
     Searched over even p up to ``p_max`` (default: the even floor of
     sqrt(k_n)); falls back to 2 when no candidate qualifies.  Every
     candidate's excess is a column of one ``engine.marginal_columns`` call,
-    the same floats as a ``marginals`` call of its own.
+    the same floats as a call with that column alone.
     """
     if not tol > 0.0:
         raise ValidationError("tol must be > 0")
@@ -153,7 +154,7 @@ class BlockSequence:
         if not blk:
             return phi(0.0)
         f = engine.Functional("block", phi, engine.GROWTH_QUADRATIC)
-        res = engine.eval_sum(self.model, f, indices=blk)
+        (res,) = engine.eval_sums(self.model, f, [blk])
         return res.lower if lower else res.upper
 
     def pair_eval(self, i: int, j: int,
@@ -168,7 +169,9 @@ class BlockSequence:
         def payoff(xs: tuple[float, ...]) -> float:
             return psi(math.fsum(xs[:split]), math.fsum(xs[split:]))
 
-        return engine.eval_window(self.model, bi + bj, payoff, lower=lower)
+        ups, los = engine.window_columns(self.model, bi + bj, [] if lower else [payoff],
+                                         [payoff] if lower else [])
+        return (los if lower else ups)[0]
 
 
 def block_models(model: SequenceModel, plan: BlockingPlan) -> tuple[BlockSequence, tuple[int, ...]]:

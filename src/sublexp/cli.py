@@ -96,16 +96,19 @@ def _pde_bounds(cfg: ExperimentConfig, fs: list[engine.Functional],
 def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
     """Variance-ratio plateau: full-prefix ratio at the largest n.
 
-    ``last`` is the row of the largest n, built with the config's tau: its
-    second moments, at the clipped root under truncation, are the ratio's.
+    ``last`` is the row of the largest n.  Its second moments are the
+    ratio's; under truncation, those of its sum clipped at the config's
+    tau are, from one compile of that clipped sum and one sweep.
     ``last.B2`` rejects a degenerate model first, clipped or not.
     """
     if cfg.gnormal.sigma_lo2 is not None:
         return cfg.gnormal.sigma_lo2
     B2 = last.B2
-    if cfg.conditions.tau is None:
+    tau = cfg.conditions.tau
+    if tau is None:
         return last.m2.lower / B2
-    res = last.moments[last.model.n][1]
+    clipped = engine.compile_sum(last.model, x_clip=tau, state_cap=cfg.state_cap)
+    (res,) = engine.evaluate_columns(clipped, [(engine.square(), last.model.n)])
     return res.lower / res.upper
 
 
@@ -128,9 +131,9 @@ def _rows(cfg: ExperimentConfig, *, conditions: bool = False) -> Iterator[cond.R
 
     Each graph of ``cond.row_graphs`` is compiled and swept once for its
     rows; for ``conditions`` it also has the config's tau as a clipped root,
-    and the sweep reads every M of each row's ``_M_grid`` at both roots.  A
-    caller drops each context before taking the next, so a graph is freed
-    before the next one is compiled.
+    and each row records its ``_M_grid``, every M of which the sweep reads
+    at both roots.  A caller drops each context before taking the next, so
+    a graph is freed before the next one is compiled.
     """
     tau = cfg.conditions.tau if conditions else None
     for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
@@ -179,16 +182,17 @@ def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
                 ctxs: list[cond.RowContext]) -> dict[int, tuple]:
     """Everything of the sweep rows of every n of ``ctxs`` but the G-normal references.
 
-    ``ctxs`` share one graph.  Per n, the marginal summaries come from one
-    history recursion (``cond.build_report`` with no M and no p), the
-    truncated normalizers from one more, clipped; every functional of every
-    n, scaled by that n's 1/B_n, is a column of one sweep of the graph.
+    ``ctxs`` share one graph, with no clipped root and no M grid.  Per n, the
+    marginal summaries come from one history recursion (``cond.build_report``
+    with no p), the truncated normalizers from one more, clipped; every
+    functional of every n, scaled by that n's 1/B_n, is a column of one
+    sweep of the graph.
     """
     found, columns = {}, []
     for ctx in ctxs:
         n = ctx.model.n
         B, b = _normalizers(cfg, ctx)
-        rep = cond.build_report(ctx, eps_grid=(SWEEP_SUMMARY_EPS,), M_grid=(), p_grid=())
+        rep = cond.build_report(ctx, eps_grid=(SWEEP_SUMMARY_EPS,), p_grid=())
         summary = (
             rep.m2_ratio,
             cond.variance_ratio(ctx, n),
@@ -197,9 +201,7 @@ def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
         )
         found[n] = B, b, rep.mean_unc, summary
         columns += [(engine.scaled(f, 1.0 / B), n) for f in fs]
-    graph = ctxs[0].graph
-    # one result per column and root; root 0 is the unclipped sum
-    results = iter(engine.evaluate_columns(graph, columns)[::graph.roots])
+    results = iter(engine.evaluate_columns(ctxs[0].graph, columns))
     return {n: (*row, [next(results) for _ in fs]) for n, row in found.items()}
 
 
@@ -207,15 +209,14 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     """Sweep rows per n, off one graph per group of rows (``cond.row_graphs``).
 
     The PDE grid is built and checked before any compile.  The group of the
-    largest n goes first: that row's second moments also give the plateau
-    r, which the G-normal references need, so only it carries the clipped
-    root under truncation.  The references are solved once that graph is
-    freed, so the PDE arrays never add to a graph's memory.
+    largest n goes first: that row also gives the plateau r (``_sweep_r``),
+    which the G-normal references need.  The references are solved once
+    that graph is freed, so the PDE arrays never add to a graph's memory.
     """
     fs = _functionals(cfg)
     grid = _grid(cfg)
     *smaller, (model, ns) = cond.row_graphs(cfg.model_for, cfg.n_list)
-    ctxs = cond.row_contexts(model, ns, tau=cfg.conditions.tau, state_cap=cfg.state_cap)
+    ctxs = cond.row_contexts(model, ns, state_cap=cfg.state_cap)
     r = _sweep_r(cfg, ctxs[-1])
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
     found = _sweep_rows(cfg, fs, ctxs)
@@ -338,8 +339,8 @@ def run_conditions(cfg: ExperimentConfig) -> dict[str, Table]:
 
     for ctx in _rows(cfg, conditions=True):
         n = ctx.model.n
-        rep = cond.build_report(ctx, eps_grid=cfg.conditions.eps, M_grid=_M_grid(cfg, n),
-                                p_grid=cfg.conditions.p, tau=cfg.conditions.tau)
+        rep = cond.build_report(ctx, eps_grid=cfg.conditions.eps, p_grid=cfg.conditions.p)
+        full = cond.variance_ratio(ctx, n)
         del ctx  # one graph alive at a time
         for eps, v in rep.lindeberg.items():
             emit(n, "lindeberg", f"{eps:g}", v)
@@ -347,7 +348,7 @@ def run_conditions(cfg: ExperimentConfig) -> dict[str, Table]:
         emit(n, "m2_ratio", "", rep.m2_ratio)
         for M, v in rep.var_ratio.items():
             emit(n, "var_ratio", f"{M}", v, trend=False)
-        emit(n, "var_ratio", "full", rep.var_ratio[max(rep.var_ratio)], trend=False)
+        emit(n, "var_ratio", "full", full, trend=False)
         for p, v in rep.pth.items():
             emit(n, "pth", f"{p:g}", v)
         for eps, v in rep.cap_tail.items():

@@ -13,7 +13,7 @@ array-theorem convention).  The truncated sub-report switches to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from . import engine
@@ -70,19 +70,19 @@ class ConditionReport:
 class RowContext:
     """Row n of the array: its length-n model, the graph of its sums, the state cap.
 
-    ``graph`` holds the row's full sum as root 0 and, when ``tau`` is set,
-    the full sum clipped at tau as root 1.  It may be compiled at a larger n
-    of the same array: when the rows' models are prefixes of one model, all
-    rows share that model's graph, and row n reads its first n + m layers,
-    which are the compile of row n's own model (``engine.sweep_columns``).
-    ``moments[M]`` holds E[S_M^2] per root, for n and every M swept when the
-    context was built; ``m2`` is root 0's E[S_n^2], and ``Bn`` is
-    ``(B_n, b_n)``, the square roots of its upper and lower value.  Every
-    quantity of the row reads these, another prefix sum is read off the graph
-    in one more sweep, and every further compile for the row (block and cut
-    sums, a clip level the graph lacks) runs under ``state_cap``.  Drop the
-    contexts of one graph before building the next, so only one graph is
-    alive at a time.
+    ``graph`` holds the row's full sum as root 0 and, when ``tau`` (the
+    truncation level of the conditions) is set, the full sum clipped at tau
+    as root 1.  It may be compiled at a larger n of the same array: when
+    the rows' models are prefixes of one model, all rows share that model's
+    graph, and row n reads its first n + m layers, which are the compile of
+    row n's own model (``engine.sweep_columns``).  ``M_grid`` holds the
+    prefix horizons of the row's variance ratios, and ``moments[M]`` holds
+    E[S_M^2] per root for n and every M of ``M_grid``; ``m2`` is root 0's
+    E[S_n^2], and ``Bn`` is ``(B_n, b_n)``, the square roots of its upper
+    and lower value.  Every quantity of the row reads these, and every
+    further compile for the row (block and cut sums) runs under
+    ``state_cap``.  Drop the contexts of one graph before building the next,
+    so only one graph is alive at a time.
     """
 
     model: SequenceModel
@@ -90,6 +90,7 @@ class RowContext:
     moments: Mapping[int, tuple[engine.EvalResult, ...]]
     state_cap: int
     tau: float | None = None
+    M_grid: tuple[int, ...] = ()
 
     @property
     def m2(self) -> engine.EvalResult:
@@ -148,7 +149,7 @@ def row_contexts(model: SequenceModel, ns: Sequence[int], *, tau: float | None =
     found = iter(engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms]))
     moments = {M: tuple(next(found) for _ in clips) for M in Ms}
     return [RowContext(model.prefix(n), graph, {M: moments[M] for M in (n, *grid)},
-                       state_cap, tau)
+                       state_cap, tau, grid)
             for n, grid in zip(ns, grids)]
 
 
@@ -171,28 +172,34 @@ def _over(eps: float) -> Callable[[float], float]:
 
 def _marginal_sums(model: SequenceModel, phis: Sequence[Callable[[float], float]], *,
                    x_clip: float | None = None) -> tuple[list[float], float]:
-    """``sum_k E[phi(X_k)]`` for every ``phi`` of ``phis``, and ``engine.mean_spread``.
+    """``sum_k E[phi(X_k)]`` for every ``phi`` of ``phis``, and ``sum_k (|E[X_k]| + |e[X_k]|)``.
 
-    One ``engine.spread_columns`` call; each value is what a one-column
-    call gives, bit for bit.
+    One ``engine.spread_columns`` call, each sum added in k order; each
+    value is what a call with its column alone gives, bit for bit.
     """
     columns, spreads = engine.spread_columns(model, phis, x_clip=x_clip)
     return [engine.ordered_sum(col) for col in columns], engine.ordered_sum(spreads)
 
 
+def _point_report(ctx: RowContext, eps_grid: Sequence[float] = (),
+                  p_grid: Sequence[float] = ()) -> ConditionReport:
+    """``build_report`` at these points alone: no variance ratio and no truncated profile."""
+    return build_report(replace(ctx, tau=None, M_grid=()), eps_grid, p_grid)
+
+
 def lindeberg(ctx: RowContext, eps: float) -> float:
     """``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``."""
-    return build_report(ctx, eps_grid=(eps,), M_grid=(), p_grid=()).lindeberg[eps]
+    return _point_report(ctx, eps_grid=(eps,)).lindeberg[eps]
 
 
 def mean_uncertainty(ctx: RowContext) -> float:
     """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    return build_report(ctx, eps_grid=(), M_grid=(), p_grid=()).mean_unc
+    return _point_report(ctx).mean_unc
 
 
 def m2_ratio(ctx: RowContext) -> float:
     """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    return build_report(ctx, eps_grid=(), M_grid=(), p_grid=()).m2_ratio
+    return _point_report(ctx).m2_ratio
 
 
 def _ratio(res: engine.EvalResult) -> float:
@@ -200,32 +207,24 @@ def _ratio(res: engine.EvalResult) -> float:
     return res.lower / res.upper if res.upper > 0.0 else math.nan
 
 
-def _prefix_ratios(ctx: RowContext, Ms: Sequence[int], root: int = 0) -> dict[int, float]:
-    """``_ratio`` of E[S_M^2] at ``root`` of the row graph, for every M of ``Ms``.
-
-    Each M the context holds is read from ``ctx.moments``; the others are
-    read off one sweep of the row graph (if any).
-    """
-    missing = [M for M in Ms if M not in ctx.moments]
-    if any(not 1 <= M <= ctx.model.n for M in missing):
-        raise ValidationError(f"horizons must lie in 1..{ctx.model.n}")
-    found = iter(engine.evaluate_columns(ctx.graph, [(engine.square(), M) for M in missing])
-                 if missing else ())
-    moments = {**ctx.moments,
-               **{M: tuple(next(found) for _ in range(ctx.graph.roots)) for M in missing}}
-    return {M: _ratio(moments[M][root]) for M in Ms}
+def _prefix_ratios(ctx: RowContext, root: int) -> dict[int, float]:
+    """``_ratio`` of E[S_M^2] at ``root`` of the row graph, for every M of the row's grid."""
+    return {M: _ratio(ctx.moments[M][root]) for M in ctx.M_grid}
 
 
 def variance_ratio(ctx: RowContext, M: int) -> float:
-    """Lower-to-upper second-moment ratio of ``S_M``; ``S_n``'s is the row's own ``m2``."""
-    return _prefix_ratios(ctx, (M,))[M]
+    """Lower-to-upper second-moment ratio of ``S_M``, for n or an M of the row's grid."""
+    if M not in ctx.moments:
+        raise ValidationError(f"the row of n={ctx.model.n} holds no S_{M}: "
+                              f"its horizons are n and {list(ctx.M_grid)}")
+    return _ratio(ctx.moments[M][0])
 
 
 def pth_moment(ctx: RowContext, p: float) -> float:
     """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
     if p < 2.0:
         raise ValidationError("need p >= 2")
-    return build_report(ctx, eps_grid=(), M_grid=(), p_grid=(p,)).pth[p]
+    return _point_report(ctx, p_grid=(p,)).pth[p]
 
 
 def capacity_tail(ctx: RowContext, eps: float) -> float:
@@ -236,7 +235,8 @@ def capacity_tail(ctx: RowContext, eps: float) -> float:
     """
     if eps <= 0.0:
         raise ValidationError("eps must be > 0")
-    return engine.ordered_sum(engine.marginals(ctx.model, _over(eps)))
+    (tails,), _ = engine.marginal_columns(ctx.model, [_over(eps)], [])
+    return engine.ordered_sum(tails)
 
 
 def truncated_bounds(ctx: RowContext, tau: float) -> tuple[float, float]:
@@ -247,57 +247,38 @@ def truncated_bounds(ctx: RowContext, tau: float) -> tuple[float, float]:
     return engine.ordered_sum(ups), engine.ordered_sum(los)
 
 
-def truncated_B2(ctx: RowContext, tau: float) -> float:
-    """``sum_k E[(X_k^(tau))^2]``, the truncated-theorem normalizer (upper ``truncated_bounds``)."""
-    return truncated_bounds(ctx, tau)[0]
+def truncated_profile(ctx: RowContext) -> TruncatedProfile:
+    """The row's hypotheses at its tau, every marginal from one clipped history recursion.
 
-
-def truncated_profile(ctx: RowContext, tau: float,
-                      M_grid: Sequence[int] | None = None) -> TruncatedProfile:
-    """The row's hypotheses at tau, every marginal from one clipped history recursion.
-
-    Every ``S_M`` is read at the row graph's clipped root when the context
-    was built at this ``tau``, from its moments or one sweep; a context
-    built without it compiles the row's clipped sum and sweeps it once.
+    Every ``S_M`` of the row's grid is read at the clipped root of the row
+    graph, from the moments the context was built with.
     """
-    if tau <= 0.0:
-        raise ValidationError("tau must be > 0")
-    (B2,), spread = _marginal_sums(ctx.model, [_square], x_clip=tau)
-    Ms = M_grid if M_grid is not None else default_M_grid(ctx.model.n)
-    if tau == ctx.tau:
-        ratios = _prefix_ratios(ctx, Ms, root=1)
-    else:
-        graph = engine.compile_sum(ctx.model, x_clip=tau, state_cap=ctx.state_cap)
-        found = engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms]) if Ms else ()
-        ratios = {M: _ratio(res) for M, res in zip(Ms, found)}
+    if ctx.tau is None:
+        raise ValidationError("the row was built without tau")
+    (B2,), spread = _marginal_sums(ctx.model, [_square], x_clip=ctx.tau)
     return TruncatedProfile(
-        tau=tau, B_n2=B2, mean_unc=spread / math.sqrt(B2),
-        m2_ratio=1.0, var_ratio=ratios,
+        tau=ctx.tau, B_n2=B2, mean_unc=spread / math.sqrt(B2),
+        m2_ratio=1.0, var_ratio=_prefix_ratios(ctx, root=1),
     )
 
 
 def build_report(
     ctx: RowContext,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    M_grid: Sequence[int] | None = None,
     p_grid: Sequence[float] = DEFAULT_P_GRID,
-    tau: float | None = None,
 ) -> ConditionReport:
     """Every hypothesis of row n: the functions above, each at every point of its grid.
 
     The marginal quantities (E[X_k^2], the Lindeberg excesses and the
     capacity tails per eps, E[|X_k|^p] per p, E[X_k] and e[X_k]) are the
-    columns of one history recursion, and those at ``tau`` of one more,
-    clipped.  Every ``S_M``, and with ``tau`` every clipped one, is read at
-    a root of the row graph: from the moments the context was built with,
-    which for a context built with this grid and ``tau`` (as the CLI builds
-    them) means no compile and no sweep, and any other M off one sweep.  An
-    empty ``M_grid`` reports no variance ratio and sweeps nothing.  ``lindeberg``,
-    ``mean_uncertainty``, ``m2_ratio`` and ``pth_moment`` read a report with
-    empty grids but their own point; ``capacity_tail``, which divides by no
-    ``B_n``, makes its own recursion.
+    columns of one history recursion, and with the row's tau those at tau
+    of one more, clipped (``truncated_profile``).  The variance ratios of
+    the row's grid, clipped ones included, are read from the moments the
+    context was built with, so a report compiles and sweeps nothing.
+    ``lindeberg``, ``mean_uncertainty``, ``m2_ratio`` and ``pth_moment``
+    read a report with their own point alone, which makes one recursion;
+    ``capacity_tail``, which divides by no ``B_n``, makes its own.
     """
-    Ms = tuple(M_grid) if M_grid is not None else default_M_grid(ctx.model.n)
     if any(eps <= 0.0 for eps in eps_grid):
         raise ValidationError("eps must be > 0")
     B2 = ctx.B2
@@ -318,10 +299,10 @@ def build_report(
         lindeberg=lind,
         mean_unc=spread / math.sqrt(B2),
         m2_ratio=m2 / B2,
-        var_ratio=_prefix_ratios(ctx, Ms),
+        var_ratio=_prefix_ratios(ctx, root=0),
         pth=pth,
         cap_tail=cap,
-        trunc=truncated_profile(ctx, tau, Ms) if tau is not None else None,
+        trunc=truncated_profile(ctx) if ctx.tau is not None else None,
     )
 
 

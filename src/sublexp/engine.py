@@ -21,15 +21,14 @@ sums stay below 2⁴¹, every sum is an exact float that this rounding leaves
 unchanged, so the compile keeps the sums as int64 counts of 2⁻¹² and
 merges on those integers instead; the graph is the same, array for array.
 
-``eval_sum`` runs in two passes.  ``compile_sum`` walks forward once, one
-whole layer at a time as numpy arrays (window codes, sums, running
+A sum is evaluated in two passes.  ``compile_sum`` walks forward once,
+one whole layer at a time as numpy arrays (window codes, sums, running
 maxima), and records, per draw, the index of every state's child under
 each distinct support value.  ``sweep_columns`` then sweeps that graph
 backwards once with numpy gathers for every column ``(f, M)`` asked of
 it, ``f`` of the sum of coordinates 1..M, taking upper columns and lower
 columns as separate lists, so a caller that reads one side does not carry
-the other.  ``evaluate_columns`` passes each column to both sides, and
-``evaluate`` is its one-column, full-horizon form.  The
+the other.  ``evaluate_columns`` passes each column to both sides.  The
 accumulation order is fixed: each law's expectation starts at 0.0 and
 adds ``p * value`` over the law's support in increasing order, and the
 best law replaces the running best only when strictly better.  That is
@@ -44,8 +43,8 @@ holds one root per mask, every state carries the component id of its root,
 a component adds a draw's term (at its own clip level) only when its mask
 holds the coordinate the draw completes, and states merge only within a
 component.  The states reachable from root r are the graph of mask r
-alone, so one sweep reads every root; ``eval_sums`` returns one
-``EvalResult`` per mask, and ``eval_sum`` is its one-mask form.
+alone, so one sweep reads every root; ``eval_sums`` compiles and sweeps
+the masks of one functional and returns one ``EvalResult`` per mask.
 
 Functionals of a few coordinates are evaluated by recursion over the full
 history of the draws they involve.  ``window_columns`` carries many payoff
@@ -56,9 +55,8 @@ that carries it alone.  ``marginal_columns`` gives ``E[phi(X_k)]`` for every
 k and every column; it evaluates one index when all coordinates share one
 sub-linear law, and one per k otherwise.  ``spread_columns`` adds the
 ``E[X_k]`` and ``e[X_k]`` columns to a caller's own and returns
-``|E[X_k]| + |e[X_k]|`` per k.  ``eval_window``, ``marginals`` and
-``mean_spread`` are their one-call forms.  ``ordered_sum`` adds
-per-index values left to right, the same way on every Python version.
+``|E[X_k]| + |e[X_k]|`` per k.  ``ordered_sum`` adds per-index values left
+to right, the same way on every Python version.
 
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
 full histories, with no state merging and payoffs recomputed from scratch,
@@ -510,19 +508,22 @@ def _offset_ids(col: np.ndarray) -> tuple[np.ndarray, int]:
 def compile_sum(
     model: SequenceModel,
     *,
-    indices: Iterable[int] | None = None,
-    masks: Sequence[Iterable[int] | None] | None = None,
+    masks: Sequence[Iterable[int] | None] = (None,),
     x_clip: float | None | Sequence[float | None] = None,
     track_max: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Graph:
     """Forward pass: enumerate the reachable states layer by layer.
 
-    The options mean what they mean for ``eval_sum``; ``masks`` compiles the
-    sum of each of several index sets (``None`` for all coordinates) into one
-    graph, and ``indices=I`` is ``masks=[I]``.  ``x_clip`` is one level for
-    every mask or a list or tuple of one level per mask (``None`` clips
-    nothing).
+    ``masks`` compiles the sum of each of several index sets (``None`` for
+    all coordinates, the default's one root) into one graph.  ``x_clip``
+    clamps each coordinate to ``[-x_clip, x_clip]`` before accumulation; it
+    is one level for every mask or a list or tuple of one level per mask
+    (``None`` clips nothing).  ``track_max`` makes each state's payoff
+    argument the running maximum of ``|S_k|`` along completed prefixes
+    instead of the sum, and ``state_cap`` bounds the states of all layers
+    and roots together.
+
     A layer is three arrays: each state's window code (the last m draws as
     base-V digits over the support columns), its ``acc``, and, under
     ``track_max``, its ``maxabs``.  Every state is expanded under each distinct support value
@@ -568,10 +569,6 @@ def compile_sum(
     column in the sweep, so masks of equal length at different positions
     can differ in the last bits; each mask keeps its own draws.
     """
-    if masks is None:
-        masks = [indices]
-    elif indices is not None:
-        raise ValidationError("pass indices or masks, not both")
     masks = [None if mask is None else frozenset(mask) for mask in masks]
     if not masks:
         raise ValidationError("compile_sum needs at least one mask")
@@ -738,34 +735,6 @@ def evaluate_columns(graph: Graph,
     return tuple(EvalResult(*found) for found in zip(ups, los, counts))
 
 
-def evaluate(graph: Graph, f: Functional) -> EvalResult:
-    """``f`` of the full sum at the first root: ``evaluate_columns`` with one column ``(f, n)``."""
-    return evaluate_columns(graph, [(f, len(graph.steps) - graph.lead)])[0]
-
-
-def eval_sum(
-    model: SequenceModel,
-    f: Functional,
-    *,
-    indices: Iterable[int] | None = None,
-    x_clip: float | None = None,
-    track_max: bool = False,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> EvalResult:
-    """Upper and lower expectation of ``phi`` applied to the coordinate sum.
-
-    ``indices`` restricts the sum to a subset of coordinates (default: all),
-    ``x_clip`` clamps each coordinate to ``[-x_clip, x_clip]`` before
-    accumulation, and ``track_max`` applies ``phi`` to the running maximum of
-    ``|S_k|`` along completed prefixes instead of to the final sum.  A caller
-    that evaluates several functionals or horizons of one sum compiles the
-    graph once with ``compile_sum`` and sweeps it once with
-    ``evaluate_columns``.  ``eval_sums`` with the one mask ``indices``.
-    """
-    return eval_sums(model, f, [indices], x_clip=x_clip, track_max=track_max,
-                     state_cap=state_cap)[0]
-
-
 def eval_sums(
     model: SequenceModel,
     f: Functional,
@@ -775,12 +744,15 @@ def eval_sums(
     track_max: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[EvalResult, ...]:
-    """``eval_sum`` with ``indices`` set to each of ``masks``, from one compile and one sweep.
+    """Upper and lower expectation of ``f`` of the sum over each of ``masks``.
 
-    Every mask is a root of one graph (``compile_sum``), at its own clip
-    level when ``x_clip`` gives one per mask, and each result is, bit for
-    bit and in ``state_count``, what ``eval_sum`` gives for that mask and
-    level alone; ``state_cap`` bounds the states of all masks together.
+    One compile and one sweep: every mask (``None`` for all coordinates) is
+    a root of one graph (``compile_sum``, whose options these are), at its
+    own clip level when ``x_clip`` gives one per mask.  Each result is, bit
+    for bit and in ``state_count``, that of the one-mask graph of its mask
+    and level; ``state_cap`` bounds the states of all masks together.  A
+    caller that evaluates several functionals or horizons of one sum
+    compiles the graph once and sweeps it once with ``evaluate_columns``.
     """
     if not masks:
         return ()
@@ -910,21 +882,6 @@ def window_columns(
     return tuple(found[:len(upper)]), tuple(found[len(upper):])
 
 
-def eval_window(
-    model: SequenceModel,
-    indices: Sequence[int],
-    psi: Payoff,
-    *,
-    lower: bool = False,
-    x_clip: float | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
-) -> float:
-    """Exact expectation of ``psi(X_{i1}, ..., X_{ij})``: ``window_columns`` with one column."""
-    ups, los = window_columns(model, indices, () if lower else (psi,), (psi,) if lower else (),
-                              x_clip=x_clip, path_cap=path_cap)
-    return (los if lower else ups)[0]
-
-
 def one_law(model: SequenceModel) -> bool:
     """Moving window or equal sets: a window's value then does not depend on its shift."""
     return model.kind == KIND_MOVING_WINDOW or all(s == model.sets[0] for s in model.sets)
@@ -941,7 +898,7 @@ def marginal_columns(
 
     Each side holds one tuple of n values per column.  Under ``one_law``
     one ``window_columns`` call at index 1 gives every value; other models
-    take one call per k.  Each value is, bit for bit, what ``eval_window``
+    take one call per k.  Each value is, bit for bit, what ``window_columns``
     gives for that index and column alone.
     """
     cols = {id(phi): (lambda xs, _phi=phi: _phi(xs[0])) for phi in [*upper, *lower]}
@@ -955,22 +912,6 @@ def marginal_columns(
                      for c in range(count))
 
     return side(0, len(upper)), side(1, len(lower))
-
-
-def marginals(
-    model: SequenceModel,
-    phi: Callable[[float], float],
-    *,
-    lower: bool = False,
-    x_clip: float | None = None,
-) -> tuple[float, ...]:
-    """Upper (or, with ``lower``, lower) ``E[phi(X_k)]`` for k = 1..n.
-
-    ``marginal_columns`` with the one column ``phi``.
-    """
-    ups, los = marginal_columns(model, () if lower else (phi,), (phi,) if lower else (),
-                                x_clip=x_clip)
-    return (los if lower else ups)[0]
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -999,11 +940,6 @@ def spread_columns(
     (*columns, means), (lows,) = marginal_columns(
         model, [*upper, _identity], [_identity], x_clip=x_clip)
     return tuple(columns), tuple(abs(up) + abs(lo) for up, lo in zip(means, lows))
-
-
-def mean_spread(model: SequenceModel, *, x_clip: float | None = None) -> float:
-    """``sum_k (|E[X_k]| + |e[X_k]|)``, added in k order (``spread_columns`` with no column)."""
-    return ordered_sum(spread_columns(model, (), x_clip=x_clip)[1])
 
 
 def oracle_policy_enum(

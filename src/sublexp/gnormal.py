@@ -1,20 +1,19 @@
 """The G-normal distribution N(0, [sigma_lo^2, sigma_hi^2]), two ways.
 
-``solve_gheat`` integrates the fully nonlinear heat equation
+``solve_gheats`` integrates the fully nonlinear heat equation
 
     du/dt = (1/2) * G(d2u/dx2),    u(0, x) = phi(x),
     G(a)  = sigma_hi2 * a    for a >= 0,
             sigma_lo2 * a    for a < 0,
 
 with a monotone explicit finite-difference scheme and returns u(t, 0),
-which is the upper expectation of ``phi`` under the G-normal law.
-``solve_gheats`` does this for several functionals at once: their initial
-data are the rows of one array, stepped by one time loop that works in
-place on scratch arrays allocated once.  Every element goes through the
-one-row scheme's float operations in the same order (stencil, then the
-G coefficient, then ``dt*0.5``, then the add; no constant folded), so a
-row's value is bit-identical to a solve of that row alone.
-``solve_gheat`` is the one-row form.
+which is the upper expectation of ``phi`` under the G-normal law, for
+several functionals at once: their initial data are the rows of one
+array, stepped by one time loop that works in place on scratch arrays
+allocated once.  Every element goes through the one-row scheme's float
+operations in the same order (stencil, then the G coefficient, then
+``dt*0.5``, then the add; no constant folded), so a row's value is
+bit-identical to a solve of that row alone.
 
 The G coefficient is chosen by the max rule: ``G(d2)`` is computed as
 ``max(sigma_lo2 * d2, sigma_hi2 * d2)``, with ``sigma_hi2 * d2`` taken as
@@ -31,17 +30,16 @@ operation turns inf or NaN back into a finite value, so the same nodes go
 non-finite at the same step and ``PDENumericsError`` names the same rows
 at the same step.
 
-``peng_oracle`` evaluates the same quantity through the central limit
+``peng_oracles`` evaluates the same quantity through the central limit
 recursion: n i.i.d. coordinates with the two-point extremal ambiguity set
 {+-sigma w.p. 1/2 : sigma in {sigma_lo, sigma_hi}} have certain mean zero and
 second moment interval [sigma_lo2, sigma_hi2]; the exact dynamic program for
 ``phi(S_n / sqrt(n))`` converges to the PDE value as n grows.
 
-``gnormal_reference`` is a third, quadrature-based cross-check valid only
+``gnormal_references`` is a third, quadrature-based cross-check valid only
 for test functions that are convex or concave on the whole grid domain: the
 extremal law is then the classical Gaussian at the appropriate endpoint of
-the variance interval.  ``gnormal_references`` gives it for several
-functionals from one set of quadrature nodes.
+the variance interval.  Any other functional gets NaN.
 """
 
 from __future__ import annotations
@@ -215,12 +213,6 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     return tuple(float(np.interp(0.0, x, row)) for row in u)
 
 
-def solve_gheat(f: engine.Functional, p: GParams, grid: PDEGrid,
-                t: float = 1.0) -> float:
-    """Upper G-normal expectation of ``f``: ``solve_gheats`` on one row."""
-    return solve_gheats((f,), p, grid, t)[0]
-
-
 def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
                  *, state_cap: int = engine.DEFAULT_STATE_CAP) -> tuple[tuple[float, ...], ...]:
     """Upper expectation of each of ``fs`` via the n-step two-point CLT recursion, per n of ``ns``.
@@ -230,7 +222,7 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
     which carries no lower column.
     """
     if any(n < 1 for n in ns):
-        raise ValidationError("peng_oracle needs n >= 1")
+        raise ValidationError("peng_oracles needs n >= 1")
     if not ns:
         return ()
     sigmas = sorted({math.sqrt(p.sigma_lo2), math.sqrt(p.sigma_hi2)})
@@ -239,12 +231,6 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
     uppers = iter(engine.sweep_columns(
         graph, [(engine.scaled(f, 1.0 / math.sqrt(n)), n) for n in ns for f in fs], ())[0])
     return tuple(tuple(next(uppers) for _ in fs) for _ in ns)
-
-
-def peng_oracle(f: engine.Functional, p: GParams, n: int,
-                *, state_cap: int = engine.DEFAULT_STATE_CAP) -> float:
-    """Upper expectation of ``f`` via the n-step two-point CLT recursion."""
-    return peng_oracles((f,), p, (n,), state_cap=state_cap)[0][0]
 
 
 def _shape_on_grid(f: engine.Functional, half_width: float,
@@ -266,19 +252,12 @@ def _shape_on_grid(f: engine.Functional, half_width: float,
 HERMITE_NODES = 96  # Gauss-Hermite nodes of every quadrature reference
 
 
-def _hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights; fewer than 64 nodes are rejected."""
-    if nodes < 64:
-        raise ValidationError("use at least 64 quadrature nodes")
-    return np.polynomial.hermite.hermgauss(nodes)
-
-
 def _quadrature(f: engine.Functional, p: GParams, half_width: float,
-                hermite: tuple[np.ndarray, np.ndarray]) -> float | None:
-    """The Gauss-Hermite value of ``f`` at its extremal variance; None when ``f`` has no shape."""
+                hermite: tuple[np.ndarray, np.ndarray]) -> float:
+    """The Gauss-Hermite value of ``f`` at its extremal variance; NaN when ``f`` has no shape."""
     shape = _shape_on_grid(f, half_width)
     if shape == "neither":
-        return None
+        return math.nan
     var = p.sigma_hi2 if shape == "convex" else p.sigma_lo2
     if var == 0.0:
         return f.phi(0.0)
@@ -288,30 +267,15 @@ def _quadrature(f: engine.Functional, p: GParams, half_width: float,
     return float(np.dot(ws, vals) / math.sqrt(math.pi))
 
 
-def gnormal_reference(f: engine.Functional, p: GParams, *,
-                      half_width: float = 8.0, nodes: int = HERMITE_NODES) -> float:
-    """Gauss-Hermite value of the extremal classical Gaussian.
+def gnormal_references(fs: Sequence[engine.Functional], p: GParams, *,
+                       half_width: float = 8.0) -> tuple[float, ...]:
+    """Gauss-Hermite value of the extremal classical Gaussian for each of ``fs``.
 
     For convex ``f`` the upper G-normal expectation is the classical
     expectation at the upper variance; for concave ``f``, at the lower
-    variance.  Everything else is rejected.  Callers must treat the result
-    as a hypothesis to validate against ``solve_gheat``, not as ground
-    truth.
+    variance; any other ``f`` gets NaN.  The ``HERMITE_NODES`` nodes are
+    computed once for all of ``fs``.  Callers must treat the values as a
+    hypothesis to validate against ``solve_gheats``, not as ground truth.
     """
-    value = _quadrature(f, p, half_width, _hermite(nodes))
-    if value is None:
-        raise ValidationError(
-            f"{f.name} is neither convex nor concave on [-{half_width}, {half_width}]"
-        )
-    return value
-
-
-def gnormal_references(fs: Sequence[engine.Functional], p: GParams, *,
-                       half_width: float = 8.0) -> tuple[float, ...]:
-    """``gnormal_reference`` of each of ``fs``, NaN where it rejects the functional.
-
-    The ``HERMITE_NODES`` Gauss-Hermite nodes are computed once for all of ``fs``.
-    """
-    hermite = _hermite(HERMITE_NODES)
-    values = (_quadrature(f, p, half_width, hermite) for f in fs)
-    return tuple(math.nan if value is None else value for value in values)
+    hermite = np.polynomial.hermite.hermgauss(HERMITE_NODES)
+    return tuple(_quadrature(f, p, half_width, hermite) for f in fs)

@@ -318,12 +318,14 @@ def _window_psis() -> tuple[tuple[str, "object"], ...]:
 
 
 def stationarity_test(model: SequenceModel, shift: int, j: int) -> float:
-    """Max catalog discrepancy between the windows (X_1..X_j) and its shift."""
+    """Max catalog discrepancy between the windows (X_1..X_j) and its shift.
+
+    Each window is one ``engine.window_columns`` recursion carrying every
+    payoff of the catalog as an upper column.
+    """
     if shift < 0 or j < 1 or j + shift > model.n:
         raise ValidationError("need shift >= 0, j >= 1, j + shift <= n")
-    worst = 0.0
-    for _, psi in _window_psis():
-        base = engine.eval_window(model, range(1, j + 1), psi)
-        moved = engine.eval_window(model, range(1 + shift, j + shift + 1), psi)
-        worst = max(worst, abs(base - moved))
-    return worst
+    psis = [psi for _, psi in _window_psis()]
+    base, _ = engine.window_columns(model, range(1, j + 1), psis, [])
+    moved, _ = engine.window_columns(model, range(1 + shift, j + shift + 1), psis, [])
+    return max(0.0, *(abs(a - b) for a, b in zip(base, moved)))

@@ -41,6 +41,12 @@ def _stationary_model(n: int) -> sl.SequenceModel:
     return reference_experiments()["stationary-1dep"].model_for(n)
 
 
+def _pde_bounds(fs, gp: sl.GParams, grid: sl.PDEGrid) -> list[tuple[float, float]]:
+    """Upper and lower G-normal value of each of ``fs``, from one batched solve."""
+    values = sl.solve_gheats([g for f in fs for g in (f, eng.negated(f))], gp, grid)
+    return [(up, -neg_up) for up, neg_up in zip(values[::2], values[1::2])]
+
+
 def _nonincreasing(vals, slack=1e-15) -> bool:
     return all(b <= a + slack for a, b in zip(vals, vals[1:]))
 
@@ -77,7 +83,7 @@ def test_criterion_01_engine_oracle_equivalence():
             weights = tuple(rng.choice((-1.0, 0.5, 1.0)) for _ in range(m + 1))
             model = sl.SequenceModel.moving_window(rand_set(), weights, n, scale)
         f = fs[i % len(fs)]
-        got = sl.eval_sum(model, f)
+        (got,) = sl.eval_sums(model, f, [None])
         want = sl.oracle_policy_enum(model, f)
         worst = max(worst, abs(got.upper - want.upper), abs(got.lower - want.lower))
         count += 1
@@ -127,7 +133,7 @@ def test_criterion_02_axiom_suite():
         worst = max(worst, abs(lo + sl.upper_expect(set_, lambda v: -phi(v))))
         triples += 1
 
-    # the same axioms, lifted through eval_sum on small sequence models
+    # the same axioms, lifted to sums on small sequence models
     for _ in range(20):
         n = rng.randint(1, 3)
         sets = []
@@ -135,12 +141,13 @@ def test_criterion_02_axiom_suite():
             sigma = rng.choice((0.5, 1.0))
             sets.append(sl.ambiguity([sl.two_point_law(sigma), sl.two_point_law(1.5)]))
         model = sl.SequenceModel.independent(sets)
-        base = sl.eval_sum(model, eng.cosine()).upper
         lam = rng.uniform(0, 2)
         scaled_f = eng.Functional("lc", lambda s, _l=lam: _l * math.cos(s), "bounded_lipschitz")
-        worst = max(worst, abs(sl.eval_sum(model, scaled_f).upper - lam * base))
         shifted = eng.Functional("c+", lambda s: math.cos(s) + 0.7, "bounded_lipschitz")
-        worst = max(worst, abs(sl.eval_sum(model, shifted).upper - (base + 0.7)))
+        base, scaled_res, shifted_res = sl.evaluate_columns(
+            sl.compile_sum(model), [(eng.cosine(), n), (scaled_f, n), (shifted, n)])
+        worst = max(worst, abs(scaled_res.upper - lam * base.upper))
+        worst = max(worst, abs(shifted_res.upper - (base.upper + 0.7)))
 
     elapsed = time.monotonic() - t0
     print(f"\nCRITERION 2: {triples} triples, worst axiom violation = {worst:.3e}, "
@@ -175,14 +182,15 @@ def test_criterion_03_classical_reduction():
         ]):
             p = math.prod(pr for _, pr in combo)
             expected += p * phi(sum(v for v, _ in combo))
-        res = sl.eval_sum(model, eng.Functional("mix", phi, "quadratic"))
+        (res,) = sl.eval_sums(model, eng.Functional("mix", phi, "quadratic"), [None])
         worst = max(worst, abs(res.upper - expected), abs(res.lower - expected))
 
     gp = sl.GParams(1.0, 1.0)
     grid = sl.default_grid(gp)
     errors = []
     for _ in range(3):
-        errors.append(abs(sl.solve_gheat(eng.square(), gp, grid, 1.0) - 1.0))
+        (u,) = sl.solve_gheats((eng.square(),), gp, grid, 1.0)
+        errors.append(abs(u - 1.0))
         grid = grid.refined()
     refinement_ok = all(
         b < a or b < REFINEMENT_FLOOR for a, b in zip(errors, errors[1:])
@@ -206,10 +214,9 @@ def test_criterion_04_gnormal_moments():
     t0 = time.monotonic()
     gp = sl.GParams(0.5, 1.0)
     grid = sl.default_grid(gp)
-    up = sl.solve_gheat(eng.square(), gp, grid)
-    lo = sl.solve_gheat(eng.neg_square(), gp, grid)
-    quad_up = sl.gnormal_reference(eng.square(), gp)
-    quad_lo = sl.gnormal_reference(eng.neg_square(), gp)
+    fs = (eng.square(), eng.neg_square())
+    up, lo = sl.solve_gheats(fs, gp, grid)
+    quad_up, quad_lo = sl.gnormal_references(fs, gp)
     elapsed = time.monotonic() - t0
     print(f"\nCRITERION 4: E[x^2] = {up:.6f} (1.0), E[-x^2] = {lo:.6f} (-0.5); "
           f"quad = {quad_up:.6f}/{quad_lo:.6f}, {elapsed:.1f}s")
@@ -229,11 +236,11 @@ def test_criterion_05_peng_convergence():
     t0 = time.monotonic()
     gp = sl.GParams(0.5, 1.0)
     grid = sl.default_grid(gp)
-    report = []
-    for f in _bl_catalog():
-        ref = sl.solve_gheat(f, gp, grid)
-        gaps = [abs(sl.peng_oracle(f, gp, n) - ref) for n in (8, 16, 32, 64)]
-        report.append((f.name, gaps))
+    fs = _bl_catalog()
+    refs = sl.solve_gheats(fs, gp, grid)
+    pengs = sl.peng_oracles(fs, gp, (8, 16, 32, 64))
+    report = [(f.name, [abs(row[c] - ref) for row in pengs])
+              for c, (f, ref) in enumerate(zip(fs, refs))]
     elapsed = time.monotonic() - t0
     for name, gaps in report:
         print(f"\nCRITERION 5 [{name}]: gaps = {['%.4f' % g for g in gaps]}")
@@ -252,7 +259,8 @@ def test_criterion_05_peng_convergence():
 def test_criterion_06_mdependent_clt():
     t0 = time.monotonic()
     n_max = STATIONARY_NS[-1]
-    largest = cond.row_context(_stationary_model(n_max), n_max)
+    largest = cond.row_context(_stationary_model(n_max), n_max,
+                               M_grid=(n_max // 4, n_max // 2))
     plateau = [cond.variance_ratio(largest, M)
                for M in (n_max // 4, n_max // 2, n_max)]
     assert max(plateau) - min(plateau) <= 1e-2
@@ -260,18 +268,16 @@ def test_criterion_06_mdependent_clt():
     gp = sl.GParams(r, 1.0)
     grid = sl.default_grid(gp)
 
-    results = []
-    for f in _bl_catalog():
-        ref_up = sl.solve_gheat(f, gp, grid)
-        ref_lo = -sl.solve_gheat(eng.negated(f), gp, grid)
-        ups, los = [], []
-        for n in STATIONARY_NS:
-            ctx = cond.row_context(_stationary_model(n), n)
-            B, _ = ctx.Bn
-            res = sl.evaluate(ctx.graph, eng.scaled(f, 1.0 / B))
+    fs = _bl_catalog()
+    refs = _pde_bounds(fs, gp, grid)
+    results = [(f.name, [], []) for f in fs]
+    for n in STATIONARY_NS:
+        ctx = cond.row_context(_stationary_model(n), n)
+        B, _ = ctx.Bn
+        found = sl.evaluate_columns(ctx.graph, [(eng.scaled(f, 1.0 / B), n) for f in fs])
+        for (_, ups, los), res, (ref_up, ref_lo) in zip(results, found, refs):
             ups.append(abs(res.upper - ref_up))
             los.append(abs(res.lower - ref_lo))
-        results.append((f.name, ups, los))
     elapsed = time.monotonic() - t0
     print(f"\nCRITERION 6: r = {r:.4f}")
     for name, ups, los in results:
@@ -365,7 +371,7 @@ def _window_m2(model: sl.SequenceModel, r: int) -> float:
     """Upper ``E[S_r^2]`` of the first r coordinates (0 for the empty sum)."""
     if r == 0:
         return 0.0
-    return sl.eval_sum(model.prefix(r), eng.square()).upper
+    return sl.eval_sums(model.prefix(r), eng.square(), [None])[0].upper
 
 
 def _same_dp_value(a: float, b: float) -> bool:
@@ -466,23 +472,21 @@ def test_criterion_10_truncated_conditions():
 
     n_max = 48
     largest = cfg.model_for(n_max)
-    res = sl.eval_sum(largest, eng.square(), x_clip=tau)
+    (res,) = sl.eval_sums(largest, eng.square(), [None], x_clip=tau)
     r = res.lower / res.upper
     gp = sl.GParams(r, 1.0)
     grid = sl.default_grid(gp)
 
-    results = []
-    for f in _bl_catalog():
-        ref_up = sl.solve_gheat(f, gp, grid)
-        ref_lo = -sl.solve_gheat(eng.negated(f), gp, grid)
-        ups, los = [], []
-        for n in STATIONARY_NS:
-            ctx = cond.row_context(cfg.model_for(n), n)
-            B = math.sqrt(cond.truncated_B2(ctx, tau))
-            out = sl.evaluate(ctx.graph, eng.scaled(f, 1.0 / B))
+    fs = _bl_catalog()
+    refs = _pde_bounds(fs, gp, grid)
+    results = [(f.name, [], []) for f in fs]
+    for n in STATIONARY_NS:
+        ctx = cond.row_context(cfg.model_for(n), n)
+        B = math.sqrt(cond.truncated_bounds(ctx, tau)[0])
+        found = sl.evaluate_columns(ctx.graph, [(eng.scaled(f, 1.0 / B), n) for f in fs])
+        for (_, ups, los), out, (ref_up, ref_lo) in zip(results, found, refs):
             ups.append(abs(out.upper - ref_up))
             los.append(abs(out.lower - ref_lo))
-        results.append((f.name, ups, los))
     elapsed = time.monotonic() - t0
     print(f"\nCRITERION 10: cap_tail(48, 0.25) = {tail_48:.5f}, r_tau = {r:.4f}")
     for name, ups, los in results:

@@ -41,10 +41,10 @@ def test_choose_pn_threshold_algebra():
 
 
 def _excess_ratios(ctx: cond.RowContext, p_max: int) -> dict[int, float]:
-    """``choose_pn``'s statistic per even candidate, each from a ``marginals`` call of its own."""
+    """``choose_pn``'s statistic per even candidate, each from a ``marginal_columns`` call of its own."""
     B2 = ctx.B2
-    return {p: p**4 / B2 * eng.ordered_sum(
-                eng.marginals(ctx.model, lambda x, _c=B2 / p**4: max(x * x - _c, 0.0)))
+    return {p: p**4 / B2 * eng.ordered_sum(eng.marginal_columns(
+                ctx.model, [lambda x, _c=B2 / p**4: max(x * x - _c, 0.0)], [])[0][0])
             for p in range(p_max, 1, -2)}
 
 
@@ -96,8 +96,9 @@ def test_beta_single_index():
 def test_beta_total_bound():
     model = stationary_1dep(12)
     beta = blk.compute_beta(cond.row_context(model, 12))
-    B2 = sl.eval_sum(model, eng.square()).upper
-    m2_total = sum(sl.eval_window(model, (k,), lambda xs: xs[0] * xs[0]) for k in range(1, 13))
+    (res,) = sl.eval_sums(model, eng.square(), [None])
+    (squares,), _ = sl.marginal_columns(model, [lambda x: x * x], [])
+    B2, m2_total = res.upper, sum(squares)
     assert sum(beta) <= 3.0 * m2_total / B2 + TOL
 
 
@@ -137,7 +138,7 @@ def test_plan_rejects_odd_pn_before_any_evaluation(monkeypatch):
         pytest.fail("build_plan evaluated the model before checking p_n")
 
     ctx = cond.row_context(stationary_1dep(8), 8)
-    for name in ("eval_sum", "eval_sums", "compile_sum", "eval_window"):
+    for name in ("eval_sums", "compile_sum", "window_columns", "marginal_columns"):
         monkeypatch.setattr(eng, name, forbidden)
     with pytest.raises(ValidationError):
         blk.build_plan(ctx, 3)
@@ -190,10 +191,11 @@ def test_linear_functional_decomposes_over_blocks_and_cuts():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 8)
     plan = blk.build_plan(cond.row_context(model, 8), 4)
     seq, removed = blk.block_models(model, plan)
-    total = sl.eval_sum(model, eng.identity()).upper
+    (total,) = sl.eval_sums(model, eng.identity(), [None])
     parts = sum(seq.block_eval(i, lambda y: y) for i in range(1, plan.h + 1))
-    parts += sum(sl.eval_window(model, (c,), lambda xs: xs[0]) for c in removed)
-    assert total == pytest.approx(parts, abs=TOL)
+    (means,), _ = sl.marginal_columns(model, [lambda x: x], [])
+    parts += sum(means[c - 1] for c in removed)
+    assert total.upper == pytest.approx(parts, abs=TOL)
 
 
 def test_block_sums_are_independent():
@@ -248,13 +250,18 @@ def test_diagnostics_rejects_a_plan_of_another_row():
 
 
 def _per_cut_delta_sum(model, cuts, B2, lower):
-    """The correction sum with one ``eval_window`` call per cut and neighbor."""
+    """The correction sum with one ``window_columns`` call per cut and neighbor."""
+    def moment(window):
+        psis = [lambda xs: xs[0] * xs[-1]]
+        ups, los = sl.window_columns(model, window, [] if lower else psis, psis if lower else [])
+        return (los if lower else ups)[0]
+
     total = 0.0
     for k in cuts:
-        d = sl.eval_window(model, (k,), lambda xs: xs[0] * xs[0], lower=lower)
+        d = moment((k,))
         for nb in (k - 1, k + 1):
             if 1 <= nb <= model.n:
-                d += 2.0 * sl.eval_window(model, (k, nb), lambda xs: xs[0] * xs[1], lower=lower)
+                d += 2.0 * moment((k, nb))
         total += d / B2
     return abs(total)
 

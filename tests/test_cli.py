@@ -366,11 +366,11 @@ def test_clt_sweep_reads_every_row_of_a_scale_1_model_off_one_graph(engine_calls
     cfg = exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16]})
     shared = cli.run_clt_sweep(cfg)
     assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 2, "window_columns": 3}
-    # with tau the largest row's graph, here every row's, carries the clipped root for r
+    # with tau, r is read off one more compile, of the largest row's clipped sum alone
     cli.run_clt_sweep(exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16],
                                                "conditions": {"tau": 1.0}}))
-    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None, 1.0]]
-    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 2, "window_columns": 6}
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0]]
+    assert _counts(engine_calls) == {"compile_sum": 2, "sweep_columns": 3, "window_columns": 6}
     # the same rows compiled one n at a time give the same table
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cond, "row_graphs",
@@ -385,11 +385,32 @@ def test_a_1_over_sqrt_n_model_compiles_each_row(engine_calls):
                                    "conditions": {"tau": 1.0}})
     assert len(cond.row_graphs(cfg.model_for, cfg.n_list)) == 3
     cli.run_clt_sweep(cfg)
-    # only the largest row carries the clipped root, for r
-    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None, 1.0], [None], [None]]
-    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 6, "window_columns": 6}
+    # only the largest row's sum is also compiled clipped, for r
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0], [None], [None]]
+    assert _counts(engine_calls) == {"compile_sum": 4, "sweep_columns": 7, "window_columns": 6}
     cli.run_eval(cfg)
     assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 3, "window_columns": 0}
+
+
+def test_clt_sweep_sweeps_the_functionals_over_the_unclipped_sum_alone(engine_calls, monkeypatch):
+    # truncated-heavy at n = 48: r under tau comes from a one-root clipped
+    # compile, and the functionals sweep the one-root graph of the full sum
+    cfg = exp.config_from_mapping({"name": "heavy", "mode": "clt_sweep", "n_list": [48],
+                                   "model": {"builder": "truncated-heavy"},
+                                   "functionals": ["cos", "ramp@0"], "gnormal": {"nx": 201},
+                                   "conditions": {"tau": 1.0}})
+    swept = []
+    sweep_columns = eng.sweep_columns
+
+    def sizing(graph, upper, lower):
+        swept.append((graph.roots, sum(map(len, graph.args)), [f.name for f, _ in upper]))
+        return sweep_columns(graph, upper, lower)
+
+    monkeypatch.setattr(eng, "sweep_columns", sizing)
+    cli.run_clt_sweep(cfg)
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0]]
+    assert swept == [(1, 40_425, ["square"]), (1, 40_425, ["square"]),
+                     (1, 40_425, ["cos", "ramp@0"])]
 
 
 def test_sweep_rows_take_one_history_recursion_per_clip(monkeypatch):
@@ -407,6 +428,29 @@ def test_sweep_rows_take_one_history_recursion_per_clip(monkeypatch):
     monkeypatch.setattr(eng, "window_columns", counting)
     assert cli.run_clt_sweep(cfg) == want
     assert clips == [1.0, None] * len(cfg.n_list)
+
+
+VAR_RATIO_CONFIG = {
+    "name": "ratio", "mode": "conditions", "n_list": [8, 10], "functionals": ["cos"],
+    "model": {"kind": "moving_window", "weights": [1.0, 0.5], "scaling": "none",
+              "innovation": [{"values": [-1.0, 1.0], "probs": [0.4, 0.6]},
+                             {"values": [-1.0, 1.0], "probs": [0.6, 0.4]}]},
+    "gnormal": {"nx": 201},
+}
+
+
+@pytest.mark.parametrize("grid", [[2, 4], []], ids=["grid-without-n", "empty-grid"])
+def test_conditions_full_variance_ratio_is_the_clt_sweeps(grid):
+    # the full ratio is S_n's, whatever the M grid holds: not the largest M's
+    cfg = exp.config_from_mapping({**VAR_RATIO_CONFIG, "conditions": {"M": grid}})
+    rows = cli.run_conditions(cfg)["conditions"][1]
+    full = {n: v for n, quantity, key, v in rows if (quantity, key) == ("var_ratio", "full")}
+    assert [n for n, quantity, key, _ in rows if quantity == "var_ratio" and key != "full"] == [
+        n for n in cfg.n_list for _ in grid]
+    header, sweep = cli.run_clt_sweep(cfg)["clt_sweep"]
+    col = header.index("var_ratio_full")
+    assert full == {row[0]: row[col] for row in sweep}
+    assert cli._fmt(full[8]) == "0.312932118784"
 
 
 def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(engine_calls):

@@ -98,27 +98,28 @@ def test_mean_uncertainty_iff_certain_means():
 
 
 def test_variance_ratio_no_ambiguity_is_one():
-    ctx = cond.row_context(certain_pm1_iid(6), 6)
+    ctx = cond.row_context(certain_pm1_iid(6), 6, M_grid=(1, 3))
     for M in (1, 3, 6):
         assert cond.variance_ratio(ctx, M) == pytest.approx(1.0, abs=TOL)
 
 
 def test_variance_ratio_stationary_plateau():
-    ctx = cond.row_context(stationary_1dep(16), 16)
+    ctx = cond.row_context(stationary_1dep(16), 16, M_grid=(4, 8))
     for M in (4, 8, 16):
         assert cond.variance_ratio(ctx, M) == pytest.approx(0.49, abs=TOL)
 
 
 def test_variance_ratio_single_term():
     model = stationary_1dep(4)
-    up = sl.eval_window(model, (1,), lambda xs: xs[0] * xs[0])
-    lo = sl.eval_window(model, (1,), lambda xs: xs[0] * xs[0], lower=True)
-    assert cond.variance_ratio(cond.row_context(model, 4), 1) == pytest.approx(lo / up, abs=TOL)
+    (up,), (lo,) = sl.window_columns(model, (1,), [lambda xs: xs[0] * xs[0]],
+                                     [lambda xs: xs[0] * xs[0]])
+    ctx = cond.row_context(model, 4, M_grid=(1,))
+    assert cond.variance_ratio(ctx, 1) == pytest.approx(lo / up, abs=TOL)
 
 
 def test_variance_ratio_degenerate_is_nan():
     model = sl.SequenceModel.iid(sl.singleton(sl.point_mass(0.0)), 3)
-    assert math.isnan(cond.variance_ratio(cond.row_context(model, 3), 2))
+    assert math.isnan(cond.variance_ratio(cond.row_context(model, 3, M_grid=(2,)), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_pth_moment_value():
 
 def test_report_fields_cover_grids():
     model = stationary_1dep(8)
-    rep = cond.build_report(cond.row_context(model, 8), eps_grid=(0.1, 0.5), M_grid=(2, 8),
+    rep = cond.build_report(cond.row_context(model, 8, M_grid=(2, 8)), eps_grid=(0.1, 0.5),
                             p_grid=(2.0,))
     assert set(rep.lindeberg) == {0.1, 0.5}
     assert set(rep.var_ratio) == {2, 8}
@@ -193,56 +194,55 @@ def test_report_fields_cover_grids():
     assert rep.trunc is None
 
 
-def test_report_reads_prefixes_off_one_graph_per_row(monkeypatch):
-    # every S_M is read off the row graph, or off one clipped row graph with
-    # tau, and each graph takes at most one backward sweep
-    ctx = cond.row_context(exp.reference_experiments()["truncated-heavy"].model_for(8), 8)
-    compiles, swept = [], []
-    compile_sum, evaluate_columns = eng.compile_sum, eng.evaluate_columns
-
-    def counting(model, **kwargs):
-        compiles.append(kwargs.get("x_clip"))
-        return compile_sum(model, **kwargs)
-
-    def sweeping(graph, columns):
-        swept.append(graph)
-        return evaluate_columns(graph, columns)
-
-    monkeypatch.setattr(eng, "compile_sum", counting)
-    monkeypatch.setattr(eng, "evaluate_columns", sweeping)
-    plain = cond.build_report(ctx)
-    assert compiles == []
-    assert [g is ctx.graph for g in swept] == [True]
-    swept.clear()
-    clipped = cond.build_report(ctx, tau=1.0)
-    assert compiles == [1.0]
-    assert len(swept) == 2 and swept[0] is not swept[1]
-    assert set(plain.var_ratio) == set(clipped.trunc.var_ratio) == {2, 4, 8}
-    # S_n's ratio alone is the row's own second moment's: no sweep at all
-    swept.clear()
-    assert cond.variance_ratio(ctx, 8) == plain.var_ratio[8] == ctx.m2.lower / ctx.m2.upper
-    assert swept == []
+def test_report_reads_prefixes_off_one_graph_per_row(engine_calls):
+    # every S_M of the row's grid, clipped or not, is read from the moments
+    # of the context's one compile and one sweep: a report makes neither
+    model = exp.reference_experiments()["truncated-heavy"].model_for(8)
+    plain = cond.row_context(model, 8, M_grid=cond.default_M_grid(8))
+    clipped = cond.row_context(model, 8, tau=1.0, M_grid=cond.default_M_grid(8))
+    assert [call.get("x_clip") for call in engine_calls["compile_sum"]] == [[None], [None, 1.0]]
+    assert len(engine_calls["sweep_columns"]) == 2
+    engine_calls["compile_sum"].clear()
+    engine_calls["sweep_columns"].clear()
+    plain_rep, clipped_rep = cond.build_report(plain), cond.build_report(clipped)
+    assert engine_calls["compile_sum"] == engine_calls["sweep_columns"] == []
+    assert plain_rep.trunc is None
+    assert set(plain_rep.var_ratio) == set(clipped_rep.trunc.var_ratio) == {2, 4, 8}
+    assert clipped_rep.var_ratio == plain_rep.var_ratio
+    # the clipped root's ratios are those of a compile of the clipped sum
+    for M, ratio in clipped_rep.trunc.var_ratio.items():
+        (res,) = eng.eval_sums(model.prefix(M), eng.square(), [None], x_clip=1.0)
+        assert ratio == res.lower / res.upper
+    assert cond.variance_ratio(plain, 8) == plain_rep.var_ratio[8] == plain.m2.lower / plain.m2.upper
+    # a row built without tau has no truncated profile
+    with pytest.raises(ValidationError, match="without tau"):
+        cond.truncated_profile(plain)
 
 
 @pytest.mark.parametrize("name", ["stationary-1dep", "truncated-heavy"])
 def test_report_equals_one_marginals_call_per_quantity(name):
-    ctx = cond.row_context(exp.reference_experiments()[name].model_for(8), 8)
-    rep = cond.build_report(ctx, eps_grid=(0.1, 0.5), M_grid=(4,), p_grid=(2.0, 3.0), tau=1.0)
+    ctx = cond.row_context(exp.reference_experiments()[name].model_for(8), 8, tau=1.0, M_grid=(4,))
+    rep = cond.build_report(ctx, eps_grid=(0.1, 0.5), p_grid=(2.0, 3.0))
     B2, model = ctx.B2, ctx.model
 
-    def total(phi, **kwargs):
-        return eng.ordered_sum(eng.marginals(model, phi, **kwargs))
+    def total(phi, lower=False, x_clip=None):
+        ups, los = eng.marginal_columns(model, [] if lower else [phi], [phi] if lower else [],
+                                        x_clip=x_clip)
+        return eng.ordered_sum((los if lower else ups)[0])
+
+    def spread(x_clip=None):
+        return eng.ordered_sum(eng.spread_columns(model, [], x_clip=x_clip)[1])
 
     tB2 = total(lambda x: x * x, x_clip=1.0)
     want = {
         "lindeberg": [total(lambda x, c=eps * B2: max(x * x - c, 0.0)) / B2 for eps in (0.1, 0.5)],
-        "mean_unc": [eng.mean_spread(model) / math.sqrt(B2)],
+        "mean_unc": [spread() / math.sqrt(B2)],
         "m2_ratio": [total(lambda x: x * x) / B2],
         "pth": [total(lambda x, p=p: abs(x) ** p) / math.sqrt(B2) ** p for p in (2.0, 3.0)],
         "cap_tail": [total(lambda x, e=eps: 1.0 if abs(x) > e else 0.0) for eps in (0.1, 0.5)],
-        "trunc_B2": [tB2] * 3,
+        "trunc_B2": [tB2] * 2,
         "trunc_b2": [total(lambda x: x * x, lower=True, x_clip=1.0)],
-        "trunc_mean_unc": [eng.mean_spread(model, x_clip=1.0) / math.sqrt(tB2)],
+        "trunc_mean_unc": [spread(x_clip=1.0) / math.sqrt(tB2)],
     }
     bounds = cond.truncated_bounds(ctx, 1.0)
     got = {
@@ -251,7 +251,7 @@ def test_report_equals_one_marginals_call_per_quantity(name):
         "m2_ratio": [rep.m2_ratio],
         "pth": list(rep.pth.values()),
         "cap_tail": list(rep.cap_tail.values()),
-        "trunc_B2": [rep.trunc.B_n2, cond.truncated_B2(ctx, 1.0), bounds[0]],
+        "trunc_B2": [rep.trunc.B_n2, bounds[0]],
         "trunc_b2": [bounds[1]],
         "trunc_mean_unc": [rep.trunc.mean_unc],
     }
@@ -265,7 +265,7 @@ def test_report_equals_one_marginals_call_per_quantity(name):
 
 
 def test_report_takes_one_history_recursion_per_clip(monkeypatch):
-    ctx = cond.row_context(exp.reference_experiments()["truncated-heavy"].model_for(8), 8)
+    model = exp.reference_experiments()["truncated-heavy"].model_for(8)
     clips = []
     window = eng.window_columns
 
@@ -274,11 +274,16 @@ def test_report_takes_one_history_recursion_per_clip(monkeypatch):
         return window(model, indices, upper, lower, **kwargs)
 
     monkeypatch.setattr(eng, "window_columns", counting)
-    cond.build_report(ctx)
+    cond.build_report(cond.row_context(model, 8))
     assert clips == [None]
     clips.clear()
-    cond.build_report(ctx, tau=1.0)
+    ctx = cond.row_context(model, 8, tau=1.0)
+    cond.build_report(ctx)
     assert clips == [None, 1.0]
+    # a single quantity reads its own point alone, with no truncated profile
+    clips.clear()
+    cond.lindeberg(ctx, 0.25)
+    assert clips == [None]
 
 
 def _bits(res: eng.EvalResult) -> tuple[str, str, int]:
@@ -294,17 +299,19 @@ def test_rows_read_off_the_largest_rows_graph_equal_their_own_contexts(engine_ca
         own = cond.row_context(stationary_1dep(n), n, tau=1.0, M_grid=grid)
         assert ctx.graph is ctxs[0].graph and own.graph is not ctx.graph
         assert ctx.model == own.model and sorted(ctx.moments) == sorted({n, *grid})
+        assert ctx.M_grid == own.M_grid == grid
         for M in (n, *grid):
             # root 0 is the full sum, root 1 the sum clipped at tau, each its own compile
-            want = [eng.eval_sum(ctx.model.prefix(M), eng.square(), x_clip=clip)
+            want = [eng.eval_sums(ctx.model.prefix(M), eng.square(), [None], x_clip=clip)[0]
                     for clip in (None, 1.0)]
             assert [_bits(res) for res in ctx.moments[M]] == [_bits(res) for res in want]
             assert [_bits(res) for res in own.moments[M]] == [_bits(res) for res in want]
         calls = len(engine_calls["compile_sum"]), len(engine_calls["sweep_columns"])
-        report = cond.build_report(ctx, M_grid=grid, tau=1.0)
+        report = cond.build_report(ctx)
         # the context holds every S_M the report reads, at both roots
         assert (len(engine_calls["compile_sum"]), len(engine_calls["sweep_columns"])) == calls
-        assert report == cond.build_report(own, M_grid=grid, tau=1.0)
+        assert report == cond.build_report(own)
+        assert list(report.var_ratio) == list(report.trunc.var_ratio) == list(grid)
     # a family that varies with n compiles each row alone
     heavy = exp.reference_experiments()["truncated-heavy"].model_for
     assert cond.row_graphs(heavy, ns) == [(heavy(n), (n,)) for n in ns]
@@ -317,14 +324,18 @@ def test_row_contexts_check_their_grids_and_tau():
         cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(2,)])
     with pytest.raises(ValidationError, match="tau must be > 0"):
         cond.row_context(stationary_1dep(8), 8, tau=0.0)
-    ctx = cond.row_contexts(stationary_1dep(8), (4, 8))[0]
-    with pytest.raises(ValidationError, match="horizons must lie in 1..4"):
-        cond.variance_ratio(ctx, 6)
+    ctx = cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(2,), ()])[0]
+    assert math.isfinite(cond.variance_ratio(ctx, 2))
+    # a horizon the row does not hold raises
+    for M in (3, 6):
+        with pytest.raises(ValidationError, match=f"holds no S_{M}"):
+            cond.variance_ratio(ctx, M)
 
 
 def test_state_cap_bounds_both_roots_of_a_row_together():
     model = stationary_1dep(8)
-    counts = [eng.eval_sum(model, eng.square(), x_clip=clip).state_count for clip in (None, 1.0)]
+    counts = [eng.eval_sums(model, eng.square(), [None], x_clip=clip)[0].state_count
+              for clip in (None, 1.0)]
     ctx = cond.row_context(model, 8, tau=1.0, state_cap=sum(counts))
     assert [res.state_count for res in ctx.moments[8]] == counts
     cond.row_context(model, 8, state_cap=counts[0])  # the full sum alone fits
@@ -334,19 +345,20 @@ def test_state_cap_bounds_both_roots_of_a_row_together():
 
 def test_wide_truncation_reproduces_untruncated_formulas():
     model = stationary_1dep(6)
-    prof = cond.truncated_profile(cond.row_context(model, 6), tau=10.0, M_grid=(3, 6))
-    raw_B2 = sum(sl.eval_window(model, (k,), lambda xs: xs[0] * xs[0]) for k in range(1, 7))
+    prof = cond.truncated_profile(cond.row_context(model, 6, tau=10.0, M_grid=(3, 6)))
+    (squares,), _ = sl.marginal_columns(model, [lambda x: x * x], [])
+    raw_B2 = sum(squares)
     assert prof.B_n2 == pytest.approx(raw_B2, abs=TOL)
     assert prof.mean_unc == pytest.approx(0.0, abs=TOL)
     for M in (3, 6):
-        res = sl.eval_sum(model.prefix(M), eng.square())
+        (res,) = sl.eval_sums(model.prefix(M), eng.square(), [None])
         assert prof.var_ratio[M] == pytest.approx(res.lower / res.upper, abs=TOL)
 
 
 def test_truncation_bites_heavy_support():
     law = sl.DiscreteLaw((-1.0, 5.0), (0.8, 0.2))
     model = sl.SequenceModel.iid(sl.singleton(law), 3)
-    prof = cond.truncated_profile(cond.row_context(model, 3), tau=1.0)
+    prof = cond.truncated_profile(cond.row_context(model, 3, tau=1.0))
     # clamped second moment: 0.8 * 1 + 0.2 * 1 = 1 per index
     assert prof.B_n2 == pytest.approx(3.0, abs=TOL)
 

@@ -17,13 +17,13 @@ TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# eval_sum examples
+# Sums of coordinates
 # ---------------------------------------------------------------------------
 
 
 def test_two_step_mean_uncertain_square():
     model = sl.SequenceModel.iid(pm1_uncertain(), 2)
-    res = sl.eval_sum(model, eng.square())
+    (res,) = sl.eval_sums(model, eng.square(), [None])
     assert res.upper == pytest.approx(2.4, abs=TOL)
     assert res.lower == pytest.approx(1.6, abs=TOL)
 
@@ -38,7 +38,7 @@ def test_singleton_laws_reduce_to_convolution():
         for va, pa in zip(lawA.values, lawA.probs)
         for vb, pb in zip(lawB.values, lawB.probs)
     )
-    res = sl.eval_sum(model, eng.Functional("mix", phi, eng.GROWTH_QUADRATIC))
+    (res,) = sl.eval_sums(model, eng.Functional("mix", phi, eng.GROWTH_QUADRATIC), [None])
     assert res.upper == pytest.approx(expected, abs=1e-12)
     assert res.lower == pytest.approx(expected, abs=1e-12)
 
@@ -46,9 +46,10 @@ def test_singleton_laws_reduce_to_convolution():
 def test_trivial_window_equals_independent():
     mw = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0,), 3)
     ind = sl.SequenceModel.iid(pm1_uncertain(), 3)
-    for f in (eng.square(), eng.cosine(), eng.identity()):
-        a = sl.eval_sum(mw, f)
-        b = sl.eval_sum(ind, f)
+    fs = (eng.square(), eng.cosine(), eng.identity())
+    columns = [(f, 3) for f in fs]
+    for a, b in zip(sl.evaluate_columns(sl.compile_sum(mw), columns),
+                    sl.evaluate_columns(sl.compile_sum(ind), columns)):
         assert a.upper == pytest.approx(b.upper, abs=TOL)
         assert a.lower == pytest.approx(b.lower, abs=TOL)
 
@@ -56,7 +57,7 @@ def test_trivial_window_equals_independent():
 def test_state_cap_reports_count():
     model = sl.SequenceModel.iid(pm1_uncertain(), 6)
     with pytest.raises(StateCapError) as err:
-        sl.eval_sum(model, eng.square(), state_cap=5)
+        sl.compile_sum(model, state_cap=5)
     assert err.value.count > 5
     # sums of +-1 draws: layers of 1, 2, 3 states reach 6 > 5 at draw 2
     assert err.value.step == 2
@@ -100,10 +101,11 @@ def test_oracle_guards():
 
 
 def test_engine_matches_oracle_randomized(rng):
+    fs = (eng.square(), eng.cosine(), eng.ramp(0.0))
     for _ in range(40):
         model = random_model(rng)
-        for f in (eng.square(), eng.cosine(), eng.ramp(0.0)):
-            got = sl.eval_sum(model, f)
+        found = sl.evaluate_columns(sl.compile_sum(model), [(f, model.n) for f in fs])
+        for f, got in zip(fs, found):
             want = sl.oracle_policy_enum(model, f)
             assert got.upper == pytest.approx(want.upper, abs=TOL)
             assert got.lower == pytest.approx(want.lower, abs=TOL)
@@ -141,7 +143,7 @@ def test_certain_zero_mean_upper_variance_is_additive(rng):
             sets.append(set_)
             per_index.append(max(s * s for s in sigmas))
         model = sl.SequenceModel.independent(sets)
-        res = sl.eval_sum(model, eng.square())
+        (res,) = sl.eval_sums(model, eng.square(), [None])
         assert res.upper == pytest.approx(sum(per_index), abs=TOL)
 
 
@@ -154,19 +156,21 @@ def test_cross_moment_independent_zero_mean():
     model = sl.SequenceModel.independent(
         [sl.singleton(sl.two_point_law(1.0)), sl.singleton(sl.two_point_law(0.5))]
     )
-    assert sl.eval_window(model, (1, 2), lambda xs: xs[0] * xs[1]) == pytest.approx(0.0, abs=TOL)
+    (up,), _ = sl.window_columns(model, (1, 2), [lambda xs: xs[0] * xs[1]], [])
+    assert up == pytest.approx(0.0, abs=TOL)
 
 
 def test_cross_moment_shared_innovation():
     inn = sl.singleton(sl.two_point_law(1.0))
     model = sl.SequenceModel.moving_window(inn, (1.0, 1.0), 5)
-    assert sl.eval_window(model, (2, 3), lambda xs: xs[0] * xs[1]) == pytest.approx(1.0, abs=TOL)
+    (up,), _ = sl.window_columns(model, (2, 3), [lambda xs: xs[0] * xs[1]], [])
+    assert up == pytest.approx(1.0, abs=TOL)
 
 
 def test_cross_moment_marginal_consistency():
     model = stationary_1dep(5)
-    via_pair = sl.eval_window(model, (2, 3), lambda xs: xs[0] * xs[0])
-    via_index = sl.eval_window(model, (2,), lambda xs: xs[0] * xs[0])
+    (via_pair,), _ = sl.window_columns(model, (2, 3), [lambda xs: xs[0] * xs[0]], [])
+    (via_index,), _ = sl.window_columns(model, (2,), [lambda xs: xs[0] * xs[0]], [])
     assert via_pair == pytest.approx(via_index, abs=TOL)
 
 
@@ -180,13 +184,11 @@ def _product_factorizes(model, left, right, tol, psi=None, chi=None):
     nl = len(left)
     psi = psi or (lambda xs: math.fsum(xs))
     chi = chi or (lambda xs: math.fsum(xs) + 0.25)
-    joint = sl.eval_window(model, tuple(left) + tuple(right),
-                           lambda xs: psi(xs[:nl]) * chi(xs[nl:]))
-    up = sl.eval_window(model, right, chi)
-    lo = sl.eval_window(model, right, chi, lower=True)
-    composed = sl.eval_window(
-        model, left, lambda xs: psi(xs) * up if psi(xs) >= 0 else psi(xs) * lo
-    )
+    (joint,), _ = sl.window_columns(model, tuple(left) + tuple(right),
+                                    [lambda xs: psi(xs[:nl]) * chi(xs[nl:])], [])
+    (up,), (lo,) = sl.window_columns(model, right, [chi], [chi])
+    (composed,), _ = sl.window_columns(
+        model, left, [lambda xs: psi(xs) * up if psi(xs) >= 0 else psi(xs) * lo], [])
     return abs(joint - composed) <= tol
 
 
@@ -210,39 +212,41 @@ def test_blocks_beyond_m_factorize_for_catalog_functionals():
 
 def test_adjacent_blocks_are_dependent():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 4)
-    joint = sl.eval_window(model, (1, 2), lambda xs: xs[0] * xs[1])
-    up = sl.eval_window(model, (2,), lambda xs: xs[0])
-    lo = sl.eval_window(model, (2,), lambda xs: xs[0], lower=True)
-    composed = sl.eval_window(
-        model, (1,), lambda xs: xs[0] * up if xs[0] >= 0 else xs[0] * lo
-    )
+    (joint,), _ = sl.window_columns(model, (1, 2), [lambda xs: xs[0] * xs[1]], [])
+    (up,), (lo,) = sl.window_columns(model, (2,), [lambda xs: xs[0]], [lambda xs: xs[0]])
+    (composed,), _ = sl.window_columns(
+        model, (1,), [lambda xs: xs[0] * up if xs[0] >= 0 else xs[0] * lo], [])
     # overlapping windows share an innovation; the factorization must fail
     assert abs(joint - composed) > 0.5
 
 
 def test_window_shift_invariance():
     model = stationary_1dep(9)
-    for f in (eng.square(), eng.cosine()):
-        base = sl.eval_window(model, (1, 2), lambda xs, _f=f.phi: _f(math.fsum(xs)))
-        moved = sl.eval_window(model, (5, 6), lambda xs, _f=f.phi: _f(math.fsum(xs)))
-        assert base == pytest.approx(moved, abs=1e-12)
+    psis = [lambda xs, _f=f.phi: _f(math.fsum(xs)) for f in (eng.square(), eng.cosine())]
+    base, _ = sl.window_columns(model, (1, 2), psis, [])
+    moved, _ = sl.window_columns(model, (5, 6), psis, [])
+    assert base == pytest.approx(moved, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Functional algebra invariants of eval_sum
+# Functional algebra invariants of the upper expectation of a sum
 # ---------------------------------------------------------------------------
 
 
 def test_eval_sum_monotone_and_homogeneous_in_f(rng):
+    fs = (
+        eng.cosine(),
+        eng.Functional("cos+1", lambda s: math.cos(s) + 1.0, eng.GROWTH_BOUNDED_LIPSCHITZ),
+        eng.Functional("2cos", lambda s: 2.0 * math.cos(s), eng.GROWTH_BOUNDED_LIPSCHITZ),
+        eng.Functional("cos+sq", lambda s: math.cos(s) + s * s, eng.GROWTH_QUADRATIC),
+    )
     for _ in range(10):
         model = random_model(rng, max_n=3)
-        base = sl.eval_sum(model, eng.cosine()).upper
-        shifted = eng.Functional("cos+1", lambda s: math.cos(s) + 1.0, eng.GROWTH_BOUNDED_LIPSCHITZ)
-        assert sl.eval_sum(model, shifted).upper == pytest.approx(base + 1.0, abs=TOL)
-        doubled = eng.Functional("2cos", lambda s: 2.0 * math.cos(s), eng.GROWTH_BOUNDED_LIPSCHITZ)
-        assert sl.eval_sum(model, doubled).upper == pytest.approx(2.0 * base, abs=TOL)
-        dominating = eng.Functional("cos+sq", lambda s: math.cos(s) + s * s, eng.GROWTH_QUADRATIC)
-        assert sl.eval_sum(model, dominating).upper >= base - TOL
+        (base, shifted, doubled, dominating), _ = eng.sweep_columns(
+            sl.compile_sum(model), [(f, model.n) for f in fs], [])
+        assert shifted == pytest.approx(base + 1.0, abs=TOL)
+        assert doubled == pytest.approx(2.0 * base, abs=TOL)
+        assert dominating >= base - TOL
 
 
 def test_eval_sum_subadditive_in_f(rng):
@@ -251,10 +255,9 @@ def test_eval_sum_subadditive_in_f(rng):
         f = eng.cosine()
         g = eng.ramp(0.0)
         both = eng.Functional("cos+ramp", lambda s: f.phi(s) + g.phi(s), eng.GROWTH_QUADRATIC)
-        assert (
-            sl.eval_sum(model, both).upper
-            <= sl.eval_sum(model, f).upper + sl.eval_sum(model, g).upper + TOL
-        )
+        (up_both, up_f, up_g), _ = eng.sweep_columns(
+            sl.compile_sum(model), [(both, model.n), (f, model.n), (g, model.n)], [])
+        assert up_both <= up_f + up_g + TOL
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +267,7 @@ def test_eval_sum_subadditive_in_f(rng):
 
 def test_masked_sum_restricts_indices():
     model = certain_pm1_iid(4)
-    full = sl.eval_sum(model, eng.square())
-    half = sl.eval_sum(model, eng.square(), indices=(1, 3))
+    full, half = sl.eval_sums(model, eng.square(), [None, (1, 3)])
     assert full.upper == pytest.approx(4.0, abs=TOL)
     assert half.upper == pytest.approx(2.0, abs=TOL)
 
@@ -273,8 +275,8 @@ def test_masked_sum_restricts_indices():
 def test_clip_matches_truncated_sets():
     set_ = sl.singleton(sl.DiscreteLaw((-3.0, 1.0, 2.0), (0.25, 0.5, 0.25)))
     model = sl.SequenceModel.iid(set_, 3)
-    clipped = sl.eval_sum(model, eng.square(), x_clip=1.5)
-    direct = sl.eval_sum(sl.SequenceModel.iid(sl.truncate(set_, 1.5), 3), eng.square())
+    (clipped,) = sl.eval_sums(model, eng.square(), [None], x_clip=1.5)
+    (direct,) = sl.eval_sums(sl.SequenceModel.iid(sl.truncate(set_, 1.5), 3), eng.square(), [None])
     assert clipped.upper == pytest.approx(direct.upper, abs=TOL)
     assert clipped.lower == pytest.approx(direct.lower, abs=TOL)
 
@@ -282,8 +284,8 @@ def test_clip_matches_truncated_sets():
 def test_running_max_dominates_final_sum():
     model = sl.SequenceModel.iid(pm1_uncertain(), 4)
     f = eng.Functional("abs2", lambda x: x * x, eng.GROWTH_QUADRATIC)
-    with_max = sl.eval_sum(model, f, track_max=True)
-    plain = sl.eval_sum(model, f)
+    (with_max,) = sl.eval_sums(model, f, [None], track_max=True)
+    (plain,) = sl.eval_sums(model, f, [None])
     assert with_max.upper >= plain.upper - TOL
 
 
@@ -295,8 +297,8 @@ def test_running_max_brute_force_small():
     for v1, p1 in zip(law.values, law.probs):
         for v2, p2 in zip(law.values, law.probs):
             expected += p1 * p2 * max(abs(v1), abs(v1 + v2))
-    got = sl.eval_sum(model, eng.Functional("m", lambda x: x, eng.GROWTH_QUADRATIC),
-                      track_max=True)
+    (got,) = sl.eval_sums(model, eng.Functional("m", lambda x: x, eng.GROWTH_QUADRATIC), [None],
+                          track_max=True)
     assert got.upper == pytest.approx(expected, abs=TOL)
 
 

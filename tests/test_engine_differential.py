@@ -1,4 +1,4 @@
-"""Differential test: ``eval_sum`` against the original dict DP, exactly.
+"""Differential test: the compiled sum against the original dict DP, exactly.
 
 ``reference_compile_sum`` is the per-state forward loop ``compile_sum`` ran
 before layers became arrays; ``compile_sum`` must build the same graph as
@@ -7,7 +7,7 @@ the scalar ``round(x, 12) + 0.0`` does, bit for bit.  That holds on both
 compile paths: integer keys on the 2⁻¹² lattice and the float merge grid
 off it.
 
-``reference_eval_sum`` is the layered dynamic program ``eval_sum`` used
+``reference_eval_sum`` is the layered dynamic program the engine used
 before the compiled graph: a forward pass that lists the reachable states of
 every layer and a backward pass over dicts that recomputes every transition.
 The compiled engine must give the same floats bit for bit, and the same
@@ -22,7 +22,7 @@ horizon M)``, in any order, and each column gives, bit for bit, what a
 compile of ``model.prefix(M)`` and the dict DP on that prefix give, and a
 sweep of the upper (or lower) columns alone gives the same floats as the
 sweep of both sides;
-``marginals`` gives what the per-index
+``marginal_columns`` and ``spread_columns`` give what the per-index
 ``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
 the summation helpers add those values left to right from 0.0.
 ``window_columns`` and ``marginal_columns``, one history recursion carrying
@@ -33,8 +33,8 @@ value from one recursion that equals two one-column ones.
 ``rosenthal_checks``, which reads every horizon off one graph and one set of
 marginals, gives what a per-case compile of ``model.prefix(n)`` gives.
 ``eval_sums``, which compiles several masks into one graph with a root
-each, gives for every mask what ``eval_sum`` and the dict DP give for that
-mask alone, bit for bit and in state count.  With one clip level per root
+each, gives for every mask what a one-mask compile and the dict DP give for
+that mask alone, bit for bit and in state count.  With one clip level per root
 (mixed with masks), the states reachable from each root are, array for
 array, that root's own compile, on the lattice path, on the float path, and
 when one off-lattice level moves the whole graph onto the float path, and
@@ -181,11 +181,13 @@ def reference_eval_sum(
     model: SequenceModel,
     f: eng.Functional,
     *,
-    indices=None,
+    masks=(None,),
     x_clip: float | None = None,
     track_max: bool = False,
     state_cap: int = eng.DEFAULT_STATE_CAP,
 ) -> eng.EvalResult:
+    """The full-sum value of the one mask of ``masks``, as ``compile_sum`` takes it."""
+    (indices,) = masks
     mask = None if indices is None else frozenset(indices)
     layers = _forward_layers(model, mask, x_clip, track_max, state_cap)
 
@@ -199,12 +201,13 @@ def reference_eval_sum(
 def reference_compile_sum(
     model: SequenceModel,
     *,
-    indices=None,
+    masks=(None,),
     x_clip: float | None = None,
     track_max: bool = False,
     state_cap: int = eng.DEFAULT_STATE_CAP,
 ) -> eng.Graph:
-    """The per-state forward loop: a dict per layer, keyed by state tuples."""
+    """The per-state forward loop of the one mask of ``masks``: a dict per layer, keyed by state tuples."""
+    (indices,) = masks
     mask = None if indices is None else frozenset(indices)
     if mask is not None and any(not 1 <= k <= model.n for k in mask):
         raise ValidationError("indices outside 1..n")
@@ -324,7 +327,7 @@ FUNCTIONALS = (
 def options(draw, model: SequenceModel) -> dict:
     opts: dict = {}
     if draw(st.booleans()):
-        opts["indices"] = draw(st.sets(st.integers(1, model.n)))
+        opts["masks"] = [draw(st.sets(st.integers(1, model.n)))]
     if draw(st.booleans()):
         opts["x_clip"] = draw(st.sampled_from((0.25, 0.8, 1.5)))
     if draw(st.booleans()):
@@ -396,7 +399,7 @@ def _agrees_with_oracle(model: SequenceModel, f: eng.Functional, got: eng.EvalRe
 @given(cases())
 def test_eval_sum_equals_the_dict_dp_exactly(case):
     model, f, opts = case
-    got = eng.eval_sum(model, f, **opts)
+    (got,) = eng.evaluate_columns(eng.compile_sum(model, **opts), [(f, model.n)])
     want = reference_eval_sum(model, f, **opts)
     assert got.upper == want.upper
     assert got.lower == want.lower
@@ -409,8 +412,8 @@ def test_eval_sum_equals_the_dict_dp_exactly(case):
 @given(models().filter(lambda model: _oracle_applies(model, {})))
 def test_eval_sum_equals_the_dict_dp_and_the_oracle(model):
     # the oracle's domain: full sum, no clipping, final-sum payoff
-    for f in (eng.square(), eng.cosine(), eng.ramp(0.5)):
-        got = eng.eval_sum(model, f)
+    fs = (eng.square(), eng.cosine(), eng.ramp(0.5))
+    for f, got in zip(fs, eng.evaluate_columns(eng.compile_sum(model), [(f, model.n) for f in fs])):
         want = reference_eval_sum(model, f)
         assert (got.upper, got.lower, got.state_count) == (
             want.upper, want.lower, want.state_count)
@@ -445,7 +448,7 @@ def test_compile_sum_builds_the_reference_graph(case, iid):
 
 def _lattice(model: SequenceModel, **opts) -> bool:
     """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``."""
-    mask = opts.get("indices")
+    (mask,) = opts.get("masks", [None])
     draws = eng._draws(model, [None if mask is None else frozenset(mask)], [opts.get("x_clip")])
     return eng._on_lattice(table for _, _, groups in draws for table, _ in groups)
 
@@ -471,10 +474,10 @@ def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_4
     window = SequenceModel.moving_window(_quarter_set(), (1.0, 0.5), 5)
     on = [
         (window, {}),
-        (window, {"track_max": True, "x_clip": 0.75, "indices": (1, 3, 4)}),
+        (window, {"track_max": True, "x_clip": 0.75, "masks": [(1, 3, 4)]}),
         (SequenceModel.iid(_quarter_set(q), 4), {"track_max": True}),
         (SequenceModel.iid(_quarter_set(2.0 ** 39), 3), {}),
-        (SequenceModel.iid(_quarter_set(2.0 ** 39), 5), {"indices": (1, 2, 5)}),
+        (SequenceModel.iid(_quarter_set(2.0 ** 39), 5), {"masks": [(1, 2, 5)]}),
     ]
     off = [
         (SequenceModel.iid(_quarter_set(q / 2.0), 4), {}),
@@ -497,10 +500,11 @@ def test_reference_and_engine_agree_on_the_flagship_model():
     model = SequenceModel.moving_window(
         sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
         (1.0, 1.0), 8, scale=1.0 / math.sqrt(8))
-    for opts in ({}, {"track_max": True}, {"x_clip": 0.5, "indices": (1, 2, 5, 8)}):
-        assert_same_graph(eng.compile_sum(model, **opts), reference_compile_sum(model, **opts))
-        for f in FUNCTIONALS:
-            got = eng.eval_sum(model, f, **opts)
+    for opts in ({}, {"track_max": True}, {"x_clip": 0.5, "masks": [(1, 2, 5, 8)]}):
+        graph = eng.compile_sum(model, **opts)
+        assert_same_graph(graph, reference_compile_sum(model, **opts))
+        got_all = eng.evaluate_columns(graph, [(f, model.n) for f in FUNCTIONALS])
+        for f, got in zip(FUNCTIONALS, got_all):
             want = reference_eval_sum(model, f, **opts)
             assert (got.upper, got.lower, got.state_count) == (
                 want.upper, want.lower, want.state_count)
@@ -513,14 +517,15 @@ def test_state_cap_trips_at_the_reference_total():
         (1.0, 0.5), 5)
     for model, opts in ((iid, {}), (window, {"track_max": True})):
         total = reference_eval_sum(model, eng.square(), **opts).state_count
-        assert eng.eval_sum(model, eng.square(), state_cap=total, **opts).state_count == total
+        (got,) = eng.eval_sums(model, eng.square(), [None], state_cap=total, **opts)
+        assert got.state_count == total
         for cap in (total - 1, 5, 1):
             with pytest.raises(StateCapError) as want:
                 reference_eval_sum(model, eng.square(), state_cap=cap, **opts)
             with pytest.raises(StateCapError) as want_graph:
                 reference_compile_sum(model, state_cap=cap, **opts)
             with pytest.raises(StateCapError) as got:
-                eng.eval_sum(model, eng.square(), state_cap=cap, **opts)
+                eng.eval_sums(model, eng.square(), [None], state_cap=cap, **opts)
             g, w = got.value, want_graph.value
             assert (g.count, g.cap) == (want.value.count, cap)
             assert (g.count, g.step, g.steps, g.layer_sizes) == (
@@ -561,7 +566,8 @@ def test_evaluate_calls_phi_once_per_distinct_terminal_argument():
         seen.append(x)
         return x * x
 
-    got = eng.evaluate(graph, eng.Functional("square", phi, eng.GROWTH_QUADRATIC))
+    (got,) = eng.evaluate_columns(graph, [(eng.Functional("square", phi, eng.GROWTH_QUADRATIC),
+                                           model.n)])
     assert sorted(seen) == sorted(set(graph.args[-1].tolist()))
     assert len(seen) < len(graph.args[-1])
     want = reference_eval_sum(model, eng.square(), track_max=True)
@@ -572,8 +578,12 @@ def test_evaluate_calls_phi_once_per_distinct_terminal_argument():
 @given(models(), st.sampled_from(FUNCTIONALS), st.sampled_from(FUNCTIONALS),
        st.sampled_from((-1.5, 0.0, 2.0)), st.sampled_from((0.0, 0.5, 3.0)))
 def test_sublinear_axioms_hold_on_sums(model, f, g, c, lam):
+    graph = eng.compile_sum(model)
+
     def upper(phi: Callable[[float], float]) -> float:
-        return eng.eval_sum(model, eng.Functional("h", phi, eng.GROWTH_QUADRATIC)).upper
+        (up,), _ = eng.sweep_columns(
+            graph, [(eng.Functional("h", phi, eng.GROWTH_QUADRATIC), model.n)], [])
+        return up
 
     def le(a: float, b: float) -> bool:
         return a <= b + 1e-12 * max(1.0, abs(a), abs(b))
@@ -581,14 +591,14 @@ def test_sublinear_axioms_hold_on_sums(model, f, g, c, lam):
     def eq(a: float, b: float) -> bool:
         return le(a, b) and le(b, a)
 
-    res = eng.eval_sum(model, f)
+    (res,) = eng.evaluate_columns(graph, [(f, model.n)])
     up_f, up_g = res.upper, upper(g.phi)
     assert le(up_f, upper(lambda s: f.phi(s) + abs(g.phi(s))))       # monotonicity
     assert eq(upper(lambda s: c), c)                                  # constants
     assert eq(upper(lambda s: f.phi(s) + c), up_f + c)                # translation
     assert le(upper(lambda s: f.phi(s) + g.phi(s)), up_f + up_g)      # sub-additivity
     assert eq(upper(lambda s: lam * f.phi(s)), lam * up_f)            # homogeneity
-    assert res.lower == -eng.eval_sum(model, eng.negated(f)).upper   # conjugacy, exact
+    assert res.lower == -upper(eng.negated(f).phi)                    # conjugacy, exact
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +615,13 @@ def eval_index(
 ) -> tuple[float, float]:
     """Upper and lower expectation of ``phi(X_k)`` (scaled, optionally clipped).
 
-    The per-k reference for ``marginals``: one ``eval_window`` call per index
-    and bound, with no same-law shortcut.
+    The per-k reference for ``marginal_columns``: one ``window_columns``
+    call per index, with no same-law shortcut.
     """
-    up = eng.eval_window(model, (k,), lambda xs: phi(xs[0]), x_clip=x_clip)
-    lo = eng.eval_window(model, (k,), lambda xs: phi(xs[0]), x_clip=x_clip, lower=True)
+    def psi(xs: tuple[float, ...]) -> float:
+        return phi(xs[0])
+
+    (up,), (lo,) = eng.window_columns(model, (k,), [psi], [psi], x_clip=x_clip)
     return up, lo
 
 
@@ -635,7 +647,9 @@ MARGINAL_PHIS = (
 @given(marginal_models(), st.sampled_from(MARGINAL_PHIS),
        st.sampled_from((None, 0.25, 0.8, 1.5)), st.booleans())
 def test_marginals_equal_the_per_index_loop(model, phi, x_clip, lower):
-    got = eng.marginals(model, phi, lower=lower, x_clip=x_clip)
+    ups, los = eng.marginal_columns(model, [] if lower else [phi], [phi] if lower else [],
+                                    x_clip=x_clip)
+    (got,) = los if lower else ups
     want = tuple(eval_index(model, k, phi, x_clip=x_clip)[1 if lower else 0]
                  for k in range(1, model.n + 1))
     assert got == want
@@ -647,7 +661,10 @@ def test_marginals_equal_the_per_index_loop(model, phi, x_clip, lower):
     for k in range(1, model.n + 1):
         up, lo = eval_index(model, k, lambda x: x, x_clip=x_clip)
         spread += abs(up) + abs(lo)
-    assert eng.mean_spread(model, x_clip=x_clip) == spread
+    (col,), spreads = eng.spread_columns(model, [phi], x_clip=x_clip)
+    assert eng.ordered_sum(spreads) == spread
+    assert col == tuple(eval_index(model, k, phi, x_clip=x_clip)[0]
+                        for k in range(1, model.n + 1))
 
 
 def test_ordered_sum_adds_left_to_right():
@@ -673,7 +690,8 @@ def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
         (SequenceModel.independent((a, b, a, b, a)), [(1,), (2,), (3,), (4,), (5,)]),
     ):
         calls.clear()
-        assert len(eng.marginals(model, lambda x: x * x, lower=True)) == 5
+        _, (col,) = eng.marginal_columns(model, [], [lambda x: x * x])
+        assert len(col) == 5
         assert calls == expected
 
 
@@ -683,7 +701,7 @@ def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
 
 
 def reference_history_value(sets, payoff, maximize: bool) -> float:
-    """The one-column full-history recursion ``eval_window`` ran before it carried columns.
+    """The one-column full-history recursion the engine ran before it carried columns.
 
     Every law recurses into each of its support points afresh.
     """
@@ -705,7 +723,8 @@ def reference_history_value(sets, payoff, maximize: bool) -> float:
 
 def reference_eval_window(model: SequenceModel, indices, psi, *, lower: bool = False,
                           x_clip: float | None = None) -> float:
-    """``eval_window`` as it was: one column, payoffs built per history."""
+    """One window payoff as the engine evaluated it before ``window_columns``: one
+    column, payoffs built per history."""
     idx = tuple(indices)
     first = min(idx)
     if model.kind == KIND_INDEPENDENT:
@@ -779,8 +798,10 @@ def test_window_columns_equal_one_column_recursions(model, data, x_clip):
                                for psi in upper)
     assert hexes(los) == hexes(reference_eval_window(model, idx, psi, lower=True, x_clip=x_clip)
                                for psi in lower)
-    assert hexes(ups) == hexes(eng.eval_window(model, idx, psi, x_clip=x_clip) for psi in upper)
-    assert hexes(los) == hexes(eng.eval_window(model, idx, psi, lower=True, x_clip=x_clip)
+    # each column alone, once per side, gives the same floats
+    assert hexes(ups) == hexes(eng.window_columns(model, idx, [psi], [], x_clip=x_clip)[0][0]
+                               for psi in upper)
+    assert hexes(los) == hexes(eng.window_columns(model, idx, [], [psi], x_clip=x_clip)[1][0]
                                for psi in lower)
 
 
@@ -840,8 +861,8 @@ def bits(res: eng.EvalResult) -> tuple[str, str, int]:
 
 def _prefix_options(opts: dict, M: int) -> dict:
     """The options of ``model.prefix(M)``: the part of the mask within 1..M."""
-    mask = opts.get("indices")
-    return opts if mask is None else {**opts, "indices": {k for k in mask if k <= M}}
+    (mask,) = opts.get("masks", [None])
+    return opts if mask is None else {**opts, "masks": [{k for k in mask if k <= M}]}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -855,7 +876,7 @@ def test_one_sweep_serves_many_functionals_in_any_order(case):
     assert [bits(r) for r in eng.evaluate_columns(graph, [(f, model.n) for f in fs])] == want
     assert [bits(r) for r in eng.evaluate_columns(
         graph, [(f, model.n) for f in reversed(fs)])] == want[::-1]
-    assert [bits(eng.evaluate(graph, f)) for f in fs] == want
+    assert [bits(eng.evaluate_columns(graph, [(f, model.n)])[0]) for f in fs] == want
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -872,7 +893,7 @@ def test_columns_equal_the_prefix_compiles_and_the_dict_dp(case, data):
     for (f, M), res in zip(columns, got):
         sub = _prefix_options(opts, M)
         prefix_graph = eng.compile_sum(model.prefix(M), **sub)
-        assert bits(res) == bits(eng.evaluate(prefix_graph, f))
+        assert bits(res) == bits(eng.evaluate_columns(prefix_graph, [(f, M)])[0])
         assert bits(res) == bits(reference_eval_sum(model.prefix(M), f, **sub))
     assert eng.evaluate_columns(graph, []) == ()
     for M in (0, model.n + 1):
@@ -927,10 +948,13 @@ def reference_rosenthal(model: SequenceModel, n: int, p: float) -> mdep.Rosentha
     """The ``(n, p)`` check from its own compile of ``model.prefix(n)`` and its marginals."""
     sub = model.prefix(n)
     f_max = eng.Functional("abs_max_p", lambda x: abs(x) ** p, eng.GROWTH_P, p=p)
-    lhs = eng.evaluate(eng.compile_sum(sub, track_max=True), f_max).upper
-    moments = eng.ordered_sum(eng.marginals(sub, lambda x: abs(x) ** p))
-    variance = eng.ordered_sum(eng.marginals(sub, lambda x: x * x)) ** (p / 2.0)
-    means = eng.mean_spread(sub) ** p
+    (lhs,), _ = eng.sweep_columns(eng.compile_sum(sub, track_max=True), [(f_max, n)], [])
+    (abs_p,), _ = eng.marginal_columns(sub, [lambda x: abs(x) ** p], [])
+    (squares,), _ = eng.marginal_columns(sub, [lambda x: x * x], [])
+    _, spreads = eng.spread_columns(sub, [])
+    moments = eng.ordered_sum(abs_p)
+    variance = eng.ordered_sum(squares) ** (p / 2.0)
+    means = eng.ordered_sum(spreads) ** p
     rhs = moments + variance + means
     if rhs <= 0.0:
         raise ValidationError("degenerate model: all right-side terms vanish")
@@ -969,6 +993,7 @@ def _mask_lists(rng: random.Random, n: int) -> list:
 
 
 def test_eval_sums_equal_eval_sum_per_mask_and_the_dict_dp():
+    # every root of a union graph is what a one-mask graph and the dict DP give
     rng = random.Random(20261018)
     for _ in range(120):
         model = random_model(rng, max_n=5)
@@ -979,10 +1004,10 @@ def test_eval_sums_equal_eval_sum_per_mask_and_the_dict_dp():
         got = eng.eval_sums(model, f, masks, **opts)
         assert len(got) == len(masks)
         for mask, res in zip(masks, got):
-            assert bits(res) == bits(eng.eval_sum(model, f, indices=mask, **opts))
-            assert bits(res) == bits(reference_eval_sum(model, f, indices=mask, **opts))
-            assert_same_graph(eng.compile_sum(model, indices=mask, **opts),
-                              reference_compile_sum(model, indices=mask, **opts))
+            assert bits(res) == bits(eng.eval_sums(model, f, [mask], **opts)[0])
+            assert bits(res) == bits(reference_eval_sum(model, f, masks=[mask], **opts))
+            assert_same_graph(eng.compile_sum(model, masks=[mask], **opts),
+                              reference_compile_sum(model, masks=[mask], **opts))
         union = eng.compile_sum(model, masks=masks, **opts)
         assert len(union.args[0]) == len(masks)  # one root per mask
         assert sum(map(len, union.args)) == sum(res.state_count for res in got)
@@ -994,11 +1019,11 @@ def test_union_off_the_lattice_builds_each_masks_own_graph():
     # the masks add at all 5 draws, past 2^41, so the union takes the float grid
     model = SequenceModel.iid(_quarter_set(2.0 ** 39), 5)
     masks = [(1, 2, 5), (3, 4)]
-    assert all(_lattice(model, indices=mask) for mask in masks)
+    assert all(_lattice(model, masks=[mask]) for mask in masks)
     assert not _lattice(model)
     for f in (eng.square(), eng.identity()):
         for mask, res in zip(masks, eng.eval_sums(model, f, masks)):
-            assert bits(res) == bits(reference_eval_sum(model, f, indices=mask))
+            assert bits(res) == bits(reference_eval_sum(model, f, masks=[mask]))
 
 
 def test_state_cap_bounds_the_union_of_masks():
@@ -1006,12 +1031,12 @@ def test_state_cap_bounds_the_union_of_masks():
         sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
         (1.0, 0.5), 6)
     masks = [(1, 2, 3), (4, 5, 6), (2, 5)]
-    counts = [eng.eval_sum(model, eng.square(), indices=mask).state_count for mask in masks]
+    counts = [eng.eval_sums(model, eng.square(), [mask])[0].state_count for mask in masks]
     total = sum(counts)
     got = eng.eval_sums(model, eng.square(), masks, state_cap=total)
     assert [res.state_count for res in got] == counts
     for mask in masks:  # each mask alone fits under the largest count
-        eng.eval_sum(model, eng.square(), indices=mask, state_cap=max(counts))
+        eng.eval_sums(model, eng.square(), [mask], state_cap=max(counts))
     for cap in (max(counts), total - 1):
         with pytest.raises(StateCapError) as err:
             eng.eval_sums(model, eng.square(), masks, state_cap=cap)
@@ -1020,16 +1045,16 @@ def test_state_cap_bounds_the_union_of_masks():
     assert err.value.count == total  # the cap just below it trips at the last layer
 
 
-def test_compile_sum_takes_indices_or_masks():
+def test_compile_sum_takes_masks_with_the_full_sum_as_default():
     model = SequenceModel.iid(_quarter_set(), 3)
     with pytest.raises(ValidationError):
         eng.compile_sum(model, masks=[])
     with pytest.raises(ValidationError):
-        eng.compile_sum(model, indices=(1,), masks=[(2,)])
-    with pytest.raises(ValidationError):
         eng.compile_sum(model, masks=[(1,), (4,)])
+    # the default is the one root of the full sum
+    assert_same_graph(eng.compile_sum(model), eng.compile_sum(model, masks=[None]))
     assert_same_graph(eng.compile_sum(model, masks=[(1, 3)]),
-                      eng.compile_sum(model, indices=(1, 3)))
+                      reference_compile_sum(model, masks=[(1, 3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1096,7 @@ def assert_roots_are_their_own_compiles(model: SequenceModel, masks: list, clips
     got = iter(eng.evaluate_columns(union, columns))
     swept = {(f.name, M, r): next(got) for f, M in columns for r in range(len(masks))}
     for r, (mask, clip) in enumerate(zip(masks, clips)):
-        opts = {"indices": mask, "x_clip": clip, "track_max": track_max}
+        opts = {"masks": [mask], "x_clip": clip, "track_max": track_max}
         want = reference_compile_sum(model, **opts)
         assert_same_graph(_root_graph(union, r), want)
         assert_same_graph(eng.compile_sum(model, **opts), want)
@@ -1092,9 +1117,9 @@ def test_one_clip_level_per_root_builds_each_roots_own_graph(model, data):
     fs = data.draw(st.lists(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS),
                             min_size=1, max_size=2, unique_by=lambda f: f.name))
     assert_roots_are_their_own_compiles(model, masks, clips, data.draw(st.booleans()), fs)
-    # eval_sums gives each root what eval_sum gives it alone
+    # eval_sums gives each root what it gives that root alone
     for mask, clip, res in zip(masks, clips, eng.eval_sums(model, fs[0], masks, x_clip=clips)):
-        assert bits(res) == bits(eng.eval_sum(model, fs[0], indices=mask, x_clip=clip))
+        assert bits(res) == bits(eng.eval_sums(model, fs[0], [mask], x_clip=clip)[0])
 
 
 def test_one_off_lattice_level_moves_the_whole_graph_onto_the_float_grid():
@@ -1108,7 +1133,7 @@ def test_one_off_lattice_level_moves_the_whole_graph_onto_the_float_grid():
         assert _union_on_lattice(model, masks, on)
         assert not _union_on_lattice(model, masks, off)
         # the roots at lattice levels stay on the lattice in their own compiles
-        assert _lattice(model) and _lattice(model, indices=(1, 3), x_clip=0.75)
+        assert _lattice(model) and _lattice(model, masks=[(1, 3)], x_clip=0.75)
         for clips in (on, off):
             for track_max in (False, True):
                 assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
@@ -1129,7 +1154,7 @@ def test_state_cap_bounds_the_roots_of_every_level_together():
         sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
         (1.0, 0.5), 6)
     masks, clips = [None, None, (2, 5)], [None, 0.5, 1.0]
-    counts = [reference_eval_sum(model, eng.square(), indices=mask, x_clip=clip).state_count
+    counts = [reference_eval_sum(model, eng.square(), masks=[mask], x_clip=clip).state_count
               for mask, clip in zip(masks, clips)]
     total = sum(counts)
     got = eng.eval_sums(model, eng.square(), masks, x_clip=clips, state_cap=total)

@@ -35,8 +35,8 @@ def test_G_positive_homogeneity():
 
 def test_G_matches_oracle_second_moments():
     # G(1) = upper variance, G(-1) = -(lower variance), via the CLT oracle
-    up = sl.peng_oracle(eng.square(), GP, 16)
-    lo = -sl.peng_oracle(eng.neg_square(), GP, 16)
+    ((up, neg_lo),) = sl.peng_oracles((eng.square(), eng.neg_square()), GP, (16,))
+    lo = -neg_lo
     assert sl.G(1.0, GP) == pytest.approx(up, abs=1e-10)
     assert sl.G(-1.0, GP) == pytest.approx(-lo, abs=1e-10)
 
@@ -49,39 +49,40 @@ def test_gparams_validation():
 
 
 # ---------------------------------------------------------------------------
-# solve_gheat and solve_gheats
+# solve_gheats
 # ---------------------------------------------------------------------------
 
 
 def test_classical_reduction_square():
     grid = sl.default_grid(SYM)
-    u = sl.solve_gheat(eng.square(), SYM, grid, 1.0)
+    (u,) = sl.solve_gheats((eng.square(),), SYM, grid, 1.0)
     assert abs(u - 1.0) <= 2e-3
 
 
 def test_constants_are_fixed_points():
     grid = sl.default_grid(GP)
     c = eng.Functional("const", lambda x: 2.5, eng.GROWTH_BOUNDED_LIPSCHITZ)
-    assert sl.solve_gheat(c, GP, grid, 1.0) == 2.5
+    assert sl.solve_gheats((c,), GP, grid, 1.0) == (2.5,)
 
 
 def test_extremal_variances():
     grid = sl.default_grid(GP)
-    assert sl.solve_gheat(eng.square(), GP, grid) == pytest.approx(1.0, abs=5e-3)
-    assert sl.solve_gheat(eng.neg_square(), GP, grid) == pytest.approx(-0.5, abs=5e-3)
+    up, neg_lo = sl.solve_gheats((eng.square(), eng.neg_square()), GP, grid)
+    assert up == pytest.approx(1.0, abs=5e-3)
+    assert neg_lo == pytest.approx(-0.5, abs=5e-3)
 
 
 def test_symmetric_case_matches_analytic_cos():
     # classical heat semigroup: E[cos(x + sqrt(t) Z)] = exp(-t/2) cos(x)
     grid = sl.default_grid(SYM)
-    u = sl.solve_gheat(eng.cosine(), SYM, grid, 1.0)
+    (u,) = sl.solve_gheats((eng.cosine(),), SYM, grid, 1.0)
     assert u == pytest.approx(math.exp(-0.5), abs=1e-5)
 
 
 def test_symmetric_case_matches_analytic_ramp():
     # E[min(1, Z^+)] = (phi(0) - phi(1)) + (1 - Phi(1)) for standard normal Z
     grid = sl.default_grid(SYM)
-    u = sl.solve_gheat(eng.ramp(0.0), SYM, grid, 1.0)
+    (u,) = sl.solve_gheats((eng.ramp(0.0),), SYM, grid, 1.0)
     density0 = 1.0 / math.sqrt(2 * math.pi)
     density1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
     cdf1 = 0.5 * (1 + math.erf(1 / math.sqrt(2)))
@@ -92,7 +93,7 @@ def test_upper_value_dominates_constant_variance_gaussians():
     # the adversarial diffusion can hold any sigma^2 in the interval, so the
     # upper expectation is at least every constant-variance Gaussian value
     grid = sl.default_grid(GP)
-    u = sl.solve_gheat(eng.cosine(), GP, grid, 1.0)
+    (u,) = sl.solve_gheats((eng.cosine(),), GP, grid, 1.0)
     for s2 in (0.5, 0.7, 1.0):
         assert u >= math.exp(-0.5 * s2) - 1e-4
     # and the adaptive policy is strictly better than the best constant one
@@ -101,29 +102,28 @@ def test_upper_value_dominates_constant_variance_gaussians():
 
 def test_scheme_monotone_in_initial_data():
     grid = sl.default_grid(GP)
-    u_ramp = sl.solve_gheat(eng.ramp(0.0), GP, grid)
     one = eng.Functional("one", lambda x: 1.0, eng.GROWTH_BOUNDED_LIPSCHITZ)
-    assert u_ramp <= sl.solve_gheat(one, GP, grid) + 1e-12
-    u_cos = sl.solve_gheat(eng.cosine(), GP, grid)
     above = eng.Functional("cos+.1", lambda x: math.cos(x) + 0.1,
                            eng.GROWTH_BOUNDED_LIPSCHITZ)
-    assert u_cos <= sl.solve_gheat(above, GP, grid) + 1e-12
+    u_ramp, u_one, u_cos, u_above = sl.solve_gheats(
+        (eng.ramp(0.0), one, eng.cosine(), above), GP, grid)
+    assert u_ramp <= u_one + 1e-12
+    assert u_cos <= u_above + 1e-12
 
 
 def test_subadditivity_transfer():
     grid = sl.default_grid(GP)
     f, g = eng.cosine(), eng.ramp(0.0)
     both = eng.Functional("f+g", lambda x: f.phi(x) + g.phi(x), eng.GROWTH_QUADRATIC)
-    lhs = sl.solve_gheat(both, GP, grid)
-    rhs = sl.solve_gheat(f, GP, grid) + sl.solve_gheat(g, GP, grid)
-    assert lhs <= rhs + 2e-3
+    lhs, u_f, u_g = sl.solve_gheats((both, f, g), GP, grid)
+    assert lhs <= u_f + u_g + 2e-3
 
 
 def test_refinement_increments_decrease_for_smooth_data():
     grid = sl.default_grid(GP)
     vals = []
     for _ in range(4):
-        vals.append(sl.solve_gheat(eng.cosine(), GP, grid))
+        vals += sl.solve_gheats((eng.cosine(),), GP, grid)
         grid = grid.refined()
     incs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     assert incs[1] < incs[0] and incs[2] < incs[1]
@@ -133,7 +133,7 @@ def test_refinement_converged_for_kinked_data():
     grid = sl.default_grid(GP)
     vals = []
     for _ in range(3):
-        vals.append(sl.solve_gheat(eng.ramp(0.0), GP, grid))
+        vals += sl.solve_gheats((eng.ramp(0.0),), GP, grid)
         grid = grid.refined()
     assert max(abs(b - a) for a, b in zip(vals, vals[1:])) < 1e-5
 
@@ -141,13 +141,13 @@ def test_refinement_converged_for_kinked_data():
 def test_stability_violation_raises():
     bad = sl.PDEGrid(8.0, 801, 1.0)
     with pytest.raises(PDEStabilityError):
-        sl.solve_gheat(eng.square(), GP, bad, 1.0)
+        sl.solve_gheats((eng.square(),), GP, bad, 1.0)
 
 
 def test_domain_too_small_raises():
     grid = sl.PDEGrid(2.0, 201, 1e-5)
     with pytest.raises(ValidationError):
-        sl.solve_gheat(eng.square(), GP, grid, 1.0)
+        sl.solve_gheats((eng.square(),), GP, grid, 1.0)
 
 
 def test_nonfinite_initial_data_raises():
@@ -155,7 +155,7 @@ def test_nonfinite_initial_data_raises():
     blowup = eng.Functional("inf", lambda x: math.inf if x > 7.9 else 0.0,
                             eng.GROWTH_QUADRATIC)
     with pytest.raises(PDENumericsError):
-        sl.solve_gheat(blowup, GP, grid, 1.0)
+        sl.solve_gheats((blowup,), GP, grid, 1.0)
 
 
 def test_nonfinite_initial_data_names_the_row():
@@ -184,18 +184,18 @@ def test_empty_batch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# peng_oracle
+# peng_oracles
 # ---------------------------------------------------------------------------
 
 
 def test_peng_no_ambiguity_variance_exact():
-    for n in (1, 4, 9):
-        assert sl.peng_oracle(eng.square(), SYM, n) == pytest.approx(1.0, abs=1e-10)
+    for (val,) in sl.peng_oracles((eng.square(),), SYM, (1, 4, 9)):
+        assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_peng_odd_functional_vanishes():
-    for n in (1, 2, 4):
-        val = sl.peng_oracle(eng.identity(), GP, n)
+    ns = (1, 2, 4)
+    for n, (val,) in zip(ns, sl.peng_oracles((eng.identity(),), GP, ns)):
         assert val == pytest.approx(0.0, abs=1e-10)
         # cross-check against the brute-force policy oracle
         sigmas = (math.sqrt(GP.sigma_lo2), math.sqrt(GP.sigma_hi2))
@@ -207,20 +207,21 @@ def test_peng_odd_functional_vanishes():
 
 
 def test_peng_upper_variance_additivity():
-    for n in (1, 3, 8):
-        assert sl.peng_oracle(eng.square(), GP, n) == pytest.approx(1.0, abs=1e-10)
+    for (val,) in sl.peng_oracles((eng.square(),), GP, (1, 3, 8)):
+        assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_peng_degenerate_lower_variance():
     gp = sl.GParams(0.0, 1.0)
-    assert sl.peng_oracle(eng.square(), gp, 4) == pytest.approx(1.0, abs=1e-10)
-    assert -sl.peng_oracle(eng.neg_square(), gp, 4) == pytest.approx(0.0, abs=1e-10)
+    ((up, neg_lo),) = sl.peng_oracles((eng.square(), eng.neg_square()), gp, (4,))
+    assert up == pytest.approx(1.0, abs=1e-10)
+    assert -neg_lo == pytest.approx(0.0, abs=1e-10)
 
 
 def test_peng_oracles_sweep_one_graph_once_for_any_list_of_n(monkeypatch):
     fs = (eng.square(), eng.cosine(), eng.ramp(0.0))
     ns = (5, 2, 9, 5, 1)
-    want = tuple(tuple(sl.peng_oracle(f, GP, n) for f in fs) for n in ns)
+    want = tuple(tuple(gn.peng_oracles((f,), GP, (n,))[0][0] for f in fs) for n in ns)
     sweeps = []
     sweep_columns = eng.sweep_columns
 
@@ -237,62 +238,60 @@ def test_peng_oracles_sweep_one_graph_once_for_any_list_of_n(monkeypatch):
 
 
 def test_peng_agreement_with_pde_improves():
-    grid = sl.default_grid(GP)
-    for f in (eng.cosine(), eng.ramp(0.0)):
-        ref = sl.solve_gheat(f, GP, grid)
-        gaps = [abs(sl.peng_oracle(f, GP, n) - ref) for n in (8, 16, 32)]
+    fs = (eng.cosine(), eng.ramp(0.0))
+    refs = sl.solve_gheats(fs, GP, sl.default_grid(GP))
+    pengs = sl.peng_oracles(fs, GP, (8, 16, 32))
+    for c, ref in enumerate(refs):
+        gaps = [abs(row[c] - ref) for row in pengs]
         assert gaps[2] <= gaps[1] <= gaps[0]
 
 
 def test_scaling_stability_under_doubling():
     # a xi + b xi' ~ sqrt(a^2+b^2) xi: doubling the sample must reproduce
     # the sqrt(2)-scaled one-sample value in the limit
-    for f in (eng.cosine(), eng.ramp(0.0)):
-        fs = eng.scaled(f, math.sqrt(2.0))
-        gap = abs(sl.peng_oracle(fs, GP, 32) - sl.peng_oracle(fs, GP, 64))
-        assert gap < 0.01
+    fs = [eng.scaled(f, math.sqrt(2.0)) for f in (eng.cosine(), eng.ramp(0.0))]
+    at_32, at_64 = sl.peng_oracles(fs, GP, (32, 64))
+    for a, b in zip(at_32, at_64):
+        assert abs(a - b) < 0.01
 
 
 # ---------------------------------------------------------------------------
-# gnormal_reference
+# gnormal_references
 # ---------------------------------------------------------------------------
 
 
 def test_quadrature_convex_concave():
-    assert sl.gnormal_reference(eng.square(), GP) == pytest.approx(1.0, abs=1e-9)
-    assert sl.gnormal_reference(eng.neg_square(), GP) == pytest.approx(-0.5, abs=1e-9)
+    assert sl.gnormal_references((eng.square(), eng.neg_square()), GP) == pytest.approx(
+        (1.0, -0.5), abs=1e-9)
 
 
 def test_quadrature_affine_vanishes():
-    assert sl.gnormal_reference(eng.identity(), GP) == pytest.approx(0.0, abs=1e-9)
+    assert sl.gnormal_references((eng.identity(),), GP) == pytest.approx((0.0,), abs=1e-9)
 
 
 def test_quadrature_rejects_mixed_curvature():
-    with pytest.raises(ValidationError):
-        sl.gnormal_reference(eng.cosine(), GP)
+    (value,) = sl.gnormal_references((eng.cosine(),), GP)
+    assert math.isnan(value)
 
 
 def test_quadrature_agrees_with_pde():
-    grid = sl.default_grid(GP)
-    for f in (eng.square(), eng.neg_square()):
-        assert sl.gnormal_reference(f, GP) == pytest.approx(
-            sl.solve_gheat(f, GP, grid), abs=5e-3
-        )
+    fs = (eng.square(), eng.neg_square())
+    assert sl.gnormal_references(fs, GP) == pytest.approx(
+        sl.solve_gheats(fs, GP, sl.default_grid(GP)), abs=5e-3)
 
 
 def test_quadrature_zero_variance_point_mass():
     gp = sl.GParams(0.0, 1.0)
-    assert sl.gnormal_reference(eng.neg_square(), gp) == pytest.approx(0.0, abs=1e-12)
+    assert sl.gnormal_references((eng.neg_square(),), gp) == pytest.approx((0.0,), abs=1e-12)
 
 
 def test_references_equal_one_reference_per_functional():
-    # cosine and ramp are neither convex nor concave: NaN where one reference raises
+    # cosine and ramp are neither convex nor concave: NaN, in a batch or alone
     fs = (eng.square(), eng.neg_square(), eng.identity(), eng.cosine(), eng.ramp(0.0))
     for gp in (GP, sl.GParams(0.0, 1.0)):
         got = sl.gnormal_references(fs, gp)
         for f, value in zip(fs[:3], got):
-            assert value.hex() == sl.gnormal_reference(f, gp).hex()
+            assert value.hex() == sl.gnormal_references((f,), gp)[0].hex()
         for f, value in zip(fs[3:], got[3:]):
             assert math.isnan(value)
-            with pytest.raises(ValidationError):
-                sl.gnormal_reference(f, gp)
+            assert math.isnan(sl.gnormal_references((f,), gp)[0])

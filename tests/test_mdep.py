@@ -50,12 +50,10 @@ def test_residue_class_of_window_model_is_independent():
     # indices m+1 apart share no innovations, so products factorize
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 5)
     cls = mdep.residue_classes(1, 5).classes[1][:2]  # (1, 3)
-    joint = sl.eval_window(model, cls, lambda xs: xs[0] * xs[1])
-    up = sl.eval_window(model, cls[1:], lambda xs: xs[0])
-    lo = sl.eval_window(model, cls[1:], lambda xs: xs[0], lower=True)
-    composed = sl.eval_window(
-        model, cls[:1], lambda xs: xs[0] * up if xs[0] >= 0 else xs[0] * lo
-    )
+    (joint,), _ = sl.window_columns(model, cls, [lambda xs: xs[0] * xs[1]], [])
+    (up,), (lo,) = sl.window_columns(model, cls[1:], [lambda xs: xs[0]], [lambda xs: xs[0]])
+    (composed,), _ = sl.window_columns(
+        model, cls[:1], [lambda xs: xs[0] * up if xs[0] >= 0 else xs[0] * lo], [])
     assert joint == pytest.approx(composed, abs=1e-12)
 
 
@@ -94,7 +92,7 @@ def test_rosenthal_lhs_matches_history_recursion():
                 m = max(m, abs(s))
             return m ** _p
 
-        brute = sl.eval_window(model, range(1, n + 1), path_max)
+        (brute,), _ = sl.window_columns(model, range(1, n + 1), [path_max], [])
         assert rep.lhs == pytest.approx(brute, abs=TOL)
 
 
@@ -181,8 +179,7 @@ def test_z_reduce_preserves_eval_sum():
     red = mdep.z_reduce(model, 2)
     union = [k for a, b in red.blocks for k in range(a, b + 1)]
     for f in eng.catalog():
-        direct = sl.eval_sum(model, f)
-        via_blocks = sl.eval_sum(model, f, indices=union)
+        direct, via_blocks = sl.eval_sums(model, f, [None, union])
         assert direct.upper == pytest.approx(via_blocks.upper, abs=TOL)
         assert direct.lower == pytest.approx(via_blocks.lower, abs=TOL)
 
@@ -194,16 +191,13 @@ def test_z_blocks_are_one_dependent():
     b1, b3 = red.blocks[0], red.blocks[2]
     i1 = tuple(range(b1[0], b1[1] + 1))
     i3 = tuple(range(b3[0], b3[1] + 1))
-    joint = sl.eval_window(
+    (joint,), _ = sl.window_columns(
         model, i1 + i3,
-        lambda xs: math.fsum(xs[: len(i1)]) * math.fsum(xs[len(i1):]),
-    )
-    up = sl.eval_window(model, i3, lambda xs: math.fsum(xs))
-    lo = sl.eval_window(model, i3, lambda xs: math.fsum(xs), lower=True)
-    composed = sl.eval_window(
+        [lambda xs: math.fsum(xs[: len(i1)]) * math.fsum(xs[len(i1):])], [])
+    (up,), (lo,) = sl.window_columns(model, i3, [math.fsum], [math.fsum])
+    (composed,), _ = sl.window_columns(
         model, i1,
-        lambda xs: math.fsum(xs) * up if math.fsum(xs) >= 0 else math.fsum(xs) * lo,
-    )
+        [lambda xs: math.fsum(xs) * up if math.fsum(xs) >= 0 else math.fsum(xs) * lo], [])
     assert joint == pytest.approx(composed, abs=1e-12)
 
 
