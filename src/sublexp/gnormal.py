@@ -8,12 +8,13 @@
 
 with a monotone explicit finite-difference scheme and returns u(t, 0),
 which is the upper expectation of ``phi`` under the G-normal law, for
-several functionals at once: their initial data are the rows of one
-array, stepped by one time loop that works in place on scratch arrays
-allocated once.  Every element goes through the one-row scheme's float
-operations in the same order (stencil, then the G coefficient, then
-``dt*0.5``, then the add; no constant folded), so a row's value is
-bit-identical to a solve of that row alone.
+several functionals at once: their initial data are the columns of one
+node-major array, stepped by one time loop that works in place on scratch
+arrays allocated once and never writes the boundary nodes.  Every element
+goes through the one-row scheme's float operations in the same order
+(stencil, then the G coefficient, then ``dt*0.5``, then the add; no
+constant folded), so a functional's value is bit-identical to a solve of
+that functional alone.
 
 The G coefficient is chosen by the max rule: ``G(d2)`` is computed as
 ``max(sigma_lo2 * d2, sigma_hi2 * d2)``, with ``sigma_hi2 * d2`` taken as
@@ -82,6 +83,11 @@ def G(alpha: float, p: GParams) -> float:
     return p.sigma_hi2 * alpha if alpha >= 0.0 else p.sigma_lo2 * alpha
 
 
+def _check_nx(nx: int) -> None:
+    if nx < 3:
+        raise ValidationError("need at least 3 spatial points")
+
+
 @dataclass(frozen=True)
 class PDEGrid:
     """Uniform grid on ``[-half_width, half_width]`` with explicit step dt."""
@@ -93,8 +99,7 @@ class PDEGrid:
     def __post_init__(self) -> None:
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValidationError("half_width must be positive and finite")
-        if self.nx < 3:
-            raise ValidationError("need at least 3 spatial points")
+        _check_nx(self.nx)
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError("dt must be positive and finite")
 
@@ -120,6 +125,7 @@ class PDEGrid:
 
 def default_grid(p: GParams, half_width: float = 8.0, nx: int = 801,
                  safety: float = 0.9) -> PDEGrid:
+    _check_nx(nx)  # before dx divides by nx - 1
     dx = 2.0 * half_width / (nx - 1)
     if p.sigma_hi2 > 0.0:
         dt = safety * dx**2 / (2.0 * p.sigma_hi2)
@@ -129,20 +135,20 @@ def default_grid(p: GParams, half_width: float = 8.0, nx: int = 801,
 
 
 def _nonfinite(fs: Sequence[engine.Functional], u: np.ndarray) -> str:
-    """Names of the functionals whose row of ``u`` has a non-finite value."""
-    return ", ".join(f.name for f, ok in zip(fs, np.isfinite(u).all(axis=1)) if not ok)
+    """Names of the functionals whose column of ``u`` has a non-finite value."""
+    return ", ".join(f.name for f, ok in zip(fs, np.isfinite(u).all(axis=0)) if not ok)
 
 
 def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
                  t: float = 1.0) -> tuple[float, ...]:
     """Upper G-normal expectation of each of ``fs`` by explicit time stepping to ``t``.
 
-    Row k of one (K, nx) array holds ``fs[k]`` on the grid, and one time loop
-    steps every row.  Each update is ``u_i += dt * 0.5 * G(second difference
-    / dx^2)``; the stability bound makes the update monotone in every stencil
-    value.  The boundary nodes use a zero second difference (linear
-    extrapolation), so they stay at their initial values.  The step count is
-    chosen so the integration lands exactly on ``t``.
+    Column k of one (nx, K) array holds ``fs[k]`` on the grid, and one time
+    loop steps every column.  Each update is ``u_i += dt * 0.5 * G(second
+    difference / dx^2)``; the stability bound makes the update monotone in
+    every stencil value.  The boundary nodes use a zero second difference
+    (linear extrapolation), so they stay at their initial values.  The step
+    count is chosen so the integration lands exactly on ``t``.
 
     Every step works in place on scratch arrays allocated once.  Each element
     goes through the operations of the one-row scheme in the same order:
@@ -155,16 +161,18 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     otherwise, bit for bit, because
     rounding is monotone and ``0 <= sigma_lo2 <= sigma_hi2``.  Only at
     ``d2 = +inf`` with ``sigma_lo2 = 0`` does it give NaN where that choice
-    gives inf; a non-finite value stays non-finite, so the same rows raise
-    ``PDENumericsError`` at the same step.  Folding the constants together
+    gives inf; a non-finite value stays non-finite, so the same functionals
+    raise ``PDENumericsError`` at the same step.  Folding the constants together
     or reordering the stencil would change the rounding.
 
-    The stencil runs over the rows laid end to end as one flat array, since
-    numpy copies strided 2-D operands into temporaries.  That also updates
-    the end nodes of the rows, from a stencil that spans two rows, so each
-    step writes columns 0 and ``nx - 1`` back from a saved copy, through
-    one strided view.  An interior node's stencil reads only its own row,
-    so a row's value does not depend on the other rows of its batch.
+    The array is node-major, so its flat view holds node i of every column
+    in one contiguous run of K values.  The stencil then runs over the
+    interior nodes ``flat[K:-K]`` with neighbours ``flat[:-2K]`` and
+    ``flat[2K:]``, all contiguous, and never writes the boundary nodes.
+    The ufuncs take ``out`` positionally and their constants as 0-d arrays
+    built once, which skips per-call keyword parsing and scalar conversion;
+    ``np.maximum`` keeps ``out=``, as numpy 2.4 deprecates a positional
+    ``out`` there.
     """
     if not fs:
         raise ValidationError("solve_gheats needs at least one functional")
@@ -172,45 +180,45 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         raise ValidationError("time horizon must be positive and finite")
     grid.check(p)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
-    u = np.empty((len(fs), grid.nx))
-    for row, f in zip(u, fs):
-        row[:] = [f.phi(float(xi)) for xi in x]
+    k = len(fs)
+    u = np.empty((grid.nx, k))
+    for col, f in enumerate(fs):
+        u[:, col] = [f.phi(float(xi)) for xi in x]
     if not np.isfinite(u).all():
         raise PDENumericsError(f"initial data of {_nonfinite(fs, u)} is not finite on the grid")
 
     n_steps = max(1, math.ceil(t / grid.dt - 1e-12))
     dt = t / n_steps
-    inv_dx2 = 1.0 / grid.dx**2
-    half_dt = dt * 0.5
+    two, inv_dx2, lo, hi, half_dt = (np.array(c, dtype=np.float64) for c in (
+        2.0, 1.0 / grid.dx**2, p.sigma_lo2, p.sigma_hi2, dt * 0.5))
     flat = u.reshape(-1)
-    left, mid, right = flat[:-2], flat[1:-1], flat[2:]
-    ends = u[:, ::grid.nx - 1]  # columns 0 and nx - 1, as nx >= 3
-    end_values = ends.copy()
+    left, mid, right = flat[:-2 * k], flat[k:-k], flat[2 * k:]
     d2 = np.empty_like(mid)
     scratch = np.empty_like(mid)  # sigma_lo2 * d2 when sigma_hi2 is 1, else sigma_hi2 * d2
     mask = np.empty(mid.shape, dtype=bool)
     unit_hi = p.sigma_hi2 == 1.0
+    multiply, subtract, add, maximum, isfinite = (
+        np.multiply, np.subtract, np.add, np.maximum, np.isfinite)
     for step in range(n_steps):
-        np.multiply(mid, 2.0, out=d2)
-        np.subtract(right, d2, out=d2)
-        np.add(d2, left, out=d2)
-        np.multiply(d2, inv_dx2, out=d2)
+        multiply(mid, two, d2)
+        subtract(right, d2, d2)
+        add(d2, left, d2)
+        multiply(d2, inv_dx2, d2)
         if unit_hi:
-            np.multiply(d2, p.sigma_lo2, out=scratch)
-            np.maximum(scratch, d2, out=d2)
+            multiply(d2, lo, scratch)
+            maximum(scratch, d2, out=d2)
         else:
-            np.multiply(d2, p.sigma_hi2, out=scratch)
-            np.multiply(d2, p.sigma_lo2, out=d2)
-            np.maximum(d2, scratch, out=d2)
-        np.multiply(d2, half_dt, out=d2)
-        np.add(mid, d2, out=mid)
-        np.copyto(ends, end_values)
-        if step % _NAN_CHECK_EVERY == 0 and not np.isfinite(mid, out=mask).all():
+            multiply(d2, hi, scratch)
+            multiply(d2, lo, d2)
+            maximum(d2, scratch, out=d2)
+        multiply(d2, half_dt, d2)
+        add(mid, d2, mid)
+        if step % _NAN_CHECK_EVERY == 0 and not isfinite(mid, mask).all():
             raise PDENumericsError(
                 f"non-finite values in {_nonfinite(fs, u)} after step {step}")
     if not np.isfinite(u).all():
         raise PDENumericsError(f"non-finite values in {_nonfinite(fs, u)} at final time")
-    return tuple(float(np.interp(0.0, x, row)) for row in u)
+    return tuple(float(np.interp(0.0, x, u[:, col])) for col in range(k))
 
 
 def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],

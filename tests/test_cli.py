@@ -535,6 +535,29 @@ def test_grid_override_flags(tmp_path):
     assert code == 0
 
 
+_GNORMAL_RAW = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["cos"],
+                "gnormal": {"sigma_lo2": 0.5, "sigma_hi2": 1.0, "nx": 201}, "peng_n": [8]}
+
+
+@pytest.mark.parametrize("nx", [1, 0, 2])
+@pytest.mark.parametrize("source", ["flag", "yaml"])
+@pytest.mark.parametrize("command, raw", [("gnormal", _GNORMAL_RAW), ("clt-sweep", SMALL_CONFIG)],
+                         ids=["gnormal", "clt-sweep"])
+def test_too_few_spatial_points_exit_1_without_traceback(tmp_path, capsys, command, raw,
+                                                         source, nx):
+    # default_grid must check nx before it divides by nx - 1
+    if source == "yaml":
+        raw = {**raw, "gnormal": {**raw["gnormal"], "nx": nx}}
+    flags = ["--grid-nx", str(nx)] if source == "flag" else []
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: need at least 3 spatial points\n"  # no traceback
+    assert not out.exists()
+
+
 def test_tol_flag_drives_block_size_search(tmp_path):
     raw = {**SMALL_CONFIG, "mode": "blocking_inspect", "n_list": [16]}
     cfg_path = write_config(tmp_path, raw)

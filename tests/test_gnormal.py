@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +183,30 @@ def test_overflow_in_a_batch_names_the_row():
 def test_empty_batch_rejected():
     with pytest.raises(ValidationError):
         sl.solve_gheats((), GP, sl.default_grid(GP))
+
+
+def test_time_loop_allocates_nothing_per_step():
+    # a per-step temporary of one (nx - 2, K) operand would add 25.6 KB here
+    fs = (eng.cosine(), eng.ramp(0.0), eng.square(), eng.neg_square())
+    k, nx = len(fs), 801
+    grid = sl.default_grid(GP, nx=nx)
+    sl.solve_gheats(fs, GP, grid, 0.05)  # warm numpy's caches outside the trace
+
+    def peak(t: float) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sl.solve_gheats(fs, GP, grid, t)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    long_run, short_run = peak(1.0), peak(0.05)
+    assert abs(long_run - short_run) <= 4096
+    # x, u, d2, scratch and the NaN mask, plus one column's list of initial values
+    once = 8 * nx + 8 * nx * k + 2 * 8 * (nx - 2) * k + (nx - 2) * k
+    column = sys.getsizeof([0.0] * nx) + nx * sys.getsizeof(1.5)
+    assert long_run < once + column
 
 
 # ---------------------------------------------------------------------------

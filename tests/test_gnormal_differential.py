@@ -98,6 +98,17 @@ def test_batched_solve_equals_per_row_loop(p, nx, label):
     assert _exact(singles) == _exact(want)
 
 
+def test_gnormal_fine_shape_equals_per_row_loop():
+    # the rows f, -f of the five catalog functionals at nx = 1601; t = 0.01 is
+    # 223 steps, past the NaN check at step 200
+    p = sl.GParams(0.5, 1.0)
+    grid = sl.default_grid(p, nx=1601)
+    fs = [g for f in eng.catalog() for g in (f, eng.negated(f))]
+    assert len(fs) == 10 and math.ceil(0.01 / grid.dt - 1e-12) == 223
+    want = [reference_solve_gheat(f, p, grid, 0.01) for f in fs]
+    assert _exact(sl.solve_gheats(fs, p, grid, 0.01)) == _exact(want)
+
+
 _SMALL = {p: sl.default_grid(p, nx=41) for p in PARAMS}
 _SMALL_WANT = {
     p: [reference_solve_gheat(f, p, grid) for f in FUNCTIONALS] for p, grid in _SMALL.items()
