@@ -18,8 +18,10 @@ sums are merged on a grid: each is rounded to 12 decimals exactly as
 numpy), which keeps the recursion exact on designed lattice inputs while
 tolerating generic ones.  When every term is a multiple of 2⁻¹² and the
 sums stay below 2⁴¹, every sum is an exact float that this rounding leaves
-unchanged, so the compile keeps the sums as int64 counts of 2⁻¹² and
-merges on those integers instead; the graph is the same, array for array.
+unchanged, so the compile keeps the sums as int64 counts of g·2⁻¹², g the
+gcd of the terms' counts of 2⁻¹², and merges on those integers instead; the
+graph is the same, array for array.  A layer merges its equal states in
+linear time, through a direct-address table of first occurrences.
 
 A sum is evaluated in two passes.  ``compile_sum`` walks forward once,
 one whole layer at a time as numpy arrays (window codes, sums, running
@@ -91,10 +93,10 @@ DEFAULT_PATH_CAP = 2_000_000
 
 _KEY_DECIMALS = 12
 
-#: Packed merge keys stay below this bound (int64).
-_PACK_LIMIT = 2**63
+#: Slots per merged row of a merge's first-occurrence table.
+_TABLE_FACTOR = 8
 
-#: Lattice compiles count sums in units of 2⁻¹², and keep them below 2⁴¹.
+#: Lattice compiles take terms that are multiples of 2⁻¹², and keep sums below 2⁴¹.
 _QUANTUM = 2**12
 _LATTICE_LIMIT = 2**41
 
@@ -409,27 +411,37 @@ def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.nda
     rows.  Returns the position of the first occurrence of every distinct
     row, in order of position, and each row's rank in that order: the index
     a dict would give it on first insertion, scanning the rows in order.
-    The ids are packed into one int64 with the row's position as the last
-    digit, so a plain sort orders equal rows by position; a pack that
-    would pass 2⁶³ first renumbers the key packed so far densely.
+
+    The ids are packed into one int64 key in place of the first column's
+    ids, which the merge overwrites.  A direct-address int32 table of one
+    slot per key value takes each key's first position (``minimum.at``);
+    the rows whose position is their key's first are the first occurrences,
+    already in position order, and the table then holds each key's rank.
+    The table has at most ``_TABLE_FACTOR`` slots per row: a column or a
+    pack with more values is renumbered densely by ``_dense_ids`` (a sort)
+    before it is packed further, which also keeps every pack below 2⁶³.
+    At 8 slots of 4 bytes the merge's temporaries stay under 40 bytes per
+    row, less than a sort of position-packed int64 keys takes.
     """
-    key, bound = np.zeros(size, dtype=np.int64), 1
-    for ids, n in (*columns, (np.arange(size, dtype=np.int64), size)):
-        if bound * n >= _PACK_LIMIT:
-            key, bound = _dense_ids(key)
-        key = key * n + ids
+    limit = _TABLE_FACTOR * size
+    key, bound = None, 1
+    for ids, n in columns:
+        if n > limit:
+            ids, n = _dense_ids(ids)
+        if key is None:
+            key = ids
+        else:
+            key *= n
+            key += ids
         bound *= n
-    row, pos = np.divmod(np.sort(key), size)
-    new = np.empty(size, dtype=bool)
-    new[0] = True
-    np.not_equal(row[1:], row[:-1], out=new[1:])
-    first = pos[new]
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    child = np.empty(size, dtype=np.int32)
-    child[pos] = rank[np.cumsum(new) - 1]
-    return first[order], child
+        if bound > limit:
+            key, bound = _dense_ids(key)
+    pos = np.arange(size, dtype=np.int32)
+    table = np.full(bound, size, dtype=np.int32)
+    np.minimum.at(table, key, pos)
+    first = np.flatnonzero(table[key] == pos)
+    table[key[first]] = pos[:len(first)]
+    return first, table[key]
 
 
 def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
@@ -532,9 +544,9 @@ def compile_sum(
     ``_canon_array`` onto the 1e-12 merge grid, and its running max is
     ``where(b > mx, b, mx)`` with ``b = |sum|``.  ``_term`` runs once per
     distinct (window, value) pair.  Children with equal (window, acc,
-    maxabs) merge, numbered in order of first occurrence in row-major
-    (state, column) order: the order a per-state dict loop inserts them, so
-    the graph is the one that loop builds, array for array
+    maxabs) merge (``_merge``), numbered in order of first occurrence in
+    row-major (state, column) order: the order a per-state dict loop inserts
+    them, so the graph is the one that loop builds, array for array
     (``tests/test_engine_differential.py`` keeps the loop as its reference).
 
     When every term is a multiple of 2⁻¹² and the terms' largest magnitudes
@@ -543,13 +555,18 @@ def compile_sum(
     x·10¹² = k·244140625 for the integer k = x·2¹², so there is no tie and
     the nearest double to k·2⁻¹² is x itself.  The merge-grid rounding is
     then the identity (sums start at +0.0, so none is -0.0), and the compile
-    keeps ``acc`` and ``maxabs`` as exact int64 counts of 2⁻¹², with their
-    offsets from the layer minimum as merge ids; the payoff arguments are
-    those counts over 4096.0, the same floats.  Any other input (an
-    irrational scale such as 1/√n, an off-lattice ``x_clip``) takes the
-    float merge grid.  One ``evaluate_columns`` sweep reads every
-    functional and horizon asked of the graph; callers keep it only as long
-    as they need it.
+    keeps ``acc`` and ``maxabs`` as exact int64 counts of g·2⁻¹², where g is
+    the gcd of the counts of 2⁻¹² of every term table a root adds (1 when
+    no root adds one, or every term is 0), with their offsets from the
+    layer minimum as merge ids.  The payoff arguments are
+    ``(count * g) / 4096.0``, the same floats.  Counting in units of g keeps
+    the offsets dense (half-integer terms have g = 2048), so that ``_merge``
+    can address them directly.  Any other input (an irrational scale
+    such as 1/√n, an off-lattice ``x_clip``) takes the float merge grid,
+    with each float column renumbered by ``_dense_ids``, and the same
+    merge.  One ``evaluate_columns`` sweep reads every functional and
+    horizon asked of the graph; callers keep it only as long as they need
+    it.
 
     Several masks share one graph.  Layer 0 holds one root per mask, and
     every state carries the component id of its root: a state of component r
@@ -586,6 +603,10 @@ def compile_sum(
     if lattice:
         counts = {id(table): (table * _QUANTUM).astype(np.int64)
                   for _, _, groups in draws for table, _ in groups}
+        # every count is a multiple of unit, so sums count in units of it
+        unit = math.gcd(*(int(np.gcd.reduce(c.ravel())) for c in counts.values())) or 1
+        for c in counts.values():
+            c //= unit
         draws = [(V, laws, tuple((counts[id(table)], roots) for table, roots in groups))
                  for V, laws, groups in draws]
     ids = _offset_ids if lattice else _dense_ids
@@ -658,8 +679,10 @@ def compile_sum(
         if R > 1:
             sizes.append(np.bincount(comp, minlength=R))
     if lattice:
-        # after the last layer, so no layer's counts and floats are alive at once
-        args = [arg / float(_QUANTUM) for arg in args]
+        # after the last layer and one layer at a time, so at most one
+        # layer's counts and floats are alive at once
+        for t, arg in enumerate(args):
+            args[t] = arg * unit / float(_QUANTUM)
     return Graph(tuple(steps), tuple(args), model.steps - model.n,
                  np.array(sizes) if R > 1 else None)
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
 import sublexp as sl
 import sublexp.conditions as cond
 import sublexp.engine as eng
+import sublexp.mdep as mdep
 from sublexp.errors import GuardError, StateCapError, ValidationError
 
 from conftest import certain_pm1_iid, pm1_uncertain, random_model, stationary_1dep
@@ -64,6 +66,26 @@ def test_state_cap_reports_count():
     assert err.value.layer_sizes == (1, 2, 3)
     assert sum(err.value.layer_sizes) == err.value.count
     assert "at draw 2 of 6" in str(err.value)
+
+
+def test_compile_holds_a_small_multiple_of_its_graph():
+    # the Rosenthal battery's largest running-max graph: m = 2, weights (1, 1, 1)
+    models = {inst.model for inst in mdep.rosenthal_battery() if inst.model.weights == (1.0,) * 3}
+    graphs = {model: sl.compile_sum(model, track_max=True) for model in models}
+    model = max(models, key=lambda model: sum(map(len, graphs[model].args)))
+    graph = graphs.pop(model)
+    assert sum(map(len, graph.args)) == 33_474
+    kept = sum(st.child.nbytes for st in graph.steps) + sum(arg.nbytes for arg in graph.args)
+    del graph, graphs
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sl.compile_sum(model, track_max=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 7.4 here; a merge that sorts position-packed keys reaches 9.5
+    assert peak < 8.5 * kept
 
 
 # ---------------------------------------------------------------------------

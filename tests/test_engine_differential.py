@@ -442,7 +442,7 @@ def test_compile_sum_builds_the_reference_graph(case, iid):
     assert_same_graph(eng.compile_sum(model, **opts), want)
     # renumbering the packed key before every pack changes no state and no order
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eng, "_PACK_LIMIT", 2)
+        mp.setattr(eng, "_TABLE_FACTOR", 0)
         assert_same_graph(eng.compile_sum(model, **opts), want)
 
 
@@ -492,7 +492,7 @@ def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_4
         want = reference_compile_sum(model, **opts)
         assert_same_graph(eng.compile_sum(model, **opts), want)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eng, "_PACK_LIMIT", 2)
+            mp.setattr(eng, "_TABLE_FACTOR", 0)
             assert_same_graph(eng.compile_sum(model, **opts), want)
 
 
@@ -1166,3 +1166,102 @@ def test_state_cap_bounds_the_roots_of_every_level_together():
         assert sum(err.value.layer_sizes) == err.value.count
     assert err.value.count == total  # the cap just below it trips at the last layer
 
+
+# ---------------------------------------------------------------------------
+# Lattice keys in units of the gcd of the term counts
+# ---------------------------------------------------------------------------
+
+#: Supports +-0.5 and +-1.5 under weights (1, 0.5): every term is an odd multiple of 1/4.
+QUARTER_TERMS = SequenceModel.moving_window(
+    sl.ambiguity([sl.DiscreteLaw((-1.5, -0.5, 0.5, 1.5), (0.25, 0.25, 0.25, 0.25)),
+                  sl.DiscreteLaw((-0.5, 1.5), (0.75, 0.25))]),
+    (1.0, 0.5), 5)
+#: A support point at 2^-12: the unit is one quantum.
+ONE_QUANTUM = SequenceModel.moving_window(
+    sl.ambiguity([sl.DiscreteLaw((-1.0, 2.0 ** -12, 1.0), (0.25, 0.5, 0.25)),
+                  sl.DiscreteLaw((-1.0, 1.0), (0.5, 0.5))]),
+    (1.0, 1.0), 4)
+#: Every term negative.
+NEGATIVE_ONLY = SequenceModel.iid(
+    sl.ambiguity([sl.DiscreteLaw((-2.0, -1.0), (0.5, 0.5)),
+                  sl.DiscreteLaw((-3.0, -1.0), (0.25, 0.75))]), 5)
+#: Every term 0: each count is 0, and the unit falls back to 1.
+ZERO_ONLY = SequenceModel.moving_window(sl.ambiguity([sl.DiscreteLaw((0.0,), (1.0,))]),
+                                        (1.0, -1.0), 5)
+
+
+def _sum_bounds(model: SequenceModel, **opts) -> list[int]:
+    """The id bound of the sum column of every merge of ``compile_sum(model, **opts)``."""
+    bounds = []
+    merge = eng._merge
+
+    def spy(columns, size):
+        bounds.append(columns[0][1])
+        return merge(columns, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "_merge", spy)
+        eng.compile_sum(model, **opts)
+    return bounds
+
+
+def assert_compiles_like_the_references(model: SequenceModel, **opts) -> None:
+    """The reference graph, with and without compacting every pack, and the dict DP's values."""
+    want = reference_compile_sum(model, **opts)
+    graph = eng.compile_sum(model, **opts)
+    assert_same_graph(graph, want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "_TABLE_FACTOR", 0)
+        assert_same_graph(eng.compile_sum(model, **opts), want)
+    fs = FUNCTIONALS + EDGE_FUNCTIONALS
+    for f, got in zip(fs, eng.evaluate_columns(graph, [(f, model.n) for f in fs])):
+        assert bits(got) == bits(reference_eval_sum(model, f, **opts))
+
+
+LATTICE_OPTIONS = ({}, {"track_max": True}, {"masks": [(1, 3, 4)], "x_clip": 0.75},
+                   {"masks": [(2, 3)], "track_max": True, "x_clip": 1.0})
+
+
+@pytest.mark.parametrize("model", [QUARTER_TERMS, ONE_QUANTUM, NEGATIVE_ONLY, ZERO_ONLY],
+                         ids=["gcd-of-1024-quanta", "one-quantum", "negative-only", "zero-only"])
+@pytest.mark.parametrize("opts", LATTICE_OPTIONS, ids=["sum", "max", "clip", "clip-max"])
+def test_lattice_units_build_the_reference_graph(model, opts):
+    assert _lattice(model, **opts)
+    assert_compiles_like_the_references(model, **opts)
+
+
+def test_lattice_sums_count_in_units_of_the_gcd_of_the_terms():
+    # terms are odd multiples of 1/4 up to 9/4: k coordinates span at most 18k + 1 quarters
+    n = QUARTER_TERMS.n
+    for opts in ({}, {"track_max": True}):
+        bounds = _sum_bounds(QUARTER_TERMS, **opts)
+        assert max(bounds) <= 18 * n + 1
+    # a term of one quantum spans 2 * 4096 quanta from the first coordinate on
+    assert max(_sum_bounds(ONE_QUANTUM)) > 2 * 4096
+    # a clip level of 1/2 on integer terms halves the unit of every root of the graph
+    iid = SequenceModel.iid(_quarter_set(), 4)
+    assert max(_sum_bounds(iid)) <= 2 * 4 + 1
+    assert max(_sum_bounds(iid, masks=[None, None], x_clip=[None, 0.5])) > 2 * 4 + 1
+
+
+def test_lattice_roots_at_different_clip_levels_build_their_own_graphs():
+    fs = (eng.square(), eng.ramp(0.5))
+    masks = [None, (1, 3), None, (2, 4, 5)]
+    for model in (QUARTER_TERMS, NEGATIVE_ONLY, SequenceModel.iid(_quarter_set(2.0), 5)):
+        # every level is a multiple of 2^-12; on integer terms they lower the union's unit
+        clips = [None, 0.75, 0.5, 0.25]
+        assert _union_on_lattice(model, masks, clips)
+        for track_max in (False, True):
+            assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
+
+
+@pytest.mark.parametrize("model",
+                         [QUARTER_TERMS, NEGATIVE_ONLY, SequenceModel.iid(_quarter_set(), 3)],
+                         ids=["window", "negative-only", "iid-quarters"])
+def test_empty_masks_build_the_reference_graph(model):
+    # a root whose mask is empty adds no term table, and every sum it reaches is 0
+    assert set(_sum_bounds(model, masks=[[]])) <= {1}
+    for track_max in (False, True):
+        assert_compiles_like_the_references(model, masks=[[]], track_max=track_max)
+        assert_roots_are_their_own_compiles(model, [None, []], [None, None], track_max,
+                                            (eng.square(), eng.identity()))
