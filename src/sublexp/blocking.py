@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import engine
+from ._frozen import frozen
 from .conditions import RowContext
 from .engine import SequenceModel
 from .errors import ValidationError
@@ -66,7 +66,7 @@ def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> in
     return 2
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockingPlan:
     """Cut indices, search windows, and blocks for one row of the array."""
 
@@ -134,7 +134,7 @@ def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockSequence:
     """The independent block-sum sequence ``Y_i = sum_{j in H_i} X_j``.
 
@@ -188,7 +188,7 @@ def block_models(model: SequenceModel, plan: BlockingPlan) -> tuple[BlockSequenc
     return BlockSequence(model, plan), plan.cuts
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockDiagnostics:
     """The vanishing quantities of the blocking argument, at one n."""
 

@@ -416,23 +416,23 @@ _SUBCOMMANDS = {
 
 
 def _parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: the subcommand is the first positional argument."""
     parser = argparse.ArgumentParser(
         prog="sublexp",
         description="Sub-linear expectation experiments with deterministic CSV reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="YAML experiment config")
-        sp.add_argument(
-            "--experiment", default=None,
-            help=f"built-in experiment name ({', '.join(sorted(reference_experiments()))})",
-        )
-        sp.add_argument("--out", required=True, help="output directory for CSV reports")
-        sp.add_argument("--grid-nx", type=int, default=None, help="PDE spatial points")
-        sp.add_argument("--grid-L", type=float, default=None, help="PDE half width")
-        sp.add_argument("--state-cap", type=int, default=None, help="DP state cap")
-        sp.add_argument("--tol", type=float, default=None, help="block-size search tolerance")
+    parser.add_argument("command", choices=_SUBCOMMANDS, metavar="COMMAND",
+                        help=f"run mode: {', '.join(_SUBCOMMANDS)}")
+    parser.add_argument("--config", default=None, help="YAML experiment config")
+    parser.add_argument(
+        "--experiment", default=None,
+        help=f"built-in experiment name ({', '.join(sorted(reference_experiments()))})",
+    )
+    parser.add_argument("--out", required=True, help="output directory for CSV reports")
+    parser.add_argument("--grid-nx", type=int, default=None, help="PDE spatial points")
+    parser.add_argument("--grid-L", type=float, default=None, help="PDE half width")
+    parser.add_argument("--state-cap", type=int, default=None, help="DP state cap")
+    parser.add_argument("--tol", type=float, default=None, help="block-size search tolerance")
     return parser
 
 

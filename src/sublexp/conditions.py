@@ -13,10 +13,11 @@ array-theorem convention).  The truncated sub-report switches to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 from . import engine
+from ._frozen import frozen
 from .engine import SequenceModel
 from .errors import ValidationError
 
@@ -29,7 +30,7 @@ def default_M_grid(n: int) -> tuple[int, ...]:
     return tuple(grid)
 
 
-@dataclass(frozen=True)
+@frozen
 class TruncatedProfile:
     """Hypotheses recomputed on clamped coordinates at level tau.
 
@@ -45,8 +46,14 @@ class TruncatedProfile:
     var_ratio: Mapping[int, float]
 
 
-@dataclass(frozen=True)
+@frozen
 class ConditionReport:
+    """The hypotheses of row n, each keyed by its grid point (eps, M or p).
+
+    ``trunc`` holds the same quantities at the truncation level tau, when
+    the row has one.
+    """
+
     n: int
     lindeberg: Mapping[float, float]
     mean_unc: float
@@ -66,7 +73,7 @@ class ConditionReport:
                 raise ValidationError("variance ratios must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@frozen
 class RowContext:
     """Row n of the array: its length-n model, the graph of its sums, the state cap.
 

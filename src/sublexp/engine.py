@@ -70,11 +70,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._frozen import frozen
 from .errors import GuardError, StateCapError, ValidationError
 from .laws import AmbiguitySet
 
@@ -101,7 +101,7 @@ _QUANTUM = 2**12
 _LATTICE_LIMIT = 2**41
 
 
-@dataclass(frozen=True)
+@frozen
 class Functional:
     """A scalar test function with its growth class.
 
@@ -198,7 +198,7 @@ def catalog_by_name(name: str) -> Functional:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SequenceModel:
     """Triangular-array row: n coordinates, each scaled by ``scale``."""
 
@@ -279,8 +279,10 @@ class SequenceModel:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class EvalResult:
+    """Upper and lower expectation of one functional, and the DP states behind them."""
+
     upper: float
     lower: float
     state_count: int
@@ -321,7 +323,7 @@ def _term(model: SequenceModel, window: tuple[float, ...], v: float,
     return x
 
 
-@dataclass(frozen=True)
+@frozen
 class _Step:
     """One primitive draw of a compiled graph.
 
@@ -335,7 +337,7 @@ class _Step:
     laws: tuple[tuple[tuple[int, float], ...], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Graph:
     """The reachable-state graph of one ``(model, masks, x_clip, track_max)``.
 

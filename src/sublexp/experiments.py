@@ -9,13 +9,14 @@ row length n (the heavy-tailed family scales its tail mass like 1/n^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import yaml
 
 from . import conditions as cond
+from ._frozen import frozen
 from .engine import DEFAULT_STATE_CAP, SequenceModel
 from .errors import ValidationError
 from .laws import (
@@ -96,8 +97,10 @@ BUILDERS: Mapping[str, Callable[[int], SequenceModel]] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelSpec:
+    """The ``model`` section: a built-in family by name, or laws, weights and scaling."""
+
     builder: str | None = None
     kind: str = "independent"
     scaling: str = "none"
@@ -126,8 +129,10 @@ class ModelSpec:
         return SequenceModel.iid(set_, n, scale)
 
 
-@dataclass(frozen=True)
+@frozen
 class GnormalSettings:
+    """The ``gnormal`` section: variance interval, PDE grid and horizon."""
+
     sigma_lo2: float | None = None  # None: use the variance-ratio plateau
     sigma_hi2: float = 1.0
     half_width: float = 8.0
@@ -135,22 +140,32 @@ class GnormalSettings:
     time: float = 1.0
 
 
-@dataclass(frozen=True)
+@frozen
 class ConditionSettings:
+    """The ``conditions`` section: the grids of the hypotheses and the truncation level."""
+
     eps: tuple[float, ...] = cond.DEFAULT_EPS_GRID
     M: tuple[int, ...] | None = None
     p: tuple[float, ...] = cond.DEFAULT_P_GRID
     tau: float | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockingSettings:
+    """The ``blocking`` section: block sizes per n, or the tolerance of their search."""
+
     pn_list: tuple[int, ...] | None = None  # None: choose_pn(tol) per n
     tol: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not self.tol > 0.0:
+            raise ValidationError("blocking.tol must be > 0")
 
-@dataclass(frozen=True)
+
+@frozen
 class ExperimentConfig:
+    """One experiment: a config file or a built-in, checked when it is built."""
+
     name: str
     mode: str
     model: ModelSpec
@@ -185,6 +200,8 @@ class ExperimentConfig:
             raise ValidationError("conditions.p entries must be >= 2")
         if any(n < 1 for n in self.peng_n):
             raise ValidationError("peng_n entries must be >= 1")
+        if self.state_cap < 1:
+            raise ValidationError("state_cap must be >= 1")
 
     def model_for(self, n: int) -> SequenceModel:
         return self.model.build(n)
@@ -313,7 +330,7 @@ def _model_spec(raw: object) -> ModelSpec:
 
 
 def config_from_mapping(raw: Mapping, *, default_name: str = "experiment") -> ExperimentConfig:
-    """The config from the keys present; each absent key keeps its dataclass default.
+    """The config from the keys present; each absent key keeps its field default.
 
     An unknown key or a malformed value, in any section, raises ``ValidationError``.
     """

@@ -46,12 +46,12 @@ the variance interval.  Any other functional gets NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import engine
+from ._frozen import frozen
 from .errors import PDENumericsError, PDEStabilityError, ValidationError
 from .laws import ambiguity, two_point_law
 
@@ -62,7 +62,7 @@ SUPPORT_MARGIN = 1.0
 _NAN_CHECK_EVERY = 200
 
 
-@dataclass(frozen=True)
+@frozen
 class GParams:
     """Variance interval ``[sigma_lo2, sigma_hi2]`` of the G-normal law."""
 
@@ -88,7 +88,7 @@ def _check_nx(nx: int) -> None:
         raise ValidationError("need at least 3 spatial points")
 
 
-@dataclass(frozen=True)
+@frozen
 class PDEGrid:
     """Uniform grid on ``[-half_width, half_width]`` with explicit step dt."""
 

@@ -19,9 +19,9 @@ extension one picks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ._frozen import frozen
 from .errors import ValidationError
 
 #: Probability vectors whose total differs from 1 by more than this are
@@ -29,7 +29,7 @@ from .errors import ValidationError
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@frozen
 class DiscreteLaw:
     """A finitely supported probability law with strictly increasing support."""
 
@@ -64,7 +64,7 @@ class DiscreteLaw:
         return math.fsum(p for v, p in zip(self.values, self.probs) if event.holds(v))
 
 
-@dataclass(frozen=True)
+@frozen
 class AmbiguitySet:
     """A non-empty finite family of candidate laws for one coordinate."""
 
@@ -84,7 +84,7 @@ class AmbiguitySet:
         return tuple(sorted({v for law in self.laws for v in law.values}))
 
 
-@dataclass(frozen=True)
+@frozen
 class MomentSummary:
     """Upper/lower means and second moments plus one upper absolute p-th moment."""
 
@@ -104,7 +104,7 @@ class MomentSummary:
             raise ValidationError("second moments must be non-negative")
 
 
-@dataclass(frozen=True)
+@frozen
 class Event:
     """Threshold event: one of ``X >= x``, ``X > x``, ``|X| > x``."""
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import engine
+from ._frozen import frozen
 from .engine import Functional, SequenceModel
 from .errors import ValidationError
 from .laws import DiscreteLaw, ambiguity
@@ -33,7 +33,7 @@ from .laws import DiscreteLaw, ambiguity
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ResidueDecomposition:
     """Partition of {1..k} into classes with equal index residue mod (m+1)."""
 
@@ -64,7 +64,7 @@ def residue_classes(m: int, k: int) -> ResidueDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RosenthalReport:
     """Left side and the three right-side terms of the maximal inequality.
 
@@ -154,7 +154,7 @@ _WEIGHT_MENU = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class BatteryInstance:
     """One (n, p) check of a battery family.
 
@@ -201,7 +201,7 @@ def rosenthal_battery(seed: int = 20240901) -> tuple[BatteryInstance, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ZReduction:
     """Consecutive blocks of m coordinates; the block sums are 1-dependent.
 
@@ -248,7 +248,7 @@ def z_block_second_moments(model: SequenceModel, red: ZReduction) -> list[tuple[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ThreePartSplit:
     """Index masks and normalized upper second moments of the three parts."""
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -507,6 +509,28 @@ def test_condition_levels_fail_before_any_compile(tmp_path, capsys, engine_calls
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "yaml"])
+@pytest.mark.parametrize("command, flag, raw, message", [
+    ("eval", ["--state-cap", "0"], {"state_cap": 0}, "state_cap must be >= 1"),
+    ("rosenthal", ["--state-cap", "-5"], {"state_cap": -5}, "state_cap must be >= 1"),
+    ("blocking-inspect", ["--tol", "0"], {"blocking": {"tol": 0.0}}, "blocking.tol must be > 0"),
+    ("blocking-inspect", ["--tol", "-0.1"], {"blocking": {"tol": -0.1}},
+     "blocking.tol must be > 0"),
+    ("blocking-inspect", ["--tol", "nan"], {"blocking": {"tol": math.nan}},
+     "blocking.tol must be > 0"),
+], ids=["state_cap-zero", "state_cap-negative", "tol-zero", "tol-negative", "tol-nan"])
+def test_bad_state_cap_or_tol_fails_when_the_config_is_built(tmp_path, capsys, engine_calls,
+                                                             command, flag, raw, message, source):
+    cfg = {**SMALL_CONFIG, "n_list": [4], **(raw if source == "yaml" else {})}
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     *(flag if source == "flag" else [])])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"  # no traceback
+    assert not engine_calls["compile_sum"]
+    assert not out.exists()
+
+
 def test_clt_sweep_checks_the_pde_grid_before_any_compile(tmp_path, capsys, engine_calls):
     # the half-width bound depends only on sigma_hi2, not on the plateau r
     out = tmp_path / "out"
@@ -570,3 +594,60 @@ def test_tol_flag_drives_block_size_search(tmp_path):
     p_loose = _read(loose / "tiny_blocking.csv")[0]["p_n"]
     assert int(p_loose) >= int(p_tight)
     assert int(p_loose) == 4  # tol=inf picks the even floor of sqrt(16)
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing
+# ---------------------------------------------------------------------------
+
+COMMANDS = ("eval", "gnormal", "clt-sweep", "rosenthal", "blocking-inspect", "conditions")
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_parses_all_seven_flags(command):
+    args = cli._parser().parse_args([
+        command, "--config", "cfg.yaml", "--experiment", "iid-peng", "--out", "reports/",
+        "--grid-nx", "401", "--grid-L", "6.5", "--state-cap", "1000", "--tol", "0.25",
+    ])
+    assert vars(args) == {
+        "command": command, "config": "cfg.yaml", "experiment": "iid-peng", "out": "reports/",
+        "grid_nx": 401, "grid_L": 6.5, "state_cap": 1000, "tol": 0.25,
+    }
+    assert type(args.grid_nx) is int and type(args.state_cap) is int
+    assert vars(cli._parser().parse_args([command, "--out", "o"])) == {
+        "command": command, "config": None, "experiment": None, "out": "o",
+        "grid_nx": None, "grid_L": None, "state_cap": None, "tol": None,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--out", "o"], ["eval", "--experiment", "iid-peng"], ["sweep", "--out", "o"],
+], ids=["no-command", "only-out", "no-out", "unknown-command"])
+def test_missing_command_or_out_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: sublexp" in capsys.readouterr().err
+
+
+def test_command_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--help"])
+    assert exc.value.code == 0
+    help_text = "".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert all(flag in help_text for flag in (
+        "--config", "--experiment", "--out", "--grid-nx", "--grid-L", "--state-cap", "--tol"))
+    assert all(name in help_text for name in exp.reference_experiments())
+
+
+def test_readme_command_lines_parse():
+    lines = [shlex.split(line) for line in README.read_text().splitlines()
+             if line.startswith("sublexp ")]
+    assert ["sublexp", "blocking-inspect", "--experiment", "stationary-1dep",
+            "--out", "reports/"] in lines
+    assert {words[1] for words in lines} == set(COMMANDS)
+    for words in lines:
+        args = cli._parser().parse_args(words[1:])
+        assert args.command == words[1] and args.out == "reports/"
