@@ -1,13 +1,12 @@
 """Exact evaluation of sub-linear expectations of functionals of sums.
 
-Two sequence models are supported:
-
-* ``independent`` -- one ambiguity set per index; the coordinates form an
-  independent sequence in the sequential sense (each new coordinate is
-  independent of everything drawn before it).
-* ``moving_window`` -- ``X_k = sum_j w_j * eps_{k+j}`` over i.i.d.-ambiguous
-  innovations ``eps_1 .. eps_{n+m}``; the sequence is m-dependent by
-  construction, with ``m = len(weights) - 1``.
+A sequence model is one moving window: ``X_k = scale * sum_j w_j *
+eps_{k+j}`` for k = 1..n, with one ambiguity set per draw ``eps_1 ..
+eps_{n+m}`` and ``m = len(weights) - 1``.  Each draw is independent of
+everything drawn before it in the sequential sense, so the sequence is
+m-dependent by construction.  An independent sequence is the case m = 0
+with weight 1 (``SequenceModel.iid``, ``independent``); a stationary one
+draws every ``eps`` from one set (``moving_window``).
 
 The upper expectation of ``phi(sum_k X_k)`` is a supremum over *adaptive*
 policies: the law governing each draw may be chosen as a function of all
@@ -78,9 +77,6 @@ from ._frozen import frozen
 from .errors import GuardError, StateCapError, ValidationError
 from .laws import AmbiguitySet
 
-KIND_INDEPENDENT = "independent"
-KIND_MOVING_WINDOW = "moving_window"
-
 GROWTH_BOUNDED_LIPSCHITZ = "bounded_lipschitz"
 GROWTH_QUADRATIC = "quadratic"
 GROWTH_P = "p_growth"
@@ -88,8 +84,8 @@ GROWTH_P = "p_growth"
 #: Default cap on the total number of reachable DP states.
 DEFAULT_STATE_CAP = 50_000_000
 
-#: Default cap on the number of leaf paths in full-history recursions.
-DEFAULT_PATH_CAP = 2_000_000
+#: Cap on the number of leaf paths in full-history recursions.
+PATH_CAP = 2_000_000
 
 _KEY_DECIMALS = 12
 
@@ -200,72 +196,54 @@ def catalog_by_name(name: str) -> Functional:
 
 @frozen
 class SequenceModel:
-    """Triangular-array row: n coordinates, each scaled by ``scale``."""
+    """Triangular-array row ``X_k = scale * sum_j w_j * eps_{k+j}``, k = 1..n.
 
-    kind: str
-    n: int
+    ``sets`` holds the ambiguity set of every draw ``eps_1 .. eps_{n+m}``
+    and ``weights`` the window ``w_0 .. w_m``, so ``m = len(weights) - 1``
+    and ``n = len(sets) - m``.  An independent sequence is the window
+    ``(1.0,)``: ``X_k = scale * eps_k``.
+    """
+
+    sets: tuple[AmbiguitySet, ...]
+    weights: tuple[float, ...] = (1.0,)
     scale: float = 1.0
-    sets: tuple[AmbiguitySet, ...] = ()
-    innovation: AmbiguitySet | None = None
-    weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_INDEPENDENT, KIND_MOVING_WINDOW):
-            raise ValidationError(f"unknown model kind {self.kind!r}")
-        if self.n < 1:
-            raise ValidationError("horizon n must be >= 1")
+        sets, weights = tuple(self.sets), tuple(float(w) for w in self.weights)
+        if not weights:
+            raise ValidationError("weights must be non-empty")
+        if any(not math.isfinite(w) for w in weights):
+            raise ValidationError("weights must be finite")
+        if len(sets) < len(weights):
+            raise ValidationError("horizon n must be >= 1: give at least one set per weight")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("scale must be positive and finite")
-        if self.kind == KIND_INDEPENDENT:
-            if len(self.sets) != self.n:
-                raise ValidationError("independent model needs one set per index")
-            object.__setattr__(self, "sets", tuple(self.sets))
-        else:
-            if self.innovation is None:
-                raise ValidationError("moving-window model needs an innovation set")
-            weights = tuple(float(w) for w in self.weights)
-            if not weights:
-                raise ValidationError("moving-window weights must be non-empty")
-            if any(not math.isfinite(w) for w in weights):
-                raise ValidationError("weights must be finite")
-            object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self) -> int:
-        """Dependence width: 0 for independent models."""
-        if self.kind == KIND_INDEPENDENT:
-            return 0
+        """Dependence width: the draws a coordinate shares with the next."""
         return len(self.weights) - 1
 
     @property
-    def steps(self) -> int:
-        """Number of primitive draws (innovations for moving windows)."""
-        return self.n if self.kind == KIND_INDEPENDENT else self.n + self.m
-
-    def set_at(self, step: int) -> AmbiguitySet:
-        """Ambiguity set of the 1-based primitive draw ``step``."""
-        if self.kind == KIND_INDEPENDENT:
-            return self.sets[step - 1]
-        assert self.innovation is not None
-        return self.innovation
+    def n(self) -> int:
+        """Horizon: the number of coordinates."""
+        return len(self.sets) - len(self.weights) + 1
 
     def prefix(self, M: int) -> "SequenceModel":
         """The model restricted to coordinates ``1..M``."""
         if not 1 <= M <= self.n:
             raise ValidationError(f"prefix length {M} outside 1..{self.n}")
-        if self.kind == KIND_INDEPENDENT:
-            return SequenceModel(self.kind, M, self.scale, self.sets[:M])
-        return SequenceModel(
-            self.kind, M, self.scale, innovation=self.innovation, weights=self.weights
-        )
+        return SequenceModel(self.sets[:M + self.m], self.weights, self.scale)
 
     @staticmethod
     def iid(set_: AmbiguitySet, n: int, scale: float = 1.0) -> "SequenceModel":
-        return SequenceModel(KIND_INDEPENDENT, n, scale, sets=(set_,) * n)
+        return SequenceModel((set_,) * n, scale=scale)
 
     @staticmethod
     def independent(sets: Sequence[AmbiguitySet], scale: float = 1.0) -> "SequenceModel":
-        return SequenceModel(KIND_INDEPENDENT, len(sets), scale, sets=tuple(sets))
+        return SequenceModel(sets, scale=scale)
 
     @staticmethod
     def moving_window(
@@ -274,9 +252,8 @@ class SequenceModel:
         n: int,
         scale: float = 1.0,
     ) -> "SequenceModel":
-        return SequenceModel(
-            KIND_MOVING_WINDOW, n, scale, innovation=innovation, weights=tuple(weights)
-        )
+        """``X_k = scale * sum_j w_j * eps_{k+j}`` over i.i.d.-ambiguous draws of ``innovation``."""
+        return SequenceModel((innovation,) * (n + len(weights) - 1), weights, scale)
 
 
 @frozen
@@ -296,28 +273,21 @@ class EvalResult:
 # Layered dynamic program
 # ---------------------------------------------------------------------------
 #
-# A state after t primitive draws is a window (the last min(t, m) innovation
-# values), acc and, under track_max, maxabs, where acc is the accumulated sum
-# of completed, scaled (and optionally clipped) coordinate values.  A layer
-# holds each of the three as one array.  Coordinate k of a moving-window
-# model completes when innovation k+m has been drawn.
+# A state after t draws is a window (the last min(t, m) drawn values), acc
+# and, under track_max, maxabs, where acc is the accumulated sum of
+# completed, scaled (and optionally clipped) coordinate values.  A layer
+# holds each of the three as one array.  Coordinate k completes when draw
+# k+m has been drawn.
 
 
 def _completes(model: SequenceModel, step: int) -> int | None:
-    if model.kind == KIND_INDEPENDENT:
-        return step
     k = step - model.m
     return k if k >= 1 else None
 
 
 def _term(model: SequenceModel, window: tuple[float, ...], v: float,
           x_clip: float | None) -> float:
-    if model.kind == KIND_INDEPENDENT:
-        raw = v
-    else:
-        vals = window + (v,)
-        raw = math.fsum(w * e for w, e in zip(model.weights, vals))
-    x = model.scale * raw
+    x = model.scale * math.fsum(w * e for w, e in zip(model.weights, window + (v,)))
     if x_clip is not None:
         x = min(max(x, -x_clip), x_clip)
     return x
@@ -348,7 +318,7 @@ class Graph:
     steps: tuple[_Step, ...]
     #: per layer, the payoff argument of every state: acc, or maxabs when tracked
     args: tuple[np.ndarray, ...]
-    #: draws before coordinate 1 completes: m for a moving window, else 0
+    #: draws before coordinate 1 completes: m
     lead: int
     #: ``sizes[t, r]``: the states of layer t reachable from root r; None for
     #: one root, whose layer sizes are those of ``args``
@@ -386,16 +356,20 @@ def _canon_array(x: np.ndarray) -> np.ndarray:
     return out + 0.0
 
 
-def _term_table(model: SequenceModel, values: tuple[float, ...],
+def _term_table(model: SequenceModel, supports: tuple[tuple[float, ...], ...],
                 x_clip: float | None) -> np.ndarray:
     """``table[code, j]``: the term added when a state with window ``code`` draws ``values[j]``.
 
-    A window's code is its base-V digits (V = len(values)), oldest draw
-    first, so row ``code`` of the table belongs to the ``code``-th window of
-    ``itertools.product(values, repeat=m)``; an independent model has the
-    one empty window.
+    ``supports`` holds the support columns of the window's m draws, oldest
+    first, then ``values``, those of the draw itself.  A window's code is a
+    mixed-radix number: each draw's support column is one digit, in the
+    radix of that draw's number of columns, oldest draw first.  So row
+    ``code`` of the table belongs to the ``code``-th window of
+    ``itertools.product(*supports[:-1])``; for m = 0 that is the one empty
+    window.
     """
-    windows = itertools.product(values, repeat=model.m)
+    *window, values = supports
+    windows = itertools.product(*window)
     return np.array([[_term(model, w, v, x_clip) for v in values] for w in windows],
                     dtype=float)
 
@@ -455,17 +429,17 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
     ``p != 0`` in support order.  Both are built once per distinct ambiguity
     set.  A draw adds in root r when it completes a coordinate of mask r
     (every coordinate, for ``None``), and root r adds the term table of its
-    own clip level ``clips[r]``, built once per distinct support and level.
+    own clip level ``clips[r]``, built once per distinct level and supports
+    of the window's draws and its own.
     The last entry holds one ``(table, roots)`` pair per distinct table a
     root adds, in root order, with ``roots`` a bool per root; it is empty
     when the draw adds in no root.
     """
     prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
-    tables: dict[tuple[tuple[float, ...], float | None], np.ndarray] = {}
-    groups: dict[tuple[tuple[float, ...], tuple[bool, ...]], tuple] = {}
-    draws = []
-    for step in range(1, model.steps + 1):
-        set_ = model.set_at(step)
+    tables: dict[tuple[tuple, float | None], np.ndarray] = {}
+    groups: dict[tuple[tuple, tuple[bool, ...]], tuple] = {}
+    draws, supports = [], []
+    for step, set_ in enumerate(model.sets, start=1):
         got = prepared.get(set_)
         if got is None:
             values = tuple(sorted({v for law in set_.laws
@@ -476,16 +450,19 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
                 for law in set_.laws
             )
         values, laws = got
+        supports.append(values)
+        # the supports of the window's draws, then this draw's
+        key = tuple(supports[max(step - 1 - model.m, 0):])
         k = _completes(model, step)
         adds = tuple(k is not None and (mask is None or k in mask) for mask in masks)
-        found = groups.get((values, adds))
+        found = groups.get((key, adds))
         if found is None:
             levels = dict.fromkeys(clip for clip, add in zip(clips, adds) if add)
             for clip in levels:
-                if (values, clip) not in tables:
-                    tables[values, clip] = _term_table(model, values, clip)
-            found = groups[values, adds] = tuple(
-                (tables[values, clip], np.array([a and c == clip for c, a in zip(clips, adds)]))
+                if (key, clip) not in tables:
+                    tables[key, clip] = _term_table(model, key, clip)
+            found = groups[key, adds] = tuple(
+                (tables[key, clip], np.array([a and c == clip for c, a in zip(clips, adds)]))
                 for clip in levels)
         draws.append((len(values), laws, found))
     return draws
@@ -538,8 +515,8 @@ def compile_sum(
     instead of the sum, and ``state_cap`` bounds the states of all layers
     and roots together.
 
-    A layer is three arrays: each state's window code (the last m draws as
-    base-V digits over the support columns), its ``acc``, and, under
+    A layer is three arrays: each state's window code (the last m draws'
+    support columns as mixed-radix digits, see ``_term_table``), its ``acc``, and, under
     ``track_max``, its ``maxabs``.  Every state is expanded under each distinct support value
     with positive probability in some law, all at once: the child's sum is
     ``acc + term[window, j]`` (one IEEE add, as in scalar code), rounded by
@@ -580,7 +557,7 @@ def compile_sum(
     the one its mask's own compile sees, so the states reachable from root r
     are that compile's graph, array for array, and one sweep reads every
     root.  One mask adds no component column and keeps the no-merge step of
-    a masked-out independent draw.  The lattice test covers every table a
+    a masked-out draw when m = 0.  The lattice test covers every table a
     draw adds in any root, so one off-lattice level puts the whole graph on
     the float grid (which builds the same graph), and ``state_cap`` bounds
     the states of all components together.  A state of a mask's compile in
@@ -591,7 +568,7 @@ def compile_sum(
     masks = [None if mask is None else frozenset(mask) for mask in masks]
     if not masks:
         raise ValidationError("compile_sum needs at least one mask")
-    if any(mask is not None and any(not 1 <= k <= model.n for k in mask) for mask in masks):
+    if any(mask and not 1 <= min(mask) <= max(mask) <= model.n for mask in masks):
         raise ValidationError("indices outside 1..n")
     m, R = model.m, len(masks)
     clips = list(x_clip) if isinstance(x_clip, (list, tuple)) else [x_clip] * R
@@ -599,8 +576,9 @@ def compile_sum(
         raise ValidationError(f"x_clip needs one level per mask: {len(clips)} for {R}")
     if any(clip is not None and not clip > 0.0 for clip in clips):
         raise ValidationError("x_clip must be > 0")
-    slides = model.kind == KIND_MOVING_WINDOW and m > 0
+    slides = m > 0
     draws = _draws(model, masks, clips)
+    radices = [V for V, _, _ in draws]
     lattice = _on_lattice(table for _, _, groups in draws for table, _ in groups)
     if lattice:
         counts = {id(table): (table * _QUANTUM).astype(np.int64)
@@ -650,8 +628,8 @@ def compile_sum(
                 columns.append(ids(x))
             if slides:
                 w = (win[:, None] * V + np.arange(V)).ravel()
-                # window length min(step, m); a full window drops its oldest digit
-                span = V ** min(step, m)
+                # the last min(step, m) draws; a full window drops its oldest digit
+                span = math.prod(radices[max(step - m, 0):step])
                 if step > m:
                     w %= span
                 columns.append((w, span))
@@ -662,14 +640,14 @@ def compile_sum(
             if R > 1:
                 comp = c[first]
         else:
-            # no term and no window (an index masked out of an independent
-            # model): the states of a layer are distinct, and all children of
-            # a state are that state again, so there is nothing to merge
+            # no term and no window (an index masked out, m = 0): the states
+            # of a layer are distinct, and all children of a state are that
+            # state again, so there is nothing to merge
             first = np.arange(0, n * V, V)
             child = np.repeat(np.arange(n, dtype=np.int32), V)
         total += len(first)
         if total > state_cap:
-            raise StateCapError(total, state_cap, step=step, steps=model.steps,
+            raise StateCapError(total, state_cap, step=step, steps=len(model.sets),
                                 layer_sizes=(*map(len, args), len(first)))
         steps.append(_Step(child.reshape(n, V), laws))
         if slides:
@@ -685,7 +663,7 @@ def compile_sum(
         # layer's counts and floats are alive at once
         for t, arg in enumerate(args):
             args[t] = arg * unit / float(_QUANTUM)
-    return Graph(tuple(steps), tuple(args), model.steps - model.n,
+    return Graph(tuple(steps), tuple(args), m,
                  np.array(sizes) if R > 1 else None)
 
 
@@ -839,12 +817,12 @@ def _history_values(
     return list(rec(0, ()))
 
 
-def _guard_paths(sets: Sequence[AmbiguitySet], path_cap: int) -> None:
+def _guard_paths(sets: Sequence[AmbiguitySet]) -> None:
     paths = 1
     for s in sets:
         paths *= len(s.support)
-        if paths > path_cap:
-            raise GuardError(f"history recursion would exceed {path_cap} paths")
+        if paths > PATH_CAP:
+            raise GuardError(f"history recursion would exceed {PATH_CAP} paths")
 
 
 Payoff = Callable[[tuple[float, ...]], float]
@@ -857,14 +835,14 @@ def window_columns(
     lower: Sequence[Payoff],
     *,
     x_clip: float | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Upper ``E[psi(X_{i1}, ..., X_{ij})]`` for every ``psi`` of ``upper``, lower for ``lower``.
 
     Evaluated by one recursion over the full history of the involved
-    primitive draws (draws outside the span integrate out), carrying every
-    column; a payoff on both sides is called once per history.  Each value
-    is, bit for bit, that of a recursion carrying its column alone.
+    draws ``{k + j : k in indices, 0 <= j <= m}`` (every other draw
+    integrates out), carrying every column; a payoff on both sides is
+    called once per history.  Each value is, bit for bit, that of a
+    recursion carrying its column alone.
     Intended for small index windows: marginals, cross moments,
     stationarity and independence checks.
     """
@@ -876,40 +854,27 @@ def window_columns(
     distinct = {id(psi): psi for psi in columns}
     position = {key: i for i, key in enumerate(distinct)}
     psis, at = tuple(distinct.values()), [position[id(psi)] for psi in columns]
-    if model.kind == KIND_INDEPENDENT:
-        involved = tuple(sorted(set(idx)))
-        sets = [model.sets[k - 1] for k in involved]
-
-        def coordinates(hist: tuple[float, ...]) -> tuple[float, ...]:
-            by_index = dict(zip(involved, hist))
-            return tuple(model.scale * by_index[k] for k in idx)
-
-    else:
-        first, last = min(idx), max(idx) + model.m
-        assert model.innovation is not None
-        sets = [model.innovation] * (last - first + 1)
-        weights = model.weights
-
-        def coordinates(hist: tuple[float, ...]) -> tuple[float, ...]:
-            return tuple(model.scale * math.fsum(w * hist[k + j - first]
-                                                 for j, w in enumerate(weights))
-                         for k in idx)
+    weights, scale = model.weights, model.scale
+    involved = sorted({k + j for k in idx for j in range(len(weights))})
+    sets = [model.sets[t - 1] for t in involved]
 
     def payoff(hist: tuple[float, ...]) -> list[float]:
-        xs = coordinates(hist)
+        draw = dict(zip(involved, hist))
+        xs = tuple(scale * math.fsum(w * draw[k + j] for j, w in enumerate(weights))
+                   for k in idx)
         if x_clip is not None:
             xs = tuple(min(max(x, -x_clip), x_clip) for x in xs)
         values = [psi(xs) for psi in psis]
         return [values[i] for i in at]
 
-    _guard_paths(sets, path_cap)
+    _guard_paths(sets)
     found = _history_values(sets, payoff, len(upper), len(lower))
     return tuple(found[:len(upper)]), tuple(found[len(upper):])
 
 
 def one_law(model: SequenceModel) -> bool:
-    """Moving window or equal sets: a window's value then does not depend on its shift."""
-    return model.kind == KIND_MOVING_WINDOW or all(s == model.sets[0] for s in model.sets)
+    """Every draw has the same set: a window's value then does not depend on its shift."""
+    return all(s == model.sets[0] for s in model.sets)
 
 
 def marginal_columns(
@@ -972,7 +937,6 @@ def oracle_policy_enum(
     f: Functional,
     *,
     max_n: int = 6,
-    path_cap: int = DEFAULT_PATH_CAP,
 ) -> EvalResult:
     """Brute-force supremum over history-dependent law choices.
 
@@ -980,33 +944,23 @@ def oracle_policy_enum(
     node the value is maximized (and, in a second column of the same
     recursion, minimized for the lower bound) over the member laws, which
     enumerates all adaptive policies.  Payoffs are recomputed from the raw
-    history, independently of the layered DP.
+    history, independently of the layered DP: ``S_n`` is one ``math.fsum``
+    of every product ``w_j * eps_{k+j}``, so it is exactly rounded.
     """
     if model.n > max_n:
         raise GuardError(f"oracle guard: n={model.n} exceeds {max_n}")
-    sets = [model.set_at(t) for t in range(1, model.steps + 1)]
-    for s in sets:
+    for s in model.sets:
         if len(s.laws) > 3:
             raise GuardError("oracle guard: more than 3 laws at one index")
         if any(len(law.values) > 4 for law in s.laws):
             raise GuardError("oracle guard: law support larger than 4 points")
-    _guard_paths(sets, path_cap)
-
-    if model.kind == KIND_INDEPENDENT:
-        def total(hist: tuple[float, ...]) -> float:
-            return math.fsum(hist)
-    else:
-        weights = model.weights
-
-        def total(hist: tuple[float, ...]) -> float:
-            s = 0.0
-            for k in range(1, model.n + 1):
-                s += math.fsum(w * hist[k + j - 1] for j, w in enumerate(weights))
-            return s
+    _guard_paths(model.sets)
+    weights, ks = model.weights, range(model.n)
 
     def payoff(hist: tuple[float, ...]) -> list[float]:
-        value = f.phi(model.scale * total(hist))
+        total = math.fsum(w * hist[k + j] for k in ks for j, w in enumerate(weights))
+        value = f.phi(model.scale * total)
         return [value, value]
 
-    upper, lower = _history_values(sets, payoff, 1, 1)
+    upper, lower = _history_values(model.sets, payoff, 1, 1)
     return EvalResult(upper, lower, 0)

@@ -13,8 +13,6 @@ from dataclasses import field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-import yaml
-
 from . import conditions as cond
 from ._frozen import frozen
 from .engine import DEFAULT_STATE_CAP, SequenceModel
@@ -29,6 +27,7 @@ from .laws import (
 
 MODES = ("eval", "clt_sweep", "gnormal_eval", "rosenthal", "blocking_inspect", "conditions")
 SCALINGS = ("none", "inv_sqrt_n", "inv_n")
+KINDS = ("independent", "moving_window")
 
 DEFAULT_N_LIST = (8, 16, 32, 48)
 DEFAULT_FUNCTIONALS = ("cos", "ramp@0")
@@ -112,21 +111,22 @@ class ModelSpec:
             if self.builder not in BUILDERS:
                 raise ValidationError(f"unknown model builder {self.builder!r}")
             return
+        if self.kind not in KINDS:
+            raise ValidationError(f"unknown model 'kind' {self.kind!r}; use one of {KINDS}")
         if self.scaling not in SCALINGS:
             raise ValidationError(f"unknown scaling rule {self.scaling!r}")
         if not self.laws:
             raise ValidationError("explicit model needs at least one law")
         if self.kind == "moving_window" and not self.weights:
-            raise ValidationError("moving-window model needs weights")
+            raise ValidationError("moving-window model needs 'weights'")
+        if self.kind == "independent" and self.weights:
+            raise ValidationError("model 'weights' needs kind: moving_window")
 
     def build(self, n: int) -> SequenceModel:
         if self.builder is not None:
             return BUILDERS[self.builder](n)
-        set_ = AmbiguitySet(self.laws)
-        scale = _scale_for(self.scaling, n)
-        if self.kind == "moving_window":
-            return SequenceModel.moving_window(set_, self.weights, n, scale)
-        return SequenceModel.iid(set_, n, scale)
+        return SequenceModel.moving_window(AmbiguitySet(self.laws), self.weights or (1.0,), n,
+                                           _scale_for(self.scaling, n))
 
 
 @frozen
@@ -321,12 +321,18 @@ def _model_spec(raw: object) -> ModelSpec:
         "builder": _optional(_text), "kind": _text, "scaling": _text,
         "weights": _tuple_of(_real), "laws": laws, "innovation": laws,
     })
-    if fields.get("builder") is not None:
-        return ModelSpec(builder=fields["builder"])
-    innovation = fields.pop("innovation", None)
-    if fields.get("kind") == "moving_window" and innovation:
-        fields["laws"] = innovation
-    return ModelSpec(**fields)
+    if fields.get("builder") is not None and len(fields) > 1:
+        raise ValidationError(f"model 'builder' takes no other model key: "
+                              f"{sorted(set(fields) - {'builder'})}")
+    innovation = "innovation" in fields
+    if innovation:
+        if "laws" in fields:
+            raise ValidationError("model 'laws' and 'innovation' are alternatives: give one")
+        fields["laws"] = fields.pop("innovation")
+    spec = ModelSpec(**fields)
+    if innovation and spec.kind != "moving_window":
+        raise ValidationError("model 'innovation' needs kind: moving_window")
+    return spec
 
 
 def config_from_mapping(raw: Mapping, *, default_name: str = "experiment") -> ExperimentConfig:
@@ -354,6 +360,8 @@ def config_from_mapping(raw: Mapping, *, default_name: str = "experiment") -> Ex
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    import yaml  # here, not at module level: runs of a built-in experiment never read YAML
+
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {p}")

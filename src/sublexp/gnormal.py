@@ -61,6 +61,9 @@ SUPPORT_MARGIN = 1.0
 
 _NAN_CHECK_EVERY = 200
 
+#: dt of ``default_grid`` as a fraction of the explicit scheme's stability limit.
+_CFL_SAFETY = 0.9
+
 
 @frozen
 class GParams:
@@ -123,14 +126,13 @@ class PDEGrid:
             )
 
 
-def default_grid(p: GParams, half_width: float = 8.0, nx: int = 801,
-                 safety: float = 0.9) -> PDEGrid:
+def default_grid(p: GParams, half_width: float = 8.0, nx: int = 801) -> PDEGrid:
     _check_nx(nx)  # before dx divides by nx - 1
     dx = 2.0 * half_width / (nx - 1)
     if p.sigma_hi2 > 0.0:
-        dt = safety * dx**2 / (2.0 * p.sigma_hi2)
+        dt = _CFL_SAFETY * dx**2 / (2.0 * p.sigma_hi2)
     else:
-        dt = safety * dx**2 / 2.0
+        dt = _CFL_SAFETY * dx**2 / 2.0
     return PDEGrid(half_width, nx, dt)
 
 

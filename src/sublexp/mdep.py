@@ -224,8 +224,8 @@ class ZReduction:
 
 
 def z_reduce(model: SequenceModel, m: int) -> ZReduction:
-    if model.kind != engine.KIND_MOVING_WINDOW or m != model.m:
-        raise ValidationError("z_reduce needs a moving-window model with matching m")
+    if m != model.m:
+        raise ValidationError(f"z_reduce needs the model's m = {model.m}, got {m}")
     if m < 1:
         raise ValidationError("z_reduce needs m >= 1")
     k_n = model.n
@@ -276,8 +276,8 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     which makes the three masks a partition of 1..n.  The non-empty parts
     are the roots of one graph, read by one sweep; an empty one gives 0.
     """
-    if model.kind != engine.KIND_MOVING_WINDOW:
-        raise ValidationError("three_part_split needs a stationary moving-window model")
+    if model.m < 1 or not engine.one_law(model):
+        raise ValidationError("three_part_split needs a stationary model with m >= 1")
     if p_n < 1 or p_n + model.m > n:
         raise ValidationError("need 1 <= p_n and p_n + m <= n")
     m = model.m

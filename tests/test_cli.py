@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,7 +53,7 @@ def test_load_small_config(tmp_path):
     assert cfg.name == "tiny"
     assert cfg.n_list == (4, 8)
     model = cfg.model_for(4)
-    assert model.kind == "moving_window" and model.n == 4 and model.m == 1
+    assert model.n == 4 and model.weights == (1.0, 1.0) and len(model.sets) == 5
 
 
 def test_malformed_probs_rejected(tmp_path):
@@ -266,6 +268,35 @@ def test_main_bad_config_section_exit_1_no_files(tmp_path, capsys, override):
     assert cli.main(["clt-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+LAWS = SMALL_CONFIG["model"]["innovation"]
+
+
+@pytest.mark.parametrize("model, key", [
+    ({**SMALL_CONFIG["model"], "kind": "movingwindow"}, "kind"),
+    ({"kind": "independent", "weights": [1.0, 1.0], "laws": LAWS}, "weights"),
+    ({"kind": "independent", "innovation": LAWS}, "innovation"),
+    ({**SMALL_CONFIG["model"], "laws": LAWS}, "innovation"),
+    ({"builder": "iid-peng", "scaling": "inv_sqrt_n"}, "scaling"),
+    ({"builder": "stationary-1dep", "kind": "moving_window"}, "kind"),
+], ids=["kind-typo", "independent-weights", "independent-innovation", "laws-and-innovation",
+        "builder-scaling", "builder-kind"])
+def test_a_model_key_that_would_be_ignored_exits_1_naming_it(tmp_path, capsys, model, key):
+    cfg_path = write_config(tmp_path, {**SMALL_CONFIG, "mode": "eval", "model": model})
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_import_yaml():
+    # only load_config reads YAML; a run of a built-in experiment need not import it
+    code = "import sys, sublexp.cli; print('yaml' in sys.modules)"
+    found = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True)
+    assert found.stdout == "False\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -344,6 +344,22 @@ def test_model_validation():
         sl.SequenceModel.moving_window(pm1_uncertain(), (), 3)
     with pytest.raises(ValidationError):
         sl.SequenceModel.iid(pm1_uncertain(), 2, scale=0.0)
+    a = pm1_uncertain()
+    for bad in (
+        {"sets": (a, a), "weights": ()},
+        {"sets": (a, a), "weights": (1.0, math.nan)},
+        {"sets": (a, a), "weights": (math.inf,)},
+        {"sets": (a, a), "weights": (1.0, 1.0, 1.0)},  # fewer sets than weights: n < 1
+        {"sets": (), "weights": (1.0,)},
+        {"sets": (a, a), "scale": -1.0},
+        {"sets": (a, a), "scale": math.inf},
+        {"sets": (a, a), "scale": math.nan},
+    ):
+        with pytest.raises(ValidationError):
+            sl.SequenceModel(**bad)
+    model = sl.SequenceModel([a, a, a], [1, 0.5])
+    assert (model.sets, model.weights, model.n, model.m) == ((a, a, a), (1.0, 0.5), 2, 1)
+    assert sl.SequenceModel.moving_window(a, (1.0,), 3) == sl.SequenceModel.iid(a, 3)
 
 
 def test_catalog_names_round_trip():

@@ -23,7 +23,8 @@ compile of ``model.prefix(M)`` and the dict DP on that prefix give, and a
 sweep of the upper (or lower) columns alone gives the same floats as the
 sweep of both sides;
 ``marginal_columns`` and ``spread_columns`` give what the per-index
-``eval_index`` loop gives, on iid, moving-window and unequal-set models, and
+``eval_index`` loop gives, on iid, moving-window and unequal-set models
+(windows whose draws take different sets among them), and
 the summation helpers add those values left to right from 0.0.
 ``window_columns`` and ``marginal_columns``, one history recursion carrying
 many payoff columns, give for every column what the one-column recursion
@@ -54,7 +55,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sublexp as sl
 import sublexp.engine as eng
 import sublexp.mdep as mdep
-from sublexp.engine import KIND_INDEPENDENT, KIND_MOVING_WINDOW, SequenceModel
+from sublexp.engine import SequenceModel
 from sublexp.errors import StateCapError, ValidationError
 
 from conftest import random_model
@@ -72,19 +73,14 @@ def _canon(x: float) -> float:
 
 
 def _completes(model: SequenceModel, step: int) -> int | None:
-    if model.kind == KIND_INDEPENDENT:
-        return step
     k = step - model.m
     return k if k >= 1 else None
 
 
 def _term(model: SequenceModel, window: tuple[float, ...], v: float,
           x_clip: float | None) -> float:
-    if model.kind == KIND_INDEPENDENT:
-        raw = v
-    else:
-        vals = window + (v,)
-        raw = math.fsum(w * e for w, e in zip(model.weights, vals))
+    vals = window + (v,)
+    raw = math.fsum(w * e for w, e in zip(model.weights, vals))
     x = model.scale * raw
     if x_clip is not None:
         x = min(max(x, -x_clip), x_clip)
@@ -110,7 +106,7 @@ def _transition(
         acc = _canon(acc + _term(model, window, v, x_clip))
         if track_max:
             mx = max(mx, abs(acc))
-    if model.kind == KIND_MOVING_WINDOW and m > 0:
+    if m > 0:
         window = (window + (v,))[-m:]
     else:
         window = ()
@@ -127,8 +123,8 @@ def _forward_layers(
     init = (0.0, 0.0) if track_max else (0.0,)
     layers: list[list[tuple[float, ...]]] = [[init]]
     total = 1
-    for step in range(1, model.steps + 1):
-        set_ = model.set_at(step)
+    for step in range(1, len(model.sets) + 1):
+        set_ = model.sets[step - 1]
         nxt: dict[tuple[float, ...], None] = {}
         for state in layers[-1]:
             for law in set_.laws:
@@ -154,8 +150,8 @@ def _backward_values(
     values: dict[tuple[float, ...], tuple[float, float]] = {
         s: (payoff(s), payoff(s)) for s in layers[-1]
     }
-    for step in range(model.steps, 0, -1):
-        set_ = model.set_at(step)
+    for step in range(len(model.sets), 0, -1):
+        set_ = model.sets[step - 1]
         prev: dict[tuple[float, ...], tuple[float, float]] = {}
         for state in layers[step - 1]:
             up_best = -math.inf
@@ -214,7 +210,7 @@ def reference_compile_sum(
     if x_clip is not None and not x_clip > 0.0:
         raise ValidationError("x_clip must be > 0")
     m = model.m
-    slides = model.kind == KIND_MOVING_WINDOW and m > 0
+    slides = m > 0
     # a state is window + (acc,), or window + (acc, maxabs) under track_max
     split = -2 if track_max else -1
     terms: dict[tuple[tuple[float, ...], float], float] = {}
@@ -222,8 +218,8 @@ def reference_compile_sum(
     args = [np.zeros(1)]
     total = 1
     steps: list[eng._Step] = []
-    for step in range(1, model.steps + 1):
-        set_ = model.set_at(step)
+    for step in range(1, len(model.sets) + 1):
+        set_ = model.sets[step - 1]
         values = sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
                          if p != 0.0})
         column = {v: j for j, v in enumerate(values)}
@@ -264,13 +260,13 @@ def reference_compile_sum(
                 record(index(key, len(nxt)))
         total += len(nxt)
         if total > state_cap:
-            raise StateCapError(total, state_cap, step=step, steps=model.steps,
+            raise StateCapError(total, state_cap, step=step, steps=len(model.sets),
                                 layer_sizes=(*map(len, args), len(nxt)))
         steps.append(eng._Step(
             np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
         layer = list(nxt)
         args.append(np.array([state[-1] for state in layer], dtype=float))
-    return eng.Graph(tuple(steps), tuple(args), model.steps - model.n)
+    return eng.Graph(tuple(steps), tuple(args), len(model.sets) - model.n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +305,11 @@ def models(draw) -> SequenceModel:
     m = draw(st.integers(0, 2))
     weights = draw(st.lists(st.sampled_from((-1.0, 0.5, 1.0, 0.7)),
                             min_size=m + 1, max_size=m + 1))
+    if draw(st.booleans()):
+        # a window whose draws take one of two sets each
+        pair = (draw(ambiguity_sets(pool)), draw(ambiguity_sets(pool)))
+        return SequenceModel(draw(st.lists(st.sampled_from(pair), min_size=n + m,
+                                           max_size=n + m)), weights, scale)
     return SequenceModel.moving_window(draw(ambiguity_sets(pool)), weights, n, scale)
 
 
@@ -358,7 +359,7 @@ LIPSCHITZ = {
 
 def _oracle_applies(model: SequenceModel, opts: dict) -> bool:
     """No mask, clip or running max, and few enough histories to enumerate."""
-    paths = math.prod(len(model.set_at(t).support) for t in range(1, model.steps + 1))
+    paths = math.prod(len(s.support) for s in model.sets)
     return not opts and paths <= ORACLE_PATHS
 
 
@@ -371,8 +372,8 @@ def _grid_error(model: SequenceModel, f: eng.Functional) -> float:
     phi turns the total into at most its Lipschitz constant on the reachable
     range times that.
     """
-    weights = model.weights or (1.0,)
-    supports = {v for t in range(1, model.steps + 1) for v in model.set_at(t).support}
+    weights = model.weights
+    supports = {v for s in model.sets for v in s.support}
     products = [w * v * model.scale for w in weights for v in supports]
     if all((64.0 * x).is_integer() for x in products):
         return 0.0
@@ -436,8 +437,8 @@ def assert_same_graph(got: eng.Graph, want: eng.Graph) -> None:
 @given(cases(), st.booleans())
 def test_compile_sum_builds_the_reference_graph(case, iid):
     model, _, opts = case
-    if iid and model.kind == KIND_INDEPENDENT:
-        model = SequenceModel.iid(model.sets[0], model.n, model.scale)
+    if iid and model.m == 0:
+        model = SequenceModel(model.sets[:1] * model.n, model.weights, model.scale)
     want = reference_compile_sum(model, **opts)
     assert_same_graph(eng.compile_sum(model, **opts), want)
     # renumbering the packed key before every pack changes no state and no order
@@ -627,10 +628,10 @@ def eval_index(
 
 @st.composite
 def marginal_models(draw) -> SequenceModel:
-    """``models()``, with half of the independent ones made iid (equal sets)."""
+    """``models()``, with half of the m = 0 ones made iid (equal sets)."""
     model = draw(models())
-    if model.kind == KIND_INDEPENDENT and draw(st.booleans()):
-        return SequenceModel.iid(model.sets[0], model.n, model.scale)
+    if model.m == 0 and draw(st.booleans()):
+        return SequenceModel(model.sets[:1] * model.n, model.weights, model.scale)
     return model
 
 
@@ -688,6 +689,7 @@ def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
         (SequenceModel.iid(a, 5), [(1,)]),
         (SequenceModel.moving_window(a, (1.0, 0.5), 5), [(1,)]),
         (SequenceModel.independent((a, b, a, b, a)), [(1,), (2,), (3,), (4,), (5,)]),
+        (SequenceModel((a, a, b, a, a, a), (1.0, 0.5)), [(1,), (2,), (3,), (4,), (5,)]),
     ):
         calls.clear()
         _, (col,) = eng.marginal_columns(model, [], [lambda x: x * x])
@@ -726,18 +728,12 @@ def reference_eval_window(model: SequenceModel, indices, psi, *, lower: bool = F
     """One window payoff as the engine evaluated it before ``window_columns``: one
     column, payoffs built per history."""
     idx = tuple(indices)
-    first = min(idx)
-    if model.kind == KIND_INDEPENDENT:
-        involved = tuple(sorted(set(idx)))
-        sets = [model.sets[k - 1] for k in involved]
+    involved = sorted({k + j for k in idx for j in range(model.m + 1)})
+    sets = [model.sets[t - 1] for t in involved]
 
-        def raw(hist, k):
-            return dict(zip(involved, hist))[k]
-    else:
-        sets = [model.innovation] * (max(idx) + model.m - first + 1)
-
-        def raw(hist, k):
-            return math.fsum(w * hist[k + j - first] for j, w in enumerate(model.weights))
+    def raw(hist, k):
+        draws = dict(zip(involved, hist))
+        return math.fsum(w * draws[k + j] for j, w in enumerate(model.weights))
 
     def payoff(hist):
         xs = []
@@ -819,16 +815,73 @@ def test_marginal_columns_equal_one_column_recursions(model, sides, x_clip):
                 for k in range(1, model.n + 1))
 
 
+def test_a_window_over_per_draw_sets_compiles_and_takes_marginals_per_index():
+    a = sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)])
+    b = sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)])
+    model = SequenceModel((a, b, b, a, a, b), (1.0, 0.5))
+    assert (model.n, model.m) == (5, 1) and not eng.one_law(model)
+    # window codes mix radix 3 (a's support) and 2 (b's)
+    for opts in ({}, {"track_max": True, "masks": [(1, 2, 4)]}):
+        graph = eng.compile_sum(model, **opts)
+        assert_same_graph(graph, reference_compile_sum(model, **opts))
+        (got,) = eng.evaluate_columns(graph, [(eng.cosine(), model.n)])
+        assert bits(got) == bits(reference_eval_sum(model, eng.cosine(), **opts))
+    ups, los = eng.marginal_columns(model, MARGINAL_PHIS, MARGINAL_PHIS, x_clip=0.8)
+    for side, is_lower in ((ups, False), (los, True)):
+        for col, phi in zip(side, MARGINAL_PHIS):
+            assert hexes(col) == hexes(
+                reference_eval_window(model, (k,), lambda xs, _phi=phi: _phi(xs[0]),
+                                      lower=is_lower, x_clip=0.8)
+                for k in range(1, model.n + 1))
+    # X_1 = a + b/2 and X_2 = b + b/2 have different means
+    assert ups[1][0] != ups[1][1]
+    with pytest.raises(ValidationError):
+        mdep.three_part_split(model, 5, 2)
+
+
+def test_distant_window_indices_recurse_over_their_own_draws_only(monkeypatch):
+    a = sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)])
+    b = sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)])
+    recursed: list[int] = []
+    history_values = eng._history_values
+
+    def counting(sets, *args):
+        recursed.append(len(sets))
+        return history_values(sets, *args)
+
+    monkeypatch.setattr(eng, "_history_values", counting)
+    payoffs = WINDOW_PAYOFFS[:3]
+    for model in (SequenceModel.moving_window(a, (1.0, 0.5), 6),
+                  SequenceModel((a, b, b, a, b, a, a), (1.0, -1.0)),
+                  SequenceModel.independent((a, b, a, b, a, b))):
+        # gaps wider than m + 1 leave draws no coordinate involves
+        for idx in ((1, 4), (5, 2), (1, 2, 5)):
+            involved = sorted({k + j for k in idx for j in range(model.m + 1)})
+            recursed.clear()
+            ups, los = eng.window_columns(model, idx, payoffs, payoffs)
+            assert recursed == [len(involved)]
+            assert hexes(ups) == hexes(reference_eval_window(model, idx, psi) for psi in payoffs)
+            assert hexes(los) == hexes(reference_eval_window(model, idx, psi, lower=True)
+                                       for psi in payoffs)
+            # the draws left out integrate out of a recursion over the whole span
+            first, last = min(idx), max(idx) + model.m
+            for got, psi in zip(ups, payoffs):
+                def payoff(hist, _psi=psi):
+                    return _psi(tuple(math.fsum(w * hist[k + j - first]
+                                                for j, w in enumerate(model.weights))
+                                      for k in idx))
+
+                span = reference_history_value(model.sets[first - 1:last], payoff, True)
+                assert got == pytest.approx(span, rel=1e-12, abs=1e-12)
+
+
 def reference_oracle(model: SequenceModel, f: eng.Functional) -> tuple[float, float]:
     """``oracle_policy_enum`` as it was: one one-column recursion per side."""
-    sets = [model.set_at(t) for t in range(1, model.steps + 1)]
+    sets = model.sets
 
     def payoff(hist):
-        if model.kind == KIND_INDEPENDENT:
-            return f.phi(model.scale * math.fsum(hist))
-        total = 0.0
-        for k in range(1, model.n + 1):
-            total += math.fsum(w * hist[k + j - 1] for j, w in enumerate(model.weights))
+        total = math.fsum(w * hist[k + j - 1]
+                          for k in range(1, model.n + 1) for j, w in enumerate(model.weights))
         return f.phi(model.scale * total)
 
     return (reference_history_value(sets, payoff, True),
@@ -838,7 +891,7 @@ def reference_oracle(model: SequenceModel, f: eng.Functional) -> tuple[float, fl
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(models(), st.sampled_from(FUNCTIONALS))
 def test_oracle_sides_equal_two_one_column_recursions(model, f):
-    paths = math.prod(len(model.set_at(t).support) for t in range(1, model.steps + 1))
+    paths = math.prod(len(s.support) for s in model.sets)
     assume(paths <= 300)
     got = eng.oracle_policy_enum(model, f)
     assert hexes((got.upper, got.lower)) == hexes(reference_oracle(model, f))

@@ -49,7 +49,7 @@ def samples() -> dict[type, object]:
     graph = eng.compile_sum(MODEL)
     gp = gn.GParams(0.5, 1.0)
     found = [
-        MODEL.innovation.laws[0], MODEL.innovation, moments(MODEL.innovation, 3.0),
+        MODEL.sets[0].laws[0], MODEL.sets[0], moments(MODEL.sets[0], 3.0),
         Event("ge", 0.5), eng.cosine(), MODEL, ctx.m2, graph.steps[0], graph,
         gp, gn.default_grid(gp), exp.ModelSpec(builder="iid-peng"), exp.GnormalSettings(),
         exp.ConditionSettings(), exp.BlockingSettings(), exp.reference_experiments()["iid-peng"],
@@ -138,8 +138,7 @@ DEFAULTED = [(cls, f.name) for cls in VALUE_TYPES for f in dataclasses.fields(cl
              or f.default_factory is not dataclasses.MISSING]
 
 #: Fields whose default the class rejects alongside the other values of its sample.
-INVALID_DEFAULTS = {(eng.SequenceModel, "innovation"), (eng.SequenceModel, "weights"),
-                    (exp.ModelSpec, "builder")}
+INVALID_DEFAULTS = {(exp.ModelSpec, "builder")}
 
 
 @pytest.mark.parametrize("cls, name", DEFAULTED,
@@ -172,7 +171,7 @@ def test_repr_lists_the_fields(cls):
     (gn.GParams(0.5, 1.0), {"sigma_lo2": 2.0}),
     (gn.default_grid(gn.GParams(0.5, 1.0)), {"nx": 2}),
     (centered_three_point_law(0.49), {"probs": (0.5, 0.5, 0.5)}),
-    (MODEL, {"n": 0}),
+    (MODEL, {"sets": MODEL.sets[:1]}),
     (MODEL, {"weights": ()}),
     (exp.reference_experiments()["iid-peng"], {"state_cap": 0}),
     (exp.reference_experiments()["iid-peng"], {"n_list": (16, 8)}),
