@@ -21,9 +21,16 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterator, Sequence
+
+# The calculator's only BLAS work is a 96-point hermgauss and one 96-term dot,
+# so a CLI process loads numpy with single-threaded OpenBLAS: a worker pool
+# would only add start-up and CPU time.  Set before numpy's first import; a
+# value the user set wins, and library users keep OpenBLAS's own default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import blocking as blk
 from . import conditions as cond

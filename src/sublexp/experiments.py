@@ -9,7 +9,7 @@ row length n (the heavy-tailed family scales its tail mass like 1/n^2).
 from __future__ import annotations
 
 import math
-from dataclasses import field, replace
+from dataclasses import field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -110,6 +110,10 @@ class ModelSpec:
         if self.builder is not None:
             if self.builder not in BUILDERS:
                 raise ValidationError(f"unknown model builder {self.builder!r}")
+            others = [f.name for f in fields(self)
+                      if f.name != "builder" and getattr(self, f.name) != f.default]
+            if others:
+                raise ValidationError(f"model 'builder' takes no other model field: {others}")
             return
         if self.kind not in KINDS:
             raise ValidationError(f"unknown model 'kind' {self.kind!r}; use one of {KINDS}")

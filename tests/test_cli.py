@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import sublexp.engine as eng
 import sublexp.experiments as exp
 import sublexp.mdep as mdep
 from sublexp.errors import ValidationError
+from sublexp.laws import bernoulli_pm1
 
 SMALL_CONFIG = {
     "name": "tiny",
@@ -289,6 +291,20 @@ def test_a_model_key_that_would_be_ignored_exits_1_naming_it(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{key}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("others, named", [
+    ({"scaling": "inv_n", "kind": "nonsense"}, "['kind', 'scaling']"),
+    ({"kind": "moving_window"}, "['kind']"),
+    ({"weights": (1.0, 1.0)}, "['weights']"),
+    ({"laws": (bernoulli_pm1(0.5),)}, "['laws']"),
+])
+def test_a_builder_model_spec_rejects_every_other_field_naming_it(others, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        exp.ModelSpec(builder="iid-peng", **others)
+    # a field given at its default is no conflict
+    assert exp.ModelSpec(builder="iid-peng", kind="independent", scaling="none").build(4) == \
+        exp.ModelSpec(builder="iid-peng").build(4)
 
 
 def test_importing_the_cli_does_not_import_yaml():
