@@ -45,7 +45,6 @@ _EXPORTS = {
         "EvalResult",
         "Functional",
         "SequenceModel",
-        "bounded_lipschitz_catalog",
         "catalog",
         "catalog_by_name",
         "compile_sum",

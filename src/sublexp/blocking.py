@@ -10,7 +10,9 @@ search window is the upper half of the next ``p_n`` indices and the cut is
 the window's beta-minimizer (smallest index on ties).  The open intervals
 between consecutive cuts are the big blocks ``H_i``; removing the cut
 singletons leaves block sums ``Y_i`` that are independent, because
-consecutive blocks are separated by at least one removed index.
+consecutive blocks are separated by at least one removed index (this needs
+m <= 1, which ``build_plan`` checks).  A block sum is an ``engine.eval_sums``
+mask, and a pair of blocks one ``engine.window_columns`` window.
 
 The diagnostics are the quantities the limit argument drives to zero: the
 beta mass on the cuts, the aggregated one-sided covariance corrections at
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 from . import engine
 from ._frozen import frozen
@@ -109,9 +110,16 @@ class BlockingPlan:
 
 
 def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
-    """Run the cut recursion; degenerates to a single block when k_n < p_n."""
+    """Run the cut recursion; degenerates to a single block when k_n < p_n.
+
+    Only for a row with m <= 1 does one removed index between blocks make
+    the block sums independent, so any other row is refused.
+    """
     if p_n < 2 or p_n % 2 != 0:
         raise ValidationError("p_n must be an even integer >= 2")
+    if ctx.model.m > 1:
+        raise ValidationError(f"blocking needs a 1-dependent row (m <= 1), got m = {ctx.model.m}: "
+                              "mdep.z_reduce groups it into 1-dependent block sums")
     n = ctx.model.n
     beta = compute_beta(ctx)
     g = [0]
@@ -132,60 +140,6 @@ def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
         k_n=n, p_n=p_n, beta=beta, cuts=cuts,
         windows=tuple(windows), blocks=tuple(blocks),
     )
-
-
-@frozen
-class BlockSequence:
-    """The independent block-sum sequence ``Y_i = sum_{j in H_i} X_j``.
-
-    Block marginals are never materialized as explicit law sets (the set of
-    policy-achievable laws grows exponentially with the block length);
-    every evaluation is delegated to the exact engine on the block's index
-    window, which computes the same supremum.
-    """
-
-    model: SequenceModel
-    plan: BlockingPlan
-
-    def block_eval(self, i: int, phi: Callable[[float], float], *,
-                   lower: bool = False) -> float:
-        """Upper (or lower) expectation of ``phi(Y_i)``; empty blocks give phi(0)."""
-        blk = self.plan.blocks[i - 1]
-        if not blk:
-            return phi(0.0)
-        f = engine.Functional("block", phi, engine.GROWTH_QUADRATIC)
-        (res,) = engine.eval_sums(self.model, f, [blk])
-        return res.lower if lower else res.upper
-
-    def pair_eval(self, i: int, j: int,
-                  psi: Callable[[float, float], float], *,
-                  lower: bool = False) -> float:
-        """Joint expectation of ``psi(Y_i, Y_j)`` for small adjacent blocks."""
-        bi, bj = self.plan.blocks[i - 1], self.plan.blocks[j - 1]
-        if not bi or not bj:
-            raise ValidationError("pair_eval needs non-empty blocks")
-        split = len(bi)
-
-        def payoff(xs: tuple[float, ...]) -> float:
-            return psi(math.fsum(xs[:split]), math.fsum(xs[split:]))
-
-        ups, los = engine.window_columns(self.model, bi + bj, [] if lower else [payoff],
-                                         [payoff] if lower else [])
-        return (los if lower else ups)[0]
-
-
-def block_models(model: SequenceModel, plan: BlockingPlan) -> tuple[BlockSequence, tuple[int, ...]]:
-    """The Y sequence plus the removed cut singletons.
-
-    Requires a 1-dependent source (apply the Z reduction first for general
-    m): only then does one removed index between consecutive blocks make
-    the block sums independent.
-    """
-    if model.m > 1:
-        raise ValidationError("block_models needs a 1-dependent model (m <= 1)")
-    if model.n != plan.k_n:
-        raise ValidationError("plan horizon does not match the model")
-    return BlockSequence(model, plan), plan.cuts
 
 
 @frozen

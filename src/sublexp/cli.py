@@ -105,8 +105,8 @@ def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
 
     ``last`` is the row of the largest n.  Its second moments are the
     ratio's; under truncation, those of its sum clipped at the config's
-    tau are, from one compile of that clipped sum and one sweep.
-    ``last.B2`` rejects a degenerate model first, clipped or not.
+    tau are, from one ``engine.eval_sums`` call.  ``last.B2`` rejects a
+    degenerate model first, clipped or not.
     """
     if cfg.gnormal.sigma_lo2 is not None:
         return cfg.gnormal.sigma_lo2
@@ -114,8 +114,8 @@ def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
     tau = cfg.conditions.tau
     if tau is None:
         return last.m2.lower / B2
-    clipped = engine.compile_sum(last.model, x_clip=tau, state_cap=cfg.state_cap)
-    (res,) = engine.evaluate_columns(clipped, [(engine.square(), last.model.n)])
+    (res,) = engine.eval_sums(last.model, engine.square(), [None], x_clip=tau,
+                              state_cap=cfg.state_cap)
     return res.lower / res.upper
 
 

@@ -13,7 +13,6 @@ array-theorem convention).  The truncated sub-report switches to
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 from . import engine
@@ -50,8 +49,13 @@ class TruncatedProfile:
 class ConditionReport:
     """The hypotheses of row n, each keyed by its grid point (eps, M or p).
 
-    ``trunc`` holds the same quantities at the truncation level tau, when
-    the row has one.
+    ``lindeberg[eps]`` is ``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``,
+    ``mean_unc`` is ``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)`` on the
+    un-centered coordinates, ``m2_ratio`` is ``(1/B_n^2) sum_k E[X_k^2]``
+    (the O(1) hypothesis), ``var_ratio[M]`` is ``variance_ratio``,
+    ``pth[p]`` is ``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement
+    hypothesis) and ``cap_tail[eps]`` is ``capacity_tail``.  ``trunc`` holds
+    the same quantities at the truncation level tau, when the row has one.
     """
 
     n: int
@@ -188,27 +192,6 @@ def _marginal_sums(model: SequenceModel, phis: Sequence[Callable[[float], float]
     return [engine.ordered_sum(col) for col in columns], engine.ordered_sum(spreads)
 
 
-def _point_report(ctx: RowContext, eps_grid: Sequence[float] = (),
-                  p_grid: Sequence[float] = ()) -> ConditionReport:
-    """``build_report`` at these points alone: no variance ratio and no truncated profile."""
-    return build_report(replace(ctx, tau=None, M_grid=()), eps_grid, p_grid)
-
-
-def lindeberg(ctx: RowContext, eps: float) -> float:
-    """``(1/B_n^2) sum_k E[(X_k^2 - eps B_n^2)^+]``."""
-    return _point_report(ctx, eps_grid=(eps,)).lindeberg[eps]
-
-
-def mean_uncertainty(ctx: RowContext) -> float:
-    """``(1/B_n) sum_k (|E[X_k]| + |e[X_k]|)``, on the un-centered coordinates."""
-    return _point_report(ctx).mean_unc
-
-
-def m2_ratio(ctx: RowContext) -> float:
-    """``(1/B_n^2) sum_k E[X_k^2]`` (the O(1) hypothesis)."""
-    return _point_report(ctx).m2_ratio
-
-
 def _ratio(res: engine.EvalResult) -> float:
     """Lower-to-upper value of ``res``; NaN when the upper one is zero (no ratio)."""
     return res.lower / res.upper if res.upper > 0.0 else math.nan
@@ -225,13 +208,6 @@ def variance_ratio(ctx: RowContext, M: int) -> float:
         raise ValidationError(f"the row of n={ctx.model.n} holds no S_{M}: "
                               f"its horizons are n and {list(ctx.M_grid)}")
     return _ratio(ctx.moments[M][0])
-
-
-def pth_moment(ctx: RowContext, p: float) -> float:
-    """``(1/B_n^p) sum_k E[|X_k|^p]`` (the p-growth replacement hypothesis)."""
-    if p < 2.0:
-        raise ValidationError("need p >= 2")
-    return _point_report(ctx, p_grid=(p,)).pth[p]
 
 
 def capacity_tail(ctx: RowContext, eps: float) -> float:
@@ -274,23 +250,22 @@ def build_report(
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     p_grid: Sequence[float] = DEFAULT_P_GRID,
 ) -> ConditionReport:
-    """Every hypothesis of row n: the functions above, each at every point of its grid.
+    """Every hypothesis of row n, each at every point of its grid.
 
     The marginal quantities (E[X_k^2], the Lindeberg excesses and the
     capacity tails per eps, E[|X_k|^p] per p, E[X_k] and e[X_k]) are the
     columns of one history recursion, and with the row's tau those at tau
     of one more, clipped (``truncated_profile``).  The variance ratios of
     the row's grid, clipped ones included, are read from the moments the
-    context was built with, so a report compiles and sweeps nothing.
-    ``lindeberg``, ``mean_uncertainty``, ``m2_ratio`` and ``pth_moment``
-    read a report with their own point alone, which makes one recursion;
-    ``capacity_tail``, which divides by no ``B_n``, makes its own.
+    context was built with, so a report compiles and sweeps nothing.  For
+    one quantity, pass a grid of one point and leave the other empty;
+    ``capacity_tail``, which divides by no ``B_n``, makes its own recursion.
     """
     if any(eps <= 0.0 for eps in eps_grid):
         raise ValidationError("eps must be > 0")
-    B2 = ctx.B2
     if any(p < 2.0 for p in p_grid):
         raise ValidationError("need p >= 2")
+    B2 = ctx.B2
     sums, spread = _marginal_sums(ctx.model, [
         _square,
         *(lambda x, _c=eps * B2: max(x * x - _c, 0.0) for eps in eps_grid),

@@ -5,7 +5,7 @@ eps_{k+j}`` for k = 1..n, with one ambiguity set per draw ``eps_1 ..
 eps_{n+m}`` and ``m = len(weights) - 1``.  Each draw is independent of
 everything drawn before it in the sequential sense, so the sequence is
 m-dependent by construction.  An independent sequence is the case m = 0
-with weight 1 (``SequenceModel.iid``, ``independent``); a stationary one
+with weight 1 (``SequenceModel(sets)``, ``iid``); a stationary one
 draws every ``eps`` from one set (``moving_window``).
 
 The upper expectation of ``phi(sum_k X_k)`` is a supremum over *adaptive*
@@ -77,10 +77,6 @@ from ._frozen import frozen
 from .errors import GuardError, StateCapError, ValidationError
 from .laws import AmbiguitySet
 
-GROWTH_BOUNDED_LIPSCHITZ = "bounded_lipschitz"
-GROWTH_QUADRATIC = "quadratic"
-GROWTH_P = "p_growth"
-
 #: Default cap on the total number of reachable DP states.
 DEFAULT_STATE_CAP = 50_000_000
 
@@ -99,62 +95,42 @@ _LATTICE_LIMIT = 2**41
 
 @frozen
 class Functional:
-    """A scalar test function with its growth class.
-
-    The growth tag drives which acceptance comparisons a functional takes
-    part in (only bounded Lipschitz entries enter the PDE convergence
-    sweeps); it has no effect on the exact finite evaluations.
-    """
+    """A named scalar test function ``phi``."""
 
     name: str
     phi: Callable[[float], float]
-    growth: str
-    p: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.growth not in (GROWTH_BOUNDED_LIPSCHITZ, GROWTH_QUADRATIC, GROWTH_P):
-            raise ValidationError(f"unknown growth class {self.growth!r}")
-        if self.growth == GROWTH_P and (self.p is None or self.p < 2.0):
-            raise ValidationError("p_growth requires an exponent p >= 2")
 
 
 def square() -> Functional:
-    return Functional("square", lambda x: x * x, GROWTH_QUADRATIC)
-
-
-def neg_square() -> Functional:
-    return Functional("neg_square", lambda x: -(x * x), GROWTH_QUADRATIC)
+    return Functional("square", lambda x: x * x)
 
 
 def identity() -> Functional:
-    return Functional("identity", lambda x: x, GROWTH_QUADRATIC)
+    return Functional("identity", lambda x: x)
 
 
 def cosine() -> Functional:
-    return Functional("cos", math.cos, GROWTH_BOUNDED_LIPSCHITZ)
+    return Functional("cos", math.cos)
 
 
 def ramp(a: float) -> Functional:
     """Capped ramp ``min(1, (x - a)^+)``: bounded, 1-Lipschitz."""
-    return Functional(
-        f"ramp@{a:g}", lambda x, _a=a: min(1.0, max(x - _a, 0.0)),
-        GROWTH_BOUNDED_LIPSCHITZ,
-    )
+    return Functional(f"ramp@{a:g}", lambda x, _a=a: min(1.0, max(x - _a, 0.0)))
 
 
 def abs_power(p: float) -> Functional:
     if p < 2.0:
         raise ValidationError("abs_power requires p >= 2")
-    return Functional(f"abspow@{p:g}", lambda x, _p=p: abs(x) ** _p, GROWTH_P, p=p)
+    return Functional(f"abspow@{p:g}", lambda x, _p=p: abs(x) ** _p)
 
 
 def scaled(f: Functional, multiplier: float) -> Functional:
-    """``phi(multiplier * s)`` with the original growth tag and name."""
-    return Functional(f.name, lambda s, _f=f.phi, _c=multiplier: _f(_c * s), f.growth, f.p)
+    """``phi(multiplier * s)`` under the original name."""
+    return Functional(f.name, lambda s, _f=f.phi, _c=multiplier: _f(_c * s))
 
 
 def negated(f: Functional) -> Functional:
-    return Functional(f"-{f.name}", lambda s, _f=f.phi: -_f(s), f.growth, f.p)
+    return Functional(f"-{f.name}", lambda s, _f=f.phi: -_f(s))
 
 
 def catalog() -> tuple[Functional, ...]:
@@ -174,19 +150,22 @@ def catalog() -> tuple[Functional, ...]:
     )
 
 
-def bounded_lipschitz_catalog() -> tuple[Functional, ...]:
-    return tuple(f for f in catalog() if f.growth == GROWTH_BOUNDED_LIPSCHITZ)
-
-
 def catalog_by_name(name: str) -> Functional:
+    """A catalog entry, or ``ramp@a`` / ``abspow@p`` for a finite number after the ``@``."""
     for f in catalog():
         if f.name == name:
             return f
-    if name.startswith("ramp@"):
-        return ramp(float(name.split("@", 1)[1]))
-    if name.startswith("abspow@"):
-        return abs_power(float(name.split("@", 1)[1]))
-    raise ValidationError(f"unknown functional {name!r}")
+    family, at, arg = name.partition("@")
+    make = {"ramp": ramp, "abspow": abs_power}.get(family)
+    if make is None or not at:
+        raise ValidationError(f"unknown functional {name!r}")
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"functional {name!r} needs a finite number after '@'")
+    return make(value)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +219,6 @@ class SequenceModel:
     @staticmethod
     def iid(set_: AmbiguitySet, n: int, scale: float = 1.0) -> "SequenceModel":
         return SequenceModel((set_,) * n, scale=scale)
-
-    @staticmethod
-    def independent(sets: Sequence[AmbiguitySet], scale: float = 1.0) -> "SequenceModel":
-        return SequenceModel(sets, scale=scale)
 
     @staticmethod
     def moving_window(
@@ -556,11 +531,12 @@ def compile_sum(
     before r + 1's), and within a component the order of first occurrence is
     the one its mask's own compile sees, so the states reachable from root r
     are that compile's graph, array for array, and one sweep reads every
-    root.  One mask adds no component column and keeps the no-merge step of
-    a masked-out draw when m = 0.  The lattice test covers every table a
-    draw adds in any root, so one off-lattice level puts the whole graph on
-    the float grid (which builds the same graph), and ``state_cap`` bounds
-    the states of all components together.  A state of a mask's compile in
+    root.  One mask adds no component column.  A draw that adds in no root
+    merges too: at m = 0 each state's children are that state again.  The
+    lattice test covers every table a draw adds in any root, so one
+    off-lattice level puts the whole graph on the float grid (which builds
+    the same graph), and ``state_cap`` bounds the states of all components
+    together.  A state of a mask's compile in
     which a draw does not add still takes ``0.0 + p * value`` per support
     column in the sweep, so masks of equal length at different positions
     can differ in the last bits; each mask keeps its own draws.
@@ -622,29 +598,22 @@ def compile_sum(
             a = a.ravel()
             if track_max:
                 x = x.ravel()
-        if groups or slides:
-            columns = [ids(a)]
-            if track_max:
-                columns.append(ids(x))
-            if slides:
-                w = (win[:, None] * V + np.arange(V)).ravel()
-                # the last min(step, m) draws; a full window drops its oldest digit
-                span = math.prod(radices[max(step - m, 0):step])
-                if step > m:
-                    w %= span
-                columns.append((w, span))
-            if R > 1:
-                c = np.repeat(comp, V)
-                columns.append((c, R))
-            first, child = _merge(columns, n * V)
-            if R > 1:
-                comp = c[first]
-        else:
-            # no term and no window (an index masked out, m = 0): the states
-            # of a layer are distinct, and all children of a state are that
-            # state again, so there is nothing to merge
-            first = np.arange(0, n * V, V)
-            child = np.repeat(np.arange(n, dtype=np.int32), V)
+        columns = [ids(a)]
+        if track_max:
+            columns.append(ids(x))
+        if slides:
+            w = (win[:, None] * V + np.arange(V)).ravel()
+            # the last min(step, m) draws; a full window drops its oldest digit
+            span = math.prod(radices[max(step - m, 0):step])
+            if step > m:
+                w %= span
+            columns.append((w, span))
+        if R > 1:
+            c = np.repeat(comp, V)
+            columns.append((c, R))
+        first, child = _merge(columns, n * V)
+        if R > 1:
+            comp = c[first]
         total += len(first)
         if total > state_cap:
             raise StateCapError(total, state_cap, step=step, steps=len(model.sets),

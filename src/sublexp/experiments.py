@@ -15,8 +15,9 @@ from typing import Callable, Mapping
 
 from . import conditions as cond
 from ._frozen import frozen
-from .engine import DEFAULT_STATE_CAP, SequenceModel
+from .engine import DEFAULT_STATE_CAP, SequenceModel, catalog_by_name
 from .errors import ValidationError
+from .gnormal import GParams, check_time
 from .laws import (
     AmbiguitySet,
     DiscreteLaw,
@@ -143,6 +144,12 @@ class GnormalSettings:
     nx: int = 801
     time: float = 1.0
 
+    def __post_init__(self) -> None:
+        # checked at load, before any row compiles; a None sigma_lo2 is only
+        # known once the rows have, so GParams checks 0 in its place
+        GParams(0.0 if self.sigma_lo2 is None else self.sigma_lo2, self.sigma_hi2)
+        check_time(self.time)
+
 
 @frozen
 class ConditionSettings:
@@ -206,6 +213,8 @@ class ExperimentConfig:
             raise ValidationError("peng_n entries must be >= 1")
         if self.state_cap < 1:
             raise ValidationError("state_cap must be >= 1")
+        for name in self.functionals:
+            catalog_by_name(name)  # a malformed name fails at load, in every mode
 
     def model_for(self, n: int) -> SequenceModel:
         return self.model.build(n)

@@ -86,6 +86,11 @@ def G(alpha: float, p: GParams) -> float:
     return p.sigma_hi2 * alpha if alpha >= 0.0 else p.sigma_lo2 * alpha
 
 
+def check_time(t: float) -> None:
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValidationError("time horizon must be positive and finite")
+
+
 def _check_nx(nx: int) -> None:
     if nx < 3:
         raise ValidationError("need at least 3 spatial points")
@@ -178,8 +183,7 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     """
     if not fs:
         raise ValidationError("solve_gheats needs at least one functional")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValidationError("time horizon must be positive and finite")
+    check_time(t)
     grid.check(p)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
     k = len(fs)

@@ -119,7 +119,7 @@ def rosenthal_checks(
         top, [lambda x: x * x, *(lambda x, _p=p: abs(x) ** _p for p in ps)])
     abs_ps = dict(zip(ps, abs_p_columns))
     lhs, _ = engine.sweep_columns(graph, [
-        (Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p, engine.GROWTH_P, p=p), n)
+        (Functional("abs_max_p", lambda x, _p=p: abs(x) ** _p), n)
         for n, p in cases], ())
     reports = []
     for (n, p), upper in zip(cases, lhs):

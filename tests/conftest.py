@@ -49,7 +49,7 @@ def random_model(rng: random.Random, max_n: int = 4) -> sl.SequenceModel:
     scale = rng.choice((1.0, 0.5, 1.0 / math.sqrt(n)))
     if rng.random() < 0.5:
         sets = tuple(random_set(rng) for _ in range(n))
-        return sl.SequenceModel.independent(sets, scale)
+        return sl.SequenceModel(sets, scale=scale)
     m = rng.randint(0, 2)
     weights = tuple(rng.choice((-1.0, 0.5, 1.0)) for _ in range(m + 1))
     return sl.SequenceModel.moving_window(random_set(rng), weights, n, scale)

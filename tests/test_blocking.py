@@ -50,7 +50,7 @@ def _excess_ratios(ctx: cond.RowContext, p_max: int) -> dict[int, float]:
 
 def test_choose_pn_reads_every_candidate_off_one_recursion(engine_calls):
     models = [stationary_1dep(36), sl.SequenceModel.iid(pm1_uncertain(), 25, scale=0.2),
-              sl.SequenceModel.independent(
+              sl.SequenceModel(
                   [variance_uncertain() if k % 3 else pm1_uncertain() for k in range(16)])]
     for model in models:
         ctx = cond.row_context(model, model.n)
@@ -176,37 +176,46 @@ def test_cut_sparsity_bound():
 
 
 # ---------------------------------------------------------------------------
-# Block models and diagnostics
+# Block sums and diagnostics
 # ---------------------------------------------------------------------------
 
 
-def test_block_models_requires_low_dependence():
-    model = sl.SequenceModel.moving_window(variance_uncertain(), (1.0, 1.0, 1.0), 8)
-    plan = blk.build_plan(cond.row_context(model, 8), 2)
-    with pytest.raises(ValidationError):
-        blk.block_models(model, plan)
+def test_build_plan_requires_low_dependence(monkeypatch):
+    # one removed index separates blocks into independent sums only for m <= 1
+    def forbidden(*args, **kwargs):
+        pytest.fail("build_plan evaluated an m = 2 row before refusing it")
+
+    ctx = cond.row_context(
+        sl.SequenceModel.moving_window(variance_uncertain(), (1.0, 1.0, 1.0), 8), 8)
+    for name in ("eval_sums", "compile_sum", "window_columns", "marginal_columns"):
+        monkeypatch.setattr(eng, name, forbidden)
+    with pytest.raises(ValidationError, match="mdep.z_reduce"):
+        blk.build_plan(ctx, 2)
 
 
 def test_linear_functional_decomposes_over_blocks_and_cuts():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 8)
     plan = blk.build_plan(cond.row_context(model, 8), 4)
-    seq, removed = blk.block_models(model, plan)
     (total,) = sl.eval_sums(model, eng.identity(), [None])
-    parts = sum(seq.block_eval(i, lambda y: y) for i in range(1, plan.h + 1))
+    # each block sum is one mask of one eval_sums graph; empty blocks add 0
+    blocks = [b for b in plan.blocks if b]
+    parts = sum(res.upper for res in sl.eval_sums(model, eng.identity(), blocks))
     (means,), _ = sl.marginal_columns(model, [lambda x: x], [])
-    parts += sum(means[c - 1] for c in removed)
+    parts += sum(means[c - 1] for c in plan.cuts)
     assert total.upper == pytest.approx(parts, abs=TOL)
 
 
 def test_block_sums_are_independent():
+    # E[Y_1 Y_2] over both blocks' joint window equals E[Y_1 * (E or e)[Y_2]]
     model = stationary_1dep(8)
-    plan = blk.build_plan(cond.row_context(model, 8), 4)
-    seq, _ = blk.block_models(model, plan)
-    prod = seq.pair_eval(1, 2, lambda a, b: a * b)
-    up2 = seq.block_eval(2, lambda y: y)
-    lo2 = seq.block_eval(2, lambda y: y, lower=True)
-    composed = seq.block_eval(1, lambda y: y * up2 if y >= 0 else y * lo2)
-    assert prod == pytest.approx(composed, abs=1e-12)
+    first, second = blk.build_plan(cond.row_context(model, 8), 4).blocks[:2]
+    split = len(first)
+    (prod,), _ = sl.window_columns(
+        model, first + second, [lambda xs: math.fsum(xs[:split]) * math.fsum(xs[split:])], [])
+    (y2,) = sl.eval_sums(model, eng.identity(), [second])
+    composed = eng.Functional("y1 E[y2]", lambda y: y * (y2.upper if y >= 0 else y2.lower))
+    (res,) = sl.eval_sums(model, composed, [first])
+    assert prod == pytest.approx(res.upper, abs=1e-12)
 
 
 def test_diagnostics_flagship_values():
@@ -278,7 +287,7 @@ def test_delta_sums_take_one_window_call_per_offset_under_one_law(monkeypatch):
 
     # the last cut is index n, which has no right neighbor
     for model, one_law in ((stationary_1dep(9), True), (sl.SequenceModel.iid(a, 9), True),
-                           (sl.SequenceModel.independent((a, b) * 4 + (a,)), False)):
+                           (sl.SequenceModel((a, b) * 4 + (a,)), False)):
         ctx = cond.row_context(model, 9)
         cuts = (3, 5, 9)
         want = tuple(_per_cut_delta_sum(model, cuts, ctx.B2, lower) for lower in (True, False))

@@ -588,6 +588,55 @@ def test_clt_sweep_checks_the_pde_grid_before_any_compile(tmp_path, capsys, engi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gnormal, message", [
+    ({"sigma_lo2": 2.0}, "need 0 <= sigma_lo2 <= sigma_hi2 < inf"),
+    ({"sigma_lo2": -0.5}, "need 0 <= sigma_lo2 <= sigma_hi2 < inf"),
+    ({"sigma_hi2": -1.0}, "need 0 <= sigma_lo2 <= sigma_hi2 < inf"),
+    ({"time": 0.0}, "time horizon must be positive and finite"),
+    ({"time": -1.0}, "time horizon must be positive and finite"),
+    ({"time": math.inf}, "time horizon must be positive and finite"),
+], ids=["lo-above-hi", "lo-negative", "hi-negative", "time-zero", "time-negative", "time-inf"])
+def test_bad_gnormal_values_fail_before_any_compile(tmp_path, capsys, engine_calls,
+                                                     gnormal, message):
+    raw = {**SMALL_CONFIG, "model": {"builder": "stationary-1dep"},
+           "gnormal": {**SMALL_CONFIG["gnormal"], **gnormal}}
+    out = tmp_path / "out"
+    assert cli.main(["clt-sweep", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"  # no traceback
+    assert not engine_calls["compile_sum"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+@pytest.mark.parametrize("name", ["ramp@abc", "abspow@inf"])
+def test_a_malformed_functional_name_exits_1_at_load_in_every_mode(tmp_path, capsys,
+                                                                   engine_calls, command, name):
+    raw = {**SMALL_CONFIG, "functionals": ["cos", name],
+           "gnormal": {**SMALL_CONFIG["gnormal"], "sigma_lo2": 0.5}}
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: functional {name!r} needs a finite number after '@'\n"
+    assert not any(engine_calls.values())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blocking", [{}, {"pn_list": [2, 4]}], ids=["choose_pn", "pn_list"])
+def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, blocking):
+    # cut-separated blocks are independent sums only for m <= 1
+    raw = {**SMALL_CONFIG, "model": {**SMALL_CONFIG["model"], "weights": [1.0, 1.0, 1.0]},
+           "blocking": blocking}
+    out = tmp_path / "out"
+    assert cli.main(["blocking-inspect", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: blocking needs a 1-dependent row (m <= 1), got m = 2")
+    assert "mdep.z_reduce" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_requires_exactly_one_source(tmp_path):
     assert cli.main(["eval", "--out", str(tmp_path)]) == 1
 

@@ -17,6 +17,15 @@ from conftest import certain_pm1_iid, pm1_uncertain, stationary_1dep
 TOL = 1e-10
 
 
+def report(model: sl.SequenceModel, eps_grid=(), p_grid=()) -> cond.ConditionReport:
+    """The report of ``model``'s full row at these grid points alone."""
+    return cond.build_report(cond.row_context(model, model.n), eps_grid, p_grid)
+
+
+def lindeberg(model: sl.SequenceModel, eps: float) -> float:
+    return report(model, eps_grid=(eps,)).lindeberg[eps]
+
+
 # ---------------------------------------------------------------------------
 # Lindeberg functional
 # ---------------------------------------------------------------------------
@@ -24,31 +33,29 @@ TOL = 1e-10
 
 def test_lindeberg_vanishes_for_bounded_small_supports():
     # |X| <= 1 and eps B^2 >= 1 kill every positive part
-    model = certain_pm1_iid(4)
-    assert cond.lindeberg(cond.row_context(model, 4), 0.5) == pytest.approx(0.0, abs=TOL)
+    assert lindeberg(certain_pm1_iid(4), 0.5) == pytest.approx(0.0, abs=TOL)
 
 
 def test_lindeberg_scaled_array_vanishes_beyond_two():
     for n in (2, 5):
         model = certain_pm1_iid(n, scale=1.0 / math.sqrt(n))
-        assert cond.lindeberg(cond.row_context(model, n), 0.5) == pytest.approx(0.0, abs=TOL)
+        assert lindeberg(model, 0.5) == pytest.approx(0.0, abs=TOL)
 
 
 def test_lindeberg_single_term_value():
-    model = certain_pm1_iid(1)
-    assert cond.lindeberg(cond.row_context(model, 1), 0.25) == pytest.approx(0.75, abs=TOL)
+    assert lindeberg(certain_pm1_iid(1), 0.25) == pytest.approx(0.75, abs=TOL)
 
 
 def test_lindeberg_monotone_in_eps():
-    ctx = cond.row_context(stationary_1dep(8), 8)
-    vals = [cond.lindeberg(ctx, e) for e in (0.01, 0.05, 0.25, 1.0)]
+    eps_grid = (0.01, 0.05, 0.25, 1.0)
+    vals = [report(stationary_1dep(8), eps_grid).lindeberg[e] for e in eps_grid]
     assert all(v >= 0 for v in vals)
     assert all(b <= a + TOL for a, b in zip(vals, vals[1:]))
 
 
 def test_lindeberg_rejects_bad_eps():
-    with pytest.raises(ValidationError):
-        cond.lindeberg(cond.row_context(certain_pm1_iid(2), 2), 0.0)
+    with pytest.raises(ValidationError, match="eps must be > 0"):
+        lindeberg(certain_pm1_iid(2), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +64,14 @@ def test_lindeberg_rejects_bad_eps():
 
 
 def test_mean_uncertainty_zero_for_certain_models():
-    assert cond.mean_uncertainty(cond.row_context(stationary_1dep(6), 6)) == pytest.approx(0.0, abs=TOL)
+    assert report(stationary_1dep(6)).mean_unc == pytest.approx(0.0, abs=TOL)
 
 
 def test_mean_uncertainty_grows_under_sqrt_scaling():
     vals = []
     for n in (8, 16, 32):
         model = sl.SequenceModel.iid(pm1_uncertain(), n, scale=1.0 / math.sqrt(n))
-        vals.append(cond.mean_uncertainty(cond.row_context(model, n)))
+        vals.append(report(model).mean_unc)
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 0.5  # the negative control is flagged by n = 32
 
@@ -77,19 +84,18 @@ def test_mean_uncertainty_scale_invariant_and_bounded():
     for n in (8, 16, 32):
         inv_n = sl.SequenceModel.iid(pm1_uncertain(), n, scale=1.0 / n)
         inv_sqrt = sl.SequenceModel.iid(pm1_uncertain(), n, scale=1.0 / math.sqrt(n))
-        v = cond.mean_uncertainty(cond.row_context(inv_n, n))
-        assert v == pytest.approx(cond.mean_uncertainty(cond.row_context(inv_sqrt, n)),
-                                  abs=1e-9)
+        v = report(inv_n).mean_unc
+        assert v == pytest.approx(report(inv_sqrt).mean_unc, abs=1e-9)
         vals.append(v)
     assert vals[0] < vals[1] < vals[2] <= 2.0
 
 
 def test_mean_uncertainty_iff_certain_means():
     uncertain = sl.SequenceModel.iid(pm1_uncertain(), 3)
-    assert cond.mean_uncertainty(cond.row_context(uncertain, 3)) > 0.1
+    assert report(uncertain).mean_unc > 0.1
     shifted = sl.singleton(sl.DiscreteLaw((0.0, 2.0), (0.5, 0.5)))  # mean 1, certain
     certain = sl.SequenceModel.iid(shifted, 3)
-    assert cond.mean_uncertainty(cond.row_context(certain, 3)) > 0.1
+    assert report(certain).mean_unc > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +171,15 @@ def test_unnormalized_tail_takes_a_zero_variance_model():
     assert cond.capacity_tail(ctx, 0.25) == 0.0
     with pytest.raises(ValidationError, match="eps must be > 0"):
         cond.capacity_tail(ctx, 0.0)
+    # a bad grid point is named before the degenerate normalizer
+    with pytest.raises(ValidationError, match="eps must be > 0"):
+        cond.build_report(ctx, eps_grid=(0.0,))
     with pytest.raises(ValidationError, match="need p >= 2"):
-        cond.pth_moment(ctx, 1.5)
-    for read in (lambda: cond.pth_moment(ctx, 2.0), lambda: cond.lindeberg(ctx, 0.25),
-                 lambda: cond.mean_uncertainty(ctx), lambda: cond.m2_ratio(ctx),
-                 lambda: cond.build_report(ctx)):
+        cond.build_report(ctx, p_grid=(1.5,))
+    for eps_grid, p_grid in (((), (2.0,)), ((0.25,), ()), ((), ()),
+                             (cond.DEFAULT_EPS_GRID, cond.DEFAULT_P_GRID)):
         with pytest.raises(ValidationError, match="degenerate model"):
-            read()
+            cond.build_report(ctx, eps_grid, p_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +189,7 @@ def test_unnormalized_tail_takes_a_zero_variance_model():
 
 def test_pth_moment_value():
     model = certain_pm1_iid(4)  # B^2 = 4, per-index E|X|^3 = 1
-    assert cond.pth_moment(cond.row_context(model, 4), 3.0) == pytest.approx(4.0 / 8.0, abs=TOL)
+    assert report(model, p_grid=(3.0,)).pth[3.0] == pytest.approx(4.0 / 8.0, abs=TOL)
 
 
 def test_report_fields_cover_grids():
@@ -257,10 +265,11 @@ def test_report_equals_one_marginals_call_per_quantity(name):
     }
     assert {k: [v.hex() for v in vs] for k, vs in got.items()} == \
         {k: [v.hex() for v in vs] for k, vs in want.items()}
-    # each single-quantity function reads the same value off its own report
-    assert [cond.lindeberg(ctx, eps) for eps in (0.1, 0.5)] == got["lindeberg"]
-    assert [cond.mean_uncertainty(ctx), cond.m2_ratio(ctx)] == [rep.mean_unc, rep.m2_ratio]
-    assert [cond.pth_moment(ctx, p) for p in (2.0, 3.0)] == got["pth"]
+    # a report of one grid point gives the same value as the full grid
+    for eps in (0.1, 0.5):
+        assert cond.build_report(ctx, (eps,), ()).lindeberg[eps] == rep.lindeberg[eps]
+    for p in (2.0, 3.0):
+        assert cond.build_report(ctx, (), (p,)).pth[p] == rep.pth[p]
     assert [cond.capacity_tail(ctx, eps) for eps in (0.1, 0.5)] == got["cap_tail"]
 
 
@@ -280,10 +289,6 @@ def test_report_takes_one_history_recursion_per_clip(monkeypatch):
     ctx = cond.row_context(model, 8, tau=1.0)
     cond.build_report(ctx)
     assert clips == [None, 1.0]
-    # a single quantity reads its own point alone, with no truncated profile
-    clips.clear()
-    cond.lindeberg(ctx, 0.25)
-    assert clips == [None]
 
 
 def _bits(res: eng.EvalResult) -> tuple[str, str, int]:

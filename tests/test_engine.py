@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -33,14 +34,14 @@ def test_two_step_mean_uncertain_square():
 def test_singleton_laws_reduce_to_convolution():
     lawA = sl.DiscreteLaw((-1.0, 2.0), (0.25, 0.75))
     lawB = sl.DiscreteLaw((-2.0, 0.5, 1.0), (0.3, 0.3, 0.4))
-    model = sl.SequenceModel.independent([sl.singleton(lawA), sl.singleton(lawB)])
+    model = sl.SequenceModel([sl.singleton(lawA), sl.singleton(lawB)])
     phi = lambda s: math.cos(s) + s * s
     expected = sum(
         pa * pb * phi(va + vb)
         for va, pa in zip(lawA.values, lawA.probs)
         for vb, pb in zip(lawB.values, lawB.probs)
     )
-    (res,) = sl.eval_sums(model, eng.Functional("mix", phi, eng.GROWTH_QUADRATIC), [None])
+    (res,) = sl.eval_sums(model, eng.Functional("mix", phi), [None])
     assert res.upper == pytest.approx(expected, abs=1e-12)
     assert res.lower == pytest.approx(expected, abs=1e-12)
 
@@ -164,7 +165,7 @@ def test_certain_zero_mean_upper_variance_is_additive(rng):
             set_ = sl.ambiguity([sl.two_point_law(s) for s in sigmas])
             sets.append(set_)
             per_index.append(max(s * s for s in sigmas))
-        model = sl.SequenceModel.independent(sets)
+        model = sl.SequenceModel(sets)
         (res,) = sl.eval_sums(model, eng.square(), [None])
         assert res.upper == pytest.approx(sum(per_index), abs=TOL)
 
@@ -175,7 +176,7 @@ def test_certain_zero_mean_upper_variance_is_additive(rng):
 
 
 def test_cross_moment_independent_zero_mean():
-    model = sl.SequenceModel.independent(
+    model = sl.SequenceModel(
         [sl.singleton(sl.two_point_law(1.0)), sl.singleton(sl.two_point_law(0.5))]
     )
     (up,), _ = sl.window_columns(model, (1, 2), [lambda xs: xs[0] * xs[1]], [])
@@ -258,9 +259,9 @@ def test_window_shift_invariance():
 def test_eval_sum_monotone_and_homogeneous_in_f(rng):
     fs = (
         eng.cosine(),
-        eng.Functional("cos+1", lambda s: math.cos(s) + 1.0, eng.GROWTH_BOUNDED_LIPSCHITZ),
-        eng.Functional("2cos", lambda s: 2.0 * math.cos(s), eng.GROWTH_BOUNDED_LIPSCHITZ),
-        eng.Functional("cos+sq", lambda s: math.cos(s) + s * s, eng.GROWTH_QUADRATIC),
+        eng.Functional("cos+1", lambda s: math.cos(s) + 1.0),
+        eng.Functional("2cos", lambda s: 2.0 * math.cos(s)),
+        eng.Functional("cos+sq", lambda s: math.cos(s) + s * s),
     )
     for _ in range(10):
         model = random_model(rng, max_n=3)
@@ -276,7 +277,7 @@ def test_eval_sum_subadditive_in_f(rng):
         model = random_model(rng, max_n=3)
         f = eng.cosine()
         g = eng.ramp(0.0)
-        both = eng.Functional("cos+ramp", lambda s: f.phi(s) + g.phi(s), eng.GROWTH_QUADRATIC)
+        both = eng.Functional("cos+ramp", lambda s: f.phi(s) + g.phi(s))
         (up_both, up_f, up_g), _ = eng.sweep_columns(
             sl.compile_sum(model), [(both, model.n), (f, model.n), (g, model.n)], [])
         assert up_both <= up_f + up_g + TOL
@@ -305,7 +306,7 @@ def test_clip_matches_truncated_sets():
 
 def test_running_max_dominates_final_sum():
     model = sl.SequenceModel.iid(pm1_uncertain(), 4)
-    f = eng.Functional("abs2", lambda x: x * x, eng.GROWTH_QUADRATIC)
+    f = eng.Functional("abs2", lambda x: x * x)
     (with_max,) = sl.eval_sums(model, f, [None], track_max=True)
     (plain,) = sl.eval_sums(model, f, [None])
     assert with_max.upper >= plain.upper - TOL
@@ -319,7 +320,7 @@ def test_running_max_brute_force_small():
     for v1, p1 in zip(law.values, law.probs):
         for v2, p2 in zip(law.values, law.probs):
             expected += p1 * p2 * max(abs(v1), abs(v1 + v2))
-    (got,) = sl.eval_sums(model, eng.Functional("m", lambda x: x, eng.GROWTH_QUADRATIC), [None],
+    (got,) = sl.eval_sums(model, eng.Functional("m", lambda x: x), [None],
                           track_max=True)
     assert got.upper == pytest.approx(expected, abs=TOL)
 
@@ -368,3 +369,10 @@ def test_catalog_names_round_trip():
     assert eng.catalog_by_name("ramp@0.25").phi(1.5) == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         eng.catalog_by_name("nope")
+
+
+@pytest.mark.parametrize("name", ["ramp@abc", "ramp@", "ramp@inf", "ramp@-inf", "ramp@nan",
+                                  "abspow@1e999", "abspow@x2"])
+def test_a_malformed_or_non_finite_suffix_is_a_validation_error(name):
+    with pytest.raises(ValidationError, match=re.escape(f"functional {name!r} needs a finite")):
+        eng.catalog_by_name(name)

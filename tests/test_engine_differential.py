@@ -301,7 +301,7 @@ def models(draw) -> SequenceModel:
     scale = draw(st.sampled_from((1.0, 0.5, 1.0 / math.sqrt(n))))
     if draw(st.booleans()):
         sets = draw(st.lists(ambiguity_sets(pool), min_size=n, max_size=n))
-        return SequenceModel.independent(sets, scale)
+        return SequenceModel(sets, scale=scale)
     m = draw(st.integers(0, 2))
     weights = draw(st.lists(st.sampled_from((-1.0, 0.5, 1.0, 0.7)),
                             min_size=m + 1, max_size=m + 1))
@@ -320,7 +320,7 @@ FUNCTIONALS = (
     eng.ramp(0.0),
     eng.ramp(0.5),
     eng.abs_power(3.0),
-    eng.neg_square(),
+    eng.negated(eng.square()),
 )
 
 
@@ -348,7 +348,7 @@ ORACLE_PATHS = 2_000
 #: Lipschitz constant of each functional on [-R, R].
 LIPSCHITZ = {
     "square": lambda R: 2.0 * R,
-    "neg_square": lambda R: 2.0 * R,
+    "-square": lambda R: 2.0 * R,
     "identity": lambda R: 1.0,
     "cos": lambda R: 1.0,
     "ramp@0": lambda R: 1.0,
@@ -567,7 +567,7 @@ def test_evaluate_calls_phi_once_per_distinct_terminal_argument():
         seen.append(x)
         return x * x
 
-    (got,) = eng.evaluate_columns(graph, [(eng.Functional("square", phi, eng.GROWTH_QUADRATIC),
+    (got,) = eng.evaluate_columns(graph, [(eng.Functional("square", phi),
                                            model.n)])
     assert sorted(seen) == sorted(set(graph.args[-1].tolist()))
     assert len(seen) < len(graph.args[-1])
@@ -583,7 +583,7 @@ def test_sublinear_axioms_hold_on_sums(model, f, g, c, lam):
 
     def upper(phi: Callable[[float], float]) -> float:
         (up,), _ = eng.sweep_columns(
-            graph, [(eng.Functional("h", phi, eng.GROWTH_QUADRATIC), model.n)], [])
+            graph, [(eng.Functional("h", phi), model.n)], [])
         return up
 
     def le(a: float, b: float) -> bool:
@@ -688,7 +688,7 @@ def test_marginals_evaluate_one_index_only_under_one_law(monkeypatch):
     for model, expected in (
         (SequenceModel.iid(a, 5), [(1,)]),
         (SequenceModel.moving_window(a, (1.0, 0.5), 5), [(1,)]),
-        (SequenceModel.independent((a, b, a, b, a)), [(1,), (2,), (3,), (4,), (5,)]),
+        (SequenceModel((a, b, a, b, a)), [(1,), (2,), (3,), (4,), (5,)]),
         (SequenceModel((a, a, b, a, a, a), (1.0, 0.5)), [(1,), (2,), (3,), (4,), (5,)]),
     ):
         calls.clear()
@@ -853,7 +853,7 @@ def test_distant_window_indices_recurse_over_their_own_draws_only(monkeypatch):
     payoffs = WINDOW_PAYOFFS[:3]
     for model in (SequenceModel.moving_window(a, (1.0, 0.5), 6),
                   SequenceModel((a, b, b, a, b, a, a), (1.0, -1.0)),
-                  SequenceModel.independent((a, b, a, b, a, b))):
+                  SequenceModel((a, b, a, b, a, b))):
         # gaps wider than m + 1 leave draws no coordinate involves
         for idx in ((1, 4), (5, 2), (1, 2, 5)):
             involved = sorted({k + j for k in idx for j in range(model.m + 1)})
@@ -900,10 +900,9 @@ def test_oracle_sides_equal_two_one_column_recursions(model, f):
 #: Payoffs whose values stress the sweep's float handling: -0.0 (0.0 + p * -0.0
 #: is 0.0) and infinities of one sign each (never inf - inf, which is NaN).
 EDGE_FUNCTIONALS = (
-    eng.Functional("neg_zero", lambda x: -0.0 if x <= 0.0 else x, eng.GROWTH_QUADRATIC),
-    eng.Functional("plus_inf", lambda x: math.inf if x > 0.5 else -0.0, eng.GROWTH_QUADRATIC),
-    eng.Functional("minus_inf", lambda x: -math.inf if x < -0.5 else x * x,
-                   eng.GROWTH_QUADRATIC),
+    eng.Functional("neg_zero", lambda x: -0.0 if x <= 0.0 else x),
+    eng.Functional("plus_inf", lambda x: math.inf if x > 0.5 else -0.0),
+    eng.Functional("minus_inf", lambda x: -math.inf if x < -0.5 else x * x),
 )
 
 
@@ -987,7 +986,7 @@ def test_columns_call_phi_once_per_distinct_argument_of_their_layer():
         def phi(x: float) -> float:
             seen[M].append(x)
             return x * x
-        return eng.Functional("square", phi, eng.GROWTH_QUADRATIC), M
+        return eng.Functional("square", phi), M
 
     got = eng.evaluate_columns(graph, [column(M) for M in (5, 3, 8)])
     for M, calls in seen.items():
@@ -1000,7 +999,7 @@ def test_columns_call_phi_once_per_distinct_argument_of_their_layer():
 def reference_rosenthal(model: SequenceModel, n: int, p: float) -> mdep.RosenthalReport:
     """The ``(n, p)`` check from its own compile of ``model.prefix(n)`` and its marginals."""
     sub = model.prefix(n)
-    f_max = eng.Functional("abs_max_p", lambda x: abs(x) ** p, eng.GROWTH_P, p=p)
+    f_max = eng.Functional("abs_max_p", lambda x: abs(x) ** p)
     (lhs,), _ = eng.sweep_columns(eng.compile_sum(sub, track_max=True), [(f_max, n)], [])
     (abs_p,), _ = eng.marginal_columns(sub, [lambda x: abs(x) ** p], [])
     (squares,), _ = eng.marginal_columns(sub, [lambda x: x * x], [])
@@ -1318,3 +1317,28 @@ def test_empty_masks_build_the_reference_graph(model):
         assert_compiles_like_the_references(model, masks=[[]], track_max=track_max)
         assert_roots_are_their_own_compiles(model, [None, []], [None, None], track_max,
                                             (eng.square(), eng.identity()))
+
+
+#: Off the 2^-12 lattice: the union compiles on the float merge grid.
+OFF_LATTICE_SET = sl.ambiguity([sl.DiscreteLaw((-1.7, 1.0 / 3.0, math.pi / 2.0), (0.25, 0.5, 0.25)),
+                                sl.DiscreteLaw((-1.7, 0.9), (0.5, 0.5))])
+
+
+@pytest.mark.parametrize("masks", [[(1,), (3,)], [(1, 2), ()], [(2,), (2, 4), ()]],
+                         ids=["1-and-3", "1-2-and-empty", "2-and-2-4-and-empty"])
+@pytest.mark.parametrize("model", [SequenceModel.iid(_quarter_set(), 4),
+                                   SequenceModel.iid(OFF_LATTICE_SET, 4)],
+                         ids=["lattice", "off-lattice"])
+def test_a_draw_that_adds_in_no_root_builds_each_roots_own_graph(model, masks):
+    # at m = 0, a draw completing a coordinate no mask holds adds no term
+    # table in any root; its layer merges like any other
+    R = len(masks)
+    draws = eng._draws(model, [frozenset(mask) for mask in masks], [None] * R)
+    assert any(not groups for _, _, groups in draws)
+    fs = (eng.square(), eng.cosine())
+    for clips in ([None] * R, [0.5] * R):
+        for track_max in (False, True):
+            assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
+        for mask, clip, res in zip(masks, clips, eng.eval_sums(model, fs[1], masks, x_clip=clips)):
+            assert bits(res) == bits(eng.eval_sums(model, fs[1], [mask], x_clip=clip)[0])
+            assert bits(res) == bits(reference_eval_sum(model, fs[1], masks=[mask], x_clip=clip))

@@ -37,7 +37,7 @@ def test_G_positive_homogeneity():
 
 def test_G_matches_oracle_second_moments():
     # G(1) = upper variance, G(-1) = -(lower variance), via the CLT oracle
-    ((up, neg_lo),) = sl.peng_oracles((eng.square(), eng.neg_square()), GP, (16,))
+    ((up, neg_lo),) = sl.peng_oracles((eng.square(), eng.negated(eng.square())), GP, (16,))
     lo = -neg_lo
     assert sl.G(1.0, GP) == pytest.approx(up, abs=1e-10)
     assert sl.G(-1.0, GP) == pytest.approx(-lo, abs=1e-10)
@@ -63,13 +63,13 @@ def test_classical_reduction_square():
 
 def test_constants_are_fixed_points():
     grid = sl.default_grid(GP)
-    c = eng.Functional("const", lambda x: 2.5, eng.GROWTH_BOUNDED_LIPSCHITZ)
+    c = eng.Functional("const", lambda x: 2.5)
     assert sl.solve_gheats((c,), GP, grid, 1.0) == (2.5,)
 
 
 def test_extremal_variances():
     grid = sl.default_grid(GP)
-    up, neg_lo = sl.solve_gheats((eng.square(), eng.neg_square()), GP, grid)
+    up, neg_lo = sl.solve_gheats((eng.square(), eng.negated(eng.square())), GP, grid)
     assert up == pytest.approx(1.0, abs=5e-3)
     assert neg_lo == pytest.approx(-0.5, abs=5e-3)
 
@@ -104,9 +104,8 @@ def test_upper_value_dominates_constant_variance_gaussians():
 
 def test_scheme_monotone_in_initial_data():
     grid = sl.default_grid(GP)
-    one = eng.Functional("one", lambda x: 1.0, eng.GROWTH_BOUNDED_LIPSCHITZ)
-    above = eng.Functional("cos+.1", lambda x: math.cos(x) + 0.1,
-                           eng.GROWTH_BOUNDED_LIPSCHITZ)
+    one = eng.Functional("one", lambda x: 1.0)
+    above = eng.Functional("cos+.1", lambda x: math.cos(x) + 0.1)
     u_ramp, u_one, u_cos, u_above = sl.solve_gheats(
         (eng.ramp(0.0), one, eng.cosine(), above), GP, grid)
     assert u_ramp <= u_one + 1e-12
@@ -116,7 +115,7 @@ def test_scheme_monotone_in_initial_data():
 def test_subadditivity_transfer():
     grid = sl.default_grid(GP)
     f, g = eng.cosine(), eng.ramp(0.0)
-    both = eng.Functional("f+g", lambda x: f.phi(x) + g.phi(x), eng.GROWTH_QUADRATIC)
+    both = eng.Functional("f+g", lambda x: f.phi(x) + g.phi(x))
     lhs, u_f, u_g = sl.solve_gheats((both, f, g), GP, grid)
     assert lhs <= u_f + u_g + 2e-3
 
@@ -154,16 +153,14 @@ def test_domain_too_small_raises():
 
 def test_nonfinite_initial_data_raises():
     grid = sl.default_grid(GP)
-    blowup = eng.Functional("inf", lambda x: math.inf if x > 7.9 else 0.0,
-                            eng.GROWTH_QUADRATIC)
+    blowup = eng.Functional("inf", lambda x: math.inf if x > 7.9 else 0.0)
     with pytest.raises(PDENumericsError):
         sl.solve_gheats((blowup,), GP, grid, 1.0)
 
 
 def test_nonfinite_initial_data_names_the_row():
     grid = sl.default_grid(GP, nx=101)
-    blowup = eng.Functional("blowup", lambda x: math.nan if x < -7.9 else x,
-                            eng.GROWTH_QUADRATIC)
+    blowup = eng.Functional("blowup", lambda x: math.nan if x < -7.9 else x)
     with pytest.raises(PDENumericsError, match="initial data of blowup is not finite") as err:
         sl.solve_gheats([eng.cosine(), blowup, eng.ramp(0.0)], GP, grid)
     assert "cos" not in str(err.value) and "ramp" not in str(err.value)
@@ -172,8 +169,7 @@ def test_nonfinite_initial_data_names_the_row():
 def test_overflow_in_a_batch_names_the_row():
     # 2.0 * 1e308 overflows in the first step; only that row goes non-finite
     grid = sl.default_grid(GP, nx=101)
-    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0,
-                          eng.GROWTH_QUADRATIC)
+    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PDENumericsError, match="in huge after step 0") as err:
             sl.solve_gheats([eng.cosine(), huge, eng.ramp(0.0)], GP, grid)
@@ -187,7 +183,7 @@ def test_empty_batch_rejected():
 
 def test_time_loop_allocates_nothing_per_step():
     # a per-step temporary of one (nx - 2, K) operand would add 25.6 KB here
-    fs = (eng.cosine(), eng.ramp(0.0), eng.square(), eng.neg_square())
+    fs = (eng.cosine(), eng.ramp(0.0), eng.square(), eng.negated(eng.square()))
     k, nx = len(fs), 801
     grid = sl.default_grid(GP, nx=nx)
     sl.solve_gheats(fs, GP, grid, 0.05)  # warm numpy's caches outside the trace
@@ -239,7 +235,7 @@ def test_peng_upper_variance_additivity():
 
 def test_peng_degenerate_lower_variance():
     gp = sl.GParams(0.0, 1.0)
-    ((up, neg_lo),) = sl.peng_oracles((eng.square(), eng.neg_square()), gp, (4,))
+    ((up, neg_lo),) = sl.peng_oracles((eng.square(), eng.negated(eng.square())), gp, (4,))
     assert up == pytest.approx(1.0, abs=1e-10)
     assert -neg_lo == pytest.approx(0.0, abs=1e-10)
 
@@ -287,7 +283,7 @@ def test_scaling_stability_under_doubling():
 
 
 def test_quadrature_convex_concave():
-    assert sl.gnormal_references((eng.square(), eng.neg_square()), GP) == pytest.approx(
+    assert sl.gnormal_references((eng.square(), eng.negated(eng.square())), GP) == pytest.approx(
         (1.0, -0.5), abs=1e-9)
 
 
@@ -301,19 +297,19 @@ def test_quadrature_rejects_mixed_curvature():
 
 
 def test_quadrature_agrees_with_pde():
-    fs = (eng.square(), eng.neg_square())
+    fs = (eng.square(), eng.negated(eng.square()))
     assert sl.gnormal_references(fs, GP) == pytest.approx(
         sl.solve_gheats(fs, GP, sl.default_grid(GP)), abs=5e-3)
 
 
 def test_quadrature_zero_variance_point_mass():
     gp = sl.GParams(0.0, 1.0)
-    assert sl.gnormal_references((eng.neg_square(),), gp) == pytest.approx((0.0,), abs=1e-12)
+    assert sl.gnormal_references((eng.negated(eng.square()),), gp) == pytest.approx((0.0,), abs=1e-12)
 
 
 def test_references_equal_one_reference_per_functional():
     # cosine and ramp are neither convex nor concave: NaN, in a batch or alone
-    fs = (eng.square(), eng.neg_square(), eng.identity(), eng.cosine(), eng.ramp(0.0))
+    fs = (eng.square(), eng.negated(eng.square()), eng.identity(), eng.cosine(), eng.ramp(0.0))
     for gp in (GP, sl.GParams(0.0, 1.0)):
         got = sl.gnormal_references(fs, gp)
         for f, value in zip(fs[:3], got):

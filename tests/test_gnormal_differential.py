@@ -54,11 +54,9 @@ def reference_solve_gheat(f: eng.Functional, p: sl.GParams, grid: sl.PDEGrid,
 # Cases
 # ---------------------------------------------------------------------------
 
-_CONST = eng.Functional("const", lambda x: 2.5, eng.GROWTH_BOUNDED_LIPSCHITZ)
+_CONST = eng.Functional("const", lambda x: 2.5)
 _KINKED = eng.Functional(
-    "kinked", lambda x: abs(x - 0.3) - 0.5 * max(x + 1.1, 0.0) + min(x * x, 2.0),
-    eng.GROWTH_QUADRATIC,
-)
+    "kinked", lambda x: abs(x - 0.3) - 0.5 * max(x + 1.1, 0.0) + min(x * x, 2.0))
 FUNCTIONALS = (
     *eng.catalog(),
     *(eng.negated(f) for f in eng.catalog()),
@@ -155,8 +153,7 @@ def test_overflow_to_plus_inf_with_zero_lower_variance_raises_like_the_loop():
     # the masked choice gave inf; both are non-finite, so the error is the same
     p = sl.GParams(0.0, 1.0)
     grid = sl.default_grid(p, nx=101)
-    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0,
-                          eng.GROWTH_QUADRATIC)
+    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
     u = np.array([huge.phi(float(xi)) for xi in x])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -291,7 +291,7 @@ def test_two_regime_model_is_not_stationary():
     sets = [sl.singleton(sl.two_point_law(1.0))] * 2 + [
         sl.singleton(sl.two_point_law(2.0))
     ] * 2
-    model = sl.SequenceModel.independent(sets)
+    model = sl.SequenceModel(sets)
     assert mdep.stationarity_test(model, 2, 2) > 0.5
 
 

@@ -53,7 +53,7 @@ def samples() -> dict[type, object]:
         Event("ge", 0.5), eng.cosine(), MODEL, ctx.m2, graph.steps[0], graph,
         gp, gn.default_grid(gp), exp.ModelSpec(builder="iid-peng"), exp.GnormalSettings(),
         exp.ConditionSettings(), exp.BlockingSettings(), exp.reference_experiments()["iid-peng"],
-        report.trunc, report, ctx, plan, blk.block_models(MODEL, plan)[0],
+        report.trunc, report, ctx, plan,
         blk.diagnostics(ctx, plan), mdep.residue_classes(1, 6),
         mdep.rosenthal_checks(MODEL, [(8, 2.0)])[0], mdep.rosenthal_battery()[0],
         mdep.z_reduce(MODEL, 1), mdep.three_part_split(MODEL, 8, 2),
