@@ -11,8 +11,9 @@ the window's beta-minimizer (smallest index on ties).  The open intervals
 between consecutive cuts are the big blocks ``H_i``; removing the cut
 singletons leaves block sums ``Y_i`` that are independent, because
 consecutive blocks are separated by at least one removed index (this needs
-m <= 1, which ``build_plan`` checks).  A block sum is an ``engine.eval_sums``
-mask, and a pair of blocks one ``engine.window_columns`` window.
+m <= 1, which ``check_one_dependent`` checks).  A block sum is an
+``engine.eval_sums`` mask, and a pair of blocks one ``engine.window_columns``
+window.
 
 The diagnostics are the quantities the limit argument drives to zero: the
 beta mass on the cuts, the aggregated one-sided covariance corrections at
@@ -43,22 +44,18 @@ def compute_beta(ctx: RowContext) -> tuple[float, ...]:
     return tuple((m2[k - 1] + m2[k] + m2[k + 1]) / B2 for k in range(1, n + 1))
 
 
-def choose_pn(ctx: RowContext, tol: float = 0.1, p_max: int | None = None) -> int:
+def choose_pn(ctx: RowContext, tol: float = 0.1) -> int:
     """Largest even p with ``(p^4/B_n^2) sum_k E[(X_k^2 - B_n^2/p^4)^+] <= tol``.
 
-    Searched over even p up to ``p_max`` (default: the even floor of
-    sqrt(k_n)); falls back to 2 when no candidate qualifies.  Every
-    candidate's excess is a column of one ``engine.marginal_columns`` call,
-    the same floats as a call with that column alone.
+    Searched over even p up to the even floor of sqrt(k_n), at least 2;
+    falls back to 2 when no candidate qualifies.  Every candidate's excess
+    is a column of one ``engine.marginal_columns`` call, the same floats as
+    a call with that column alone.
     """
     if not tol > 0.0:
         raise ValidationError("tol must be > 0")
-    if p_max is None:
-        p_max = max(2, (math.isqrt(ctx.model.n) // 2) * 2)
-    if p_max < 2 or p_max % 2 != 0:
-        raise ValidationError("p_max must be an even integer >= 2")
     B2 = ctx.B2
-    ps = range(p_max, 1, -2)
+    ps = range(max(2, (math.isqrt(ctx.model.n) // 2) * 2), 1, -2)
     excess, _ = engine.marginal_columns(
         ctx.model, [lambda x, _c=B2 / p**4: max(x * x - _c, 0.0) for p in ps], [])
     for p, col in zip(ps, excess):
@@ -109,17 +106,25 @@ class BlockingPlan:
         return self.k_n + 1
 
 
+def check_one_dependent(model: SequenceModel) -> None:
+    """Refuse a row with m > 1.
+
+    Only for a row with m <= 1 does one removed index between blocks make
+    the block sums independent.
+    """
+    if model.m > 1:
+        raise ValidationError(f"blocking needs a 1-dependent row (m <= 1), got m = {model.m}: "
+                              "mdep.z_reduce groups it into 1-dependent block sums")
+
+
 def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
     """Run the cut recursion; degenerates to a single block when k_n < p_n.
 
-    Only for a row with m <= 1 does one removed index between blocks make
-    the block sums independent, so any other row is refused.
+    The row must pass ``check_one_dependent``.
     """
     if p_n < 2 or p_n % 2 != 0:
         raise ValidationError("p_n must be an even integer >= 2")
-    if ctx.model.m > 1:
-        raise ValidationError(f"blocking needs a 1-dependent row (m <= 1), got m = {ctx.model.m}: "
-                              "mdep.z_reduce groups it into 1-dependent block sums")
+    check_one_dependent(ctx.model)
     n = ctx.model.n
     beta = compute_beta(ctx)
     g = [0]

@@ -307,6 +307,8 @@ def run_blocking_inspect(cfg: ExperimentConfig) -> dict[str, Table]:
     diag_rows: list[Row] = []
     plan_rows: list[Row] = []
     pn_list = dict(zip(cfg.n_list, cfg.blocking.pn_list or ()))
+    for n in cfg.n_list:  # before any row compiles
+        blk.check_one_dependent(cfg.model_for(n))
     for ctx in _rows(cfg):
         n = ctx.model.n
         p_n = pn_list[n] if pn_list else blk.choose_pn(ctx, tol=cfg.blocking.tol)

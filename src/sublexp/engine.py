@@ -41,8 +41,9 @@ process-wide cache.
 
 Sums of several index sets (masks) of one model share one graph: layer 0
 holds one root per mask, every state carries the component id of its root,
-a component adds a draw's term (at its own clip level) only when its mask
-holds the coordinate the draw completes, and states merge only within a
+a component adds a draw's term at its own clip level when its mask holds
+the coordinate the draw completes and a zero term otherwise, so every
+layer is one gather for every root, and states merge only within a
 component.  The states reachable from root r are the graph of mask r
 alone, so one sweep reads every root; ``eval_sums`` compiles and sweeps
 the masks of one functional and returns one ``EvalResult`` per mask.
@@ -82,6 +83,9 @@ DEFAULT_STATE_CAP = 50_000_000
 
 #: Cap on the number of leaf paths in full-history recursions.
 PATH_CAP = 2_000_000
+
+#: Largest horizon n that ``oracle_policy_enum`` evaluates.
+ORACLE_MAX_N = 6
 
 _KEY_DECIMALS = 12
 
@@ -396,8 +400,8 @@ def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.nda
 
 
 def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
-           clips: Sequence[float | None]) -> list[tuple[int, tuple, tuple]]:
-    """Per draw: its number V of support columns, its laws, and the term tables it adds.
+           clips: Sequence[float | None]) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+    """Per draw: its laws, its stack of term tables, and each root's index into the stack.
 
     The support columns are the distinct values with positive probability in
     some law, in increasing order; a law is its ``(column, p)`` pairs with
@@ -405,14 +409,15 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
     set.  A draw adds in root r when it completes a coordinate of mask r
     (every coordinate, for ``None``), and root r adds the term table of its
     own clip level ``clips[r]``, built once per distinct level and supports
-    of the window's draws and its own.
-    The last entry holds one ``(table, roots)`` pair per distinct table a
-    root adds, in root order, with ``roots`` a bool per root; it is empty
-    when the draw adds in no root.
+    of the window's draws and its own.  ``terms[0]`` is all zeros and
+    ``terms[1:]`` holds one table per distinct level some root adds, in root
+    order; ``pick[r]`` is root r's table, 0 where the draw adds nothing in
+    it.  ``terms[i, code, j]`` is a term of table i (see ``_term_table``),
+    and ``terms.shape[-1]`` the draw's number of support columns.
     """
     prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
     tables: dict[tuple[tuple, float | None], np.ndarray] = {}
-    groups: dict[tuple[tuple, tuple[bool, ...]], tuple] = {}
+    stacks: dict[tuple[tuple, tuple[bool, ...]], tuple[np.ndarray, np.ndarray]] = {}
     draws, supports = [], []
     for step, set_ in enumerate(model.sets, start=1):
         got = prepared.get(set_)
@@ -430,37 +435,40 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
         key = tuple(supports[max(step - 1 - model.m, 0):])
         k = _completes(model, step)
         adds = tuple(k is not None and (mask is None or k in mask) for mask in masks)
-        found = groups.get((key, adds))
+        found = stacks.get((key, adds))
         if found is None:
-            levels = dict.fromkeys(clip for clip, add in zip(clips, adds) if add)
+            levels = list(dict.fromkeys(clip for clip, add in zip(clips, adds) if add))
             for clip in levels:
                 if (key, clip) not in tables:
                     tables[key, clip] = _term_table(model, key, clip)
-            found = groups[key, adds] = tuple(
-                (tables[key, clip], np.array([a and c == clip for c, a in zip(clips, adds)]))
-                for clip in levels)
-        draws.append((len(values), laws, found))
+            zero = np.zeros((math.prod(map(len, key[:-1])), len(values)))
+            found = stacks[key, adds] = (
+                np.stack([zero, *(tables[key, clip] for clip in levels)]),
+                np.array([levels.index(c) + 1 if a else 0 for c, a in zip(clips, adds)]))
+        draws.append((laws, *found))
     return draws
 
 
-def _on_lattice(tables: Iterable[np.ndarray]) -> bool:
-    """Whether sums of one entry of each table stay exact floats on the 2⁻¹² lattice.
+def _on_lattice(stacks: Iterable[np.ndarray]) -> bool:
+    """Whether sums of one entry of each stack stay exact floats on the 2⁻¹² lattice.
 
-    A table may repeat (one entry per draw and distinct table it adds); each
-    distinct one is inspected once.  True when every entry is a finite
-    multiple of 2⁻¹² and the maxima of |entry| over the tables add up to
-    less than 2⁴¹.  Every partial sum is then a multiple of 2⁻¹² below 2⁴¹
-    in magnitude: fewer than 2⁵³ quanta, so each float add of such values
-    is exact.
+    A stack may repeat (one per draw); each distinct one is inspected once.
+    True when every entry is a finite multiple of 2⁻¹² and the maxima of
+    |entry| over the stacks add up to less than 2⁴¹.  A root adds one entry
+    of each draw's stack, so every partial sum of every root is then a
+    multiple of 2⁻¹² below 2⁴¹ in magnitude: fewer than 2⁵³ quanta, so each
+    float add of such values is exact.  A draw counts once, at the largest
+    entry of its stack, not at the sum of its tables' maxima: each root adds
+    from one table, so that bound holds for every root.
     """
     quanta, largest = 0, {}
-    for table in tables:
-        top = largest.get(id(table))
+    for stack in stacks:
+        top = largest.get(id(stack))
         if top is None:
-            units = table * _QUANTUM
+            units = stack * _QUANTUM
             if not (np.isfinite(units).all() and (np.rint(units) == units).all()):
                 return False
-            top = largest[id(table)] = int(np.abs(units).max())
+            top = largest[id(stack)] = int(np.abs(units).max())
         quanta += top
     return quanta < _LATTICE_LIMIT * _QUANTUM
 
@@ -493,19 +501,22 @@ def compile_sum(
     A layer is three arrays: each state's window code (the last m draws'
     support columns as mixed-radix digits, see ``_term_table``), its ``acc``, and, under
     ``track_max``, its ``maxabs``.  Every state is expanded under each distinct support value
-    with positive probability in some law, all at once: the child's sum is
-    ``acc + term[window, j]`` (one IEEE add, as in scalar code), rounded by
-    ``_canon_array`` onto the 1e-12 merge grid, and its running max is
-    ``where(b > mx, b, mx)`` with ``b = |sum|``.  ``_term`` runs once per
-    distinct (window, value) pair.  Children with equal (window, acc,
-    maxabs) merge (``_merge``), numbered in order of first occurrence in
-    row-major (state, column) order: the order a per-state dict loop inserts
-    them, so the graph is the one that loop builds, array for array
-    (``tests/test_engine_differential.py`` keeps the loop as its reference).
+    with positive probability in some law, all at once, in one gather: the
+    child's sum is ``acc + terms[pick, window, j]`` (one IEEE add, as in
+    scalar code), ``pick`` being its root's table of the draw's stack
+    (``_draws``), rounded by ``_canon_array`` onto the 1e-12 merge grid,
+    and its running max is ``where(b > mx, b, mx)`` with ``b = |sum|``.
+    ``_term`` runs once per distinct (window, value) pair.  Children with
+    equal (window, acc, maxabs) merge (``_merge``), numbered in order of
+    first occurrence in row-major (state, column) order: the order a
+    per-state dict loop inserts them, so the graph is the one that loop
+    builds, array for array (``tests/test_engine_differential.py`` keeps the
+    loop as its reference).
 
-    When every term is a multiple of 2⁻¹² and the terms' largest magnitudes
-    add up to less than 2⁴¹ (``_on_lattice``), every reachable sum is an
-    exact float on that lattice, and ``round(x, 12)`` returns it unchanged:
+    When every term is a multiple of 2⁻¹² and the draws' largest term
+    magnitudes add up to less than 2⁴¹ (``_on_lattice``), every reachable
+    sum is an exact float on that lattice, and ``round(x, 12)`` returns it
+    unchanged:
     x·10¹² = k·244140625 for the integer k = x·2¹², so there is no tie and
     the nearest double to k·2⁻¹² is x itself.  The merge-grid rounding is
     then the identity (sums start at +0.0, so none is -0.0), and the compile
@@ -524,21 +535,24 @@ def compile_sum(
 
     Several masks share one graph.  Layer 0 holds one root per mask, and
     every state carries the component id of its root: a state of component r
-    adds a draw's term only when mask r holds the coordinate that draw
-    completes, the term of its own clip level (each level has its own term
-    table), and the merge key includes the component id, so components
-    never merge.  The layers stay component-major (component r's states
-    before r + 1's), and within a component the order of first occurrence is
-    the one its mask's own compile sees, so the states reachable from root r
-    are that compile's graph, array for array, and one sweep reads every
-    root.  One mask adds no component column.  A draw that adds in no root
-    merges too: at m = 0 each state's children are that state again.  The
-    lattice test covers every table a draw adds in any root, so one
-    off-lattice level puts the whole graph on the float grid (which builds
-    the same graph), and ``state_cap`` bounds the states of all components
-    together.  A state of a mask's compile in
-    which a draw does not add still takes ``0.0 + p * value`` per support
-    column in the sweep, so masks of equal length at different positions
+    adds the term of its own clip level (each level has its own term table)
+    when mask r holds the coordinate the draw completes, and the draw's zero
+    table otherwise, and the merge key includes the component id, so
+    components never merge.  Adding the zero table leaves a state as it
+    was: on the lattice ``acc + 0`` is ``acc``; on the float grid ``acc``
+    is already rounded and ``_canon_array`` is idempotent; and a running
+    max is already at least ``|acc|``.  The layers stay component-major
+    (component r's states before r + 1's), and within a component the order
+    of first occurrence is the one its mask's own compile sees, so the
+    states reachable from root r are that compile's graph, array for array,
+    and one sweep reads every root.  One mask adds no component column.  A
+    draw that adds in no root merges too: at m = 0 each state's children
+    are that state again.  The lattice test covers every table of a draw's
+    stack, so one off-lattice level puts the whole graph on the float grid
+    (which builds the same graph), and ``state_cap`` bounds the states of
+    all components together.  A state of a mask's compile in which a draw
+    does not add still takes ``0.0 + p * value`` per support column in the
+    sweep, so masks of equal length at different positions
     can differ in the last bits; each mask keeps its own draws.
     """
     masks = [None if mask is None else frozenset(mask) for mask in masks]
@@ -554,17 +568,15 @@ def compile_sum(
         raise ValidationError("x_clip must be > 0")
     slides = m > 0
     draws = _draws(model, masks, clips)
-    radices = [V for V, _, _ in draws]
-    lattice = _on_lattice(table for _, _, groups in draws for table, _ in groups)
+    radices = [terms.shape[-1] for _, terms, _ in draws]
+    lattice = _on_lattice(terms for _, terms, _ in draws)
     if lattice:
-        counts = {id(table): (table * _QUANTUM).astype(np.int64)
-                  for _, _, groups in draws for table, _ in groups}
+        counts = {id(terms): (terms * _QUANTUM).astype(np.int64) for _, terms, _ in draws}
         # every count is a multiple of unit, so sums count in units of it
         unit = math.gcd(*(int(np.gcd.reduce(c.ravel())) for c in counts.values())) or 1
         for c in counts.values():
             c //= unit
-        draws = [(V, laws, tuple((counts[id(table)], roots) for table, roots in groups))
-                 for V, laws, groups in draws]
+        draws = [(laws, counts[id(terms)], pick) for laws, terms, pick in draws]
     ids = _offset_ids if lattice else _dense_ids
     win = np.zeros(R, dtype=np.int64)  # read only when the window slides
     acc = mx = np.zeros(R, dtype=np.int64 if lattice else float)
@@ -573,31 +585,13 @@ def compile_sum(
     sizes = [np.ones(R, dtype=np.int64)]
     total = R
     steps: list[_Step] = []
-    for step, (V, laws, groups) in enumerate(draws, start=1):
-        n = len(acc)
-        if len(groups) == 1 and groups[0][1].all():
-            # every state adds the same table
-            table = groups[0][0]
-            a = acc[:, None] + (table[win] if slides else table[0])
-            a = (a if lattice else _canon_array(a)).ravel()
-            if track_max:
-                b, x = np.abs(a), np.repeat(mx, V)
-                x = np.where(b > x, b, x)
-        else:
-            # the children of the rows of each table's roots take its sum, the others copy
-            a = np.repeat(acc, V).reshape(n, V)
-            if track_max:
-                x = np.repeat(mx, V).reshape(n, V)
-            for table, roots in groups:
-                rows = roots[comp]
-                part = acc[rows, None] + (table[win[rows]] if slides else table[0])
-                a[rows] = part if lattice else _canon_array(part)
-                if track_max:
-                    b = np.abs(a[rows])
-                    x[rows] = np.where(b > x[rows], b, x[rows])
-            a = a.ravel()
-            if track_max:
-                x = x.ravel()
+    for step, (laws, terms, pick) in enumerate(draws, start=1):
+        n, V = len(acc), terms.shape[-1]
+        a = acc[:, None] + terms[pick[comp] if R > 1 else pick[0], win if slides else 0]
+        a = (a if lattice else _canon_array(a)).ravel()
+        if track_max:
+            b, x = np.abs(a), np.repeat(mx, V)
+            x = np.where(b > x, b, x)
         columns = [ids(a)]
         if track_max:
             columns.append(ids(x))
@@ -901,12 +895,7 @@ def spread_columns(
     return tuple(columns), tuple(abs(up) + abs(lo) for up, lo in zip(means, lows))
 
 
-def oracle_policy_enum(
-    model: SequenceModel,
-    f: Functional,
-    *,
-    max_n: int = 6,
-) -> EvalResult:
+def oracle_policy_enum(model: SequenceModel, f: Functional) -> EvalResult:
     """Brute-force supremum over history-dependent law choices.
 
     Recurses over full histories of the primitive draws; at every history
@@ -916,8 +905,8 @@ def oracle_policy_enum(
     history, independently of the layered DP: ``S_n`` is one ``math.fsum``
     of every product ``w_j * eps_{k+j}``, so it is exactly rounded.
     """
-    if model.n > max_n:
-        raise GuardError(f"oracle guard: n={model.n} exceeds {max_n}")
+    if model.n > ORACLE_MAX_N:
+        raise GuardError(f"oracle guard: n={model.n} exceeds {ORACLE_MAX_N}")
     for s in model.sets:
         if len(s.laws) > 3:
             raise GuardError("oracle guard: more than 3 laws at one index")

@@ -40,26 +40,31 @@ def test_choose_pn_threshold_algebra():
         assert blk.choose_pn(cond.row_context(model, n)) == expected
 
 
-def _excess_ratios(ctx: cond.RowContext, p_max: int) -> dict[int, float]:
-    """``choose_pn``'s statistic per even candidate, each from a ``marginal_columns`` call of its own."""
+def _excess_ratios(ctx: cond.RowContext) -> dict[int, float]:
+    """``choose_pn``'s statistic per even candidate, each from a ``marginal_columns`` call of its own.
+
+    The candidates are the even p from the even floor of sqrt(k_n), at least 2, down to 2.
+    """
     B2 = ctx.B2
+    top = max(2, math.isqrt(ctx.model.n) // 2 * 2)
     return {p: p**4 / B2 * eng.ordered_sum(eng.marginal_columns(
                 ctx.model, [lambda x, _c=B2 / p**4: max(x * x - _c, 0.0)], [])[0][0])
-            for p in range(p_max, 1, -2)}
+            for p in range(top, 1, -2)}
 
 
 def test_choose_pn_reads_every_candidate_off_one_recursion(engine_calls):
+    # candidates 6, 4, 2 at n = 36; 4, 2 at n = 25 and 16
     models = [stationary_1dep(36), sl.SequenceModel.iid(pm1_uncertain(), 25, scale=0.2),
               sl.SequenceModel(
                   [variance_uncertain() if k % 3 else pm1_uncertain() for k in range(16)])]
     for model in models:
         ctx = cond.row_context(model, model.n)
-        ratios = _excess_ratios(ctx, 6)
+        ratios = _excess_ratios(ctx)
         # every candidate's own statistic, and the float just below it, as tol
         tols = (*ratios.values(), *(math.nextafter(r, -math.inf) for r in ratios.values()))
         for tol in (tol for tol in tols if tol > 0.0):
             engine_calls["window_columns"].clear()
-            got = blk.choose_pn(ctx, tol=tol, p_max=6)
+            got = blk.choose_pn(ctx, tol=tol)
             # one call under one law, one per index otherwise
             assert len(engine_calls["window_columns"]) == (1 if eng.one_law(model) else model.n)
             assert got == next((p for p, r in ratios.items() if r <= tol), 2)
@@ -69,8 +74,6 @@ def test_choose_pn_validation():
     ctx = cond.row_context(certain_pm1_iid(4), 4)
     with pytest.raises(ValidationError):
         blk.choose_pn(ctx, tol=0.0)
-    with pytest.raises(ValidationError):
-        blk.choose_pn(ctx, p_max=3)
 
 
 # ---------------------------------------------------------------------------

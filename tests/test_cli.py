@@ -624,8 +624,9 @@ def test_a_malformed_functional_name_exits_1_at_load_in_every_mode(tmp_path, cap
 
 
 @pytest.mark.parametrize("blocking", [{}, {"pn_list": [2, 4]}], ids=["choose_pn", "pn_list"])
-def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, blocking):
-    # cut-separated blocks are independent sums only for m <= 1
+def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, engine_calls, blocking):
+    # cut-separated blocks are independent sums only for m <= 1; the model is
+    # refused before any row compiles
     raw = {**SMALL_CONFIG, "model": {**SMALL_CONFIG["model"], "weights": [1.0, 1.0, 1.0]},
            "blocking": blocking}
     out = tmp_path / "out"
@@ -635,6 +636,7 @@ def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, blocking):
     assert err.startswith("error: blocking needs a 1-dependent row (m <= 1), got m = 2")
     assert "mdep.z_reduce" in err and "Traceback" not in err
     assert not out.exists()
+    assert not engine_calls["compile_sum"] and not engine_calls["window_columns"]
 
 
 def test_main_requires_exactly_one_source(tmp_path):

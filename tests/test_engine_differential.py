@@ -451,7 +451,7 @@ def _lattice(model: SequenceModel, **opts) -> bool:
     """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``."""
     (mask,) = opts.get("masks", [None])
     draws = eng._draws(model, [None if mask is None else frozenset(mask)], [opts.get("x_clip")])
-    return eng._on_lattice(table for _, _, groups in draws for table, _ in groups)
+    return eng._on_lattice(terms for _, terms, _ in draws)
 
 
 def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
@@ -554,6 +554,30 @@ def test_canon_array_rounds_like_round_bit_for_bit():
     got = eng._canon_array(x)
     want = np.array([round(v, 12) + 0.0 for v in x.tolist()])
     assert np.count_nonzero(got.view(np.int64) != want.view(np.int64)) == 0
+
+
+def _canon_inputs() -> st.SearchStrategy[float]:
+    """Generic floats of magnitude 1e-6..1e16, decimal half-ties and their neighbours, edge values."""
+    generic = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-6.0, 16.0),
+                        st.sampled_from((-1.0, 1.0)))
+    ties = st.integers(-10**13, 10**13).map(lambda k: (k + 0.5) / 1e12)
+    near = st.builds(math.nextafter, ties, st.sampled_from((-math.inf, math.inf)))
+    edges = st.sampled_from((2.0 ** 52 * 1e-12, -2.0 ** 52 * 1e-12, 0.0, -0.0, 5e-324, -5e-324,
+                             -1e-310, 2.2250738585072014e-308, 1e300, -1e300, math.nan))
+    return st.one_of(generic, ties, near, edges)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_canon_inputs(), min_size=1, max_size=64))
+def test_canon_array_is_idempotent_bit_for_bit(values):
+    # a root that skips a draw adds a zero term and is rounded again
+    once = eng._canon_array(np.array(values))
+    assert np.array_equal(eng._canon_array(once.copy()).view(np.int64), once.view(np.int64))
+
+
+def test_canon_array_leaves_its_own_roundings_unchanged():
+    once = eng._canon_array(_rounding_inputs())
+    assert np.array_equal(eng._canon_array(once.copy()).view(np.int64), once.view(np.int64))
 
 
 def test_evaluate_calls_phi_once_per_distinct_terminal_argument():
@@ -1137,7 +1161,7 @@ def _root_graph(union: eng.Graph, r: int) -> eng.Graph:
 def _union_on_lattice(model: SequenceModel, masks: list, clips: list) -> bool:
     masks = [None if mask is None else frozenset(mask) for mask in masks]
     draws = eng._draws(model, masks, clips)
-    return eng._on_lattice(table for _, _, groups in draws for table, _ in groups)
+    return eng._on_lattice(terms for _, terms, _ in draws)
 
 
 def assert_roots_are_their_own_compiles(model: SequenceModel, masks: list, clips: list,
@@ -1307,11 +1331,23 @@ def test_lattice_roots_at_different_clip_levels_build_their_own_graphs():
             assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
 
 
+def test_the_lattice_bound_takes_each_draws_largest_term_over_its_roots():
+    # each draw adds +-2^39 in the unclipped root and +-2^38 in the clipped
+    # one: 3 * 2^39 < 2^41 bounds the sums of either root, though the two
+    # tables' maxima add up to 4.5 * 2^39 > 2^41 over the 3 draws
+    model = SequenceModel.iid(_quarter_set(2.0 ** 39), 3)
+    masks, clips = [None, None], [None, 2.0 ** 38]
+    assert _union_on_lattice(model, masks, clips)
+    for track_max in (False, True):
+        assert_roots_are_their_own_compiles(model, masks, clips, track_max,
+                                            (eng.square(), eng.identity()))
+
+
 @pytest.mark.parametrize("model",
                          [QUARTER_TERMS, NEGATIVE_ONLY, SequenceModel.iid(_quarter_set(), 3)],
                          ids=["window", "negative-only", "iid-quarters"])
 def test_empty_masks_build_the_reference_graph(model):
-    # a root whose mask is empty adds no term table, and every sum it reaches is 0
+    # a root whose mask is empty adds only zero tables, and every sum it reaches is 0
     assert set(_sum_bounds(model, masks=[[]])) <= {1}
     for track_max in (False, True):
         assert_compiles_like_the_references(model, masks=[[]], track_max=track_max)
@@ -1330,11 +1366,11 @@ OFF_LATTICE_SET = sl.ambiguity([sl.DiscreteLaw((-1.7, 1.0 / 3.0, math.pi / 2.0),
                                    SequenceModel.iid(OFF_LATTICE_SET, 4)],
                          ids=["lattice", "off-lattice"])
 def test_a_draw_that_adds_in_no_root_builds_each_roots_own_graph(model, masks):
-    # at m = 0, a draw completing a coordinate no mask holds adds no term
-    # table in any root; its layer merges like any other
+    # at m = 0, a draw completing a coordinate no mask holds adds the zero
+    # table in every root; its layer merges like any other
     R = len(masks)
     draws = eng._draws(model, [frozenset(mask) for mask in masks], [None] * R)
-    assert any(not groups for _, _, groups in draws)
+    assert any(not pick.any() for _, _, pick in draws)
     fs = (eng.square(), eng.cosine())
     for clips in ([None] * R, [0.5] * R):
         for track_max in (False, True):
