@@ -134,13 +134,14 @@ def _M_grid(cfg: ExperimentConfig, n: int) -> tuple[int, ...]:
 
 
 def _rows(cfg: ExperimentConfig, *, conditions: bool = False) -> Iterator[cond.RowContext]:
-    """The context of every row of the config, in order, one graph at a time.
+    """The context of every row of the config, in order, one handle of sums at a time.
 
-    Each graph of ``cond.row_graphs`` is compiled and swept once for its
-    rows; for ``conditions`` it also has the config's tau as a clipped root,
-    and each row records its ``_M_grid``, every M of which the sweep reads
-    at both roots.  A caller drops each context before taking the next, so
-    a graph is freed before the next one is compiled.
+    The sums of each model of ``cond.row_graphs`` (``engine.row_sums``) are
+    built and swept once for its rows; for ``conditions`` they also have
+    the config's tau as a clipped root, and each row records its
+    ``_M_grid``, every M of which the sweep reads at both roots.  A caller
+    drops each context before taking the next, so one handle is freed
+    before the next one is built.
     """
     tau = cfg.conditions.tau if conditions else None
     for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
@@ -189,11 +190,12 @@ def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
                 ctxs: list[cond.RowContext]) -> dict[int, tuple]:
     """Everything of the sweep rows of every n of ``ctxs`` but the G-normal references.
 
-    ``ctxs`` share one graph, with no clipped root and no M grid.  Per n, the
-    marginal summaries come from one history recursion (``cond.build_report``
-    with no p), the truncated normalizers from one more, clipped; every
-    functional of every n, scaled by that n's 1/B_n, is a column of one
-    sweep of the graph.
+    ``ctxs`` share one handle of sums, with no clipped root and no M grid.
+    Per n, the marginal summaries come from one history recursion
+    (``cond.build_report`` with no p), the truncated normalizers from one
+    more, clipped; every functional of every n, scaled by that n's 1/B_n,
+    is a column of one sweep of the sums: dense layers on the lattice, the
+    graph otherwise.
     """
     found, columns = {}, []
     for ctx in ctxs:
@@ -208,17 +210,17 @@ def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
         )
         found[n] = B, b, rep.mean_unc, summary
         columns += [(engine.scaled(f, 1.0 / B), n) for f in fs]
-    results = iter(engine.evaluate_columns(ctxs[0].graph, columns))
+    results = iter(engine.evaluate_columns(ctxs[0].sums, columns))
     return {n: (*row, [next(results) for _ in fs]) for n, row in found.items()}
 
 
 def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
-    """Sweep rows per n, off one graph per group of rows (``cond.row_graphs``).
+    """Sweep rows per n, off one handle of sums per group of rows (``cond.row_graphs``).
 
     The PDE grid is built and checked before any compile.  The group of the
     largest n goes first: that row also gives the plateau r (``_sweep_r``),
     which the G-normal references need.  The references are solved once
-    that graph is freed, so the PDE arrays never add to a graph's memory.
+    those sums are freed, so the PDE arrays never add to a graph's memory.
     """
     fs = _functionals(cfg)
     grid = _grid(cfg)
@@ -227,7 +229,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     r = _sweep_r(cfg, ctxs[-1])
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
     found = _sweep_rows(cfg, fs, ctxs)
-    del ctxs  # one graph alive at a time
+    del ctxs  # one handle of sums alive at a time
     refs = _pde_bounds(cfg, fs, gp, grid)
     for model, ns in smaller:
         found.update(_sweep_rows(cfg, fs, cond.row_contexts(model, ns, state_cap=cfg.state_cap)))

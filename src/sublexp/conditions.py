@@ -79,25 +79,26 @@ class ConditionReport:
 
 @frozen
 class RowContext:
-    """Row n of the array: its length-n model, the graph of its sums, the state cap.
+    """Row n of the array: its length-n model, the handle of its sums, the state cap.
 
-    ``graph`` holds the row's full sum as root 0 and, when ``tau`` (the
-    truncation level of the conditions) is set, the full sum clipped at tau
-    as root 1.  It may be compiled at a larger n of the same array: when
-    the rows' models are prefixes of one model, all rows share that model's
-    graph, and row n reads its first n + m layers, which are the compile of
-    row n's own model (``engine.sweep_columns``).  ``M_grid`` holds the
-    prefix horizons of the row's variance ratios, and ``moments[M]`` holds
-    E[S_M^2] per root for n and every M of ``M_grid``; ``m2`` is root 0's
-    E[S_n^2], and ``Bn`` is ``(B_n, b_n)``, the square roots of its upper
-    and lower value.  Every quantity of the row reads these, and every
-    further compile for the row (block and cut sums) runs under
-    ``state_cap``.  Drop the contexts of one graph before building the next,
-    so only one graph is alive at a time.
+    ``sums`` (``engine.row_sums``) holds the row's full sum as root 0 and,
+    when ``tau`` (the truncation level of the conditions) is set, the full
+    sum clipped at tau as root 1: the dense layers of the full sum when it
+    is the only root and sits on the lattice, the compiled graph otherwise.
+    It may be built at a larger n of the same array: when the rows' models
+    are prefixes of one model, all rows share that model's sums, and row n
+    reads its columns at horizon n, which are those of row n's own model
+    (``engine.sweep_columns``).  ``M_grid`` holds the prefix horizons of the
+    row's variance ratios, and ``moments[M]`` holds E[S_M^2] per root for n
+    and every M of ``M_grid``; ``m2`` is root 0's E[S_n^2], and ``Bn`` is
+    ``(B_n, b_n)``, the square roots of its upper and lower value.  Every
+    quantity of the row reads these, and every further compile for the row
+    (block and cut sums) runs under ``state_cap``.  Drop the contexts of
+    one handle before building the next, so only one is alive at a time.
     """
 
     model: SequenceModel
-    graph: engine.Graph
+    sums: engine.Graph | engine.DenseSum
     moments: Mapping[int, tuple[engine.EvalResult, ...]]
     state_cap: int
     tau: float | None = None
@@ -122,7 +123,7 @@ class RowContext:
 
 def row_graphs(model_for: Callable[[int], SequenceModel],
                ns: Sequence[int]) -> list[tuple[SequenceModel, tuple[int, ...]]]:
-    """The models to compile for rows ``ns``, each with the rows read off its graph.
+    """The models whose sums serve rows ``ns``, each with the rows read off them.
 
     When ``model_for(n).prefix(n) == model_for(n_max).prefix(n)`` for every n
     (a scale-1 model, say), the largest row's model serves every row;
@@ -138,12 +139,13 @@ def row_graphs(model_for: Callable[[int], SequenceModel],
 def row_contexts(model: SequenceModel, ns: Sequence[int], *, tau: float | None = None,
                  M_grids: Sequence[Sequence[int]] | None = None,
                  state_cap: int = engine.DEFAULT_STATE_CAP) -> list[RowContext]:
-    """Rows ``ns`` of ``model`` (each n at most ``model.n``), from one compile and one sweep.
+    """Rows ``ns`` of ``model`` (each n at most ``model.n``), from one handle and one sweep.
 
-    The graph's roots are the full sum and, with ``tau``, the full sum
-    clipped at tau; the sweep reads E[S_M^2] at every root for each row's n
-    and every M of its grid (``M_grids``, one grid per row, none by
-    default).  ``state_cap`` bounds the states of both roots together.
+    The handle's roots (``engine.row_sums``) are the full sum and, with
+    ``tau``, the full sum clipped at tau; the sweep reads E[S_M^2] at every
+    root for each row's n and every M of its grid (``M_grids``, one grid per
+    row, none by default).  ``state_cap`` bounds the states of both roots
+    together.
     """
     if tau is not None and not tau > 0.0:
         raise ValidationError("tau must be > 0")
@@ -154,12 +156,11 @@ def row_contexts(model: SequenceModel, ns: Sequence[int], *, tau: float | None =
         if any(not 1 <= M <= n for M in grid):
             raise ValidationError(f"horizons must lie in 1..{n}")
     clips = [None] if tau is None else [None, tau]
-    graph = engine.compile_sum(model, masks=[None] * len(clips), x_clip=clips,
-                               state_cap=state_cap)
+    sums = engine.row_sums(model, clips, state_cap=state_cap)
     Ms = sorted({M for n, grid in zip(ns, grids) for M in (n, *grid)})
-    found = iter(engine.evaluate_columns(graph, [(engine.square(), M) for M in Ms]))
+    found = iter(engine.evaluate_columns(sums, [(engine.square(), M) for M in Ms]))
     moments = {M: tuple(next(found) for _ in clips) for M in Ms}
-    return [RowContext(model.prefix(n), graph, {M: moments[M] for M in (n, *grid)},
+    return [RowContext(model.prefix(n), sums, {M: moments[M] for M in (n, *grid)},
                        state_cap, tau, grid)
             for n, grid in zip(ns, grids)]
 
@@ -198,7 +199,7 @@ def _ratio(res: engine.EvalResult) -> float:
 
 
 def _prefix_ratios(ctx: RowContext, root: int) -> dict[int, float]:
-    """``_ratio`` of E[S_M^2] at ``root`` of the row graph, for every M of the row's grid."""
+    """``_ratio`` of E[S_M^2] at ``root`` of the row's sums, for every M of the row's grid."""
     return {M: _ratio(ctx.moments[M][root]) for M in ctx.M_grid}
 
 
@@ -233,8 +234,8 @@ def truncated_bounds(ctx: RowContext, tau: float) -> tuple[float, float]:
 def truncated_profile(ctx: RowContext) -> TruncatedProfile:
     """The row's hypotheses at its tau, every marginal from one clipped history recursion.
 
-    Every ``S_M`` of the row's grid is read at the clipped root of the row
-    graph, from the moments the context was built with.
+    Every ``S_M`` of the row's grid is read at the clipped root of the row's
+    sums, from the moments the context was built with.
     """
     if ctx.tau is None:
         raise ValidationError("the row was built without tau")

@@ -48,6 +48,27 @@ component.  The states reachable from root r are the graph of mask r
 alone, so one sweep reads every root; ``eval_sums`` compiles and sweeps
 the masks of one functional and returns one ``EvalResult`` per mask.
 
+An unclipped full sum on the lattice needs no state graph (``row_sums``).
+Draw t enters the coordinates t - j for the weights j with 1 <= t - j <= n,
+so the sum is ``scale * sum_t c_t eps_t`` with the per-draw coefficient
+``c_t = sum_j w_j`` over those j: an independent sum, whose state after t
+draws is its partial sum alone.  On the lattice every partial sum is
+exact, and one draw's terms differ by multiples of a step, so layer t is
+one contiguous range of offsets in steps and a state's child under
+support column j sits at a fixed shift: the backward pass over a
+``DenseSum`` reads each child column as one slice, with no child arrays
+and no merge.  It is exact: a graph state ``(window, acc)`` and the sum
+``acc`` plus the window's terms still to come reach children of equal
+values under every column, and the last
+layers take ``phi`` of the same exact float, so by induction every value
+is the graph's bit for bit.  A draw whose coefficient is 0 keeps its
+support columns at shift 0, so each still adds ``0.0 + p * value``, as in
+the graph.  A prefix column M < n has its own coefficients on its last m
+draws; it is swept through them alone and joins the one pass at layer M.
+Every layer size follows from the terms, so the state cap is checked
+before any work.  A clipped root, a sum off the lattice, masks and the
+running max (``track_max``) compile the graph.
+
 Functionals of a few coordinates are evaluated by recursion over the full
 history of the draws they involve.  ``window_columns`` carries many payoff
 columns through one such recursion, upper and lower columns as separate
@@ -309,6 +330,33 @@ class Graph:
         return len(self.args[0])
 
 
+@frozen
+class DenseSum:
+    """The dense lattice layers of one model's unclipped full sum (``row_sums``).
+
+    Draw t adds ``sum_j parts[t-1][j, col]`` 2⁻¹² over the weights j of
+    the coordinates of the sum it enters.  The terms of one draw differ by
+    multiples of ``step``, so the sums after t draws all sit on
+    ``lows[t] + step * i``: layer t is the offsets i of ``range(sizes[t])``,
+    and ``shifts[t-1][col]`` is how far above a state's offset its child
+    under support column ``col`` sits in layer t.  These three hold the
+    full sum; a prefix sum shares its layers up to its horizon M.
+    """
+
+    #: per draw, each law's ``(column, p)`` pairs with ``p != 0`` in support order
+    laws: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
+    #: per draw, row j the term of weight j per support column, in counts of 2⁻¹²
+    parts: tuple[np.ndarray, ...]
+    shifts: tuple[np.ndarray, ...]
+    #: per layer, its least sum in counts of 2⁻¹²
+    lows: tuple[int, ...]
+    sizes: tuple[int, ...]
+    #: draws before coordinate 1 completes: m
+    lead: int
+    #: the gcd of the differences between the terms of one weight at one draw
+    step: int
+
+
 def _canon_array(x: np.ndarray) -> np.ndarray:
     """``round(v, 12) + 0.0`` for every element ``v`` of ``x``, bit for bit.
 
@@ -399,15 +447,33 @@ def _merge(columns: Sequence[tuple[np.ndarray, int]], size: int) -> tuple[np.nda
     return first, table[key]
 
 
+def _support_columns(sets: Sequence[AmbiguitySet]) -> list[tuple[tuple[float, ...], tuple]]:
+    """Per draw: its support columns and its laws, built once per distinct ambiguity set.
+
+    The support columns are the distinct values with positive probability in
+    some law, in increasing order; a law is its ``(column, p)`` pairs with
+    ``p != 0`` in support order.  Draws of one set share both objects.
+    """
+    prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
+    for set_ in sets:
+        if set_ not in prepared:
+            values = tuple(sorted({v for law in set_.laws
+                                   for v, p in zip(law.values, law.probs) if p != 0.0}))
+            column = {v: j for j, v in enumerate(values)}
+            prepared[set_] = values, tuple(
+                tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
+                for law in set_.laws
+            )
+    return [prepared[set_] for set_ in sets]
+
+
 def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
            clips: Sequence[float | None]) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
     """Per draw: its laws, its stack of term tables, and each root's index into the stack.
 
-    The support columns are the distinct values with positive probability in
-    some law, in increasing order; a law is its ``(column, p)`` pairs with
-    ``p != 0`` in support order.  Both are built once per distinct ambiguity
-    set.  A draw adds in root r when it completes a coordinate of mask r
-    (every coordinate, for ``None``), and root r adds the term table of its
+    The support columns and laws are those of ``_support_columns``.  A draw
+    adds in root r when it completes a coordinate of mask r (every
+    coordinate, for ``None``), and root r adds the term table of its
     own clip level ``clips[r]``, built once per distinct level and supports
     of the window's draws and its own.  ``terms[0]`` is all zeros and
     ``terms[1:]`` holds one table per distinct level some root adds, in root
@@ -415,21 +481,10 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
     it.  ``terms[i, code, j]`` is a term of table i (see ``_term_table``),
     and ``terms.shape[-1]`` the draw's number of support columns.
     """
-    prepared: dict[AmbiguitySet, tuple[tuple[float, ...], tuple]] = {}
     tables: dict[tuple[tuple, float | None], np.ndarray] = {}
     stacks: dict[tuple[tuple, tuple[bool, ...]], tuple[np.ndarray, np.ndarray]] = {}
     draws, supports = [], []
-    for step, set_ in enumerate(model.sets, start=1):
-        got = prepared.get(set_)
-        if got is None:
-            values = tuple(sorted({v for law in set_.laws
-                                   for v, p in zip(law.values, law.probs) if p != 0.0}))
-            column = {v: j for j, v in enumerate(values)}
-            got = prepared[set_] = values, tuple(
-                tuple((column[v], p) for v, p in zip(law.values, law.probs) if p != 0.0)
-                for law in set_.laws
-            )
-        values, laws = got
+    for step, (values, laws) in enumerate(_support_columns(model.sets), start=1):
         supports.append(values)
         # the supports of the window's draws, then this draw's
         key = tuple(supports[max(step - 1 - model.m, 0):])
@@ -630,13 +685,154 @@ def compile_sum(
                  np.array(sizes) if R > 1 else None)
 
 
-def sweep_columns(graph: Graph, upper: Sequence[tuple[Functional, int]],
+def _dense_layers(parts: Sequence[np.ndarray], step: int, m: int, M: int, first: int, low: int,
+                  size: int) -> tuple[list[np.ndarray], list[int], list[int]]:
+    """Draws ``first..M+m`` of the sum ``S_M``, from a layer of ``size`` offsets above ``low``.
+
+    Draw t adds row j of its part for every weight j whose coordinate
+    t - j lies in 1..M: the per-draw coefficient ``c_t = sum_j w_j`` over
+    those j, times each support value.  Returns each draw's shifts (its
+    terms less the least, in steps), and the least sum and size of the
+    layer it starts from and of every layer it reaches.  A draw all of
+    whose terms are 0 has every shift 0 and keeps its layer's size.
+    """
+    shifts, lows, sizes = [], [low], [size]
+    seen: dict[tuple[int, int, int], tuple[np.ndarray, int, int]] = {}
+    for t in range(first, M + m + 1):
+        part = parts[t - 1]
+        span = (id(part), max(0, t - M), min(m, t - 1))
+        got = seen.get(span)
+        if got is None:
+            terms = part[span[1]:span[2] + 1].sum(axis=0)
+            least = int(terms.min())
+            shift = (terms - least) // step
+            got = seen[span] = shift, least, int(shift.max())
+        shift, least, width = got
+        shifts.append(shift)
+        lows.append(lows[-1] + least)
+        sizes.append(sizes[-1] + width)
+    return shifts, lows, sizes
+
+
+def _dense_sum(model: SequenceModel, state_cap: int) -> DenseSum | None:
+    """The dense layers of ``model``'s full sum, or None when it is off the lattice.
+
+    The term of weight j at support value v is ``scale * w_j * v``.  The
+    sum is dense when every such term is a finite multiple of 2⁻¹², the
+    largest of them over every (coordinate, weight) pair add up to less
+    than 2⁴¹, and every term ``compile_sum`` builds for a window (see
+    ``_term_table``) is the sum of its draws' terms of their weights.  Then
+    every partial sum, here and in the graph, is an exact float, and the
+    graph's terminal arguments are the dense layers' sums, bit for bit.
+    ``state_cap`` bounds the states of all layers, checked before any work:
+    the dense layer sizes are known from the terms alone.
+    """
+    m, n = model.m, model.n
+    draws = _support_columns(model.sets)
+    quanta: dict[int, np.ndarray] = {}
+    for values, _ in draws:
+        if id(values) not in quanta:
+            units = np.array([[model.scale * w * v for v in values] for w in model.weights])
+            units *= _QUANTUM
+            if not (np.isfinite(units).all() and (np.rint(units) == units).all()
+                    and np.abs(units).max() < _LATTICE_LIMIT * _QUANTUM):
+                return None
+            quanta[id(values)] = units.astype(np.int64)
+    largest = {key: [int(x) for x in np.abs(q).max(axis=1)] for key, q in quanta.items()}
+    total = sum(sum(largest[id(values)][max(0, t - n):min(m, t - 1) + 1])
+                for t, (values, _) in enumerate(draws, start=1))
+    if total >= _LATTICE_LIMIT * _QUANTUM:
+        return None
+    windows = {tuple(values for values, _ in draws[t - m - 1:t]) for t in range(m + 1, n + m + 1)}
+    for window in windows:
+        want = np.zeros(())
+        for j, values in enumerate(window):
+            want = want + quanta[id(values)][j].reshape((-1,) + (1,) * (m - j))
+        if not np.array_equal(_term_table(model, window, None) * _QUANTUM,
+                              want.reshape(-1, len(window[-1]))):
+            return None
+    # every draw's terms differ by multiples of step, so the sums of one layer do too
+    step = math.gcd(*(int(np.gcd.reduce((q - q[:, :1]).ravel())) for q in quanta.values())) or 1
+    parts = tuple(quanta[id(values)] for values, _ in draws)
+    shifts, lows, sizes = _dense_layers(parts, step, m, n, 1, 0, 1)
+    if sum(sizes) > state_cap:
+        raise StateCapError(sum(sizes), state_cap, steps=len(draws), layer_sizes=tuple(sizes))
+    return DenseSum(tuple(laws for _, laws in draws), parts, tuple(shifts), tuple(lows),
+                    tuple(sizes), m, step)
+
+
+def row_sums(model: SequenceModel, clips: Sequence[float | None] = (None,), *,
+             state_cap: int = DEFAULT_STATE_CAP) -> Graph | DenseSum:
+    """The full sum of ``model`` once per clip level of ``clips``, as one handle to sweep.
+
+    ``DenseSum`` when the one level is None and the sum is on the lattice
+    (``_dense_sum``): no state graph is built, and its layers are checked
+    against ``state_cap`` before any work.  Otherwise the graph of
+    ``compile_sum`` with one root per level.  ``sweep_columns`` and
+    ``evaluate_columns`` take either, with the same values bit for bit.
+    """
+    clips = list(clips)
+    if clips == [None]:
+        dense = _dense_sum(model, state_cap)
+        if dense is not None:
+            return dense
+    return compile_sum(model, masks=[None] * len(clips), x_clip=clips, state_cap=state_cap)
+
+
+def _back(vals: np.ndarray, K: int, laws: tuple, rows: int,
+          child: Callable[[int], np.ndarray]) -> np.ndarray:
+    """One draw of the backward pass: every state's best law, per column.
+
+    ``child(j)`` holds the ``rows`` states' values under support column j.
+    Each law's expectation starts at 0.0 and adds ``p * child(j)`` over the
+    law's support in order, and replaces the best only when strictly
+    better: greater in the first ``K`` (upper) columns, smaller in the rest.
+    """
+    best = np.full((rows, vals.shape[1]), math.inf)
+    best[:, :K] = -math.inf
+    better = np.empty(best.shape, dtype=bool)
+    term = np.empty(best.shape)
+    for law in laws:
+        (j, p), *rest = law
+        acc = np.multiply(child(j), p)
+        acc += 0.0  # 0.0 + p * value: -0.0 becomes 0.0
+        for j, p in rest:
+            acc += np.multiply(child(j), p, out=term)
+        np.greater(acc[:, :K], best[:, :K], out=better[:, :K])
+        np.less(acc[:, K:], best[:, K:], out=better[:, K:])
+        np.copyto(best, acc, where=better)
+    return best
+
+
+def _gather_back(vals: np.ndarray, K: int, step: _Step) -> np.ndarray:
+    """``_back`` through a graph draw: the children under column j are gathered by index."""
+    child = step.child
+    return _back(vals, K, step.laws, len(child), lambda j: vals.take(child[:, j], axis=0))
+
+
+def _slice_back(vals: np.ndarray, K: int, laws: tuple, shift: np.ndarray,
+                rows: int) -> np.ndarray:
+    """``_back`` through a dense draw into ``rows`` offsets: the children are slices."""
+    return _back(vals, K, laws, rows, lambda j: vals[shift[j]:shift[j] + rows])
+
+
+def _tail(dense: DenseSum, M: int) -> tuple[list[np.ndarray], list[int], list[int]]:
+    """The last m draws of ``S_M`` (``_dense_layers``), from the full sum's layer M.
+
+    Layers up to M are those of the full sum; these draws add only their
+    weights whose coordinates lie in 1..M.
+    """
+    return _dense_layers(dense.parts, dense.step, dense.lead, M, M + 1, dense.lows[M],
+                         dense.sizes[M])
+
+
+def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]],
                   lower: Sequence[tuple[Functional, int]],
                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Backward pass: the upper value of every column of ``upper`` and the lower of ``lower``.
 
-    A column ``(f, M)`` is ``f`` of the sum of coordinates 1..M.  It joins
-    the sweep at layer M + lead, the top of the compile of
+    A column ``(f, M)`` is ``f`` of the sum of coordinates 1..M.  On a
+    graph it joins the sweep at layer M + lead, the top of the compile of
     ``model.prefix(M)`` (later draws complete only later coordinates), with
     ``phi`` called once per distinct argument there (no argument is -0.0),
     once for a functional asked on both sides.  The upper columns, then the
@@ -645,59 +841,77 @@ def sweep_columns(graph: Graph, upper: Sequence[tuple[Functional, int]],
     per-state dict recursion on its prefix, so its values are those bit for
     bit.  A side no caller reads is simply not carried.
 
+    On a ``DenseSum`` a column starts at the last layer of ``S_M``'s own
+    dense layers, is swept back through its last m draws (``_tail``) and
+    joins the one pass at layer M; a child's values are a slice at its
+    support column's shift, where the graph gathers them, through the same
+    per-law accumulation (``_back``).  A state of the window graph and the
+    dense offset of its ``S_M`` so far reach children of equal values under
+    every support column, so by induction from the last layer, where both
+    take ``phi`` of the same exact float, every value is the same float.
+
     Each side holds one value per column and root, column by column, roots
-    in order within a column: a graph of one mask gives one value per
-    column.
+    in order within a column: a graph of one mask, and a dense sum, give
+    one value per column.
     """
-    n, lead = len(graph.steps) - graph.lead, graph.lead
+    dense = isinstance(sums, DenseSum)
+    lead = 0 if dense else sums.lead
+    n = len(sums.laws if dense else sums.steps) - sums.lead
     sides = (upper, lower)
     if any(not 1 <= M <= n for side in sides for _, M in side):
         raise ValidationError(f"horizons must lie in 1..{n}")
     orders = [sorted(range(len(side)), key=lambda c, _s=side: -_s[c][1]) for side in sides]
     top = max((side[order[0]][1] + lead for side, order in zip(sides, orders) if side),
               default=0)
-    vals, K = np.empty((len(graph.args[top]), 0)), 0  # K upper columns come first
+    rows = sums.sizes[top] if dense else len(sums.args[top])
+    vals, K = np.empty((rows, 0)), 0  # K upper columns come first
     for t in range(top, 0, -1):
         joining = [[side[c][0] for c in order if side[c][1] + lead == t]
                    for side, order in zip(sides, orders)]
         if joining[0] or joining[1]:
             fs = {id(f): f for f in joining[0] + joining[1]}
             col = {key: i for i, key in enumerate(fs)}
-            distinct, at = np.unique(graph.args[t], return_inverse=True)
+            k = len(joining[0])
+            if dense:
+                shifts, lows, sizes = _tail(sums, t)
+                args = (lows[-1] + sums.step * np.arange(sizes[-1])) / float(_QUANTUM)
+            else:
+                args = sums.args[t]
+            distinct, at = np.unique(args, return_inverse=True)
             payoffs = np.array([[f.phi(x) for f in fs.values()] for x in distinct.tolist()],
-                             dtype=float)[at]
-            new_up, new_lo = (payoffs[:, [col[id(f)] for f in side]] for side in joining)
-            vals, K = np.hstack((vals[:, :K], new_up, vals[:, K:], new_lo)), K + len(joining[0])
-        st = graph.steps[t - 1]
-        best = np.full((len(st.child), vals.shape[1]), math.inf)
-        best[:, :K] = -math.inf
-        better = np.empty(best.shape, dtype=bool)
-        for law in st.laws:
-            acc = 0.0
-            for j, p in law:
-                acc = acc + p * vals.take(st.child[:, j], axis=0)
-            np.greater(acc[:, :K], best[:, :K], out=better[:, :K])
-            np.less(acc[:, K:], best[:, K:], out=better[:, K:])
-            np.copyto(best, acc, where=better)
-        vals = best
+                               dtype=float)[at]
+            new = payoffs[:, [col[id(f)] for f in joining[0] + joining[1]]]
+            if dense:  # down the last m draws of S_t to layer t
+                for i in reversed(range(len(shifts))):
+                    new = _slice_back(new, k, sums.laws[t + i], shifts[i], sizes[i])
+            vals, K = np.hstack((vals[:, :K], new[:, :k], vals[:, K:], new[:, k:])), K + k
+        if dense:
+            vals = _slice_back(vals, K, sums.laws[t - 1], sums.shifts[t - 1], sums.sizes[t - 1])
+        else:
+            vals = _gather_back(vals, K, sums.steps[t - 1])
     per_column = vals.T.tolist()  # vals has one row per root after the last step
     ups, los = dict(zip(orders[0], per_column[:K])), dict(zip(orders[1], per_column[K:]))
     return (tuple(v for c in range(len(upper)) for v in ups[c]),
             tuple(v for c in range(len(lower)) for v in los[c]))
 
 
-def evaluate_columns(graph: Graph,
+def evaluate_columns(sums: Graph | DenseSum,
                      columns: Sequence[tuple[Functional, int]]) -> tuple[EvalResult, ...]:
     """Upper and lower value of every column ``(f, M)`` at every root, in one sweep.
 
     ``sweep_columns`` with every column on both sides, in its order; the
     state count of ``(f, M)`` at root r is that of the compile of
-    ``model.prefix(M)`` with mask r.
+    ``model.prefix(M)`` with mask r, or for a dense sum that of the dense
+    layers of ``S_M``: the full sum's layers 0..M and those of its last m
+    draws.
     """
-    ups, los = sweep_columns(graph, columns, columns)
-    sizes = [[len(a)] for a in graph.args] if graph.sizes is None else graph.sizes
-    states = np.cumsum(sizes, axis=0).tolist()  # states[t][r]: layers 0..t of root r
-    counts = [n for _, M in columns for n in states[M + graph.lead]]
+    ups, los = sweep_columns(sums, columns, columns)
+    if isinstance(sums, DenseSum):
+        counts = [sum(sums.sizes[:M + 1]) + sum(_tail(sums, M)[2][1:]) for _, M in columns]
+    else:
+        sizes = [[len(a)] for a in sums.args] if sums.sizes is None else sums.sizes
+        states = np.cumsum(sizes, axis=0).tolist()  # states[t][r]: layers 0..t of root r
+        counts = [n for _, M in columns for n in states[M + sums.lead]]
     return tuple(EvalResult(*found) for found in zip(ups, los, counts))
 
 
@@ -707,7 +921,6 @@ def eval_sums(
     masks: Sequence[Iterable[int] | None],
     *,
     x_clip: float | None | Sequence[float | None] = None,
-    track_max: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[EvalResult, ...]:
     """Upper and lower expectation of ``f`` of the sum over each of ``masks``.
@@ -722,8 +935,7 @@ def eval_sums(
     """
     if not masks:
         return ()
-    graph = compile_sum(model, masks=masks, x_clip=x_clip, track_max=track_max,
-                        state_cap=state_cap)
+    graph = compile_sum(model, masks=masks, x_clip=x_clip, state_cap=state_cap)
     return evaluate_columns(graph, [(f, model.n)])
 
 

@@ -24,7 +24,9 @@ class StateCapError(SublexpError):
 
     ``step`` is the 1-based draw (of ``steps``) whose layer crossed the cap,
     and ``layer_sizes`` the state count of every layer built up to and
-    including it, so ``sum(layer_sizes) == count``.
+    including it, so ``sum(layer_sizes) == count``.  Dense lattice layers
+    are refused before any is built: ``step`` is None, and ``layer_sizes``
+    holds every layer the sum would need.
     """
 
     def __init__(self, count: int, cap: int, *, step: int | None = None,

@@ -273,7 +273,7 @@ def test_criterion_06_mdependent_clt():
     for n in STATIONARY_NS:
         ctx = cond.row_context(_stationary_model(n), n)
         B, _ = ctx.Bn
-        found = sl.evaluate_columns(ctx.graph, [(eng.scaled(f, 1.0 / B), n) for f in fs])
+        found = sl.evaluate_columns(ctx.sums, [(eng.scaled(f, 1.0 / B), n) for f in fs])
         for (_, ups, los), res, (ref_up, ref_lo) in zip(results, found, refs):
             ups.append(abs(res.upper - ref_up))
             los.append(abs(res.lower - ref_lo))
@@ -482,7 +482,7 @@ def test_criterion_10_truncated_conditions():
     for n in STATIONARY_NS:
         ctx = cond.row_context(cfg.model_for(n), n)
         B = math.sqrt(cond.truncated_bounds(ctx, tau)[0])
-        found = sl.evaluate_columns(ctx.graph, [(eng.scaled(f, 1.0 / B), n) for f in fs])
+        found = sl.evaluate_columns(ctx.sums, [(eng.scaled(f, 1.0 / B), n) for f in fs])
         for (_, ups, los), out, (ref_up, ref_lo) in zip(results, found, refs):
             ups.append(abs(out.upper - ref_up))
             los.append(abs(out.lower - ref_lo))

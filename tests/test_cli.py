@@ -410,22 +410,23 @@ def test_conditions_read_both_roots_of_a_row_off_one_compile_and_one_sweep(engin
 
 
 def test_clt_sweep_reads_every_row_of_a_scale_1_model_off_one_graph(engine_calls):
-    # one compile at the largest n; one sweep for every row's E[S_n^2], one
-    # for every row's functionals at its own 1/B_n
+    # the full sums sit on the lattice, so the rows share the dense layers of
+    # the largest n and nothing is compiled; one sweep for every row's
+    # E[S_n^2], one for every row's functionals at its own 1/B_n
     cfg = exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16]})
     shared = cli.run_clt_sweep(cfg)
-    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 2, "window_columns": 3}
-    # with tau, r is read off one more compile, of the largest row's clipped sum alone
+    assert _counts(engine_calls) == {"compile_sum": 0, "sweep_columns": 2, "window_columns": 3}
+    # with tau, r is read off one compile, of the largest row's clipped sum alone
     cli.run_clt_sweep(exp.config_from_mapping({**SMALL_CONFIG, "n_list": [4, 8, 16],
                                                "conditions": {"tau": 1.0}}))
-    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0]]
-    assert _counts(engine_calls) == {"compile_sum": 2, "sweep_columns": 3, "window_columns": 6}
-    # the same rows compiled one n at a time give the same table
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[1.0]]
+    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 3, "window_columns": 6}
+    # the same rows swept one n at a time give the same table
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cond, "row_graphs",
                    lambda model_for, ns: [(model_for(n).prefix(n), (n,)) for n in ns])
         assert cli.run_clt_sweep(cfg) == shared
-    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 6, "window_columns": 3}
+    assert _counts(engine_calls) == {"compile_sum": 0, "sweep_columns": 6, "window_columns": 3}
 
 
 def test_a_1_over_sqrt_n_model_compiles_each_row(engine_calls):
@@ -434,9 +435,11 @@ def test_a_1_over_sqrt_n_model_compiles_each_row(engine_calls):
                                    "conditions": {"tau": 1.0}})
     assert len(cond.row_graphs(cfg.model_for, cfg.n_list)) == 3
     cli.run_clt_sweep(cfg)
-    # only the largest row's sum is also compiled clipped, for r
-    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0], [None], [None]]
-    assert _counts(engine_calls) == {"compile_sum": 4, "sweep_columns": 7, "window_columns": 6}
+    # only the largest row's sum is also compiled clipped, for r; the full
+    # sums at n = 16 and 4 (scales 1/4 and 1/2) sit on the lattice and are
+    # swept as dense layers, so only n = 8 compiles its own
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[1.0], [None]]
+    assert _counts(engine_calls) == {"compile_sum": 2, "sweep_columns": 7, "window_columns": 6}
     cli.run_eval(cfg)
     assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 3, "window_columns": 0}
 
@@ -460,6 +463,24 @@ def test_clt_sweep_sweeps_the_functionals_over_the_unclipped_sum_alone(engine_ca
     assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0]]
     assert swept == [(1, 40_425, ["square"]), (1, 40_425, ["square"]),
                      (1, 40_425, ["cos", "ramp@0"])]
+
+
+@pytest.mark.parametrize("name", ["stationary-1dep", "iid-peng", "truncated-heavy"])
+def test_clt_sweep_compiles_only_the_rows_off_the_lattice(engine_calls, name):
+    # scale-1 lattice rows are swept as dense layers and never compiled;
+    # truncated-heavy (1/sqrt(n), tau = 1) compiles each row of its own, but
+    # n = 16, whose scale 1/4 puts the sum on the lattice, and the largest
+    # row's clipped sum once more for r
+    cfg = exp.with_overrides(exp.reference_experiments()[name], grid_nx=201)
+    cli.run_clt_sweep(cfg)
+    heavy = name == "truncated-heavy"
+    groups = len(cond.row_graphs(cfg.model_for, cfg.n_list))
+    assert groups == (4 if heavy else 1)
+    # the rows of n = 48, then r, then n = 8 and 32
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == (
+        [[None], [1.0], [None], [None]] if heavy else [])
+    # per group of rows, one sweep for E[S_n^2] and one for the functionals
+    assert len(engine_calls["sweep_columns"]) == 2 * groups + heavy
 
 
 def test_sweep_rows_take_one_history_recursion_per_clip(monkeypatch):
@@ -511,8 +532,9 @@ def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(eng
     # no root is clipped, although the config sets tau
     assert {clip for call in engine_calls["compile_sum"] for clip in _clips(call)} == {None}
     # per n: E[X_k^2] for beta, every p_n candidate in one recursion, and
-    # the cut moments once per offset (0, -1, +1)
-    assert _counts(engine_calls) == {"compile_sum": 6, "sweep_columns": 6, "window_columns": 15}
+    # the cut moments once per offset (0, -1, +1); the row sum at n = 16
+    # (scale 1/4, on the lattice) is swept as dense layers, not compiled
+    assert _counts(engine_calls) == {"compile_sum": 5, "sweep_columns": 6, "window_columns": 15}
 
 
 def test_eval_reads_the_second_moment_and_every_functional_off_one_sweep(monkeypatch):

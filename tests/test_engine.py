@@ -307,7 +307,7 @@ def test_clip_matches_truncated_sets():
 def test_running_max_dominates_final_sum():
     model = sl.SequenceModel.iid(pm1_uncertain(), 4)
     f = eng.Functional("abs2", lambda x: x * x)
-    (with_max,) = sl.eval_sums(model, f, [None], track_max=True)
+    (with_max,) = sl.evaluate_columns(sl.compile_sum(model, track_max=True), [(f, model.n)])
     (plain,) = sl.eval_sums(model, f, [None])
     assert with_max.upper >= plain.upper - TOL
 
@@ -320,8 +320,8 @@ def test_running_max_brute_force_small():
     for v1, p1 in zip(law.values, law.probs):
         for v2, p2 in zip(law.values, law.probs):
             expected += p1 * p2 * max(abs(v1), abs(v1 + v2))
-    (got,) = sl.eval_sums(model, eng.Functional("m", lambda x: x), [None],
-                          track_max=True)
+    (got,) = sl.evaluate_columns(sl.compile_sum(model, track_max=True),
+                                 [(eng.Functional("m", lambda x: x), model.n)])
     assert got.upper == pytest.approx(expected, abs=TOL)
 
 

@@ -40,6 +40,12 @@ that mask alone, bit for bit and in state count.  With one clip level per root
 array, that root's own compile, on the lattice path, on the float path, and
 when one off-lattice level moves the whole graph onto the float path, and
 every prefix column of every root is that root's prefix compile.
+``row_sums`` sweeps an unclipped full sum on the lattice as dense layers,
+and those give, by ``float.hex``, what the compiled graph's sweep gives:
+upper and lower columns of the catalog at the full horizon and at
+prefixes, on generated iid and window models with per-draw sets and zero
+and negative weights, on a support with parity gaps, whose ranges count in
+steps of 2, and on one whose ranges hold an unreachable offset.
 """
 
 from __future__ import annotations
@@ -53,10 +59,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sublexp as sl
+import sublexp.conditions as cond
 import sublexp.engine as eng
 import sublexp.mdep as mdep
 from sublexp.engine import SequenceModel
 from sublexp.errors import StateCapError, ValidationError
+from sublexp.experiments import BUILDERS
 
 from conftest import random_model
 
@@ -511,6 +519,15 @@ def test_reference_and_engine_agree_on_the_flagship_model():
                 want.upper, want.lower, want.state_count)
 
 
+def eval_sums(model: SequenceModel, f: eng.Functional, masks: list, *,
+              track_max: bool = False, **opts) -> tuple[eng.EvalResult, ...]:
+    """``eng.eval_sums``; with ``track_max``, the one compile and one sweep it makes without."""
+    if not track_max:
+        return eng.eval_sums(model, f, masks, **opts)
+    graph = eng.compile_sum(model, masks=masks, track_max=True, **opts)
+    return eng.evaluate_columns(graph, [(f, model.n)])
+
+
 def test_state_cap_trips_at_the_reference_total():
     iid = SequenceModel.iid(sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)]), 6)
     window = SequenceModel.moving_window(
@@ -518,7 +535,7 @@ def test_state_cap_trips_at_the_reference_total():
         (1.0, 0.5), 5)
     for model, opts in ((iid, {}), (window, {"track_max": True})):
         total = reference_eval_sum(model, eng.square(), **opts).state_count
-        (got,) = eng.eval_sums(model, eng.square(), [None], state_cap=total, **opts)
+        (got,) = eval_sums(model, eng.square(), [None], state_cap=total, **opts)
         assert got.state_count == total
         for cap in (total - 1, 5, 1):
             with pytest.raises(StateCapError) as want:
@@ -526,7 +543,7 @@ def test_state_cap_trips_at_the_reference_total():
             with pytest.raises(StateCapError) as want_graph:
                 reference_compile_sum(model, state_cap=cap, **opts)
             with pytest.raises(StateCapError) as got:
-                eng.eval_sums(model, eng.square(), [None], state_cap=cap, **opts)
+                eval_sums(model, eng.square(), [None], state_cap=cap, **opts)
             g, w = got.value, want_graph.value
             assert (g.count, g.cap) == (want.value.count, cap)
             assert (g.count, g.step, g.steps, g.layer_sizes) == (
@@ -1077,10 +1094,10 @@ def test_eval_sums_equal_eval_sum_per_mask_and_the_dict_dp():
         opts = {"x_clip": rng.choice((None, 0.25, 0.8, 1.5)),
                 "track_max": rng.random() < 0.25}
         f = rng.choice(FUNCTIONALS + EDGE_FUNCTIONALS)
-        got = eng.eval_sums(model, f, masks, **opts)
+        got = eval_sums(model, f, masks, **opts)
         assert len(got) == len(masks)
         for mask, res in zip(masks, got):
-            assert bits(res) == bits(eng.eval_sums(model, f, [mask], **opts)[0])
+            assert bits(res) == bits(eval_sums(model, f, [mask], **opts)[0])
             assert bits(res) == bits(reference_eval_sum(model, f, masks=[mask], **opts))
             assert_same_graph(eng.compile_sum(model, masks=[mask], **opts),
                               reference_compile_sum(model, masks=[mask], **opts))
@@ -1378,3 +1395,154 @@ def test_a_draw_that_adds_in_no_root_builds_each_roots_own_graph(model, masks):
         for mask, clip, res in zip(masks, clips, eng.eval_sums(model, fs[1], masks, x_clip=clips)):
             assert bits(res) == bits(eng.eval_sums(model, fs[1], [mask], x_clip=clip)[0])
             assert bits(res) == bits(reference_eval_sum(model, fs[1], masks=[mask], x_clip=clip))
+
+
+# ---------------------------------------------------------------------------
+# Dense lattice layers
+# ---------------------------------------------------------------------------
+
+#: Weights that keep every term on the lattice; zero and negative entries
+#: give zero and negative per-draw coefficients.
+DENSE_WEIGHTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+THREE_POINT = sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)])
+#: A support with parity gaps: its sums after t draws are every other integer.
+PLUS_MINUS = sl.ambiguity([sl.bernoulli_pm1(0.4), sl.bernoulli_pm1(0.6)])
+#: Terms 0, 2 and 3 halves: 1 half is in every range from one draw on, and never reached.
+GAPPED = sl.ambiguity([sl.DiscreteLaw((0.0, 1.0, 1.5), (0.25, 0.5, 0.25)),
+                       sl.DiscreteLaw((0.0, 1.0, 1.5), (0.5, 0.25, 0.25))])
+
+
+@st.composite
+def dense_models(draw) -> SequenceModel:
+    """Lattice models: iid or windows of up to 3 weights, each draw one of up to 3 sets."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    weights = draw(st.lists(st.sampled_from(DENSE_WEIGHTS), min_size=m + 1, max_size=m + 1))
+    pool = draw(st.lists(ambiguity_sets(LATTICE_POOL), min_size=1, max_size=3))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=n + m, max_size=n + m))
+    return SequenceModel(sets, weights, draw(st.sampled_from((1.0, 0.5))))
+
+
+def assert_dense_equals_the_graph(model: SequenceModel, upper: list, lower: list) -> None:
+    """``sweep_columns`` of the dense layers and of the compiled graph, equal by ``float.hex``."""
+    dense = eng.row_sums(model)
+    assert isinstance(dense, eng.DenseSum)
+    got = eng.sweep_columns(dense, upper, lower)
+    want = eng.sweep_columns(eng.compile_sum(model), upper, lower)
+    assert [hexes(side) for side in got] == [hexes(side) for side in want]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dense_models(), st.data())
+def test_dense_layers_equal_the_graph_bit_for_bit(model, data):
+    # upper and lower columns of the catalog at the full horizon and at prefixes M < n
+    horizons = st.lists(st.integers(1, model.n), min_size=1, max_size=3)
+    upper = [(f, M) for M in data.draw(horizons) for f in eng.catalog()]
+    lower = [(f, M) for M in data.draw(horizons) for f in eng.catalog()]
+    assert_dense_equals_the_graph(model, upper, lower)
+    assert_dense_equals_the_graph(model, upper, [])
+
+
+@pytest.mark.parametrize("weights", [(1.0, -1.0), (1.0, 0.0, 1.0), (0.0, 1.0), (0.0,)],
+                         ids=["1,-1", "1,0,1", "0,1", "0"])
+@pytest.mark.parametrize("set_", [THREE_POINT, PLUS_MINUS], ids=["three-point", "plus-minus"])
+def test_zero_coefficients_keep_their_support_columns(weights, set_):
+    # (1, -1) gives c = (1, 0, ..., 0, -1): a zero-coefficient draw keeps its
+    # columns at shift 0, so each still adds 0.0 + p * value, as the graph does
+    model = SequenceModel.moving_window(set_, weights, 6)
+    dense = eng.row_sums(model)
+    columns = [(f, M) for M in (1, 3, 6) for f in eng.catalog()]
+    assert_dense_equals_the_graph(model, columns, columns)
+    if weights == (1.0, -1.0):
+        # in steps of 1 ({-1, 0, 1}) or 2 ({-1, 1}), each support spans 2
+        width = len(set_.support) - 1
+        assert [int(shift.max()) for shift in dense.shifts] == [width, 0, 0, 0, 0, 0, width]
+
+
+@pytest.mark.parametrize("set_, step, size, reached", [
+    # {-1, 1} in steps of 2: layer t holds the t + 1 sums reachable
+    (PLUS_MINUS, 8192, lambda t: t + 1, lambda t: t + 1),
+    # {0, 2, 3} halves in steps of 1 half: layer t >= 1 holds 3t + 1 offsets,
+    # of which 1 half is unreachable
+    (GAPPED, 2048, lambda t: 3 * t + 1, lambda t: 3 * t if t else 1),
+], ids=["plus-minus", "gapped"])
+def test_dense_ranges_count_in_steps_of_the_terms_differences(set_, step, size, reached):
+    model = SequenceModel.iid(set_, 7)
+    dense = eng.row_sums(model)
+    assert dense.step == step and dense.sizes == tuple(size(t) for t in range(8))
+    columns = [(f, M) for M in (2, 5, 7) for f in eng.catalog()]
+    assert_dense_equals_the_graph(model, columns, columns)
+    for (f, M), res, graph_res in zip(columns, eng.evaluate_columns(dense, columns),
+                                      eng.evaluate_columns(eng.compile_sum(model), columns)):
+        assert res.state_count == sum(size(t) for t in range(M + 1))
+        assert graph_res.state_count == sum(reached(t) for t in range(M + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_dense_state_counts_are_the_layers_of_each_horizon(n):
+    # stationary-1dep: c = (1, 2, ..., 2, 1) on {-1, 0, 1}, so S_M has
+    # 1 + sum_{t=1..M} (4t - 1) + 4M + 1 = 2M^2 + 5M + 2 dense states;
+    # the independent model has (M + 1)^2
+    window = SequenceModel.moving_window(THREE_POINT, (1.0, 1.0), n)
+    iid = SequenceModel.iid(THREE_POINT, n)
+    columns = [(eng.square(), M) for M in range(1, n + 1)]
+    for model, count in ((window, lambda M: 2 * M * M + 5 * M + 2), (iid, lambda M: (M + 1) ** 2)):
+        dense = eng.row_sums(model)
+        found = eng.evaluate_columns(dense, columns)
+        assert [res.state_count for res in found] == [count(M) for M in range(1, n + 1)]
+        assert sum(dense.sizes) == count(n)
+        want = eng.evaluate_columns(eng.compile_sum(model), columns)
+        assert [(r.upper.hex(), r.lower.hex()) for r in found] == [
+            (r.upper.hex(), r.lower.hex()) for r in want]
+
+
+def test_row_sums_compile_the_graph_off_the_lattice_and_for_clipped_roots():
+    lattice = SequenceModel.moving_window(THREE_POINT, (1.0, 1.0), 4)
+    assert isinstance(eng.row_sums(lattice), eng.DenseSum)
+    for model, clips in ((lattice, [1.0]), (lattice, [None, 1.0]), (lattice, [None, None]),
+                         (SequenceModel.iid(THREE_POINT, 4, scale=0.5 ** 0.5), [None]),
+                         (SequenceModel.moving_window(THREE_POINT, (1.0, 0.7), 4), [None]),
+                         (SequenceModel.iid(_quarter_set(2.0 ** 39), 5), [None])):
+        sums = eng.row_sums(model, clips)
+        assert isinstance(sums, eng.Graph) and sums.roots == len(clips)
+        assert_same_graph(sums, eng.compile_sum(model, masks=[None] * len(clips), x_clip=clips))
+
+
+def test_a_window_term_that_is_not_the_sum_of_its_weights_terms_stays_on_the_graph(monkeypatch):
+    # the dense layers are taken only where every term the graph builds is the
+    # sum of its draws' terms of their weights; one quantum off moves the sum back
+    model = SequenceModel.moving_window(THREE_POINT, (1.0, 1.0), 4)
+    assert isinstance(eng.row_sums(model), eng.DenseSum)
+    table = eng._term_table
+    monkeypatch.setattr(eng, "_term_table", lambda *args: table(*args) + 1.0 / 4096.0)
+    assert isinstance(eng.row_sums(model), eng.Graph)
+
+
+def test_dense_preflight_refuses_an_over_cap_sum_before_any_layer(monkeypatch):
+    model = SequenceModel.moving_window(THREE_POINT, (1.0, 1.0), 8)
+    dense = eng.row_sums(model)
+    total = sum(dense.sizes)
+    assert total == 170
+    swept = []  # one entry per draw swept
+    back = eng._back
+    monkeypatch.setattr(eng, "_back", lambda *args: swept.append(args[2]) or back(*args))
+    needed = f"state count {total} exceeds cap {total - 1}"
+    for build in (lambda cap: eng.row_sums(model, state_cap=cap),
+                  lambda cap: cond.row_context(model, 8, M_grid=(4,), state_cap=cap)):
+        with pytest.raises(StateCapError, match=needed) as err:
+            build(total - 1)
+        assert (err.value.count, err.value.cap, err.value.steps) == (total, total - 1, 9)
+        assert err.value.layer_sizes == dense.sizes == (1, 3, 7, 11, 15, 19, 23, 27, 31, 33)
+        assert swept == []
+    ctx = cond.row_context(model, 8, M_grid=(4,), state_cap=total)
+    assert isinstance(ctx.sums, eng.DenseSum) and ctx.m2.state_count == total
+    assert len(swept) == 8 + 2  # the eight draws of the pass, and the one-draw tails of S_8 and S_4
+
+
+def test_stationary_1dep_at_n_4096_fits_the_default_cap_as_dense_layers():
+    # E[S_n^2] of the built-in family at scale 1 and n = 4096 sweeps 2n^2 + 5n + 2
+    # dense states, under the default cap; the preflight alone is checked here
+    dense = eng.row_sums(BUILDERS["stationary-1dep"](4096))
+    assert isinstance(dense, eng.DenseSum)
+    assert sum(dense.sizes) == 2 * 4096**2 + 5 * 4096 + 2 == 33_574_914
+    assert sum(dense.sizes) < eng.DEFAULT_STATE_CAP

@@ -51,6 +51,7 @@ def samples() -> dict[type, object]:
     found = [
         MODEL.sets[0].laws[0], MODEL.sets[0], moments(MODEL.sets[0], 3.0),
         Event("ge", 0.5), eng.cosine(), MODEL, ctx.m2, graph.steps[0], graph,
+        eng.row_sums(MODEL),
         gp, gn.default_grid(gp), exp.ModelSpec(builder="iid-peng"), exp.GnormalSettings(),
         exp.ConditionSettings(), exp.BlockingSettings(), exp.reference_experiments()["iid-peng"],
         report.trunc, report, ctx, plan,
