@@ -26,6 +26,12 @@ They behave as the frozen dataclass's methods do:
   drops the cache, because str hashes differ between processes.
 * Assigning or deleting any attribute raises ``FrozenInstanceError``.
 
+``@frozen(identity=True)`` is for the types that hold numpy arrays (a
+compiled graph, its steps, dense layers, a row context): an instance
+equals itself alone and hashes by identity, as a plain object does.  The
+field tuples would compare arrays elementwise, so ``==`` would raise
+instead of answering, and ``hash`` would fail on the arrays.
+
 Fields take a default or a ``default_factory``, and no other option.
 
 The closures are slower per call than generated code, which binds named
@@ -64,8 +70,14 @@ def _getstate(self: object) -> dict:
     return {k: v for k, v in vars(self).items() if k != _HASH}
 
 
-def frozen(cls: type) -> type:
-    """``cls`` as an immutable value type over the fields of its annotations."""
+def frozen(cls: type | None = None, *, identity: bool = False):
+    """``cls`` as an immutable value type over the fields of its annotations.
+
+    With ``identity``, equality and hashing are those of the instance, not
+    of its fields; called with only that keyword, returns the decorator.
+    """
+    if cls is None:
+        return lambda cls: frozen(cls, identity=identity)
     cls = dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
     fields = dataclasses.fields(cls)
     if any(not (f.init and f.repr and f.compare) or f.hash is not None or f.kw_only is True
@@ -115,11 +127,13 @@ def frozen(cls: type) -> type:
     def __eq__(self, other):
         if self is other:
             return True
-        if other.__class__ is not self.__class__:
+        if identity or other.__class__ is not self.__class__:
             return NotImplemented
         return key(self) == key(other)
 
     def __hash__(self):
+        if identity:
+            return object.__hash__(self)
         h = self._frozen_hash
         if h is None:
             h = hash(key(self))

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -275,25 +277,19 @@ ROSENTHAL_HEADER = (
 
 
 def run_rosenthal(cfg: ExperimentConfig) -> dict[str, Table]:
-    """One ``rosenthal_checks`` call per distinct model of the battery, rows in battery order.
+    """The battery's checks from one ``rosenthal_checks`` call, rows in battery order.
 
-    Families with equal models (anywhere in the battery) share the call.
+    A family is a run of instances on one model; the call checks equal
+    models together and compiles one running-max graph per support key.
     """
     battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
-    families: dict[engine.SequenceModel, list[int]] = {}
-    for i, inst in enumerate(battery):
-        families.setdefault(inst.model, []).append(i)
-    reports: dict[int, mdep.RosenthalReport] = {}
-    for model, members in families.items():
-        reports.update(zip(members, mdep.rosenthal_checks(
-            model, [(battery[i].n, battery[i].p) for i in members], state_cap=cfg.state_cap)))
-    rows: list[Row] = []
-    for i, inst in enumerate(battery):
-        rep = reports[i]
-        rows.append([
-            inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
-            rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C,
-        ])
+    families = [(model, [(inst.n, inst.p) for inst in group])
+                for model, group in itertools.groupby(battery, key=attrgetter("model"))]
+    found = mdep.rosenthal_checks(families, state_cap=cfg.state_cap)
+    rows: list[Row] = [
+        [inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
+         rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C]
+        for inst, rep in zip(battery, itertools.chain.from_iterable(found))]
     return {"rosenthal": (ROSENTHAL_HEADER, rows)}
 
 

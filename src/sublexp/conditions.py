@@ -77,7 +77,7 @@ class ConditionReport:
                 raise ValidationError("variance ratios must lie in [0, 1]")
 
 
-@frozen
+@frozen(identity=True)
 class RowContext:
     """Row n of the array: its length-n model, the handle of its sums, the state cap.
 
@@ -95,6 +95,7 @@ class RowContext:
     quantity of the row reads these, and every further compile for the row
     (block and cut sums) runs under ``state_cap``.  Drop the contexts of
     one handle before building the next, so only one is alive at a time.
+    A context, like its handle, equals itself alone.
     """
 
     model: SequenceModel

@@ -37,7 +37,10 @@ the order of a per-state scalar recursion, so the vectorized values are
 the same floats bit for bit.  A caller compiles a sum once and asks for
 all its functionals and horizons in one sweep.  The graph is a local of
 the caller's frame, one row (one horizon n) at a time, and there is no
-process-wide cache.
+process-wide cache.  A graph depends on each draw's support columns, the
+weights and the scale (``support_key``), not on the probabilities, so
+models that differ only in their laws share one compile: ``with_laws``
+puts another model's laws on the same arrays.
 
 Sums of several index sets (masks) of one model share one graph: layer 0
 holds one root per mask, every state carries the component id of its root,
@@ -293,7 +296,7 @@ def _term(model: SequenceModel, window: tuple[float, ...], v: float,
     return x
 
 
-@frozen
+@frozen(identity=True)
 class _Step:
     """One primitive draw of a compiled graph.
 
@@ -307,12 +310,14 @@ class _Step:
     laws: tuple[tuple[tuple[int, float], ...], ...]
 
 
-@frozen
+@frozen(identity=True)
 class Graph:
     """The reachable-state graph of one ``(model, masks, x_clip, track_max)``.
 
     Layer 0 holds one root per mask, and the states reachable from root r
-    form the graph of mask r alone, at root r's clip level.
+    form the graph of mask r alone, at root r's clip level.  The arrays
+    depend on the model's ``support_key`` and not on its probabilities,
+    which only the steps' ``laws`` hold (``with_laws``).
     """
 
     steps: tuple[_Step, ...]
@@ -323,6 +328,9 @@ class Graph:
     #: ``sizes[t, r]``: the states of layer t reachable from root r; None for
     #: one root, whose layer sizes are those of ``args``
     sizes: np.ndarray | None = None
+    #: the model it was compiled from: its ``support_key`` fixes the arrays,
+    #: and its laws fill the steps
+    model: SequenceModel | None = None
 
     @property
     def roots(self) -> int:
@@ -330,7 +338,7 @@ class Graph:
         return len(self.args[0])
 
 
-@frozen
+@frozen(identity=True)
 class DenseSum:
     """The dense lattice layers of one model's unclipped full sum (``row_sums``).
 
@@ -467,6 +475,42 @@ def _support_columns(sets: Sequence[AmbiguitySet]) -> list[tuple[tuple[float, ..
     return [prepared[set_] for set_ in sets]
 
 
+def support_key(model: SequenceModel) -> tuple:
+    """What the graphs of ``model`` depend on besides masks, clip levels and ``track_max``.
+
+    Each draw's support columns (``_support_columns``), the weights and the
+    scale, every float as ``float.hex``: two keys are equal exactly when
+    those floats are equal bit for bit, so -0.0 and 0.0 differ.  The
+    probabilities are not part of it (``with_laws``).
+    """
+    hexed: dict[int, tuple[str, ...]] = {}  # draws of one set share its columns
+    columns = []
+    for values, _ in _support_columns(model.sets):
+        if id(values) not in hexed:
+            hexed[id(values)] = tuple(map(float.hex, values))
+        columns.append(hexed[id(values)])
+    return tuple(columns), tuple(map(float.hex, model.weights)), model.scale.hex()
+
+
+def with_laws(graph: Graph, model: SequenceModel) -> Graph:
+    """The graph ``compile_sum`` builds for ``model`` with ``graph``'s options, from ``graph``.
+
+    ``compile_sum`` expands every state under each support column some law
+    gives positive probability, whatever the probability, so the child and
+    argument arrays follow from ``support_key`` alone.  A model with the
+    graph's key shares them; only each step's ``laws`` become the model's,
+    and a sweep takes its per-law accumulation from them, bit for bit as
+    over the model's own compile.  Raises ``ValidationError`` when the keys
+    differ.
+    """
+    if graph.model is None or support_key(model) != support_key(graph.model):
+        raise ValidationError(
+            "with_laws needs the support columns, weights and scale the graph was compiled on")
+    draws = _support_columns(model.sets)
+    return Graph(tuple(_Step(step.child, laws) for step, (_, laws) in zip(graph.steps, draws)),
+                 graph.args, graph.lead, graph.sizes, model)
+
+
 def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
            clips: Sequence[float | None]) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
     """Per draw: its laws, its stack of term tables, and each root's index into the stack.
@@ -561,9 +605,13 @@ def compile_sum(
     scalar code), ``pick`` being its root's table of the draw's stack
     (``_draws``), rounded by ``_canon_array`` onto the 1e-12 merge grid,
     and its running max is ``where(b > mx, b, mx)`` with ``b = |sum|``.
-    ``_term`` runs once per distinct (window, value) pair.  Children with
-    equal (window, acc, maxabs) merge (``_merge``), numbered in order of
-    first occurrence in row-major (state, column) order: the order a
+    ``_term`` runs once per distinct (window, value) pair.  So the graph
+    depends on each draw's support columns, the weights and the scale
+    (``support_key``), not on the probabilities: those only fill each
+    step's ``laws``, and ``with_laws`` puts the laws of another model of
+    the same key on the same arrays, so the graph records its ``model``.
+    Children with equal (window, acc, maxabs) merge (``_merge``), numbered
+    in order of first occurrence in row-major (state, column) order: the order a
     per-state dict loop inserts them, so the graph is the one that loop
     builds, array for array (``tests/test_engine_differential.py`` keeps the
     loop as its reference).
@@ -682,7 +730,7 @@ def compile_sum(
         for t, arg in enumerate(args):
             args[t] = arg * unit / float(_QUANTUM)
     return Graph(tuple(steps), tuple(args), m,
-                 np.array(sizes) if R > 1 else None)
+                 np.array(sizes) if R > 1 else None, model)
 
 
 def _dense_layers(parts: Sequence[np.ndarray], step: int, m: int, M: int, first: int, low: int,

@@ -7,7 +7,7 @@
   evaluates the exact left side ``E[max_{k<=n} |S_k|^p]`` by a dynamic
   program whose state carries the running maximum, and reports the fitted
   constant against the three right-side terms, for several horizons n and
-  exponents p of one model;
+  exponents p of each of many models, one compile per support key;
 * the reduction of an m-dependent sequence to a 1-dependent one by summing
   consecutive blocks of m coordinates;
 * the three-part split of a stationary sum into full blocks, the m-wide
@@ -93,27 +93,53 @@ class RosenthalReport:
 
 
 def rosenthal_checks(
-    model: SequenceModel,
-    cases: Sequence[tuple[int, float]],
+    families: Sequence[tuple[SequenceModel, Sequence[tuple[int, float]]]],
     *,
     state_cap: int = engine.DEFAULT_STATE_CAP,
-) -> tuple[RosenthalReport, ...]:
-    """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, per ``(n, p)``.
+) -> tuple[tuple[RosenthalReport, ...], ...]:
+    """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, per family and ``(n, p)``.
 
-    Horizon n reads coordinates 1..n of ``model``.  One running-max graph is
-    compiled at the largest n, and every case is an upper column of one
-    backward sweep over it (``engine.sweep_columns``, with no lower column).
-    The marginals E[X_k^2], E[X_k], e[X_k] and E[|X_k|^p] (once per
-    distinct p) are the columns of one history recursion
-    (``engine.spread_columns``), and each horizon adds its first n values
-    left to right.  No case, no report.
+    Each family is a model and its cases ``(n, p)``; horizon n reads
+    coordinates 1..n of the model, and the reports come one tuple per
+    family, in the order of its cases.  Families with equal models are
+    checked together, at their largest n: every case is an upper column of
+    one backward sweep over the running-max graph (``engine.sweep_columns``,
+    with no lower column), and the marginals E[X_k^2], E[X_k], e[X_k] and
+    E[|X_k|^p] (once per distinct p) are the columns of one history
+    recursion (``engine.spread_columns``), each horizon adding its first n
+    values left to right.
+
+    A running-max graph depends on the model's ``engine.support_key``, not
+    on its probabilities, so the models of one key share one compile, each
+    swept under its own laws (``engine.with_laws``) with the values of its
+    own compile, bit for bit.  One key's graph is dropped before the next
+    one compiles, so one graph is alive at a time.
     """
-    if any(p < 2.0 for _, p in cases):
+    if any(p < 2.0 for _, cases in families for _, p in cases):
         raise ValidationError("rosenthal_checks needs p >= 2")
-    if not cases:
-        return ()
-    top = model.prefix(max(n for n, _ in cases))
-    graph = engine.compile_sum(top, track_max=True, state_cap=state_cap)
+    cases_of: dict[SequenceModel, list[tuple[int, float]]] = {}
+    for model, cases in families:
+        if cases:
+            cases_of.setdefault(model, []).extend(cases)
+    tops = {model: model.prefix(max(n for n, _ in cases)) for model, cases in cases_of.items()}
+    keys: dict[tuple, list[SequenceModel]] = {}
+    for model, top in tops.items():
+        keys.setdefault(engine.support_key(top), []).append(model)
+    reports = {}
+    for models in keys.values():
+        graph = engine.compile_sum(tops[models[0]], track_max=True, state_cap=state_cap)
+        for model in models:
+            top = tops[model]
+            if model is not models[0]:
+                graph = engine.with_laws(graph, top)
+            reports[model] = iter(_checks(graph, top, cases_of[model]))
+        del graph  # before the next key compiles
+    return tuple(tuple(next(reports[model]) for _ in cases) for model, cases in families)
+
+
+def _checks(graph: engine.Graph, top: SequenceModel,
+            cases: Sequence[tuple[int, float]]) -> tuple[RosenthalReport, ...]:
+    """The reports of ``cases`` from the running-max ``graph`` of ``top`` and one recursion."""
     ps = tuple(dict.fromkeys(p for _, p in cases))
     (squares, *abs_p_columns), spreads = engine.spread_columns(
         top, [lambda x: x * x, *(lambda x, _p=p: abs(x) ** _p for p in ps)])

@@ -297,10 +297,9 @@ def test_criterion_06_mdependent_clt():
 
 def test_criterion_07_rosenthal_battery():
     t0 = time.monotonic()
-    reports = []
-    for model, family in itertools.groupby(mdep.rosenthal_battery(), key=lambda i: i.model):
-        family = list(family)
-        reports += zip(family, mdep.rosenthal_checks(model, [(i.n, i.p) for i in family]))
+    battery = mdep.rosenthal_battery()
+    found = mdep.rosenthal_checks([(inst.model, [(inst.n, inst.p)]) for inst in battery])
+    reports = [(inst, rep) for inst, (rep,) in zip(battery, found)]
     c_max = max(rep.fitted_C for _, rep in reports)
     doob = [rep.lhs / rep.term_variance for inst, rep in reports
             if inst.m == 0 and inst.p == 2.0 and inst.zero_mean]

@@ -32,7 +32,14 @@ many payoff columns, give for every column what the one-column recursion
 children's values), and ``oracle_policy_enum`` takes its upper and lower
 value from one recursion that equals two one-column ones.
 ``rosenthal_checks``, which reads every horizon off one graph and one set of
-marginals, gives what a per-case compile of ``model.prefix(n)`` gives.
+marginals, gives what a per-case compile of ``model.prefix(n)`` gives, also
+for a family whose model shares the graph under its own laws.
+``with_laws`` puts another model's laws on a compiled graph: for models of
+equal support columns, weights and scale (m = 0, 1 and 2, with and without
+the running max, on and off the lattice), the result is that model's own
+compile, array for array, and sweeps to the same floats by ``float.hex``;
+any other model (a -0.0 support point against 0.0, a value positive in one
+model only, other weights, scale or length) is refused.
 ``eval_sums``, which compiles several masks into one graph with a root
 each, gives for every mask what a one-mask compile and the dict DP give for
 that mask alone, bit for bit and in state count.  With one clip level per root
@@ -1054,19 +1061,138 @@ def reference_rosenthal(model: SequenceModel, n: int, p: float) -> mdep.Rosentha
     return mdep.RosenthalReport(p, n, sub.m, lhs, moments, variance, means, lhs / rhs)
 
 
+# ---------------------------------------------------------------------------
+# One graph under another model's laws
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def same_columns_sets(draw, set_: sl.AmbiguitySet) -> sl.AmbiguitySet:
+    """Other laws on the support columns of ``set_``, one of them positive on every column."""
+    ((values, _),) = eng._support_columns([set_])
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    full = sl.DiscreteLaw(values, tuple(w / sum(weights) for w in weights))
+    others = draw(st.lists(laws(values), max_size=2))
+    others.insert(draw(st.integers(0, len(others))), full)
+    return sl.ambiguity(others)
+
+
+@st.composite
+def relawed(draw, model: SequenceModel) -> SequenceModel:
+    """``model`` with other laws on every draw's support columns; equal sets stay equal."""
+    new: dict[sl.AmbiguitySet, sl.AmbiguitySet] = {}
+    for set_ in model.sets:
+        if set_ not in new:
+            new[set_] = draw(same_columns_sets(set_))
+    return SequenceModel([new[set_] for set_ in model.sets], model.weights, model.scale)
+
+
+@st.composite
+def window_models(draw, m: int, lattice: bool) -> SequenceModel:
+    """A window of width m whose draws take one of at most two sets, on or off the lattice."""
+    n = draw(st.integers(1, 4))
+    pool = LATTICE_POOL if lattice else OFF_LATTICE_POOL
+    scale = draw(st.sampled_from((1.0, 0.5) if lattice else (1.0, 1.0 / math.sqrt(n))))
+    weights = draw(st.lists(st.sampled_from((-1.0, 0.5, 1.0)), min_size=m + 1, max_size=m + 1))
+    sets = draw(st.lists(ambiguity_sets(pool), min_size=1, max_size=2))
+    return SequenceModel(draw(st.lists(st.sampled_from(sets), min_size=n + m, max_size=n + m)),
+                         weights, scale)
+
+
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "off-lattice"])
+@pytest.mark.parametrize("track_max", [False, True], ids=["sum", "max"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_a_graph_under_another_models_laws_is_that_models_compile(m, track_max, lattice, data):
+    model = data.draw(window_models(m, lattice))
+    other = data.draw(relawed(model))
+    opts = {"track_max": track_max}
+    if data.draw(st.booleans()):
+        opts["masks"] = [data.draw(st.sets(st.integers(1, model.n)))]
+    assume(_lattice(model, **opts) == lattice)  # an off-lattice pool may draw 0.0 and 1.0 alone
+    graph = eng.compile_sum(model, **opts)
+    moved, own = eng.with_laws(graph, other), eng.compile_sum(other, **opts)
+    assert eng.support_key(other) == eng.support_key(model)
+    assert graph.model is model and moved.model is other
+    # upper and lower columns at several horizons, by float.hex
+    columns = data.draw(st.lists(
+        st.tuples(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS), st.integers(1, model.n)),
+        min_size=1, max_size=6))
+    want = [bits(res) for res in eng.evaluate_columns(own, columns)]
+    assert [bits(res) for res in eng.evaluate_columns(moved, columns)] == want
+    assert_same_graph(moved, own)
+    # the arrays are the graph's own, and the graph keeps its laws
+    assert moved.args is graph.args and moved.sizes is graph.sizes
+    assert all(a.child is b.child for a, b in zip(moved.steps, graph.steps))
+    assert_same_graph(graph, eng.compile_sum(model, **opts))
+
+
+def _set(*laws: tuple[tuple[float, ...], tuple[float, ...]]) -> sl.AmbiguitySet:
+    return sl.ambiguity(sl.DiscreteLaw(values, probs) for values, probs in laws)
+
+
+#: Each pair differs only in its probabilities, except where its name says.
+MISMATCHED = {
+    # 0.0 against -0.0: equal floats, different bits
+    "signed-zero": (_set(((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25))),
+                    _set(((-1.0, -0.0, 1.0), (0.25, 0.5, 0.25)))),
+    # 0.5 has positive probability in the first model only, though both list it
+    "zero-probability": (_set(((-1.0, 0.5, 1.0), (0.25, 0.5, 0.25))),
+                         _set(((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5)))),
+    # the same values, with 0.5 positive in a second law only
+    "second-law": (_set(((-1.0, 1.0), (0.5, 0.5)), ((-1.0, 0.5, 1.0), (0.25, 0.5, 0.25))),
+                   _set(((-1.0, 1.0), (0.5, 0.5)), ((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5)))),
+}
+
+
+@pytest.mark.parametrize("track_max", [False, True], ids=["sum", "max"])
+@pytest.mark.parametrize("first, second", MISMATCHED.values(), ids=MISMATCHED)
+def test_a_graph_refuses_laws_on_other_support_columns(first, second, track_max):
+    for a, b in ((first, second), (second, first)):
+        graph = eng.compile_sum(SequenceModel.moving_window(a, (1.0, 1.0), 3),
+                                track_max=track_max)
+        with pytest.raises(ValidationError, match="support columns"):
+            eng.with_laws(graph, SequenceModel.moving_window(b, (1.0, 1.0), 3))
+
+
+@pytest.mark.parametrize("change", [
+    {"weights": (1.0, 0.5)}, {"weights": (1.0, -0.0)}, {"weights": (1.0, 1.0, 1.0)},
+    {"scale": 0.5}, {"n": 4}, {"n": 2},
+], ids=["weight", "signed-zero-weight", "width", "scale", "longer", "shorter"])
+def test_a_graph_refuses_other_weights_scale_or_length(change):
+    set_ = _set(((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)), ((-1.0, 1.0), (0.5, 0.5)))
+    other = _set(((-1.0, 0.0, 1.0), (0.5, 0.25, 0.25)), ((-1.0, 1.0), (0.25, 0.75)))
+    base = {"weights": (1.0, 0.0), "scale": 1.0, "n": 3}
+    graph = eng.compile_sum(SequenceModel.moving_window(set_, base["weights"], base["n"]),
+                            track_max=True)
+    eng.with_laws(graph, SequenceModel.moving_window(other, base["weights"], base["n"]))
+    spec = {**base, **change}
+    with pytest.raises(ValidationError, match="support columns, weights and scale"):
+        eng.with_laws(graph, SequenceModel.moving_window(other, spec["weights"], spec["n"],
+                                                         spec["scale"]))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(marginal_models(), st.data())
 def test_rosenthal_checks_equal_per_case_prefix_compiles(model, data):
+    # a second family under other laws on the same support columns, at the
+    # same largest horizon, shares the first one's compile
     cases = data.draw(st.lists(
         st.tuples(st.integers(1, model.n), st.sampled_from((2.0, 2.5, 3.0, 4.0))),
         min_size=1, max_size=6))
+    other = data.draw(relawed(model))
+    other_cases = [(max(n for n, _ in cases), 2.0), *data.draw(st.lists(
+        st.tuples(st.integers(1, model.n), st.sampled_from((2.0, 3.0))), max_size=3))]
+    families = [(model, cases), (other, other_cases)]
     try:
-        want = tuple(reference_rosenthal(model, n, p) for n, p in cases)
+        want = tuple(tuple(reference_rosenthal(fam, n, p) for n, p in fam_cases)
+                     for fam, fam_cases in families)
     except ValidationError:
         with pytest.raises(ValidationError):
-            mdep.rosenthal_checks(model, cases)
+            mdep.rosenthal_checks(families)
         return
-    assert mdep.rosenthal_checks(model, cases) == want
+    assert mdep.rosenthal_checks(families) == want
 
 
 # ---------------------------------------------------------------------------
