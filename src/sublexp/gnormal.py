@@ -16,6 +16,18 @@ goes through the one-row scheme's float operations in the same order
 constant folded), so a functional's value is bit-identical to a solve of
 that functional alone.
 
+A column retires from the loop once one step leaves its whole state
+unchanged bit for bit.  That is tested on the steps that check for
+non-finite values, after the check, so the state holds finite floats only:
+it is unchanged when it compares equal as floats and keeps every sign bit
+(-0.0 is not 0.0 here).  The step map is autonomous (dt is fixed) and reads
+only the column it writes, so a state one step leaves unchanged stays
+unchanged at every later step: the column's value at ``t`` is its value
+now.  The live columns are compacted into the front of the same arrays,
+and the loop ends once no column is live.  Of the five catalog functionals
+and their negations at nx = 1601 and variances [0.5, 1], ``identity`` and
+its negation retire at step 200 and the other eight never do.
+
 The G coefficient is chosen by the max rule: ``G(d2)`` is computed as
 ``max(sigma_lo2 * d2, sigma_hi2 * d2)``, with ``sigma_hi2 * d2`` taken as
 ``d2`` itself when ``sigma_hi2`` is 1.0 (the default), which is the same
@@ -40,7 +52,9 @@ second moment interval [sigma_lo2, sigma_hi2]; the exact dynamic program for
 ``gnormal_references`` is a third, quadrature-based cross-check valid only
 for test functions that are convex or concave on the whole grid domain: the
 extremal law is then the classical Gaussian at the appropriate endpoint of
-the variance interval.  Any other functional gets NaN.
+the variance interval.  Any other functional gets NaN, except when the two
+variances are equal, where the law is classical and every functional has a
+quadrature value.
 """
 
 from __future__ import annotations
@@ -157,7 +171,13 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     (linear extrapolation), so they stay at their initial values.  The step
     count is chosen so the integration lands exactly on ``t``.
 
-    Every step works in place on scratch arrays allocated once.  Each element
+    Every step works in place on scratch arrays allocated once, a retirement
+    too: it stages the live columns in the scratch array, which has room for
+    K - 1 columns of the state, and copies them back to the front of the
+    state array.
+    A column retires on a check step that leaves it unchanged bit for bit,
+    as the module docstring says; its value is then ``np.interp(0.0, x,
+    column)`` of that state, the value it would have at ``t``.  Each element
     goes through the operations of the one-row scheme in the same order:
     ``d2 = ((u[i+1] - 2.0*u[i]) + u[i-1]) * inv_dx2``, then
     ``max(sigma_lo2 * d2, sigma_hi2 * d2)``, times ``(dt*0.5)``, added to
@@ -172,8 +192,8 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     raise ``PDENumericsError`` at the same step.  Folding the constants together
     or reordering the stencil would change the rounding.
 
-    The array is node-major, so its flat view holds node i of every column
-    in one contiguous run of K values.  The stencil then runs over the
+    The array is node-major, so its flat view holds node i of every live
+    column in one contiguous run of K values.  The stencil then runs over the
     interior nodes ``flat[K:-K]`` with neighbours ``flat[:-2K]`` and
     ``flat[2K:]``, all contiguous, and never writes the boundary nodes.
     The ufuncs take ``out`` positionally and their constants as 0-d arrays
@@ -185,9 +205,9 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         raise ValidationError("solve_gheats needs at least one functional")
     check_time(t)
     grid.check(p)
-    x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
-    k = len(fs)
-    u = np.empty((grid.nx, k))
+    nx, k = grid.nx, len(fs)
+    x = np.linspace(-grid.half_width, grid.half_width, nx)
+    u = np.empty((nx, k))
     for col, f in enumerate(fs):
         u[:, col] = [f.phi(float(xi)) for xi in x]
     if not np.isfinite(u).all():
@@ -197,11 +217,23 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     dt = t / n_steps
     two, inv_dx2, lo, hi, half_dt = (np.array(c, dtype=np.float64) for c in (
         2.0, 1.0 / grid.dx**2, p.sigma_lo2, p.sigma_hi2, dt * 0.5))
-    flat = u.reshape(-1)
-    left, mid, right = flat[:-2 * k], flat[k:-k], flat[2 * k:]
-    d2 = np.empty_like(mid)
-    scratch = np.empty_like(mid)  # sigma_lo2 * d2 when sigma_hi2 is 1, else sigma_hi2 * d2
-    mask = np.empty(mid.shape, dtype=bool)
+    cells = u.reshape(-1)
+    d2_buf = np.empty((nx - 2) * k)
+    # sigma_lo2 * d2 when sigma_hi2 is 1, else sigma_hi2 * d2; on a check step
+    # the state before the step; on a retirement the staged live columns, at
+    # most k - 1 columns of nx nodes, which (nx - 2) * k holds unless nx < 2k
+    scratch_buf = np.empty(max((nx - 2) * k, nx * (k - 1)))
+    mask_buf = np.empty((nx - 2) * k, dtype=bool)
+
+    def views(width: int) -> tuple[np.ndarray, ...]:
+        """The state of ``width`` live columns, its stencil operands and step buffers."""
+        flat, n = cells[:nx * width], (nx - 2) * width
+        return (flat.reshape(nx, width), flat[:-2 * width], flat[width:-width],
+                flat[2 * width:], d2_buf[:n], scratch_buf[:n], mask_buf[:n])
+
+    u, left, mid, right, d2, scratch, mask = views(k)
+    live = list(range(k))  # the index in fs of each live column
+    values = [0.0] * k
     unit_hi = p.sigma_hi2 == 1.0
     multiply, subtract, add, maximum, isfinite = (
         np.multiply, np.subtract, np.add, np.maximum, np.isfinite)
@@ -218,13 +250,49 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
             multiply(d2, lo, d2)
             maximum(d2, scratch, out=d2)
         multiply(d2, half_dt, d2)
+        if step % _NAN_CHECK_EVERY:
+            add(mid, d2, mid)
+            continue
+        np.copyto(scratch, mid)  # the state before the step
         add(mid, d2, mid)
-        if step % _NAN_CHECK_EVERY == 0 and not isfinite(mid, mask).all():
+        if not isfinite(mid, mask).all():
             raise PDENumericsError(
-                f"non-finite values in {_nonfinite(fs, u)} after step {step}")
+                f"non-finite values in {_nonfinite([fs[i] for i in live], u)} after step {step}")
+        # a column this step left equal as floats, with the same sign bits
+        # (-0.0 == 0.0 as floats), is unchanged bit for bit and stays so.  Its
+        # flags are reduced from a column-major copy in d2's memory, which the
+        # step is done with: reducing across the node-major rows costs a few steps.
+        spare = d2.view(np.bool_)[:mid.size]
+        by_column = spare.reshape(len(live), nx - 2)
+        np.equal(mid, scratch, mask)
+        np.copyto(by_column, mask.reshape(nx - 2, len(live)).T)
+        fixed = by_column.all(axis=1)
+        if not fixed.any():
+            continue
+        np.signbit(mid, mask)
+        np.signbit(scratch, spare)
+        np.logical_xor(mask, spare, mask)  # the sign bits the step flipped
+        np.copyto(by_column, mask.reshape(nx - 2, len(live)).T)
+        fixed &= ~by_column.any(axis=1)
+        if not fixed.any():
+            continue
+        for col in np.flatnonzero(fixed):
+            values[live[col]] = float(np.interp(0.0, x, u[:, col]))
+        keep = np.flatnonzero(~fixed)
+        live = [live[col] for col in keep]
+        if not live:
+            break
+        staged = scratch_buf[:nx * len(live)].reshape(nx, len(live))
+        for j, col in enumerate(keep):
+            staged[:, j] = u[:, col]
+        u, left, mid, right, d2, scratch, mask = views(len(live))
+        np.copyto(u, staged)
     if not np.isfinite(u).all():
-        raise PDENumericsError(f"non-finite values in {_nonfinite(fs, u)} at final time")
-    return tuple(float(np.interp(0.0, x, u[:, col])) for col in range(k))
+        raise PDENumericsError(
+            f"non-finite values in {_nonfinite([fs[i] for i in live], u)} at final time")
+    for col, i in enumerate(live):
+        values[i] = float(np.interp(0.0, x, u[:, col]))
+    return tuple(values)
 
 
 def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
@@ -268,11 +336,17 @@ HERMITE_NODES = 96  # Gauss-Hermite nodes of every quadrature reference
 
 def _quadrature(f: engine.Functional, p: GParams, half_width: float,
                 hermite: tuple[np.ndarray, np.ndarray]) -> float:
-    """The Gauss-Hermite value of ``f`` at its extremal variance; NaN when ``f`` has no shape."""
-    shape = _shape_on_grid(f, half_width)
-    if shape == "neither":
-        return math.nan
-    var = p.sigma_hi2 if shape == "convex" else p.sigma_lo2
+    """The Gauss-Hermite value of ``f`` at its extremal variance; NaN when ``f`` has no shape.
+
+    Equal variances leave one law, the classical N(0, sigma^2), so every ``f`` has a value.
+    """
+    if p.sigma_lo2 == p.sigma_hi2:
+        var = p.sigma_hi2
+    else:
+        shape = _shape_on_grid(f, half_width)
+        if shape == "neither":
+            return math.nan
+        var = p.sigma_hi2 if shape == "convex" else p.sigma_lo2
     if var == 0.0:
         return f.phi(0.0)
     ts, ws = hermite
@@ -287,7 +361,9 @@ def gnormal_references(fs: Sequence[engine.Functional], p: GParams, *,
 
     For convex ``f`` the upper G-normal expectation is the classical
     expectation at the upper variance; for concave ``f``, at the lower
-    variance; any other ``f`` gets NaN.  The ``HERMITE_NODES`` nodes are
+    variance; any other ``f`` gets NaN, unless the two variances are equal:
+    the law is then the classical N(0, sigma^2), and every ``f`` gets its
+    quadrature value (``f(0)`` at sigma^2 = 0).  The ``HERMITE_NODES`` nodes are
     computed once for all of ``fs``.  Callers must treat the values as a
     hypothesis to validate against ``solve_gheats``, not as ground truth.
     """

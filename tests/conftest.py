@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 import sublexp as sl
 import sublexp.engine as eng
+import sublexp.gnormal as gn
 
 
 def pm1_uncertain() -> sl.AmbiguitySet:
@@ -88,3 +90,24 @@ def engine_calls(monkeypatch) -> dict[str, list[dict]]:
         monkeypatch.setattr(eng, name, spy)
     return calls
 
+
+def count_step_widths(monkeypatch, nx: int) -> list[int]:
+    """The number of columns ``solve_gheats`` steps at each step of every call at ``nx``.
+
+    A counting proxy stands in for numpy inside ``gnormal`` until
+    ``monkeypatch`` undoes it.  Its ``subtract`` runs once per step, on
+    ``d2``, which holds one value per interior node of each live column.
+    """
+    widths: list[int] = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def subtract(a, b, out):
+            widths.append(out.size // (nx - 2))
+            return np.subtract(a, b, out)
+
+    monkeypatch.setattr(gn, "np", CountingNumpy())
+    return widths

@@ -190,16 +190,19 @@ def test_conditions_outputs_trends(tmp_path):
 
 
 def test_gnormal_eval_table(tmp_path):
-    raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
-           "gnormal": {"sigma_lo2": 1.0, "sigma_hi2": 1.0, "nx": 401},
-           "peng_n": [4, 8]}
-    cfg = exp.config_from_mapping(raw)
-    rows = _read(cli.run(cfg, tmp_path)[0])
-    sq = next(r for r in rows if r["functional"] == "square")
-    assert float(sq["pde_upper"]) == pytest.approx(1.0, abs=2e-3)
-    assert float(sq["quad_ref"]) == pytest.approx(1.0, abs=1e-6)
-    cos_row = next(r for r in rows if r["functional"] == "cos")
-    assert cos_row["quad_ref"] == "nan"  # neither convex nor concave
+    # equal variances: the classical N(0, 1), where quadrature is valid for cos too;
+    # unequal ones: cos is neither convex nor concave, so it has no quadrature value
+    for sigma_lo2, cos_ref in ((1.0, f"{math.exp(-0.5):.12g}"), (0.5, "nan")):
+        raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
+               "gnormal": {"sigma_lo2": sigma_lo2, "sigma_hi2": 1.0, "nx": 401},
+               "peng_n": [4, 8]}
+        cfg = exp.config_from_mapping(raw)
+        rows = _read(cli.run(cfg, tmp_path / str(sigma_lo2))[0])
+        sq = next(r for r in rows if r["functional"] == "square")
+        assert float(sq["pde_upper"]) == pytest.approx(1.0, abs=2e-3)
+        assert float(sq["quad_ref"]) == pytest.approx(1.0, abs=1e-6)
+        cos_row = next(r for r in rows if r["functional"] == "cos")
+        assert cos_row["quad_ref"] == cos_ref
 
 
 # ---------------------------------------------------------------------------

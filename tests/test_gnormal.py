@@ -14,6 +14,8 @@ import sublexp.engine as eng
 import sublexp.gnormal as gn
 from sublexp.errors import PDENumericsError, PDEStabilityError, ValidationError
 
+from conftest import count_step_widths
+
 GP = sl.GParams(0.5, 1.0)
 SYM = sl.GParams(1.0, 1.0)
 
@@ -181,28 +183,33 @@ def test_empty_batch_rejected():
         sl.solve_gheats((), GP, sl.default_grid(GP))
 
 
-def test_time_loop_allocates_nothing_per_step():
+def test_time_loop_allocates_nothing_per_step(monkeypatch):
     # a per-step temporary of one (nx - 2, K) operand would add 25.6 KB here
-    fs = (eng.cosine(), eng.ramp(0.0), eng.square(), eng.negated(eng.square()))
-    k, nx = len(fs), 801
-    grid = sl.default_grid(GP, nx=nx)
-    sl.solve_gheats(fs, GP, grid, 0.05)  # warm numpy's caches outside the trace
+    live = (eng.cosine(), eng.ramp(0.0), eng.square(), eng.negated(eng.square()))
+    # identity retires after step 200 of both runs below; the other rows keep stepping
+    for fs, retired in ((live, 0), ((eng.identity(), *live), 1)):
+        k, nx = len(fs), 801
+        grid = sl.default_grid(GP, nx=nx)
+        with monkeypatch.context() as mp:
+            widths = count_step_widths(mp, nx)
+            sl.solve_gheats(fs, GP, grid, 0.05)  # also warms numpy's caches outside the trace
+        assert len(widths) > gn._NAN_CHECK_EVERY + 1 and widths[-1] == k - retired
 
-    def peak(t: float) -> int:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sl.solve_gheats(fs, GP, grid, t)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        def peak(t: float) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sl.solve_gheats(fs, GP, grid, t)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
 
-    long_run, short_run = peak(1.0), peak(0.05)
-    assert abs(long_run - short_run) <= 4096
-    # x, u, d2, scratch and the NaN mask, plus one column's list of initial values
-    once = 8 * nx + 8 * nx * k + 2 * 8 * (nx - 2) * k + (nx - 2) * k
-    column = sys.getsizeof([0.0] * nx) + nx * sys.getsizeof(1.5)
-    assert long_run < once + column
+        long_run, short_run = peak(1.0), peak(0.05)
+        assert abs(long_run - short_run) <= 4096
+        # x, u, d2, scratch and the NaN mask, plus one column's list of initial values
+        once = 8 * nx + 8 * nx * k + 2 * 8 * (nx - 2) * k + (nx - 2) * k
+        column = sys.getsizeof([0.0] * nx) + nx * sys.getsizeof(1.5)
+        assert long_run < once + column
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,24 @@ def test_quadrature_agrees_with_pde():
 def test_quadrature_zero_variance_point_mass():
     gp = sl.GParams(0.0, 1.0)
     assert sl.gnormal_references((eng.negated(eng.square()),), gp) == pytest.approx((0.0,), abs=1e-12)
+
+
+def test_quadrature_of_any_functional_at_equal_variances():
+    # one variance leaves the classical N(0, sigma^2): cos and ramp@0 have
+    # values although they are neither convex nor concave
+    fs = eng.catalog()
+    names = [f.name for f in fs]
+    cos, ramp = names.index("cos"), names.index("ramp@0")
+    refs = sl.gnormal_references(fs, SYM)
+    assert refs[cos] == pytest.approx(math.exp(-0.5), abs=1e-12)
+    # E[min(1, X^+)] = phi(0) - phi(1) + P(X > 1); the kinks cost the quadrature 1e-3
+    normal_pdf = lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+    exact_ramp = normal_pdf(0.0) - normal_pdf(1.0) + 0.5 * math.erfc(1.0 / math.sqrt(2.0))
+    assert refs[ramp] == pytest.approx(exact_ramp, abs=1e-3)
+    assert refs == pytest.approx(sl.solve_gheats(fs, SYM, sl.default_grid(SYM)), abs=5e-3)
+    # sigma^2 = 0 is the point mass at 0
+    point = sl.GParams(0.0, 0.0)
+    assert sl.gnormal_references(fs, point) == tuple(f.phi(0.0) for f in fs)
 
 
 def test_references_equal_one_reference_per_functional():

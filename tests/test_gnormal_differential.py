@@ -5,7 +5,8 @@ batched solve: one 1-D array stepped on its own, with fresh temporaries every st
 The batched solve puts every element through the same float operations in
 the same order, so each value must equal the reference bit for bit, in a
 batch of one row or of many, in either row order, and whatever other rows
-share its batch.
+share its batch.  That holds too for rows that retire from the time loop at
+a fixed point, and for the rows that keep stepping beside them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 import sublexp as sl
 import sublexp.engine as eng
+import sublexp.gnormal as gn
 from sublexp.errors import PDENumericsError, ValidationError
 from sublexp.gnormal import _NAN_CHECK_EVERY, SUPPORT_MARGIN
+
+from conftest import count_step_widths
 
 # ---------------------------------------------------------------------------
 # Reference: the original per-row loop
@@ -164,3 +168,121 @@ def test_overflow_to_plus_inf_with_zero_lower_variance_raises_like_the_loop():
         with pytest.raises(PDENumericsError, match="in huge after step 0") as err:
             sl.solve_gheats([eng.cosine(), huge, eng.ramp(0.0)], p, grid)
     assert "cos" not in str(err.value) and "ramp" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Retirement: a column one step leaves unchanged bit for bit stops stepping
+# ---------------------------------------------------------------------------
+
+
+def _affine(a: float, b: float) -> eng.Functional:
+    return eng.Functional(f"{a:g}x{b:+g}", lambda x: a * x + b)
+
+
+#: Rows that reach a fixed point: the second difference of an affine row is
+#: rounding noise that the steps wash out, and a constant row's is exactly 0.
+#: The -0.0 row's first step turns its interior nodes into 0.0, equal as
+#: floats, so only the sign bits tell that the step changed it.
+RETIRING = (
+    eng.identity(),
+    eng.negated(eng.identity()),
+    _CONST,
+    eng.Functional("negative zero", lambda x: -0.0),
+    _affine(0.5, -0.25),  # dyadic
+    _affine(-0.3, 0.7),  # not dyadic
+)
+LIVE = (eng.cosine(), eng.ramp(0.0), eng.negated(eng.square()))
+#: a permutation that interleaves the two kinds of row
+MIXED = tuple((*RETIRING, *LIVE)[i] for i in (6, 0, 3, 7, 1, 8, 4, 2, 5))
+RETIRE_PARAMS = (sl.GParams(0.5, 1.0), sl.GParams(0.25, 0.81), sl.GParams(0.0, 0.0))
+
+
+@pytest.mark.parametrize("steps", (1, 199, 201, 450))
+@pytest.mark.parametrize("nx", (40, 41))
+@pytest.mark.parametrize("p", RETIRE_PARAMS, ids=lambda p: f"{p.sigma_lo2:g}-{p.sigma_hi2:g}")
+def test_retired_and_live_rows_equal_per_row_loop(p, nx, steps, monkeypatch):
+    # horizons that end before, at and after a check step, and one past two of them;
+    # G = 0 leaves every row at a fixed point
+    grid = sl.default_grid(p, nx=nx)
+    t = steps * grid.dt
+    assert max(1, math.ceil(t / grid.dt - 1e-12)) == steps
+    want = [reference_solve_gheat(f, p, grid, t) for f in MIXED]
+    stepped = count_step_widths(monkeypatch, nx)
+    assert _exact(sl.solve_gheats(MIXED, p, grid, t)) == _exact(want)
+    assert stepped[0] == len(MIXED)
+    if steps > 1:
+        assert stepped[1] < len(MIXED)  # the constant row retires at the first check
+    if steps > _NAN_CHECK_EVERY + 1:
+        # by the second check every row of RETIRING has retired; G = 0 leaves
+        # every row at a fixed point, so there the loop stops
+        if p.sigma_hi2 == 0.0:
+            assert len(stepped) == _NAN_CHECK_EVERY + 1
+        else:
+            assert stepped[-1] == len(LIVE)
+    backwards = sl.solve_gheats(MIXED[::-1], p, grid, t)
+    assert _exact(backwards[::-1]) == _exact(want)
+
+
+def test_gnormal_fine_shape_retires_identity_rows_after_step_200(monkeypatch):
+    # the built-in gnormal-fine solve: f, -f for the five catalog functionals
+    p, nx = sl.GParams(0.5, 1.0), 1601
+    grid = sl.default_grid(p, nx=nx)
+    fs = [g for f in eng.catalog() for g in (f, eng.negated(f))]
+    n_steps = math.ceil(1.0 / grid.dt - 1e-12)
+    stepped = count_step_widths(monkeypatch, nx)
+    sl.solve_gheats(fs, p, grid, 1.0)
+    assert stepped == [10] * (_NAN_CHECK_EVERY + 1) + [8] * (n_steps - _NAN_CHECK_EVERY - 1)
+
+
+def test_rows_that_never_settle_never_narrow(monkeypatch):
+    # the clt-flagship solve: cos and ramp@0, each with its negation
+    p, nx = sl.GParams(0.5, 1.0), 801
+    grid = sl.default_grid(p, nx=nx)
+    fs = [g for f in (eng.cosine(), eng.ramp(0.0)) for g in (f, eng.negated(f))]
+    stepped = count_step_widths(monkeypatch, nx)
+    sl.solve_gheats(fs, p, grid, 1.0)
+    assert stepped == [4] * math.ceil(1.0 / grid.dt - 1e-12)
+
+
+def test_loop_stops_once_every_row_has_retired(monkeypatch):
+    p, nx = sl.GParams(0.5, 1.0), 401
+    grid = sl.default_grid(p, nx=nx)
+    fs = (eng.identity(), eng.negated(eng.identity()), _CONST)
+    want = [reference_solve_gheat(f, p, grid) for f in fs]
+    stepped = count_step_widths(monkeypatch, nx)
+    assert _exact(sl.solve_gheats(fs, p, grid)) == _exact(want)
+    # the constant row leaves after step 0, the identity rows after step 200
+    assert stepped == [3] + [2] * _NAN_CHECK_EVERY
+    assert len(stepped) < math.ceil(1.0 / grid.dt - 1e-12)
+
+
+def test_overflow_beside_a_retiring_row_raises_like_the_loop():
+    p = sl.GParams(0.5, 1.0)
+    grid = sl.default_grid(p, nx=101)
+    huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PDENumericsError, match="after step 0"):
+            reference_solve_gheat(huge, p, grid)
+        with pytest.raises(PDENumericsError, match="in huge after step 0") as err:
+            sl.solve_gheats([_CONST, eng.identity(), huge], p, grid)
+    assert "identity" not in str(err.value) and "const" not in str(err.value)
+
+
+def test_non_finite_row_after_retirements_is_named_by_its_own_name(monkeypatch):
+    # const retires after step 0 and identity after step 200, so by step 300
+    # ramp@0 has moved from column 3 to column 1; a NaN put there names it alone
+    p, nx = sl.GParams(0.5, 1.0), 101
+    grid = sl.default_grid(p, nx=nx)
+    fs = (_CONST, eng.cosine(), eng.identity(), eng.ramp(0.0))
+    stepped = count_step_widths(monkeypatch, nx)
+    counting = gn.np.subtract
+
+    def poisoned(a, b, out):
+        counting(a, b, out)
+        if len(stepped) == 301:
+            assert stepped[-1] == 2
+            out.reshape(nx - 2, 2)[nx // 2, 1] = math.nan
+
+    gn.np.subtract = poisoned
+    with pytest.raises(PDENumericsError, match="non-finite values in ramp@0 after step 400"):
+        sl.solve_gheats(fs, p, grid, 500 * grid.dt)
