@@ -48,10 +48,10 @@ _EXPORTS = {
         "catalog",
         "catalog_by_name",
         "compile_sum",
-        "eval_sums",
         "evaluate_columns",
         "marginal_columns",
         "oracle_policy_enum",
+        "row_sums",
         "scaled",
         "window_columns",
     ),

@@ -11,8 +11,8 @@ the window's beta-minimizer (smallest index on ties).  The open intervals
 between consecutive cuts are the big blocks ``H_i``; removing the cut
 singletons leaves block sums ``Y_i`` that are independent, because
 consecutive blocks are separated by at least one removed index (this needs
-m <= 1, which ``check_one_dependent`` checks).  A block sum is an
-``engine.eval_sums`` mask, and a pair of blocks one ``engine.window_columns``
+m <= 1, which ``check_one_dependent`` checks).  A block sum is a mask of
+``engine.compile_sum``, and a pair of blocks one ``engine.window_columns``
 window.
 
 The diagnostics are the quantities the limit argument drives to zero: the
@@ -207,8 +207,9 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
     # one graph and one sweep: a root per non-empty block (empty blocks add
     # 0), which gives both of its second moments, and one for the cuts
     blocks = [blk for blk in plan.blocks if blk]
-    found = engine.eval_sums(sub, engine.square(), blocks + ([plan.cuts] if plan.cuts else []),
-                             state_cap=cap)
+    graph = engine.compile_sum(sub, masks=blocks + ([plan.cuts] if plan.cuts else []),
+                               state_cap=cap)
+    found = engine.evaluate_columns(graph, [(engine.square(), sub.n)])
     m2 = found[:len(blocks)]
     removed = found[-1].upper / B2 if plan.cuts else 0.0
     delta_lo, delta_hi = _delta_sums(sub, plan.cuts, B2)

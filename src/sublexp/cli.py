@@ -107,8 +107,8 @@ def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
 
     ``last`` is the row of the largest n.  Its second moments are the
     ratio's; under truncation, those of its sum clipped at the config's
-    tau are, from one ``engine.eval_sums`` call.  ``last.B2`` rejects a
-    degenerate model first, clipped or not.
+    tau are, from one ``engine.row_sums`` graph of that root alone.
+    ``last.B2`` rejects a degenerate model first, clipped or not.
     """
     if cfg.gnormal.sigma_lo2 is not None:
         return cfg.gnormal.sigma_lo2
@@ -116,8 +116,8 @@ def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
     tau = cfg.conditions.tau
     if tau is None:
         return last.m2.lower / B2
-    (res,) = engine.eval_sums(last.model, engine.square(), [None], x_clip=tau,
-                              state_cap=cfg.state_cap)
+    clipped = engine.row_sums(last.model, [tau], state_cap=cfg.state_cap)
+    (res,) = engine.evaluate_columns(clipped, [(engine.square(), last.model.n)])
     return res.lower / res.upper
 
 
@@ -139,16 +139,15 @@ def _rows(cfg: ExperimentConfig, *, conditions: bool = False) -> Iterator[cond.R
     """The context of every row of the config, in order, one handle of sums at a time.
 
     The sums of each model of ``cond.row_graphs`` (``engine.row_sums``) are
-    built and swept once for its rows; for ``conditions`` they also have
-    the config's tau as a clipped root, and each row records its
-    ``_M_grid``, every M of which the sweep reads at both roots.  A caller
-    drops each context before taking the next, so one handle is freed
-    before the next one is built.
+    built and swept once for its rows, and freed once their moments are
+    read, before the next model's are built; for ``conditions`` they also
+    have the config's tau as a clipped root, and each row records its
+    ``_M_grid``, every M of which the sweep reads at both roots.
     """
     tau = cfg.conditions.tau if conditions else None
     for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
         grids = [_M_grid(cfg, n) for n in ns] if conditions else None
-        yield from cond.row_contexts(model, ns, tau=tau, M_grids=grids, state_cap=cfg.state_cap)
+        yield from cond.row_contexts(model, ns, tau=tau, M_grids=grids, state_cap=cfg.state_cap)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +158,17 @@ EVAL_HEADER = ("n", "functional", "B_n", "b_n", "upper", "lower", "state_count")
 
 
 def run_eval(cfg: ExperimentConfig) -> dict[str, Table]:
-    """Per n, E[S_n^2] (for B_n, b_n) and every functional, off one sweep of each row graph.
+    """Per n, E[S_n^2] (for B_n, b_n) and every functional, off one sweep of each row's sums.
 
-    Rows that share a graph (``cond.row_graphs``) share its one sweep.
+    Rows that share their sums (``cond.row_graphs``, ``engine.row_sums``)
+    share its one sweep: dense layers on the lattice, the graph otherwise.
     """
     rows: list[Row] = []
     fs = (engine.square(), *_functionals(cfg))
     for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
-        graph = engine.compile_sum(model, state_cap=cfg.state_cap)
-        found = iter(engine.evaluate_columns(graph, [(f, n) for n in ns for f in fs]))
-        del graph  # one graph alive at a time
+        sums = engine.row_sums(model, state_cap=cfg.state_cap)
+        found = iter(engine.evaluate_columns(sums, [(f, n) for n in ns for f in fs]))
+        del sums  # one handle alive at a time
         for n in ns:
             m2, *results = (next(found) for _ in fs)
             B, b = math.sqrt(m2.upper), math.sqrt(m2.lower)
@@ -189,10 +189,12 @@ SWEEP_SUMMARY_EPS = 0.25
 
 
 def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
+                sums: engine.Graph | engine.DenseSum,
                 ctxs: list[cond.RowContext]) -> dict[int, tuple]:
     """Everything of the sweep rows of every n of ``ctxs`` but the G-normal references.
 
-    ``ctxs`` share one handle of sums, with no clipped root and no M grid.
+    ``sums`` and ``ctxs`` are what ``cond.row_contexts`` returns, with no
+    clipped root and no M grid.
     Per n, the marginal summaries come from one history recursion
     (``cond.build_report`` with no p), the truncated normalizers from one
     more, clipped; every functional of every n, scaled by that n's 1/B_n,
@@ -212,7 +214,7 @@ def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
         )
         found[n] = B, b, rep.mean_unc, summary
         columns += [(engine.scaled(f, 1.0 / B), n) for f in fs]
-    results = iter(engine.evaluate_columns(ctxs[0].sums, columns))
+    results = iter(engine.evaluate_columns(sums, columns))
     return {n: (*row, [next(results) for _ in fs]) for n, row in found.items()}
 
 
@@ -227,14 +229,14 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     fs = _functionals(cfg)
     grid = _grid(cfg)
     *smaller, (model, ns) = cond.row_graphs(cfg.model_for, cfg.n_list)
-    ctxs = cond.row_contexts(model, ns, state_cap=cfg.state_cap)
+    sums, ctxs = cond.row_contexts(model, ns, state_cap=cfg.state_cap)
     r = _sweep_r(cfg, ctxs[-1])
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
-    found = _sweep_rows(cfg, fs, ctxs)
-    del ctxs  # one handle of sums alive at a time
+    found = _sweep_rows(cfg, fs, sums, ctxs)
+    del sums  # one handle of sums alive at a time
     refs = _pde_bounds(cfg, fs, gp, grid)
     for model, ns in smaller:
-        found.update(_sweep_rows(cfg, fs, cond.row_contexts(model, ns, state_cap=cfg.state_cap)))
+        found.update(_sweep_rows(cfg, fs, *cond.row_contexts(model, ns, state_cap=cfg.state_cap)))
 
     rows: list[Row] = []
     for n in cfg.n_list:
@@ -312,7 +314,6 @@ def run_blocking_inspect(cfg: ExperimentConfig) -> dict[str, Table]:
         p_n = pn_list[n] if pn_list else blk.choose_pn(ctx, tol=cfg.blocking.tol)
         plan = blk.build_plan(ctx, p_n)
         diag = blk.diagnostics(ctx, plan)
-        del ctx  # one graph alive at a time
         diag_rows.append([
             n, p_n, plan.h, len(plan.cuts), diag.sum_beta_cuts,
             diag.sum_delta_lo, diag.sum_delta_hi,
@@ -348,7 +349,6 @@ def run_conditions(cfg: ExperimentConfig) -> dict[str, Table]:
         n = ctx.model.n
         rep = cond.build_report(ctx, eps_grid=cfg.conditions.eps, p_grid=cfg.conditions.p)
         full = cond.variance_ratio(ctx, n)
-        del ctx  # one graph alive at a time
         for eps, v in rep.lindeberg.items():
             emit(n, "lindeberg", f"{eps:g}", v)
         emit(n, "mean_unc", "", rep.mean_unc)
@@ -438,7 +438,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory for CSV reports")
     parser.add_argument("--grid-nx", type=int, default=None, help="PDE spatial points")
     parser.add_argument("--grid-L", type=float, default=None, help="PDE half width")
-    parser.add_argument("--state-cap", type=int, default=None, help="DP state cap")
+    parser.add_argument("--state-cap", type=int, default=None, help=(
+        "DP state cap; a dense sum counts its lattice offsets, which for m = 0 and a gapped "
+        "support exceed its graph states, so a cap between the two refuses it"))
     parser.add_argument("--tol", type=float, default=None, help="block-size search tolerance")
     return parser
 

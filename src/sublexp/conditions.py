@@ -79,27 +79,20 @@ class ConditionReport:
 
 @frozen(identity=True)
 class RowContext:
-    """Row n of the array: its length-n model, the handle of its sums, the state cap.
+    """Row n of the array: its length-n model, its second moments, the state cap.
 
-    ``sums`` (``engine.row_sums``) holds the row's full sum as root 0 and,
-    when ``tau`` (the truncation level of the conditions) is set, the full
-    sum clipped at tau as root 1: the dense layers of the full sum when it
-    is the only root and sits on the lattice, the compiled graph otherwise.
-    It may be built at a larger n of the same array: when the rows' models
-    are prefixes of one model, all rows share that model's sums, and row n
-    reads its columns at horizon n, which are those of row n's own model
-    (``engine.sweep_columns``).  ``M_grid`` holds the prefix horizons of the
-    row's variance ratios, and ``moments[M]`` holds E[S_M^2] per root for n
-    and every M of ``M_grid``; ``m2`` is root 0's E[S_n^2], and ``Bn`` is
-    ``(B_n, b_n)``, the square roots of its upper and lower value.  Every
-    quantity of the row reads these, and every further compile for the row
-    (block and cut sums) runs under ``state_cap``.  Drop the contexts of
-    one handle before building the next, so only one is alive at a time.
-    A context, like its handle, equals itself alone.
+    ``moments[M]`` holds E[S_M^2] per root of the handle of sums the row was
+    read off (``row_contexts``): the full sum as root 0 and, when ``tau``
+    (the truncation level of the conditions) is set, the full sum clipped
+    at tau as root 1, for n and every M of ``M_grid``, the prefix horizons
+    of the row's variance ratios.  ``m2`` is root 0's E[S_n^2], and ``Bn``
+    is ``(B_n, b_n)``, the square roots of its upper and lower value.
+    Every quantity of the row reads these, and every further compile for
+    the row (block and cut sums) runs under ``state_cap``.  A context holds
+    no handle, and, as its moments are a dict, equals itself alone.
     """
 
     model: SequenceModel
-    sums: engine.Graph | engine.DenseSum
     moments: Mapping[int, tuple[engine.EvalResult, ...]]
     state_cap: int
     tau: float | None = None
@@ -139,14 +132,19 @@ def row_graphs(model_for: Callable[[int], SequenceModel],
 
 def row_contexts(model: SequenceModel, ns: Sequence[int], *, tau: float | None = None,
                  M_grids: Sequence[Sequence[int]] | None = None,
-                 state_cap: int = engine.DEFAULT_STATE_CAP) -> list[RowContext]:
+                 state_cap: int = engine.DEFAULT_STATE_CAP,
+                 ) -> tuple[engine.Graph | engine.DenseSum, list[RowContext]]:
     """Rows ``ns`` of ``model`` (each n at most ``model.n``), from one handle and one sweep.
 
     The handle's roots (``engine.row_sums``) are the full sum and, with
-    ``tau``, the full sum clipped at tau; the sweep reads E[S_M^2] at every
-    root for each row's n and every M of its grid (``M_grids``, one grid per
-    row, none by default).  ``state_cap`` bounds the states of both roots
-    together.
+    ``tau``, the full sum clipped at tau: the dense layers of the full sum
+    when it is the only root and sits on the lattice, the compiled graph
+    otherwise.  The sweep reads E[S_M^2] at every root for each row's n and
+    every M of its grid (``M_grids``, one grid per row, none by default).
+    Returns the handle and the rows.  Row n reads its columns at horizon n,
+    which are those of row n's own model (``engine.sweep_columns``), so a
+    caller sweeps the handle for more columns of its rows, or drops it.
+    ``state_cap`` bounds what the handle builds for both roots together.
     """
     if tau is not None and not tau > 0.0:
         raise ValidationError("tau must be > 0")
@@ -161,9 +159,9 @@ def row_contexts(model: SequenceModel, ns: Sequence[int], *, tau: float | None =
     Ms = sorted({M for n, grid in zip(ns, grids) for M in (n, *grid)})
     found = iter(engine.evaluate_columns(sums, [(engine.square(), M) for M in Ms]))
     moments = {M: tuple(next(found) for _ in clips) for M in Ms}
-    return [RowContext(model.prefix(n), sums, {M: moments[M] for M in (n, *grid)},
-                       state_cap, tau, grid)
-            for n, grid in zip(ns, grids)]
+    return sums, [RowContext(model.prefix(n), {M: moments[M] for M in (n, *grid)},
+                             state_cap, tau, grid)
+                  for n, grid in zip(ns, grids)]
 
 
 def row_context(model: SequenceModel, n: int, *, tau: float | None = None,
@@ -171,7 +169,7 @@ def row_context(model: SequenceModel, n: int, *, tau: float | None = None,
                 state_cap: int = engine.DEFAULT_STATE_CAP) -> RowContext:
     """Row n of ``model``: ``row_contexts`` of its own length-n model alone."""
     return row_contexts(model.prefix(n), (n,), tau=tau, M_grids=(M_grid,),
-                        state_cap=state_cap)[0]
+                        state_cap=state_cap)[1][0]
 
 
 def _square(x: float) -> float:

@@ -48,8 +48,7 @@ a component adds a draw's term at its own clip level when its mask holds
 the coordinate the draw completes and a zero term otherwise, so every
 layer is one gather for every root, and states merge only within a
 component.  The states reachable from root r are the graph of mask r
-alone, so one sweep reads every root; ``eval_sums`` compiles and sweeps
-the masks of one functional and returns one ``EvalResult`` per mask.
+alone, so one sweep reads every root.
 
 An unclipped full sum on the lattice needs no state graph (``row_sums``).
 Draw t enters the coordinates t - j for the weights j with 1 <= t - j <= n,
@@ -71,6 +70,14 @@ draws; it is swept through them alone and joins the one pass at layer M.
 Every layer size follows from the terms, so the state cap is checked
 before any work.  A clipped root, a sum off the lattice, masks and the
 running max (``track_max``) compile the graph.
+
+A dense sum still counts the graph's states, without building them: layer
+t of the graph holds each window of draws t-m+1..t with each sum reached
+after draw t-m (no window draw has entered it yet, and a window fixes what
+it adds), so it is the product of those draws' support sizes times the
+offsets of the dense layer t-m that some path reaches.  Those come from one
+boolean pass: layer t is layer t-1 or-ed at each distinct shift.  So every
+``EvalResult.state_count`` is a count of graph states, on either handle.
 
 Functionals of a few coordinates are evaluated by recursion over the full
 history of the draws they involve.  ``window_columns`` carries many payoff
@@ -261,7 +268,13 @@ class SequenceModel:
 
 @frozen
 class EvalResult:
-    """Upper and lower expectation of one functional, and the DP states behind them."""
+    """Upper and lower expectation of one functional, and the DP states behind them.
+
+    ``state_count`` is the states of the sum's graph (``compile_sum``, at the
+    column's root) in layers 0..M + m, for a column at horizon M.  A
+    ``DenseSum`` counts them without building them, so there it can exceed
+    the state cap.
+    """
 
     upper: float
     lower: float
@@ -363,6 +376,8 @@ class DenseSum:
     lead: int
     #: the gcd of the differences between the terms of one weight at one draw
     step: int
+    #: per layer, the states of the window graph of the same sum: counted, not built
+    states: tuple[int, ...]
 
 
 def _canon_array(x: np.ndarray) -> np.ndarray:
@@ -772,8 +787,10 @@ def _dense_sum(model: SequenceModel, state_cap: int) -> DenseSum | None:
     ``_term_table``) is the sum of its draws' terms of their weights.  Then
     every partial sum, here and in the graph, is an exact float, and the
     graph's terminal arguments are the dense layers' sums, bit for bit.
-    ``state_cap`` bounds the states of all layers, checked before any work:
-    the dense layer sizes are known from the terms alone.
+    ``state_cap`` bounds the offsets of all layers, checked before any
+    work: the dense layer sizes are known from the terms alone.  The graph's
+    layer sizes are counted last (see the module docstring), one boolean
+    layer at a time.
     """
     m, n = model.m, model.n
     draws = _support_columns(model.sets)
@@ -805,8 +822,16 @@ def _dense_sum(model: SequenceModel, state_cap: int) -> DenseSum | None:
     shifts, lows, sizes = _dense_layers(parts, step, m, n, 1, 0, 1)
     if sum(sizes) > state_cap:
         raise StateCapError(sum(sizes), state_cap, steps=len(draws), layer_sizes=tuple(sizes))
+    layer, reached = np.ones(1, dtype=bool), [1]  # per layer, the offsets some path reaches
+    for shift, size in zip(shifts[:n], sizes[1:]):
+        below, layer = layer, np.zeros(size, dtype=bool)
+        for d in set(shift.tolist()):
+            layer[d:d + len(below)] |= below
+        reached.append(int(np.count_nonzero(layer)))
+    states = tuple(math.prod(len(values) for values, _ in draws[max(t - m, 0):t])
+                   * reached[max(t - m, 0)] for t in range(n + m + 1))
     return DenseSum(tuple(laws for _, laws in draws), parts, tuple(shifts), tuple(lows),
-                    tuple(sizes), m, step)
+                    tuple(sizes), m, step, states)
 
 
 def row_sums(model: SequenceModel, clips: Sequence[float | None] = (None,), *,
@@ -814,7 +839,7 @@ def row_sums(model: SequenceModel, clips: Sequence[float | None] = (None,), *,
     """The full sum of ``model`` once per clip level of ``clips``, as one handle to sweep.
 
     ``DenseSum`` when the one level is None and the sum is on the lattice
-    (``_dense_sum``): no state graph is built, and its layers are checked
+    (``_dense_sum``): no state graph is built, and its offsets are checked
     against ``state_cap`` before any work.  Otherwise the graph of
     ``compile_sum`` with one root per level.  ``sweep_columns`` and
     ``evaluate_columns`` take either, with the same values bit for bit.
@@ -864,16 +889,6 @@ def _slice_back(vals: np.ndarray, K: int, laws: tuple, shift: np.ndarray,
     return _back(vals, K, laws, rows, lambda j: vals[shift[j]:shift[j] + rows])
 
 
-def _tail(dense: DenseSum, M: int) -> tuple[list[np.ndarray], list[int], list[int]]:
-    """The last m draws of ``S_M`` (``_dense_layers``), from the full sum's layer M.
-
-    Layers up to M are those of the full sum; these draws add only their
-    weights whose coordinates lie in 1..M.
-    """
-    return _dense_layers(dense.parts, dense.step, dense.lead, M, M + 1, dense.lows[M],
-                         dense.sizes[M])
-
-
 def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]],
                   lower: Sequence[tuple[Functional, int]],
                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -890,13 +905,15 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
     bit.  A side no caller reads is simply not carried.
 
     On a ``DenseSum`` a column starts at the last layer of ``S_M``'s own
-    dense layers, is swept back through its last m draws (``_tail``) and
-    joins the one pass at layer M; a child's values are a slice at its
-    support column's shift, where the graph gathers them, through the same
-    per-law accumulation (``_back``).  A state of the window graph and the
-    dense offset of its ``S_M`` so far reach children of equal values under
-    every support column, so by induction from the last layer, where both
-    take ``phi`` of the same exact float, every value is the same float.
+    dense layers, is swept back through its last m draws, which add only
+    their weights whose coordinates lie in 1..M (``_dense_layers`` from the
+    full sum's layer M), and joins the one pass at layer M; a child's
+    values are a slice at its support column's shift, where the graph
+    gathers them, through the same per-law accumulation (``_back``).  A
+    state of the window graph and the dense offset of its ``S_M`` so far
+    reach children of equal values under every support column, so by
+    induction from the last layer, where both take ``phi`` of the same
+    exact float, every value is the same float.
 
     Each side holds one value per column and root, column by column, roots
     in order within a column: a graph of one mask, and a dense sum, give
@@ -921,7 +938,8 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
             col = {key: i for i, key in enumerate(fs)}
             k = len(joining[0])
             if dense:
-                shifts, lows, sizes = _tail(sums, t)
+                shifts, lows, sizes = _dense_layers(sums.parts, sums.step, sums.lead, t, t + 1,
+                                                    sums.lows[t], sums.sizes[t])
                 args = (lows[-1] + sums.step * np.arange(sizes[-1])) / float(_QUANTUM)
             else:
                 args = sums.args[t]
@@ -949,42 +967,17 @@ def evaluate_columns(sums: Graph | DenseSum,
 
     ``sweep_columns`` with every column on both sides, in its order; the
     state count of ``(f, M)`` at root r is that of the compile of
-    ``model.prefix(M)`` with mask r, or for a dense sum that of the dense
-    layers of ``S_M``: the full sum's layers 0..M and those of its last m
-    draws.
+    ``model.prefix(M)`` with mask r: layers 0..M + lead of the graph, or of
+    the graph a dense sum counts (``DenseSum.states``).
     """
     ups, los = sweep_columns(sums, columns, columns)
-    if isinstance(sums, DenseSum):
-        counts = [sum(sums.sizes[:M + 1]) + sum(_tail(sums, M)[2][1:]) for _, M in columns]
-    else:
-        sizes = [[len(a)] for a in sums.args] if sums.sizes is None else sums.sizes
-        states = np.cumsum(sizes, axis=0).tolist()  # states[t][r]: layers 0..t of root r
-        counts = [n for _, M in columns for n in states[M + sums.lead]]
+    sizes = [[count] for count in sums.states] if isinstance(sums, DenseSum) else sums.sizes
+    if sizes is None:  # a graph of one root
+        sizes = [[len(a)] for a in sums.args]
+    # states[t][r]: layers 0..t of root r, in Python ints, as no cap bounds counted states
+    states = np.cumsum(sizes, axis=0, dtype=object).tolist()
+    counts = [n for _, M in columns for n in states[M + sums.lead]]
     return tuple(EvalResult(*found) for found in zip(ups, los, counts))
-
-
-def eval_sums(
-    model: SequenceModel,
-    f: Functional,
-    masks: Sequence[Iterable[int] | None],
-    *,
-    x_clip: float | None | Sequence[float | None] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[EvalResult, ...]:
-    """Upper and lower expectation of ``f`` of the sum over each of ``masks``.
-
-    One compile and one sweep: every mask (``None`` for all coordinates) is
-    a root of one graph (``compile_sum``, whose options these are), at its
-    own clip level when ``x_clip`` gives one per mask.  Each result is, bit
-    for bit and in ``state_count``, that of the one-mask graph of its mask
-    and level; ``state_cap`` bounds the states of all masks together.  A
-    caller that evaluates several functionals or horizons of one sum
-    compiles the graph once and sweeps it once with ``evaluate_columns``.
-    """
-    if not masks:
-        return ()
-    graph = compile_sum(model, masks=masks, x_clip=x_clip, state_cap=state_cap)
-    return evaluate_columns(graph, [(f, model.n)])
 
 
 # ---------------------------------------------------------------------------

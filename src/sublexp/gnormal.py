@@ -299,9 +299,10 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
                  *, state_cap: int = engine.DEFAULT_STATE_CAP) -> tuple[tuple[float, ...], ...]:
     """Upper expectation of each of ``fs`` via the n-step two-point CLT recursion, per n of ``ns``.
 
-    The recursion's graph is compiled once, at the largest n, and every
-    (n, functional) pair is an upper column of one backward sweep over it,
-    which carries no lower column.
+    The recursion's sum is built once, at the largest n (``engine.row_sums``:
+    dense layers when the two-point supports sit on the lattice, the graph
+    otherwise), and every (n, functional) pair is an upper column of one
+    backward sweep over it, which carries no lower column.
     """
     if any(n < 1 for n in ns):
         raise ValidationError("peng_oracles needs n >= 1")
@@ -309,9 +310,9 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
         return ()
     sigmas = sorted({math.sqrt(p.sigma_lo2), math.sqrt(p.sigma_hi2)})
     set_ = ambiguity(two_point_law(s) for s in sigmas)
-    graph = engine.compile_sum(engine.SequenceModel.iid(set_, max(ns)), state_cap=state_cap)
+    sums = engine.row_sums(engine.SequenceModel.iid(set_, max(ns)), state_cap=state_cap)
     uppers = iter(engine.sweep_columns(
-        graph, [(engine.scaled(f, 1.0 / math.sqrt(n)), n) for n in ns for f in fs], ())[0])
+        sums, [(engine.scaled(f, 1.0 / math.sqrt(n)), n) for n in ns for f in fs], ())[0])
     return tuple(tuple(next(uppers) for _ in fs) for _ in ns)
 
 

@@ -265,7 +265,8 @@ def z_reduce(model: SequenceModel, m: int) -> ZReduction:
 
 def z_block_second_moments(model: SequenceModel, red: ZReduction) -> list[tuple[float, float]]:
     """Upper/lower second moment of every Z block sum, each a root of one graph."""
-    found = engine.eval_sums(model, engine.square(), [range(a, b + 1) for a, b in red.blocks])
+    graph = engine.compile_sum(model, masks=[range(a, b + 1) for a, b in red.blocks])
+    found = engine.evaluate_columns(graph, [(engine.square(), model.n)])
     return [(res.upper, res.lower) for res in found]
 
 
@@ -318,7 +319,8 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     tail = tuple(range(q * (p_n + m) + 1, n + 1))
 
     parts = (blocks, gaps, tail)
-    found = iter(engine.eval_sums(sub, engine.square(), [mask for mask in parts if mask]))
+    graph = engine.compile_sum(sub, masks=[mask for mask in parts if mask])
+    found = iter(engine.evaluate_columns(graph, [(engine.square(), n)]))
     a1, a2, a3 = (next(found).upper if mask else 0.0 for mask in parts)
     return ThreePartSplit(
         n=n, p_n=p_n, m=m,

@@ -82,7 +82,7 @@ def test_criterion_01_engine_oracle_equivalence():
             weights = tuple(rng.choice((-1.0, 0.5, 1.0)) for _ in range(m + 1))
             model = sl.SequenceModel.moving_window(rand_set(), weights, n, scale)
         f = fs[i % len(fs)]
-        (got,) = sl.eval_sums(model, f, [None])
+        (got,) = sl.evaluate_columns(sl.row_sums(model), [(f, model.n)])
         want = sl.oracle_policy_enum(model, f)
         worst = max(worst, abs(got.upper - want.upper), abs(got.lower - want.lower))
         count += 1
@@ -181,7 +181,7 @@ def test_criterion_03_classical_reduction():
         ]):
             p = math.prod(pr for _, pr in combo)
             expected += p * phi(sum(v for v, _ in combo))
-        (res,) = sl.eval_sums(model, eng.Functional("mix", phi), [None])
+        (res,) = sl.evaluate_columns(sl.row_sums(model), [(eng.Functional("mix", phi), model.n)])
         worst = max(worst, abs(res.upper - expected), abs(res.lower - expected))
 
     gp = sl.GParams(1.0, 1.0)
@@ -271,9 +271,9 @@ def test_criterion_06_mdependent_clt():
     refs = _pde_bounds(fs, gp, grid)
     results = [(f.name, [], []) for f in fs]
     for n in STATIONARY_NS:
-        ctx = cond.row_context(_stationary_model(n), n)
+        sums, (ctx,) = cond.row_contexts(_stationary_model(n), (n,))
         B, _ = ctx.Bn
-        found = sl.evaluate_columns(ctx.sums, [(eng.scaled(f, 1.0 / B), n) for f in fs])
+        found = sl.evaluate_columns(sums, [(eng.scaled(f, 1.0 / B), n) for f in fs])
         for (_, ups, los), res, (ref_up, ref_lo) in zip(results, found, refs):
             ups.append(abs(res.upper - ref_up))
             los.append(abs(res.lower - ref_lo))
@@ -369,7 +369,7 @@ def _window_m2(model: sl.SequenceModel, r: int) -> float:
     """Upper ``E[S_r^2]`` of the first r coordinates (0 for the empty sum)."""
     if r == 0:
         return 0.0
-    return sl.eval_sums(model.prefix(r), eng.square(), [None])[0].upper
+    return sl.evaluate_columns(sl.row_sums(model.prefix(r)), [(eng.square(), r)])[0].upper
 
 
 def _same_dp_value(a: float, b: float) -> bool:
@@ -470,7 +470,7 @@ def test_criterion_10_truncated_conditions():
 
     n_max = 48
     largest = cfg.model_for(n_max)
-    (res,) = sl.eval_sums(largest, eng.square(), [None], x_clip=tau)
+    (res,) = sl.evaluate_columns(sl.row_sums(largest, [tau]), [(eng.square(), n_max)])
     r = res.lower / res.upper
     gp = sl.GParams(r, 1.0)
     grid = sl.default_grid(gp)
@@ -479,9 +479,9 @@ def test_criterion_10_truncated_conditions():
     refs = _pde_bounds(fs, gp, grid)
     results = [(f.name, [], []) for f in fs]
     for n in STATIONARY_NS:
-        ctx = cond.row_context(cfg.model_for(n), n)
+        sums, (ctx,) = cond.row_contexts(cfg.model_for(n), (n,))
         B = math.sqrt(cond.truncated_bounds(ctx, tau)[0])
-        found = sl.evaluate_columns(ctx.sums, [(eng.scaled(f, 1.0 / B), n) for f in fs])
+        found = sl.evaluate_columns(sums, [(eng.scaled(f, 1.0 / B), n) for f in fs])
         for (_, ups, los), out, (ref_up, ref_lo) in zip(results, found, refs):
             ups.append(abs(out.upper - ref_up))
             los.append(abs(out.lower - ref_lo))

@@ -99,7 +99,7 @@ def test_beta_single_index():
 def test_beta_total_bound():
     model = stationary_1dep(12)
     beta = blk.compute_beta(cond.row_context(model, 12))
-    (res,) = sl.eval_sums(model, eng.square(), [None])
+    (res,) = sl.evaluate_columns(sl.row_sums(model), [(eng.square(), 12)])
     (squares,), _ = sl.marginal_columns(model, [lambda x: x * x], [])
     B2, m2_total = res.upper, sum(squares)
     assert sum(beta) <= 3.0 * m2_total / B2 + TOL
@@ -141,7 +141,7 @@ def test_plan_rejects_odd_pn_before_any_evaluation(monkeypatch):
         pytest.fail("build_plan evaluated the model before checking p_n")
 
     ctx = cond.row_context(stationary_1dep(8), 8)
-    for name in ("eval_sums", "compile_sum", "window_columns", "marginal_columns"):
+    for name in ("row_sums", "compile_sum", "window_columns", "marginal_columns"):
         monkeypatch.setattr(eng, name, forbidden)
     with pytest.raises(ValidationError):
         blk.build_plan(ctx, 3)
@@ -190,7 +190,7 @@ def test_build_plan_requires_low_dependence(monkeypatch):
 
     ctx = cond.row_context(
         sl.SequenceModel.moving_window(variance_uncertain(), (1.0, 1.0, 1.0), 8), 8)
-    for name in ("eval_sums", "compile_sum", "window_columns", "marginal_columns"):
+    for name in ("row_sums", "compile_sum", "window_columns", "marginal_columns"):
         monkeypatch.setattr(eng, name, forbidden)
     with pytest.raises(ValidationError, match="mdep.z_reduce"):
         blk.build_plan(ctx, 2)
@@ -199,10 +199,11 @@ def test_build_plan_requires_low_dependence(monkeypatch):
 def test_linear_functional_decomposes_over_blocks_and_cuts():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 8)
     plan = blk.build_plan(cond.row_context(model, 8), 4)
-    (total,) = sl.eval_sums(model, eng.identity(), [None])
-    # each block sum is one mask of one eval_sums graph; empty blocks add 0
+    (total,) = sl.evaluate_columns(sl.row_sums(model), [(eng.identity(), 8)])
+    # each block sum is one mask of one graph; empty blocks add 0
     blocks = [b for b in plan.blocks if b]
-    parts = sum(res.upper for res in sl.eval_sums(model, eng.identity(), blocks))
+    parts = sum(res.upper for res in sl.evaluate_columns(sl.compile_sum(model, masks=blocks),
+                                                         [(eng.identity(), 8)]))
     (means,), _ = sl.marginal_columns(model, [lambda x: x], [])
     parts += sum(means[c - 1] for c in plan.cuts)
     assert total.upper == pytest.approx(parts, abs=TOL)
@@ -215,9 +216,9 @@ def test_block_sums_are_independent():
     split = len(first)
     (prod,), _ = sl.window_columns(
         model, first + second, [lambda xs: math.fsum(xs[:split]) * math.fsum(xs[split:])], [])
-    (y2,) = sl.eval_sums(model, eng.identity(), [second])
+    (y2,) = sl.evaluate_columns(sl.compile_sum(model, masks=[second]), [(eng.identity(), 8)])
     composed = eng.Functional("y1 E[y2]", lambda y: y * (y2.upper if y >= 0 else y2.lower))
-    (res,) = sl.eval_sums(model, composed, [first])
+    (res,) = sl.evaluate_columns(sl.compile_sum(model, masks=[first]), [(composed, 8)])
     assert prod == pytest.approx(res.upper, abs=1e-12)
 
 

@@ -395,6 +395,31 @@ def test_one_graph_per_rosenthal_family_and_per_peng_run(engine_calls):
     assert counts["compile_sum"] == counts["sweep_columns"] == 1
 
 
+def test_eval_and_peng_oracles_compile_no_graph_for_a_lattice_model(engine_calls):
+    # stationary-1dep's full sums and the two-point supports {-1/2, 1/2} and
+    # {-1, 1} sit on the lattice: one sweep of dense layers each, no graph
+    cli.run_eval(exp.reference_experiments()["stationary-1dep"])
+    assert _counts(engine_calls) == {"compile_sum": 0, "sweep_columns": 1, "window_columns": 0}
+    raw = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["square", "cos"],
+           "gnormal": {"sigma_lo2": 0.25, "nx": 201}, "peng_n": [8, 16]}
+    cli.run_gnormal_eval(exp.config_from_mapping(raw))
+    assert _counts(engine_calls) == {"compile_sum": 0, "sweep_columns": 1, "window_columns": 0}
+
+
+def test_eval_fits_a_cap_between_the_dense_offsets_and_the_graph_states(tmp_path):
+    # stationary-1dep at n = 48: 4,850 dense offsets, 13,972 graph states; a cap
+    # of 5,000 bounds what is built, so the report is the default cap's, whose
+    # state_count column still gives the graph's states
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--experiment", "stationary-1dep", "--out", str(out),
+                     "--state-cap", "5000"]) == 0
+    text = (out / "stationary-1dep_eval.csv").read_text()
+    cli.main(["eval", "--experiment", "stationary-1dep", "--out", str(tmp_path / "default")])
+    assert text == (tmp_path / "default" / "stationary-1dep_eval.csv").read_text()
+    rows = list(csv.DictReader(text.splitlines()))
+    assert {row["state_count"] for row in rows if row["n"] == "48"} == {"13972"}
+
+
 HEAVY_CONDITIONS = {"name": "heavy", "mode": "conditions", "model": {"builder": "truncated-heavy"},
                     "n_list": [8, 16, 32], "conditions": {"tau": 1.0}}
 
@@ -444,8 +469,9 @@ def test_a_1_over_sqrt_n_model_compiles_each_row(engine_calls):
     # swept as dense layers, so only n = 8 compiles its own
     assert [_clips(call) for call in engine_calls["compile_sum"]] == [[1.0], [None]]
     assert _counts(engine_calls) == {"compile_sum": 2, "sweep_columns": 7, "window_columns": 6}
+    # eval builds the same sums as the sweep's rows: dense layers at n = 16 and 4
     cli.run_eval(cfg)
-    assert _counts(engine_calls) == {"compile_sum": 3, "sweep_columns": 3, "window_columns": 0}
+    assert _counts(engine_calls) == {"compile_sum": 1, "sweep_columns": 3, "window_columns": 0}
 
 
 def test_clt_sweep_sweeps_the_functionals_over_the_unclipped_sum_alone(engine_calls, monkeypatch):

@@ -219,7 +219,7 @@ def test_report_reads_prefixes_off_one_graph_per_row(engine_calls):
     assert clipped_rep.var_ratio == plain_rep.var_ratio
     # the clipped root's ratios are those of a compile of the clipped sum
     for M, ratio in clipped_rep.trunc.var_ratio.items():
-        (res,) = eng.eval_sums(model.prefix(M), eng.square(), [None], x_clip=1.0)
+        (res,) = eng.evaluate_columns(eng.row_sums(model.prefix(M), [1.0]), [(eng.square(), M)])
         assert ratio == res.lower / res.upper
     assert cond.variance_ratio(plain, 8) == plain_rep.var_ratio[8] == plain.m2.lower / plain.m2.upper
     # a row built without tau has no truncated profile
@@ -298,16 +298,18 @@ def _bits(res: eng.EvalResult) -> tuple[str, str, int]:
 def test_rows_read_off_the_largest_rows_graph_equal_their_own_contexts(engine_calls):
     ns, grids = (4, 6, 8), [(2, 4), (3,), (5, 8)]
     assert cond.row_graphs(stationary_1dep, ns) == [(stationary_1dep(8), ns)]
-    ctxs = cond.row_contexts(stationary_1dep(8), ns, tau=1.0, M_grids=grids)
+    sums, ctxs = cond.row_contexts(stationary_1dep(8), ns, tau=1.0, M_grids=grids)
+    assert isinstance(sums, eng.Graph) and sums.roots == 2
     assert len(engine_calls["compile_sum"]) == len(engine_calls["sweep_columns"]) == 1
     for n, grid, ctx in zip(ns, grids, ctxs):
         own = cond.row_context(stationary_1dep(n), n, tau=1.0, M_grid=grid)
-        assert ctx.sums is ctxs[0].sums and own.sums is not ctx.sums
         assert ctx.model == own.model and sorted(ctx.moments) == sorted({n, *grid})
         assert ctx.M_grid == own.M_grid == grid
         for M in (n, *grid):
-            # root 0 is the full sum, root 1 the sum clipped at tau, each its own compile
-            want = [eng.eval_sums(ctx.model.prefix(M), eng.square(), [None], x_clip=clip)[0]
+            # root 0 is the full sum, root 1 the sum clipped at tau, each its own
+            # sums: the dense layers of the full sum count the graph's states
+            want = [eng.evaluate_columns(eng.row_sums(ctx.model.prefix(M), [clip]),
+                                         [(eng.square(), M)])[0]
                     for clip in (None, 1.0)]
             assert [_bits(res) for res in ctx.moments[M]] == [_bits(res) for res in want]
             assert [_bits(res) for res in own.moments[M]] == [_bits(res) for res in want]
@@ -329,7 +331,7 @@ def test_row_contexts_check_their_grids_and_tau():
         cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(2,)])
     with pytest.raises(ValidationError, match="tau must be > 0"):
         cond.row_context(stationary_1dep(8), 8, tau=0.0)
-    ctx = cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(2,), ()])[0]
+    ctx = cond.row_contexts(stationary_1dep(8), (4, 8), M_grids=[(2,), ()])[1][0]
     assert math.isfinite(cond.variance_ratio(ctx, 2))
     # a horizon the row does not hold raises
     for M in (3, 6):
@@ -339,7 +341,8 @@ def test_row_contexts_check_their_grids_and_tau():
 
 def test_state_cap_bounds_both_roots_of_a_row_together():
     model = stationary_1dep(8)
-    counts = [eng.eval_sums(model, eng.square(), [None], x_clip=clip)[0].state_count
+    counts = [eng.evaluate_columns(eng.compile_sum(model, x_clip=clip),
+                                   [(eng.square(), 8)])[0].state_count
               for clip in (None, 1.0)]
     ctx = cond.row_context(model, 8, tau=1.0, state_cap=sum(counts))
     assert [res.state_count for res in ctx.moments[8]] == counts
@@ -356,7 +359,7 @@ def test_wide_truncation_reproduces_untruncated_formulas():
     assert prof.B_n2 == pytest.approx(raw_B2, abs=TOL)
     assert prof.mean_unc == pytest.approx(0.0, abs=TOL)
     for M in (3, 6):
-        (res,) = sl.eval_sums(model.prefix(M), eng.square(), [None])
+        (res,) = sl.evaluate_columns(sl.row_sums(model.prefix(M)), [(eng.square(), M)])
         assert prof.var_ratio[M] == pytest.approx(res.lower / res.upper, abs=TOL)
 
 

@@ -26,7 +26,7 @@ TOL = 1e-10
 
 def test_two_step_mean_uncertain_square():
     model = sl.SequenceModel.iid(pm1_uncertain(), 2)
-    (res,) = sl.eval_sums(model, eng.square(), [None])
+    (res,) = sl.evaluate_columns(sl.row_sums(model), [(eng.square(), model.n)])
     assert res.upper == pytest.approx(2.4, abs=TOL)
     assert res.lower == pytest.approx(1.6, abs=TOL)
 
@@ -41,7 +41,7 @@ def test_singleton_laws_reduce_to_convolution():
         for va, pa in zip(lawA.values, lawA.probs)
         for vb, pb in zip(lawB.values, lawB.probs)
     )
-    (res,) = sl.eval_sums(model, eng.Functional("mix", phi), [None])
+    (res,) = sl.evaluate_columns(sl.row_sums(model), [(eng.Functional("mix", phi), model.n)])
     assert res.upper == pytest.approx(expected, abs=1e-12)
     assert res.lower == pytest.approx(expected, abs=1e-12)
 
@@ -166,7 +166,7 @@ def test_certain_zero_mean_upper_variance_is_additive(rng):
             sets.append(set_)
             per_index.append(max(s * s for s in sigmas))
         model = sl.SequenceModel(sets)
-        (res,) = sl.eval_sums(model, eng.square(), [None])
+        (res,) = sl.evaluate_columns(sl.row_sums(model), [(eng.square(), model.n)])
         assert res.upper == pytest.approx(sum(per_index), abs=TOL)
 
 
@@ -290,7 +290,8 @@ def test_eval_sum_subadditive_in_f(rng):
 
 def test_masked_sum_restricts_indices():
     model = certain_pm1_iid(4)
-    full, half = sl.eval_sums(model, eng.square(), [None, (1, 3)])
+    full, half = sl.evaluate_columns(sl.compile_sum(model, masks=[None, (1, 3)]),
+                                     [(eng.square(), model.n)])
     assert full.upper == pytest.approx(4.0, abs=TOL)
     assert half.upper == pytest.approx(2.0, abs=TOL)
 
@@ -298,8 +299,9 @@ def test_masked_sum_restricts_indices():
 def test_clip_matches_truncated_sets():
     set_ = sl.singleton(sl.DiscreteLaw((-3.0, 1.0, 2.0), (0.25, 0.5, 0.25)))
     model = sl.SequenceModel.iid(set_, 3)
-    (clipped,) = sl.eval_sums(model, eng.square(), [None], x_clip=1.5)
-    (direct,) = sl.eval_sums(sl.SequenceModel.iid(sl.truncate(set_, 1.5), 3), eng.square(), [None])
+    (clipped,) = sl.evaluate_columns(sl.row_sums(model, [1.5]), [(eng.square(), 3)])
+    direct_model = sl.SequenceModel.iid(sl.truncate(set_, 1.5), 3)
+    (direct,) = sl.evaluate_columns(sl.row_sums(direct_model), [(eng.square(), 3)])
     assert clipped.upper == pytest.approx(direct.upper, abs=TOL)
     assert clipped.lower == pytest.approx(direct.lower, abs=TOL)
 
@@ -308,7 +310,7 @@ def test_running_max_dominates_final_sum():
     model = sl.SequenceModel.iid(pm1_uncertain(), 4)
     f = eng.Functional("abs2", lambda x: x * x)
     (with_max,) = sl.evaluate_columns(sl.compile_sum(model, track_max=True), [(f, model.n)])
-    (plain,) = sl.eval_sums(model, f, [None])
+    (plain,) = sl.evaluate_columns(sl.row_sums(model), [(f, model.n)])
     assert with_max.upper >= plain.upper - TOL
 
 

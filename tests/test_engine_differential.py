@@ -40,9 +40,9 @@ the running max, on and off the lattice), the result is that model's own
 compile, array for array, and sweeps to the same floats by ``float.hex``;
 any other model (a -0.0 support point against 0.0, a value positive in one
 model only, other weights, scale or length) is refused.
-``eval_sums``, which compiles several masks into one graph with a root
-each, gives for every mask what a one-mask compile and the dict DP give for
-that mask alone, bit for bit and in state count.  With one clip level per root
+A graph of several masks (``compile_sum(masks=...)``), with a root each,
+gives for every mask what a one-mask compile and the dict DP give for that
+mask alone, bit for bit and in state count.  With one clip level per root
 (mixed with masks), the states reachable from each root are, array for
 array, that root's own compile, on the lattice path, on the float path, and
 when one off-lattice level moves the whole graph onto the float path, and
@@ -52,7 +52,11 @@ and those give, by ``float.hex``, what the compiled graph's sweep gives:
 upper and lower columns of the catalog at the full horizon and at
 prefixes, on generated iid and window models with per-draw sets and zero
 and negative weights, on a support with parity gaps, whose ranges count in
-steps of 2, and on one whose ranges hold an unreachable offset.
+steps of 2, and on one whose ranges hold an unreachable offset.  The dense
+layers count the graph's states without building them: layer for layer
+they are the lengths of the compiled graph's layers, and every column's
+state count is the graph's, also on gapped supports, whose dense ranges
+hold more offsets than the graph has states.
 """
 
 from __future__ import annotations
@@ -526,12 +530,10 @@ def test_reference_and_engine_agree_on_the_flagship_model():
                 want.upper, want.lower, want.state_count)
 
 
-def eval_sums(model: SequenceModel, f: eng.Functional, masks: list, *,
-              track_max: bool = False, **opts) -> tuple[eng.EvalResult, ...]:
-    """``eng.eval_sums``; with ``track_max``, the one compile and one sweep it makes without."""
-    if not track_max:
-        return eng.eval_sums(model, f, masks, **opts)
-    graph = eng.compile_sum(model, masks=masks, track_max=True, **opts)
+def mask_sums(model: SequenceModel, f: eng.Functional, masks: list,
+              **opts) -> tuple[eng.EvalResult, ...]:
+    """``f`` of the full horizon at every root of one ``compile_sum`` graph of ``masks``."""
+    graph = eng.compile_sum(model, masks=masks, **opts)
     return eng.evaluate_columns(graph, [(f, model.n)])
 
 
@@ -542,7 +544,7 @@ def test_state_cap_trips_at_the_reference_total():
         (1.0, 0.5), 5)
     for model, opts in ((iid, {}), (window, {"track_max": True})):
         total = reference_eval_sum(model, eng.square(), **opts).state_count
-        (got,) = eval_sums(model, eng.square(), [None], state_cap=total, **opts)
+        (got,) = mask_sums(model, eng.square(), [None], state_cap=total, **opts)
         assert got.state_count == total
         for cap in (total - 1, 5, 1):
             with pytest.raises(StateCapError) as want:
@@ -550,7 +552,7 @@ def test_state_cap_trips_at_the_reference_total():
             with pytest.raises(StateCapError) as want_graph:
                 reference_compile_sum(model, state_cap=cap, **opts)
             with pytest.raises(StateCapError) as got:
-                eval_sums(model, eng.square(), [None], state_cap=cap, **opts)
+                mask_sums(model, eng.square(), [None], state_cap=cap, **opts)
             g, w = got.value, want_graph.value
             assert (g.count, g.cap) == (want.value.count, cap)
             assert (g.count, g.step, g.steps, g.layer_sizes) == (
@@ -1211,7 +1213,7 @@ def _mask_lists(rng: random.Random, n: int) -> list:
     return masks
 
 
-def test_eval_sums_equal_eval_sum_per_mask_and_the_dict_dp():
+def test_masks_of_one_graph_equal_each_masks_own_graph_and_the_dict_dp():
     # every root of a union graph is what a one-mask graph and the dict DP give
     rng = random.Random(20261018)
     for _ in range(120):
@@ -1220,17 +1222,16 @@ def test_eval_sums_equal_eval_sum_per_mask_and_the_dict_dp():
         opts = {"x_clip": rng.choice((None, 0.25, 0.8, 1.5)),
                 "track_max": rng.random() < 0.25}
         f = rng.choice(FUNCTIONALS + EDGE_FUNCTIONALS)
-        got = eval_sums(model, f, masks, **opts)
+        got = mask_sums(model, f, masks, **opts)
         assert len(got) == len(masks)
         for mask, res in zip(masks, got):
-            assert bits(res) == bits(eval_sums(model, f, [mask], **opts)[0])
+            assert bits(res) == bits(mask_sums(model, f, [mask], **opts)[0])
             assert bits(res) == bits(reference_eval_sum(model, f, masks=[mask], **opts))
             assert_same_graph(eng.compile_sum(model, masks=[mask], **opts),
                               reference_compile_sum(model, masks=[mask], **opts))
         union = eng.compile_sum(model, masks=masks, **opts)
         assert len(union.args[0]) == len(masks)  # one root per mask
         assert sum(map(len, union.args)) == sum(res.state_count for res in got)
-    assert eng.eval_sums(model, eng.square(), []) == ()
 
 
 def test_union_off_the_lattice_builds_each_masks_own_graph():
@@ -1241,7 +1242,7 @@ def test_union_off_the_lattice_builds_each_masks_own_graph():
     assert all(_lattice(model, masks=[mask]) for mask in masks)
     assert not _lattice(model)
     for f in (eng.square(), eng.identity()):
-        for mask, res in zip(masks, eng.eval_sums(model, f, masks)):
+        for mask, res in zip(masks, mask_sums(model, f, masks)):
             assert bits(res) == bits(reference_eval_sum(model, f, masks=[mask]))
 
 
@@ -1250,15 +1251,15 @@ def test_state_cap_bounds_the_union_of_masks():
         sl.ambiguity([sl.centered_three_point_law(0.49), sl.centered_three_point_law(1.0)]),
         (1.0, 0.5), 6)
     masks = [(1, 2, 3), (4, 5, 6), (2, 5)]
-    counts = [eng.eval_sums(model, eng.square(), [mask])[0].state_count for mask in masks]
+    counts = [mask_sums(model, eng.square(), [mask])[0].state_count for mask in masks]
     total = sum(counts)
-    got = eng.eval_sums(model, eng.square(), masks, state_cap=total)
+    got = mask_sums(model, eng.square(), masks, state_cap=total)
     assert [res.state_count for res in got] == counts
     for mask in masks:  # each mask alone fits under the largest count
-        eng.eval_sums(model, eng.square(), [mask], state_cap=max(counts))
+        mask_sums(model, eng.square(), [mask], state_cap=max(counts))
     for cap in (max(counts), total - 1):
         with pytest.raises(StateCapError) as err:
-            eng.eval_sums(model, eng.square(), masks, state_cap=cap)
+            mask_sums(model, eng.square(), masks, state_cap=cap)
         assert err.value.cap == cap and err.value.count > cap
         assert sum(err.value.layer_sizes) == err.value.count
     assert err.value.count == total  # the cap just below it trips at the last layer
@@ -1336,9 +1337,9 @@ def test_one_clip_level_per_root_builds_each_roots_own_graph(model, data):
     fs = data.draw(st.lists(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS),
                             min_size=1, max_size=2, unique_by=lambda f: f.name))
     assert_roots_are_their_own_compiles(model, masks, clips, data.draw(st.booleans()), fs)
-    # eval_sums gives each root what it gives that root alone
-    for mask, clip, res in zip(masks, clips, eng.eval_sums(model, fs[0], masks, x_clip=clips)):
-        assert bits(res) == bits(eng.eval_sums(model, fs[0], [mask], x_clip=clip)[0])
+    # each root of one graph gives what it gives alone
+    for mask, clip, res in zip(masks, clips, mask_sums(model, fs[0], masks, x_clip=clips)):
+        assert bits(res) == bits(mask_sums(model, fs[0], [mask], x_clip=clip)[0])
 
 
 def test_one_off_lattice_level_moves_the_whole_graph_onto_the_float_grid():
@@ -1376,11 +1377,11 @@ def test_state_cap_bounds_the_roots_of_every_level_together():
     counts = [reference_eval_sum(model, eng.square(), masks=[mask], x_clip=clip).state_count
               for mask, clip in zip(masks, clips)]
     total = sum(counts)
-    got = eng.eval_sums(model, eng.square(), masks, x_clip=clips, state_cap=total)
+    got = mask_sums(model, eng.square(), masks, x_clip=clips, state_cap=total)
     assert [res.state_count for res in got] == counts
     for cap in (max(counts), total - 1):
         with pytest.raises(StateCapError) as err:
-            eng.eval_sums(model, eng.square(), masks, x_clip=clips, state_cap=cap)
+            mask_sums(model, eng.square(), masks, x_clip=clips, state_cap=cap)
         assert err.value.cap == cap and err.value.count > cap
         assert sum(err.value.layer_sizes) == err.value.count
     assert err.value.count == total  # the cap just below it trips at the last layer
@@ -1518,8 +1519,8 @@ def test_a_draw_that_adds_in_no_root_builds_each_roots_own_graph(model, masks):
     for clips in ([None] * R, [0.5] * R):
         for track_max in (False, True):
             assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
-        for mask, clip, res in zip(masks, clips, eng.eval_sums(model, fs[1], masks, x_clip=clips)):
-            assert bits(res) == bits(eng.eval_sums(model, fs[1], [mask], x_clip=clip)[0])
+        for mask, clip, res in zip(masks, clips, mask_sums(model, fs[1], masks, x_clip=clips)):
+            assert bits(res) == bits(mask_sums(model, fs[1], [mask], x_clip=clip)[0])
             assert bits(res) == bits(reference_eval_sum(model, fs[1], masks=[mask], x_clip=clip))
 
 
@@ -1598,28 +1599,35 @@ def test_dense_ranges_count_in_steps_of_the_terms_differences(set_, step, size, 
     assert dense.step == step and dense.sizes == tuple(size(t) for t in range(8))
     columns = [(f, M) for M in (2, 5, 7) for f in eng.catalog()]
     assert_dense_equals_the_graph(model, columns, columns)
+    # the dense ranges are wider than the graph where an offset is unreachable;
+    # the state counts are the graph's on both handles
+    assert dense.states == tuple(reached(t) for t in range(8))
     for (f, M), res, graph_res in zip(columns, eng.evaluate_columns(dense, columns),
                                       eng.evaluate_columns(eng.compile_sum(model), columns)):
-        assert res.state_count == sum(size(t) for t in range(M + 1))
-        assert graph_res.state_count == sum(reached(t) for t in range(M + 1))
+        assert res.state_count == graph_res.state_count == sum(reached(t) for t in range(M + 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_dense_state_counts_are_the_layers_of_each_horizon(n):
     # stationary-1dep: c = (1, 2, ..., 2, 1) on {-1, 0, 1}, so S_M has
-    # 1 + sum_{t=1..M} (4t - 1) + 4M + 1 = 2M^2 + 5M + 2 dense states;
-    # the independent model has (M + 1)^2
+    # 1 + sum_{t=1..M} (4t - 1) + 4M + 1 = 2M^2 + 5M + 2 dense offsets, and
+    # its graph 1 + 3 + sum_{t=2..M+1} 3 (4t - 5) = 6M^2 + 3M + 4 states:
+    # each of 3 windows times the 4t - 5 sums of the draws before it; the
+    # independent model has (M + 1)^2 of both
     window = SequenceModel.moving_window(THREE_POINT, (1.0, 1.0), n)
     iid = SequenceModel.iid(THREE_POINT, n)
     columns = [(eng.square(), M) for M in range(1, n + 1)]
-    for model, count in ((window, lambda M: 2 * M * M + 5 * M + 2), (iid, lambda M: (M + 1) ** 2)):
+    for model, offsets, states in (
+            (window, lambda M: 2 * M * M + 5 * M + 2, lambda M: 6 * M * M + 3 * M + 4),
+            (iid, lambda M: (M + 1) ** 2, lambda M: (M + 1) ** 2)):
         dense = eng.row_sums(model)
+        assert sum(dense.sizes) == offsets(n)
+        assert [sum(eng.row_sums(model.prefix(M)).sizes) for M in range(1, n + 1)] == [
+            offsets(M) for M in range(1, n + 1)]
         found = eng.evaluate_columns(dense, columns)
-        assert [res.state_count for res in found] == [count(M) for M in range(1, n + 1)]
-        assert sum(dense.sizes) == count(n)
+        assert [res.state_count for res in found] == [states(M) for M in range(1, n + 1)]
         want = eng.evaluate_columns(eng.compile_sum(model), columns)
-        assert [(r.upper.hex(), r.lower.hex()) for r in found] == [
-            (r.upper.hex(), r.lower.hex()) for r in want]
+        assert [bits(r) for r in found] == [bits(r) for r in want]
 
 
 def test_row_sums_compile_the_graph_off_the_lattice_and_for_clipped_roots():
@@ -1652,7 +1660,8 @@ def test_dense_preflight_refuses_an_over_cap_sum_before_any_layer(monkeypatch):
     swept = []  # one entry per draw swept
     back = eng._back
     monkeypatch.setattr(eng, "_back", lambda *args: swept.append(args[2]) or back(*args))
-    needed = f"state count {total} exceeds cap {total - 1}"
+    # the refusal names the dense offsets it counts, not the graph states of a state_count
+    needed = f"^dense lattice offset count {total} exceeds cap {total - 1}$"
     for build in (lambda cap: eng.row_sums(model, state_cap=cap),
                   lambda cap: cond.row_context(model, 8, M_grid=(4,), state_cap=cap)):
         with pytest.raises(StateCapError, match=needed) as err:
@@ -1660,15 +1669,64 @@ def test_dense_preflight_refuses_an_over_cap_sum_before_any_layer(monkeypatch):
         assert (err.value.count, err.value.cap, err.value.steps) == (total, total - 1, 9)
         assert err.value.layer_sizes == dense.sizes == (1, 3, 7, 11, 15, 19, 23, 27, 31, 33)
         assert swept == []
-    ctx = cond.row_context(model, 8, M_grid=(4,), state_cap=total)
-    assert isinstance(ctx.sums, eng.DenseSum) and ctx.m2.state_count == total
+    sums, (ctx,) = cond.row_contexts(model, (8,), M_grids=[(4,)], state_cap=total)
+    assert isinstance(sums, eng.DenseSum)
     assert len(swept) == 8 + 2  # the eight draws of the pass, and the one-draw tails of S_8 and S_4
+    # the graph's states, counted and not built, exceed the cap the offsets fit
+    assert ctx.m2.state_count == sum(map(len, eng.compile_sum(model).args)) == 6 * 8**2 + 3 * 8 + 4
+    assert ctx.m2.state_count > total
 
 
 def test_stationary_1dep_at_n_4096_fits_the_default_cap_as_dense_layers():
     # E[S_n^2] of the built-in family at scale 1 and n = 4096 sweeps 2n^2 + 5n + 2
-    # dense states, under the default cap; the preflight alone is checked here
+    # dense offsets, under the default cap, for a graph of 6n^2 + 3n + 4 states
+    # above it; no sweep is run here
     dense = eng.row_sums(BUILDERS["stationary-1dep"](4096))
     assert isinstance(dense, eng.DenseSum)
     assert sum(dense.sizes) == 2 * 4096**2 + 5 * 4096 + 2 == 33_574_914
     assert sum(dense.sizes) < eng.DEFAULT_STATE_CAP
+    assert sum(dense.states) == 6 * 4096**2 + 3 * 4096 + 4 == 100_675_588
+
+
+#: A support with gaps wider than its step: at n = 10 the iid sum reaches
+#: 230 of the 286 offsets of its dense ranges.
+GAP_POOL = (0.0, 3.0, 5.0)
+
+
+@st.composite
+def counted_models(draw) -> SequenceModel:
+    """``dense_models``, or gapped supports under windows with zero weights."""
+    if draw(st.booleans()):
+        return draw(dense_models())
+    n = draw(st.integers(1, 8))
+    weights = draw(st.sampled_from([(1.0,), (0.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0), (2.0, -1.0)]))
+    pool = draw(st.lists(ambiguity_sets(GAP_POOL), min_size=1, max_size=3))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=n + len(weights) - 1,
+                         max_size=n + len(weights) - 1))
+    return SequenceModel(sets, weights)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(counted_models(), st.data())
+def test_dense_sums_count_the_graphs_states_layer_by_layer(model, data):
+    dense, graph = eng.row_sums(model), eng.compile_sum(model)
+    assert isinstance(dense, eng.DenseSum)
+    assert dense.states == tuple(map(len, graph.args))
+    horizons = data.draw(st.lists(st.integers(1, model.n), min_size=1, max_size=4))
+    columns = [(f, M) for M in horizons for f in (eng.square(), eng.cosine())]
+    got, want = eng.evaluate_columns(dense, columns), eng.evaluate_columns(graph, columns)
+    assert [res.state_count for res in got] == [res.state_count for res in want]
+    assert [bits(res) for res in got] == [bits(res) for res in want]
+
+
+def test_a_cap_between_the_dense_offsets_and_the_graph_states_refuses_the_dense_sum():
+    # at m = 0 a gapped support leaves offsets of its dense ranges unreached,
+    # so its dense layers need more than the graph's states
+    model = SequenceModel.iid(sl.ambiguity([sl.DiscreteLaw(GAP_POOL, (0.25, 0.25, 0.5))]), 10)
+    dense, graph = eng.row_sums(model), eng.compile_sum(model)
+    assert (sum(dense.sizes), sum(dense.states), sum(map(len, graph.args))) == (286, 230, 230)
+    (res,) = eng.evaluate_columns(dense, [(eng.square(), 10)])
+    assert res.state_count == 230
+    eng.compile_sum(model, state_cap=250)
+    with pytest.raises(StateCapError, match="^dense lattice offset count 286 exceeds cap 250$"):
+        eng.row_sums(model, state_cap=250)

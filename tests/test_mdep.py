@@ -207,7 +207,8 @@ def test_z_reduce_preserves_eval_sum():
     red = mdep.z_reduce(model, 2)
     union = [k for a, b in red.blocks for k in range(a, b + 1)]
     for f in eng.catalog():
-        direct, via_blocks = sl.eval_sums(model, f, [None, union])
+        direct, via_blocks = sl.evaluate_columns(sl.compile_sum(model, masks=[None, union]),
+                                                 [(f, model.n)])
         assert direct.upper == pytest.approx(via_blocks.upper, abs=TOL)
         assert direct.lower == pytest.approx(via_blocks.lower, abs=TOL)
 
