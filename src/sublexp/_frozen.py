@@ -27,8 +27,8 @@ They behave as the frozen dataclass's methods do:
 * Assigning or deleting any attribute raises ``FrozenInstanceError``.
 
 ``@frozen(identity=True)`` is for the types that hold numpy arrays (a
-compiled graph, its steps, dense layers, a row context): an instance
-equals itself alone and hashes by identity, as a plain object does.  The
+compiled graph, dense layers, a row context): an instance equals itself
+alone and hashes by identity, as a plain object does.  The
 field tuples would compare arrays elementwise, so ``==`` would raise
 instead of answering, and ``hash`` would fail on the arrays.
 

@@ -58,7 +58,7 @@ def _fmt(v: object) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return f"{v + 0.0:.12g}"  # -0.0 prints as 0
     return str(v)
 
 

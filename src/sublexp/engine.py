@@ -78,6 +78,9 @@ it adds), so it is the product of those draws' support sizes times the
 offsets of the dense layer t-m that some path reaches.  Those come from one
 boolean pass: layer t is layer t-1 or-ed at each distinct shift.  So every
 ``EvalResult.state_count`` is a count of graph states, on either handle.
+Both handles hold per draw its ``laws`` and per layer its ``states``, one
+count per root (a dense sum has one root), so the sweep reads the laws
+and the counts are summed the same way on either.
 
 Functionals of a few coordinates are evaluated by recursion over the full
 history of the draws they involve.  ``window_columns`` carries many payoff
@@ -99,6 +102,7 @@ independent cross-check for the layered DP.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -310,45 +314,32 @@ def _term(model: SequenceModel, window: tuple[float, ...], v: float,
 
 
 @frozen(identity=True)
-class _Step:
-    """One primitive draw of a compiled graph.
-
-    ``child[i, j]`` is the index, in the next layer, of the state reached from
-    state ``i`` when the draw takes the ``j``-th distinct support value.
-    ``laws`` holds, per law, its ``(column, p)`` pairs with ``p != 0`` in
-    support order: the order the backward pass accumulates them in.
-    """
-
-    child: np.ndarray
-    laws: tuple[tuple[tuple[int, float], ...], ...]
-
-
-@frozen(identity=True)
 class Graph:
     """The reachable-state graph of one ``(model, masks, x_clip, track_max)``.
 
     Layer 0 holds one root per mask, and the states reachable from root r
-    form the graph of mask r alone, at root r's clip level.  The arrays
-    depend on the model's ``support_key`` and not on its probabilities,
-    which only the steps' ``laws`` hold (``with_laws``).
+    form the graph of mask r alone, at root r's clip level.  ``children``
+    and ``args`` depend on the model's ``support_key`` and not on its
+    probabilities, which only ``laws`` holds (``with_laws``).  ``laws``,
+    ``lead`` and ``states`` mean on a graph what they mean on a
+    ``DenseSum``: the two handles are swept and counted the same way.
     """
 
-    steps: tuple[_Step, ...]
+    #: per draw t, ``children[t-1][i, j]``: the index, in layer t, of the state
+    #: reached from state i of layer t-1 under the draw's j-th support column
+    children: tuple[np.ndarray, ...]
+    #: per draw, each law's ``(column, p)`` pairs with ``p != 0`` in support order,
+    #: the order the backward pass accumulates them in
+    laws: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
     #: per layer, the payoff argument of every state: acc, or maxabs when tracked
     args: tuple[np.ndarray, ...]
     #: draws before coordinate 1 completes: m
     lead: int
-    #: ``sizes[t, r]``: the states of layer t reachable from root r; None for
-    #: one root, whose layer sizes are those of ``args``
-    sizes: np.ndarray | None = None
+    #: per layer, the states reachable from each root
+    states: tuple[tuple[int, ...], ...]
     #: the model it was compiled from: its ``support_key`` fixes the arrays,
-    #: and its laws fill the steps
+    #: and its laws fill ``laws``
     model: SequenceModel | None = None
-
-    @property
-    def roots(self) -> int:
-        """The states of layer 0: one root per mask."""
-        return len(self.args[0])
 
 
 @frozen(identity=True)
@@ -362,6 +353,9 @@ class DenseSum:
     and ``shifts[t-1][col]`` is how far above a state's offset its child
     under support column ``col`` sits in layer t.  These three hold the
     full sum; a prefix sum shares its layers up to its horizon M.
+    ``laws``, ``lead`` and ``states`` are a ``Graph``'s, for the one root
+    of the full sum; ``states`` counts the window graph's states without
+    building them.
     """
 
     #: per draw, each law's ``(column, p)`` pairs with ``p != 0`` in support order
@@ -376,8 +370,9 @@ class DenseSum:
     lead: int
     #: the gcd of the differences between the terms of one weight at one draw
     step: int
-    #: per layer, the states of the window graph of the same sum: counted, not built
-    states: tuple[int, ...]
+    #: per layer, a 1-tuple: the states of the window graph of the same sum,
+    #: counted, not built
+    states: tuple[tuple[int], ...]
 
 
 def _canon_array(x: np.ndarray) -> np.ndarray:
@@ -513,17 +508,16 @@ def with_laws(graph: Graph, model: SequenceModel) -> Graph:
     ``compile_sum`` expands every state under each support column some law
     gives positive probability, whatever the probability, so the child and
     argument arrays follow from ``support_key`` alone.  A model with the
-    graph's key shares them; only each step's ``laws`` become the model's,
-    and a sweep takes its per-law accumulation from them, bit for bit as
-    over the model's own compile.  Raises ``ValidationError`` when the keys
-    differ.
+    graph's key shares them, and its ``states``; only ``laws`` becomes the
+    model's, and a sweep takes its per-law accumulation from it, bit for bit
+    as over the model's own compile.  Raises ``ValidationError`` when the
+    keys differ.
     """
     if graph.model is None or support_key(model) != support_key(graph.model):
         raise ValidationError(
             "with_laws needs the support columns, weights and scale the graph was compiled on")
-    draws = _support_columns(model.sets)
-    return Graph(tuple(_Step(step.child, laws) for step, (_, laws) in zip(graph.steps, draws)),
-                 graph.args, graph.lead, graph.sizes, model)
+    laws = tuple(laws for _, laws in _support_columns(model.sets))
+    return dataclasses.replace(graph, laws=laws, model=model)
 
 
 def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
@@ -563,28 +557,17 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
     return draws
 
 
-def _on_lattice(stacks: Iterable[np.ndarray]) -> bool:
-    """Whether sums of one entry of each stack stay exact floats on the 2⁻¹² lattice.
+def _quanta(x: np.ndarray) -> np.ndarray | None:
+    """``x`` in int64 counts of 2⁻¹², or None unless each entry is a finite multiple below 2⁴¹.
 
-    A stack may repeat (one per draw); each distinct one is inspected once.
-    True when every entry is a finite multiple of 2⁻¹² and the maxima of
-    |entry| over the stacks add up to less than 2⁴¹.  A root adds one entry
-    of each draw's stack, so every partial sum of every root is then a
-    multiple of 2⁻¹² below 2⁴¹ in magnitude: fewer than 2⁵³ quanta, so each
-    float add of such values is exact.  A draw counts once, at the largest
-    entry of its stack, not at the sum of its tables' maxima: each root adds
-    from one table, so that bound holds for every root.
+    It bounds each entry alone: a caller that adds entries bounds their
+    sum itself.
     """
-    quanta, largest = 0, {}
-    for stack in stacks:
-        top = largest.get(id(stack))
-        if top is None:
-            units = stack * _QUANTUM
-            if not (np.isfinite(units).all() and (np.rint(units) == units).all()):
-                return False
-            top = largest[id(stack)] = int(np.abs(units).max())
-        quanta += top
-    return quanta < _LATTICE_LIMIT * _QUANTUM
+    units = x * _QUANTUM
+    # a NaN or infinite entry fails the bound
+    if not ((np.rint(units) == units).all() and np.abs(units).max() < _LATTICE_LIMIT * _QUANTUM):
+        return None
+    return units.astype(np.int64)
 
 
 def _offset_ids(col: np.ndarray) -> tuple[np.ndarray, int]:
@@ -622,8 +605,8 @@ def compile_sum(
     and its running max is ``where(b > mx, b, mx)`` with ``b = |sum|``.
     ``_term`` runs once per distinct (window, value) pair.  So the graph
     depends on each draw's support columns, the weights and the scale
-    (``support_key``), not on the probabilities: those only fill each
-    step's ``laws``, and ``with_laws`` puts the laws of another model of
+    (``support_key``), not on the probabilities: those only fill the
+    graph's ``laws``, and ``with_laws`` puts the laws of another model of
     the same key on the same arrays, so the graph records its ``model``.
     Children with equal (window, acc, maxabs) merge (``_merge``), numbered
     in order of first occurrence in row-major (state, column) order: the order a
@@ -631,8 +614,8 @@ def compile_sum(
     builds, array for array (``tests/test_engine_differential.py`` keeps the
     loop as its reference).
 
-    When every term is a multiple of 2⁻¹² and the draws' largest term
-    magnitudes add up to less than 2⁴¹ (``_on_lattice``), every reachable
+    When every term is a multiple of 2⁻¹² (``_quanta``) and the draws'
+    largest term magnitudes add up to less than 2⁴¹, every reachable
     sum is an exact float on that lattice, and ``round(x, 12)`` returns it
     unchanged:
     x·10¹² = k·244140625 for the integer k = x·2¹², so there is no tie and
@@ -687,9 +670,15 @@ def compile_sum(
     slides = m > 0
     draws = _draws(model, masks, clips)
     radices = [terms.shape[-1] for _, terms, _ in draws]
-    lattice = _on_lattice(terms for _, terms, _ in draws)
+    # a root adds one entry of each draw's stack, so its sums stay below 2⁴¹
+    # when the draws' largest entries do: a draw counts once, however many
+    # tables its stack holds; draws of one stack share its counts
+    stacks = {id(terms): terms for _, terms, _ in draws}
+    counts = {key: _quanta(terms) for key, terms in stacks.items()}
+    tops = {key: int(np.abs(c).max()) for key, c in counts.items() if c is not None}
+    lattice = (len(tops) == len(counts)
+               and sum(tops[id(terms)] for _, terms, _ in draws) < _LATTICE_LIMIT * _QUANTUM)
     if lattice:
-        counts = {id(terms): (terms * _QUANTUM).astype(np.int64) for _, terms, _ in draws}
         # every count is a multiple of unit, so sums count in units of it
         unit = math.gcd(*(int(np.gcd.reduce(c.ravel())) for c in counts.values())) or 1
         for c in counts.values():
@@ -698,12 +687,10 @@ def compile_sum(
     ids = _offset_ids if lattice else _dense_ids
     win = np.zeros(R, dtype=np.int64)  # read only when the window slides
     acc = mx = np.zeros(R, dtype=np.int64 if lattice else float)
-    comp = np.arange(R)  # comp and sizes are read only when there are several roots
-    args = [np.zeros(R)]
-    sizes = [np.ones(R, dtype=np.int64)]
+    comp = np.arange(R)  # read only when there are several roots
+    args, children, states = [np.zeros(R)], [], [(1,) * R]
     total = R
-    steps: list[_Step] = []
-    for step, (laws, terms, pick) in enumerate(draws, start=1):
+    for step, (_, terms, pick) in enumerate(draws, start=1):
         n, V = len(acc), terms.shape[-1]
         a = acc[:, None] + terms[pick[comp] if R > 1 else pick[0], win if slides else 0]
         a = (a if lattice else _canon_array(a)).ravel()
@@ -730,22 +717,21 @@ def compile_sum(
         if total > state_cap:
             raise StateCapError(total, state_cap, step=step, steps=len(model.sets),
                                 layer_sizes=(*map(len, args), len(first)))
-        steps.append(_Step(child.reshape(n, V), laws))
+        children.append(child.reshape(n, V))
         if slides:
             win = w[first]
         acc = a[first]
         if track_max:
             mx = x[first]
         args.append(mx if track_max else acc)
-        if R > 1:
-            sizes.append(np.bincount(comp, minlength=R))
+        states.append(tuple(np.bincount(comp, minlength=R).tolist()) if R > 1 else (len(first),))
     if lattice:
         # after the last layer and one layer at a time, so at most one
         # layer's counts and floats are alive at once
         for t, arg in enumerate(args):
             args[t] = arg * unit / float(_QUANTUM)
-    return Graph(tuple(steps), tuple(args), m,
-                 np.array(sizes) if R > 1 else None, model)
+    return Graph(tuple(children), tuple(laws for laws, _, _ in draws), tuple(args), m,
+                 tuple(states), model)
 
 
 def _dense_layers(parts: Sequence[np.ndarray], step: int, m: int, M: int, first: int, low: int,
@@ -781,12 +767,13 @@ def _dense_sum(model: SequenceModel, state_cap: int) -> DenseSum | None:
     """The dense layers of ``model``'s full sum, or None when it is off the lattice.
 
     The term of weight j at support value v is ``scale * w_j * v``.  The
-    sum is dense when every such term is a finite multiple of 2⁻¹², the
-    largest of them over every (coordinate, weight) pair add up to less
-    than 2⁴¹, and every term ``compile_sum`` builds for a window (see
-    ``_term_table``) is the sum of its draws' terms of their weights.  Then
-    every partial sum, here and in the graph, is an exact float, and the
-    graph's terminal arguments are the dense layers' sums, bit for bit.
+    sum is dense when every such term is a finite multiple of 2⁻¹²
+    (``_quanta``), the largest of them over every (coordinate, weight) pair
+    add up to less than 2⁴¹, and every term ``compile_sum`` builds for a
+    window (see ``_term_table``) is the sum of its draws' terms of their
+    weights.  Then every partial sum, here and in the graph, is an exact
+    float, and the graph's terminal arguments are the dense layers' sums,
+    bit for bit.
     ``state_cap`` bounds the offsets of all layers, checked before any
     work: the dense layer sizes are known from the terms alone.  The graph's
     layer sizes are counted last (see the module docstring), one boolean
@@ -794,15 +781,11 @@ def _dense_sum(model: SequenceModel, state_cap: int) -> DenseSum | None:
     """
     m, n = model.m, model.n
     draws = _support_columns(model.sets)
-    quanta: dict[int, np.ndarray] = {}
-    for values, _ in draws:
-        if id(values) not in quanta:
-            units = np.array([[model.scale * w * v for v in values] for w in model.weights])
-            units *= _QUANTUM
-            if not (np.isfinite(units).all() and (np.rint(units) == units).all()
-                    and np.abs(units).max() < _LATTICE_LIMIT * _QUANTUM):
-                return None
-            quanta[id(values)] = units.astype(np.int64)
+    supports = {id(values): values for values, _ in draws}  # draws of one set share its columns
+    quanta = {key: _quanta(np.outer([model.scale * w for w in model.weights], values))
+              for key, values in supports.items()}
+    if any(q is None for q in quanta.values()):
+        return None
     largest = {key: [int(x) for x in np.abs(q).max(axis=1)] for key, q in quanta.items()}
     total = sum(sum(largest[id(values)][max(0, t - n):min(m, t - 1) + 1])
                 for t, (values, _) in enumerate(draws, start=1))
@@ -828,8 +811,8 @@ def _dense_sum(model: SequenceModel, state_cap: int) -> DenseSum | None:
         for d in set(shift.tolist()):
             layer[d:d + len(below)] |= below
         reached.append(int(np.count_nonzero(layer)))
-    states = tuple(math.prod(len(values) for values, _ in draws[max(t - m, 0):t])
-                   * reached[max(t - m, 0)] for t in range(n + m + 1))
+    states = tuple((math.prod(len(values) for values, _ in draws[max(t - m, 0):t])
+                    * reached[max(t - m, 0)],) for t in range(n + m + 1))
     return DenseSum(tuple(laws for _, laws in draws), parts, tuple(shifts), tuple(lows),
                     tuple(sizes), m, step, states)
 
@@ -856,7 +839,8 @@ def _back(vals: np.ndarray, K: int, laws: tuple, rows: int,
           child: Callable[[int], np.ndarray]) -> np.ndarray:
     """One draw of the backward pass: every state's best law, per column.
 
-    ``child(j)`` holds the ``rows`` states' values under support column j.
+    ``child(j)`` holds the ``rows`` states' values under support column j:
+    a gather of a graph's children, or a slice of dense offsets.
     Each law's expectation starts at 0.0 and adds ``p * child(j)`` over the
     law's support in order, and replaces the best only when strictly
     better: greater in the first ``K`` (upper) columns, smaller in the rest.
@@ -875,18 +859,6 @@ def _back(vals: np.ndarray, K: int, laws: tuple, rows: int,
         np.less(acc[:, K:], best[:, K:], out=better[:, K:])
         np.copyto(best, acc, where=better)
     return best
-
-
-def _gather_back(vals: np.ndarray, K: int, step: _Step) -> np.ndarray:
-    """``_back`` through a graph draw: the children under column j are gathered by index."""
-    child = step.child
-    return _back(vals, K, step.laws, len(child), lambda j: vals.take(child[:, j], axis=0))
-
-
-def _slice_back(vals: np.ndarray, K: int, laws: tuple, shift: np.ndarray,
-                rows: int) -> np.ndarray:
-    """``_back`` through a dense draw into ``rows`` offsets: the children are slices."""
-    return _back(vals, K, laws, rows, lambda j: vals[shift[j]:shift[j] + rows])
 
 
 def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]],
@@ -917,11 +889,12 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
 
     Each side holds one value per column and root, column by column, roots
     in order within a column: a graph of one mask, and a dense sum, give
-    one value per column.
+    one value per column.  Either handle's ``laws`` drive the per-law
+    accumulation.
     """
     dense = isinstance(sums, DenseSum)
     lead = 0 if dense else sums.lead
-    n = len(sums.laws if dense else sums.steps) - sums.lead
+    n = len(sums.laws) - sums.lead
     sides = (upper, lower)
     if any(not 1 <= M <= n for side in sides for _, M in side):
         raise ValidationError(f"horizons must lie in 1..{n}")
@@ -948,13 +921,17 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
                                dtype=float)[at]
             new = payoffs[:, [col[id(f)] for f in joining[0] + joining[1]]]
             if dense:  # down the last m draws of S_t to layer t
-                for i in reversed(range(len(shifts))):
-                    new = _slice_back(new, k, sums.laws[t + i], shifts[i], sizes[i])
+                for shift, rows, laws in reversed([*zip(shifts, sizes, sums.laws[t:])]):
+                    new = _back(new, k, laws, rows, lambda j: new[shift[j]:shift[j] + rows])
             vals, K = np.hstack((vals[:, :K], new[:, :k], vals[:, K:], new[:, k:])), K + k
+        # each child function reads vals before _back returns its successor
         if dense:
-            vals = _slice_back(vals, K, sums.laws[t - 1], sums.shifts[t - 1], sums.sizes[t - 1])
+            shift, rows = sums.shifts[t - 1], sums.sizes[t - 1]
+            vals = _back(vals, K, sums.laws[t - 1], rows, lambda j: vals[shift[j]:shift[j] + rows])
         else:
-            vals = _gather_back(vals, K, sums.steps[t - 1])
+            child = sums.children[t - 1]
+            vals = _back(vals, K, sums.laws[t - 1], len(child),
+                         lambda j: vals.take(child[:, j], axis=0))
     per_column = vals.T.tolist()  # vals has one row per root after the last step
     ups, los = dict(zip(orders[0], per_column[:K])), dict(zip(orders[1], per_column[K:]))
     return (tuple(v for c in range(len(upper)) for v in ups[c]),
@@ -967,15 +944,12 @@ def evaluate_columns(sums: Graph | DenseSum,
 
     ``sweep_columns`` with every column on both sides, in its order; the
     state count of ``(f, M)`` at root r is that of the compile of
-    ``model.prefix(M)`` with mask r: layers 0..M + lead of the graph, or of
-    the graph a dense sum counts (``DenseSum.states``).
+    ``model.prefix(M)`` with mask r: root r's ``states`` in layers 0..M +
+    lead, built on a graph and counted on a dense sum.
     """
     ups, los = sweep_columns(sums, columns, columns)
-    sizes = [[count] for count in sums.states] if isinstance(sums, DenseSum) else sums.sizes
-    if sizes is None:  # a graph of one root
-        sizes = [[len(a)] for a in sums.args]
     # states[t][r]: layers 0..t of root r, in Python ints, as no cap bounds counted states
-    states = np.cumsum(sizes, axis=0, dtype=object).tolist()
+    states = np.cumsum(sums.states, axis=0, dtype=object).tolist()
     counts = [n for _, M in columns for n in states[M + sums.lead]]
     return tuple(EvalResult(*found) for found in zip(ups, los, counts))
 
@@ -999,6 +973,8 @@ def _history_values(
     over the law's support in order (``p == 0.0`` skipped), and its own
     best, so it is the same floats as a recursion that carries that column
     alone.  A node evaluates each child once, however many laws reach it.
+    Raises ``GuardError`` before any work when the histories it would walk,
+    over the support points some law gives mass, exceed ``PATH_CAP``.
     """
     plans = {}
     for s in sets:
@@ -1011,6 +987,11 @@ def _history_values(
                 for law in s.laws)
             plans[id(s)] = tuple(v for v, _ in slots), laws
     steps = [plans[id(s)] for s in sets]
+    paths = 1
+    for values, _ in steps:
+        paths *= len(values)
+        if paths > PATH_CAP:
+            raise GuardError(f"history recursion would exceed {PATH_CAP} paths")
     n_steps, start = len(steps), [-math.inf] * upper + [math.inf] * lower
 
     def rec(t: int, hist: tuple[float, ...]) -> Sequence[float]:
@@ -1031,14 +1012,6 @@ def _history_values(
         return best
 
     return list(rec(0, ()))
-
-
-def _guard_paths(sets: Sequence[AmbiguitySet]) -> None:
-    paths = 1
-    for s in sets:
-        paths *= len(s.support)
-        if paths > PATH_CAP:
-            raise GuardError(f"history recursion would exceed {PATH_CAP} paths")
 
 
 Payoff = Callable[[tuple[float, ...]], float]
@@ -1083,7 +1056,6 @@ def window_columns(
         values = [psi(xs) for psi in psis]
         return [values[i] for i in at]
 
-    _guard_paths(sets)
     found = _history_values(sets, payoff, len(upper), len(lower))
     return tuple(found[:len(upper)]), tuple(found[len(upper):])
 
@@ -1165,7 +1137,6 @@ def oracle_policy_enum(model: SequenceModel, f: Functional) -> EvalResult:
             raise GuardError("oracle guard: more than 3 laws at one index")
         if any(len(law.values) > 4 for law in s.laws):
             raise GuardError("oracle guard: law support larger than 4 points")
-    _guard_paths(model.sets)
     weights, ks = model.weights, range(model.n)
 
     def payoff(hist: tuple[float, ...]) -> list[float]:

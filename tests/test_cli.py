@@ -205,6 +205,17 @@ def test_gnormal_eval_table(tmp_path):
         assert cos_row["quad_ref"] == cos_ref
 
 
+def test_a_negative_zero_is_written_as_0(tmp_path):
+    # the lower value is minus the upper value of -f, which is +0.0 here: -0.0
+    cfg = exp.config_from_mapping({"name": "neg0", "mode": "gnormal_eval",
+                                   "model": {"builder": "iid-peng"}, "functionals": ["ramp@0.5"],
+                                   "gnormal": {"sigma_lo2": 0.0, "nx": 41}})
+    (row,) = _read(cli.run(cfg, tmp_path)[0])
+    assert row["pde_lower"] == "0"
+    assert "-0" not in row.values()
+    assert cli._fmt(-0.0) == cli._fmt(0.0) == "0" and cli._fmt(-0.5) == "-0.5"
+
+
 # ---------------------------------------------------------------------------
 # main(): exit codes and determinism
 # ---------------------------------------------------------------------------
@@ -485,7 +496,7 @@ def test_clt_sweep_sweeps_the_functionals_over_the_unclipped_sum_alone(engine_ca
     sweep_columns = eng.sweep_columns
 
     def sizing(graph, upper, lower):
-        swept.append((graph.roots, sum(map(len, graph.args)), [f.name for f, _ in upper]))
+        swept.append((len(graph.states[0]), sum(map(len, graph.args)), [f.name for f, _ in upper]))
         return sweep_columns(graph, upper, lower)
 
     monkeypatch.setattr(eng, "sweep_columns", sizing)

@@ -76,7 +76,7 @@ def test_compile_holds_a_small_multiple_of_its_graph():
     model = max(models, key=lambda model: sum(map(len, graphs[model].args)))
     graph = graphs.pop(model)
     assert sum(map(len, graph.args)) == 33_474
-    kept = sum(st.child.nbytes for st in graph.steps) + sum(arg.nbytes for arg in graph.args)
+    kept = sum(child.nbytes for child in graph.children) + sum(arg.nbytes for arg in graph.args)
     del graph, graphs
     tracemalloc.start()
     try:
@@ -121,6 +121,22 @@ def test_oracle_guards():
     wide = sl.singleton(sl.DiscreteLaw((0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5))
     with pytest.raises(GuardError):
         sl.oracle_policy_enum(sl.SequenceModel.iid(wide, 2), eng.square())
+
+
+def test_the_path_guard_counts_only_the_support_points_some_law_gives_mass():
+    # 14 draws of a law with a zero-probability 0: the recursion walks 2^14
+    # histories, not the 3^14 > PATH_CAP of the listed support
+    zero = sl.singleton(sl.DiscreteLaw((-1.0, 0.0, 1.0), (0.5, 0.0, 0.5)))
+    model = sl.SequenceModel.iid(zero, 14)
+    plain = sl.SequenceModel.iid(sl.singleton(sl.two_point_law(1.0)), 14)
+    squares = [lambda xs: math.fsum(xs) ** 2]
+    indices = range(1, 15)
+    assert eng.window_columns(model, indices, squares, squares) == eng.window_columns(
+        plain, indices, squares, squares) == ((14.0,), (14.0,))
+    # with mass on 0 the guard still refuses 3^14 histories before any work
+    massed = sl.SequenceModel.iid(sl.singleton(sl.centered_three_point_law(0.5)), 14)
+    with pytest.raises(GuardError):
+        eng.window_columns(massed, indices, squares, [])
 
 
 def test_engine_matches_oracle_randomized(rng):

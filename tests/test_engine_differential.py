@@ -236,7 +236,8 @@ def reference_compile_sum(
     layer: list[tuple[float, ...]] = [(0.0, 0.0) if track_max else (0.0,)]
     args = [np.zeros(1)]
     total = 1
-    steps: list[eng._Step] = []
+    children: list[np.ndarray] = []
+    all_laws = []
     for step in range(1, len(model.sets) + 1):
         set_ = model.sets[step - 1]
         values = sorted({v for law in set_.laws for v, p in zip(law.values, law.probs)
@@ -281,11 +282,12 @@ def reference_compile_sum(
         if total > state_cap:
             raise StateCapError(total, state_cap, step=step, steps=len(model.sets),
                                 layer_sizes=(*map(len, args), len(nxt)))
-        steps.append(eng._Step(
-            np.array(child, dtype=np.int32).reshape(len(layer), len(values)), laws))
+        children.append(np.array(child, dtype=np.int32).reshape(len(layer), len(values)))
+        all_laws.append(laws)
         layer = list(nxt)
         args.append(np.array([state[-1] for state in layer], dtype=float))
-    return eng.Graph(tuple(steps), tuple(args), len(model.sets) - model.n)
+    return eng.Graph(tuple(children), tuple(all_laws), tuple(args), len(model.sets) - model.n,
+                     tuple((len(arg),) for arg in args))
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +443,12 @@ def test_eval_sum_equals_the_dict_dp_and_the_oracle(model):
 
 
 def assert_same_graph(got: eng.Graph, want: eng.Graph) -> None:
-    """Array-equal graphs: child indices, laws, payoff-argument bytes and lead."""
-    assert got.lead == want.lead
-    assert len(got.steps) == len(want.steps) and len(got.args) == len(want.args)
-    for g, w in zip(got.steps, want.steps):
-        assert g.child.dtype == w.child.dtype and g.child.shape == w.child.shape
-        assert np.array_equal(g.child, w.child)
-        assert g.laws == w.laws
+    """Array-equal graphs: child indices, laws, payoff-argument bytes, lead and state counts."""
+    assert got.lead == want.lead and got.laws == want.laws and got.states == want.states
+    assert len(got.children) == len(want.children) and len(got.args) == len(want.args)
+    for g, w in zip(got.children, want.children):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
     for g, w in zip(got.args, want.args):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -467,10 +468,15 @@ def test_compile_sum_builds_the_reference_graph(case, iid):
 
 
 def _lattice(model: SequenceModel, **opts) -> bool:
-    """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``."""
-    (mask,) = opts.get("masks", [None])
-    draws = eng._draws(model, [None if mask is None else frozenset(mask)], [opts.get("x_clip")])
-    return eng._on_lattice(terms for _, terms, _ in draws)
+    """Whether ``compile_sum`` takes the integer-key path for ``model`` and ``opts``.
+
+    Only that path numbers a layer's sums by their offsets (``_offset_ids``).
+    """
+    calls, offset_ids = [], eng._offset_ids
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "_offset_ids", lambda col: calls.append(col) or offset_ids(col))
+        eng.compile_sum(model, **opts)
+    return bool(calls)
 
 
 def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
@@ -481,15 +487,17 @@ def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
 
 def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_41():
     q = 2.0 ** -12
-    assert eng._on_lattice([np.array([[-3 * q, 0.0, 5 * q]])])
-    assert eng._on_lattice([np.array([[q]])] * 3)
-    assert not eng._on_lattice([np.array([[q / 2.0, q]])])
-    assert not eng._on_lattice([np.array([[math.inf]])])
-    # the terms' largest magnitudes add up below 2^41, counted once per draw
-    assert eng._on_lattice([np.array([[2.0 ** 41 - q]])])
-    assert not eng._on_lattice([np.array([[-2.0 ** 41]])])
-    big = np.array([[2.0 ** 39]])
-    assert eng._on_lattice([big] * 3) and not eng._on_lattice([big] * 4)
+    counts = eng._quanta(np.array([[-3 * q, 0.0, 5 * q]]))
+    assert counts.dtype == np.int64 and counts.tolist() == [[-3, 0, 5]]
+    assert eng._quanta(np.array([[q]])).tolist() == [[1]]
+    assert eng._quanta(np.array([[q / 2.0, q]])) is None
+    assert eng._quanta(np.array([[math.inf]])) is None
+    assert eng._quanta(np.array([[math.nan, q]])) is None
+    # every entry lies below 2^41 in magnitude
+    assert eng._quanta(np.array([[2.0 ** 41 - q]])).tolist() == [[2 ** 53 - 1]]
+    assert eng._quanta(np.array([[-2.0 ** 41]])) is None
+    # a compile bounds the sum of the draws' largest terms, counted once per draw:
+    # three draws of +-2^39 stay below 2^41 and four do not (the cases below)
 
     window = SequenceModel.moving_window(_quarter_set(), (1.0, 0.5), 5)
     on = [
@@ -503,6 +511,7 @@ def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_4
         (SequenceModel.iid(_quarter_set(q / 2.0), 4), {}),
         (window, {"x_clip": 0.3}),
         (SequenceModel.moving_window(_quarter_set(), (1.0, 0.5), 5, scale=1 / math.sqrt(5)), {}),
+        (SequenceModel.iid(_quarter_set(2.0 ** 39), 4), {}),
         (SequenceModel.iid(_quarter_set(2.0 ** 39), 4), {"track_max": True}),
         (SequenceModel.iid(_quarter_set(2.0 ** 40), 2), {}),
     ]
@@ -1124,9 +1133,9 @@ def test_a_graph_under_another_models_laws_is_that_models_compile(m, track_max, 
     want = [bits(res) for res in eng.evaluate_columns(own, columns)]
     assert [bits(res) for res in eng.evaluate_columns(moved, columns)] == want
     assert_same_graph(moved, own)
-    # the arrays are the graph's own, and the graph keeps its laws
-    assert moved.args is graph.args and moved.sizes is graph.sizes
-    assert all(a.child is b.child for a, b in zip(moved.steps, graph.steps))
+    # the arrays and counts are the graph's own, and the graph keeps its laws
+    assert (moved.children is graph.children and moved.args is graph.args
+            and moved.states is graph.states)
     assert_same_graph(graph, eng.compile_sum(model, **opts))
 
 
@@ -1290,28 +1299,19 @@ def _root_graph(union: eng.Graph, r: int) -> eng.Graph:
     A layer holds root 0's states, then root 1's, and so on, so root r's
     states of layer t start after the states of roots 0..r-1 there.
     """
-    if union.sizes is None:
-        return union
-    starts = np.hstack([np.zeros((len(union.sizes), 1), dtype=np.int64),
-                        np.cumsum(union.sizes, axis=1)])
-    steps = tuple(
-        eng._Step((st.child[starts[t, r]:starts[t, r + 1]] - starts[t + 1, r]).astype(np.int32),
-                  st.laws)
-        for t, st in enumerate(union.steps))
+    starts = np.hstack([np.zeros((len(union.states), 1), dtype=np.int64),
+                        np.cumsum(union.states, axis=1)])
+    children = tuple((c[starts[t, r]:starts[t, r + 1]] - starts[t + 1, r]).astype(np.int32)
+                     for t, c in enumerate(union.children))
     args = tuple(arg[starts[t, r]:starts[t, r + 1]] for t, arg in enumerate(union.args))
-    return eng.Graph(steps, args, union.lead)
-
-
-def _union_on_lattice(model: SequenceModel, masks: list, clips: list) -> bool:
-    masks = [None if mask is None else frozenset(mask) for mask in masks]
-    draws = eng._draws(model, masks, clips)
-    return eng._on_lattice(terms for _, terms, _ in draws)
+    return eng.Graph(children, union.laws, args, union.lead,
+                     tuple((layer[r],) for layer in union.states))
 
 
 def assert_roots_are_their_own_compiles(model: SequenceModel, masks: list, clips: list,
                                         track_max: bool, fs) -> None:
     union = eng.compile_sum(model, masks=masks, x_clip=clips, track_max=track_max)
-    assert union.roots == len(masks)
+    assert {len(layer) for layer in union.states} == {len(masks)}
     columns = [(f, M) for f in fs for M in range(1, model.n + 1)]
     got = iter(eng.evaluate_columns(union, columns))
     swept = {(f.name, M, r): next(got) for f, M in columns for r in range(len(masks))}
@@ -1350,8 +1350,8 @@ def test_one_off_lattice_level_moves_the_whole_graph_onto_the_float_grid():
         masks = [None, None, (1, 3)]
         on = [None, 0.25, 0.75]
         off = [None, 0.3, 0.75]  # 0.3 is no multiple of 2^-12
-        assert _union_on_lattice(model, masks, on)
-        assert not _union_on_lattice(model, masks, off)
+        assert _lattice(model, masks=masks, x_clip=on)
+        assert not _lattice(model, masks=masks, x_clip=off)
         # the roots at lattice levels stay on the lattice in their own compiles
         assert _lattice(model) and _lattice(model, masks=[(1, 3)], x_clip=0.75)
         for clips in (on, off):
@@ -1470,7 +1470,7 @@ def test_lattice_roots_at_different_clip_levels_build_their_own_graphs():
     for model in (QUARTER_TERMS, NEGATIVE_ONLY, SequenceModel.iid(_quarter_set(2.0), 5)):
         # every level is a multiple of 2^-12; on integer terms they lower the union's unit
         clips = [None, 0.75, 0.5, 0.25]
-        assert _union_on_lattice(model, masks, clips)
+        assert _lattice(model, masks=masks, x_clip=clips)
         for track_max in (False, True):
             assert_roots_are_their_own_compiles(model, masks, clips, track_max, fs)
 
@@ -1481,7 +1481,7 @@ def test_the_lattice_bound_takes_each_draws_largest_term_over_its_roots():
     # tables' maxima add up to 4.5 * 2^39 > 2^41 over the 3 draws
     model = SequenceModel.iid(_quarter_set(2.0 ** 39), 3)
     masks, clips = [None, None], [None, 2.0 ** 38]
-    assert _union_on_lattice(model, masks, clips)
+    assert _lattice(model, masks=masks, x_clip=clips)
     for track_max in (False, True):
         assert_roots_are_their_own_compiles(model, masks, clips, track_max,
                                             (eng.square(), eng.identity()))
@@ -1601,7 +1601,7 @@ def test_dense_ranges_count_in_steps_of_the_terms_differences(set_, step, size, 
     assert_dense_equals_the_graph(model, columns, columns)
     # the dense ranges are wider than the graph where an offset is unreachable;
     # the state counts are the graph's on both handles
-    assert dense.states == tuple(reached(t) for t in range(8))
+    assert dense.states == tuple((reached(t),) for t in range(8))
     for (f, M), res, graph_res in zip(columns, eng.evaluate_columns(dense, columns),
                                       eng.evaluate_columns(eng.compile_sum(model), columns)):
         assert res.state_count == graph_res.state_count == sum(reached(t) for t in range(M + 1))
@@ -1638,7 +1638,7 @@ def test_row_sums_compile_the_graph_off_the_lattice_and_for_clipped_roots():
                          (SequenceModel.moving_window(THREE_POINT, (1.0, 0.7), 4), [None]),
                          (SequenceModel.iid(_quarter_set(2.0 ** 39), 5), [None])):
         sums = eng.row_sums(model, clips)
-        assert isinstance(sums, eng.Graph) and sums.roots == len(clips)
+        assert isinstance(sums, eng.Graph) and len(sums.states[0]) == len(clips)
         assert_same_graph(sums, eng.compile_sum(model, masks=[None] * len(clips), x_clip=clips))
 
 
@@ -1685,7 +1685,7 @@ def test_stationary_1dep_at_n_4096_fits_the_default_cap_as_dense_layers():
     assert isinstance(dense, eng.DenseSum)
     assert sum(dense.sizes) == 2 * 4096**2 + 5 * 4096 + 2 == 33_574_914
     assert sum(dense.sizes) < eng.DEFAULT_STATE_CAP
-    assert sum(dense.states) == 6 * 4096**2 + 3 * 4096 + 4 == 100_675_588
+    assert sum(count for (count,) in dense.states) == 6 * 4096**2 + 3 * 4096 + 4 == 100_675_588
 
 
 #: A support with gaps wider than its step: at n = 10 the iid sum reaches
@@ -1711,7 +1711,7 @@ def counted_models(draw) -> SequenceModel:
 def test_dense_sums_count_the_graphs_states_layer_by_layer(model, data):
     dense, graph = eng.row_sums(model), eng.compile_sum(model)
     assert isinstance(dense, eng.DenseSum)
-    assert dense.states == tuple(map(len, graph.args))
+    assert dense.states == graph.states == tuple((len(arg),) for arg in graph.args)
     horizons = data.draw(st.lists(st.integers(1, model.n), min_size=1, max_size=4))
     columns = [(f, M) for M in horizons for f in (eng.square(), eng.cosine())]
     got, want = eng.evaluate_columns(dense, columns), eng.evaluate_columns(graph, columns)
@@ -1724,7 +1724,8 @@ def test_a_cap_between_the_dense_offsets_and_the_graph_states_refuses_the_dense_
     # so its dense layers need more than the graph's states
     model = SequenceModel.iid(sl.ambiguity([sl.DiscreteLaw(GAP_POOL, (0.25, 0.25, 0.5))]), 10)
     dense, graph = eng.row_sums(model), eng.compile_sum(model)
-    assert (sum(dense.sizes), sum(dense.states), sum(map(len, graph.args))) == (286, 230, 230)
+    assert (sum(dense.sizes), *np.sum(dense.states, axis=0), sum(map(len, graph.args))) == (
+        286, 230, 230)
     (res,) = eng.evaluate_columns(dense, [(eng.square(), 10)])
     assert res.state_count == 230
     eng.compile_sum(model, state_cap=250)

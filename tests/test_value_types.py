@@ -40,7 +40,7 @@ def value_types() -> list[type]:
 VALUE_TYPES = value_types()
 
 #: The types that hold numpy arrays, or a dict: equal to themselves alone, hashed by identity.
-IDENTITY_TYPES = {eng.Graph, eng._Step, eng.DenseSum, cond.RowContext}
+IDENTITY_TYPES = {eng.Graph, eng.DenseSum, cond.RowContext}
 
 
 @functools.cache
@@ -53,7 +53,7 @@ def samples() -> dict[type, object]:
     gp = gn.GParams(0.5, 1.0)
     found = [
         MODEL.sets[0].laws[0], MODEL.sets[0], moments(MODEL.sets[0], 3.0),
-        Event("ge", 0.5), eng.cosine(), MODEL, ctx.m2, graph.steps[0], graph,
+        Event("ge", 0.5), eng.cosine(), MODEL, ctx.m2, graph,
         eng.row_sums(MODEL),
         gp, gn.default_grid(gp), exp.ModelSpec(builder="iid-peng"), exp.GnormalSettings(),
         exp.ConditionSettings(), exp.BlockingSettings(), exp.reference_experiments()["iid-peng"],
@@ -235,6 +235,3 @@ def test_array_holding_types_compare_and_hash_by_identity():
         assert a == a and a_sums == a_sums and b == b
         assert hash(a) == hash(a) and hash(a_sums) == hash(a_sums) and hash(b) == hash(b)
         assert len({a, b, a}) == 2
-    graph = eng.compile_sum(MODEL)
-    assert graph.steps[0] == graph.steps[0] != eng.compile_sum(MODEL).steps[0]
-    assert hash(graph.steps[0]) == hash(graph.steps[0])
