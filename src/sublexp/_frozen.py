@@ -14,10 +14,10 @@ the same host, 2.2 ms of it in ``dataclass``.
 
 They behave as the frozen dataclass's methods do:
 
-* ``__init__`` takes the fields positionally or by keyword, fills defaults
-  and default factories, raises ``TypeError`` for a missing, surplus or
-  unknown argument, and calls ``__post_init__``; ``dataclasses.replace``
-  therefore validates again.  Fields are set with ``object.__setattr__``,
+* ``__init__`` takes the fields positionally or by keyword, fills defaults,
+  raises ``TypeError`` for a missing, surplus or unknown argument, and
+  calls ``__post_init__``; ``dataclasses.replace`` therefore validates
+  again.  Fields are set with ``object.__setattr__``,
   not through ``__dict__``: on CPython 3.11 a materialized ``__dict__``
   makes every later attribute read about four times slower.
 * ``__eq__`` compares the field tuples of two instances of the same class,
@@ -32,7 +32,9 @@ alone and hashes by identity, as a plain object does.  The
 field tuples would compare arrays elementwise, so ``==`` would raise
 instead of answering, and ``hash`` would fail on the arrays.
 
-Fields take a default or a ``default_factory``, and no other option.
+A field takes a plain default and no other option, not even a default
+factory: every default of the package is an immutable value, so one
+instance serves every construction.
 
 The closures are slower per call than generated code, which binds named
 parameters and reads attributes with specialized bytecode.  Measured on
@@ -81,7 +83,7 @@ def frozen(cls: type | None = None, *, identity: bool = False):
     cls = dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
     fields = dataclasses.fields(cls)
     if any(not (f.init and f.repr and f.compare) or f.hash is not None or f.kw_only is True
-           for f in fields):
+           or f.default_factory is not MISSING for f in fields):
         raise TypeError(f"{cls.__qualname__}: a frozen field takes only a default")
     names = tuple(f.name for f in fields)
     n = len(names)
@@ -111,9 +113,7 @@ def frozen(cls: type | None = None, *, identity: bool = False):
             values[i] = value
         for i in unfilled:
             if i >= given and values[i] is fill[i]:
-                if fill[i].default_factory is MISSING:
-                    raise TypeError(f"{cls.__qualname__}() missing required argument {names[i]!r}")
-                values[i] = fill[i].default_factory()
+                raise TypeError(f"{cls.__qualname__}() missing required argument {names[i]!r}")
         return values
 
     def __init__(self, *args, **kwargs):

@@ -219,7 +219,9 @@ class SequenceModel:
     ``sets`` holds the ambiguity set of every draw ``eps_1 .. eps_{n+m}``
     and ``weights`` the window ``w_0 .. w_m``, so ``m = len(weights) - 1``
     and ``n = len(sets) - m``.  An independent sequence is the window
-    ``(1.0,)``: ``X_k = scale * eps_k``.
+    ``(1.0,)``: ``X_k = scale * eps_k``.  A model whose coordinates can
+    overflow a float (scale times the sum of ``|w_j|`` times the largest
+    ``|v|`` of any law's support is not finite) raises ``ValidationError``.
     """
 
     sets: tuple[AmbiguitySet, ...]
@@ -236,6 +238,9 @@ class SequenceModel:
             raise ValidationError("horizon n must be >= 1: give at least one set per weight")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("scale must be positive and finite")
+        if not math.isfinite(self.scale * sum(map(abs, weights)) * max(
+                abs(v) for s in set(sets) for law in s.laws for v in law.values)):
+            raise ValidationError("a coordinate can overflow a float: scale * sum|w_j| * max|v|")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", weights)
 
@@ -493,13 +498,8 @@ def support_key(model: SequenceModel) -> tuple:
     those floats are equal bit for bit, so -0.0 and 0.0 differ.  The
     probabilities are not part of it (``with_laws``).
     """
-    hexed: dict[int, tuple[str, ...]] = {}  # draws of one set share its columns
-    columns = []
-    for values, _ in _support_columns(model.sets):
-        if id(values) not in hexed:
-            hexed[id(values)] = tuple(map(float.hex, values))
-        columns.append(hexed[id(values)])
-    return tuple(columns), tuple(map(float.hex, model.weights)), model.scale.hex()
+    columns = tuple(tuple(map(float.hex, values)) for values, _ in _support_columns(model.sets))
+    return columns, tuple(map(float.hex, model.weights)), model.scale.hex()
 
 
 def with_laws(graph: Graph, model: SequenceModel) -> Graph:
@@ -521,21 +521,20 @@ def with_laws(graph: Graph, model: SequenceModel) -> Graph:
 
 
 def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
-           clips: Sequence[float | None]) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
-    """Per draw: its laws, its stack of term tables, and each root's index into the stack.
+           clips: Sequence[float | None]) -> list[tuple[tuple, np.ndarray]]:
+    """Per draw: its laws and its stack of term tables, one table per root.
 
     The support columns and laws are those of ``_support_columns``.  A draw
     adds in root r when it completes a coordinate of mask r (every
-    coordinate, for ``None``), and root r adds the term table of its
-    own clip level ``clips[r]``, built once per distinct level and supports
-    of the window's draws and its own.  ``terms[0]`` is all zeros and
-    ``terms[1:]`` holds one table per distinct level some root adds, in root
-    order; ``pick[r]`` is root r's table, 0 where the draw adds nothing in
-    it.  ``terms[i, code, j]`` is a term of table i (see ``_term_table``),
-    and ``terms.shape[-1]`` the draw's number of support columns.
+    coordinate, for ``None``).  ``terms[r]`` is then the term table of
+    root r's clip level ``clips[r]``, built once per level and supports of
+    the window's draws and its own, and otherwise the draw's zero table.
+    ``terms[r, code, j]`` is a term of root r (see ``_term_table``), and
+    ``terms.shape[-1]`` the draw's number of support columns.  Draws with
+    the same supports that add in the same roots share one stack.
     """
     tables: dict[tuple[tuple, float | None], np.ndarray] = {}
-    stacks: dict[tuple[tuple, tuple[bool, ...]], tuple[np.ndarray, np.ndarray]] = {}
+    stacks: dict[tuple[tuple, tuple[bool, ...]], np.ndarray] = {}
     draws, supports = [], []
     for step, (values, laws) in enumerate(_support_columns(model.sets), start=1):
         supports.append(values)
@@ -543,17 +542,15 @@ def _draws(model: SequenceModel, masks: Sequence[frozenset[int] | None],
         key = tuple(supports[max(step - 1 - model.m, 0):])
         k = _completes(model, step)
         adds = tuple(k is not None and (mask is None or k in mask) for mask in masks)
-        found = stacks.get((key, adds))
-        if found is None:
-            levels = list(dict.fromkeys(clip for clip, add in zip(clips, adds) if add))
-            for clip in levels:
-                if (key, clip) not in tables:
+        terms = stacks.get((key, adds))
+        if terms is None:
+            for clip, add in zip(clips, adds):
+                if add and (key, clip) not in tables:
                     tables[key, clip] = _term_table(model, key, clip)
             zero = np.zeros((math.prod(map(len, key[:-1])), len(values)))
-            found = stacks[key, adds] = (
-                np.stack([zero, *(tables[key, clip] for clip in levels)]),
-                np.array([levels.index(c) + 1 if a else 0 for c, a in zip(clips, adds)]))
-        draws.append((laws, *found))
+            terms = stacks[key, adds] = np.stack(
+                [tables[key, clip] if add else zero for clip, add in zip(clips, adds)])
+        draws.append((laws, terms))
     return draws
 
 
@@ -563,7 +560,8 @@ def _quanta(x: np.ndarray) -> np.ndarray | None:
     It bounds each entry alone: a caller that adds entries bounds their
     sum itself.
     """
-    units = x * _QUANTUM
+    with np.errstate(over="ignore", invalid="ignore"):
+        units = x * _QUANTUM
     # a NaN or infinite entry fails the bound
     if not ((np.rint(units) == units).all() and np.abs(units).max() < _LATTICE_LIMIT * _QUANTUM):
         return None
@@ -599,9 +597,9 @@ def compile_sum(
     support columns as mixed-radix digits, see ``_term_table``), its ``acc``, and, under
     ``track_max``, its ``maxabs``.  Every state is expanded under each distinct support value
     with positive probability in some law, all at once, in one gather: the
-    child's sum is ``acc + terms[pick, window, j]`` (one IEEE add, as in
-    scalar code), ``pick`` being its root's table of the draw's stack
-    (``_draws``), rounded by ``_canon_array`` onto the 1e-12 merge grid,
+    child's sum is ``acc + terms[root, window, j]`` (one IEEE add, as in
+    scalar code), from its root's table of the draw's stack (``_draws``),
+    rounded by ``_canon_array`` onto the 1e-12 merge grid,
     and its running max is ``where(b > mx, b, mx)`` with ``b = |sum|``.
     ``_term`` runs once per distinct (window, value) pair.  So the graph
     depends on each draw's support columns, the weights and the scale
@@ -669,30 +667,30 @@ def compile_sum(
         raise ValidationError("x_clip must be > 0")
     slides = m > 0
     draws = _draws(model, masks, clips)
-    radices = [terms.shape[-1] for _, terms, _ in draws]
+    radices = [terms.shape[-1] for _, terms in draws]
     # a root adds one entry of each draw's stack, so its sums stay below 2⁴¹
     # when the draws' largest entries do: a draw counts once, however many
     # tables its stack holds; draws of one stack share its counts
-    stacks = {id(terms): terms for _, terms, _ in draws}
+    stacks = {id(terms): terms for _, terms in draws}
     counts = {key: _quanta(terms) for key, terms in stacks.items()}
     tops = {key: int(np.abs(c).max()) for key, c in counts.items() if c is not None}
     lattice = (len(tops) == len(counts)
-               and sum(tops[id(terms)] for _, terms, _ in draws) < _LATTICE_LIMIT * _QUANTUM)
+               and sum(tops[id(terms)] for _, terms in draws) < _LATTICE_LIMIT * _QUANTUM)
     if lattice:
         # every count is a multiple of unit, so sums count in units of it
         unit = math.gcd(*(int(np.gcd.reduce(c.ravel())) for c in counts.values())) or 1
         for c in counts.values():
             c //= unit
-        draws = [(laws, counts[id(terms)], pick) for laws, terms, pick in draws]
+        draws = [(laws, counts[id(terms)]) for laws, terms in draws]
     ids = _offset_ids if lattice else _dense_ids
     win = np.zeros(R, dtype=np.int64)  # read only when the window slides
     acc = mx = np.zeros(R, dtype=np.int64 if lattice else float)
     comp = np.arange(R)  # read only when there are several roots
     args, children, states = [np.zeros(R)], [], [(1,) * R]
     total = R
-    for step, (_, terms, pick) in enumerate(draws, start=1):
+    for step, (_, terms) in enumerate(draws, start=1):
         n, V = len(acc), terms.shape[-1]
-        a = acc[:, None] + terms[pick[comp] if R > 1 else pick[0], win if slides else 0]
+        a = acc[:, None] + terms[comp if R > 1 else 0, win if slides else 0]
         a = (a if lattice else _canon_array(a)).ravel()
         if track_max:
             b, x = np.abs(a), np.repeat(mx, V)
@@ -730,7 +728,7 @@ def compile_sum(
         # layer's counts and floats are alive at once
         for t, arg in enumerate(args):
             args[t] = arg * unit / float(_QUANTUM)
-    return Graph(tuple(children), tuple(laws for laws, _, _ in draws), tuple(args), m,
+    return Graph(tuple(children), tuple(laws for laws, _ in draws), tuple(args), m,
                  tuple(states), model)
 
 

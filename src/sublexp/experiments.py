@@ -9,7 +9,7 @@ row length n (the heavy-tailed family scales its tail mass like 1/n^2).
 from __future__ import annotations
 
 import math
-from dataclasses import field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -182,9 +182,9 @@ class ExperimentConfig:
     model: ModelSpec
     n_list: tuple[int, ...] = DEFAULT_N_LIST
     functionals: tuple[str, ...] = DEFAULT_FUNCTIONALS
-    gnormal: GnormalSettings = field(default_factory=GnormalSettings)
-    conditions: ConditionSettings = field(default_factory=ConditionSettings)
-    blocking: BlockingSettings = field(default_factory=BlockingSettings)
+    gnormal: GnormalSettings = GnormalSettings()
+    conditions: ConditionSettings = ConditionSettings()
+    blocking: BlockingSettings = BlockingSettings()
     rosenthal_seed: int = 20240901
     peng_n: tuple[int, ...] = (8, 16, 32, 64)
     state_cap: int = DEFAULT_STATE_CAP
@@ -409,17 +409,9 @@ def with_overrides(
     state_cap: int | None = None,
     tol: float | None = None,
 ) -> ExperimentConfig:
-    gn = cfg.gnormal
-    if grid_nx is not None or grid_L is not None:
-        gn = replace(
-            gn,
-            nx=grid_nx if grid_nx is not None else gn.nx,
-            half_width=grid_L if grid_L is not None else gn.half_width,
-        )
-    bl = cfg.blocking if tol is None else replace(cfg.blocking, tol=tol)
-    return replace(
-        cfg,
-        gnormal=gn,
-        blocking=bl,
-        state_cap=state_cap if state_cap is not None else cfg.state_cap,
-    )
+    def given(value, **changes):
+        """``value`` with each change that is not None."""
+        return replace(value, **{k: v for k, v in changes.items() if v is not None})
+
+    return given(cfg, gnormal=given(cfg.gnormal, nx=grid_nx, half_width=grid_L),
+                 blocking=given(cfg.blocking, tol=tol), state_cap=state_cap)

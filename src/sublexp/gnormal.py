@@ -219,9 +219,9 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         2.0, 1.0 / grid.dx**2, p.sigma_lo2, p.sigma_hi2, dt * 0.5))
     cells = u.reshape(-1)
     d2_buf = np.empty((nx - 2) * k)
-    # sigma_lo2 * d2 when sigma_hi2 is 1, else sigma_hi2 * d2; on a check step
-    # the state before the step; on a retirement the staged live columns, at
-    # most k - 1 columns of nx nodes, which (nx - 2) * k holds unless nx < 2k
+    # sigma_lo2 * d2; on a check step the state before the step; on a retirement
+    # the staged live columns, at most k - 1 columns of nx nodes, which
+    # (nx - 2) * k holds unless nx < 2k
     scratch_buf = np.empty(max((nx - 2) * k, nx * (k - 1)))
     mask_buf = np.empty((nx - 2) * k, dtype=bool)
 
@@ -234,7 +234,7 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     u, left, mid, right, d2, scratch, mask = views(k)
     live = list(range(k))  # the index in fs of each live column
     values = [0.0] * k
-    unit_hi = p.sigma_hi2 == 1.0
+    scale_hi = p.sigma_hi2 != 1.0
     multiply, subtract, add, maximum, isfinite = (
         np.multiply, np.subtract, np.add, np.maximum, np.isfinite)
     for step in range(n_steps):
@@ -242,13 +242,10 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         subtract(right, d2, d2)
         add(d2, left, d2)
         multiply(d2, inv_dx2, d2)
-        if unit_hi:
-            multiply(d2, lo, scratch)
-            maximum(scratch, d2, out=d2)
-        else:
-            multiply(d2, hi, scratch)
-            multiply(d2, lo, d2)
-            maximum(d2, scratch, out=d2)
+        multiply(d2, lo, scratch)
+        if scale_hi:
+            multiply(d2, hi, d2)
+        maximum(scratch, d2, out=d2)
         multiply(d2, half_dt, d2)
         if step % _NAN_CHECK_EVERY:
             add(mid, d2, mid)

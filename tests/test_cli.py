@@ -686,6 +686,20 @@ def test_a_malformed_functional_name_exits_1_at_load_in_every_mode(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "conditions", "clt-sweep"])
+def test_a_coordinate_that_overflows_a_float_is_a_validation_error(tmp_path, capsys, command):
+    # 1.7e308 + 1.7e308 overflows: the model is refused before any term is computed
+    law = {"values": [-1.7e308, 1.7e308], "probs": [0.5, 0.5]}
+    raw = {**SMALL_CONFIG, "model": {"kind": "moving_window", "weights": [1.0, 1.0],
+                                     "laws": [law]}}
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a coordinate can overflow a float")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("blocking", [{}, {"pn_list": [2, 4]}], ids=["choose_pn", "pn_list"])
 def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, engine_calls, blocking):
     # cut-separated blocks are independent sums only for m <= 1; the model is

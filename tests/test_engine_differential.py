@@ -485,6 +485,14 @@ def _quarter_set(top: float = 1.0) -> sl.AmbiguitySet:
                          sl.DiscreteLaw((-top, top), (0.25, 0.75))])
 
 
+def test_terms_whose_quanta_overflow_take_the_float_grid():
+    # 1e305 * 2^12 overflows; the suite turns the RuntimeWarning into an error
+    model = SequenceModel.iid(sl.singleton(sl.DiscreteLaw((-1e305, 1e305), (0.5, 0.5))), 2)
+    for graph in (eng.row_sums(model), eng.compile_sum(model)):
+        assert isinstance(graph, eng.Graph)
+        assert sorted(graph.args[-1].tolist()) == [-2e305, 0.0, 2e305]
+
+
 def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_41():
     q = 2.0 ** -12
     counts = eng._quanta(np.array([[-3 * q, 0.0, 5 * q]]))
@@ -496,6 +504,8 @@ def test_lattice_predicate_takes_multiples_of_2_to_the_minus_12_below_2_to_the_4
     # every entry lies below 2^41 in magnitude
     assert eng._quanta(np.array([[2.0 ** 41 - q]])).tolist() == [[2 ** 53 - 1]]
     assert eng._quanta(np.array([[-2.0 ** 41]])) is None
+    # an entry whose count of quanta overflows fails the bound without a warning
+    assert eng._quanta(np.array([[1e305, q]])) is None
     # a compile bounds the sum of the draws' largest terms, counted once per draw:
     # three draws of +-2^39 stay below 2^41 and four do not (the cases below)
 
@@ -1514,7 +1524,7 @@ def test_a_draw_that_adds_in_no_root_builds_each_roots_own_graph(model, masks):
     # table in every root; its layer merges like any other
     R = len(masks)
     draws = eng._draws(model, [frozenset(mask) for mask in masks], [None] * R)
-    assert any(not pick.any() for _, _, pick in draws)
+    assert any(not terms.any() for _, terms in draws)
     fs = (eng.square(), eng.cosine())
     for clips in ([None] * R, [0.5] * R):
         for track_max in (False, True):
@@ -1522,6 +1532,38 @@ def test_a_draw_that_adds_in_no_root_builds_each_roots_own_graph(model, masks):
         for mask, clip, res in zip(masks, clips, mask_sums(model, fs[1], masks, x_clip=clips)):
             assert bits(res) == bits(mask_sums(model, fs[1], [mask], x_clip=clip)[0])
             assert bits(res) == bits(reference_eval_sum(model, fs[1], masks=[mask], x_clip=clip))
+
+
+@pytest.mark.parametrize("masks, clips", [([None], [None]), ([None, None], [None, 0.75]),
+                                          ([(1, 3), None, ()], [0.5, None, 0.5])],
+                         ids=["full", "full-and-clipped", "masks-and-clips"])
+@pytest.mark.parametrize("model, on_lattice", [
+    (QUARTER_TERMS, True),
+    (SequenceModel.iid(_quarter_set(), 4), True),
+    (SequenceModel.iid(OFF_LATTICE_SET, 4), False),
+    (SequenceModel.moving_window(OFF_LATTICE_SET, (1.0, 0.5), 3), False),
+], ids=["lattice-window", "lattice-iid", "off-lattice-iid", "off-lattice-window"])
+def test_each_root_takes_its_clip_levels_table_where_its_mask_holds_the_coordinate(
+        model, on_lattice, masks, clips):
+    # terms[r] is root r's clip-level table where mask r holds the coordinate
+    # the draw completes, and the draw's zero table everywhere else
+    assert _lattice(model, masks=masks, x_clip=clips) == on_lattice
+    draws = eng._draws(model, [None if mask is None else frozenset(mask) for mask in masks], clips)
+    prepared = eng._support_columns(model.sets)
+    assert len(draws) == len(prepared)
+    shared = {}
+    for step, ((laws, terms), (_, want_laws)) in enumerate(zip(draws, prepared), start=1):
+        assert laws == want_laws
+        supports = tuple(values for values, _ in prepared[max(step - 1 - model.m, 0):step])
+        k = step - model.m
+        adds = tuple(k >= 1 and (mask is None or k in mask) for mask in masks)
+        zero = np.zeros((math.prod(map(len, supports[:-1])), len(supports[-1])))
+        assert len(terms) == len(masks)
+        for table, add, clip in zip(terms, adds, clips):
+            want = eng._term_table(model, supports, clip) if add else zero
+            assert table.tobytes() == want.tobytes()
+        # draws of the same supports that add in the same roots share one stack
+        assert shared.setdefault((supports, adds), terms) is terms
 
 
 # ---------------------------------------------------------------------------

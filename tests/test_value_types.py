@@ -128,8 +128,7 @@ def test_missing_surplus_and_unknown_arguments_raise_type_error(cls):
     value = samples()[cls]
     values = field_values(value)
     names = [f.name for f in dataclasses.fields(cls)]
-    required = [f for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    required = [f for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
     rebuilt = cls(**dict(zip(names, values)))
     if cls in IDENTITY_TYPES:
         assert all(a is b for a, b in zip(field_values(rebuilt), values))
@@ -147,8 +146,7 @@ def test_missing_surplus_and_unknown_arguments_raise_type_error(cls):
 
 
 DEFAULTED = [(cls, f.name) for cls in VALUE_TYPES for f in dataclasses.fields(cls)
-             if f.default is not dataclasses.MISSING
-             or f.default_factory is not dataclasses.MISSING]
+             if f.default is not dataclasses.MISSING]
 
 #: Fields whose default the class rejects alongside the other values of its sample.
 INVALID_DEFAULTS = {(exp.ModelSpec, "builder")}
@@ -165,12 +163,7 @@ def test_an_absent_argument_takes_its_default(cls, name):
             cls(**others)
         return
     first, second = cls(**others), cls(**others)
-    if field.default_factory is not dataclasses.MISSING:
-        assert getattr(first, name) == field.default_factory()
-        # a new default per instance, as the factory makes it
-        assert getattr(first, name) is not getattr(second, name)
-    else:
-        assert getattr(first, name) == getattr(second, name) == field.default
+    assert getattr(first, name) == getattr(second, name) == field.default
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__qualname__)
@@ -222,6 +215,16 @@ def test_a_field_option_other_than_a_default_is_refused():
             """A value type with a field left out of equality."""
 
             x: int = dataclasses.field(default=0, compare=False)
+
+
+def test_a_default_factory_is_refused():
+    # every default is an immutable value, which one instance serves
+    with pytest.raises(TypeError, match="takes only a default"):
+        @fz.frozen
+        class Made:
+            """A value type whose field default is made per instance."""
+
+            x: tuple = dataclasses.field(default_factory=tuple)
 
 
 def test_array_holding_types_compare_and_hash_by_identity():
