@@ -110,11 +110,11 @@ def check_one_dependent(model: SequenceModel) -> None:
     """Refuse a row with m > 1.
 
     Only for a row with m <= 1 does one removed index between blocks make
-    the block sums independent.
+    the block sums independent; blocking does not support m > 1 yet.
     """
     if model.m > 1:
         raise ValidationError(f"blocking needs a 1-dependent row (m <= 1), got m = {model.m}: "
-                              "mdep.z_reduce groups it into 1-dependent block sums")
+                              "m > 1 is not supported yet")
 
 
 def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
@@ -173,9 +173,10 @@ def _delta_sums(model: SequenceModel, cuts: tuple[int, ...], B2: float) -> tuple
     """Lower and upper ``|sum_k (E[X_k^2] + 2 sum_nb E[X_k X_nb]) / B_n^2|``.
 
     The sum runs over the cuts k and their neighbors nb in 1..n.  One
-    ``window_columns`` call per moment gives its lower and upper value;
-    under ``engine.one_law`` a moment does not depend on where its window
-    starts, so one per offset nb - k.
+    ``window_columns`` call per moment gives its lower and upper value.  A
+    moment is looked up by its ordered pair of indices, as ``X_k * X_nb`` is
+    ``X_nb * X_k`` bit for bit; under ``engine.one_law`` it does not depend
+    on where its window starts, so there is one call per distance |nb - k|.
     """
     same_law = engine.one_law(model)
 
@@ -183,17 +184,17 @@ def _delta_sums(model: SequenceModel, cuts: tuple[int, ...], B2: float) -> tuple
         return xs[0] * xs[-1]  # xs[-1] is xs[0] in the one-index window of the square
 
     @functools.cache
-    def moment(k: int, nb: int) -> tuple[float, float]:
-        shift = min(k, nb) - 1
-        if shift and same_law:
-            return moment(k - shift, nb - shift)
-        (up,), (lo,) = engine.window_columns(model, (k,) if nb == k else (k, nb),
+    def moment(a: int, b: int) -> tuple[float, float]:
+        """Lower and upper ``E[X_a X_b]``, a <= b."""
+        if a > 1 and same_law:
+            return moment(1, b - a + 1)
+        (up,), (lo,) = engine.window_columns(model, (a,) if a == b else (a, b),
                                              [product], [product])
         return lo, up
 
     def delta(k: int, side: int) -> float:
         # E[X_k^2] + 2 E[X_k X_{k-1}] + 2 E[X_k X_{k+1}], left to right, in 1..n
-        return engine.ordered_sum((1.0 if nb == k else 2.0) * moment(k, nb)[side]
+        return engine.ordered_sum((1.0 if nb == k else 2.0) * moment(*sorted((k, nb)))[side]
                                   for nb in (k, k - 1, k + 1) if 1 <= nb <= model.n) / B2
 
     return (abs(engine.ordered_sum(delta(c, 0) for c in cuts)),

@@ -87,9 +87,9 @@ def _grid(cfg: ExperimentConfig) -> gnormal.PDEGrid:
     return grid
 
 
-def _pde_bounds(cfg: ExperimentConfig, fs: list[engine.Functional],
-                gp: gnormal.GParams, grid: gnormal.PDEGrid) -> list[tuple[float, float]]:
-    """Upper and lower G-normal expectation of each of ``fs``, from one batched solve.
+def _pde_bounds(fs: list[engine.Functional], gp: gnormal.GParams,
+                grid: gnormal.PDEGrid) -> list[tuple[float, float]]:
+    """Upper and lower G-normal expectation of each of ``fs`` at t = 1, from one batched solve.
 
     The rows are ``f1, -f1, f2, -f2, ...``; the lower value is minus the
     upper value of the negated functional.  A config without functionals
@@ -98,7 +98,7 @@ def _pde_bounds(cfg: ExperimentConfig, fs: list[engine.Functional],
     if not fs:
         return []
     rows = [g for f in fs for g in (f, engine.negated(f))]
-    values = gnormal.solve_gheats(rows, gp, grid, cfg.gnormal.time)
+    values = gnormal.solve_gheats(rows, gp, grid)
     return [(up, -neg_up) for up, neg_up in zip(values[::2], values[1::2])]
 
 
@@ -234,7 +234,7 @@ def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
     found = _sweep_rows(cfg, fs, sums, ctxs)
     del sums  # one handle of sums alive at a time
-    refs = _pde_bounds(cfg, fs, gp, grid)
+    refs = _pde_bounds(fs, gp, grid)
     for model, ns in smaller:
         found.update(_sweep_rows(cfg, fs, *cond.row_contexts(model, ns, state_cap=cfg.state_cap)))
 
@@ -262,7 +262,7 @@ def run_gnormal_eval(cfg: ExperimentConfig) -> dict[str, Table]:
     )
     fs = _functionals(cfg)
     rows: list[Row] = []
-    bounds = _pde_bounds(cfg, fs, gp, grid)
+    bounds = _pde_bounds(fs, gp, grid)
     quads = gnormal.gnormal_references(fs, gp, half_width=cfg.gnormal.half_width)
     for f, (up, lo), quad in zip(fs, bounds, quads):
         rows.append([f.name, gp.sigma_lo2, gp.sigma_hi2, up, lo, quad])

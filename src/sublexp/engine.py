@@ -219,9 +219,11 @@ class SequenceModel:
     ``sets`` holds the ambiguity set of every draw ``eps_1 .. eps_{n+m}``
     and ``weights`` the window ``w_0 .. w_m``, so ``m = len(weights) - 1``
     and ``n = len(sets) - m``.  An independent sequence is the window
-    ``(1.0,)``: ``X_k = scale * eps_k``.  A model whose coordinates can
-    overflow a float (scale times the sum of ``|w_j|`` times the largest
-    ``|v|`` of any law's support is not finite) raises ``ValidationError``.
+    ``(1.0,)``: ``X_k = scale * eps_k``.  A model whose sums can overflow a
+    float raises ``ValidationError``: that is when the sum of ``|w_j|``, times
+    the largest ``|v|`` of any law's support, times ``max(scale, 1)``, times
+    n is not finite.  ``max(scale, 1)`` bounds the unscaled products and sums
+    too, which ``_term`` and ``oracle_policy_enum`` form before they scale.
     """
 
     sets: tuple[AmbiguitySet, ...]
@@ -238,9 +240,11 @@ class SequenceModel:
             raise ValidationError("horizon n must be >= 1: give at least one set per weight")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("scale must be positive and finite")
-        if not math.isfinite(self.scale * sum(map(abs, weights)) * max(
-                abs(v) for s in set(sets) for law in s.laws for v in law.values)):
-            raise ValidationError("a coordinate can overflow a float: scale * sum|w_j| * max|v|")
+        if not math.isfinite(sum(map(abs, weights)) * max(
+                abs(v) for s in set(sets) for law in s.laws for v in law.values)
+                * max(self.scale, 1.0) * (len(sets) - len(weights) + 1)):
+            raise ValidationError(
+                "a sum can overflow a float: sum|w_j| * max|v| * max(scale, 1) * n")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", weights)
 

@@ -17,7 +17,7 @@ from . import conditions as cond
 from ._frozen import frozen
 from .engine import DEFAULT_STATE_CAP, SequenceModel, catalog_by_name
 from .errors import ValidationError
-from .gnormal import GParams, check_time
+from .gnormal import GParams
 from .laws import (
     AmbiguitySet,
     DiscreteLaw,
@@ -27,21 +27,16 @@ from .laws import (
 )
 
 MODES = ("eval", "clt_sweep", "gnormal_eval", "rosenthal", "blocking_inspect", "conditions")
-SCALINGS = ("none", "inv_sqrt_n", "inv_n")
+#: The scaling rules of an explicit model: name -> the scale of its row of length n.
+SCALINGS: Mapping[str, Callable[[int], float]] = {
+    "none": lambda n: 1.0,
+    "inv_sqrt_n": lambda n: 1.0 / math.sqrt(n),
+    "inv_n": lambda n: 1.0 / n,
+}
 KINDS = ("independent", "moving_window")
 
 DEFAULT_N_LIST = (8, 16, 32, 48)
 DEFAULT_FUNCTIONALS = ("cos", "ramp@0")
-
-
-def _scale_for(rule: str, n: int) -> float:
-    if rule == "none":
-        return 1.0
-    if rule == "inv_sqrt_n":
-        return 1.0 / math.sqrt(n)
-    if rule == "inv_n":
-        return 1.0 / n
-    raise ValidationError(f"unknown scaling rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +126,16 @@ class ModelSpec:
         if self.builder is not None:
             return BUILDERS[self.builder](n)
         return SequenceModel.moving_window(AmbiguitySet(self.laws), self.weights or (1.0,), n,
-                                           _scale_for(self.scaling, n))
+                                           SCALINGS[self.scaling](n))
 
 
 @frozen
 class GnormalSettings:
-    """The ``gnormal`` section: variance interval, PDE grid and horizon."""
+    """The ``gnormal`` section: variance interval, PDE grid and horizon.
+
+    The horizon is 1.0 and nothing else: the Peng columns, the quadrature
+    and the DP column of ``phi(S_n / B_n)`` are all the G-normal law at t = 1.
+    """
 
     sigma_lo2: float | None = None  # None: use the variance-ratio plateau
     sigma_hi2: float = 1.0
@@ -148,7 +147,9 @@ class GnormalSettings:
         # checked at load, before any row compiles; a None sigma_lo2 is only
         # known once the rows have, so GParams checks 0 in its place
         GParams(0.0 if self.sigma_lo2 is None else self.sigma_lo2, self.sigma_hi2)
-        check_time(self.time)
+        if self.time != 1.0:
+            raise ValidationError(f"gnormal.time must be 1.0, got {self.time!r}: the Peng, "
+                                  "quadrature and CLT columns are the G-normal law at t = 1")
 
 
 @frozen

@@ -17,16 +17,17 @@ constant folded), so a functional's value is bit-identical to a solve of
 that functional alone.
 
 A column retires from the loop once one step leaves its whole state
-unchanged bit for bit.  That is tested on the steps that check for
-non-finite values, after the check, so the state holds finite floats only:
-it is unchanged when it compares equal as floats and keeps every sign bit
-(-0.0 is not 0.0 here).  The step map is autonomous (dt is fixed) and reads
-only the column it writes, so a state one step leaves unchanged stays
-unchanged at every later step: the column's value at ``t`` is its value
-now.  The live columns are compacted into the front of the same arrays,
-and the loop ends once no column is live.  Of the five catalog functionals
-and their negations at nx = 1601 and variances [0.5, 1], ``identity`` and
-its negation retire at step 200 and the other eight never do.
+unchanged bit for bit: the int64 views of its state before and after the
+step are equal.  That is tested on the steps that check for non-finite
+values, after the check; for finite doubles, "equal as floats, with the
+same sign bits" means exactly "equal bits".  The step map is autonomous
+(dt is fixed) and reads only the column it writes, so a state one step
+leaves unchanged stays unchanged at every later step: the column's value
+at ``t`` is its value now.  The live columns are compacted into the front
+of the same arrays, and the loop ends once no column is live.  Of the five
+catalog functionals and their negations at nx = 1601 and variances
+[0.5, 1], ``identity`` and its negation retire at step 200 and the other
+eight never do.
 
 The G coefficient is chosen by the max rule: ``G(d2)`` is computed as
 ``max(sigma_lo2 * d2, sigma_hi2 * d2)``, with ``sigma_hi2 * d2`` taken as
@@ -255,22 +256,13 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
         if not isfinite(mid, mask).all():
             raise PDENumericsError(
                 f"non-finite values in {_nonfinite([fs[i] for i in live], u)} after step {step}")
-        # a column this step left equal as floats, with the same sign bits
-        # (-0.0 == 0.0 as floats), is unchanged bit for bit and stays so.  Its
+        # a column whose bits this step left equal is unchanged and stays so.  Its
         # flags are reduced from a column-major copy in d2's memory, which the
         # step is done with: reducing across the node-major rows costs a few steps.
-        spare = d2.view(np.bool_)[:mid.size]
-        by_column = spare.reshape(len(live), nx - 2)
-        np.equal(mid, scratch, mask)
+        by_column = d2.view(np.bool_)[:mid.size].reshape(len(live), nx - 2)
+        np.equal(mid.view(np.int64), scratch.view(np.int64), mask)
         np.copyto(by_column, mask.reshape(nx - 2, len(live)).T)
         fixed = by_column.all(axis=1)
-        if not fixed.any():
-            continue
-        np.signbit(mid, mask)
-        np.signbit(scratch, spare)
-        np.logical_xor(mask, spare, mask)  # the sign bits the step flipped
-        np.copyto(by_column, mask.reshape(nx - 2, len(live)).T)
-        fixed &= ~by_column.any(axis=1)
         if not fixed.any():
             continue
         for col in np.flatnonzero(fixed):
@@ -313,10 +305,9 @@ def peng_oracles(fs: Sequence[engine.Functional], p: GParams, ns: Sequence[int],
     return tuple(tuple(next(uppers) for _ in fs) for _ in ns)
 
 
-def _shape_on_grid(f: engine.Functional, half_width: float,
-                   nx: int = 401) -> str:
-    """Classify ``f`` as 'convex', 'concave', or 'neither' on the domain."""
-    x = np.linspace(-half_width, half_width, nx)
+def _shape_on_grid(f: engine.Functional, half_width: float) -> str:
+    """Classify ``f`` as 'convex', 'concave', or 'neither' on 401 nodes of the domain."""
+    x = np.linspace(-half_width, half_width, 401)
     y = np.array([f.phi(float(xi)) for xi in x], dtype=float)
     d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
     tol = 1e-9 * max(1.0, float(np.abs(y).max()))

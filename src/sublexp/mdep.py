@@ -249,9 +249,9 @@ class ZReduction:
             raise ValidationError("Z blocks must partition 1..k_n in order")
 
 
-def z_reduce(model: SequenceModel, m: int) -> ZReduction:
-    if m != model.m:
-        raise ValidationError(f"z_reduce needs the model's m = {model.m}, got {m}")
+def z_reduce(model: SequenceModel) -> ZReduction:
+    """The blocks of ``model.m`` consecutive coordinates of ``model``."""
+    m = model.m
     if m < 1:
         raise ValidationError("z_reduce needs m >= 1")
     k_n = model.n
@@ -336,13 +336,10 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
 # ---------------------------------------------------------------------------
 
 
-def _window_psis() -> tuple[tuple[str, "object"], ...]:
+def _window_psis() -> tuple[engine.Payoff, ...]:
+    """The catalog payoffs of a window: four functionals of its sum, and its product."""
     fs = (engine.square(), engine.cosine(), engine.ramp(0.0), engine.identity())
-    psis: list[tuple[str, object]] = [
-        (f"sum->{f.name}", (lambda xs, _f=f.phi: _f(math.fsum(xs)))) for f in fs
-    ]
-    psis.append(("product", lambda xs: math.prod(xs)))
-    return tuple(psis)
+    return (*(lambda xs, _f=f.phi: _f(math.fsum(xs)) for f in fs), math.prod)
 
 
 def stationarity_test(model: SequenceModel, shift: int, j: int) -> float:
@@ -353,7 +350,7 @@ def stationarity_test(model: SequenceModel, shift: int, j: int) -> float:
     """
     if shift < 0 or j < 1 or j + shift > model.n:
         raise ValidationError("need shift >= 0, j >= 1, j + shift <= n")
-    psis = [psi for _, psi in _window_psis()]
+    psis = _window_psis()
     base, _ = engine.window_columns(model, range(1, j + 1), psis, [])
     moved, _ = engine.window_columns(model, range(1 + shift, j + shift + 1), psis, [])
     return max(0.0, *(abs(a - b) for a, b in zip(base, moved)))

@@ -573,9 +573,9 @@ def test_blocking_inspect_compiles_and_sweeps_once_per_row_and_once_per_plan(eng
     # no root is clipped, although the config sets tau
     assert {clip for call in engine_calls["compile_sum"] for clip in _clips(call)} == {None}
     # per n: E[X_k^2] for beta, every p_n candidate in one recursion, and
-    # the cut moments once per offset (0, -1, +1); the row sum at n = 16
+    # the cut moments once per distance (0, 1); the row sum at n = 16
     # (scale 1/4, on the lattice) is swept as dense layers, not compiled
-    assert _counts(engine_calls) == {"compile_sum": 5, "sweep_columns": 6, "window_columns": 15}
+    assert _counts(engine_calls) == {"compile_sum": 5, "sweep_columns": 6, "window_columns": 12}
 
 
 def test_eval_reads_the_second_moment_and_every_functional_off_one_sweep(monkeypatch):
@@ -655,10 +655,12 @@ def test_clt_sweep_checks_the_pde_grid_before_any_compile(tmp_path, capsys, engi
     ({"sigma_lo2": 2.0}, "need 0 <= sigma_lo2 <= sigma_hi2 < inf"),
     ({"sigma_lo2": -0.5}, "need 0 <= sigma_lo2 <= sigma_hi2 < inf"),
     ({"sigma_hi2": -1.0}, "need 0 <= sigma_lo2 <= sigma_hi2 < inf"),
-    ({"time": 0.0}, "time horizon must be positive and finite"),
-    ({"time": -1.0}, "time horizon must be positive and finite"),
-    ({"time": math.inf}, "time horizon must be positive and finite"),
-], ids=["lo-above-hi", "lo-negative", "hi-negative", "time-zero", "time-negative", "time-inf"])
+    ({"time": 0.0}, "gnormal.time must be 1.0, got 0.0: the Peng, quadrature and CLT columns are the G-normal law at t = 1"),
+    ({"time": -1.0}, "gnormal.time must be 1.0, got -1.0: the Peng, quadrature and CLT columns are the G-normal law at t = 1"),
+    ({"time": math.inf}, "gnormal.time must be 1.0, got inf: the Peng, quadrature and CLT columns are the G-normal law at t = 1"),
+    ({"time": 2.0}, "gnormal.time must be 1.0, got 2.0: the Peng, quadrature and CLT columns are the G-normal law at t = 1"),
+], ids=["lo-above-hi", "lo-negative", "hi-negative", "time-zero", "time-negative", "time-inf",
+        "time-two"])
 def test_bad_gnormal_values_fail_before_any_compile(tmp_path, capsys, engine_calls,
                                                      gnormal, message):
     raw = {**SMALL_CONFIG, "model": {"builder": "stationary-1dep"},
@@ -686,18 +688,28 @@ def test_a_malformed_functional_name_exits_1_at_load_in_every_mode(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "conditions", "clt-sweep"])
-def test_a_coordinate_that_overflows_a_float_is_a_validation_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, top, extra", [
+    ("eval", 1.7e308, {}),
+    ("conditions", 1.7e308, {}),
+    ("clt-sweep", 1.7e308, {}),
+    # every coordinate is finite, but the sum of two is not: the cos column
+    # raised in the sweep, and the square column read inf
+    ("eval", 1.0e308, {"n_list": [2], "functionals": ["cos"]}),
+    ("eval", 1.0e308, {"n_list": [2], "functionals": ["square"]}),
+], ids=["eval", "conditions", "clt-sweep", "sum-cos", "sum-square"])
+def test_a_coordinate_that_overflows_a_float_is_a_validation_error(tmp_path, capsys, command,
+                                                                   top, extra):
     # 1.7e308 + 1.7e308 overflows: the model is refused before any term is computed
-    law = {"values": [-1.7e308, 1.7e308], "probs": [0.5, 0.5]}
-    raw = {**SMALL_CONFIG, "model": {"kind": "moving_window", "weights": [1.0, 1.0],
-                                     "laws": [law]}}
+    law = {"values": [-top, top], "probs": [0.5, 0.5]}
+    model = ({"kind": "independent", "laws": [law]} if extra else
+             {"kind": "moving_window", "weights": [1.0, 1.0], "laws": [law]})
+    raw = {**SMALL_CONFIG, "model": model, **extra}
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(write_config(tmp_path, raw)),
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: a coordinate can overflow a float")
-    assert "Traceback" not in err
+    assert err == "error: a sum can overflow a float: sum|w_j| * max|v| * max(scale, 1) * n\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("blocking", [{}, {"pn_list": [2, 4]}], ids=["choose_pn", "pn_list"])
@@ -711,7 +723,7 @@ def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, engine_calls, b
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: blocking needs a 1-dependent row (m <= 1), got m = 2")
-    assert "mdep.z_reduce" in err and "Traceback" not in err
+    assert "m > 1 is not supported yet" in err and "Traceback" not in err
     assert not out.exists()
     assert not engine_calls["compile_sum"] and not engine_calls["window_columns"]
 

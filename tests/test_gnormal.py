@@ -183,6 +183,31 @@ def test_empty_batch_rejected():
         sl.solve_gheats((), GP, sl.default_grid(GP))
 
 
+def test_equal_int64_views_are_equal_floats_with_equal_sign_bits():
+    # a column retires when the int64 views of its finite state before and after a
+    # step are equal; the reference is "equal as floats, and signbit equal"
+    rng = np.random.default_rng(20240901)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
+                        dtype=np.int64, endpoint=True)
+    tiny, big = 5e-324, np.finfo(np.float64).max
+    a = np.concatenate([bits.view(np.float64), rng.normal(size=2_000),
+                        [0.0, -0.0, tiny, -tiny, big, -big, 1.0, -1.0]])
+    a = a[np.isfinite(a)]
+    b = np.concatenate([
+        a,  # equal values
+        -a,  # the sign flipped: +-0.0 against -+0.0
+        np.nextafter(a, big), np.nextafter(a, -big),  # 1-ulp neighbours
+        rng.permutation(a),
+        rng.choice([0.0, -0.0, tiny, -tiny], size=a.size),
+    ])
+    a = np.tile(a, 6)
+    assert np.isfinite(b).all() and {(x, math.copysign(1.0, x)) for x in b[b == 0.0]} == {
+        (0.0, 1.0), (0.0, -1.0)}
+    old = (a == b) & (np.signbit(a) == np.signbit(b))
+    assert old.any() and not old.all()
+    assert np.array_equal(np.equal(a.view(np.int64), b.view(np.int64)), old)
+
+
 def test_time_loop_allocates_nothing_per_step(monkeypatch):
     # a per-step temporary of one (nx - 2, K) operand would add 25.6 KB here
     live = (eng.cosine(), eng.ramp(0.0), eng.square(), eng.negated(eng.square()))

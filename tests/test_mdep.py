@@ -182,29 +182,26 @@ def test_rosenthal_battery_builds_one_model_per_family():
 
 def test_z_reduce_m1_blocks_are_singletons():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 5)
-    red = mdep.z_reduce(model, 1)
+    red = mdep.z_reduce(model)
     assert red.blocks == ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))
     assert red.k_n_prime == 6  # empty tail block dropped from the ranges
 
 
 def test_z_reduce_m2_k7_trace():
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 0.5, 0.25), 7)
-    red = mdep.z_reduce(model, 2)
+    red = mdep.z_reduce(model)
     assert red.k_n_prime == 4
     assert red.blocks == ((1, 2), (3, 4), (5, 6), (7, 7))
 
 
 def test_z_reduce_validates_m():
-    model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 5)
-    with pytest.raises(ValidationError):
-        mdep.z_reduce(model, 2)
-    with pytest.raises(ValidationError):
-        mdep.z_reduce(sl.SequenceModel.iid(pm1_uncertain(), 5), 0)
+    with pytest.raises(ValidationError, match="m >= 1"):
+        mdep.z_reduce(sl.SequenceModel.iid(pm1_uncertain(), 5))
 
 
 def test_z_reduce_preserves_eval_sum():
     model = sl.SequenceModel.moving_window(variance_uncertain(), (1.0, 0.5, 1.0), 5)
-    red = mdep.z_reduce(model, 2)
+    red = mdep.z_reduce(model)
     union = [k for a, b in red.blocks for k in range(a, b + 1)]
     for f in eng.catalog():
         direct, via_blocks = sl.evaluate_columns(sl.compile_sum(model, masks=[None, union]),
@@ -216,7 +213,7 @@ def test_z_reduce_preserves_eval_sum():
 def test_z_blocks_are_one_dependent():
     # non-adjacent Z blocks share no innovations: products factorize
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0, 0.5), 6)
-    red = mdep.z_reduce(model, 2)
+    red = mdep.z_reduce(model)
     b1, b3 = red.blocks[0], red.blocks[2]
     i1 = tuple(range(b1[0], b1[1] + 1))
     i3 = tuple(range(b3[0], b3[1] + 1))
@@ -232,7 +229,7 @@ def test_z_blocks_are_one_dependent():
 
 def test_z_block_second_moments_shape():
     model = stationary_1dep(4)
-    red = mdep.z_reduce(model, 1)
+    red = mdep.z_reduce(model)
     ms = mdep.z_block_second_moments(model, red)
     assert len(ms) == len(red.blocks)
     assert all(lo <= up + TOL for up, lo in ms)

@@ -60,7 +60,7 @@ def samples() -> dict[type, object]:
         report.trunc, report, ctx, plan,
         blk.diagnostics(ctx, plan), mdep.residue_classes(1, 6),
         mdep.rosenthal_checks([(MODEL, [(8, 2.0)])])[0][0], mdep.rosenthal_battery()[0],
-        mdep.z_reduce(MODEL, 1), mdep.three_part_split(MODEL, 8, 2),
+        mdep.z_reduce(MODEL), mdep.three_part_split(MODEL, 8, 2),
     ]
     return {type(value): value for value in found}
 
