@@ -18,7 +18,6 @@ _EXPORTS = {
     "errors": (
         "GuardError",
         "PDENumericsError",
-        "PDEStabilityError",
         "StateCapError",
         "SublexpError",
         "ValidationError",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "G",
         "GParams",
         "PDEGrid",
-        "default_grid",
         "gnormal_references",
         "peng_oracles",
         "solve_gheats",

@@ -66,14 +66,12 @@ def choose_pn(ctx: RowContext, tol: float = 0.1) -> int:
 
 @frozen
 class BlockingPlan:
-    """Cut indices, search windows, and blocks for one row of the array."""
+    """Cut indices for one row of the array, and the search windows and blocks they give."""
 
     k_n: int
     p_n: int
     beta: tuple[float, ...]
     cuts: tuple[int, ...]          # g(1) .. g(h-1)
-    windows: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, ...], ...]  # H_1 .. H_h; the last may be empty
 
     def __post_init__(self) -> None:
         if self.p_n < 2 or self.p_n % 2 != 0:
@@ -86,19 +84,24 @@ class BlockingPlan:
                 raise ValidationError(f"cut spacing violated at {b}")
         if self.cuts and self.cuts[-1] + self.p_n <= self.k_n:
             raise ValidationError("recursion stopped too early")
-        if len(self.windows) != len(self.cuts):
-            raise ValidationError("one search window per cut")
-        for a, window in zip(g, self.windows):
-            expected = tuple(range(a + self.p_n // 2 + 1, a + self.p_n + 1))
-            if window != expected:
-                raise ValidationError(f"window after cut {a} is not the upper half-step")
-        seen = sorted(set(self.cuts) | {k for blk in self.blocks for k in blk})
-        if seen != list(range(1, self.k_n + 1)) or len(self.blocks) != len(self.cuts) + 1:
-            raise ValidationError("cuts and blocks must partition 1..k_n")
+        if self.cuts and self.cuts[-1] > self.k_n:
+            raise ValidationError("cuts must lie in 1..k_n")
+
+    @property
+    def windows(self) -> tuple[tuple[int, ...], ...]:
+        """Each cut's search window: the upper half of the p_n indices after the cut before."""
+        half, p_n = self.p_n // 2, self.p_n
+        return tuple(tuple(range(a + half + 1, a + p_n + 1)) for a in ((0,) + self.cuts)[:-1])
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """H_1 .. H_h, the indices between consecutive cuts; the last may be empty."""
+        g = (0,) + self.cuts + (self.k_n + 1,)
+        return tuple(tuple(range(a + 1, b)) for a, b in zip(g, g[1:]))
 
     @property
     def h(self) -> int:
-        return len(self.blocks)
+        return len(self.cuts) + 1
 
     @property
     def sentinel(self) -> int:
@@ -128,23 +131,11 @@ def build_plan(ctx: RowContext, p_n: int) -> BlockingPlan:
     n = ctx.model.n
     beta = compute_beta(ctx)
     g = [0]
-    windows: list[tuple[int, ...]] = []
     while g[-1] + p_n <= n:
-        window = tuple(range(g[-1] + p_n // 2 + 1, g[-1] + p_n + 1))
+        window = range(g[-1] + p_n // 2 + 1, g[-1] + p_n + 1)
         best = min(beta[k - 1] for k in window)
         g.append(min(k for k in window if beta[k - 1] == best))
-        windows.append(window)
-    cuts = tuple(g[1:])
-    bounds = cuts + (n + 1,)
-    blocks = []
-    prev = 0
-    for b in bounds:
-        blocks.append(tuple(range(prev + 1, b)))
-        prev = b
-    return BlockingPlan(
-        k_n=n, p_n=p_n, beta=beta, cuts=cuts,
-        windows=tuple(windows), blocks=tuple(blocks),
-    )
+    return BlockingPlan(k_n=n, p_n=p_n, beta=beta, cuts=tuple(g[1:]))
 
 
 @frozen

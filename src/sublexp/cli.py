@@ -13,7 +13,7 @@ All computation is exact and deterministic; reports are written only after
 a run completes, with fixed column order and 12-significant-digit decimals,
 so repeated runs produce byte-identical files.  Exit codes: 0 success,
 1 configuration/validation error, 2 computation error (state cap exceeded,
-scheme instability).
+non-finite values in the PDE solve).
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import blocking as blk
 from . import conditions as cond
 from . import engine, gnormal, mdep
-from .errors import (
-    PDENumericsError,
-    PDEStabilityError,
-    StateCapError,
-    ValidationError,
-)
+from .errors import PDENumericsError, StateCapError, ValidationError
 from .experiments import (
     ExperimentConfig,
     reference_experiments,
@@ -78,12 +73,10 @@ def _functionals(cfg: ExperimentConfig) -> list[engine.Functional]:
 def _grid(cfg: ExperimentConfig) -> gnormal.PDEGrid:
     """The config's PDE grid, checked before any DP work.
 
-    The step, the CFL ratio and the half-width bound depend only on
-    ``sigma_hi2``, ``nx`` and ``half_width``, not on ``sigma_lo2``.
+    The half-width bound depends only on ``sigma_hi2``, not on ``sigma_lo2``.
     """
-    gp = gnormal.GParams(0.0, cfg.gnormal.sigma_hi2)
-    grid = gnormal.default_grid(gp, half_width=cfg.gnormal.half_width, nx=cfg.gnormal.nx)
-    grid.check(gp)
+    grid = gnormal.PDEGrid(cfg.gnormal.half_width, cfg.gnormal.nx)
+    grid.check(cfg.gnormal.sigma_hi2)
     return grid
 
 
@@ -221,22 +214,22 @@ def _sweep_rows(cfg: ExperimentConfig, fs: list[engine.Functional],
 def run_clt_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     """Sweep rows per n, off one handle of sums per group of rows (``cond.row_graphs``).
 
-    The PDE grid is built and checked before any compile.  The group of the
-    largest n goes first: that row also gives the plateau r (``_sweep_r``),
-    which the G-normal references need.  The references are solved once
-    those sums are freed, so the PDE arrays never add to a graph's memory.
+    The PDE grid is built and checked before any compile.  The groups go in
+    the order of ``n_list``, and each handle is dropped before the next is
+    built.  The last row, of the largest n, then gives the plateau r
+    (``_sweep_r``), so its clipped compile never coexists with a row's
+    handle.  The G-normal references are solved last, once every graph is
+    freed, so the PDE arrays never add to a graph's memory.
     """
     fs = _functionals(cfg)
     grid = _grid(cfg)
-    *smaller, (model, ns) = cond.row_graphs(cfg.model_for, cfg.n_list)
-    sums, ctxs = cond.row_contexts(model, ns, state_cap=cfg.state_cap)
+    found = {}
+    for model, ns in cond.row_graphs(cfg.model_for, cfg.n_list):
+        sums, ctxs = cond.row_contexts(model, ns, state_cap=cfg.state_cap)
+        found.update(_sweep_rows(cfg, fs, sums, ctxs))
+        del sums  # one handle of sums alive at a time
     r = _sweep_r(cfg, ctxs[-1])
-    gp = gnormal.GParams(r, cfg.gnormal.sigma_hi2)
-    found = _sweep_rows(cfg, fs, sums, ctxs)
-    del sums  # one handle of sums alive at a time
-    refs = _pde_bounds(fs, gp, grid)
-    for model, ns in smaller:
-        found.update(_sweep_rows(cfg, fs, *cond.row_contexts(model, ns, state_cap=cfg.state_cap)))
+    refs = _pde_bounds(fs, gnormal.GParams(r, cfg.gnormal.sigma_hi2), grid)
 
     rows: list[Row] = []
     for n in cfg.n_list:
@@ -289,7 +282,7 @@ def run_rosenthal(cfg: ExperimentConfig) -> dict[str, Table]:
                 for model, group in itertools.groupby(battery, key=attrgetter("model"))]
     found = mdep.rosenthal_checks(families, state_cap=cfg.state_cap)
     rows: list[Row] = [
-        [inst.ident, inst.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
+        [inst.ident, inst.model.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
          rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C]
         for inst, rep in zip(battery, itertools.chain.from_iterable(found))]
     return {"rosenthal": (ROSENTHAL_HEADER, rows)}
@@ -457,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StateCapError, PDEStabilityError, PDENumericsError) as exc:
+    except (StateCapError, PDENumericsError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     for path in written:

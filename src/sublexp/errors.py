@@ -42,9 +42,5 @@ class StateCapError(SublexpError):
         self.layer_sizes = layer_sizes
 
 
-class PDEStabilityError(SublexpError):
-    """The explicit scheme's monotonicity/stability bound is violated."""
-
-
 class PDENumericsError(SublexpError):
     """Non-finite values appeared during time stepping."""

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import engine
 from ._frozen import frozen
-from .errors import PDENumericsError, PDEStabilityError, ValidationError
+from .errors import PDENumericsError, ValidationError
 from .laws import ambiguity, two_point_law
 
 #: Extra half-width beyond the diffusion range so that catalog test
@@ -76,7 +76,7 @@ SUPPORT_MARGIN = 1.0
 
 _NAN_CHECK_EVERY = 200
 
-#: dt of ``default_grid`` as a fraction of the explicit scheme's stability limit.
+#: ``PDEGrid.dt`` as a fraction of the explicit scheme's stability limit.
 _CFL_SAFETY = 0.9
 
 
@@ -106,54 +106,45 @@ def check_time(t: float) -> None:
         raise ValidationError("time horizon must be positive and finite")
 
 
-def _check_nx(nx: int) -> None:
-    if nx < 3:
-        raise ValidationError("need at least 3 spatial points")
-
-
 @frozen
 class PDEGrid:
-    """Uniform grid on ``[-half_width, half_width]`` with explicit step dt."""
+    """Uniform grid of ``nx`` nodes on ``[-half_width, half_width]``.
 
-    half_width: float
-    nx: int
-    dt: float
+    The time step is not stored: ``dt(sigma_hi2)`` derives it from dx and the
+    upper variance, at ``_CFL_SAFETY`` of the explicit scheme's stability
+    limit, so the scheme is monotone on every grid.
+    """
+
+    half_width: float = 8.0
+    nx: int = 801
 
     def __post_init__(self) -> None:
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValidationError("half_width must be positive and finite")
-        _check_nx(self.nx)
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValidationError("dt must be positive and finite")
+        if self.nx < 3:
+            raise ValidationError("need at least 3 spatial points")
+        if not 0.0 < self.dx * self.dx < math.inf:  # a float ** raises where * gives inf
+            raise ValidationError(f"half_width {self.half_width} and nx {self.nx} give a "
+                                  "dx^2 that is not positive and finite")
 
     @property
     def dx(self) -> float:
         return 2.0 * self.half_width / (self.nx - 1)
 
-    def refined(self) -> "PDEGrid":
-        """Halve dx and quarter dt."""
-        return PDEGrid(self.half_width, 2 * self.nx - 1, self.dt / 4.0)
+    def dt(self, sigma_hi2: float) -> float:
+        """``_CFL_SAFETY`` of the stability limit dx^2 / (2 sigma_hi2); inf where that overflows."""
+        return _CFL_SAFETY * self.dx**2 / (2.0 * sigma_hi2 if sigma_hi2 > 0.0 else 2.0)
 
-    def check(self, p: GParams) -> None:
-        if self.dt * p.sigma_hi2 / self.dx**2 > 0.5 + 1e-12:
-            raise PDEStabilityError(
-                f"dt*sigma_hi2/dx^2 = {self.dt * p.sigma_hi2 / self.dx**2:.6g} > 0.5"
-            )
-        needed = 6.0 * math.sqrt(p.sigma_hi2) + SUPPORT_MARGIN
+    def refined(self) -> "PDEGrid":
+        """Halve dx, which quarters dt exactly."""
+        return PDEGrid(self.half_width, 2 * self.nx - 1)
+
+    def check(self, sigma_hi2: float) -> None:
+        needed = 6.0 * math.sqrt(sigma_hi2) + SUPPORT_MARGIN
         if self.half_width < needed - 1e-12:
             raise ValidationError(
                 f"half_width {self.half_width} too small; need >= {needed:.3g}"
             )
-
-
-def default_grid(p: GParams, half_width: float = 8.0, nx: int = 801) -> PDEGrid:
-    _check_nx(nx)  # before dx divides by nx - 1
-    dx = 2.0 * half_width / (nx - 1)
-    if p.sigma_hi2 > 0.0:
-        dt = _CFL_SAFETY * dx**2 / (2.0 * p.sigma_hi2)
-    else:
-        dt = _CFL_SAFETY * dx**2 / 2.0
-    return PDEGrid(half_width, nx, dt)
 
 
 def _nonfinite(fs: Sequence[engine.Functional], u: np.ndarray) -> str:
@@ -205,7 +196,7 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     if not fs:
         raise ValidationError("solve_gheats needs at least one functional")
     check_time(t)
-    grid.check(p)
+    grid.check(p.sigma_hi2)
     nx, k = grid.nx, len(fs)
     x = np.linspace(-grid.half_width, grid.half_width, nx)
     u = np.empty((nx, k))
@@ -214,7 +205,7 @@ def solve_gheats(fs: Sequence[engine.Functional], p: GParams, grid: PDEGrid,
     if not np.isfinite(u).all():
         raise PDENumericsError(f"initial data of {_nonfinite(fs, u)} is not finite on the grid")
 
-    n_steps = max(1, math.ceil(t / grid.dt - 1e-12))
+    n_steps = max(1, math.ceil(t / grid.dt(p.sigma_hi2) - 1e-12))
     dt = t / n_steps
     two, inv_dx2, lo, hi, half_dt = (np.array(c, dtype=np.float64) for c in (
         2.0, 1.0 / grid.dx**2, p.sigma_lo2, p.sigma_hi2, dt * 0.5))

@@ -39,24 +39,16 @@ class ResidueDecomposition:
 
     m: int
     k: int
-    classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        flat = sorted(i for cls in self.classes for i in cls)
-        if flat != list(range(1, self.k + 1)):
-            raise ValidationError("residue classes must partition 1..k")
-        for cls in self.classes:
-            if any(b - a != self.m + 1 for a, b in zip(cls, cls[1:])):
-                raise ValidationError("class indices must be m+1 apart")
+        if self.m < 0 or self.k < 1:
+            raise ValidationError("need m >= 0 and k >= 1")
 
-
-def residue_classes(m: int, k: int) -> ResidueDecomposition:
-    if m < 0 or k < 1:
-        raise ValidationError("need m >= 0 and k >= 1")
-    classes = tuple(
-        tuple(i for i in range(1, k + 1) if i % (m + 1) == j) for j in range(m + 1)
-    )
-    return ResidueDecomposition(m, k, classes)
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Class j holds the indices i of 1..k with i mod (m+1) = j, for j = 0..m."""
+        return tuple(tuple(i for i in range(1, self.k + 1) if i % (self.m + 1) == j)
+                     for j in range(self.m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +181,6 @@ class BatteryInstance:
 
     ident: str
     model: SequenceModel
-    m: int
     p: float
     n: int
     zero_mean: bool
@@ -216,7 +207,7 @@ def rosenthal_battery(seed: int = 20240901) -> tuple[BatteryInstance, ...]:
             model = (SequenceModel.iid(set_, ns[-1]) if m == 0 else
                      SequenceModel.moving_window(set_, rng.choice(_WEIGHT_MENU[m]), ns[-1]))
             instances += [
-                BatteryInstance(f"m{m}-v{variant}-n{n}-p{p:g}", model, m, p, n, zero_mean)
+                BatteryInstance(f"m{m}-v{variant}-n{n}-p{p:g}", model, p, n, zero_mean)
                 for n in ns for p in (2.0, 3.0, 4.0)
             ]
     return tuple(instances)
@@ -238,29 +229,26 @@ class ZReduction:
 
     m: int
     k_n: int
-    k_n_prime: int
-    blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        covered: list[int] = []
-        for a, b in self.blocks:
-            covered.extend(range(a, b + 1))
-        if covered != list(range(1, self.k_n + 1)):
-            raise ValidationError("Z blocks must partition 1..k_n in order")
+        if self.m < 1:
+            raise ValidationError("the Z reduction needs m >= 1")
+
+    @property
+    def k_n_prime(self) -> int:
+        return self.k_n // self.m + 1
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        m, k_prime = self.m, self.k_n_prime
+        blocks = tuple((m * (k - 1) + 1, m * k) for k in range(1, k_prime))
+        tail_start = m * (k_prime - 1) + 1
+        return blocks + ((tail_start, self.k_n),) if tail_start <= self.k_n else blocks
 
 
 def z_reduce(model: SequenceModel) -> ZReduction:
     """The blocks of ``model.m`` consecutive coordinates of ``model``."""
-    m = model.m
-    if m < 1:
-        raise ValidationError("z_reduce needs m >= 1")
-    k_n = model.n
-    k_prime = k_n // m + 1
-    blocks = [(m * (k - 1) + 1, m * k) for k in range(1, k_prime)]
-    tail_start = m * (k_prime - 1) + 1
-    if tail_start <= k_n:
-        blocks.append((tail_start, k_n))
-    return ZReduction(m=m, k_n=k_n, k_n_prime=k_prime, blocks=tuple(blocks))
+    return ZReduction(model.m, model.n)
 
 
 def z_block_second_moments(model: SequenceModel, red: ZReduction) -> list[tuple[float, float]]:

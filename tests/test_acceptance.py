@@ -185,7 +185,7 @@ def test_criterion_03_classical_reduction():
         worst = max(worst, abs(res.upper - expected), abs(res.lower - expected))
 
     gp = sl.GParams(1.0, 1.0)
-    grid = sl.default_grid(gp)
+    grid = sl.PDEGrid()
     errors = []
     for _ in range(3):
         (u,) = sl.solve_gheats((eng.square(),), gp, grid, 1.0)
@@ -212,7 +212,7 @@ def test_criterion_03_classical_reduction():
 def test_criterion_04_gnormal_moments():
     t0 = time.monotonic()
     gp = sl.GParams(0.5, 1.0)
-    grid = sl.default_grid(gp)
+    grid = sl.PDEGrid()
     fs = (eng.square(), eng.negated(eng.square()))
     up, lo = sl.solve_gheats(fs, gp, grid)
     quad_up, quad_lo = sl.gnormal_references(fs, gp)
@@ -234,7 +234,7 @@ def test_criterion_04_gnormal_moments():
 def test_criterion_05_peng_convergence():
     t0 = time.monotonic()
     gp = sl.GParams(0.5, 1.0)
-    grid = sl.default_grid(gp)
+    grid = sl.PDEGrid()
     fs = _bl_catalog()
     refs = sl.solve_gheats(fs, gp, grid)
     pengs = sl.peng_oracles(fs, gp, (8, 16, 32, 64))
@@ -265,7 +265,7 @@ def test_criterion_06_mdependent_clt():
     assert max(plateau) - min(plateau) <= 1e-2
     r = plateau[-1]
     gp = sl.GParams(r, 1.0)
-    grid = sl.default_grid(gp)
+    grid = sl.PDEGrid()
 
     fs = _bl_catalog()
     refs = _pde_bounds(fs, gp, grid)
@@ -302,7 +302,7 @@ def test_criterion_07_rosenthal_battery():
     reports = [(inst, rep) for inst, (rep,) in zip(battery, found)]
     c_max = max(rep.fitted_C for _, rep in reports)
     doob = [rep.lhs / rep.term_variance for inst, rep in reports
-            if inst.m == 0 and inst.p == 2.0 and inst.zero_mean]
+            if inst.model.m == 0 and inst.p == 2.0 and inst.zero_mean]
     elapsed = time.monotonic() - t0
     print(f"\nCRITERION 7: {len(reports)} instances, C_max = {c_max:.4f}, "
           f"zero-mean independent p=2 sub-battery max lhs/var = {max(doob):.4f}, "
@@ -473,7 +473,7 @@ def test_criterion_10_truncated_conditions():
     (res,) = sl.evaluate_columns(sl.row_sums(largest, [tau]), [(eng.square(), n_max)])
     r = res.lower / res.upper
     gp = sl.GParams(r, 1.0)
-    grid = sl.default_grid(gp)
+    grid = sl.PDEGrid()
 
     fs = _bl_catalog()
     refs = _pde_bounds(fs, gp, grid)

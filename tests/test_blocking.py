@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sublexp as sl
 import sublexp.blocking as blk
@@ -163,12 +164,53 @@ def test_plan_invariants_on_random_models():
                 variance_uncertain(), (1.0, rng.choice((0.5, 1.0))), n, scale
             )
         p_n = rng.choice((2, 4, 6))
-        plan = blk.build_plan(cond.row_context(model, n), p_n)  # __post_init__ re-validates
+        plan = blk.build_plan(cond.row_context(model, n), p_n)
         g = (0,) + plan.cuts
         for a, b in zip(g, g[1:]):
             assert a + p_n // 2 < b <= a + p_n
         flat = sorted(set(plan.cuts) | {k for b in plan.blocks for k in b})
         assert flat == list(range(1, n + 1))
+
+
+def _stored_plan(n: int, p_n: int, beta: tuple[float, ...]) -> tuple[tuple, tuple, tuple]:
+    """Cuts, windows and blocks by the loops that built them when a plan stored all three."""
+    g = [0]
+    windows = []
+    while g[-1] + p_n <= n:
+        window = tuple(range(g[-1] + p_n // 2 + 1, g[-1] + p_n + 1))
+        best = min(beta[k - 1] for k in window)
+        g.append(min(k for k in window if beta[k - 1] == best))
+        windows.append(window)
+    cuts = tuple(g[1:])
+    blocks = []
+    prev = 0
+    for b in cuts + (n + 1,):
+        blocks.append(tuple(range(prev + 1, b)))
+        prev = b
+    return cuts, tuple(windows), tuple(blocks)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plan_derives_the_stored_windows_and_blocks(data):
+    # few distinct betas, so the smallest-index tie break fires often
+    n = data.draw(st.integers(1, 64), label="n")
+    p_n = data.draw(st.sampled_from((2, 4, 6, 8, 12, 16)), label="p_n")
+    beta = tuple(data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0),
+                                    min_size=n, max_size=n), label="beta"))
+    ctx = cond.RowContext(sl.SequenceModel.iid(pm1_uncertain(), n), {}, eng.DEFAULT_STATE_CAP)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blk, "compute_beta", lambda _: beta)
+        plan = blk.build_plan(ctx, p_n)
+    cuts, windows, blocks = _stored_plan(n, p_n, beta)
+    assert (plan.cuts, plan.windows, plan.blocks, plan.h) == (cuts, windows, blocks, len(blocks))
+
+
+def test_plan_refuses_a_cut_past_k_n():
+    # the spacing holds (2 < 4 <= 4) and the recursion stopped in time (4 + 4 > 3)
+    with pytest.raises(ValidationError, match="cuts must lie in 1..k_n"):
+        blk.BlockingPlan(k_n=3, p_n=4, beta=(0.0, 0.0, 0.0), cuts=(4,))
+    assert blk.BlockingPlan(k_n=4, p_n=4, beta=(0.0,) * 4, cuts=(4,)).blocks == ((1, 2, 3), ())
 
 
 def test_cut_sparsity_bound():

@@ -475,10 +475,10 @@ def test_a_1_over_sqrt_n_model_compiles_each_row(engine_calls):
                                    "conditions": {"tau": 1.0}})
     assert len(cond.row_graphs(cfg.model_for, cfg.n_list)) == 3
     cli.run_clt_sweep(cfg)
-    # only the largest row's sum is also compiled clipped, for r; the full
-    # sums at n = 16 and 4 (scales 1/4 and 1/2) sit on the lattice and are
-    # swept as dense layers, so only n = 8 compiles its own
-    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[1.0], [None]]
+    # the full sums at n = 4 and 16 (scales 1/2 and 1/4) sit on the lattice
+    # and are swept as dense layers, so only n = 8 compiles its own; after
+    # every row, the largest row's sum is compiled clipped, for r
+    assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0]]
     assert _counts(engine_calls) == {"compile_sum": 2, "sweep_columns": 7, "window_columns": 6}
     # eval builds the same sums as the sweep's rows: dense layers at n = 16 and 4
     cli.run_eval(cfg)
@@ -502,8 +502,8 @@ def test_clt_sweep_sweeps_the_functionals_over_the_unclipped_sum_alone(engine_ca
     monkeypatch.setattr(eng, "sweep_columns", sizing)
     cli.run_clt_sweep(cfg)
     assert [_clips(call) for call in engine_calls["compile_sum"]] == [[None], [1.0]]
-    assert swept == [(1, 40_425, ["square"]), (1, 40_425, ["square"]),
-                     (1, 40_425, ["cos", "ramp@0"])]
+    assert swept == [(1, 40_425, ["square"]), (1, 40_425, ["cos", "ramp@0"]),
+                     (1, 40_425, ["square"])]
 
 
 @pytest.mark.parametrize("name", ["stationary-1dep", "iid-peng", "truncated-heavy"])
@@ -517,9 +517,9 @@ def test_clt_sweep_compiles_only_the_rows_off_the_lattice(engine_calls, name):
     heavy = name == "truncated-heavy"
     groups = len(cond.row_graphs(cfg.model_for, cfg.n_list))
     assert groups == (4 if heavy else 1)
-    # the rows of n = 48, then r, then n = 8 and 32
+    # the rows of n = 8, 32 and 48, then r
     assert [_clips(call) for call in engine_calls["compile_sum"]] == (
-        [[None], [1.0], [None], [None]] if heavy else [])
+        [[None], [None], [None], [1.0]] if heavy else [])
     # per group of rows, one sweep for E[S_n^2] and one for the functionals
     assert len(engine_calls["sweep_columns"]) == 2 * groups + heavy
 
@@ -756,7 +756,7 @@ _GNORMAL_RAW = {**SMALL_CONFIG, "mode": "gnormal_eval", "functionals": ["cos"],
                          ids=["gnormal", "clt-sweep"])
 def test_too_few_spatial_points_exit_1_without_traceback(tmp_path, capsys, command, raw,
                                                          source, nx):
-    # default_grid must check nx before it divides by nx - 1
+    # PDEGrid must check nx before dx divides by nx - 1
     if source == "yaml":
         raw = {**raw, "gnormal": {**raw["gnormal"], "nx": nx}}
     flags = ["--grid-nx", str(nx)] if source == "flag" else []
@@ -767,6 +767,35 @@ def test_too_few_spatial_points_exit_1_without_traceback(tmp_path, capsys, comma
     assert code == 1
     assert err == "error: need at least 3 spatial points\n"  # no traceback
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "yaml"])
+@pytest.mark.parametrize("command, raw", [("gnormal", _GNORMAL_RAW), ("clt-sweep", SMALL_CONFIG)],
+                         ids=["gnormal", "clt-sweep"])
+def test_a_grid_whose_dx_squared_overflows_exits_1_without_traceback(tmp_path, capsys, command,
+                                                                     raw, source):
+    # dx = 2e200 / 200 squares past the largest float, where a float ** raises
+    if source == "yaml":
+        raw = {**raw, "gnormal": {**raw["gnormal"], "half_width": 1.0e200}}
+    flags = ["--grid-L", "1.0e+200"] if source == "flag" else []
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: half_width 1e+200 and nx 201 give a dx^2 that is not positive and finite\n")
+    assert not out.exists()
+
+
+def test_a_subnormal_upper_variance_takes_one_pde_step(tmp_path):
+    # dt = 0.9 dx^2 / (2 * 5e-324) overflows to inf: t = 1 is one step, not an error
+    raw = {**_GNORMAL_RAW, "functionals": ["square"],
+           "gnormal": {"sigma_lo2": 0.0, "sigma_hi2": 5.0e-324, "nx": 101}}
+    out = tmp_path / "out"
+    assert cli.main(["gnormal", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 0
+    (row,) = _read(out / "tiny_gnormal.csv")
+    assert (row["sigma_hi2"], row["pde_upper"]) == ("4.94065645841e-324", "4.94065645841e-324")
 
 
 def test_tol_flag_drives_block_size_search(tmp_path):

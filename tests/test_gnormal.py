@@ -12,7 +12,7 @@ import pytest
 import sublexp as sl
 import sublexp.engine as eng
 import sublexp.gnormal as gn
-from sublexp.errors import PDENumericsError, PDEStabilityError, ValidationError
+from sublexp.errors import PDENumericsError, ValidationError
 
 from conftest import count_step_widths
 
@@ -58,19 +58,19 @@ def test_gparams_validation():
 
 
 def test_classical_reduction_square():
-    grid = sl.default_grid(SYM)
+    grid = sl.PDEGrid()
     (u,) = sl.solve_gheats((eng.square(),), SYM, grid, 1.0)
     assert abs(u - 1.0) <= 2e-3
 
 
 def test_constants_are_fixed_points():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     c = eng.Functional("const", lambda x: 2.5)
     assert sl.solve_gheats((c,), GP, grid, 1.0) == (2.5,)
 
 
 def test_extremal_variances():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     up, neg_lo = sl.solve_gheats((eng.square(), eng.negated(eng.square())), GP, grid)
     assert up == pytest.approx(1.0, abs=5e-3)
     assert neg_lo == pytest.approx(-0.5, abs=5e-3)
@@ -78,14 +78,14 @@ def test_extremal_variances():
 
 def test_symmetric_case_matches_analytic_cos():
     # classical heat semigroup: E[cos(x + sqrt(t) Z)] = exp(-t/2) cos(x)
-    grid = sl.default_grid(SYM)
+    grid = sl.PDEGrid()
     (u,) = sl.solve_gheats((eng.cosine(),), SYM, grid, 1.0)
     assert u == pytest.approx(math.exp(-0.5), abs=1e-5)
 
 
 def test_symmetric_case_matches_analytic_ramp():
     # E[min(1, Z^+)] = (phi(0) - phi(1)) + (1 - Phi(1)) for standard normal Z
-    grid = sl.default_grid(SYM)
+    grid = sl.PDEGrid()
     (u,) = sl.solve_gheats((eng.ramp(0.0),), SYM, grid, 1.0)
     density0 = 1.0 / math.sqrt(2 * math.pi)
     density1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
@@ -96,7 +96,7 @@ def test_symmetric_case_matches_analytic_ramp():
 def test_upper_value_dominates_constant_variance_gaussians():
     # the adversarial diffusion can hold any sigma^2 in the interval, so the
     # upper expectation is at least every constant-variance Gaussian value
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     (u,) = sl.solve_gheats((eng.cosine(),), GP, grid, 1.0)
     for s2 in (0.5, 0.7, 1.0):
         assert u >= math.exp(-0.5 * s2) - 1e-4
@@ -105,7 +105,7 @@ def test_upper_value_dominates_constant_variance_gaussians():
 
 
 def test_scheme_monotone_in_initial_data():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     one = eng.Functional("one", lambda x: 1.0)
     above = eng.Functional("cos+.1", lambda x: math.cos(x) + 0.1)
     u_ramp, u_one, u_cos, u_above = sl.solve_gheats(
@@ -115,7 +115,7 @@ def test_scheme_monotone_in_initial_data():
 
 
 def test_subadditivity_transfer():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     f, g = eng.cosine(), eng.ramp(0.0)
     both = eng.Functional("f+g", lambda x: f.phi(x) + g.phi(x))
     lhs, u_f, u_g = sl.solve_gheats((both, f, g), GP, grid)
@@ -123,7 +123,7 @@ def test_subadditivity_transfer():
 
 
 def test_refinement_increments_decrease_for_smooth_data():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     vals = []
     for _ in range(4):
         vals += sl.solve_gheats((eng.cosine(),), GP, grid)
@@ -133,7 +133,7 @@ def test_refinement_increments_decrease_for_smooth_data():
 
 
 def test_refinement_converged_for_kinked_data():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     vals = []
     for _ in range(3):
         vals += sl.solve_gheats((eng.ramp(0.0),), GP, grid)
@@ -141,27 +141,53 @@ def test_refinement_converged_for_kinked_data():
     assert max(abs(b - a) for a, b in zip(vals, vals[1:])) < 1e-5
 
 
-def test_stability_violation_raises():
-    bad = sl.PDEGrid(8.0, 801, 1.0)
-    with pytest.raises(PDEStabilityError):
-        sl.solve_gheats((eng.square(),), GP, bad, 1.0)
+def _stored_dt(half_width: float, nx: int, sigma_hi2: float) -> float:
+    """The step a grid stored when it carried its dt, by the rule that set it."""
+    dx = 2.0 * half_width / (nx - 1)
+    if sigma_hi2 > 0.0:
+        return 0.9 * dx**2 / (2.0 * sigma_hi2)
+    return 0.9 * dx**2 / 2.0
+
+
+@pytest.mark.parametrize("nx", (3, 4, 41, 801, 1601))
+@pytest.mark.parametrize("half_width", (2.0, 8.0, 13.5))
+def test_dt_is_the_stored_step_bit_for_bit(half_width, nx):
+    grid = sl.PDEGrid(half_width, nx)
+    for s in (0.0, 5e-324, 0.81, 1.0, 4.0):
+        want = _stored_dt(half_width, nx, s)  # inf at the subnormal: one step to any t
+        assert grid.dt(s).hex() == want.hex()
+        # halving dx and dividing by 4 are exact
+        assert grid.refined().dt(s).hex() == (want / 4.0).hex()
+        if s >= 0.81:
+            assert grid.dt(s) * s / grid.dx**2 == pytest.approx(0.45, rel=1e-15)
+
+
+def test_a_grid_whose_dx_squared_is_not_positive_and_finite_is_refused():
+    # a float ** raises OverflowError where dx * dx is inf
+    dx = 2.0 * 1.0e200 / 800
+    assert dx * dx == math.inf
+    with pytest.raises(ValidationError, match=r"^half_width 1e\+200 and nx 801 give a dx\^2"):
+        sl.PDEGrid(1.0e200, 801)
+    with pytest.raises(ValidationError, match="not positive and finite"):
+        sl.PDEGrid(8.0, 10**200)  # dx * dx underflows to 0
+    assert sl.PDEGrid(1.0e150, 801).dx == 2.0 * 1.0e150 / 800
 
 
 def test_domain_too_small_raises():
-    grid = sl.PDEGrid(2.0, 201, 1e-5)
+    grid = sl.PDEGrid(2.0, 201)
     with pytest.raises(ValidationError):
         sl.solve_gheats((eng.square(),), GP, grid, 1.0)
 
 
 def test_nonfinite_initial_data_raises():
-    grid = sl.default_grid(GP)
+    grid = sl.PDEGrid()
     blowup = eng.Functional("inf", lambda x: math.inf if x > 7.9 else 0.0)
     with pytest.raises(PDENumericsError):
         sl.solve_gheats((blowup,), GP, grid, 1.0)
 
 
 def test_nonfinite_initial_data_names_the_row():
-    grid = sl.default_grid(GP, nx=101)
+    grid = sl.PDEGrid(nx=101)
     blowup = eng.Functional("blowup", lambda x: math.nan if x < -7.9 else x)
     with pytest.raises(PDENumericsError, match="initial data of blowup is not finite") as err:
         sl.solve_gheats([eng.cosine(), blowup, eng.ramp(0.0)], GP, grid)
@@ -170,7 +196,7 @@ def test_nonfinite_initial_data_names_the_row():
 
 def test_overflow_in_a_batch_names_the_row():
     # 2.0 * 1e308 overflows in the first step; only that row goes non-finite
-    grid = sl.default_grid(GP, nx=101)
+    grid = sl.PDEGrid(nx=101)
     huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PDENumericsError, match="in huge after step 0") as err:
@@ -180,7 +206,7 @@ def test_overflow_in_a_batch_names_the_row():
 
 def test_empty_batch_rejected():
     with pytest.raises(ValidationError):
-        sl.solve_gheats((), GP, sl.default_grid(GP))
+        sl.solve_gheats((), GP, sl.PDEGrid())
 
 
 def test_equal_int64_views_are_equal_floats_with_equal_sign_bits():
@@ -214,7 +240,7 @@ def test_time_loop_allocates_nothing_per_step(monkeypatch):
     # identity retires after step 200 of both runs below; the other rows keep stepping
     for fs, retired in ((live, 0), ((eng.identity(), *live), 1)):
         k, nx = len(fs), 801
-        grid = sl.default_grid(GP, nx=nx)
+        grid = sl.PDEGrid(nx=nx)
         with monkeypatch.context() as mp:
             widths = count_step_widths(mp, nx)
             sl.solve_gheats(fs, GP, grid, 0.05)  # also warms numpy's caches outside the trace
@@ -293,7 +319,7 @@ def test_peng_oracles_sweep_one_graph_once_for_any_list_of_n(monkeypatch):
 
 def test_peng_agreement_with_pde_improves():
     fs = (eng.cosine(), eng.ramp(0.0))
-    refs = sl.solve_gheats(fs, GP, sl.default_grid(GP))
+    refs = sl.solve_gheats(fs, GP, sl.PDEGrid())
     pengs = sl.peng_oracles(fs, GP, (8, 16, 32))
     for c, ref in enumerate(refs):
         gaps = [abs(row[c] - ref) for row in pengs]
@@ -331,7 +357,7 @@ def test_quadrature_rejects_mixed_curvature():
 def test_quadrature_agrees_with_pde():
     fs = (eng.square(), eng.negated(eng.square()))
     assert sl.gnormal_references(fs, GP) == pytest.approx(
-        sl.solve_gheats(fs, GP, sl.default_grid(GP)), abs=5e-3)
+        sl.solve_gheats(fs, GP, sl.PDEGrid()), abs=5e-3)
 
 
 def test_quadrature_zero_variance_point_mass():
@@ -351,7 +377,7 @@ def test_quadrature_of_any_functional_at_equal_variances():
     normal_pdf = lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
     exact_ramp = normal_pdf(0.0) - normal_pdf(1.0) + 0.5 * math.erfc(1.0 / math.sqrt(2.0))
     assert refs[ramp] == pytest.approx(exact_ramp, abs=1e-3)
-    assert refs == pytest.approx(sl.solve_gheats(fs, SYM, sl.default_grid(SYM)), abs=5e-3)
+    assert refs == pytest.approx(sl.solve_gheats(fs, SYM, sl.PDEGrid()), abs=5e-3)
     # sigma^2 = 0 is the point mass at 0
     point = sl.GParams(0.0, 0.0)
     assert sl.gnormal_references(fs, point) == tuple(f.phi(0.0) for f in fs)

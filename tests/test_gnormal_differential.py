@@ -34,13 +34,13 @@ def reference_solve_gheat(f: eng.Functional, p: sl.GParams, grid: sl.PDEGrid,
                           t: float = 1.0) -> float:
     if not (t > 0.0 and math.isfinite(t)):
         raise ValidationError("time horizon must be positive and finite")
-    grid.check(p)
+    grid.check(p.sigma_hi2)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
     u = np.array([f.phi(float(xi)) for xi in x], dtype=float)
     if not np.isfinite(u).all():
         raise PDENumericsError("initial data is not finite on the grid")
 
-    n_steps = max(1, math.ceil(t / grid.dt - 1e-12))
+    n_steps = max(1, math.ceil(t / grid.dt(p.sigma_hi2) - 1e-12))
     dt = t / n_steps
     inv_dx2 = 1.0 / grid.dx**2
     for step in range(n_steps):
@@ -74,8 +74,8 @@ NXS = (3, 4, 200, 401)  # 200 is even: 0 falls between two nodes
 TIMES = ("1", "0.37", "below one dt")
 
 
-def _horizon(label: str, grid: sl.PDEGrid) -> float:
-    return grid.dt / 2.0 if label == "below one dt" else float(label)
+def _horizon(label: str, dt: float) -> float:
+    return dt / 2.0 if label == "below one dt" else float(label)
 
 
 def _exact(values) -> list[str]:
@@ -87,10 +87,11 @@ def _exact(values) -> list[str]:
 @pytest.mark.parametrize("nx", NXS)
 @pytest.mark.parametrize("p", PARAMS, ids=lambda p: f"{p.sigma_lo2:g}-{p.sigma_hi2:g}")
 def test_batched_solve_equals_per_row_loop(p, nx, label):
-    grid = sl.default_grid(p, nx=nx)
-    t = _horizon(label, grid)
+    grid = sl.PDEGrid(nx=nx)
+    dt = grid.dt(p.sigma_hi2)
+    t = _horizon(label, dt)
     if label == "below one dt":
-        assert max(1, math.ceil(t / grid.dt - 1e-12)) == 1
+        assert max(1, math.ceil(t / dt - 1e-12)) == 1
     want = [reference_solve_gheat(f, p, grid, t) for f in FUNCTIONALS]
 
     assert _exact(sl.solve_gheats(FUNCTIONALS, p, grid, t)) == _exact(want)
@@ -104,14 +105,14 @@ def test_gnormal_fine_shape_equals_per_row_loop():
     # the rows f, -f of the five catalog functionals at nx = 1601; t = 0.01 is
     # 223 steps, past the NaN check at step 200
     p = sl.GParams(0.5, 1.0)
-    grid = sl.default_grid(p, nx=1601)
+    grid = sl.PDEGrid(nx=1601)
     fs = [g for f in eng.catalog() for g in (f, eng.negated(f))]
-    assert len(fs) == 10 and math.ceil(0.01 / grid.dt - 1e-12) == 223
+    assert len(fs) == 10 and math.ceil(0.01 / grid.dt(p.sigma_hi2) - 1e-12) == 223
     want = [reference_solve_gheat(f, p, grid, 0.01) for f in fs]
     assert _exact(sl.solve_gheats(fs, p, grid, 0.01)) == _exact(want)
 
 
-_SMALL = {p: sl.default_grid(p, nx=41) for p in PARAMS}
+_SMALL = {p: sl.PDEGrid(nx=41) for p in PARAMS}
 _SMALL_WANT = {
     p: [reference_solve_gheat(f, p, grid) for f in FUNCTIONALS] for p, grid in _SMALL.items()
 }
@@ -135,9 +136,11 @@ def test_row_value_does_not_depend_on_its_batch(p, rows):
 
 @st.composite
 def gparams(draw):
-    """``0 <= sigma_lo2 <= sigma_hi2``: either end may be 0, and they may be equal."""
-    # subnormal sigma_hi2 would make default_grid's dt overflow
-    hi = draw(st.one_of(st.just(1.0), st.floats(0.0, 4.0, allow_subnormal=False)))
+    """``0 <= sigma_lo2 <= sigma_hi2``: either end may be 0 or subnormal, and they may be equal.
+
+    A subnormal sigma_hi2 makes ``PDEGrid.dt`` overflow to inf, which is one step.
+    """
+    hi = draw(st.one_of(st.just(1.0), st.just(5e-324), st.floats(0.0, 4.0)))
     frac = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     return sl.GParams(hi * frac, hi)  # monotone rounding keeps hi * frac <= hi
 
@@ -147,7 +150,7 @@ def gparams(draw):
 def test_any_variance_interval_equals_per_row_loop(p):
     # the max rule against the reference's masked choice, for any coefficients
     half_width = max(8.0, 6.0 * math.sqrt(p.sigma_hi2) + SUPPORT_MARGIN)
-    grid = sl.default_grid(p, half_width=half_width, nx=41)
+    grid = sl.PDEGrid(half_width, 41)
     want = [reference_solve_gheat(f, p, grid) for f in FUNCTIONALS]
     assert _exact(sl.solve_gheats(FUNCTIONALS, p, grid)) == _exact(want)
 
@@ -156,7 +159,7 @@ def test_overflow_to_plus_inf_with_zero_lower_variance_raises_like_the_loop():
     # at the plateau's edge d2 = +inf: 0 * inf makes the max rule give NaN where
     # the masked choice gave inf; both are non-finite, so the error is the same
     p = sl.GParams(0.0, 1.0)
-    grid = sl.default_grid(p, nx=101)
+    grid = sl.PDEGrid(nx=101)
     huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0)
     x = np.linspace(-grid.half_width, grid.half_width, grid.nx)
     u = np.array([huge.phi(float(xi)) for xi in x])
@@ -203,9 +206,10 @@ RETIRE_PARAMS = (sl.GParams(0.5, 1.0), sl.GParams(0.25, 0.81), sl.GParams(0.0, 0
 def test_retired_and_live_rows_equal_per_row_loop(p, nx, steps, monkeypatch):
     # horizons that end before, at and after a check step, and one past two of them;
     # G = 0 leaves every row at a fixed point
-    grid = sl.default_grid(p, nx=nx)
-    t = steps * grid.dt
-    assert max(1, math.ceil(t / grid.dt - 1e-12)) == steps
+    grid = sl.PDEGrid(nx=nx)
+    dt = grid.dt(p.sigma_hi2)
+    t = steps * dt
+    assert max(1, math.ceil(t / dt - 1e-12)) == steps
     want = [reference_solve_gheat(f, p, grid, t) for f in MIXED]
     stepped = count_step_widths(monkeypatch, nx)
     assert _exact(sl.solve_gheats(MIXED, p, grid, t)) == _exact(want)
@@ -226,9 +230,9 @@ def test_retired_and_live_rows_equal_per_row_loop(p, nx, steps, monkeypatch):
 def test_gnormal_fine_shape_retires_identity_rows_after_step_200(monkeypatch):
     # the built-in gnormal-fine solve: f, -f for the five catalog functionals
     p, nx = sl.GParams(0.5, 1.0), 1601
-    grid = sl.default_grid(p, nx=nx)
+    grid = sl.PDEGrid(nx=nx)
     fs = [g for f in eng.catalog() for g in (f, eng.negated(f))]
-    n_steps = math.ceil(1.0 / grid.dt - 1e-12)
+    n_steps = math.ceil(1.0 / grid.dt(p.sigma_hi2) - 1e-12)
     stepped = count_step_widths(monkeypatch, nx)
     sl.solve_gheats(fs, p, grid, 1.0)
     assert stepped == [10] * (_NAN_CHECK_EVERY + 1) + [8] * (n_steps - _NAN_CHECK_EVERY - 1)
@@ -237,28 +241,28 @@ def test_gnormal_fine_shape_retires_identity_rows_after_step_200(monkeypatch):
 def test_rows_that_never_settle_never_narrow(monkeypatch):
     # the clt-flagship solve: cos and ramp@0, each with its negation
     p, nx = sl.GParams(0.5, 1.0), 801
-    grid = sl.default_grid(p, nx=nx)
+    grid = sl.PDEGrid(nx=nx)
     fs = [g for f in (eng.cosine(), eng.ramp(0.0)) for g in (f, eng.negated(f))]
     stepped = count_step_widths(monkeypatch, nx)
     sl.solve_gheats(fs, p, grid, 1.0)
-    assert stepped == [4] * math.ceil(1.0 / grid.dt - 1e-12)
+    assert stepped == [4] * math.ceil(1.0 / grid.dt(p.sigma_hi2) - 1e-12)
 
 
 def test_loop_stops_once_every_row_has_retired(monkeypatch):
     p, nx = sl.GParams(0.5, 1.0), 401
-    grid = sl.default_grid(p, nx=nx)
+    grid = sl.PDEGrid(nx=nx)
     fs = (eng.identity(), eng.negated(eng.identity()), _CONST)
     want = [reference_solve_gheat(f, p, grid) for f in fs]
     stepped = count_step_widths(monkeypatch, nx)
     assert _exact(sl.solve_gheats(fs, p, grid)) == _exact(want)
     # the constant row leaves after step 0, the identity rows after step 200
     assert stepped == [3] + [2] * _NAN_CHECK_EVERY
-    assert len(stepped) < math.ceil(1.0 / grid.dt - 1e-12)
+    assert len(stepped) < math.ceil(1.0 / grid.dt(p.sigma_hi2) - 1e-12)
 
 
 def test_overflow_beside_a_retiring_row_raises_like_the_loop():
     p = sl.GParams(0.5, 1.0)
-    grid = sl.default_grid(p, nx=101)
+    grid = sl.PDEGrid(nx=101)
     huge = eng.Functional("huge", lambda x: 1e308 if abs(x) < 1.0 else 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PDENumericsError, match="after step 0"):
@@ -272,7 +276,7 @@ def test_non_finite_row_after_retirements_is_named_by_its_own_name(monkeypatch):
     # const retires after step 0 and identity after step 200, so by step 300
     # ramp@0 has moved from column 3 to column 1; a NaN put there names it alone
     p, nx = sl.GParams(0.5, 1.0), 101
-    grid = sl.default_grid(p, nx=nx)
+    grid = sl.PDEGrid(nx=nx)
     fs = (_CONST, eng.cosine(), eng.identity(), eng.ramp(0.0))
     stepped = count_step_widths(monkeypatch, nx)
     counting = gn.np.subtract
@@ -285,4 +289,4 @@ def test_non_finite_row_after_retirements_is_named_by_its_own_name(monkeypatch):
 
     gn.np.subtract = poisoned
     with pytest.raises(PDENumericsError, match="non-finite values in ramp@0 after step 400"):
-        sl.solve_gheats(fs, p, grid, 500 * grid.dt)
+        sl.solve_gheats(fs, p, grid, 500 * grid.dt(p.sigma_hi2))

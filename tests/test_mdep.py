@@ -26,31 +26,41 @@ TOL = 1e-10
 
 
 def test_residue_classes_m1_k5():
-    dec = mdep.residue_classes(1, 5)
+    dec = mdep.ResidueDecomposition(1, 5)
     assert dec.classes == ((2, 4), (1, 3, 5))
 
 
 def test_residue_classes_m0_single_class():
-    dec = mdep.residue_classes(0, 4)
+    dec = mdep.ResidueDecomposition(0, 4)
     assert dec.classes == ((1, 2, 3, 4),)
 
 
 def test_residue_classes_m2_k7():
-    dec = mdep.residue_classes(2, 7)
+    dec = mdep.ResidueDecomposition(2, 7)
     assert dec.classes == ((3, 6), (1, 4, 7), (2, 5))
 
 
 def test_residue_classes_validation():
     with pytest.raises(ValidationError):
-        mdep.residue_classes(-1, 5)
+        mdep.ResidueDecomposition(-1, 5)
     with pytest.raises(ValidationError):
-        mdep.residue_classes(1, 0)
+        mdep.ResidueDecomposition(1, 0)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_residue_classes_follow_the_stored_rule(m):
+    for k in range(1, 31):
+        want = tuple(tuple(i for i in range(1, k + 1) if i % (m + 1) == j) for j in range(m + 1))
+        assert mdep.ResidueDecomposition(m, k).classes == want
+        flat = sorted(i for cls in want for i in cls)
+        assert flat == list(range(1, k + 1))
+        assert all(b - a == m + 1 for cls in want for a, b in zip(cls, cls[1:]))
 
 
 def test_residue_class_of_window_model_is_independent():
     # indices m+1 apart share no innovations, so products factorize
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 1.0), 5)
-    cls = mdep.residue_classes(1, 5).classes[1][:2]  # (1, 3)
+    cls = mdep.ResidueDecomposition(1, 5).classes[1][:2]  # (1, 3)
     (joint,), _ = sl.window_columns(model, cls, [lambda xs: xs[0] * xs[1]], [])
     (up,), (lo,) = sl.window_columns(model, cls[1:], [lambda xs: xs[0]], [lambda xs: xs[0]])
     (composed,), _ = sl.window_columns(
@@ -138,7 +148,7 @@ def test_rosenthal_battery_slice_bounded():
     assert insts
     found = mdep.rosenthal_checks([(inst.model, [(inst.n, inst.p)]) for inst in insts])
     for inst, (rep,) in zip(insts, found):
-        assert (rep.n, rep.p, rep.m) == (inst.n, inst.p, inst.m)
+        assert (rep.n, rep.p, rep.m) == (inst.n, inst.p, inst.model.m)
         assert math.isfinite(rep.lhs)
         assert rep.lhs <= rep.fitted_C * rep.rhs_sum + 1e-9
 
@@ -197,6 +207,18 @@ def test_z_reduce_m2_k7_trace():
 def test_z_reduce_validates_m():
     with pytest.raises(ValidationError, match="m >= 1"):
         mdep.z_reduce(sl.SequenceModel.iid(pm1_uncertain(), 5))
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_z_reduction_follows_the_stored_rule(m):
+    for k_n in range(1, 31):
+        k_prime = k_n // m + 1
+        want = [(m * (k - 1) + 1, m * k) for k in range(1, k_prime)]
+        if m * (k_prime - 1) + 1 <= k_n:
+            want.append((m * (k_prime - 1) + 1, k_n))
+        red = mdep.ZReduction(m, k_n)
+        assert (red.k_n_prime, red.blocks) == (k_prime, tuple(want))
+        assert [i for a, b in red.blocks for i in range(a, b + 1)] == list(range(1, k_n + 1))
 
 
 def test_z_reduce_preserves_eval_sum():

@@ -55,10 +55,10 @@ def samples() -> dict[type, object]:
         MODEL.sets[0].laws[0], MODEL.sets[0], moments(MODEL.sets[0], 3.0),
         Event("ge", 0.5), eng.cosine(), MODEL, ctx.m2, graph,
         eng.row_sums(MODEL),
-        gp, gn.default_grid(gp), exp.ModelSpec(builder="iid-peng"), exp.GnormalSettings(),
+        gp, gn.PDEGrid(), exp.ModelSpec(builder="iid-peng"), exp.GnormalSettings(),
         exp.ConditionSettings(), exp.BlockingSettings(), exp.reference_experiments()["iid-peng"],
         report.trunc, report, ctx, plan,
-        blk.diagnostics(ctx, plan), mdep.residue_classes(1, 6),
+        blk.diagnostics(ctx, plan), mdep.ResidueDecomposition(1, 6),
         mdep.rosenthal_checks([(MODEL, [(8, 2.0)])])[0][0], mdep.rosenthal_battery()[0],
         mdep.z_reduce(MODEL), mdep.three_part_split(MODEL, 8, 2),
     ]
@@ -175,7 +175,7 @@ def test_repr_lists_the_fields(cls):
 
 @pytest.mark.parametrize("value, changes", [
     (gn.GParams(0.5, 1.0), {"sigma_lo2": 2.0}),
-    (gn.default_grid(gn.GParams(0.5, 1.0)), {"nx": 2}),
+    (gn.PDEGrid(), {"nx": 2}),
     (centered_three_point_law(0.49), {"probs": (0.5, 0.5, 0.5)}),
     (MODEL, {"sets": MODEL.sets[:1]}),
     (MODEL, {"weights": ()}),
