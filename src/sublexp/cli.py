@@ -13,18 +13,17 @@ All computation is exact and deterministic; reports are written only after
 a run completes, with fixed column order and 12-significant-digit decimals,
 so repeated runs produce byte-identical files.  Exit codes: 0 success,
 1 configuration/validation error, 2 computation error (state cap exceeded,
-non-finite values in the PDE solve).
+non-finite values in the PDE solve, a payoff or normalizer that overflows
+a float).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import os
 import sys
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -84,15 +83,15 @@ def _pde_bounds(fs: list[engine.Functional], gp: gnormal.GParams,
                 grid: gnormal.PDEGrid) -> list[tuple[float, float]]:
     """Upper and lower G-normal expectation of each of ``fs`` at t = 1, from one batched solve.
 
-    The rows are ``f1, -f1, f2, -f2, ...``; the lower value is minus the
-    upper value of the negated functional.  A config without functionals
-    still runs, with no rows.
+    The rows are ``f1, -f1, f2, -f2, ...``; the lower value is ``0.0 -``
+    the upper value of the negated functional, the engine's conjugate rule.
+    A config without functionals still runs, with no rows.
     """
     if not fs:
         return []
     rows = [g for f in fs for g in (f, engine.negated(f))]
     values = gnormal.solve_gheats(rows, gp, grid)
-    return [(up, -neg_up) for up, neg_up in zip(values[::2], values[1::2])]
+    return [(up, 0.0 - neg_up) for up, neg_up in zip(values[::2], values[1::2])]
 
 
 def _sweep_r(cfg: ExperimentConfig, last: cond.RowContext) -> float:
@@ -274,17 +273,16 @@ ROSENTHAL_HEADER = (
 def run_rosenthal(cfg: ExperimentConfig) -> dict[str, Table]:
     """The battery's checks from one ``rosenthal_checks`` call, rows in battery order.
 
-    A family is a run of instances on one model; the call checks equal
-    models together and compiles one running-max graph per support key.
+    The call checks equal models together and compiles one running-max
+    graph per support key.
     """
     battery = mdep.rosenthal_battery(cfg.rosenthal_seed)
-    families = [(model, [(inst.n, inst.p) for inst in group])
-                for model, group in itertools.groupby(battery, key=attrgetter("model"))]
-    found = mdep.rosenthal_checks(families, state_cap=cfg.state_cap)
+    found = mdep.rosenthal_checks([(inst.model, inst.n, inst.p) for inst in battery],
+                                  state_cap=cfg.state_cap)
     rows: list[Row] = [
         [inst.ident, inst.model.m, inst.p, inst.n, inst.zero_mean, rep.lhs,
          rep.term_moments, rep.term_variance, rep.term_means, rep.fitted_C]
-        for inst, rep in zip(battery, itertools.chain.from_iterable(found))]
+        for inst, rep in zip(battery, found)]
     return {"rosenthal": (ROSENTHAL_HEADER, rows)}
 
 
@@ -452,6 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (StateCapError, PDENumericsError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # Python's float ** raises where numpy would give inf
+        print("computation error: a value overflows a float", file=sys.stderr)
         return 2
     for path in written:
         print(path)

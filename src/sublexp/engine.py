@@ -27,15 +27,21 @@ one whole layer at a time as numpy arrays (window codes, sums, running
 maxima), and records, per draw, the index of every state's child under
 each distinct support value.  ``sweep_columns`` then sweeps that graph
 backwards once with numpy gathers for every column ``(f, M)`` asked of
-it, ``f`` of the sum of coordinates 1..M, taking upper columns and lower
+it, ``f`` of the sum of coordinates 1..M.  It takes upper and lower
 columns as separate lists, so a caller that reads one side does not carry
-the other.  ``evaluate_columns`` passes each column to both sides.  The
-accumulation order is fixed: each law's expectation starts at 0.0 and
-adds ``p * value`` over the law's support in increasing order, and the
-best law replaces the running best only when strictly better.  That is
-the order of a per-state scalar recursion, so the vectorized values are
-the same floats bit for bit.  A caller compiles a sum once and asks for
-all its functionals and horizons in one sweep.  The graph is a local of
+the other; ``evaluate_columns`` passes each column to both sides.  Every
+backward pass maximizes only: a lower value is the conjugate
+``e[phi] = -E[-phi]``, swept as the upper value of ``-phi`` and read back
+as ``0.0 - v``.  That is the direct minimum bit for bit, because IEEE
+rounding is symmetric under negation, a strict ``>`` on negated values
+picks the law a strict ``<`` picks, and no swept value is -0.0, so
+``0.0 - v`` gives +0.0 where the minimum is 0.  The accumulation order is
+fixed: each law's expectation starts at 0.0 and adds ``p * value`` over
+the law's support in increasing order, and the best law replaces the
+running best only when strictly greater.  That is the order of a
+per-state scalar recursion, so the vectorized values are the same floats
+bit for bit.  A caller compiles a sum once and asks for all its
+functionals and horizons in one sweep.  The graph is a local of
 the caller's frame, one row (one horizon n) at a time, and there is no
 process-wide cache.  A graph depends on each draw's support columns, the
 weights and the scale (``support_key``), not on the probabilities, so
@@ -85,9 +91,10 @@ and the counts are summed the same way on either.
 Functionals of a few coordinates are evaluated by recursion over the full
 history of the draws they involve.  ``window_columns`` carries many payoff
 columns through one such recursion, upper and lower columns as separate
-lists, as ``sweep_columns`` takes them; each column keeps its own running
-value per law and its own best, so it is the same floats as a recursion
-that carries it alone.  ``marginal_columns`` gives ``E[phi(X_k)]`` for every
+lists, as ``sweep_columns`` takes them, and a lower column as the upper
+column of its negated payoff; each column keeps its own running value per
+law and its own best, so it is the same floats as a recursion that carries
+it alone.  ``marginal_columns`` gives ``E[phi(X_k)]`` for every
 k and every column; it evaluates one index when all coordinates share one
 sub-linear law, and one per k otherwise.  ``spread_columns`` adds the
 ``E[X_k]`` and ``e[X_k]`` columns to a caller's own and returns
@@ -96,7 +103,7 @@ to right, the same way on every Python version.
 
 ``oracle_policy_enum`` evaluates the same supremum by direct recursion over
 full histories, with no state merging and payoffs recomputed from scratch,
-the upper and the lower value as two columns of one recursion; it is the
+``phi`` and ``-phi`` as two columns of one recursion; it is the
 independent cross-check for the layered DP.
 """
 
@@ -837,18 +844,18 @@ def row_sums(model: SequenceModel, clips: Sequence[float | None] = (None,), *,
     return compile_sum(model, masks=[None] * len(clips), x_clip=clips, state_cap=state_cap)
 
 
-def _back(vals: np.ndarray, K: int, laws: tuple, rows: int,
+def _back(vals: np.ndarray, laws: tuple, rows: int,
           child: Callable[[int], np.ndarray]) -> np.ndarray:
-    """One draw of the backward pass: every state's best law, per column.
+    """One draw of the backward pass: every state's best law, per column of ``vals``.
 
     ``child(j)`` holds the ``rows`` states' values under support column j:
     a gather of a graph's children, or a slice of dense offsets.
     Each law's expectation starts at 0.0 and adds ``p * child(j)`` over the
     law's support in order, and replaces the best only when strictly
-    better: greater in the first ``K`` (upper) columns, smaller in the rest.
+    greater.  Every column is maximized: a lower column holds the values
+    of ``-phi`` (see ``sweep_columns``).
     """
-    best = np.full((rows, vals.shape[1]), math.inf)
-    best[:, :K] = -math.inf
+    best = np.full((rows, vals.shape[1]), -math.inf)
     better = np.empty(best.shape, dtype=bool)
     term = np.empty(best.shape)
     for law in laws:
@@ -857,8 +864,7 @@ def _back(vals: np.ndarray, K: int, laws: tuple, rows: int,
         acc += 0.0  # 0.0 + p * value: -0.0 becomes 0.0
         for j, p in rest:
             acc += np.multiply(child(j), p, out=term)
-        np.greater(acc[:, :K], best[:, :K], out=better[:, :K])
-        np.less(acc[:, K:], best[:, K:], out=better[:, K:])
+        np.greater(acc, best, out=better)
         np.copyto(best, acc, where=better)
     return best
 
@@ -872,11 +878,20 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
     graph it joins the sweep at layer M + lead, the top of the compile of
     ``model.prefix(M)`` (later draws complete only later coordinates), with
     ``phi`` called once per distinct argument there (no argument is -0.0),
-    once for a functional asked on both sides.  The upper columns, then the
-    lower, live in one ``(states, columns)`` array, gathered one support
-    column at a time, and each column takes the float operations of a
-    per-state dict recursion on its prefix, so its values are those bit for
-    bit.  A side no caller reads is simply not carried.
+    once for a functional asked on both sides.  The columns live in one
+    ``(states, columns)`` array in the order they join, gathered one
+    support column at a time, and each column takes the float operations
+    of a per-state dict recursion on its prefix, so its values are those
+    bit for bit.  A side no caller reads is simply not carried.
+
+    Every column is maximized.  A lower column is the conjugate
+    ``e[phi] = -E[-phi]``: its payoffs are negated as it joins, and its
+    value is read back as ``0.0 - v``.  That is the direct minimum bit for
+    bit.  IEEE rounding is symmetric, so ``p * -v`` is ``-(p * v)`` and a
+    sum of negated terms is the negated sum; a strict ``>`` on negated
+    values picks the law a strict ``<`` picks, ties included; and after
+    ``0.0 + p * value`` no value is -0.0 on either side, so ``0.0 - v``
+    turns a 0 back into +0.0, where ``-v`` would give -0.0.
 
     On a ``DenseSum`` a column starts at the last layer of ``S_M``'s own
     dense layers, is swept back through its last m draws, which add only
@@ -897,21 +912,22 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
     dense = isinstance(sums, DenseSum)
     lead = 0 if dense else sums.lead
     n = len(sums.laws) - sums.lead
-    sides = (upper, lower)
-    if any(not 1 <= M <= n for side in sides for _, M in side):
+    columns = [*upper, *lower]
+    if any(not 1 <= M <= n for _, M in columns):
         raise ValidationError(f"horizons must lie in 1..{n}")
-    orders = [sorted(range(len(side)), key=lambda c, _s=side: -_s[c][1]) for side in sides]
-    top = max((side[order[0]][1] + lead for side, order in zip(sides, orders) if side),
-              default=0)
+    # the order the columns join in: by horizon, longest first, and stable,
+    # so within a layer the upper columns come before the lower ones, as in vals
+    order = sorted(range(len(columns)), key=lambda c: -columns[c][1])
+    top = columns[order[0]][1] + lead if columns else 0
     rows = sums.sizes[top] if dense else len(sums.args[top])
-    vals, K = np.empty((rows, 0)), 0  # K upper columns come first
+    vals = np.empty((rows, 0))
     for t in range(top, 0, -1):
-        joining = [[side[c][0] for c in order if side[c][1] + lead == t]
-                   for side, order in zip(sides, orders)]
-        if joining[0] or joining[1]:
-            fs = {id(f): f for f in joining[0] + joining[1]}
+        joining = [c for c in order if columns[c][1] + lead == t]
+        if joining:
+            fs = {id(columns[c][0]): columns[c][0] for c in joining}
             col = {key: i for i, key in enumerate(fs)}
-            k = len(joining[0])
+            ups = [col[id(columns[c][0])] for c in joining if c < len(upper)]
+            los = [col[id(columns[c][0])] for c in joining if c >= len(upper)]
             if dense:
                 shifts, lows, sizes = _dense_layers(sums.parts, sums.step, sums.lead, t, t + 1,
                                                     sums.lows[t], sums.sizes[t])
@@ -921,23 +937,24 @@ def sweep_columns(sums: Graph | DenseSum, upper: Sequence[tuple[Functional, int]
             distinct, at = np.unique(args, return_inverse=True)
             payoffs = np.array([[f.phi(x) for f in fs.values()] for x in distinct.tolist()],
                                dtype=float)[at]
-            new = payoffs[:, [col[id(f)] for f in joining[0] + joining[1]]]
+            new = payoffs[:, ups + los]
+            new[:, len(ups):] *= -1.0  # a lower column sweeps -phi
             if dense:  # down the last m draws of S_t to layer t
                 for shift, rows, laws in reversed([*zip(shifts, sizes, sums.laws[t:])]):
-                    new = _back(new, k, laws, rows, lambda j: new[shift[j]:shift[j] + rows])
-            vals, K = np.hstack((vals[:, :K], new[:, :k], vals[:, K:], new[:, k:])), K + k
+                    new = _back(new, laws, rows, lambda j: new[shift[j]:shift[j] + rows])
+            vals = np.hstack((vals, new))
         # each child function reads vals before _back returns its successor
         if dense:
             shift, rows = sums.shifts[t - 1], sums.sizes[t - 1]
-            vals = _back(vals, K, sums.laws[t - 1], rows, lambda j: vals[shift[j]:shift[j] + rows])
+            vals = _back(vals, sums.laws[t - 1], rows, lambda j: vals[shift[j]:shift[j] + rows])
         else:
             child = sums.children[t - 1]
-            vals = _back(vals, K, sums.laws[t - 1], len(child),
+            vals = _back(vals, sums.laws[t - 1], len(child),
                          lambda j: vals.take(child[:, j], axis=0))
-    per_column = vals.T.tolist()  # vals has one row per root after the last step
-    ups, los = dict(zip(orders[0], per_column[:K])), dict(zip(orders[1], per_column[K:]))
-    return (tuple(v for c in range(len(upper)) for v in ups[c]),
-            tuple(v for c in range(len(lower)) for v in los[c]))
+    # vals has one row per root after the last step
+    found = dict(zip(order, vals.T.tolist()))
+    return (tuple(v for c in range(len(upper)) for v in found[c]),
+            tuple(0.0 - v for c in range(len(upper), len(columns)) for v in found[c]))
 
 
 def evaluate_columns(sums: Graph | DenseSum,
@@ -964,17 +981,18 @@ def evaluate_columns(sums: Graph | DenseSum,
 def _history_values(
     sets: Sequence[AmbiguitySet],
     payoff: Callable[[tuple[float, ...]], Sequence[float]],
-    upper: int,
-    lower: int,
+    width: int,
 ) -> list[float]:
-    """Every column of ``payoff`` by backward recursion over full histories.
+    """The upper value of every column of ``payoff`` by backward recursion over full histories.
 
-    ``payoff`` gives ``upper + lower`` values per history; the first
-    ``upper`` columns take the best law by ``max``, the others by ``min``.
-    Each column keeps its own running value per law, ``0.0`` plus ``p * V``
-    over the law's support in order (``p == 0.0`` skipped), and its own
-    best, so it is the same floats as a recursion that carries that column
-    alone.  A node evaluates each child once, however many laws reach it.
+    ``payoff`` gives ``width`` values per history, and every column takes
+    the best law by ``max``; a caller reads a lower value as ``0.0 - v`` of
+    a column of negated payoffs (see ``sweep_columns`` for why that is the
+    direct minimum bit for bit).  Each column keeps its own running value
+    per law, ``0.0`` plus ``p * V`` over the law's support in order
+    (``p == 0.0`` skipped), and its own best, so it is the same floats as a
+    recursion that carries that column alone.  A node evaluates each child
+    once, however many laws reach it.
     Raises ``GuardError`` before any work when the histories it would walk,
     over the support points some law gives mass, exceed ``PATH_CAP``.
     """
@@ -994,7 +1012,7 @@ def _history_values(
         paths *= len(values)
         if paths > PATH_CAP:
             raise GuardError(f"history recursion would exceed {PATH_CAP} paths")
-    n_steps, start = len(steps), [-math.inf] * upper + [math.inf] * lower
+    n_steps, start = len(steps), [-math.inf] * width
 
     def rec(t: int, hist: tuple[float, ...]) -> Sequence[float]:
         if t == n_steps:
@@ -1009,8 +1027,7 @@ def _history_values(
                 if kid is None:
                     kid = kids[slot] = rec(t + 1, hist + (values[slot],))
                 acc = [a + p * v for a, v in zip(acc, kid)]
-            best = ([max(b, a) for b, a in zip(best[:upper], acc)]
-                    + [min(b, a) for b, a in zip(best[upper:], acc[upper:])])
+            best = [max(b, a) for b, a in zip(best, acc)]
         return best
 
     return list(rec(0, ()))
@@ -1032,7 +1049,9 @@ def window_columns(
     Evaluated by one recursion over the full history of the involved
     draws ``{k + j : k in indices, 0 <= j <= m}`` (every other draw
     integrates out), carrying every column; a payoff on both sides is
-    called once per history.  Each value is, bit for bit, that of a
+    called once per history.  A lower column carries ``-psi`` and reads
+    ``0.0 - v``, the conjugate rule of ``sweep_columns``, which is the
+    direct minimum bit for bit.  Each value is, bit for bit, that of a
     recursion carrying its column alone.
     Intended for small index windows: marginals, cross moments,
     stationarity and independence checks.
@@ -1041,10 +1060,11 @@ def window_columns(
     if not idx or any(not 1 <= k <= model.n for k in idx):
         raise ValidationError("window indices must lie in 1..n")
     # each distinct payoff is called once per history, then copied to its columns
-    columns = [*upper, *lower]
-    distinct = {id(psi): psi for psi in columns}
+    distinct = {id(psi): psi for psi in [*upper, *lower]}
     position = {key: i for i, key in enumerate(distinct)}
-    psis, at = tuple(distinct.values()), [position[id(psi)] for psi in columns]
+    psis = tuple(distinct.values())
+    ups = [position[id(psi)] for psi in upper]
+    los = [position[id(psi)] for psi in lower]
     weights, scale = model.weights, model.scale
     involved = sorted({k + j for k in idx for j in range(len(weights))})
     sets = [model.sets[t - 1] for t in involved]
@@ -1056,10 +1076,10 @@ def window_columns(
         if x_clip is not None:
             xs = tuple(min(max(x, -x_clip), x_clip) for x in xs)
         values = [psi(xs) for psi in psis]
-        return [values[i] for i in at]
+        return [values[i] for i in ups] + [-values[i] for i in los]
 
-    found = _history_values(sets, payoff, len(upper), len(lower))
-    return tuple(found[:len(upper)]), tuple(found[len(upper):])
+    found = _history_values(sets, payoff, len(ups) + len(los))
+    return tuple(found[:len(ups)]), tuple(0.0 - v for v in found[len(ups):])
 
 
 def one_law(model: SequenceModel) -> bool:
@@ -1126,11 +1146,13 @@ def oracle_policy_enum(model: SequenceModel, f: Functional) -> EvalResult:
     """Brute-force supremum over history-dependent law choices.
 
     Recurses over full histories of the primitive draws; at every history
-    node the value is maximized (and, in a second column of the same
-    recursion, minimized for the lower bound) over the member laws, which
-    enumerates all adaptive policies.  Payoffs are recomputed from the raw
-    history, independently of the layered DP: ``S_n`` is one ``math.fsum``
-    of every product ``w_j * eps_{k+j}``, so it is exactly rounded.
+    node the value is maximized over the member laws, which enumerates all
+    adaptive policies.  The lower value is the conjugate ``0.0 - v`` of a
+    second column of the same recursion that carries ``-phi``: the direct
+    minimum bit for bit (see ``sweep_columns``).  Payoffs are recomputed
+    from the raw history, independently of the layered DP: ``S_n`` is one
+    ``math.fsum`` of every product ``w_j * eps_{k+j}``, so it is exactly
+    rounded.
     """
     if model.n > ORACLE_MAX_N:
         raise GuardError(f"oracle guard: n={model.n} exceeds {ORACLE_MAX_N}")
@@ -1144,7 +1166,7 @@ def oracle_policy_enum(model: SequenceModel, f: Functional) -> EvalResult:
     def payoff(hist: tuple[float, ...]) -> list[float]:
         total = math.fsum(w * hist[k + j] for k in ks for j, w in enumerate(weights))
         value = f.phi(model.scale * total)
-        return [value, value]
+        return [value, -value]
 
-    upper, lower = _history_values(model.sets, payoff, 1, 1)
-    return EvalResult(upper, lower, 0)
+    upper, negated_lower = _history_values(model.sets, payoff, 2)
+    return EvalResult(upper, 0.0 - negated_lower, 0)

@@ -133,8 +133,8 @@ def upper_expect(set_: AmbiguitySet, phi: Callable[[float], float]) -> float:
 
 
 def lower_expect(set_: AmbiguitySet, phi: Callable[[float], float]) -> float:
-    """Conjugate expectation ``-upper_expect(-phi)``."""
-    return -upper_expect(set_, lambda v: -phi(v))
+    """Conjugate expectation ``0.0 - upper_expect(-phi)``: a lower value of 0 is +0.0."""
+    return 0.0 - upper_expect(set_, lambda v: -phi(v))
 
 
 def truncate(set_: AmbiguitySet, c: float) -> AmbiguitySet:

@@ -85,21 +85,20 @@ class RosenthalReport:
 
 
 def rosenthal_checks(
-    families: Sequence[tuple[SequenceModel, Sequence[tuple[int, float]]]],
+    cases: Sequence[tuple[SequenceModel, int, float]],
     *,
     state_cap: int = engine.DEFAULT_STATE_CAP,
-) -> tuple[tuple[RosenthalReport, ...], ...]:
-    """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, per family and ``(n, p)``.
+) -> tuple[RosenthalReport, ...]:
+    """Exact ``E[max_{k<=n}|S_k|^p]`` against the three right-side terms, one report per case.
 
-    Each family is a model and its cases ``(n, p)``; horizon n reads
-    coordinates 1..n of the model, and the reports come one tuple per
-    family, in the order of its cases.  Families with equal models are
-    checked together, at their largest n: every case is an upper column of
-    one backward sweep over the running-max graph (``engine.sweep_columns``,
-    with no lower column), and the marginals E[X_k^2], E[X_k], e[X_k] and
-    E[|X_k|^p] (once per distinct p) are the columns of one history
-    recursion (``engine.spread_columns``), each horizon adding its first n
-    values left to right.
+    Each case is ``(model, n, p)``: horizon n reads coordinates 1..n of the
+    model, and the reports come in the order of the cases.  The cases of
+    equal models are checked together, at their largest n: every case is an
+    upper column of one backward sweep over the running-max graph
+    (``engine.sweep_columns``, with no lower column), and the marginals
+    E[X_k^2], E[X_k], e[X_k] and E[|X_k|^p] (once per distinct p) are the
+    columns of one history recursion (``engine.spread_columns``), each
+    horizon adding its first n values left to right.
 
     A running-max graph depends on the model's ``engine.support_key``, not
     on its probabilities, so the models of one key share one compile, each
@@ -107,12 +106,11 @@ def rosenthal_checks(
     own compile, bit for bit.  One key's graph is dropped before the next
     one compiles, so one graph is alive at a time.
     """
-    if any(p < 2.0 for _, cases in families for _, p in cases):
+    if any(p < 2.0 for _, _, p in cases):
         raise ValidationError("rosenthal_checks needs p >= 2")
     cases_of: dict[SequenceModel, list[tuple[int, float]]] = {}
-    for model, cases in families:
-        if cases:
-            cases_of.setdefault(model, []).extend(cases)
+    for model, n, p in cases:
+        cases_of.setdefault(model, []).append((n, p))
     tops = {model: model.prefix(max(n for n, _ in cases)) for model, cases in cases_of.items()}
     keys: dict[tuple, list[SequenceModel]] = {}
     for model, top in tops.items():
@@ -126,7 +124,7 @@ def rosenthal_checks(
                 graph = engine.with_laws(graph, top)
             reports[model] = iter(_checks(graph, top, cases_of[model]))
         del graph  # before the next key compiles
-    return tuple(tuple(next(reports[model]) for _ in cases) for model, cases in families)
+    return tuple(next(reports[model]) for model, _, _ in cases)
 
 
 def _checks(graph: engine.Graph, top: SequenceModel,

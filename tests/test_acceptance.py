@@ -298,8 +298,8 @@ def test_criterion_06_mdependent_clt():
 def test_criterion_07_rosenthal_battery():
     t0 = time.monotonic()
     battery = mdep.rosenthal_battery()
-    found = mdep.rosenthal_checks([(inst.model, [(inst.n, inst.p)]) for inst in battery])
-    reports = [(inst, rep) for inst, (rep,) in zip(battery, found)]
+    found = mdep.rosenthal_checks([(inst.model, inst.n, inst.p) for inst in battery])
+    reports = list(zip(battery, found))
     c_max = max(rep.fitted_C for _, rep in reports)
     doob = [rep.lhs / rep.term_variance for inst, rep in reports
             if inst.model.m == 0 and inst.p == 2.0 and inst.zero_mean]

@@ -712,6 +712,25 @@ def test_a_coordinate_that_overflows_a_float_is_a_validation_error(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    # |x| ** 400 of a sum of 8 draws, in the sweep's payoffs
+    ("eval", {"n_list": [8], "functionals": ["abspow@400"]}),
+    ("clt-sweep", {"n_list": [8], "functionals": ["abspow@400"]}),
+    # the same payoff in the PDE's initial data
+    ("gnormal", {"functionals": ["abspow@400"], "gnormal": {"sigma_lo2": 0.5}}),
+    # B ** p of a normalizer
+    ("conditions", {"conditions": {"p": [1.0e+300]}}),
+], ids=["eval", "clt-sweep", "gnormal", "conditions"])
+def test_a_value_that_overflows_a_float_exits_2_without_traceback(tmp_path, capsys, command,
+                                                                  extra):
+    raw = {"name": "huge", "model": {"builder": "iid-peng"}, **extra}
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "computation error: a value overflows a float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blocking", [{}, {"pn_list": [2, 4]}], ids=["choose_pn", "pn_list"])
 def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, engine_calls, blocking):
     # cut-separated blocks are independent sums only for m <= 1; the model is

@@ -33,7 +33,7 @@ children's values), and ``oracle_policy_enum`` takes its upper and lower
 value from one recursion that equals two one-column ones.
 ``rosenthal_checks``, which reads every horizon off one graph and one set of
 marginals, gives what a per-case compile of ``model.prefix(n)`` gives, also
-for a family whose model shares the graph under its own laws.
+for the cases of a model that shares the graph under its own laws.
 ``with_laws`` puts another model's laws on a compiled graph: for models of
 equal support columns, weights and scale (m = 0, 1 and 2, with and without
 the running max, on and off the lattice), the result is that model's own
@@ -57,6 +57,11 @@ layers count the graph's states without building them: layer for layer
 they are the lengths of the compiled graph's layers, and every column's
 state count is the graph's, also on gapped supports, whose dense ranges
 hold more offsets than the graph has states.
+Every backward pass maximizes only, so the min-based references above are
+the arbiter that a lower value read as ``0.0 - v`` of the sweep of ``-phi``
+is the direct minimum bit for bit; the conjugate rule itself is checked on
+dense and graph handles, window columns and the oracle, down to a lower
+value of exactly 0 coming back as +0.0.
 """
 
 from __future__ import annotations
@@ -1197,23 +1202,22 @@ def test_a_graph_refuses_other_weights_scale_or_length(change):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(marginal_models(), st.data())
 def test_rosenthal_checks_equal_per_case_prefix_compiles(model, data):
-    # a second family under other laws on the same support columns, at the
-    # same largest horizon, shares the first one's compile
+    # the cases of a second model under other laws on the same support
+    # columns, at the same largest horizon, share the first one's compile
     cases = data.draw(st.lists(
         st.tuples(st.integers(1, model.n), st.sampled_from((2.0, 2.5, 3.0, 4.0))),
         min_size=1, max_size=6))
     other = data.draw(relawed(model))
     other_cases = [(max(n for n, _ in cases), 2.0), *data.draw(st.lists(
         st.tuples(st.integers(1, model.n), st.sampled_from((2.0, 3.0))), max_size=3))]
-    families = [(model, cases), (other, other_cases)]
+    flat = [(model, n, p) for n, p in cases] + [(other, n, p) for n, p in other_cases]
     try:
-        want = tuple(tuple(reference_rosenthal(fam, n, p) for n, p in fam_cases)
-                     for fam, fam_cases in families)
+        want = tuple(reference_rosenthal(fam, n, p) for fam, n, p in flat)
     except ValidationError:
         with pytest.raises(ValidationError):
-            mdep.rosenthal_checks(families)
+            mdep.rosenthal_checks(flat)
         return
-    assert mdep.rosenthal_checks(families) == want
+    assert mdep.rosenthal_checks(flat) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1701,7 +1705,7 @@ def test_dense_preflight_refuses_an_over_cap_sum_before_any_layer(monkeypatch):
     assert total == 170
     swept = []  # one entry per draw swept
     back = eng._back
-    monkeypatch.setattr(eng, "_back", lambda *args: swept.append(args[2]) or back(*args))
+    monkeypatch.setattr(eng, "_back", lambda *args: swept.append(args[1]) or back(*args))
     # the refusal names the dense offsets it counts, not the graph states of a state_count
     needed = f"^dense lattice offset count {total} exceeds cap {total - 1}$"
     for build in (lambda cap: eng.row_sums(model, state_cap=cap),
@@ -1773,3 +1777,74 @@ def test_a_cap_between_the_dense_offsets_and_the_graph_states_refuses_the_dense_
     eng.compile_sum(model, state_cap=250)
     with pytest.raises(StateCapError, match="^dense lattice offset count 286 exceeds cap 250$"):
         eng.row_sums(model, state_cap=250)
+
+
+# ---------------------------------------------------------------------------
+# The conjugate rule: a lower value is 0.0 - the upper value of -phi
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def swept_handles(draw) -> eng.Graph | eng.DenseSum:
+    """Dense layers of a lattice model, or a graph of one to three roots under generated options."""
+    if draw(st.booleans()):
+        sums = eng.row_sums(draw(dense_models()))
+        assert isinstance(sums, eng.DenseSum)
+        return sums
+    model = draw(models())
+    masks = draw(st.lists(st.one_of(st.none(), st.sets(st.integers(1, model.n))),
+                          min_size=1, max_size=3))
+    clips = draw(st.lists(st.sampled_from(CLIP_LEVELS), min_size=len(masks),
+                          max_size=len(masks)))
+    return eng.compile_sum(model, masks=masks, x_clip=clips, track_max=draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(swept_handles(), st.data())
+def test_a_lower_column_is_0_minus_the_upper_column_of_the_negated_functional(sums, data):
+    n = len(sums.laws) - sums.lead
+    # prefix columns at repeated horizons, every root of a graph
+    columns = data.draw(st.lists(
+        st.tuples(st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS), st.integers(1, n)),
+        min_size=1, max_size=5))
+    none, lowers = eng.sweep_columns(sums, [], columns)
+    negated, _ = eng.sweep_columns(sums, [(eng.negated(f), M) for f, M in columns], [])
+    assert none == () and len(lowers) == len(negated)
+    assert hexes(lowers) == hexes(0.0 - v for v in negated)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(marginal_models(), st.data(), st.sampled_from((None, 0.25, 1.5)))
+def test_a_lower_window_column_is_0_minus_the_upper_column_of_the_negated_payoff(model, data,
+                                                                                 x_clip):
+    idx = data.draw(windows(model))
+    psis = data.draw(st.lists(st.sampled_from(WINDOW_PAYOFFS), min_size=1, max_size=3))
+    _, lowers = eng.window_columns(model, idx, [], psis, x_clip=x_clip)
+    negated, _ = eng.window_columns(model, idx, [lambda xs, _psi=psi: -_psi(xs) for psi in psis],
+                                    [], x_clip=x_clip)
+    assert hexes(lowers) == hexes(0.0 - v for v in negated)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(models(), st.sampled_from(FUNCTIONALS + EDGE_FUNCTIONALS))
+def test_the_oracles_lower_value_is_0_minus_the_upper_value_of_the_negated_functional(model, f):
+    assume(math.prod(len(s.support) for s in model.sets) <= 300)
+    got, negated = eng.oracle_policy_enum(model, f), eng.oracle_policy_enum(model, eng.negated(f))
+    assert got.lower.hex() == (0.0 - negated.upper).hex()
+    assert got.upper.hex() == (0.0 - negated.lower).hex()
+
+
+def test_a_lower_value_of_exactly_0_is_positive_zero():
+    # identity on laws symmetric about 0: every law's mean is 0 on both sides,
+    # and -v of the negated sweep would read -0.0
+    model = SequenceModel.moving_window(THREE_POINT, (1.0, 1.0), 4)
+    identity = eng.identity()
+    for sums in (eng.row_sums(model), eng.compile_sum(model)):
+        (res,) = eng.evaluate_columns(sums, [(identity, 4)])
+        assert (res.upper.hex(), res.lower.hex()) == ("0x0.0p+0", "0x0.0p+0")
+    _, (lower,) = eng.window_columns(model, (1, 2), [], [lambda xs: xs[0]])
+    assert lower.hex() == "0x0.0p+0"
+    _, (ks,) = eng.marginal_columns(model, [], [identity.phi])
+    assert hexes(ks) == ["0x0.0p+0"] * 4
+    assert eng.oracle_policy_enum(model, identity).lower.hex() == "0x0.0p+0"
+    assert sl.lower_expect(THREE_POINT, identity.phi).hex() == "0x0.0p+0"

@@ -74,7 +74,7 @@ def test_residue_class_of_window_model_is_independent():
 
 
 def test_rosenthal_iid_certain_terms():
-    ((rep,),) = mdep.rosenthal_checks([(certain_pm1_iid(3), [(3, 2.0)])])
+    (rep,) = mdep.rosenthal_checks([(certain_pm1_iid(3), 3, 2.0)])
     assert rep.term_variance == pytest.approx(3.0, abs=TOL)
     assert rep.term_moments == pytest.approx(3.0, abs=TOL)
     assert rep.term_means == pytest.approx(0.0, abs=TOL)
@@ -85,7 +85,7 @@ def test_rosenthal_iid_certain_terms():
 
 def test_rosenthal_lhs_dominates_variance_term():
     model = sl.SequenceModel.iid(variance_uncertain(), 4)
-    (reports,) = mdep.rosenthal_checks([(model, [(2, 2.0), (4, 2.0)])])
+    reports = mdep.rosenthal_checks([(model, 2, 2.0), (model, 4, 2.0)])
     for rep in reports:
         assert rep.lhs >= rep.term_variance - TOL
 
@@ -96,7 +96,7 @@ def test_rosenthal_lhs_matches_history_recursion():
     # (horizons below the model's n read its prefix off the one graph)
     model = sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, 0.5), 3)
     cases = [(3, 2.0), (2, 3.0), (3, 3.0)]
-    (reports,) = mdep.rosenthal_checks([(model, cases)])
+    reports = mdep.rosenthal_checks([(model, n, p) for n, p in cases])
     for (n, p), rep in zip(cases, reports):
         def path_max(xs, _p=p):
             s, m = 0.0, 0.0
@@ -111,15 +111,11 @@ def test_rosenthal_lhs_matches_history_recursion():
 
 def test_rosenthal_rejects_small_p():
     with pytest.raises(ValidationError):
-        mdep.rosenthal_checks([(certain_pm1_iid(2), [(2, 2.0), (2, 1.0)])])
+        mdep.rosenthal_checks([(certain_pm1_iid(2), 2, 2.0), (certain_pm1_iid(2), 2, 1.0)])
 
 
 def test_rosenthal_checks_of_no_case_is_empty():
     assert mdep.rosenthal_checks([]) == ()
-    assert mdep.rosenthal_checks([(certain_pm1_iid(3), [])]) == ((),)
-    none, some = mdep.rosenthal_checks([(certain_pm1_iid(3), []),
-                                        (certain_pm1_iid(3), [(2, 2.0)])])
-    assert none == () and len(some) == 1
 
 
 def test_rosenthal_checks_sweep_upper_values_only(monkeypatch):
@@ -131,7 +127,8 @@ def test_rosenthal_checks_sweep_upper_values_only(monkeypatch):
         return sweep_columns(graph, upper, lower)
 
     monkeypatch.setattr(eng, "sweep_columns", counting)
-    (reports,) = mdep.rosenthal_checks([(certain_pm1_iid(4), [(2, 2.0), (4, 3.0), (4, 2.0)])])
+    model = certain_pm1_iid(4)
+    reports = mdep.rosenthal_checks([(model, 2, 2.0), (model, 4, 3.0), (model, 4, 2.0)])
     assert len(reports) == 3
     assert sweeps == [(3, 0)]
 
@@ -146,8 +143,8 @@ def test_rosenthal_battery_is_deterministic():
 def test_rosenthal_battery_slice_bounded():
     insts = [i for i in mdep.rosenthal_battery() if i.n <= 5][:20]
     assert insts
-    found = mdep.rosenthal_checks([(inst.model, [(inst.n, inst.p)]) for inst in insts])
-    for inst, (rep,) in zip(insts, found):
+    found = mdep.rosenthal_checks([(inst.model, inst.n, inst.p) for inst in insts])
+    for inst, rep in zip(insts, found):
         assert (rep.n, rep.p, rep.m) == (inst.n, inst.p, inst.model.m)
         assert math.isfinite(rep.lhs)
         assert rep.lhs <= rep.fitted_C * rep.rhs_sum + 1e-9
@@ -155,24 +152,24 @@ def test_rosenthal_battery_slice_bounded():
 
 def test_rosenthal_battery_holds_one_graph_at_a_time():
     battery = mdep.rosenthal_battery()
-    families = [(inst.model, [(inst.n, inst.p)]) for inst in battery]
-    # the family of the largest running-max graph: m = 2, weights (1, 1, 1), 33,474 states
-    models = {model for model, _ in families if model.weights == (1.0,) * 3}
+    cases = [(inst.model, inst.n, inst.p) for inst in battery]
+    # the model of the largest running-max graph: m = 2, weights (1, 1, 1), 33,474 states
+    models = {model for model, _, _ in cases if model.weights == (1.0,) * 3}
     largest = max(models, key=lambda model: sum(map(len, eng.compile_sum(
         model, track_max=True).args)))
-    alone = [(model, cases) for model, cases in families if model == largest]
+    alone = [case for case in cases if case[0] == largest]
 
-    def peak(families):
+    def peak(cases):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mdep.rosenthal_checks(families)
+            mdep.rosenthal_checks(cases)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
     # 1.05 here; keeping the battery's 21 graphs alive to the end reads 1.29
-    assert peak(families) < 1.25 * peak(alone)
+    assert peak(cases) < 1.25 * peak(alone)
 
 
 def test_rosenthal_battery_builds_one_model_per_family():

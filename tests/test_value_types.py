@@ -59,7 +59,7 @@ def samples() -> dict[type, object]:
         exp.ConditionSettings(), exp.BlockingSettings(), exp.reference_experiments()["iid-peng"],
         report.trunc, report, ctx, plan,
         blk.diagnostics(ctx, plan), mdep.ResidueDecomposition(1, 6),
-        mdep.rosenthal_checks([(MODEL, [(8, 2.0)])])[0][0], mdep.rosenthal_battery()[0],
+        mdep.rosenthal_checks([(MODEL, 8, 2.0)])[0], mdep.rosenthal_battery()[0],
         mdep.z_reduce(MODEL), mdep.three_part_split(MODEL, 8, 2),
     ]
     return {type(value): value for value in found}
