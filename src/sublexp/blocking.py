@@ -196,14 +196,11 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
     sub, B2, cap = ctx.model, ctx.B2, ctx.state_cap
     if plan.k_n != sub.n:
         raise ValidationError(f"plan is for k_n={plan.k_n}, the row for n={sub.n}")
-    # one graph and one sweep: a root per non-empty block (empty blocks add
-    # 0), which gives both of its second moments, and one for the cuts
-    blocks = [blk for blk in plan.blocks if blk]
-    graph = engine.compile_sum(sub, masks=blocks + ([plan.cuts] if plan.cuts else []),
-                               state_cap=cap)
-    found = engine.evaluate_columns(graph, [(engine.square(), sub.n)])
-    m2 = found[:len(blocks)]
-    removed = found[-1].upper / B2 if plan.cuts else 0.0
+    # one graph and one sweep: a root per block, which gives both of its
+    # second moments, and one for the cuts; an empty mask is a root whose
+    # sum is 0, as the last block and the cuts of a plan with none are
+    graph = engine.compile_sum(sub, masks=[*plan.blocks, plan.cuts], state_cap=cap)
+    *m2, cuts = engine.evaluate_columns(graph, [(engine.square(), sub.n)])
     delta_lo, delta_hi = _delta_sums(sub, plan.cuts, B2)
     Bt2 = engine.ordered_sum(res.upper for res in m2)
     bt2 = engine.ordered_sum(res.lower for res in m2)
@@ -213,5 +210,5 @@ def diagnostics(ctx: RowContext, plan: BlockingPlan) -> BlockDiagnostics:
         sum_delta_hi=delta_hi,
         Btilde2_over_B2=Bt2 / B2,
         btilde2_over_B2=bt2 / B2,
-        removed_mass=removed,
+        removed_mass=cuts.upper / B2,
     )

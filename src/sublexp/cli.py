@@ -13,8 +13,8 @@ All computation is exact and deterministic; reports are written only after
 a run completes, with fixed column order and 12-significant-digit decimals,
 so repeated runs produce byte-identical files.  Exit codes: 0 success,
 1 configuration/validation error, 2 computation error (state cap exceeded,
-non-finite values in the PDE solve, a payoff or normalizer that overflows
-a float).
+non-finite values in the PDE solve, a payoff, normalizer or reported value
+that overflows a float, a divisor that underflows to 0).
 """
 
 from __future__ import annotations
@@ -389,6 +389,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, mode: str | None = None) -> 
     if mode not in RUNNERS:
         raise ValidationError(f"unknown mode {mode!r}")
     tables = RUNNERS[mode](cfg)
+    if any(v in (math.inf, -math.inf) for _, rows in tables.values() for row in rows for v in row):
+        raise OverflowError("a value overflows a float")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -454,6 +456,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError:
         # Python's float ** raises where numpy would give inf
         print("computation error: a value overflows a float", file=sys.stderr)
+        return 2
+    except ZeroDivisionError:
+        # a divisor such as B_n ** p underflows to 0
+        print("computation error: a divisor underflows to 0", file=sys.stderr)
         return 2
     for path in written:
         print(path)

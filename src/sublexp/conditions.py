@@ -109,9 +109,11 @@ class RowContext:
 
     @property
     def B2(self) -> float:
-        """``B_n^2``, the divisor of every normalized hypothesis; raises when it is 0."""
+        """``B_n^2``, the divisor of every normalized hypothesis; raises when it is 0 or inf."""
         if not self.m2.upper > 0.0:
             raise ValidationError("degenerate model: zero upper second moment")
+        if self.m2.upper == math.inf:
+            raise OverflowError("B_n^2 overflows a float")
         return self.m2.upper
 
 

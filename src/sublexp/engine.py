@@ -89,7 +89,9 @@ count per root (a dense sum has one root), so the sweep reads the laws
 and the counts are summed the same way on either.
 
 Functionals of a few coordinates are evaluated by recursion over the full
-history of the draws they involve.  ``window_columns`` carries many payoff
+history of the draws they involve, on the support columns the graph
+expands, and each coordinate is formed by the ``_coordinate`` that forms
+the graph's terms.  ``window_columns`` carries many payoff
 columns through one such recursion, upper and lower columns as separate
 lists, as ``sweep_columns`` takes them, and a lower column as the upper
 column of its negated payoff; each column keeps its own running value per
@@ -230,7 +232,7 @@ class SequenceModel:
     float raises ``ValidationError``: that is when the sum of ``|w_j|``, times
     the largest ``|v|`` of any law's support, times ``max(scale, 1)``, times
     n is not finite.  ``max(scale, 1)`` bounds the unscaled products and sums
-    too, which ``_term`` and ``oracle_policy_enum`` form before they scale.
+    too, which ``_coordinate`` and ``oracle_policy_enum`` form before they scale.
     """
 
     sets: tuple[AmbiguitySet, ...]
@@ -321,9 +323,14 @@ def _completes(model: SequenceModel, step: int) -> int | None:
     return k if k >= 1 else None
 
 
-def _term(model: SequenceModel, window: tuple[float, ...], v: float,
-          x_clip: float | None) -> float:
-    x = model.scale * math.fsum(w * e for w, e in zip(model.weights, window + (v,)))
+def _coordinate(model: SequenceModel, window: Sequence[float], x_clip: float | None) -> float:
+    """``X_k`` of its draws ``window = (eps_k .. eps_{k+m})``, clipped to ``[-x_clip, x_clip]``.
+
+    ``scale * fsum(w_j * eps_{k+j})``: the one place a coordinate is
+    formed, for the layered DP (``_term_table``) and for the history
+    recursion (``window_columns``) alike.
+    """
+    x = model.scale * math.fsum(w * e for w, e in zip(model.weights, window))
     if x_clip is not None:
         x = min(max(x, -x_clip), x_clip)
     return x
@@ -431,7 +438,7 @@ def _term_table(model: SequenceModel, supports: tuple[tuple[float, ...], ...],
     """
     *window, values = supports
     windows = itertools.product(*window)
-    return np.array([[_term(model, w, v, x_clip) for v in values] for w in windows],
+    return np.array([[_coordinate(model, w + (v,), x_clip) for v in values] for w in windows],
                     dtype=float)
 
 
@@ -612,7 +619,7 @@ def compile_sum(
     scalar code), from its root's table of the draw's stack (``_draws``),
     rounded by ``_canon_array`` onto the 1e-12 merge grid,
     and its running max is ``where(b > mx, b, mx)`` with ``b = |sum|``.
-    ``_term`` runs once per distinct (window, value) pair.  So the graph
+    ``_coordinate`` runs once per distinct (window, value) pair.  So the graph
     depends on each draw's support columns, the weights and the scale
     (``support_key``), not on the probabilities: those only fill the
     graph's ``laws``, and ``with_laws`` puts the laws of another model of
@@ -992,21 +999,13 @@ def _history_values(
     per law, ``0.0`` plus ``p * V`` over the law's support in order
     (``p == 0.0`` skipped), and its own best, so it is the same floats as a
     recursion that carries that column alone.  A node evaluates each child
-    once, however many laws reach it.
-    Raises ``GuardError`` before any work when the histories it would walk,
-    over the support points some law gives mass, exceed ``PATH_CAP``.
+    once, however many laws reach it.  A history walks the support columns
+    of ``_support_columns``, the table the layered DP expands, so the two
+    passes see the same points, a 0.0 and a -0.0 of different laws as one.
+    Raises ``GuardError`` before any work when the histories it would walk
+    exceed ``PATH_CAP``.
     """
-    plans = {}
-    for s in sets:
-        if id(s) not in plans:
-            # one slot per distinct support point; -0.0 and 0.0 stay apart
-            slots: dict[tuple[float, float], int] = {}
-            laws = tuple(
-                tuple((slots.setdefault((v, math.copysign(1.0, v)), len(slots)), p)
-                      for v, p in zip(law.values, law.probs) if p != 0.0)
-                for law in s.laws)
-            plans[id(s)] = tuple(v for v, _ in slots), laws
-    steps = [plans[id(s)] for s in sets]
+    steps = _support_columns(sets)
     paths = 1
     for values, _ in steps:
         paths *= len(values)
@@ -1022,10 +1021,10 @@ def _history_values(
         best = start
         for law in laws:
             acc = [0.0] * len(start)
-            for slot, p in law:
-                kid = kids[slot]
+            for j, p in law:
+                kid = kids[j]
                 if kid is None:
-                    kid = kids[slot] = rec(t + 1, hist + (values[slot],))
+                    kid = kids[j] = rec(t + 1, hist + (values[j],))
                 acc = [a + p * v for a, v in zip(acc, kid)]
             best = [max(b, a) for b, a in zip(best, acc)]
         return best
@@ -1048,11 +1047,12 @@ def window_columns(
 
     Evaluated by one recursion over the full history of the involved
     draws ``{k + j : k in indices, 0 <= j <= m}`` (every other draw
-    integrates out), carrying every column; a payoff on both sides is
-    called once per history.  A lower column carries ``-psi`` and reads
-    ``0.0 - v``, the conjugate rule of ``sweep_columns``, which is the
-    direct minimum bit for bit.  Each value is, bit for bit, that of a
-    recursion carrying its column alone.
+    integrates out, see ``_history_values``), carrying every column; a
+    payoff on both sides is called once per history, on the coordinates
+    ``_coordinate`` forms from it, as it forms the layered DP's terms.  A
+    lower column carries ``-psi`` and reads ``0.0 - v``, the conjugate rule
+    of ``sweep_columns``, which is the direct minimum bit for bit.  Each
+    value is, bit for bit, that of a recursion carrying its column alone.
     Intended for small index windows: marginals, cross moments,
     stationarity and independence checks.
     """
@@ -1065,16 +1065,14 @@ def window_columns(
     psis = tuple(distinct.values())
     ups = [position[id(psi)] for psi in upper]
     los = [position[id(psi)] for psi in lower]
-    weights, scale = model.weights, model.scale
-    involved = sorted({k + j for k in idx for j in range(len(weights))})
+    width = len(model.weights)
+    involved = sorted({k + j for k in idx for j in range(width)})
     sets = [model.sets[t - 1] for t in involved]
+    # coordinate k's draws k..k+m are consecutive in a history of the involved draws
+    starts = [involved.index(k) for k in idx]
 
     def payoff(hist: tuple[float, ...]) -> list[float]:
-        draw = dict(zip(involved, hist))
-        xs = tuple(scale * math.fsum(w * draw[k + j] for j, w in enumerate(weights))
-                   for k in idx)
-        if x_clip is not None:
-            xs = tuple(min(max(x, -x_clip), x_clip) for x in xs)
+        xs = tuple(_coordinate(model, hist[i:i + width], x_clip) for i in starts)
         values = [psi(xs) for psi in psis]
         return [values[i] for i in ups] + [-values[i] for i in los]
 

@@ -286,8 +286,9 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     """Split ``S_n`` into q full blocks of length p_n, the m-gaps, and a tail.
 
     The q-th block ends at ``q (p_n + m)``; the tail starts right after it,
-    which makes the three masks a partition of 1..n.  The non-empty parts
-    are the roots of one graph, read by one sweep; an empty one gives 0.
+    which makes the three masks a partition of 1..n.  The three are the
+    roots of one graph, read by one upper sweep; an empty tail is a root
+    whose sum is 0.
     """
     if model.m < 1 or not engine.one_law(model):
         raise ValidationError("three_part_split needs a stationary model with m >= 1")
@@ -304,10 +305,8 @@ def three_part_split(model: SequenceModel, n: int, p_n: int) -> ThreePartSplit:
     )
     tail = tuple(range(q * (p_n + m) + 1, n + 1))
 
-    parts = (blocks, gaps, tail)
-    graph = engine.compile_sum(sub, masks=[mask for mask in parts if mask])
-    found = iter(engine.evaluate_columns(graph, [(engine.square(), n)]))
-    a1, a2, a3 = (next(found).upper if mask else 0.0 for mask in parts)
+    graph = engine.compile_sum(sub, masks=(blocks, gaps, tail))
+    (a1, a2, a3), _ = engine.sweep_columns(graph, [(engine.square(), n)], ())
     return ThreePartSplit(
         n=n, p_n=p_n, m=m,
         blocks_mask=blocks, gaps_mask=gaps, tail_mask=tail,

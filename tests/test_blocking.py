@@ -297,6 +297,33 @@ def test_diagnostics_monotone_along_reference_schedule():
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
+def _filtered_diagnostics(ctx: cond.RowContext, plan: blk.BlockingPlan) -> tuple[float, ...]:
+    """The block totals and removed mass with the empty masks filtered out and 0.0 in their place."""
+    B2, masks = ctx.B2, [mask for mask in (*plan.blocks, plan.cuts) if mask]
+    found = iter(eng.evaluate_columns(eng.compile_sum(ctx.model, masks=masks),
+                                      [(eng.square(), ctx.model.n)]))
+    m2 = [next(found) for blk_ in plan.blocks if blk_]
+    removed = next(found).upper / B2 if plan.cuts else 0.0
+    return (eng.ordered_sum(res.upper for res in m2) / B2,
+            eng.ordered_sum(res.lower for res in m2) / B2, removed)
+
+
+@pytest.mark.parametrize("model, n, p_n", [
+    (stationary_1dep(8), 8, 2),  # cuts 2, 4, 6, 8: the last block is empty
+    (stationary_1dep(3), 3, 4),  # k_n < p_n: no cuts
+    (stationary_1dep(13), 13, 4),
+    (sl.SequenceModel.iid(pm1_uncertain(), 10), 10, 4),
+    (sl.SequenceModel([variance_uncertain() if k % 3 else pm1_uncertain() for k in range(9)],
+                      (1.0, 0.5)), 8, 4),
+], ids=["last-block-empty", "no-cuts", "window", "iid", "per-draw-sets"])
+def test_diagnostics_read_empty_masks_as_roots_of_sum_0(model, n, p_n):
+    ctx = cond.row_context(model, n)
+    plan = blk.build_plan(ctx, p_n)
+    diag = blk.diagnostics(ctx, plan)
+    got = (diag.Btilde2_over_B2, diag.btilde2_over_B2, diag.removed_mass)
+    assert [v.hex() for v in got] == [v.hex() for v in _filtered_diagnostics(ctx, plan)]
+
+
 def test_diagnostics_rejects_a_plan_of_another_row():
     ctx = cond.row_context(stationary_1dep(8), 8)
     plan = blk.build_plan(cond.row_context(stationary_1dep(6), 6), 2)

@@ -731,6 +731,33 @@ def test_a_value_that_overflows_a_float_exits_2_without_traceback(tmp_path, caps
     assert not out.exists()
 
 
+#: Draws of +-1e200: every sum is finite, and its square overflows to inf.
+HUGE_DRAWS = {"kind": "independent",
+              "laws": [{"values": [-1.0e+200, 1.0e+200], "probs": [0.5, 0.5]}]}
+
+
+@pytest.mark.parametrize("command, model, extra, error", [
+    # E[S_2^2] = inf would be written as a CSV value
+    ("eval", HUGE_DRAWS, {"n_list": [2], "functionals": ["square"]},
+     "a value overflows a float"),
+    # B_n^2 = inf would make the plateau r inf / inf
+    ("clt-sweep", HUGE_DRAWS, {"n_list": [2], "functionals": ["square"]},
+     "a value overflows a float"),
+    # B_n < 1 under 1/n scaling, so B_n ** 1e300 underflows to 0
+    ("conditions", {"kind": "independent", "scaling": "inv_n",
+                    "laws": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}]},
+     {"n_list": [4, 8], "conditions": {"p": [2.0, 1.0e+300]}}, "a divisor underflows to 0"),
+], ids=["eval", "clt-sweep", "conditions"])
+def test_an_infinite_value_or_a_zero_divisor_exits_2_without_traceback(tmp_path, capsys, command,
+                                                                     model, extra, error):
+    raw = {"name": "huge", "model": model, **extra}
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"computation error: {error}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blocking", [{}, {"pn_list": [2, 4]}], ids=["choose_pn", "pn_list"])
 def test_blocking_inspect_refuses_an_m_2_model(tmp_path, capsys, engine_calls, blocking):
     # cut-separated blocks are independent sums only for m <= 1; the model is

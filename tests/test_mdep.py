@@ -309,6 +309,24 @@ def test_split_triangle_inequality():
     assert abs(B - a1) <= a2 + a3 + 1e-9
 
 
+@pytest.mark.parametrize("model, n, p_n", [
+    (stationary_1dep(4), 4, 3),  # one block and its gap: the tail is empty
+    (stationary_1dep(14), 14, 6),  # two blocks and gaps: the tail is empty
+    (stationary_1dep(20), 20, 4),
+    (sl.SequenceModel.moving_window(pm1_uncertain(), (1.0, -0.5, 0.5), 11), 11, 2),
+], ids=["one-block", "two-blocks", "tail", "m-2"])
+def test_split_reads_an_empty_tail_as_a_root_of_sum_0(model, n, p_n):
+    sp = mdep.three_part_split(model, n, p_n)
+    parts = (sp.blocks_mask, sp.gaps_mask, sp.tail_mask)
+    # the reference: one root per non-empty part, and 0.0 in place of an empty one
+    found = iter(sl.evaluate_columns(sl.compile_sum(model.prefix(n),
+                                                    masks=[mask for mask in parts if mask]),
+                                     [(eng.square(), n)]))
+    want = [(next(found).upper if mask else 0.0) / n for mask in parts]
+    got = (sp.a1_m2_over_n, sp.a2_m2_over_n, sp.a3_m2_over_n)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_split_validation():
     model = stationary_1dep(6)
     with pytest.raises(ValidationError):
